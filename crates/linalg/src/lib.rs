@@ -9,8 +9,12 @@
 //!   LU factorisation, and the dense kernels used by table characterisation.
 //! * [`CsrMatrix`] and [`CooMatrix`] in [`sparse`] — compressed sparse row
 //!   storage assembled from triplets.
-//! * Iterative solvers in [`solvers`] — (preconditioned) conjugate gradient,
-//!   Jacobi and Gauss–Seidel/SOR iterations, with convergence diagnostics.
+//! * [`LayeredStencil`] in [`stencil`] — the matrix-free 7-point operator of
+//!   a layered grid, read out of an assembled [`CsrMatrix`] and
+//!   bit-identical to it.
+//! * Iterative solvers in [`solvers`] — (Jacobi-preconditioned) conjugate
+//!   gradient on any [`LinearOperator`] and Gauss–Seidel/SOR iterations,
+//!   with convergence diagnostics.
 //!
 //! # Examples
 //!
@@ -36,11 +40,15 @@ pub mod dense;
 pub mod error;
 pub mod solvers;
 pub mod sparse;
+pub mod stencil;
 
 pub use dense::DenseMatrix;
 pub use error::LinalgError;
-pub use solvers::{conjugate_gradient, gauss_seidel, CgOptions, CgSolution, SorOptions};
+pub use solvers::{
+    conjugate_gradient, gauss_seidel, CgOptions, CgSolution, LinearOperator, SorOptions,
+};
 pub use sparse::{CooMatrix, CsrMatrix};
+pub use stencil::LayeredStencil;
 
 /// Computes the dot product of two equally sized slices.
 ///

@@ -2,12 +2,52 @@
 //!
 //! The steady-state thermal solve `G · T = P` dominates HotSpot-style
 //! analysis runtime. `G` is symmetric positive definite, so the workhorse is
-//! a Jacobi-preconditioned [`conjugate_gradient`]. A [`gauss_seidel`] / SOR
+//! a Jacobi-preconditioned [`conjugate_gradient`]. It runs on any
+//! [`LinearOperator`]: an assembled [`CsrMatrix`], or the matrix-free
+//! [`crate::LayeredStencil`] read out of one. A [`gauss_seidel`] / SOR
 //! fallback is provided for experimentation and for cross-checking results.
 
 use crate::error::LinalgError;
 use crate::sparse::CsrMatrix;
-use crate::{axpy, dot, norm2};
+use crate::{dot, norm2};
+
+/// A square linear operator `y = A x` that [`conjugate_gradient`] solves
+/// with.
+pub trait LinearOperator {
+    /// Number of rows.
+    fn rows(&self) -> usize;
+
+    /// Number of columns.
+    fn cols(&self) -> usize;
+
+    /// Computes `y = A x` into a caller-provided buffer without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != self.cols()` or `y.len() != self.rows()`.
+    fn matvec_into(&self, x: &[f64], y: &mut [f64]);
+
+    /// The main diagonal: the Jacobi preconditioner's input.
+    fn diagonal(&self) -> Vec<f64>;
+}
+
+impl LinearOperator for CsrMatrix {
+    fn rows(&self) -> usize {
+        CsrMatrix::rows(self)
+    }
+
+    fn cols(&self) -> usize {
+        CsrMatrix::cols(self)
+    }
+
+    fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
+        CsrMatrix::matvec_into(self, x, y);
+    }
+
+    fn diagonal(&self) -> Vec<f64> {
+        CsrMatrix::diagonal(self)
+    }
+}
 
 /// Options controlling a conjugate-gradient solve.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,13 +87,20 @@ pub struct CgSolution {
 /// Solves the SPD system `A x = b` with (optionally preconditioned)
 /// conjugate gradient.
 ///
+/// The solve sees `A` only through its products and its diagonal, so two
+/// operators that agree on those bit for bit give bit-identical solutions
+/// and iteration counts.
+///
 /// # Errors
 ///
 /// * [`LinalgError::NotSquare`] if `A` is not square.
 /// * [`LinalgError::DimensionMismatch`] if `b` or the initial guess have the
 ///   wrong length.
 /// * [`LinalgError::NotConverged`] if the relative residual does not fall
-///   below `options.tolerance` within `options.max_iterations` iterations.
+///   below `options.tolerance` within `options.max_iterations` iterations,
+///   or if a search direction has no curvature (`|pᵀAp| < 1e-300`: `A` is
+///   singular or not positive definite). `iterations` is the iteration the
+///   solve stopped at.
 ///
 /// # Examples
 ///
@@ -72,8 +119,8 @@ pub struct CgSolution {
 /// let sol = conjugate_gradient(&a, &[1.0, 0.0, 1.0], &CgOptions::default()).unwrap();
 /// assert!(sol.residual < 1e-8);
 /// ```
-pub fn conjugate_gradient(
-    a: &CsrMatrix,
+pub fn conjugate_gradient<A: LinearOperator + ?Sized>(
+    a: &A,
     b: &[f64],
     options: &CgOptions,
 ) -> Result<CgSolution, LinalgError> {
@@ -83,8 +130,8 @@ pub fn conjugate_gradient(
     Ok(solution)
 }
 
-fn conjugate_gradient_impl(
-    a: &CsrMatrix,
+fn conjugate_gradient_impl<A: LinearOperator + ?Sized>(
+    a: &A,
     b: &[f64],
     options: &CgOptions,
 ) -> Result<CgSolution, LinalgError> {
@@ -161,12 +208,30 @@ fn conjugate_gradient_impl(
         if pap.abs() < 1e-300 {
             // Breakdown: direction has no curvature, typically means we are done
             // or the matrix is not SPD.
-            break;
+            return Err(LinalgError::NotConverged {
+                iterations: iter,
+                residual,
+                tolerance: options.tolerance,
+            });
         }
         let alpha = rz / pap;
-        axpy(alpha, &p, &mut x);
-        axpy(-alpha, &ap, &mut r);
-        residual = norm2(&r) / b_norm;
+        // One pass for x += αp, r -= αAp, ‖r‖², z = D⁻¹r and r·z. Each sum
+        // still accumulates in index order, so the values are those of
+        // separate passes, bit for bit.
+        let mut rr = 0.0;
+        let mut rz_new = 0.0;
+        for ((xi, ri), ((zi, di), (pi, api))) in x
+            .iter_mut()
+            .zip(r.iter_mut())
+            .zip(z.iter_mut().zip(&inv_diag).zip(p.iter().zip(&ap)))
+        {
+            *xi += alpha * pi;
+            *ri += -alpha * api;
+            rr += *ri * *ri;
+            *zi = *ri * di;
+            rz_new += *ri * *zi;
+        }
+        residual = rr.sqrt() / b_norm;
         if residual <= options.tolerance {
             return Ok(CgSolution {
                 x,
@@ -174,10 +239,6 @@ fn conjugate_gradient_impl(
                 residual,
             });
         }
-        for (zi, (ri, di)) in z.iter_mut().zip(r.iter().zip(inv_diag.iter())) {
-            *zi = ri * di;
-        }
-        let rz_new = dot(&r, &z);
         let beta = rz_new / rz;
         rz = rz_new;
         for (pi, zi) in p.iter_mut().zip(z.iter()) {
@@ -367,6 +428,27 @@ mod tests {
             conjugate_gradient(&a, &b, &options),
             Err(LinalgError::NotConverged { .. })
         ));
+    }
+
+    #[test]
+    fn cg_breakdown_reports_the_iteration_it_stopped_at() {
+        // Singular: the second unknown couples to nothing, so the second
+        // search direction has no curvature.
+        let mut coo = CooMatrix::new(2, 2);
+        coo.push(0, 0, 1.0);
+        let a = coo.to_csr();
+        let options = CgOptions {
+            max_iterations: 100,
+            ..CgOptions::default()
+        };
+        assert_eq!(
+            conjugate_gradient(&a, &[1.0, 1.0], &options),
+            Err(LinalgError::NotConverged {
+                iterations: 2,
+                residual: 1.0,
+                tolerance: 1e-8,
+            })
+        );
     }
 
     #[test]

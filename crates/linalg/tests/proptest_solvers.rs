@@ -2,7 +2,42 @@
 
 use proptest::prelude::*;
 use rlp_linalg::solvers::{conjugate_gradient, CgOptions};
-use rlp_linalg::{dense::polyval, CooMatrix, DenseMatrix};
+use rlp_linalg::{dense::polyval, CooMatrix, DenseMatrix, LayeredStencil, LinearOperator};
+
+/// Assembles an `nx`×`ny`×`layers` grid the way the thermal model does:
+/// `g` holds one west/east, one south/north and one upward conductance per
+/// layer, then the convection of the top layer.
+fn layered_grid(nx: usize, ny: usize, layers: usize, g: &[f64]) -> rlp_linalg::CsrMatrix {
+    let cells = nx * ny;
+    let n = cells * layers;
+    let mut coo = CooMatrix::new(n, n);
+    let mut couple = |a: usize, b: usize, g: f64| {
+        coo.push(a, a, g);
+        coo.push(b, b, g);
+        coo.push(a, b, -g);
+        coo.push(b, a, -g);
+    };
+    for l in 0..layers {
+        for row in 0..ny {
+            for col in 0..nx {
+                let i = l * cells + row * nx + col;
+                if col + 1 < nx {
+                    couple(i, i + 1, g[3 * l]);
+                }
+                if row + 1 < ny {
+                    couple(i, i + nx, g[3 * l + 1]);
+                }
+                if l + 1 < layers {
+                    couple(i, i + cells, g[3 * l + 2]);
+                }
+            }
+        }
+    }
+    for i in (layers - 1) * cells..n {
+        coo.push(i, i, g[3 * layers]);
+    }
+    coo.to_csr()
+}
 
 /// Builds a strictly diagonally dominant symmetric matrix, which is SPD.
 fn spd_from_offdiag(n: usize, offdiag: &[f64]) -> rlp_linalg::CsrMatrix {
@@ -44,6 +79,35 @@ proptest! {
         for (xi, ti) in sol.x.iter().zip(x_true.iter()) {
             prop_assert!((xi - ti).abs() < 1e-5, "{xi} vs {ti}");
         }
+    }
+
+    /// The matrix-free stencil read out of a layered-grid matrix equals the
+    /// matrix bit for bit: every product, and a whole CG solve, iteration
+    /// count included.
+    #[test]
+    fn stencil_matches_csr_bit_for_bit(
+        nx in 2usize..10,
+        ny in 2usize..10,
+        layers in 1usize..7,
+        conductances in prop::collection::vec(0.01f64..500.0, 19),
+        values in prop::collection::vec(-10.0f64..10.0, 9 * 9 * 6),
+    ) {
+        let a = layered_grid(nx, ny, layers, &conductances);
+        let stencil = LayeredStencil::from_csr(&a, nx, ny, layers).expect("a layered grid");
+        let n = nx * ny * layers;
+        let x = &values[..n];
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let mut y_csr = vec![0.0; n];
+        let mut y_stencil = vec![0.0; n];
+        a.matvec_into(x, &mut y_csr);
+        stencil.matvec_into(x, &mut y_stencil);
+        prop_assert_eq!(bits(&y_stencil), bits(&y_csr));
+
+        let csr = conjugate_gradient(&a, x, &CgOptions::default()).unwrap();
+        let matrix_free = conjugate_gradient(&stencil, x, &CgOptions::default()).unwrap();
+        prop_assert_eq!(matrix_free.iterations, csr.iterations);
+        prop_assert_eq!(matrix_free.residual.to_bits(), csr.residual.to_bits());
+        prop_assert_eq!(bits(&matrix_free.x), bits(&csr.x));
     }
 
     /// CSR round-trips triplets: matvec agrees with a dense reference.

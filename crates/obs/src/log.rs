@@ -510,29 +510,64 @@ pub fn inert_span() -> SpanGuard {
     SpanGuard(None)
 }
 
+/// What [`init_from_env`] applies, decided from the variables' values
+/// alone (`None` for an unset variable).
+#[derive(Debug, PartialEq)]
+struct EnvSettings {
+    metrics: Option<bool>,
+    trace_path: Option<String>,
+    /// `Some` replaces the level filter; `None` leaves it as it is.
+    level: Option<Option<Level>>,
+}
+
+fn env_settings(
+    log: Option<&str>,
+    metrics: Option<&str>,
+    trace: Option<&str>,
+) -> Result<EnvSettings, String> {
+    let trace_path = trace.filter(|path| !path.is_empty()).map(str::to_string);
+    let level = match log {
+        Some(filter) => Some(Level::parse_filter(filter)?),
+        // A trace file with logging off would stay empty.
+        None if trace_path.is_some() => Some(Some(Level::Trace)),
+        None => None,
+    };
+    Ok(EnvSettings {
+        metrics: metrics
+            .map(|value| matches!(value.to_ascii_lowercase().as_str(), "1" | "true" | "on")),
+        trace_path,
+        level,
+    })
+}
+
 /// Applies `RLP_LOG` (level filter: `off|error|warn|info|debug|trace`),
 /// `RLP_METRICS` (`1`/`true` enables the global metrics registry) and
-/// `RLP_TRACE` (path: attach a [`JsonlSink`]). Returns an error string for
-/// an unparseable `RLP_LOG`; unset variables leave defaults untouched.
+/// `RLP_TRACE` (path: attach a [`JsonlSink`]). Unset variables leave
+/// defaults untouched, except that `RLP_TRACE` without `RLP_LOG` sets the
+/// `trace` level. The trace file is then the only registered sink, so
+/// records go to it and nothing reaches stderr.
 ///
 /// # Errors
 ///
-/// Returns a description of the invalid variable; valid variables seen
-/// before the invalid one are still applied.
+/// Returns a description of an unparseable `RLP_LOG`, in which case nothing
+/// is applied, or of a trace file that cannot be created.
 pub fn init_from_env() -> Result<(), String> {
-    if let Ok(value) = std::env::var("RLP_METRICS") {
-        let on = matches!(value.to_ascii_lowercase().as_str(), "1" | "true" | "on");
+    let var = |name: &str| std::env::var(name).ok();
+    let settings = env_settings(
+        var("RLP_LOG").as_deref(),
+        var("RLP_METRICS").as_deref(),
+        var("RLP_TRACE").as_deref(),
+    )?;
+    if let Some(on) = settings.metrics {
         crate::set_metrics_enabled(on);
     }
-    if let Ok(path) = std::env::var("RLP_TRACE") {
-        if !path.is_empty() {
-            let sink = JsonlSink::create(&path)
-                .map_err(|e| format!("RLP_TRACE: cannot create `{path}`: {e}"))?;
-            add_sink(Arc::new(sink));
-        }
+    if let Some(path) = settings.trace_path {
+        let sink = JsonlSink::create(&path)
+            .map_err(|e| format!("RLP_TRACE: cannot create `{path}`: {e}"))?;
+        add_sink(Arc::new(sink));
     }
-    if let Ok(value) = std::env::var("RLP_LOG") {
-        set_max_level(Level::parse_filter(&value)?);
+    if let Some(level) = settings.level {
+        set_max_level(level);
     }
     Ok(())
 }
@@ -660,6 +695,31 @@ mod tests {
         assert!(line.contains("\"x\":null"), "NaN renders as null");
         assert!(line.contains("\"s\":\"tab\\there\""));
         assert!(line.ends_with("}}"));
+    }
+
+    #[test]
+    fn a_trace_file_alone_turns_on_the_trace_level() {
+        let settings = env_settings(None, None, Some("run.jsonl")).unwrap();
+        assert_eq!(settings.trace_path.as_deref(), Some("run.jsonl"));
+        assert_eq!(settings.level, Some(Some(Level::Trace)));
+        // An explicit RLP_LOG wins, `off` included.
+        let level = |log: &str| {
+            env_settings(Some(log), None, Some("run.jsonl"))
+                .unwrap()
+                .level
+        };
+        assert_eq!(level("info"), Some(Some(Level::Info)));
+        assert_eq!(level("off"), Some(None));
+        // Without a trace file (an empty path is none) the level is left alone.
+        assert_eq!(
+            env_settings(None, Some("1"), Some("")).unwrap(),
+            EnvSettings {
+                metrics: Some(true),
+                trace_path: None,
+                level: None,
+            }
+        );
+        assert!(env_settings(Some("loud"), None, Some("run.jsonl")).is_err());
     }
 
     #[test]

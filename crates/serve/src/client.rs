@@ -101,10 +101,14 @@ impl ServeClient {
     ///
     /// # Errors
     ///
-    /// Returns the connection error.
+    /// Returns the connection or socket-option error.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<ServeClient> {
+        let stream = TcpStream::connect(addr)?;
+        // Every frame waits for an answer: send it at once instead of
+        // holding it for Nagle's algorithm and the daemon's delayed ACK.
+        stream.set_nodelay(true)?;
         Ok(ServeClient {
-            stream: TcpStream::connect(addr)?,
+            stream,
             stashed: VecDeque::new(),
         })
     }

@@ -108,9 +108,13 @@ pub fn write_frame(stream: &mut impl Write, payload: &str) -> io::Result<()> {
             format!("frame of {} bytes exceeds {MAX_FRAME_BYTES}", payload.len()),
         ));
     }
-    let len = (payload.len() as u32).to_be_bytes();
-    stream.write_all(&len)?;
-    stream.write_all(payload.as_bytes())?;
+    // Prefix and payload leave in one write: two small writes on a socket
+    // with Nagle's algorithm on wait for the peer's delayed ACK, ~40 ms a
+    // frame.
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload.as_bytes());
+    stream.write_all(&frame)?;
     stream.flush()
 }
 
@@ -424,6 +428,33 @@ mod tests {
         assert_eq!(read_frame(&mut cursor).unwrap().as_deref(), Some("second"));
         // Clean EOF at a frame boundary is a graceful close...
         assert!(read_frame(&mut cursor).unwrap().is_none());
+    }
+
+    #[test]
+    fn a_frame_leaves_in_one_write() {
+        #[derive(Default)]
+        struct CountingWriter {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut out = CountingWriter::default();
+        write_frame(&mut out, "{\"type\": \"stats\"}").unwrap();
+        assert_eq!(out.writes, 1);
+        let mut cursor = io::Cursor::new(out.bytes);
+        assert_eq!(
+            read_frame(&mut cursor).unwrap().as_deref(),
+            Some("{\"type\": \"stats\"}")
+        );
     }
 
     #[test]

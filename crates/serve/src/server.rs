@@ -224,6 +224,10 @@ impl Server {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
+                    // Frames are small and each one is waited for: send them
+                    // at once instead of holding them for Nagle's algorithm.
+                    // Best effort; without it frames still arrive, later.
+                    let _ = stream.set_nodelay(true);
                     let conn_id = conn_ids.fetch_add(1, Ordering::Relaxed);
                     let shared = Arc::clone(&self.shared);
                     thread::spawn(move || handle_connection(stream, &shared, conn_id));

@@ -92,8 +92,11 @@ impl ThermalBackend {
         interposer_height_mm: f64,
     ) -> Result<AnyThermalAnalyzer, ThermalError> {
         match self {
+            // The conductance operator depends only on the package and the
+            // interposer, so every evaluation of this analyzer reuses one.
             ThermalBackend::Grid { config } => Ok(AnyThermalAnalyzer::Grid(
-                GridThermalSolver::try_new(config.clone())?,
+                GridThermalSolver::try_new(config.clone())?
+                    .with_interposer(interposer_width_mm, interposer_height_mm),
             )),
             ThermalBackend::Fast {
                 config,

@@ -16,6 +16,11 @@
 //! the mutual term, exactly as the paper describes. After characterisation,
 //! evaluating a floorplan costs a few table lookups per chiplet pair, which
 //! is where the reported >120x speed-up over the full solver comes from.
+//!
+//! The characterisation probes run on `std::thread::available_parallelism()`
+//! threads against one grid operator assembled for the interposer, and
+//! their results are reduced in sweep order: the tables are bit-identical
+//! whatever the core count.
 
 use crate::config::ThermalConfig;
 use crate::error::ThermalError;
@@ -23,6 +28,8 @@ use crate::grid::GridThermalSolver;
 use crate::ThermalAnalyzer;
 use rlp_chiplet::{Chiplet, ChipletId, ChipletSystem, Placement, Point, Position, Rect};
 use serde::{Deserialize, Serialize};
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Options controlling fast-model characterisation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -94,7 +101,8 @@ impl FastThermalModel {
     /// # Errors
     ///
     /// Returns [`ThermalError::InvalidConfig`] for unusable options and
-    /// propagates solver errors from the underlying characterisation runs.
+    /// propagates solver errors from the underlying characterisation runs:
+    /// the first failing probe in sweep order.
     pub fn characterize(
         config: &ThermalConfig,
         interposer_width_mm: f64,
@@ -117,8 +125,27 @@ impl FastThermalModel {
             });
         }
         let solver = GridThermalSolver::try_new(config.clone())?;
-        // One power-map buffer for the whole characterisation sweep.
-        let mut power_scratch = crate::power::PowerMap::scratch();
+        let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        Self::characterize_on(
+            solver,
+            interposer_width_mm,
+            interposer_height_mm,
+            options,
+            workers,
+        )
+    }
+
+    /// The characterisation sweep on up to `workers` threads, with one
+    /// conductance operator assembled for the whole sweep.
+    fn characterize_on(
+        solver: GridThermalSolver,
+        interposer_width_mm: f64,
+        interposer_height_mm: f64,
+        options: &CharacterizationOptions,
+        workers: usize,
+    ) -> Result<Self, ThermalError> {
+        let solver = solver.with_interposer(interposer_width_mm, interposer_height_mm);
+        let config = solver.config();
         let mut samples = options.footprint_samples_mm.clone();
         samples.sort_by(|a, b| a.partial_cmp(b).expect("footprint samples must be finite"));
         samples.dedup();
@@ -128,14 +155,25 @@ impl FastThermalModel {
         let max_h = interposer_height_mm * 0.95;
         let widths_mm: Vec<f64> = samples.iter().map(|&s| s.min(max_w)).collect();
         let heights_mm: Vec<f64> = samples.iter().map(|&s| s.min(max_h)).collect();
-
-        // --- Self-resistance table: one solve per (w, h) sample. ---
         let p0 = options.reference_power_w;
-        let mut self_resistance = vec![0.0; widths_mm.len() * heights_mm.len()];
-        for (hi, &h) in heights_mm.iter().enumerate() {
-            for (wi, &w) in widths_mm.iter().enumerate() {
-                let mut sys =
-                    ChipletSystem::new("probe", interposer_width_mm, interposer_height_mm);
+
+        // The mutual-resistance table is a distance histogram of the field
+        // around an isolated source, using two source positions so that the
+        // table covers distances up to the interposer diagonal.
+        let src = options.mutual_source_size_mm.min(max_w).min(max_h);
+        let source_positions = [
+            Point2::new(interposer_width_mm / 2.0, interposer_height_mm / 2.0),
+            Point2::new(interposer_width_mm * 0.2, interposer_height_mm * 0.2),
+        ];
+
+        // Probes in sweep order: one solve per (w, h) footprint sample, in
+        // self-resistance table order, then one per mutual source.
+        let footprints = widths_mm.len() * heights_mm.len();
+        let probe = |index: usize| -> Result<Probe, ThermalError> {
+            let mut sys = ChipletSystem::new("probe", interposer_width_mm, interposer_height_mm);
+            if index < footprints {
+                let w = widths_mm[index % widths_mm.len()];
+                let h = heights_mm[index / widths_mm.len()];
                 let id = sys.add_chiplet(Chiplet::new("probe", w, h, p0));
                 let mut placement = Placement::for_system(&sys);
                 placement.place(
@@ -145,36 +183,36 @@ impl FastThermalModel {
                         (interposer_height_mm - h) / 2.0,
                     ),
                 );
-                let solution = solver.solve_reusing(&sys, &placement, &mut power_scratch)?;
+                let solution = solver.solve(&sys, &placement)?;
                 let temps = solver.chiplet_temperatures_from_solution(&sys, &placement, &solution);
-                self_resistance[hi * widths_mm.len() + wi] = (temps[0] - config.ambient_c) / p0;
+                Ok(Probe::SelfResistance((temps[0] - config.ambient_c) / p0))
+            } else {
+                let center = source_positions[index - footprints];
+                let id = sys.add_chiplet(Chiplet::new("src", src, src, p0));
+                let mut placement = Placement::for_system(&sys);
+                placement.place(
+                    id,
+                    Position::new(center.x - src / 2.0, center.y - src / 2.0),
+                );
+                let solution = solver.solve(&sys, &placement)?;
+                Ok(Probe::MutualField(solution.die_temperature_field()))
+            }
+        };
+        let mut self_resistance = Vec::with_capacity(footprints);
+        let mut fields = Vec::with_capacity(source_positions.len());
+        for probe in sweep(footprints + source_positions.len(), workers, probe)? {
+            match probe {
+                Probe::SelfResistance(r) => self_resistance.push(r),
+                Probe::MutualField(field) => fields.push(field),
             }
         }
 
-        // --- Mutual-resistance table: distance histogram of the field around
-        //     an isolated source, using two source positions so that the
-        //     table covers distances up to the interposer diagonal. ---
-        let src = options.mutual_source_size_mm.min(max_w).min(max_h);
+        let (nx, ny) = (config.grid_nx, config.grid_ny);
         let max_distance = (interposer_width_mm.powi(2) + interposer_height_mm.powi(2)).sqrt();
         let bin_width = max_distance / options.distance_bins as f64;
         let mut bin_sum = vec![0.0; options.distance_bins];
         let mut bin_count = vec![0usize; options.distance_bins];
-
-        let source_positions = [
-            Point2::new(interposer_width_mm / 2.0, interposer_height_mm / 2.0),
-            Point2::new(interposer_width_mm * 0.2, interposer_height_mm * 0.2),
-        ];
-        for source_center in source_positions {
-            let mut sys = ChipletSystem::new("probe", interposer_width_mm, interposer_height_mm);
-            let id = sys.add_chiplet(Chiplet::new("src", src, src, p0));
-            let mut placement = Placement::for_system(&sys);
-            placement.place(
-                id,
-                Position::new(source_center.x - src / 2.0, source_center.y - src / 2.0),
-            );
-            let solution = solver.solve_reusing(&sys, &placement, &mut power_scratch)?;
-            let nx = solution.nx();
-            let ny = solution.ny();
+        for (source_center, field) in source_positions.iter().zip(&fields) {
             let cell_w = interposer_width_mm / nx as f64;
             let cell_h = interposer_height_mm / ny as f64;
             for row in 0..ny {
@@ -189,7 +227,7 @@ impl FastThermalModel {
                         continue;
                     }
                     let bin = ((d / bin_width) as usize).min(options.distance_bins - 1);
-                    bin_sum[bin] += (solution.die_temperature_at(col, row) - config.ambient_c) / p0;
+                    bin_sum[bin] += (field[row * nx + col] - config.ambient_c) / p0;
                     bin_count[bin] += 1;
                 }
             }
@@ -302,6 +340,71 @@ impl Point2 {
     fn new(x: f64, y: f64) -> Self {
         Self { x, y }
     }
+}
+
+/// What one characterisation probe keeps of its solve.
+enum Probe {
+    /// A footprint probe: the self-resistance of its die, K/W.
+    SelfResistance(f64),
+    /// A mutual-source probe: the die-layer temperature field, °C.
+    MutualField(Vec<f64>),
+}
+
+/// Runs `probe(0..count)` on up to `workers` threads, the calling thread
+/// being one of them, and returns the results in index order.
+///
+/// Workers take the next index from a shared counter, so indices start in
+/// increasing order. After a failure no new index starts, but every index
+/// below it has already started and runs to completion. The error returned
+/// is therefore the first in index order: the one a serial sweep returns.
+fn sweep<T: Send>(
+    count: usize,
+    workers: usize,
+    probe: impl Fn(usize) -> Result<T, ThermalError> + Sync,
+) -> Result<Vec<T>, ThermalError> {
+    // Relaxed is enough for both atomics: the counter's read-modify-writes
+    // are totally ordered on their own, `failed` is only a hint to stop
+    // early, and results travel back through the thread joins.
+    let next = AtomicUsize::new(0);
+    let failed = AtomicBool::new(false);
+    let work = || {
+        let mut done = Vec::new();
+        while !failed.load(Ordering::Relaxed) {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            if index >= count {
+                break;
+            }
+            let result = probe(index);
+            if result.is_err() {
+                failed.store(true, Ordering::Relaxed);
+            }
+            done.push((index, result));
+        }
+        done
+    };
+    let batches = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers.min(count).max(1))
+            .map(|_| scope.spawn(work))
+            .collect();
+        let mut batches = vec![work()];
+        for helper in helpers {
+            batches.push(
+                helper
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        batches
+    });
+    let mut slots: Vec<Option<Result<T, ThermalError>>> =
+        std::iter::repeat_with(|| None).take(count).collect();
+    for (index, result) in batches.into_iter().flatten() {
+        slots[index] = Some(result);
+    }
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every probe before the first failure ran"))
+        .collect()
 }
 
 /// Piecewise-linear interpolation with clamping at the table edges.
@@ -575,7 +678,9 @@ impl ThermalAnalyzer for FastThermalModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ThermalConfig;
+    use crate::config::{Layer, LayerStack, ThermalConfig};
+    use crate::power::PowerMap;
+    use std::sync::Barrier;
 
     fn quick_options() -> CharacterizationOptions {
         CharacterizationOptions {
@@ -594,6 +699,235 @@ mod tests {
             &quick_options(),
         )
         .unwrap()
+    }
+
+    /// Every table of a model as bit patterns, for byte-for-byte comparison.
+    fn table_bits(model: &FastThermalModel) -> Vec<u64> {
+        [
+            model.ambient_c,
+            model.interposer_width_mm,
+            model.interposer_height_mm,
+        ]
+        .iter()
+        .chain(&model.widths_mm)
+        .chain(&model.heights_mm)
+        .chain(&model.self_resistance_k_per_w)
+        .chain(&model.distances_mm)
+        .chain(&model.mutual_resistance_k_per_w)
+        .map(|v| v.to_bits())
+        .collect()
+    }
+
+    /// The characterisation sweep done the plain way: serially, in sweep
+    /// order, with every solve assembling its own CSR matrix and running CG
+    /// on it.
+    fn serial_csr_reference(
+        solver: &GridThermalSolver,
+        interposer_width_mm: f64,
+        interposer_height_mm: f64,
+        options: &CharacterizationOptions,
+    ) -> Result<FastThermalModel, ThermalError> {
+        let config = solver.config();
+        let (nx, ny) = (config.grid_nx, config.grid_ny);
+        let solve = |sys: &ChipletSystem, placement: &Placement| {
+            solver.solve_power_map_csr(sys, &PowerMap::rasterize(sys, placement, nx, ny))
+        };
+        let mut samples = options.footprint_samples_mm.clone();
+        samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        samples.dedup();
+        let max_w = interposer_width_mm * 0.95;
+        let max_h = interposer_height_mm * 0.95;
+        let widths_mm: Vec<f64> = samples.iter().map(|&s| s.min(max_w)).collect();
+        let heights_mm: Vec<f64> = samples.iter().map(|&s| s.min(max_h)).collect();
+        let p0 = options.reference_power_w;
+        let mut self_resistance = vec![0.0; widths_mm.len() * heights_mm.len()];
+        for (hi, &h) in heights_mm.iter().enumerate() {
+            for (wi, &w) in widths_mm.iter().enumerate() {
+                let mut sys =
+                    ChipletSystem::new("probe", interposer_width_mm, interposer_height_mm);
+                let id = sys.add_chiplet(Chiplet::new("probe", w, h, p0));
+                let mut placement = Placement::for_system(&sys);
+                placement.place(
+                    id,
+                    Position::new(
+                        (interposer_width_mm - w) / 2.0,
+                        (interposer_height_mm - h) / 2.0,
+                    ),
+                );
+                let solution = solve(&sys, &placement)?;
+                let temps = solver.chiplet_temperatures_from_solution(&sys, &placement, &solution);
+                self_resistance[hi * widths_mm.len() + wi] = (temps[0] - config.ambient_c) / p0;
+            }
+        }
+        let src = options.mutual_source_size_mm.min(max_w).min(max_h);
+        let max_distance = (interposer_width_mm.powi(2) + interposer_height_mm.powi(2)).sqrt();
+        let bin_width = max_distance / options.distance_bins as f64;
+        let mut bin_sum = vec![0.0; options.distance_bins];
+        let mut bin_count = vec![0usize; options.distance_bins];
+        for center in [
+            Point2::new(interposer_width_mm / 2.0, interposer_height_mm / 2.0),
+            Point2::new(interposer_width_mm * 0.2, interposer_height_mm * 0.2),
+        ] {
+            let mut sys = ChipletSystem::new("probe", interposer_width_mm, interposer_height_mm);
+            let id = sys.add_chiplet(Chiplet::new("src", src, src, p0));
+            let mut placement = Placement::for_system(&sys);
+            placement.place(
+                id,
+                Position::new(center.x - src / 2.0, center.y - src / 2.0),
+            );
+            let solution = solve(&sys, &placement)?;
+            let cell_w = interposer_width_mm / nx as f64;
+            let cell_h = interposer_height_mm / ny as f64;
+            for row in 0..ny {
+                for col in 0..nx {
+                    let cx = (col as f64 + 0.5) * cell_w;
+                    let cy = (row as f64 + 0.5) * cell_h;
+                    let d = ((cx - center.x).powi(2) + (cy - center.y).powi(2)).sqrt();
+                    if d < src {
+                        continue;
+                    }
+                    let bin = ((d / bin_width) as usize).min(options.distance_bins - 1);
+                    bin_sum[bin] += (solution.die_temperature_at(col, row) - config.ambient_c) / p0;
+                    bin_count[bin] += 1;
+                }
+            }
+        }
+        let mut distances_mm = Vec::new();
+        let mut mutual_resistance = Vec::new();
+        let mut last = 0.0;
+        for (bin, (&sum, &count)) in bin_sum.iter().zip(&bin_count).enumerate() {
+            let value = if count > 0 { sum / count as f64 } else { last };
+            last = value;
+            distances_mm.push((bin as f64 + 0.5) * bin_width);
+            mutual_resistance.push(value);
+        }
+        Ok(FastThermalModel {
+            ambient_c: config.ambient_c,
+            interposer_width_mm,
+            interposer_height_mm,
+            widths_mm,
+            heights_mm,
+            self_resistance_k_per_w: self_resistance,
+            distances_mm,
+            mutual_resistance_k_per_w: mutual_resistance,
+        })
+    }
+
+    #[test]
+    fn characterisation_equals_a_serial_per_solve_csr_reference_byte_for_byte() {
+        let two_layers = LayerStack::new(
+            vec![
+                Layer::new("die", 0.15, 120.0),
+                Layer::new("sink", 2.0, 400.0),
+            ],
+            0,
+        );
+        let power_on_top = LayerStack::new(LayerStack::default_2_5d().layers().to_vec(), 4);
+        let cases = [
+            (
+                "non-square grid",
+                ThermalConfig::with_grid(12, 7),
+                30.0,
+                20.0,
+            ),
+            ("2x2 grid", ThermalConfig::with_grid(2, 2), 10.0, 10.0),
+            (
+                "2-layer stack",
+                ThermalConfig {
+                    stack: two_layers,
+                    ..ThermalConfig::with_grid(6, 5)
+                },
+                25.0,
+                25.0,
+            ),
+            (
+                "power layer on top",
+                ThermalConfig {
+                    stack: power_on_top,
+                    ..ThermalConfig::with_grid(5, 6)
+                },
+                20.0,
+                24.0,
+            ),
+        ];
+        for (case, config, w, h) in cases {
+            let solver = GridThermalSolver::new(config.clone());
+            let reference =
+                table_bits(&serial_csr_reference(&solver, w, h, &quick_options()).unwrap());
+            for workers in [1, 3] {
+                let model = FastThermalModel::characterize_on(
+                    solver.clone(),
+                    w,
+                    h,
+                    &quick_options(),
+                    workers,
+                )
+                .unwrap();
+                assert_eq!(table_bits(&model), reference, "{case}, {workers} worker(s)");
+            }
+            let public = FastThermalModel::characterize(&config, w, h, &quick_options()).unwrap();
+            assert_eq!(table_bits(&public), reference, "{case}");
+        }
+    }
+
+    #[test]
+    fn a_failing_probe_returns_the_serial_sweeps_first_failure() {
+        let mut failures = 0;
+        for max_iterations in [1, 10, 20, 40, 80] {
+            let solver = GridThermalSolver::new(ThermalConfig::with_grid(12, 7))
+                .with_max_iterations(max_iterations);
+            let reference = serial_csr_reference(&solver, 30.0, 20.0, &quick_options());
+            failures += usize::from(reference.is_err());
+            for workers in [1, 3] {
+                let result = FastThermalModel::characterize_on(
+                    solver.clone(),
+                    30.0,
+                    20.0,
+                    &quick_options(),
+                    workers,
+                );
+                assert_eq!(
+                    result.as_ref().err(),
+                    reference.as_ref().err(),
+                    "cap {max_iterations}, {workers} worker(s)"
+                );
+            }
+        }
+        assert!(failures > 0, "no cap made a probe fail");
+    }
+
+    #[test]
+    fn sweep_keeps_index_order_and_reports_the_first_failure_in_it() {
+        let fail = |i: usize| ThermalError::InvalidConfig {
+            reason: format!("probe {i}"),
+        };
+        for workers in 1..=4 {
+            assert_eq!(
+                sweep(10, workers, |i| Ok(i * i)),
+                Ok((0..10).map(|i| i * i).collect::<Vec<_>>())
+            );
+            let result = sweep(10, workers, |i| {
+                if i == 3 || i == 7 {
+                    Err(fail(i))
+                } else {
+                    Ok(i)
+                }
+            });
+            assert_eq!(result, Err(fail(3)));
+        }
+        // Probes 3 and 7 are in flight together and both fail: the result is
+        // still probe 3's, whichever failure is recorded first.
+        for workers in 2..=4 {
+            let both_running = Barrier::new(2);
+            let result = sweep(10, workers, |i| {
+                if i == 3 || i == 7 {
+                    both_running.wait();
+                    return Err(fail(i));
+                }
+                Ok(i)
+            });
+            assert_eq!(result, Err(fail(3)));
+        }
     }
 
     #[test]

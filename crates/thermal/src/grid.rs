@@ -8,6 +8,12 @@
 //! symmetric positive definite; the steady-state temperature rise solves
 //! `G · ΔT = P` where `P` is the rasterised chiplet power map.
 //!
+//! `G` depends only on the configuration and the interposer outline, never
+//! on the placement. A solver prepared for an outline assembles it once and
+//! every solve on that outline reuses it. Conjugate gradient runs on the
+//! matrix-free [`LayeredStencil`] read out of the assembled matrix, which
+//! reproduces its products bit for bit.
+//!
 //! This solver plays the role of the open-source HotSpot simulator in the
 //! paper's evaluation: it is the accuracy reference and the slow baseline
 //! that the fast thermal model is characterised against.
@@ -17,8 +23,10 @@ use crate::error::ThermalError;
 use crate::power::PowerMap;
 use crate::ThermalAnalyzer;
 use rlp_chiplet::{ChipletSystem, Placement};
-use rlp_linalg::solvers::{conjugate_gradient, CgOptions};
-use rlp_linalg::CooMatrix;
+use rlp_linalg::solvers::{conjugate_gradient, CgOptions, LinearOperator};
+use rlp_linalg::{CooMatrix, CsrMatrix, LayeredStencil};
+use std::fmt;
+use std::sync::Arc;
 
 /// Result of a full-field steady-state solve.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,11 +94,33 @@ impl ThermalSolution {
     }
 }
 
+/// The conductance operator of one interposer outline, assembled ahead of
+/// time and shared by every clone of the solver.
+struct PreparedOperator {
+    /// Bit patterns of the interposer width and height it was assembled for.
+    outline: (u64, u64),
+    operator: Box<dyn LinearOperator + Send + Sync>,
+}
+
+impl fmt::Debug for PreparedOperator {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (width, height) = self.outline;
+        write!(
+            f,
+            "PreparedOperator({}x{} mm)",
+            f64::from_bits(width),
+            f64::from_bits(height)
+        )
+    }
+}
+
 /// HotSpot-style steady-state grid solver.
 #[derive(Debug, Clone)]
 pub struct GridThermalSolver {
     config: ThermalConfig,
     cg_options: CgOptions,
+    /// The operator assembled by [`GridThermalSolver::with_interposer`].
+    prepared: Option<Arc<PreparedOperator>>,
 }
 
 impl GridThermalSolver {
@@ -120,7 +150,22 @@ impl GridThermalSolver {
                 max_iterations: 50_000,
                 ..CgOptions::default()
             },
+            prepared: None,
         })
+    }
+
+    /// Assembles the conductance operator for an interposer outline (mm)
+    /// ahead of time. Solves of a system with exactly this outline reuse
+    /// it; solves of any other outline assemble their own. The results are
+    /// bit-identical either way.
+    #[must_use]
+    pub(crate) fn with_interposer(mut self, width_mm: f64, height_mm: f64) -> Self {
+        let operator = self.assemble(width_mm, height_mm);
+        self.prepared = Some(Arc::new(PreparedOperator {
+            outline: (width_mm.to_bits(), height_mm.to_bits()),
+            operator,
+        }));
+        self
     }
 
     /// The solver configuration.
@@ -146,24 +191,6 @@ impl GridThermalSolver {
         self.solve_power_map(system, &power)
     }
 
-    /// Like [`GridThermalSolver::solve`], but rasterises into a
-    /// caller-provided [`PowerMap`] buffer so repeated solves (the
-    /// fast-model characterisation sweep, batch drivers) reuse one cell
-    /// allocation instead of allocating per call.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ThermalError::Solver`] if the conjugate-gradient solve fails.
-    pub fn solve_reusing(
-        &self,
-        system: &ChipletSystem,
-        placement: &Placement,
-        power: &mut PowerMap,
-    ) -> Result<ThermalSolution, ThermalError> {
-        power.rasterize_into(system, placement, self.config.grid_nx, self.config.grid_ny);
-        self.solve_power_map(system, power)
-    }
-
     /// Solves the steady-state field for an explicit power map.
     ///
     /// This entry point is used by the fast-model characterisation, which
@@ -177,6 +204,19 @@ impl GridThermalSolver {
         system: &ChipletSystem,
         power: &PowerMap,
     ) -> Result<ThermalSolution, ThermalError> {
+        let (width, height) = (system.interposer_width(), system.interposer_height());
+        match &self.prepared {
+            Some(prepared) if prepared.outline == (width.to_bits(), height.to_bits()) => {
+                self.solve_with(prepared.operator.as_ref(), power)
+            }
+            _ => self.solve_with(self.assemble(width, height).as_ref(), power),
+        }
+    }
+
+    /// The conductance matrix `G` of this package on an interposer of the
+    /// given outline (mm). Node `layer * nx * ny + row * nx + col` is cell
+    /// `(col, row)` of `layer`.
+    fn conductance_matrix(&self, width_mm: f64, height_mm: f64) -> CsrMatrix {
         let nx = self.config.grid_nx;
         let ny = self.config.grid_ny;
         let layers = self.config.stack.layers();
@@ -185,8 +225,8 @@ impl GridThermalSolver {
         let n = cells * n_layers;
 
         // Geometry in metres.
-        let dx = system.interposer_width() / nx as f64 * 1e-3;
-        let dy = system.interposer_height() / ny as f64 * 1e-3;
+        let dx = width_mm / nx as f64 * 1e-3;
+        let dy = height_mm / ny as f64 * 1e-3;
         let area = dx * dy;
 
         let node = |layer: usize, col: usize, row: usize| layer * cells + row * nx + col;
@@ -233,18 +273,43 @@ impl GridThermalSolver {
             }
         }
 
-        // Right-hand side: power injected into the power layer.
+        let g = coo.to_csr();
+        debug_assert!(g.is_symmetric(1e-9));
+        g
+    }
+
+    /// `G` in the form CG applies it: the matrix-free stencil, or the CSR
+    /// itself when a zero conductance dropped entries that a stencil cannot
+    /// represent.
+    fn assemble(&self, width_mm: f64, height_mm: f64) -> Box<dyn LinearOperator + Send + Sync> {
+        let g = self.conductance_matrix(width_mm, height_mm);
+        let (nx, ny) = (self.config.grid_nx, self.config.grid_ny);
+        match LayeredStencil::from_csr(&g, nx, ny, self.config.stack.layer_count()) {
+            Some(stencil) => Box::new(stencil),
+            None => Box::new(g),
+        }
+    }
+
+    /// Solves `G · ΔT = P` with the power map injected into the power layer.
+    fn solve_with(
+        &self,
+        g: &dyn LinearOperator,
+        power: &PowerMap,
+    ) -> Result<ThermalSolution, ThermalError> {
+        let nx = self.config.grid_nx;
+        let ny = self.config.grid_ny;
+        let n_layers = self.config.stack.layer_count();
+        let cells = nx * ny;
+
         let power_layer = self.config.stack.power_layer();
-        let mut rhs = vec![0.0; n];
+        let mut rhs = vec![0.0; cells * n_layers];
         for row in 0..ny {
             for col in 0..nx {
-                rhs[node(power_layer, col, row)] = power.power_at(col, row);
+                rhs[power_layer * cells + row * nx + col] = power.power_at(col, row);
             }
         }
 
-        let g = coo.to_csr();
-        debug_assert!(g.is_symmetric(1e-9));
-        let solution = conjugate_gradient(&g, &rhs, &self.cg_options)?;
+        let solution = conjugate_gradient(g, &rhs, &self.cg_options)?;
 
         Ok(ThermalSolution {
             nx,
@@ -255,6 +320,25 @@ impl GridThermalSolver {
             power_layer,
             solver_iterations: solution.iterations,
         })
+    }
+
+    /// Solves on the assembled CSR matrix itself, bypassing the stencil and
+    /// any prepared operator: the reference the exactness tests use.
+    #[cfg(test)]
+    pub(crate) fn solve_power_map_csr(
+        &self,
+        system: &ChipletSystem,
+        power: &PowerMap,
+    ) -> Result<ThermalSolution, ThermalError> {
+        let g = self.conductance_matrix(system.interposer_width(), system.interposer_height());
+        self.solve_with(&g, power)
+    }
+
+    /// Caps CG iterations, so tests can make solves fail.
+    #[cfg(test)]
+    pub(crate) fn with_max_iterations(mut self, max_iterations: usize) -> Self {
+        self.cg_options.max_iterations = max_iterations;
+        self
     }
 
     /// Per-chiplet maximum die temperature for a placement, in Celsius.
@@ -318,6 +402,7 @@ impl ThermalAnalyzer for GridThermalSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::LayerStack;
     use rlp_chiplet::{Chiplet, Position};
 
     fn single_chiplet(power: f64, at: Position) -> (ChipletSystem, Placement) {
@@ -330,6 +415,10 @@ mod tests {
 
     fn small_solver() -> GridThermalSolver {
         GridThermalSolver::new(ThermalConfig::with_grid(16, 16))
+    }
+
+    fn delta_bits(solution: &ThermalSolution) -> Vec<u64> {
+        solution.delta_t.iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]
@@ -457,6 +546,57 @@ mod tests {
             .unwrap();
         let rel = (coarse - fine).abs() / (fine - 45.0);
         assert!(rel < 0.15, "coarse {coarse}, fine {fine}");
+    }
+
+    #[test]
+    fn prepared_stencil_solves_equal_per_solve_csr_solves_bit_for_bit() {
+        let (sys, p) = single_chiplet(30.0, Position::new(7.0, 11.0));
+        let fresh = GridThermalSolver::new(ThermalConfig::with_grid(16, 11));
+        let prepared = fresh.clone().with_interposer(30.0, 30.0);
+        let reference = fresh
+            .solve_power_map_csr(&sys, &PowerMap::rasterize(&sys, &p, 16, 11))
+            .unwrap();
+        for solution in [
+            fresh.solve(&sys, &p).unwrap(),
+            prepared.solve(&sys, &p).unwrap(),
+        ] {
+            assert_eq!(delta_bits(&solution), delta_bits(&reference));
+            assert_eq!(solution.solver_iterations, reference.solver_iterations);
+        }
+        // A system on another outline gets its own assembly, not the
+        // prepared operator.
+        let mut wider = ChipletSystem::new("t", 40.0, 30.0);
+        let a = wider.add_chiplet(Chiplet::new("a", 8.0, 8.0, 30.0));
+        let mut q = Placement::for_system(&wider);
+        q.place(a, Position::new(7.0, 11.0));
+        let other = prepared.solve(&wider, &q).unwrap();
+        assert_eq!(
+            delta_bits(&other),
+            delta_bits(&fresh.solve(&wider, &q).unwrap())
+        );
+        assert_ne!(delta_bits(&other), delta_bits(&reference));
+    }
+
+    #[test]
+    fn a_zero_conductance_layer_solves_on_the_csr() {
+        // A zero-conductivity interposer drops its matrix entries, which a
+        // stencil cannot represent, so the solve keeps the assembled matrix.
+        let mut layers = LayerStack::default_2_5d().layers().to_vec();
+        layers[0].conductivity_w_mk = 0.0;
+        let config = ThermalConfig {
+            stack: LayerStack::new(layers, 1),
+            ..ThermalConfig::with_grid(8, 8)
+        };
+        let solver = GridThermalSolver::new(config).with_interposer(30.0, 30.0);
+        let g = solver.conductance_matrix(30.0, 30.0);
+        assert!(LayeredStencil::from_csr(&g, 8, 8, 5).is_none());
+        let (sys, p) = single_chiplet(30.0, Position::new(11.0, 11.0));
+        let solution = solver.solve(&sys, &p).unwrap();
+        let reference = solver
+            .solve_power_map_csr(&sys, &PowerMap::rasterize(&sys, &p, 8, 8))
+            .unwrap();
+        assert_eq!(delta_bits(&solution), delta_bits(&reference));
+        assert!(solution.max_die_temperature() > solver.config().ambient_c + 1.0);
     }
 
     #[test]
