@@ -12,16 +12,19 @@
 //! * [`LayeredStencil`] in [`stencil`] — the matrix-free 7-point operator of
 //!   a layered grid, read out of an assembled [`CsrMatrix`] and
 //!   bit-identical to it.
-//! * Iterative solvers in [`solvers`] — (Jacobi-preconditioned) conjugate
-//!   gradient on any [`LinearOperator`] and Gauss–Seidel/SOR iterations,
-//!   with convergence diagnostics.
+//! * [`AggregationMultigrid`] in [`multigrid`] — a V-cycle with z-line
+//!   smoothing for layered grids, built from an assembled [`CsrMatrix`].
+//! * Iterative solvers in [`solvers`] — conjugate gradient on any
+//!   [`LinearOperator`] with any [`Preconditioner`] (the multigrid V-cycle,
+//!   or [`Jacobi`]) and Gauss–Seidel/SOR iterations, with convergence
+//!   diagnostics.
 //!
 //! # Examples
 //!
 //! Solving a small SPD system with conjugate gradient:
 //!
 //! ```
-//! use rlp_linalg::{CooMatrix, solvers::{conjugate_gradient, CgOptions}};
+//! use rlp_linalg::{CooMatrix, Jacobi, solvers::{conjugate_gradient, CgOptions}};
 //!
 //! let mut coo = CooMatrix::new(2, 2);
 //! coo.push(0, 0, 4.0);
@@ -30,7 +33,7 @@
 //! coo.push(1, 1, 3.0);
 //! let a = coo.to_csr();
 //! let b = vec![1.0, 2.0];
-//! let solution = conjugate_gradient(&a, &b, &CgOptions::default()).unwrap();
+//! let solution = conjugate_gradient(&a, &b, &Jacobi::new(&a), &CgOptions::default()).unwrap();
 //! let x = solution.x;
 //! assert!((4.0 * x[0] + x[1] - 1.0).abs() < 1e-8);
 //! assert!((x[0] + 3.0 * x[1] - 2.0).abs() < 1e-8);
@@ -38,14 +41,17 @@
 
 pub mod dense;
 pub mod error;
+pub mod multigrid;
 pub mod solvers;
 pub mod sparse;
 pub mod stencil;
 
 pub use dense::DenseMatrix;
 pub use error::LinalgError;
+pub use multigrid::AggregationMultigrid;
 pub use solvers::{
-    conjugate_gradient, gauss_seidel, CgOptions, CgSolution, LinearOperator, SorOptions,
+    conjugate_gradient, gauss_seidel, CgOptions, CgSolution, Jacobi, LinearOperator,
+    Preconditioner, SorOptions,
 };
 pub use sparse::{CooMatrix, CsrMatrix};
 pub use stencil::LayeredStencil;

@@ -2,10 +2,13 @@
 //!
 //! The steady-state thermal solve `G · T = P` dominates HotSpot-style
 //! analysis runtime. `G` is symmetric positive definite, so the workhorse is
-//! a Jacobi-preconditioned [`conjugate_gradient`]. It runs on any
-//! [`LinearOperator`]: an assembled [`CsrMatrix`], or the matrix-free
-//! [`crate::LayeredStencil`] read out of one. A [`gauss_seidel`] / SOR
-//! fallback is provided for experimentation and for cross-checking results.
+//! a preconditioned [`conjugate_gradient`]. It runs on any
+//! [`LinearOperator`] (an assembled [`CsrMatrix`], or the matrix-free
+//! [`crate::LayeredStencil`] read out of one) with any [`Preconditioner`]:
+//! the [`crate::AggregationMultigrid`] V-cycle of a layered grid, or
+//! [`Jacobi`] for operators the hierarchy cannot take. A [`gauss_seidel`] /
+//! SOR fallback is provided for experimentation and for cross-checking
+//! results.
 
 use crate::error::LinalgError;
 use crate::sparse::CsrMatrix;
@@ -49,6 +52,51 @@ impl LinearOperator for CsrMatrix {
     }
 }
 
+/// A symmetric positive definite approximation `M` of a system matrix,
+/// applied as `z = M⁻¹ r` once per [`conjugate_gradient`] iteration.
+pub trait Preconditioner {
+    /// Length of the scratch buffer [`Preconditioner::apply`] works in. A
+    /// solve allocates it once, so applying never allocates.
+    fn scratch_len(&self) -> usize {
+        0
+    }
+
+    /// Computes `z = M⁻¹ r`, using `scratch` (of
+    /// [`Preconditioner::scratch_len`] entries) as working memory.
+    ///
+    /// # Panics
+    ///
+    /// May panic if `r` or `z` does not match the system size.
+    fn apply(&self, r: &[f64], z: &mut [f64], scratch: &mut [f64]);
+}
+
+/// The Jacobi (diagonal) preconditioner `M = diag(A)`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Jacobi {
+    inv_diag: Vec<f64>,
+}
+
+impl Jacobi {
+    /// The inverse diagonal of `a`; a (numerically) zero diagonal entry
+    /// leaves its unknown unscaled.
+    pub fn new<A: LinearOperator + ?Sized>(a: &A) -> Self {
+        let inv_diag = a
+            .diagonal()
+            .iter()
+            .map(|&d| if d.abs() > 1e-300 { 1.0 / d } else { 1.0 })
+            .collect();
+        Self { inv_diag }
+    }
+}
+
+impl Preconditioner for Jacobi {
+    fn apply(&self, r: &[f64], z: &mut [f64], _scratch: &mut [f64]) {
+        for ((zi, ri), di) in z.iter_mut().zip(r).zip(&self.inv_diag) {
+            *zi = ri * di;
+        }
+    }
+}
+
 /// Options controlling a conjugate-gradient solve.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CgOptions {
@@ -56,8 +104,6 @@ pub struct CgOptions {
     pub tolerance: f64,
     /// Maximum number of iterations before reporting non-convergence.
     pub max_iterations: usize,
-    /// Enable the Jacobi (diagonal) preconditioner.
-    pub jacobi_preconditioner: bool,
     /// Optional initial guess; must match the system size when provided.
     pub initial_guess: Option<Vec<f64>>,
 }
@@ -67,7 +113,6 @@ impl Default for CgOptions {
         Self {
             tolerance: 1e-8,
             max_iterations: 10_000,
-            jacobi_preconditioner: true,
             initial_guess: None,
         }
     }
@@ -84,12 +129,12 @@ pub struct CgSolution {
     pub residual: f64,
 }
 
-/// Solves the SPD system `A x = b` with (optionally preconditioned)
-/// conjugate gradient.
+/// Solves the SPD system `A x = b` with preconditioned conjugate gradient.
 ///
-/// The solve sees `A` only through its products and its diagonal, so two
-/// operators that agree on those bit for bit give bit-identical solutions
-/// and iteration counts.
+/// The solve sees `A` only through its products, so two operators that
+/// agree on those bit for bit give bit-identical solutions and iteration
+/// counts under the same preconditioner. It stops once the recurrence
+/// residual satisfies `‖r‖ / ‖b‖ <= options.tolerance`.
 ///
 /// # Errors
 ///
@@ -105,7 +150,7 @@ pub struct CgSolution {
 /// # Examples
 ///
 /// ```
-/// use rlp_linalg::{CooMatrix, solvers::{conjugate_gradient, CgOptions}};
+/// use rlp_linalg::{CooMatrix, Jacobi, solvers::{conjugate_gradient, CgOptions}};
 ///
 /// let mut coo = CooMatrix::new(3, 3);
 /// for i in 0..3 {
@@ -116,25 +161,36 @@ pub struct CgSolution {
 ///     }
 /// }
 /// let a = coo.to_csr();
-/// let sol = conjugate_gradient(&a, &[1.0, 0.0, 1.0], &CgOptions::default()).unwrap();
+/// let jacobi = Jacobi::new(&a);
+/// let sol = conjugate_gradient(&a, &[1.0, 0.0, 1.0], &jacobi, &CgOptions::default()).unwrap();
 /// assert!(sol.residual < 1e-8);
 /// ```
-pub fn conjugate_gradient<A: LinearOperator + ?Sized>(
+pub fn conjugate_gradient<A, M>(
     a: &A,
     b: &[f64],
+    preconditioner: &M,
     options: &CgOptions,
-) -> Result<CgSolution, LinalgError> {
-    let solution = conjugate_gradient_impl(a, b, options)?;
+) -> Result<CgSolution, LinalgError>
+where
+    A: LinearOperator + ?Sized,
+    M: Preconditioner + ?Sized,
+{
+    let solution = conjugate_gradient_impl(a, b, preconditioner, options)?;
     rlp_obs::obs_counter!("linalg.cg.solves").inc();
     rlp_obs::obs_counter!("linalg.cg.iterations").add(solution.iterations as u64);
     Ok(solution)
 }
 
-fn conjugate_gradient_impl<A: LinearOperator + ?Sized>(
+fn conjugate_gradient_impl<A, M>(
     a: &A,
     b: &[f64],
+    m: &M,
     options: &CgOptions,
-) -> Result<CgSolution, LinalgError> {
+) -> Result<CgSolution, LinalgError>
+where
+    A: LinearOperator + ?Sized,
+    M: Preconditioner + ?Sized,
+{
     if a.rows() != a.cols() {
         return Err(LinalgError::NotSquare {
             rows: a.rows(),
@@ -171,24 +227,12 @@ fn conjugate_gradient_impl<A: LinearOperator + ?Sized>(
         None => vec![0.0; n],
     };
 
-    // Inverse diagonal for the Jacobi preconditioner (1.0 when disabled).
-    let inv_diag: Vec<f64> = if options.jacobi_preconditioner {
-        a.diagonal()
-            .iter()
-            .map(|&d| if d.abs() > 1e-300 { 1.0 / d } else { 1.0 })
-            .collect()
-    } else {
-        vec![1.0; n]
-    };
-
+    let mut scratch = vec![0.0; m.scratch_len()];
     let mut ax = vec![0.0; n];
     a.matvec_into(&x, &mut ax);
     let mut r: Vec<f64> = b.iter().zip(ax.iter()).map(|(bi, axi)| bi - axi).collect();
-    let mut z: Vec<f64> = r
-        .iter()
-        .zip(inv_diag.iter())
-        .map(|(ri, di)| ri * di)
-        .collect();
+    let mut z = vec![0.0; n];
+    m.apply(&r, &mut z, &mut scratch);
     let mut p = z.clone();
     let mut rz = dot(&r, &z);
     let mut residual = norm2(&r) / b_norm;
@@ -215,21 +259,12 @@ fn conjugate_gradient_impl<A: LinearOperator + ?Sized>(
             });
         }
         let alpha = rz / pap;
-        // One pass for x += αp, r -= αAp, ‖r‖², z = D⁻¹r and r·z. Each sum
-        // still accumulates in index order, so the values are those of
-        // separate passes, bit for bit.
+        // One pass for x += αp, r -= αAp and ‖r‖².
         let mut rr = 0.0;
-        let mut rz_new = 0.0;
-        for ((xi, ri), ((zi, di), (pi, api))) in x
-            .iter_mut()
-            .zip(r.iter_mut())
-            .zip(z.iter_mut().zip(&inv_diag).zip(p.iter().zip(&ap)))
-        {
+        for ((xi, ri), (pi, api)) in x.iter_mut().zip(r.iter_mut()).zip(p.iter().zip(&ap)) {
             *xi += alpha * pi;
             *ri += -alpha * api;
             rr += *ri * *ri;
-            *zi = *ri * di;
-            rz_new += *ri * *zi;
         }
         residual = rr.sqrt() / b_norm;
         if residual <= options.tolerance {
@@ -239,6 +274,8 @@ fn conjugate_gradient_impl<A: LinearOperator + ?Sized>(
                 residual,
             });
         }
+        m.apply(&r, &mut z, &mut scratch);
+        let rz_new = dot(&r, &z);
         let beta = rz_new / rz;
         rz = rz_new;
         for (pi, zi) in p.iter_mut().zip(z.iter()) {
@@ -376,7 +413,7 @@ mod tests {
         let a = poisson_1d(n);
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
         let b = a.matvec(&x_true).unwrap();
-        let sol = conjugate_gradient(&a, &b, &CgOptions::default()).unwrap();
+        let sol = conjugate_gradient(&a, &b, &Jacobi::new(&a), &CgOptions::default()).unwrap();
         for (xi, ti) in sol.x.iter().zip(x_true.iter()) {
             assert!((xi - ti).abs() < 1e-6, "cg mismatch: {xi} vs {ti}");
         }
@@ -384,20 +421,24 @@ mod tests {
 
     #[test]
     fn cg_without_preconditioner_still_converges() {
+        /// `M = I`: plain conjugate gradient.
+        struct Identity;
+        impl Preconditioner for Identity {
+            fn apply(&self, r: &[f64], z: &mut [f64], _scratch: &mut [f64]) {
+                z.copy_from_slice(r);
+            }
+        }
         let a = poisson_1d(20);
         let b = vec![1.0; 20];
-        let options = CgOptions {
-            jacobi_preconditioner: false,
-            ..CgOptions::default()
-        };
-        let sol = conjugate_gradient(&a, &b, &options).unwrap();
+        let sol = conjugate_gradient(&a, &b, &Identity, &CgOptions::default()).unwrap();
         assert!(sol.residual <= 1e-8);
     }
 
     #[test]
     fn cg_zero_rhs_returns_zero() {
         let a = poisson_1d(5);
-        let sol = conjugate_gradient(&a, &[0.0; 5], &CgOptions::default()).unwrap();
+        let sol =
+            conjugate_gradient(&a, &[0.0; 5], &Jacobi::new(&a), &CgOptions::default()).unwrap();
         assert_eq!(sol.x, vec![0.0; 5]);
         assert_eq!(sol.iterations, 0);
     }
@@ -411,7 +452,7 @@ mod tests {
             initial_guess: Some(x_true.clone()),
             ..CgOptions::default()
         };
-        let sol = conjugate_gradient(&a, &b, &options).unwrap();
+        let sol = conjugate_gradient(&a, &b, &Jacobi::new(&a), &options).unwrap();
         assert_eq!(sol.iterations, 0);
     }
 
@@ -425,7 +466,7 @@ mod tests {
             ..CgOptions::default()
         };
         assert!(matches!(
-            conjugate_gradient(&a, &b, &options),
+            conjugate_gradient(&a, &b, &Jacobi::new(&a), &options),
             Err(LinalgError::NotConverged { .. })
         ));
     }
@@ -442,7 +483,7 @@ mod tests {
             ..CgOptions::default()
         };
         assert_eq!(
-            conjugate_gradient(&a, &[1.0, 1.0], &options),
+            conjugate_gradient(&a, &[1.0, 1.0], &Jacobi::new(&a), &options),
             Err(LinalgError::NotConverged {
                 iterations: 2,
                 residual: 1.0,
@@ -454,7 +495,9 @@ mod tests {
     #[test]
     fn cg_rejects_wrong_rhs_length() {
         let a = poisson_1d(4);
-        assert!(conjugate_gradient(&a, &[1.0; 3], &CgOptions::default()).is_err());
+        assert!(
+            conjugate_gradient(&a, &[1.0; 3], &Jacobi::new(&a), &CgOptions::default()).is_err()
+        );
     }
 
     #[test]
@@ -464,7 +507,7 @@ mod tests {
             initial_guess: Some(vec![0.0; 3]),
             ..CgOptions::default()
         };
-        assert!(conjugate_gradient(&a, &[1.0; 4], &options).is_err());
+        assert!(conjugate_gradient(&a, &[1.0; 4], &Jacobi::new(&a), &options).is_err());
     }
 
     #[test]
@@ -472,7 +515,7 @@ mod tests {
         let n = 30;
         let a = poisson_1d(n);
         let b: Vec<f64> = (0..n).map(|i| (i % 3) as f64).collect();
-        let cg = conjugate_gradient(&a, &b, &CgOptions::default()).unwrap();
+        let cg = conjugate_gradient(&a, &b, &Jacobi::new(&a), &CgOptions::default()).unwrap();
         let gs = gauss_seidel(&a, &b, &SorOptions::default()).unwrap();
         for (x_cg, x_gs) in cg.x.iter().zip(gs.x.iter()) {
             assert!((x_cg - x_gs).abs() < 1e-5);

@@ -720,17 +720,20 @@ mod tests {
 
     /// The characterisation sweep done the plain way: serially, in sweep
     /// order, with every solve assembling its own CSR matrix and running CG
-    /// on it.
+    /// on it, preconditioned like the solver does (or by Jacobi, if
+    /// `jacobi` is set).
     fn serial_csr_reference(
         solver: &GridThermalSolver,
         interposer_width_mm: f64,
         interposer_height_mm: f64,
         options: &CharacterizationOptions,
+        jacobi: bool,
     ) -> Result<FastThermalModel, ThermalError> {
         let config = solver.config();
         let (nx, ny) = (config.grid_nx, config.grid_ny);
         let solve = |sys: &ChipletSystem, placement: &Placement| {
-            solver.solve_power_map_csr(sys, &PowerMap::rasterize(sys, placement, nx, ny))
+            let power = PowerMap::rasterize(sys, placement, nx, ny);
+            solver.solve_power_map_csr(sys, &power, jacobi)
         };
         let mut samples = options.footprint_samples_mm.clone();
         samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -853,7 +856,7 @@ mod tests {
         for (case, config, w, h) in cases {
             let solver = GridThermalSolver::new(config.clone());
             let reference =
-                table_bits(&serial_csr_reference(&solver, w, h, &quick_options()).unwrap());
+                table_bits(&serial_csr_reference(&solver, w, h, &quick_options(), false).unwrap());
             for workers in [1, 3] {
                 let model = FastThermalModel::characterize_on(
                     solver.clone(),
@@ -871,12 +874,45 @@ mod tests {
     }
 
     #[test]
+    fn multigrid_and_jacobi_characterisations_agree() {
+        let cases = [
+            ("square", ThermalConfig::with_grid(16, 16), 30.0, 30.0),
+            ("odd grid", ThermalConfig::with_grid(15, 9), 30.0, 20.0),
+        ];
+        for (case, config, w, h) in cases {
+            let multigrid =
+                FastThermalModel::characterize(&config, w, h, &quick_options()).unwrap();
+            let solver = GridThermalSolver::new(config);
+            let jacobi = serial_csr_reference(&solver, w, h, &quick_options(), true).unwrap();
+            assert_eq!(multigrid.widths_mm, jacobi.widths_mm, "{case}");
+            assert_eq!(multigrid.heights_mm, jacobi.heights_mm, "{case}");
+            assert_eq!(multigrid.distances_mm, jacobi.distances_mm, "{case}");
+            let entries = |model: &FastThermalModel| {
+                [
+                    &model.self_resistance_k_per_w,
+                    &model.mutual_resistance_k_per_w,
+                ]
+                .map(|table| table.clone())
+                .concat()
+            };
+            let (m, j) = (entries(&multigrid), entries(&jacobi));
+            assert_eq!(m.len(), j.len());
+            for (index, (m, j)) in m.iter().zip(&j).enumerate() {
+                assert!(
+                    (m - j).abs() <= 1e-6 * j.abs(),
+                    "{case}, entry {index}: multigrid {m} vs jacobi {j}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn a_failing_probe_returns_the_serial_sweeps_first_failure() {
         let mut failures = 0;
         for max_iterations in [1, 10, 20, 40, 80] {
             let solver = GridThermalSolver::new(ThermalConfig::with_grid(12, 7))
                 .with_max_iterations(max_iterations);
-            let reference = serial_csr_reference(&solver, 30.0, 20.0, &quick_options());
+            let reference = serial_csr_reference(&solver, 30.0, 20.0, &quick_options(), false);
             failures += usize::from(reference.is_err());
             for workers in [1, 3] {
                 let result = FastThermalModel::characterize_on(

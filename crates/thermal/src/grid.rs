@@ -9,10 +9,13 @@
 //! `G · ΔT = P` where `P` is the rasterised chiplet power map.
 //!
 //! `G` depends only on the configuration and the interposer outline, never
-//! on the placement. A solver prepared for an outline assembles it once and
-//! every solve on that outline reuses it. Conjugate gradient runs on the
-//! matrix-free [`LayeredStencil`] read out of the assembled matrix, which
-//! reproduces its products bit for bit.
+//! on the placement. A solver prepared for an outline assembles it once,
+//! with its preconditioner, and every solve on that outline reuses both.
+//! Conjugate gradient runs on the matrix-free [`LayeredStencil`] read out of
+//! the assembled matrix, which reproduces its products bit for bit, and is
+//! preconditioned by an [`AggregationMultigrid`] V-cycle built from the same
+//! matrix. Where the hierarchy cannot be built (a layer with no
+//! conductance leaves a zero pivot), CG falls back to [`Jacobi`].
 //!
 //! This solver plays the role of the open-source HotSpot simulator in the
 //! paper's evaluation: it is the accuracy reference and the slow baseline
@@ -23,8 +26,8 @@ use crate::error::ThermalError;
 use crate::power::PowerMap;
 use crate::ThermalAnalyzer;
 use rlp_chiplet::{ChipletSystem, Placement};
-use rlp_linalg::solvers::{conjugate_gradient, CgOptions, LinearOperator};
-use rlp_linalg::{CooMatrix, CsrMatrix, LayeredStencil};
+use rlp_linalg::solvers::{conjugate_gradient, CgOptions, LinearOperator, Preconditioner};
+use rlp_linalg::{AggregationMultigrid, CooMatrix, CsrMatrix, Jacobi, LayeredStencil};
 use std::fmt;
 use std::sync::Arc;
 
@@ -94,12 +97,14 @@ impl ThermalSolution {
     }
 }
 
-/// The conductance operator of one interposer outline, assembled ahead of
-/// time and shared by every clone of the solver.
+/// The conductance operator of one interposer outline and its CG
+/// preconditioner, assembled ahead of time and shared by every clone of
+/// the solver.
 struct PreparedOperator {
     /// Bit patterns of the interposer width and height it was assembled for.
     outline: (u64, u64),
     operator: Box<dyn LinearOperator + Send + Sync>,
+    preconditioner: Box<dyn Preconditioner + Send + Sync>,
 }
 
 impl fmt::Debug for PreparedOperator {
@@ -154,17 +159,13 @@ impl GridThermalSolver {
         })
     }
 
-    /// Assembles the conductance operator for an interposer outline (mm)
-    /// ahead of time. Solves of a system with exactly this outline reuse
-    /// it; solves of any other outline assemble their own. The results are
-    /// bit-identical either way.
+    /// Assembles the conductance operator and its preconditioner for an
+    /// interposer outline (mm) ahead of time. Solves of a system with
+    /// exactly this outline reuse them; solves of any other outline
+    /// assemble their own. The results are bit-identical either way.
     #[must_use]
     pub(crate) fn with_interposer(mut self, width_mm: f64, height_mm: f64) -> Self {
-        let operator = self.assemble(width_mm, height_mm);
-        self.prepared = Some(Arc::new(PreparedOperator {
-            outline: (width_mm.to_bits(), height_mm.to_bits()),
-            operator,
-        }));
+        self.prepared = Some(Arc::new(self.prepare(width_mm, height_mm)));
         self
     }
 
@@ -191,26 +192,43 @@ impl GridThermalSolver {
         self.solve_power_map(system, &power)
     }
 
-    /// Solves the steady-state field for an explicit power map.
-    ///
-    /// This entry point is used by the fast-model characterisation, which
-    /// sweeps synthetic single-source power maps.
+    /// Solves the steady-state field for an explicit power map on the
+    /// solver's grid.
     ///
     /// # Errors
     ///
-    /// Returns [`ThermalError::Solver`] if the conjugate-gradient solve fails.
+    /// * [`ThermalError::InvalidConfig`] if the map is not
+    ///   `grid_nx`×`grid_ny` cells.
+    /// * [`ThermalError::Solver`] if the conjugate-gradient solve fails.
     pub fn solve_power_map(
         &self,
         system: &ChipletSystem,
         power: &PowerMap,
     ) -> Result<ThermalSolution, ThermalError> {
-        let (width, height) = (system.interposer_width(), system.interposer_height());
-        match &self.prepared {
-            Some(prepared) if prepared.outline == (width.to_bits(), height.to_bits()) => {
-                self.solve_with(prepared.operator.as_ref(), power)
-            }
-            _ => self.solve_with(self.assemble(width, height).as_ref(), power),
+        let (nx, ny) = (self.config.grid_nx, self.config.grid_ny);
+        if (power.nx(), power.ny()) != (nx, ny) {
+            return Err(ThermalError::InvalidConfig {
+                reason: format!(
+                    "power map is {}x{} cells but the thermal grid is {nx}x{ny}",
+                    power.nx(),
+                    power.ny()
+                ),
+            });
         }
+        let (width, height) = (system.interposer_width(), system.interposer_height());
+        let fresh;
+        let prepared = match &self.prepared {
+            Some(prepared) if prepared.outline == (width.to_bits(), height.to_bits()) => prepared,
+            _ => {
+                fresh = self.prepare(width, height);
+                &fresh
+            }
+        };
+        self.solve_with(
+            prepared.operator.as_ref(),
+            prepared.preconditioner.as_ref(),
+            power,
+        )
     }
 
     /// The conductance matrix `G` of this package on an interposer of the
@@ -278,15 +296,32 @@ impl GridThermalSolver {
         g
     }
 
-    /// `G` in the form CG applies it: the matrix-free stencil, or the CSR
-    /// itself when a zero conductance dropped entries that a stencil cannot
-    /// represent.
-    fn assemble(&self, width_mm: f64, height_mm: f64) -> Box<dyn LinearOperator + Send + Sync> {
+    /// `G` and its preconditioner in the form CG applies them. The operator
+    /// is the matrix-free stencil, or the CSR itself when a zero
+    /// conductance dropped entries that a stencil cannot represent.
+    fn prepare(&self, width_mm: f64, height_mm: f64) -> PreparedOperator {
         let g = self.conductance_matrix(width_mm, height_mm);
         let (nx, ny) = (self.config.grid_nx, self.config.grid_ny);
-        match LayeredStencil::from_csr(&g, nx, ny, self.config.stack.layer_count()) {
-            Some(stencil) => Box::new(stencil),
-            None => Box::new(g),
+        let preconditioner = self.preconditioner(&g);
+        let operator: Box<dyn LinearOperator + Send + Sync> =
+            match LayeredStencil::from_csr(&g, nx, ny, self.config.stack.layer_count()) {
+                Some(stencil) => Box::new(stencil),
+                None => Box::new(g),
+            };
+        PreparedOperator {
+            outline: (width_mm.to_bits(), height_mm.to_bits()),
+            operator,
+            preconditioner,
+        }
+    }
+
+    /// The preconditioner of `G`: the multigrid V-cycle, or Jacobi where
+    /// the hierarchy cannot be built.
+    fn preconditioner(&self, g: &CsrMatrix) -> Box<dyn Preconditioner + Send + Sync> {
+        let (nx, ny) = (self.config.grid_nx, self.config.grid_ny);
+        match AggregationMultigrid::from_csr(g, nx, ny, self.config.stack.layer_count()) {
+            Some(multigrid) => Box::new(multigrid),
+            None => Box::new(Jacobi::new(g)),
         }
     }
 
@@ -294,6 +329,7 @@ impl GridThermalSolver {
     fn solve_with(
         &self,
         g: &dyn LinearOperator,
+        preconditioner: &dyn Preconditioner,
         power: &PowerMap,
     ) -> Result<ThermalSolution, ThermalError> {
         let nx = self.config.grid_nx;
@@ -303,13 +339,9 @@ impl GridThermalSolver {
 
         let power_layer = self.config.stack.power_layer();
         let mut rhs = vec![0.0; cells * n_layers];
-        for row in 0..ny {
-            for col in 0..nx {
-                rhs[power_layer * cells + row * nx + col] = power.power_at(col, row);
-            }
-        }
+        rhs[power_layer * cells..][..cells].copy_from_slice(power.cells());
 
-        let solution = conjugate_gradient(g, &rhs, &self.cg_options)?;
+        let solution = conjugate_gradient(g, &rhs, preconditioner, &self.cg_options)?;
 
         Ok(ThermalSolution {
             nx,
@@ -323,15 +355,22 @@ impl GridThermalSolver {
     }
 
     /// Solves on the assembled CSR matrix itself, bypassing the stencil and
-    /// any prepared operator: the reference the exactness tests use.
+    /// any prepared operator: the reference the exactness tests use. The
+    /// preconditioner is built from that matrix like a prepared one, or is
+    /// Jacobi when `jacobi` is set.
     #[cfg(test)]
     pub(crate) fn solve_power_map_csr(
         &self,
         system: &ChipletSystem,
         power: &PowerMap,
+        jacobi: bool,
     ) -> Result<ThermalSolution, ThermalError> {
         let g = self.conductance_matrix(system.interposer_width(), system.interposer_height());
-        self.solve_with(&g, power)
+        if jacobi {
+            self.solve_with(&g, &Jacobi::new(&g), power)
+        } else {
+            self.solve_with(&g, self.preconditioner(&g).as_ref(), power)
+        }
     }
 
     /// Caps CG iterations, so tests can make solves fail.
@@ -341,13 +380,9 @@ impl GridThermalSolver {
         self
     }
 
-    /// Per-chiplet maximum die temperature for a placement, in Celsius.
+    /// Per-chiplet maximum die temperature of a solved field, in Celsius.
     ///
     /// Unplaced chiplets are reported at ambient temperature.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ThermalError::Solver`] if the steady-state solve fails.
     pub fn chiplet_temperatures_from_solution(
         &self,
         system: &ChipletSystem,
@@ -554,7 +589,7 @@ mod tests {
         let fresh = GridThermalSolver::new(ThermalConfig::with_grid(16, 11));
         let prepared = fresh.clone().with_interposer(30.0, 30.0);
         let reference = fresh
-            .solve_power_map_csr(&sys, &PowerMap::rasterize(&sys, &p, 16, 11))
+            .solve_power_map_csr(&sys, &PowerMap::rasterize(&sys, &p, 16, 11), false)
             .unwrap();
         for solution in [
             fresh.solve(&sys, &p).unwrap(),
@@ -581,6 +616,8 @@ mod tests {
     fn a_zero_conductance_layer_solves_on_the_csr() {
         // A zero-conductivity interposer drops its matrix entries, which a
         // stencil cannot represent, so the solve keeps the assembled matrix.
+        // Its nodes are left with a zero pivot, so no multigrid hierarchy
+        // either: CG falls back to Jacobi.
         let mut layers = LayerStack::default_2_5d().layers().to_vec();
         layers[0].conductivity_w_mk = 0.0;
         let config = ThermalConfig {
@@ -590,13 +627,51 @@ mod tests {
         let solver = GridThermalSolver::new(config).with_interposer(30.0, 30.0);
         let g = solver.conductance_matrix(30.0, 30.0);
         assert!(LayeredStencil::from_csr(&g, 8, 8, 5).is_none());
+        assert!(AggregationMultigrid::from_csr(&g, 8, 8, 5).is_none());
         let (sys, p) = single_chiplet(30.0, Position::new(11.0, 11.0));
         let solution = solver.solve(&sys, &p).unwrap();
         let reference = solver
-            .solve_power_map_csr(&sys, &PowerMap::rasterize(&sys, &p, 8, 8))
+            .solve_power_map_csr(&sys, &PowerMap::rasterize(&sys, &p, 8, 8), true)
             .unwrap();
         assert_eq!(delta_bits(&solution), delta_bits(&reference));
         assert!(solution.max_die_temperature() > solver.config().ambient_c + 1.0);
+    }
+
+    #[test]
+    fn multigrid_takes_a_fraction_of_jacobi_iterations_to_the_same_field() {
+        let (sys, p) = single_chiplet(30.0, Position::new(7.0, 11.0));
+        let solver = GridThermalSolver::new(ThermalConfig::with_grid(16, 11));
+        let power = PowerMap::rasterize(&sys, &p, 16, 11);
+        let multigrid = solver.solve_power_map(&sys, &power).unwrap();
+        let jacobi = solver.solve_power_map_csr(&sys, &power, true).unwrap();
+        assert!(
+            4 * multigrid.solver_iterations < jacobi.solver_iterations,
+            "multigrid {} vs jacobi {} iterations",
+            multigrid.solver_iterations,
+            jacobi.solver_iterations
+        );
+        let peak = jacobi.max_die_temperature() - solver.config().ambient_c;
+        for (m, j) in multigrid.delta_t.iter().zip(&jacobi.delta_t) {
+            assert!((m - j).abs() <= 1e-6 * peak, "{m} vs {j}");
+        }
+    }
+
+    #[test]
+    fn power_maps_of_another_grid_size_are_rejected() {
+        let (sys, p) = single_chiplet(30.0, Position::new(11.0, 11.0));
+        let solver = small_solver();
+        for (nx, ny, named) in [(8, 16, "8x16"), (16, 20, "16x20")] {
+            let power = PowerMap::rasterize(&sys, &p, nx, ny);
+            match solver.solve_power_map(&sys, &power) {
+                Err(ThermalError::InvalidConfig { reason }) => {
+                    assert!(
+                        reason.contains(named) && reason.contains("16x16"),
+                        "{reason}"
+                    );
+                }
+                other => panic!("{nx}x{ny} map: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -23,44 +23,10 @@ impl PowerMap {
     /// Unplaced chiplets contribute nothing, which lets the RL environment
     /// evaluate partial placements.
     pub fn rasterize(system: &ChipletSystem, placement: &Placement, nx: usize, ny: usize) -> Self {
-        let mut map = Self::scratch();
-        map.rasterize_into(system, placement, nx, ny);
-        map
-    }
-
-    /// A 1×1 zero map, usable as a reusable buffer for
-    /// [`PowerMap::rasterize_into`]. Repeated rasterisations (the fast-model
-    /// characterisation sweep, batch solves) keep reusing one allocation
-    /// instead of allocating a fresh cell vector per solve.
-    pub fn scratch() -> Self {
-        Self {
-            nx: 1,
-            ny: 1,
-            cell_width_mm: 0.0,
-            cell_height_mm: 0.0,
-            cells: vec![0.0],
-        }
-    }
-
-    /// Rasterises like [`PowerMap::rasterize`] but reuses this map's cell
-    /// buffer, reconfiguring the grid geometry in place. No allocation
-    /// happens when the grid size is unchanged (or shrinks).
-    pub fn rasterize_into(
-        &mut self,
-        system: &ChipletSystem,
-        placement: &Placement,
-        nx: usize,
-        ny: usize,
-    ) {
         assert!(nx > 0 && ny > 0, "power map grid must be non-empty");
         let cell_width_mm = system.interposer_width() / nx as f64;
         let cell_height_mm = system.interposer_height() / ny as f64;
-        self.nx = nx;
-        self.ny = ny;
-        self.cell_width_mm = cell_width_mm;
-        self.cell_height_mm = cell_height_mm;
-        self.cells.clear();
-        self.cells.resize(nx * ny, 0.0);
+        let mut cells = vec![0.0; nx * ny];
         for (id, _, _) in placement.iter_placed() {
             let Some(rect) = placement.rect_of(id, system) else {
                 continue;
@@ -85,10 +51,17 @@ impl PowerMap {
                     );
                     let overlap = cell_rect.intersection_area(&rect);
                     if overlap > 0.0 {
-                        self.cells[row * nx + col] += overlap * density;
+                        cells[row * nx + col] += overlap * density;
                     }
                 }
             }
+        }
+        Self {
+            nx,
+            ny,
+            cell_width_mm,
+            cell_height_mm,
+            cells,
         }
     }
 
