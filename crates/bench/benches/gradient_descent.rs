@@ -103,7 +103,13 @@ fn gradient_descent(c: &mut Criterion) {
         )
         .expect("configuration is valid");
         group.bench_function(BenchmarkId::new("solve", n), |b| {
-            b.iter(|| black_box(engine.run().expect("descent legalises an iterate")))
+            b.iter(|| {
+                black_box(
+                    engine
+                        .run(&mut |_, _, _| {})
+                        .expect("descent legalises an iterate"),
+                )
+            })
         });
     }
     group.finish();

@@ -76,7 +76,11 @@ fn obs_overhead(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("anneal", label), |b| {
             b.iter(|| {
                 let mut objective = calc.delta_objective();
-                black_box(planner.run_delta(&mut objective).expect("anneal succeeds"))
+                black_box(
+                    planner
+                        .run(None, &mut objective, &mut |_, _, _| {})
+                        .expect("anneal succeeds"),
+                )
             })
         });
     }

@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rlp_bench::{characterize_for, harness_thermal_config};
 use rlp_benchmarks::synthetic_cases;
 use rlp_rl::{Environment, PpoAgent, RolloutBuffer};
-use rlp_sa::{SaConfig, SaPlanner};
+use rlp_sa::{Objective, SaConfig, SaPlanner};
 use rlp_thermal::GridThermalSolver;
 use rlplanner::{
     agent::{build_actor_critic, build_rnd},
@@ -51,7 +51,9 @@ fn sa_burst_cost(c: &mut Criterion) {
             |b| {
                 b.iter(|| {
                     let planner = SaPlanner::new(system.clone(), short_sa_config(1));
-                    black_box(planner.run(&fast_calc).unwrap().best_objective)
+                    let mut full: &dyn Objective = &fast_calc;
+                    let result = planner.run(None, &mut full, &mut |_, _, _| {}).unwrap();
+                    black_box(result.best_objective)
                 })
             },
         );
@@ -60,7 +62,9 @@ fn sa_burst_cost(c: &mut Criterion) {
             |b| {
                 b.iter(|| {
                     let planner = SaPlanner::new(system.clone(), short_sa_config(2));
-                    black_box(planner.run(&grid_calc).unwrap().best_objective)
+                    let mut full: &dyn Objective = &grid_calc;
+                    let result = planner.run(None, &mut full, &mut |_, _, _| {}).unwrap();
+                    black_box(result.best_objective)
                 })
             },
         );

@@ -88,7 +88,6 @@ use rlp_benchmarks::{
 };
 use rlp_chiplet::ChipletSystem;
 use rlp_engine::{campaign_json, CampaignEngine, CampaignMethod, CampaignSpec, JsonlSink};
-use rlp_rl::NullTrainingObserver;
 use rlp_sa::SaConfig;
 use rlp_thermal::{CharacterizationOptions, ThermalBackend, ThermalConfig};
 use rlplanner::report::{outcome_json, placement_json};
@@ -530,7 +529,7 @@ fn run_train_generalist(args: &[String]) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-        match planner.train_observed(&mut NullTrainingObserver) {
+        match planner.train(None, &mut |_, _, _| {}) {
             Ok(result) => {
                 eprintln!(
                     "[{}/{}] {name}: {chiplets} chiplets, {} episodes, best reward {:.4}",

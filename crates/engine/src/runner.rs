@@ -2,8 +2,9 @@
 //!
 //! [`CampaignEngine::run_streamed`] drains a [`CampaignSpec`]'s grid with
 //! `std::thread::scope` workers pulling run indices off a shared atomic
-//! counter. Every run is an independent, seeded [`rlplanner::Planner`]
-//! solve whose analyzer comes from the engine's shared
+//! counter. Every run is an independent, seeded
+//! [`rlplanner::FloorplanRequest::solve`] whose analyzer comes from the
+//! engine's shared
 //! [`ThermalModelCache`], so:
 //!
 //! * each distinct package configuration is characterised exactly once per

@@ -41,6 +41,28 @@
 pub mod log;
 pub mod metrics;
 
+/// The progress callback every optimiser reports through:
+/// `on_candidate(index, reward, best_reward)`, called once per evaluated
+/// candidate floorplan — an RL training episode, an SA objective
+/// evaluation, a legalised gradient-descent iterate or a pretrained
+/// rollout.
+///
+/// The contract every caller may rely on:
+///
+/// * **Indices are dense:** the first call has index 0 and every later
+///   call the previous index plus one.
+/// * **Higher reward is better** for every method (SA objectives are
+///   negated costs), so streams compare across methods directly.
+///   `best_reward` is the best reward seen so far, this candidate
+///   included.
+/// * It fires **on the solving thread**, synchronously, so a slow callback
+///   slows the run — but it **never influences** the run: a solve with a
+///   no-op callback produces the same result as one with any other.
+///
+/// Pass a closure: `&mut |index, reward, best_reward| { ... }` coerces to
+/// `&mut OnCandidate`, and `&mut |_, _, _| {}` is the silent callback.
+pub type OnCandidate<'a> = dyn FnMut(usize, f64, f64) + 'a;
+
 pub use crate::log::{
     add_sink, emit, event, inert_span, init_from_env, log_enabled, max_level, monotonic_ns,
     set_max_level, set_sinks, span, FieldValue, JsonlSink, Level, LogRecord, LogSink, RecordKind,

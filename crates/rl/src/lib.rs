@@ -18,8 +18,6 @@
 //!   trajectory at any parallelism level.
 //! * [`RandomNetworkDistillation`] — the RND exploration bonus used by the
 //!   "RLPlanner (RND)" variant.
-//! * [`TrainingObserver`] — streaming progress hook training loops report
-//!   episodes and updates through.
 //! * [`ConfigError`] — the typed validation error shared by the
 //!   configuration structs of this crate and its consumers.
 //!
@@ -42,7 +40,6 @@ pub mod buffer;
 pub mod env;
 pub mod error;
 pub mod ppo;
-pub mod progress;
 pub mod rnd;
 pub mod vec_env;
 
@@ -51,6 +48,5 @@ pub use buffer::{RolloutBuffer, Transition};
 pub use env::{Environment, Observation, StepResult};
 pub use error::{ConfigError, RlError};
 pub use ppo::{ActionSample, PpoAgent, PpoConfig, PpoStats};
-pub use progress::{NullTrainingObserver, TeeTrainingObserver, TrainingObserver};
 pub use rnd::RandomNetworkDistillation;
 pub use vec_env::{episode_rng, ParallelEpisode, VecEnvPool};

@@ -1,43 +1,48 @@
-//! The unified planner facade.
+//! The solve pipeline.
 //!
-//! [`Planner`] is the one interface every optimisation method implements:
-//! it consumes a [`FloorplanRequest`] and produces a [`FloorplanOutcome`],
-//! regardless of whether a PPO agent ([`PpoPlanner`]), the
-//! simulated-annealing baseline ([`SaBaselinePlanner`]) or the analytic
-//! gradient engine ([`GradientPlanner`]) does the work. [`planner_for`]
-//! picks the implementation matching a request's [`Method`], which is what
-//! [`FloorplanRequest::solve`] uses; new methods plug in by implementing
-//! the trait, not by adding `match` arms to every caller.
+//! [`FloorplanRequest::solve_observed`] is the one path every method runs
+//! through, from request to [`FloorplanOutcome`]. It does the shared work
+//! once — the `plan.solve` span, method resolution, thermal-analyzer
+//! construction, the warm-start presolve, per-candidate telemetry, the
+//! `plan.*` metrics and outcome assembly — and `match`es on the resolved
+//! [`Method`] only to call the engine that does the optimisation: PPO
+//! training, the simulated-annealing baseline, analytic gradient descent or
+//! pretrained inference. Each engine returns one `EngineRun`; a new
+//! method is one more engine function and one more `match` arm.
+//!
+//! Progress goes through one callback, [`rlp_obs::OnCandidate`]. The
+//! pipeline fans every candidate out to the outcome's telemetry and to the
+//! caller's callback, so the two always see the same stream.
 //!
 //! When a request sets [`FloorplanRequest::warm_start`], the SA and RL
-//! planners first run a short gradient-descent presolve and seed their
-//! optimisation with its placement: SA anneals from it instead of a random
-//! start, RL uses it as the bar its episodes must beat. The presolve's
-//! evaluations are deliberately *not* counted in the outcome — they are
-//! setup cost, like thermal characterisation — and the flag is recorded in
-//! the [`RunManifest`] so replay reproduces the seeded run.
+//! engines are seeded with the placement of a short gradient-descent
+//! presolve: SA anneals from it instead of a random start, RL uses it as
+//! the bar its episodes must beat. The presolve's evaluations are
+//! deliberately *not* counted in the outcome — they are setup cost, like
+//! thermal characterisation — and the flag is recorded in the
+//! [`RunManifest`] so replay reproduces the seeded run.
 
-use crate::agent::{build_actor_critic, configs_from_policy};
-use crate::baseline::Tap25dBaseline;
-use crate::env::FloorplanEnv;
+use crate::agent::{build_actor_critic, configs_from_policy, AgentConfig};
+use crate::env::{EnvConfig, FloorplanEnv};
 use crate::gradient::{GradientConfig, GradientDescent};
 use crate::outcome::{
     EvalTelemetry, FloorplanOutcome, RunManifest, TelemetrySample, TrainingTelemetry,
 };
-use crate::planner::RlPlanner;
-use crate::request::{FloorplanRequest, Method};
+use crate::planner::{RlPlanner, RlPlannerConfig};
+use crate::request::{FloorplanRequest, Method, PretrainedConfig};
 use crate::reward::{RewardBreakdown, RewardCalculator};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rlp_chiplet::Placement;
 use rlp_nn::{Categorical, PolicyError, PolicyFile};
-use rlp_rl::{ConfigError, Environment, PpoStats, TeeTrainingObserver, TrainingObserver};
-use rlp_sa::{AnnealObserver, EvalCounts, EvalMode, InitialPlacementError, TeeAnnealObserver};
+use rlp_obs::OnCandidate;
+use rlp_rl::{ConfigError, Environment};
+use rlp_sa::{EvalCounts, EvalMode, InitialPlacementError, SaConfig, SaPlanner};
 use rlp_thermal::{AnyThermalAnalyzer, ThermalError};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Errors produced while solving a [`FloorplanRequest`].
 #[derive(Debug, Clone, PartialEq)]
@@ -54,14 +59,6 @@ pub enum PlanError {
     /// The run finished without producing a single complete placement (RL
     /// with a grid too coarse for the system).
     Incomplete,
-    /// The planner does not implement the request's method; use
-    /// [`planner_for`] or [`FloorplanRequest::solve`] to dispatch.
-    UnsupportedMethod {
-        /// Name of the planner that rejected the request.
-        planner: &'static str,
-        /// Label of the request's method.
-        method: &'static str,
-    },
     /// A pretrained solve could not use its policy file: unreadable,
     /// corrupt, truncated, checksum-mismatched, missing metadata, or saved
     /// from a different network architecture.
@@ -83,12 +80,6 @@ impl fmt::Display for PlanError {
                 f,
                 "the run never produced a complete placement; enlarge the grid or the interposer"
             ),
-            PlanError::UnsupportedMethod { planner, method } => {
-                write!(
-                    f,
-                    "planner `{planner}` does not implement method `{method}`"
-                )
-            }
             PlanError::Policy { path, error } => {
                 write!(f, "policy file `{path}`: {error}")
             }
@@ -103,7 +94,7 @@ impl Error for PlanError {
             PlanError::Thermal(e) => Some(e),
             PlanError::InitialPlacement(e) => Some(e),
             PlanError::Policy { error, .. } => Some(error),
-            _ => None,
+            PlanError::Incomplete => None,
         }
     }
 }
@@ -126,132 +117,146 @@ impl From<InitialPlacementError> for PlanError {
     }
 }
 
-/// Receives method-agnostic progress events from a solve in flight.
-///
-/// Both optimisers already expose per-candidate hooks
-/// ([`TrainingObserver::on_episode`], [`AnnealObserver::on_evaluation`]);
-/// `SolveObserver` unifies them behind one callback so a caller — e.g. a
-/// serving layer streaming progress frames to a client — does not need to
-/// know which method a request resolved to. Events fire on the thread
-/// running the solve, so a slow observer slows the run.
-pub trait SolveObserver {
-    /// Called after each evaluated candidate with its 0-based index, the
-    /// candidate's reward (SA objectives are negated costs, so higher is
-    /// better for both methods), and the best reward seen so far.
-    fn on_candidate(&mut self, index: usize, reward: f64, best_reward: f64) {
-        let _ = (index, reward, best_reward);
-    }
+/// What an engine hands back to the pipeline: everything in the outcome
+/// that depends on the method. The pipeline adds telemetry, thermal prep
+/// and the manifest.
+struct EngineRun {
+    placement: Placement,
+    breakdown: RewardBreakdown,
+    /// Candidate floorplans evaluated, per engine: RL episodes, SA
+    /// objective evaluations, legalised descent iterates or completed
+    /// rollouts. The total is the outcome's `evaluations`.
+    counts: EvalCounts,
+    training: Option<TrainingTelemetry>,
+    runtime: Duration,
 }
 
-/// An observer that ignores every event; what [`Planner::solve`] uses.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSolveObserver;
-
-impl SolveObserver for NullSolveObserver {}
-
-/// Adapts a [`SolveObserver`] to either optimiser's native observer trait.
-struct ForwardToSolveObserver<'a> {
-    observer: &'a mut dyn SolveObserver,
-}
-
-impl TrainingObserver for ForwardToSolveObserver<'_> {
-    fn on_episode(&mut self, index: usize, reward: f64, best_reward: f64) {
-        self.observer.on_candidate(index, reward, best_reward);
-    }
-}
-
-impl AnnealObserver for ForwardToSolveObserver<'_> {
-    fn on_evaluation(
-        &mut self,
-        index: usize,
-        objective: f64,
-        best_objective: f64,
-        _accepted: bool,
-    ) {
-        self.observer.on_candidate(index, objective, best_objective);
-    }
-}
-
-/// A floorplanning method behind the unified request/outcome API.
-pub trait Planner {
-    /// Human-readable name of the planner implementation.
-    fn name(&self) -> &'static str;
-
-    /// Solves a request end to end: builds the thermal backend, runs the
-    /// optimisation and packages the best placement, telemetry and
-    /// reproducibility manifest into a [`FloorplanOutcome`].
+impl FloorplanRequest {
+    /// Solves the request with the engine matching its method.
     ///
-    /// Equivalent to [`Planner::solve_observed`] with a
-    /// [`NullSolveObserver`]; the observer never influences the run, so
-    /// both entry points produce identical outcomes for a fixed seed.
+    /// Equivalent to [`FloorplanRequest::solve_observed`] with a no-op
+    /// callback; the callback never influences the run, so both produce
+    /// identical outcomes for a fixed seed.
     ///
     /// # Errors
     ///
-    /// Returns a [`PlanError`] if the backend cannot be built, the method
-    /// does not match this planner, or the run produces no complete
-    /// placement.
-    fn solve(&self, request: &FloorplanRequest) -> Result<FloorplanOutcome, PlanError> {
-        self.solve_observed(request, &mut NullSolveObserver)
+    /// Returns a [`PlanError`] if the thermal backend cannot be built, no
+    /// legal placement exists, the run produces no complete floorplan, or
+    /// a pretrained policy file is unusable.
+    pub fn solve(&self) -> Result<FloorplanOutcome, PlanError> {
+        self.solve_observed(&mut |_, _, _| {})
     }
 
-    /// Like [`Planner::solve`], but reports every evaluated candidate to
-    /// `observer` while the run is in flight.
+    /// Solves the request like [`FloorplanRequest::solve`], reporting every
+    /// evaluated candidate to `on_candidate` while the run is in flight —
+    /// the same stream, element for element, that lands in
+    /// [`FloorplanOutcome::telemetry`]. See [`OnCandidate`] for the
+    /// callback's contract.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Planner::solve`].
-    fn solve_observed(
+    /// Same conditions as [`FloorplanRequest::solve`].
+    pub fn solve_observed(
         &self,
-        request: &FloorplanRequest,
-        observer: &mut dyn SolveObserver,
-    ) -> Result<FloorplanOutcome, PlanError>;
-}
+        on_candidate: &mut OnCandidate<'_>,
+    ) -> Result<FloorplanOutcome, PlanError> {
+        let mut method = self.resolved_method();
+        let _span = rlp_obs::obs_span!(
+            rlp_obs::Level::Debug,
+            "rlplanner",
+            "plan.solve",
+            method = method.label(),
+            system = self.system().name(),
+        );
+        // A pretrained solve loads and checks its policy before thermal
+        // prep, so a bad file costs no characterisation.
+        let mut policy = None;
+        if let Method::Pretrained { config } = &mut method {
+            policy = Some(load_policy(self, config)?);
+        }
+        let (analyzer, thermal_prep) = self.thermal_analyzer()?;
+        // The presolve's placement must be legal on the main optimiser's
+        // grid, so it borrows that optimiser's grid and spacing.
+        let warm = match &method {
+            Method::Rl { config } | Method::RlRnd { config } => {
+                warm_start_presolve(self, &analyzer, config.env.grid, config.env.min_spacing_mm)
+            }
+            Method::Sa { config } => {
+                warm_start_presolve(self, &analyzer, config.grid, config.min_spacing_mm)
+            }
+            Method::Gradient { .. } | Method::Pretrained { .. } => None,
+        };
 
-/// Returns the planner implementing a method.
-///
-/// # Examples
-///
-/// ```
-/// use rlplanner::{planner_for, Method};
-///
-/// assert_eq!(planner_for(&Method::rl()).name(), "ppo");
-/// assert_eq!(planner_for(&Method::sa()).name(), "sa-baseline");
-/// assert_eq!(planner_for(&Method::pretrained("p.policy")).name(), "pretrained");
-/// ```
-pub fn planner_for(method: &Method) -> Box<dyn Planner> {
-    match method {
-        Method::Rl { .. } | Method::RlRnd { .. } => Box::new(PpoPlanner),
-        Method::Sa { .. } => Box::new(SaBaselinePlanner),
-        Method::Gradient { .. } => Box::new(GradientPlanner),
-        Method::Pretrained { .. } => Box::new(PretrainedPlanner),
-    }
-}
+        let mut telemetry = Vec::new();
+        let run = {
+            let mut tee = |index, reward, best_reward| {
+                telemetry.push(TelemetrySample {
+                    index,
+                    reward,
+                    best_reward,
+                });
+                on_candidate(index, reward, best_reward);
+            };
+            match &method {
+                Method::Rl { config } | Method::RlRnd { config } => {
+                    run_rl(self, analyzer, config, warm, &mut tee)?
+                }
+                Method::Sa { config } => {
+                    run_sa(self, analyzer, config, warm.map(|(p, _)| p), &mut tee)?
+                }
+                Method::Gradient { config } => run_gradient(self, analyzer, config, &mut tee)?,
+                Method::Pretrained { config } => {
+                    let policy = policy.take().expect("pretrained policy loaded above");
+                    run_pretrained(self, analyzer, config.seed, policy, &mut tee)?
+                }
+            }
+        };
 
-fn manifest_for(request: &FloorplanRequest, resolved: Method) -> RunManifest {
-    RunManifest {
-        system_name: request.system().name().to_string(),
-        chiplet_count: request.system().chiplet_count(),
-        method: resolved,
-        thermal: request.thermal().clone(),
-        reward: request.reward().clone(),
-        seed: request.resolved_seed(),
-        warm_start: request.warm_start(),
+        rlp_obs::obs_counter!("plan.solves").inc();
+        if matches!(method, Method::Pretrained { .. }) {
+            rlp_obs::obs_counter!("plan.pretrained_solves").inc();
+        }
+        rlp_obs::obs_histogram!("plan.solve_ns").record_duration(run.runtime);
+        Ok(FloorplanOutcome {
+            placement: run.placement,
+            breakdown: run.breakdown,
+            telemetry,
+            evaluations: run.counts.total(),
+            evaluation: EvalTelemetry {
+                mode: run.counts.mode(),
+                counts: run.counts,
+            },
+            training: run.training,
+            runtime: run.runtime,
+            thermal_prep,
+            manifest: RunManifest {
+                system_name: self.system().name().to_string(),
+                chiplet_count: self.system().chiplet_count(),
+                method,
+                thermal: self.thermal().clone(),
+                reward: self.reward().clone(),
+                seed: self.resolved_seed(),
+                warm_start: self.warm_start(),
+            },
+        })
     }
 }
 
 /// Runs the short gradient-descent presolve behind
 /// [`FloorplanRequest::warm_start`] and returns its best placement, or
-/// `None` when the presolve fails for any reason — warm starting is
-/// fail-soft, so the caller then falls back to its usual cold start. The
-/// presolve reuses the request's analyzer, reward weights and resolved
-/// seed; `grid` and `min_spacing_mm` come from the main optimiser's own
-/// configuration so the presolved placement is legal on its grid.
+/// `None` when the request does not ask for a warm start or the presolve
+/// fails for any reason — warm starting is fail-soft, so the caller then
+/// falls back to its usual cold start. The presolve reuses the request's
+/// analyzer, reward weights and resolved seed.
 fn warm_start_presolve(
     request: &FloorplanRequest,
     analyzer: &AnyThermalAnalyzer,
     grid: (usize, usize),
     min_spacing_mm: f64,
 ) -> Option<(Placement, RewardBreakdown)> {
+    if !request.warm_start() {
+        return None;
+    }
     let config = GradientConfig {
         iterations: 50,
         grid,
@@ -266,495 +271,274 @@ fn warm_start_presolve(
         config,
     )
     .ok()?;
-    let result = descent.run().ok()?;
+    let result = descent.run(&mut |_, _, _| {}).ok()?;
     rlp_obs::obs_counter!("plan.warm_starts").inc();
     Some((result.best_placement, result.best_breakdown))
 }
 
-/// Collects per-candidate telemetry from either optimiser's observer hook.
-#[derive(Default)]
-struct TelemetryCollector {
-    samples: Vec<TelemetrySample>,
-}
-
-impl TelemetryCollector {
-    fn push(&mut self, index: usize, reward: f64, best_reward: f64) {
-        self.samples.push(TelemetrySample {
-            index,
-            reward,
-            best_reward,
-        });
-    }
-}
-
-impl TrainingObserver for TelemetryCollector {
-    fn on_episode(&mut self, index: usize, reward: f64, best_reward: f64) {
-        self.push(index, reward, best_reward);
-    }
-
-    fn on_update(&mut self, _stats: &PpoStats) {}
-}
-
-impl AnnealObserver for TelemetryCollector {
-    fn on_evaluation(
-        &mut self,
-        index: usize,
-        objective: f64,
-        best_objective: f64,
-        _accepted: bool,
-    ) {
-        self.push(index, objective, best_objective);
-    }
-}
-
-impl SolveObserver for TelemetryCollector {
-    fn on_candidate(&mut self, index: usize, reward: f64, best_reward: f64) {
-        self.push(index, reward, best_reward);
-    }
-}
-
-/// Fans one stream of [`SolveObserver`] events out to two observers — the
-/// facade's telemetry collector and the caller's observer.
-struct TeeSolveObserver<'a> {
-    first: &'a mut dyn SolveObserver,
-    second: &'a mut dyn SolveObserver,
-}
-
-impl SolveObserver for TeeSolveObserver<'_> {
-    fn on_candidate(&mut self, index: usize, reward: f64, best_reward: f64) {
-        self.first.on_candidate(index, reward, best_reward);
-        self.second.on_candidate(index, reward, best_reward);
-    }
-}
-
-/// The PPO trainer behind the facade — "RLPlanner" and "RLPlanner (RND)".
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PpoPlanner;
-
-impl Planner for PpoPlanner {
-    fn name(&self) -> &'static str {
-        "ppo"
-    }
-
-    fn solve_observed(
-        &self,
-        request: &FloorplanRequest,
-        observer: &mut dyn SolveObserver,
-    ) -> Result<FloorplanOutcome, PlanError> {
-        let _span = rlp_obs::obs_span!(
-            rlp_obs::Level::Debug,
-            "rlplanner",
-            "plan.solve",
-            planner = self.name(),
-            system = request.system().name(),
-        );
-        let resolved = request.resolved_method();
-        let (Method::Rl { config } | Method::RlRnd { config }) = &resolved else {
-            return Err(PlanError::UnsupportedMethod {
-                planner: self.name(),
-                method: request.method().label(),
-            });
-        };
-        let (analyzer, thermal_prep) = request.thermal_analyzer()?;
-        // A warm start seeds the best-artifact tracker: training proceeds
-        // identically, but the outcome is never worse than the presolve.
-        let warm = request
-            .warm_start()
-            .then(|| {
-                warm_start_presolve(
-                    request,
-                    &analyzer,
-                    config.env.grid,
-                    config.env.min_spacing_mm,
-                )
-            })
-            .flatten();
-        let mut planner = RlPlanner::new(
-            request.system().clone(),
-            analyzer,
-            request.reward().clone(),
-            config.clone(),
-        )?;
-        let mut telemetry = TelemetryCollector::default();
-        let result = {
-            let mut forward = ForwardToSolveObserver { observer };
-            let mut tee = TeeTrainingObserver {
-                first: &mut telemetry,
-                second: &mut forward,
-            };
-            planner
-                .train_observed_seeded(warm, &mut tee)
-                .map_err(|_| PlanError::Incomplete)?
-        };
-        // "Train once": persist the trained weights when the request asks
-        // for it, tagged with provenance so the file is self-describing.
-        if let Some(path) = request.save_policy() {
-            let extra = vec![
-                (
-                    "trained.system".to_string(),
-                    request.system().name().to_string(),
-                ),
-                (
-                    "trained.episodes".to_string(),
-                    result.episodes_run.to_string(),
-                ),
-                ("trained.seed".to_string(), config.seed.to_string()),
-            ];
-            planner
-                .export_policy(extra)
-                .save(path)
-                .map_err(|error| PlanError::Policy {
-                    path: path.to_string(),
-                    error,
-                })?;
-            rlp_obs::obs_counter!("plan.policies_saved").inc();
-        }
-        rlp_obs::obs_counter!("plan.solves").inc();
-        rlp_obs::obs_histogram!("plan.solve_ns").record_duration(result.runtime);
-        Ok(FloorplanOutcome {
-            placement: result.best_placement,
-            breakdown: result.best_breakdown,
-            telemetry: telemetry.samples,
-            evaluations: result.episodes_run,
-            // Every RL episode ends in one full reward evaluation; the
-            // training loop has no move structure to evaluate incrementally.
-            evaluation: EvalTelemetry {
-                mode: EvalMode::Full,
-                counts: EvalCounts {
-                    full: result.episodes_run,
-                    incremental: 0,
-                },
-            },
-            training: Some(TrainingTelemetry {
-                episodes: result.episodes_run,
-                parallel_envs: result.parallel_envs,
-                episodes_per_s: result.episodes_per_s,
-                merge_order_hash: result.merge_order_hash,
-            }),
-            runtime: result.runtime,
-            thermal_prep,
-            manifest: manifest_for(request, resolved),
-        })
-    }
-}
-
-/// The simulated-annealing baseline behind the facade — "TAP-2.5D".
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SaBaselinePlanner;
-
-impl Planner for SaBaselinePlanner {
-    fn name(&self) -> &'static str {
-        "sa-baseline"
-    }
-
-    fn solve_observed(
-        &self,
-        request: &FloorplanRequest,
-        observer: &mut dyn SolveObserver,
-    ) -> Result<FloorplanOutcome, PlanError> {
-        let _span = rlp_obs::obs_span!(
-            rlp_obs::Level::Debug,
-            "rlplanner",
-            "plan.solve",
-            planner = self.name(),
-            system = request.system().name(),
-        );
-        let resolved = request.resolved_method();
-        let Method::Sa { config } = &resolved else {
-            return Err(PlanError::UnsupportedMethod {
-                planner: self.name(),
-                method: request.method().label(),
-            });
-        };
-        let (analyzer, thermal_prep) = request.thermal_analyzer()?;
-        // A warm start replaces the random initial placement with the
-        // gradient presolve's result; the anneal then explores from there.
-        let warm = request
-            .warm_start()
-            .then(|| warm_start_presolve(request, &analyzer, config.grid, config.min_spacing_mm))
-            .flatten();
-        let baseline = Tap25dBaseline::new(
-            request.system().clone(),
-            analyzer,
-            request.reward().clone(),
-            config.clone(),
-        )?;
-        let mut telemetry = TelemetryCollector::default();
-        let result = {
-            let mut forward = ForwardToSolveObserver { observer };
-            let mut tee = TeeAnnealObserver {
-                first: &mut telemetry,
-                second: &mut forward,
-            };
-            match warm {
-                Some((placement, _)) => baseline.run_observed_from(placement, &mut tee)?,
-                None => baseline.run_observed(&mut tee)?,
-            }
-        };
-        rlp_obs::obs_counter!("plan.solves").inc();
-        rlp_obs::obs_histogram!("plan.solve_ns").record_duration(result.runtime);
-        Ok(FloorplanOutcome {
-            placement: result.best_placement,
-            breakdown: result.best_breakdown,
-            telemetry: telemetry.samples,
-            evaluations: result.evaluations,
-            evaluation: EvalTelemetry {
-                mode: result.eval_counts.mode(),
-                counts: result.eval_counts,
-            },
-            // The SA baseline has no rollout pool to report on.
-            training: None,
-            runtime: result.runtime,
-            thermal_prep,
-            manifest: manifest_for(request, resolved),
-        })
-    }
-}
-
-/// The analytic-gradient descent engine behind the facade — "Gradient".
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GradientPlanner;
-
-impl Planner for GradientPlanner {
-    fn name(&self) -> &'static str {
-        "gradient"
-    }
-
-    fn solve_observed(
-        &self,
-        request: &FloorplanRequest,
-        observer: &mut dyn SolveObserver,
-    ) -> Result<FloorplanOutcome, PlanError> {
-        let _span = rlp_obs::obs_span!(
-            rlp_obs::Level::Debug,
-            "rlplanner",
-            "plan.solve",
-            planner = self.name(),
-            system = request.system().name(),
-        );
-        let resolved = request.resolved_method();
-        let Method::Gradient { config } = &resolved else {
-            return Err(PlanError::UnsupportedMethod {
-                planner: self.name(),
-                method: request.method().label(),
-            });
-        };
-        let (analyzer, thermal_prep) = request.thermal_analyzer()?;
-        let descent = GradientDescent::new(
-            request.system().clone(),
-            analyzer,
-            request.reward().clone(),
-            config.clone(),
-        )?;
-        let mut telemetry = TelemetryCollector::default();
-        let result = {
-            let mut tee = TeeSolveObserver {
-                first: &mut telemetry,
-                second: observer,
-            };
-            descent
-                .run_observed(&mut tee)
-                .map_err(|_| PlanError::Incomplete)?
-        };
-        rlp_obs::obs_counter!("plan.solves").inc();
-        rlp_obs::obs_histogram!("plan.solve_ns").record_duration(result.runtime);
-        Ok(FloorplanOutcome {
-            placement: result.best_placement,
-            breakdown: result.best_breakdown,
-            telemetry: telemetry.samples,
-            evaluations: result.evaluations,
-            // Each legalised iterate is evaluated exactly — and from
-            // scratch; descent has no move structure to evaluate
-            // incrementally.
-            evaluation: EvalTelemetry {
-                mode: EvalMode::Full,
-                counts: EvalCounts {
-                    full: result.evaluations,
-                    incremental: 0,
-                },
-            },
-            // Gradient descent has no rollout pool to report on.
-            training: None,
-            runtime: result.runtime,
-            thermal_prep,
-            manifest: manifest_for(request, resolved),
-        })
-    }
-}
-
-/// The inference-only engine behind the facade — "RLPlanner (pretrained)".
-///
-/// Loads a `rlplanner.policy/v1` file (or takes the request's
-/// [`crate::PreloadedPolicy`] when its path matches), rebuilds the
-/// environment and network geometry recorded in the file's metadata, and
-/// runs **one greedy (argmax) rollout**: no training episodes, no
-/// optimiser allocation, no RND — the "serve forever" half of train once,
-/// serve forever. If greedy placement dead-ends on an unfamiliar system,
-/// a bounded number of further rollouts sample from the policy
-/// distribution, seeded by the method's `seed`, so the solve is still
-/// fully deterministic. The outcome's manifest records the
-/// policy path and the checksum that actually ran, so a replay can pin
-/// the exact file.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PretrainedPlanner;
-
-/// How many seeded sampled rollouts a pretrained solve may fall back to
-/// when the greedy rollout dead-ends (see [`PretrainedPlanner`]).
-const PRETRAINED_FALLBACK_ROLLOUTS: usize = 64;
-
-impl PretrainedPlanner {
-    /// Resolves the policy file for a request: the preloaded copy when its
-    /// path matches the method's, otherwise a fresh read from disk.
-    fn policy_file(request: &FloorplanRequest, path: &str) -> Result<Arc<PolicyFile>, PlanError> {
-        if let Some(preloaded) = request.preloaded_policy() {
-            if preloaded.path() == path {
-                rlp_obs::obs_counter!("plan.policy_preload_hits").inc();
-                return Ok(preloaded.file().clone());
-            }
-        }
-        PolicyFile::load(path)
-            .map(Arc::new)
+/// PPO training — "RLPlanner" and "RLPlanner (RND)". A warm start seeds
+/// the best-artifact tracker: training proceeds identically, but the
+/// outcome is never worse than the presolve.
+fn run_rl(
+    request: &FloorplanRequest,
+    analyzer: AnyThermalAnalyzer,
+    config: &RlPlannerConfig,
+    warm: Option<(Placement, RewardBreakdown)>,
+    on_candidate: &mut OnCandidate<'_>,
+) -> Result<EngineRun, PlanError> {
+    let mut planner = RlPlanner::new(
+        request.system().clone(),
+        analyzer,
+        request.reward().clone(),
+        config.clone(),
+    )?;
+    let result = planner
+        .train(warm, on_candidate)
+        .map_err(|_| PlanError::Incomplete)?;
+    // "Train once": persist the trained weights when the request asks for
+    // it, tagged with provenance so the file is self-describing.
+    if let Some(path) = request.save_policy() {
+        let extra = vec![
+            (
+                "trained.system".to_string(),
+                request.system().name().to_string(),
+            ),
+            (
+                "trained.episodes".to_string(),
+                result.episodes_run.to_string(),
+            ),
+            ("trained.seed".to_string(), config.seed.to_string()),
+        ];
+        planner
+            .export_policy(extra)
+            .save(path)
             .map_err(|error| PlanError::Policy {
                 path: path.to_string(),
                 error,
-            })
+            })?;
+        rlp_obs::obs_counter!("plan.policies_saved").inc();
     }
+    Ok(EngineRun {
+        placement: result.best_placement,
+        breakdown: result.best_breakdown,
+        // Every RL episode ends in one full reward evaluation; the training
+        // loop has no move structure to evaluate incrementally.
+        counts: EvalCounts {
+            full: result.episodes_run,
+            incremental: 0,
+        },
+        training: Some(TrainingTelemetry {
+            episodes: result.episodes_run,
+            parallel_envs: result.parallel_envs,
+            episodes_per_s: result.episodes_per_s,
+            merge_order_hash: result.merge_order_hash,
+        }),
+        runtime: result.runtime,
+    })
 }
 
-impl Planner for PretrainedPlanner {
-    fn name(&self) -> &'static str {
-        "pretrained"
-    }
+/// Simulated annealing — the paper's "TAP-2.5D" baseline, on the same
+/// reward. The anneal runs on the reward's propose/commit/reject engine:
+/// incremental with the fast thermal backend, full-evaluation fallback
+/// otherwise; either way the trajectory is identical under a fixed seed. A
+/// warm start replaces the random initial placement.
+fn run_sa(
+    request: &FloorplanRequest,
+    analyzer: AnyThermalAnalyzer,
+    config: &SaConfig,
+    warm: Option<Placement>,
+    on_candidate: &mut OnCandidate<'_>,
+) -> Result<EngineRun, PlanError> {
+    let reward =
+        RewardCalculator::new(request.system().clone(), analyzer, request.reward().clone());
+    let mut objective = reward.delta_objective();
+    let result = SaPlanner::new(request.system().clone(), config.clone()).run(
+        warm,
+        &mut objective,
+        on_candidate,
+    )?;
+    // The engine tracked the best committed breakdown alongside the
+    // annealer's best-so-far, so no final re-evaluation is needed.
+    let breakdown = objective.best_breakdown().unwrap_or(RewardBreakdown {
+        reward: result.best_objective,
+        wirelength_mm: f64::NAN,
+        max_temperature_c: f64::NAN,
+        eval_mode: EvalMode::Full,
+    });
+    Ok(EngineRun {
+        placement: result.best_placement,
+        breakdown,
+        counts: result.eval_counts,
+        // The SA baseline has no rollout pool to report on.
+        training: None,
+        runtime: result.runtime,
+    })
+}
 
-    fn solve_observed(
-        &self,
-        request: &FloorplanRequest,
-        observer: &mut dyn SolveObserver,
-    ) -> Result<FloorplanOutcome, PlanError> {
-        let _span = rlp_obs::obs_span!(
-            rlp_obs::Level::Debug,
-            "rlplanner",
-            "plan.solve",
-            planner = self.name(),
-            system = request.system().name(),
-        );
-        let mut resolved = request.resolved_method();
-        let Method::Pretrained { config } = &resolved else {
-            return Err(PlanError::UnsupportedMethod {
-                planner: self.name(),
-                method: request.method().label(),
-            });
-        };
-        let path = config.policy_path.clone();
-        let file = Self::policy_file(request, &path)?;
-        let checksum = file.checksum();
-        if let Some(expected) = config.checksum {
-            if expected != checksum {
-                return Err(PlanError::Policy {
-                    path,
-                    error: PolicyError::ChecksumMismatch {
-                        stored: expected,
-                        computed: checksum,
-                    },
-                });
-            }
+/// Analytic gradient descent — "Gradient".
+fn run_gradient(
+    request: &FloorplanRequest,
+    analyzer: AnyThermalAnalyzer,
+    config: &GradientConfig,
+    on_candidate: &mut OnCandidate<'_>,
+) -> Result<EngineRun, PlanError> {
+    let result = GradientDescent::new(
+        request.system().clone(),
+        analyzer,
+        request.reward().clone(),
+        config.clone(),
+    )?
+    .run(on_candidate)
+    .map_err(|_| PlanError::Incomplete)?;
+    Ok(EngineRun {
+        placement: result.best_placement,
+        breakdown: result.best_breakdown,
+        // Each legalised iterate is evaluated exactly — and from scratch;
+        // descent has no move structure to evaluate incrementally.
+        counts: EvalCounts {
+            full: result.evaluations,
+            incremental: 0,
+        },
+        training: None,
+        runtime: result.runtime,
+    })
+}
+
+/// How many seeded sampled rollouts a pretrained solve may fall back to
+/// when the greedy rollout dead-ends (see `run_pretrained`).
+const PRETRAINED_FALLBACK_ROLLOUTS: usize = 64;
+
+/// A `rlplanner.policy/v1` file, checked and with the environment and
+/// network geometry recorded in its metadata.
+struct LoadedPolicy {
+    path: String,
+    file: Arc<PolicyFile>,
+    env: EnvConfig,
+    agent: AgentConfig,
+}
+
+/// Resolves and checks a pretrained method's policy file: the request's
+/// [`crate::PreloadedPolicy`] when its path matches, otherwise a fresh read
+/// from disk; then the optional checksum pin and the geometry metadata.
+/// Pins `config.checksum` to the checksum that actually runs, whether or
+/// not the request pinned one, so the manifest lets a replay require the
+/// same file. (The checksum serializes the whole file, so it is computed
+/// once.)
+fn load_policy(
+    request: &FloorplanRequest,
+    config: &mut PretrainedConfig,
+) -> Result<LoadedPolicy, PlanError> {
+    let path = &config.policy_path;
+    let policy_error = |error| PlanError::Policy {
+        path: path.clone(),
+        error,
+    };
+    let file = match request.preloaded_policy() {
+        Some(preloaded) if preloaded.path() == path => {
+            rlp_obs::obs_counter!("plan.policy_preload_hits").inc();
+            preloaded.file().clone()
         }
-        let (env_config, agent_config) =
-            configs_from_policy(&file).map_err(|error| PlanError::Policy {
-                path: path.clone(),
-                error,
-            })?;
-        let (analyzer, thermal_prep) = request.thermal_analyzer()?;
-        let reward =
-            RewardCalculator::new(request.system().clone(), analyzer, request.reward().clone());
-        let mut env = FloorplanEnv::new(reward, env_config);
-        let mut model =
-            build_actor_critic(&env.observation_shape(), env.action_count(), &agent_config);
-        file.apply_to(&mut model)
-            .map_err(|error| PlanError::Policy {
-                path: path.clone(),
-                error,
-            })?;
+        _ => Arc::new(PolicyFile::load(path).map_err(policy_error)?),
+    };
+    let checksum = file.checksum();
+    if let Some(expected) = config.checksum {
+        if expected != checksum {
+            return Err(policy_error(PolicyError::ChecksumMismatch {
+                stored: expected,
+                computed: checksum,
+            }));
+        }
+    }
+    let (env, agent) = configs_from_policy(&file).map_err(policy_error)?;
+    let path = path.clone();
+    config.checksum = Some(checksum);
+    Ok(LoadedPolicy {
+        path,
+        file,
+        env,
+        agent,
+    })
+}
 
-        // One greedy rollout: at every step, take the most probable
-        // feasible cell. Greedy placement can paint itself into a corner
-        // on a system the policy never saw (a later chiplet ends up with
-        // no feasible cell), so on failure up to
-        // `PRETRAINED_FALLBACK_ROLLOUTS` further rollouts sample from the
-        // policy distribution instead — seeded from the method's `seed`,
-        // so the whole solve stays deterministic. The first rollout that
-        // produces a finite placement wins; only completed episodes reach
-        // the reward pipeline, and `evaluations` counts those.
-        let start = Instant::now();
-        let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-        let mut full_evals = 0usize;
-        for attempt in 0..=PRETRAINED_FALLBACK_ROLLOUTS {
-            let mut observation = env.reset();
-            loop {
-                let mut shape = vec![1];
-                shape.extend_from_slice(observation.state.shape());
-                let states = observation.state.reshape(shape);
-                let (logits, _) = model.evaluate(&states, false);
-                let distribution =
-                    Categorical::from_logits(logits.row(0).data(), Some(&observation.action_mask));
-                let action = if attempt == 0 {
-                    distribution.argmax()
-                } else {
-                    distribution.sample(&mut rng)
-                };
-                let step = env.step(action);
-                if step.done {
-                    break;
-                }
-                observation = step
-                    .observation
-                    .expect("non-terminal step has an observation");
-            }
-            if env.placement().is_complete() {
-                full_evals += 1;
-            }
-            if env.last_breakdown().is_some() {
+/// Inference only — "RLPlanner (pretrained)": rebuilds the network the
+/// policy file describes and runs **one greedy (argmax) rollout**. No
+/// training episodes, no optimiser allocation, no RND — the "serve
+/// forever" half of train once, serve forever.
+fn run_pretrained(
+    request: &FloorplanRequest,
+    analyzer: AnyThermalAnalyzer,
+    seed: u64,
+    policy: LoadedPolicy,
+    on_candidate: &mut OnCandidate<'_>,
+) -> Result<EngineRun, PlanError> {
+    let reward =
+        RewardCalculator::new(request.system().clone(), analyzer, request.reward().clone());
+    let mut env = FloorplanEnv::new(reward, policy.env);
+    let mut model = build_actor_critic(&env.observation_shape(), env.action_count(), &policy.agent);
+    policy
+        .file
+        .apply_to(&mut model)
+        .map_err(|error| PlanError::Policy {
+            path: policy.path,
+            error,
+        })?;
+
+    // One greedy rollout: at every step, take the most probable feasible
+    // cell. Greedy placement can paint itself into a corner on a system the
+    // policy never saw (a later chiplet ends up with no feasible cell), so
+    // on failure up to `PRETRAINED_FALLBACK_ROLLOUTS` further rollouts
+    // sample from the policy distribution instead — seeded from the
+    // method's `seed`, so the whole solve stays deterministic. The first
+    // rollout that produces a finite placement wins; only completed
+    // episodes reach the reward pipeline, and `evaluations` counts those.
+    let start = Instant::now();
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut full_evals = 0usize;
+    for attempt in 0..=PRETRAINED_FALLBACK_ROLLOUTS {
+        let mut observation = env.reset();
+        loop {
+            let mut shape = vec![1];
+            shape.extend_from_slice(observation.state.shape());
+            let states = observation.state.reshape(shape);
+            let (logits, _) = model.evaluate(&states, false);
+            let distribution =
+                Categorical::from_logits(logits.row(0).data(), Some(&observation.action_mask));
+            let action = if attempt == 0 {
+                distribution.argmax()
+            } else {
+                distribution.sample(&mut rng)
+            };
+            let step = env.step(action);
+            if step.done {
                 break;
             }
+            observation = step
+                .observation
+                .expect("non-terminal step has an observation");
         }
-        let runtime = start.elapsed();
-        let breakdown = env.last_breakdown().ok_or(PlanError::Incomplete)?;
-        let placement = env.placement().clone();
-
-        // The manifest records the checksum that actually ran, whether or
-        // not the request pinned one, so a replay can require the same file.
-        if let Method::Pretrained { config } = &mut resolved {
-            config.checksum = Some(checksum);
+        if env.placement().is_complete() {
+            full_evals += 1;
         }
-        observer.on_candidate(0, breakdown.reward, breakdown.reward);
-        rlp_obs::obs_counter!("plan.solves").inc();
-        rlp_obs::obs_counter!("plan.pretrained_solves").inc();
-        rlp_obs::obs_histogram!("plan.solve_ns").record_duration(runtime);
-        Ok(FloorplanOutcome {
-            placement,
-            breakdown,
-            telemetry: vec![TelemetrySample {
-                index: 0,
-                reward: breakdown.reward,
-                best_reward: breakdown.reward,
-            }],
-            evaluations: full_evals,
-            // Each completed episode ends in one full reward evaluation;
-            // the common case is a single greedy rollout, so 1.
-            evaluation: EvalTelemetry {
-                mode: EvalMode::Full,
-                counts: EvalCounts {
-                    full: full_evals,
-                    incremental: 0,
-                },
-            },
-            // Inference collects no training episodes — that is the point.
-            training: None,
-            runtime,
-            thermal_prep,
-            manifest: manifest_for(request, resolved),
-        })
+        if env.last_breakdown().is_some() {
+            break;
+        }
     }
+    let runtime = start.elapsed();
+    let breakdown = env.last_breakdown().ok_or(PlanError::Incomplete)?;
+    on_candidate(0, breakdown.reward, breakdown.reward);
+    Ok(EngineRun {
+        placement: env.placement().clone(),
+        breakdown,
+        // Each completed episode ends in one full reward evaluation; the
+        // common case is a single greedy rollout, so 1.
+        counts: EvalCounts {
+            full: full_evals,
+            incremental: 0,
+        },
+        // Inference collects no training episodes — that is the point.
+        training: None,
+        runtime,
+    })
 }
 
 #[cfg(test)]
@@ -762,29 +546,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn planner_for_dispatches_on_the_method() {
-        assert_eq!(planner_for(&Method::rl()).name(), "ppo");
-        assert_eq!(planner_for(&Method::rl_rnd()).name(), "ppo");
-        assert_eq!(planner_for(&Method::sa()).name(), "sa-baseline");
-        assert_eq!(planner_for(&Method::gradient()).name(), "gradient");
-        assert_eq!(
-            planner_for(&Method::pretrained("p.policy")).name(),
-            "pretrained"
-        );
-    }
-
-    #[test]
     fn plan_error_display_and_source() {
         let err = PlanError::Config(ConfigError::NotFinite { field: "x" });
         assert!(err.to_string().contains("x"));
         assert!(err.source().is_some());
         assert!(PlanError::Incomplete.source().is_none());
-        let err = PlanError::UnsupportedMethod {
-            planner: "ppo",
-            method: "sa",
-        };
-        assert!(err.to_string().contains("ppo"));
-        assert!(err.to_string().contains("sa"));
         let err = PlanError::Policy {
             path: "weights.policy".to_string(),
             error: PolicyError::Truncated,

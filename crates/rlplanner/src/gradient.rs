@@ -53,7 +53,6 @@
 //! the initial centres, drawn sequentially (one batch per start) from a
 //! [`rand_chacha::ChaCha8Rng`] seeded with [`GradientConfig::seed`].
 
-use crate::facade::SolveObserver;
 use crate::reward::{RewardBreakdown, RewardCalculator, RewardConfig};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -61,6 +60,7 @@ use rlp_chiplet::grid::centered_position;
 use rlp_chiplet::smooth::smoothed_wirelength_gradient;
 use rlp_chiplet::wirelength::total_wirelength;
 use rlp_chiplet::{ChipletId, ChipletSystem, Placement, PlacementGrid, Point, Rotation};
+use rlp_obs::OnCandidate;
 use rlp_rl::ConfigError;
 use rlp_thermal::ThermalAnalyzer;
 use serde::{Deserialize, Serialize};
@@ -278,26 +278,16 @@ impl<A: ThermalAnalyzer> GradientDescent<A> {
         &self.config
     }
 
-    /// Runs the descent and returns the best legalised placement.
+    /// Runs the descent and returns the best legalised placement,
+    /// reporting every exact evaluation to `on_candidate` (see
+    /// [`OnCandidate`]) as it happens.
     ///
     /// # Errors
     ///
     /// Returns [`GradientStalled`] if no iterate could be legalised.
-    pub fn run(&self) -> Result<GradientResult, GradientStalled> {
-        struct Null;
-        impl SolveObserver for Null {}
-        self.run_observed(&mut Null)
-    }
-
-    /// Runs the descent like [`GradientDescent::run`], reporting every
-    /// exact evaluation to `observer` as it happens.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GradientStalled`] if no iterate could be legalised.
-    pub fn run_observed(
+    pub fn run(
         &self,
-        observer: &mut dyn SolveObserver,
+        on_candidate: &mut OnCandidate<'_>,
     ) -> Result<GradientResult, GradientStalled> {
         let start = Instant::now();
         let cfg = &self.config;
@@ -425,7 +415,7 @@ impl<A: ThermalAnalyzer> GradientDescent<A> {
                                 .as_ref()
                                 .map(|(_, b)| b.reward)
                                 .expect("best was just set or already better");
-                            observer.on_candidate(index, breakdown.reward, best_reward);
+                            on_candidate(index, breakdown.reward, best_reward);
                         }
                     }
 
@@ -541,7 +531,7 @@ impl<A: ThermalAnalyzer> GradientDescent<A> {
                                 .as_ref()
                                 .map(|(_, bb)| bb.reward)
                                 .expect("best was just set or already better");
-                            observer.on_candidate(index, b.reward, best_reward);
+                            on_candidate(index, b.reward, best_reward);
                             if b.reward > current_reward {
                                 current_reward = b.reward;
                                 current = trial;
@@ -614,7 +604,7 @@ impl<A: ThermalAnalyzer> GradientDescent<A> {
                                     .as_ref()
                                     .map(|(_, bb)| bb.reward)
                                     .expect("best was just set or already better");
-                                observer.on_candidate(index, b.reward, best_reward);
+                                on_candidate(index, b.reward, best_reward);
                                 if b.reward > current_reward {
                                     current_reward = b.reward;
                                     current = trial;
@@ -894,35 +884,25 @@ mod tests {
             quick_config(0),
         )
         .unwrap();
-        struct Recorder {
-            samples: Vec<(usize, f64, f64)>,
-        }
-        impl SolveObserver for Recorder {
-            fn on_candidate(&mut self, index: usize, reward: f64, best_reward: f64) {
-                assert_eq!(
-                    index,
-                    self.samples.len(),
-                    "evaluation indices must be dense"
-                );
-                self.samples.push((index, reward, best_reward));
-            }
-        }
-        let mut recorder = Recorder {
-            samples: Vec::new(),
-        };
-        let result = engine.run_observed(&mut recorder).unwrap();
+        let mut samples = Vec::new();
+        let result = engine
+            .run(&mut |index, reward, best_reward| {
+                assert_eq!(index, samples.len(), "evaluation indices must be dense");
+                samples.push((index, reward, best_reward));
+            })
+            .unwrap();
         assert!(result.best_placement.is_complete());
         assert!(system()
             .validate_placement(&result.best_placement, 0.2)
             .is_ok());
         assert!(result.best_breakdown.reward < 0.0);
         assert!(result.best_breakdown.wirelength_mm > 0.0);
-        assert_eq!(recorder.samples.len(), result.evaluations);
+        assert_eq!(samples.len(), result.evaluations);
         assert!(result.evaluations > 0 && result.evaluations <= result.iterations_run);
         // The best-so-far series is monotone and the descent actually
         // improves over the first legalised iterate.
-        assert!(recorder.samples.windows(2).all(|w| w[1].2 >= w[0].2));
-        let first = recorder.samples.first().unwrap().1;
+        assert!(samples.windows(2).all(|w| w[1].2 >= w[0].2));
+        let first = samples.first().unwrap().1;
         assert!(result.best_breakdown.reward >= first);
     }
 
@@ -936,7 +916,7 @@ mod tests {
                 quick_config(seed),
             )
             .unwrap()
-            .run()
+            .run(&mut |_, _, _| {})
             .unwrap()
         };
         let (a, b) = (run(7), run(7));
@@ -967,7 +947,7 @@ mod tests {
             },
         )
         .unwrap();
-        let result = engine.run().unwrap();
+        let result = engine.run(&mut |_, _, _| {}).unwrap();
         assert!(result.best_placement.is_complete());
         assert!(result.evaluations <= 10);
     }
@@ -983,7 +963,7 @@ mod tests {
             quick_config(3),
         )
         .unwrap();
-        let result = engine.run().unwrap();
+        let result = engine.run(&mut |_, _, _| {}).unwrap();
         // No nets, no thermal gradient, inside the outline: zero gradient.
         // Every start converges on its first iteration; leftover probe
         // budget goes to more one-step starts and the polish pass stops at

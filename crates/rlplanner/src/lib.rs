@@ -5,15 +5,18 @@
 //!
 //! Every run of the paper's comparison matrix — RLPlanner, RLPlanner (RND)
 //! and the TAP-2.5D simulated-annealing baseline, each over either thermal
-//! backend — goes through one API:
+//! backend — plus analytic gradient descent and pretrained inference goes
+//! through one API:
 //!
 //! * [`FloorplanRequest`] describes the run as data: the system, the
 //!   [`Method`], the [`rlp_thermal::ThermalBackend`], the reward weights,
 //!   an optional [`Budget`] and seed. The builder validates everything and
 //!   returns a typed [`ConfigError`] instead of panicking.
-//! * [`Planner::solve`] executes it — [`PpoPlanner`] for the RL variants,
-//!   [`SaBaselinePlanner`] for the baseline; [`FloorplanRequest::solve`]
-//!   dispatches automatically.
+//! * [`FloorplanRequest::solve`] executes it through one pipeline
+//!   ([`facade`]) that does the shared work once and `match`es on the
+//!   method only to pick the engine.
+//!   [`FloorplanRequest::solve_observed`] additionally reports every
+//!   candidate to an [`rlp_obs::OnCandidate`] progress callback.
 //! * [`FloorplanOutcome`] is the common result: best placement, reward
 //!   breakdown, per-candidate [`telemetry`](FloorplanOutcome::telemetry),
 //!   runtime and a [`RunManifest`] that reproduces the run
@@ -73,17 +76,14 @@
 //!   exploration module sized for a given environment.
 //! * [`RlPlanner`] — the PPO training loop (with optional RND bonus) that
 //!   produces the best floorplan found during training.
-//! * [`Tap25dBaseline`] — the simulated-annealing baseline (TAP-2.5D) run on
-//!   the same reward.
+//! * [`GradientDescent`] — the analytic-gradient placement engine.
+//! * [`rlp_sa::SaPlanner`] — the simulated-annealing baseline (TAP-2.5D),
+//!   run on the same reward.
 //!
-//! [`RlPlanner::train`] and [`Tap25dBaseline::run`] remain available as
-//! **deprecated entry points** for code that needs direct access to a
-//! specific optimiser (they keep the generic thermal fast path); new code
-//! should construct runs through [`FloorplanRequest`] instead, which is the
-//! only API the CLI, the examples and the integration suite use.
+//! Each optimiser has exactly one entry point taking an optional warm
+//! start, its objective where it needs one, and the progress callback.
 
 pub mod agent;
-pub mod baseline;
 pub mod env;
 pub mod facade;
 pub mod gradient;
@@ -96,12 +96,8 @@ pub mod request;
 pub mod reward;
 
 pub use agent::AgentConfig;
-pub use baseline::{Tap25dBaseline, Tap25dResult};
 pub use env::{EnvConfig, FloorplanEnv};
-pub use facade::{
-    planner_for, GradientPlanner, NullSolveObserver, PlanError, Planner, PpoPlanner,
-    PretrainedPlanner, SaBaselinePlanner, SolveObserver,
-};
+pub use facade::PlanError;
 pub use gradient::{GradientConfig, GradientDescent, GradientResult, GradientStalled};
 pub use outcome::{
     EvalTelemetry, FloorplanOutcome, RunManifest, TelemetrySample, TrainingTelemetry,

@@ -316,9 +316,13 @@ fn f64_field(obj: &Value, key: &str) -> Result<f64, OutcomeParseError> {
     }
 }
 
+/// Reads a non-negative integer carried as a JSON double. Only integers up
+/// to 2^53 − 1 are exact: 2^53 is also the double that 2^53 + 1 rounds to,
+/// so it and everything above are refused rather than silently replayed
+/// as a different number.
 fn usize_field(obj: &Value, key: &str) -> Result<usize, OutcomeParseError> {
     let v = f64_field(obj, key)?;
-    if v.fract() != 0.0 || !(0.0..=9_007_199_254_740_992.0).contains(&v) {
+    if v.fract() != 0.0 || !(0.0..9_007_199_254_740_992.0).contains(&v) {
         return err(format!("field `{key}` must be a non-negative integer"));
     }
     Ok(v as usize)
@@ -1014,6 +1018,27 @@ mod tests {
             Some(Budget::TimeLimit(Duration::from_millis(1250)))
         );
         assert_eq!(parsed.parallel_envs(), Some(4));
+    }
+
+    #[test]
+    fn request_seeds_beyond_the_exact_double_range_are_refused() {
+        use crate::report::request_json;
+        let request = |seed: u64| {
+            FloorplanRequest::builder()
+                .system(demo_system())
+                .seed(seed)
+                .build()
+                .unwrap()
+        };
+        let largest_exact = (1u64 << 53) - 1;
+        let parsed = request_from_json(&request_json(&request(largest_exact))).unwrap();
+        assert_eq!(parsed.seed(), Some(largest_exact));
+        // 2^53 + 1 parses as the double 2^53, so both are ambiguous.
+        for seed in [1u64 << 53, (1u64 << 53) + 1] {
+            let error: OutcomeParseError =
+                request_from_json(&request_json(&request(seed))).unwrap_err();
+            assert!(error.to_string().contains("`seed`"), "{seed}: {error}");
+        }
     }
 
     #[test]

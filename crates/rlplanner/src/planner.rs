@@ -5,9 +5,10 @@ use crate::env::{EnvConfig, FloorplanEnv};
 use crate::reward::{RewardBreakdown, RewardCalculator, RewardConfig};
 use rlp_chiplet::{ChipletSystem, Placement};
 use rlp_nn::{PolicyError, PolicyFile};
+use rlp_obs::OnCandidate;
 use rlp_rl::{
-    ConfigError, Environment, NullTrainingObserver, PpoAgent, PpoConfig, RandomNetworkDistillation,
-    RolloutBuffer, TrainingObserver, VecEnvPool,
+    ConfigError, Environment, PpoAgent, PpoConfig, RandomNetworkDistillation, RolloutBuffer,
+    VecEnvPool,
 };
 use rlp_thermal::ThermalAnalyzer;
 use serde::{Deserialize, Serialize};
@@ -203,21 +204,9 @@ impl<A: ThermalAnalyzer + Clone + Send> RlPlanner<A> {
         &self.pool.envs()[0]
     }
 
-    /// Runs the training loop and returns the best floorplan found.
-    ///
-    /// # Panics
-    ///
-    /// Panics if training never produces a complete placement (which would
-    /// mean the grid is too coarse for the system — enlarge the grid or the
-    /// interposer). Use [`RlPlanner::train_observed`] for the non-panicking
-    /// variant.
-    pub fn train(&mut self) -> TrainingResult {
-        self.train_observed(&mut NullTrainingObserver)
-            .expect("training never produced a complete placement; increase the grid resolution")
-    }
-
-    /// Runs the training loop like [`RlPlanner::train`], reporting every
-    /// finished episode and every PPO update to `observer` as it happens.
+    /// Runs the training loop and returns the best floorplan found,
+    /// reporting every finished episode to `on_candidate` (see
+    /// [`OnCandidate`]) as it happens.
     ///
     /// Episodes are collected through the vectorised rollout engine
     /// ([`rlp_rl::PpoAgent::collect_episodes_parallel`]) over the pool's
@@ -226,32 +215,21 @@ impl<A: ThermalAnalyzer + Clone + Send> RlPlanner<A> {
     /// parallelism level. The wall-clock budget is checked once per
     /// collection batch.
     ///
-    /// # Errors
-    ///
-    /// Returns [`TrainingStalled`] if training never produces a complete
-    /// placement.
-    pub fn train_observed(
-        &mut self,
-        observer: &mut dyn TrainingObserver,
-    ) -> Result<TrainingResult, TrainingStalled> {
-        self.train_observed_seeded(None, observer)
-    }
-
-    /// Runs the training loop like [`RlPlanner::train_observed`], seeding
-    /// the best-artifact tracker with `initial` — the warm-start path (see
-    /// [`crate::FloorplanRequestBuilder::warm_start`]). The seed only sets
-    /// the bar an episode must clear to become the new best, so the result
-    /// is never worse than the seed; episode collection, telemetry and the
-    /// trained policy are byte-identical to a cold run.
+    /// `initial` is an optional warm start (see
+    /// [`crate::FloorplanRequestBuilder::warm_start`]): it seeds the
+    /// best-artifact tracker, so it only sets the bar an episode must clear
+    /// to become the new best. The result is never worse than the seed;
+    /// episode collection, the callback stream and the trained policy are
+    /// byte-identical to a cold run.
     ///
     /// # Errors
     ///
     /// Returns [`TrainingStalled`] if training never produces a complete
-    /// placement and no seed was supplied.
-    pub fn train_observed_seeded(
+    /// placement and no warm start was supplied.
+    pub fn train(
         &mut self,
         initial: Option<(Placement, RewardBreakdown)>,
-        observer: &mut dyn TrainingObserver,
+        on_candidate: &mut OnCandidate<'_>,
     ) -> Result<TrainingResult, TrainingStalled> {
         let start = Instant::now();
         let mut reward_history = Vec::with_capacity(self.config.episodes);
@@ -314,8 +292,7 @@ impl<A: ThermalAnalyzer + Clone + Send> RlPlanner<A> {
                 merge_order_hash = fnv1a_mix(merge_order_hash, report.env as u64);
                 reward_history.push(report.reward);
                 best_episode_reward = best_episode_reward.max(report.reward);
-                observer.on_env_episode(report.env, index, report.reward);
-                observer.on_episode(index, report.reward, best_episode_reward);
+                on_candidate(index, report.reward, best_episode_reward);
                 if let Some((placement, breakdown)) = report.artifact {
                     let is_better = best
                         .as_ref()
@@ -328,8 +305,7 @@ impl<A: ThermalAnalyzer + Clone + Send> RlPlanner<A> {
             }
             if !buffer.is_empty() {
                 let update_started = obs.as_ref().map(|_| Instant::now());
-                let stats = self
-                    .agent
+                self.agent
                     .update(&mut buffer)
                     .expect("a collected batch holds at least one transition");
                 if let Some((_, updates, _, update_ns, _)) = &obs {
@@ -338,7 +314,6 @@ impl<A: ThermalAnalyzer + Clone + Send> RlPlanner<A> {
                         update_ns.record_duration(at.elapsed());
                     }
                 }
-                observer.on_update(&stats);
             }
         }
 
@@ -450,6 +425,12 @@ mod tests {
         .unwrap()
     }
 
+    fn train_silently<A: ThermalAnalyzer + Clone + Send>(
+        planner: &mut RlPlanner<A>,
+    ) -> TrainingResult {
+        planner.train(None, &mut |_, _, _| {}).unwrap()
+    }
+
     fn quick_config(episodes: usize, use_rnd: bool) -> RlPlannerConfig {
         RlPlannerConfig {
             episodes,
@@ -480,7 +461,7 @@ mod tests {
             quick_config(12, false),
         )
         .unwrap();
-        let result = planner.train();
+        let result = train_silently(&mut planner);
         assert_eq!(result.episodes_run, 12);
         assert_eq!(result.reward_history.len(), 12);
         assert!(result.best_placement.is_complete());
@@ -502,7 +483,7 @@ mod tests {
             quick_config(8, true),
         )
         .unwrap();
-        let result = planner.train();
+        let result = train_silently(&mut planner);
         assert!(result.best_placement.is_complete());
     }
 
@@ -516,7 +497,7 @@ mod tests {
             quick_config(8, false),
         )
         .unwrap();
-        planner.train();
+        train_silently(&mut planner);
         let breakdown = planner.evaluate_greedy();
         assert!(breakdown.is_some());
     }
@@ -534,7 +515,7 @@ mod tests {
             },
         )
         .unwrap();
-        let result = planner.train();
+        let result = train_silently(&mut planner);
         assert!(result.episodes_run < 1000);
     }
 
@@ -551,7 +532,7 @@ mod tests {
                 },
             )
             .unwrap();
-            let result = planner.train();
+            let result = train_silently(&mut planner);
             (
                 result.best_placement,
                 result.best_breakdown,
@@ -578,46 +559,13 @@ mod tests {
                 },
             )
             .unwrap();
-            planner.train()
+            train_silently(&mut planner)
         };
         let result = run();
         assert_eq!(result.parallel_envs, 2);
         assert!(result.episodes_per_s > 0.0);
         // The merge-order fingerprint is reproducible run for run.
         assert_eq!(result.merge_order_hash, run().merge_order_hash);
-    }
-
-    #[test]
-    fn observer_receives_per_env_episode_events() {
-        #[derive(Default)]
-        struct EnvRecorder {
-            events: Vec<(usize, usize)>,
-        }
-        impl TrainingObserver for EnvRecorder {
-            fn on_env_episode(&mut self, env_index: usize, episode_index: usize, _reward: f64) {
-                self.events.push((env_index, episode_index));
-            }
-        }
-
-        let mut planner = RlPlanner::new(
-            small_system(),
-            fast_model(36.0),
-            RewardConfig::default(),
-            RlPlannerConfig {
-                parallel_envs: 2,
-                ..quick_config(8, false)
-            },
-        )
-        .unwrap();
-        let mut recorder = EnvRecorder::default();
-        let result = planner.train_observed(&mut recorder).unwrap();
-        assert_eq!(recorder.events.len(), result.episodes_run);
-        // Episode indices are dense and env indices round-robin the pool
-        // (each batch of 4 episodes alternates between the 2 envs).
-        for (i, &(env_index, episode_index)) in recorder.events.iter().enumerate() {
-            assert_eq!(episode_index, i);
-            assert_eq!(env_index, i % 2);
-        }
     }
 
     #[test]
@@ -649,21 +597,7 @@ mod tests {
     }
 
     #[test]
-    fn observer_sees_every_episode_and_update() {
-        struct Recorder {
-            episodes: Vec<(usize, f64, f64)>,
-            updates: usize,
-        }
-        impl TrainingObserver for Recorder {
-            fn on_episode(&mut self, index: usize, reward: f64, best_reward: f64) {
-                assert_eq!(index, self.episodes.len(), "episode indices must be dense");
-                self.episodes.push((index, reward, best_reward));
-            }
-            fn on_update(&mut self, _stats: &rlp_rl::PpoStats) {
-                self.updates += 1;
-            }
-        }
-
+    fn on_candidate_sees_every_episode_in_order() {
         let system = small_system();
         let mut planner = RlPlanner::new(
             system,
@@ -672,22 +606,19 @@ mod tests {
             quick_config(8, false),
         )
         .unwrap();
-        let mut recorder = Recorder {
-            episodes: Vec::new(),
-            updates: 0,
-        };
-        let result = planner.train_observed(&mut recorder).unwrap();
-        assert_eq!(recorder.episodes.len(), result.episodes_run);
-        // 8 episodes at 4 per update -> 2 updates.
-        assert_eq!(recorder.updates, 2);
+        let mut episodes = Vec::new();
+        let result = planner
+            .train(None, &mut |index, reward, best_reward| {
+                assert_eq!(index, episodes.len(), "episode indices must be dense");
+                episodes.push((reward, best_reward));
+            })
+            .unwrap();
+        assert_eq!(episodes.len(), result.episodes_run);
         // The streamed rewards match the recorded history, and the
         // best-so-far series is monotone non-decreasing.
-        for (i, &(_, reward, _)) in recorder.episodes.iter().enumerate() {
+        for (i, &(reward, _)) in episodes.iter().enumerate() {
             assert_eq!(reward, result.reward_history[i]);
         }
-        assert!(recorder
-            .episodes
-            .windows(2)
-            .all(|w| w[1].2 >= w[0].2 - f64::EPSILON));
+        assert!(episodes.windows(2).all(|w| w[1].1 >= w[0].1));
     }
 }

@@ -7,8 +7,9 @@
 //! [`Budget`] and an optional seed override. Requests are built through
 //! [`FloorplanRequest::builder`], which validates every nested
 //! configuration and returns a typed [`ConfigError`] instead of panicking,
-//! and solved through [`crate::Planner::solve`] (or the
-//! [`FloorplanRequest::solve`] convenience, which picks the right planner).
+//! and solved through [`FloorplanRequest::solve`] (or
+//! [`FloorplanRequest::solve_observed`] to watch progress); see
+//! [`crate::facade`] for the pipeline.
 //!
 //! Batch drivers that solve many requests against the same package
 //! configuration can attach a [`PrebuiltThermal`] analyzer (served from a
@@ -17,9 +18,8 @@
 //! manifest still records the plain-data backend description, so replay
 //! needs no cache.
 
-use crate::facade::{planner_for, PlanError};
 use crate::gradient::GradientConfig;
-use crate::outcome::{FloorplanOutcome, RunManifest};
+use crate::outcome::RunManifest;
 use crate::planner::RlPlannerConfig;
 use crate::reward::RewardConfig;
 use rlp_chiplet::ChipletSystem;
@@ -239,10 +239,19 @@ impl Method {
     fn validate(&self) -> Result<(), ConfigError> {
         match self {
             Method::Rl { config } | Method::RlRnd { config } => config.validate(),
-            Method::Sa { config } => config.validate().map_err(crate::baseline::sa_config_error),
+            Method::Sa { config } => config.validate().map_err(sa_config_error),
             Method::Gradient { config } => config.validate(),
             Method::Pretrained { config } => config.validate(),
         }
+    }
+}
+
+/// Maps a stringly-typed [`SaConfig::validate`] failure into the workspace's
+/// typed [`ConfigError`].
+fn sa_config_error(reason: String) -> ConfigError {
+    ConfigError::Invalid {
+        field: "sa",
+        reason,
     }
 }
 
@@ -268,7 +277,7 @@ pub enum Budget {
 /// telemetry describing how it was obtained.
 ///
 /// A request carrying a prebuilt analyzer skips analyzer construction in
-/// [`crate::Planner::solve`] and copies the recorded telemetry into its
+/// [`FloorplanRequest::solve`] and copies the recorded telemetry into its
 /// outcome. The request's declared [`ThermalBackend`] must equal the one
 /// the analyzer was built from (the builder rejects any difference, down
 /// to individual configuration fields), because the outcome's
@@ -492,16 +501,6 @@ impl FloorplanRequest {
     /// [`PreloadedPolicy`]).
     pub fn preloaded_policy(&self) -> Option<&PreloadedPolicy> {
         self.preloaded_policy.as_ref()
-    }
-
-    /// Solves the request with the planner matching its method.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`PlanError`] if the thermal backend cannot be built, no
-    /// legal placement exists, or the run produces no complete floorplan.
-    pub fn solve(&self) -> Result<FloorplanOutcome, PlanError> {
-        planner_for(&self.method).solve(self)
     }
 
     /// The method with the request-level budget and seed overrides folded

@@ -3,19 +3,20 @@
 //! The loop runs on the [`DeltaObjective`] propose/commit/reject protocol:
 //! moves are applied to one placement in place, the objective evaluates the
 //! candidate against its maintained state, and a rejected move is undone.
-//! Plain [`Objective`] values (closures, reward calculators) run through
-//! the blanket `DeltaObjective` implementation, which falls back to full
-//! evaluation — same trajectory, just without the incremental speed-up.
+//! Plain [`Objective`](crate::Objective) values (closures, reward
+//! calculators) run through the blanket `DeltaObjective` implementation,
+//! which falls back to full evaluation — same trajectory, just without the
+//! incremental speed-up.
 
 use crate::moves::{
     apply_move_in_place, propose_move, random_initial_placement, undo_move, InitialPlacementError,
 };
-use crate::objective::{DeltaObjective, EvalCounts, EvalMode, Objective};
-use crate::progress::{AnnealObserver, NullAnnealObserver};
+use crate::objective::{DeltaObjective, EvalCounts, EvalMode};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rlp_chiplet::{ChipletSystem, Placement, PlacementGrid};
+use rlp_obs::OnCandidate;
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
@@ -136,52 +137,21 @@ impl SaPlanner {
         &self.config
     }
 
-    /// Runs the anneal, maximising `objective`.
+    /// Runs the anneal on the propose/commit/reject protocol, maximising
+    /// `objective` and reporting every evaluation to `on_candidate` (see
+    /// [`OnCandidate`]; index 0 is the initial placement). Moves are
+    /// applied to one placement in place; `objective` evaluates each
+    /// candidate against its maintained state and a rejected move is
+    /// undone, so per-move cost is the objective's delta cost, not a clone
+    /// plus a full evaluation. Any plain [`Objective`](crate::Objective) —
+    /// a closure, a `&dyn Objective` — is a `DeltaObjective` through the
+    /// blanket full-evaluation fallback, so it can be passed as is.
     ///
-    /// # Errors
-    ///
-    /// Returns [`InitialPlacementError`] if no legal initial placement exists
-    /// on the configured grid.
-    pub fn run(&self, objective: &dyn Objective) -> Result<SaResult, InitialPlacementError> {
-        self.run_observed(objective, &mut NullAnnealObserver)
-    }
-
-    /// Runs the anneal like [`SaPlanner::run`], reporting every objective
-    /// evaluation to `observer` as it happens.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InitialPlacementError`] if no legal initial placement exists
-    /// on the configured grid.
-    pub fn run_observed(
-        &self,
-        objective: &dyn Objective,
-        observer: &mut dyn AnnealObserver,
-    ) -> Result<SaResult, InitialPlacementError> {
-        // Every `Objective` is a `DeltaObjective` through the blanket
-        // full-evaluation fallback, so the two entry points share one loop.
-        let mut adapter: &dyn Objective = objective;
-        self.run_delta_observed(&mut adapter, observer)
-    }
-
-    /// Runs the anneal on a [`DeltaObjective`], maximising it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InitialPlacementError`] if no legal initial placement exists
-    /// on the configured grid.
-    pub fn run_delta(
-        &self,
-        objective: &mut dyn DeltaObjective,
-    ) -> Result<SaResult, InitialPlacementError> {
-        self.run_delta_observed(objective, &mut NullAnnealObserver)
-    }
-
-    /// Runs the anneal on the propose/commit/reject protocol — the real
-    /// loop behind every entry point. Moves are applied to one placement in
-    /// place; `objective` evaluates each candidate against its maintained
-    /// state and a rejected move is undone, so per-move cost is the
-    /// objective's delta cost, not a clone plus a full evaluation.
+    /// `start` is an optional warm start. A complete placement that is
+    /// legal under this planner's spacing rule is annealed from directly;
+    /// anything else — and `None` — draws a random initial placement from
+    /// the seeded RNG, so a bad warm start degrades to the cold-start
+    /// trajectory instead of failing.
     ///
     /// Under a fixed seed the trajectory — every candidate, accept decision
     /// and the final result — is identical whether `objective` evaluates
@@ -191,80 +161,52 @@ impl SaPlanner {
     ///
     /// # Errors
     ///
-    /// Returns [`InitialPlacementError`] if no legal initial placement exists
-    /// on the configured grid.
-    pub fn run_delta_observed(
+    /// Returns [`InitialPlacementError`] if a random initial placement is
+    /// needed and none exists on the configured grid.
+    pub fn run(
         &self,
+        start: Option<Placement>,
         objective: &mut dyn DeltaObjective,
-        observer: &mut dyn AnnealObserver,
+        on_candidate: &mut OnCandidate<'_>,
     ) -> Result<SaResult, InitialPlacementError> {
-        let start = Instant::now();
+        let started = Instant::now();
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
         let grid = PlacementGrid::new(self.config.grid.0, self.config.grid.1);
+        let warm = start.filter(|initial| {
+            initial.is_complete()
+                && self
+                    .system
+                    .validate_placement(initial, self.config.min_spacing_mm)
+                    .is_ok()
+        });
+        let current = match warm {
+            Some(initial) => initial,
+            None => self.random_start(&grid, &mut rng)?,
+        };
+        Ok(self.anneal_from(started, rng, grid, current, objective, on_candidate))
+    }
 
-        // The random constructor places chiplets one at a time without
-        // backtracking, so on tightly packed systems a single attempt can
-        // strand a chiplet. Retry a bounded number of times before giving up.
-        let mut current = None;
+    /// Draws a random initial placement. The constructor places chiplets
+    /// one at a time without backtracking, so on tightly packed systems a
+    /// single attempt can strand a chiplet; retry a bounded number of times
+    /// before giving up.
+    fn random_start(
+        &self,
+        grid: &PlacementGrid,
+        rng: &mut ChaCha8Rng,
+    ) -> Result<Placement, InitialPlacementError> {
         let mut last_error = None;
         for _ in 0..32 {
-            match random_initial_placement(
-                &self.system,
-                &grid,
-                self.config.min_spacing_mm,
-                &mut rng,
-            ) {
-                Ok(placement) => {
-                    current = Some(placement);
-                    break;
-                }
+            match random_initial_placement(&self.system, grid, self.config.min_spacing_mm, rng) {
+                Ok(placement) => return Ok(placement),
                 Err(err) => last_error = Some(err),
             }
         }
-        let current = match current {
-            Some(placement) => placement,
-            None => return Err(last_error.expect("at least one attempt was made")),
-        };
-        Ok(self.anneal_from(start, rng, grid, current, objective, observer))
+        Err(last_error.expect("at least one attempt was made"))
     }
 
-    /// Runs the anneal from a caller-supplied initial placement — a warm
-    /// start — instead of a random construction.
-    ///
-    /// The supplied placement must be complete and legal on this planner's
-    /// spacing rule; if it is not, the planner falls back to the random
-    /// construction of [`SaPlanner::run_delta_observed`] so a bad warm start
-    /// degrades to the cold-start behaviour instead of failing. The random
-    /// entry points are untouched either way: they draw their initial
-    /// placement from the seeded RNG exactly as before, so existing seeds
-    /// reproduce bit-identical trajectories.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InitialPlacementError`] only on the fallback path, when no
-    /// legal random initial placement exists either.
-    pub fn run_delta_observed_from(
-        &self,
-        initial: Placement,
-        objective: &mut dyn DeltaObjective,
-        observer: &mut dyn AnnealObserver,
-    ) -> Result<SaResult, InitialPlacementError> {
-        if !initial.is_complete()
-            || self
-                .system
-                .validate_placement(&initial, self.config.min_spacing_mm)
-                .is_err()
-        {
-            return self.run_delta_observed(objective, observer);
-        }
-        let start = Instant::now();
-        let rng = ChaCha8Rng::seed_from_u64(self.config.seed);
-        let grid = PlacementGrid::new(self.config.grid.0, self.config.grid.1);
-        Ok(self.anneal_from(start, rng, grid, initial, objective, observer))
-    }
-
-    /// The anneal loop proper, shared by the cold- and warm-start entry
-    /// points: everything after the initial placement is fixed.
+    /// The anneal loop proper: everything after the initial placement is
+    /// fixed.
     fn anneal_from(
         &self,
         start: Instant,
@@ -272,7 +214,7 @@ impl SaPlanner {
         grid: PlacementGrid,
         mut current: Placement,
         objective: &mut dyn DeltaObjective,
-        observer: &mut dyn AnnealObserver,
+        on_candidate: &mut OnCandidate<'_>,
     ) -> SaResult {
         let mut current_objective = objective.reset(&current);
         let initial_objective = current_objective;
@@ -280,7 +222,7 @@ impl SaPlanner {
         let mut best_objective = current_objective;
         let mut evaluations = 1usize;
         let mut accepted_moves = 0usize;
-        observer.on_evaluation(0, current_objective, best_objective, true);
+        on_candidate(0, current_objective, best_objective);
 
         // Metrics handles are resolved once per run; the hot loop then pays
         // one branch on a local when metrics are off, and never perturbs the
@@ -343,12 +285,7 @@ impl SaPlanner {
                         move_eval_ns.record_duration(at.elapsed());
                     }
                 }
-                observer.on_evaluation(
-                    evaluations - 1,
-                    candidate_objective,
-                    best_objective,
-                    accept,
-                );
+                on_candidate(evaluations - 1, candidate_objective, best_objective);
             }
             temperature *= self.config.cooling_rate;
         }
@@ -388,6 +325,7 @@ impl SaPlanner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Objective;
     use rlp_chiplet::{wirelength::total_wirelength, Chiplet, Net};
 
     fn connected_system() -> ChipletSystem {
@@ -398,6 +336,13 @@ mod tests {
         sys.add_net(Net::new(a, b, 64));
         sys.add_net(Net::new(b, c, 16));
         sys
+    }
+
+    /// Anneals from a random start on the full-evaluation path, silently.
+    fn run_full(planner: &SaPlanner, objective: &dyn Objective) -> SaResult {
+        planner
+            .run(None, &mut { objective }, &mut |_, _, _| {})
+            .unwrap()
     }
 
     fn quick_config(seed: u64) -> SaConfig {
@@ -420,7 +365,7 @@ mod tests {
             let sys = sys.clone();
             move |p: &Placement| -total_wirelength(&sys, p)
         };
-        let result = planner.run(&objective).unwrap();
+        let result = run_full(&planner, &objective);
         assert!(result.best_objective >= result.initial_objective);
         assert!(result.accepted_moves > 0);
         assert!(result.evaluations > 10);
@@ -438,12 +383,8 @@ mod tests {
             let sys = sys.clone();
             move |p: &Placement| -total_wirelength(&sys, p)
         };
-        let r1 = SaPlanner::new(sys.clone(), quick_config(1))
-            .run(&objective)
-            .unwrap();
-        let r2 = SaPlanner::new(sys.clone(), quick_config(2))
-            .run(&objective)
-            .unwrap();
+        let r1 = run_full(&SaPlanner::new(sys.clone(), quick_config(1)), &objective);
+        let r2 = run_full(&SaPlanner::new(sys.clone(), quick_config(2)), &objective);
         assert!(r1.best_objective >= r1.initial_objective);
         assert!(r2.best_objective >= r2.initial_objective);
     }
@@ -460,7 +401,7 @@ mod tests {
             let sys = sys.clone();
             move |p: &Placement| -total_wirelength(&sys, p)
         };
-        let result = planner.run(&objective).unwrap();
+        let result = run_full(&planner, &objective);
         assert!(result.evaluations <= 25);
     }
 
@@ -476,7 +417,7 @@ mod tests {
             let sys = sys.clone();
             move |p: &Placement| -total_wirelength(&sys, p)
         };
-        let result = planner.run(&objective).unwrap();
+        let result = run_full(&planner, &objective);
         // Only the initial evaluation happens before the budget check trips.
         assert_eq!(result.evaluations, 1);
     }
@@ -486,7 +427,7 @@ mod tests {
         let sys = connected_system();
         let planner = SaPlanner::new(sys.clone(), quick_config(5));
         let objective = |_: &Placement| 0.0; // flat objective: accept everything
-        let result = planner.run(&objective).unwrap();
+        let result = run_full(&planner, &objective);
         assert!(sys.validate_placement(&result.best_placement, 0.2).is_ok());
     }
 
@@ -516,40 +457,24 @@ mod tests {
 
     #[test]
     fn observer_sees_every_evaluation_in_order() {
-        struct Recorder {
-            count: usize,
-            best: Vec<f64>,
-        }
-        impl AnnealObserver for Recorder {
-            fn on_evaluation(
-                &mut self,
-                index: usize,
-                _objective: f64,
-                best_objective: f64,
-                _accepted: bool,
-            ) {
-                assert_eq!(index, self.count, "evaluation indices must be dense");
-                self.count += 1;
-                self.best.push(best_objective);
-            }
-        }
-
         let sys = connected_system();
         let planner = SaPlanner::new(sys.clone(), quick_config(6));
         let objective = {
             let sys = sys.clone();
             move |p: &Placement| -total_wirelength(&sys, p)
         };
-        let mut recorder = Recorder {
-            count: 0,
-            best: Vec::new(),
-        };
-        let result = planner.run_observed(&objective, &mut recorder).unwrap();
-        assert_eq!(recorder.count, result.evaluations);
+        let mut best = Vec::new();
+        let result = planner
+            .run(None, &mut &objective, &mut |index, _, best_objective| {
+                assert_eq!(index, best.len(), "evaluation indices must be dense");
+                best.push(best_objective);
+            })
+            .unwrap();
+        assert_eq!(best.len(), result.evaluations);
         // The best-so-far series is monotone non-decreasing and ends at the
         // reported best objective.
-        assert!(recorder.best.windows(2).all(|w| w[1] >= w[0]));
-        assert_eq!(*recorder.best.last().unwrap(), result.best_objective);
+        assert!(best.windows(2).all(|w| w[1] >= w[0]));
+        assert_eq!(*best.last().unwrap(), result.best_objective);
     }
 
     #[test]
@@ -566,9 +491,8 @@ mod tests {
             move |p: &Placement| -total_wirelength(&sys, p)
         };
         let warm_objective = -total_wirelength(&sys, &warm);
-        let mut adapter: &dyn Objective = &objective;
         let result = planner
-            .run_delta_observed_from(warm.clone(), &mut adapter, &mut NullAnnealObserver)
+            .run(Some(warm.clone()), &mut &objective, &mut |_, _, _| {})
             .unwrap();
         // The anneal starts exactly at the supplied placement, and the best
         // result can only improve on it.
@@ -585,15 +509,14 @@ mod tests {
             let sys = sys.clone();
             move |p: &Placement| -total_wirelength(&sys, p)
         };
-        let cold = planner.run(&objective).unwrap();
+        let cold = run_full(&planner, &objective);
         // An incomplete placement is not a usable warm start; the fallback
         // must reproduce the cold-start trajectory bit for bit.
-        let mut adapter: &dyn Objective = &objective;
         let warm = planner
-            .run_delta_observed_from(
-                Placement::for_system(&sys),
-                &mut adapter,
-                &mut NullAnnealObserver,
+            .run(
+                Some(Placement::for_system(&sys)),
+                &mut &objective,
+                &mut |_, _, _| {},
             )
             .unwrap();
         assert_eq!(cold.best_placement, warm.best_placement);

@@ -15,7 +15,10 @@
 //!   protocol: moves mutate one placement in place and incremental
 //!   objectives recompute only what a move changed, while plain
 //!   [`Objective`] values fall back to full evaluation through a blanket
-//!   implementation — same trajectory under a fixed seed either way.
+//!   implementation — same trajectory under a fixed seed either way;
+//! * [`SaPlanner::run`] is the one entry point: an optional warm start, the
+//!   objective, and an [`rlp_obs::OnCandidate`] progress callback that sees
+//!   every evaluation.
 //!
 //! The annealer **maximises** the objective (the paper's reward is a
 //! negative cost, so larger is better).
@@ -23,9 +26,7 @@
 pub mod anneal;
 pub mod moves;
 pub mod objective;
-pub mod progress;
 
 pub use anneal::{SaConfig, SaPlanner, SaResult};
 pub use moves::{InitialPlacementError, Move, MoveUndo};
 pub use objective::{DeltaObjective, EvalCounts, EvalMode, Objective};
-pub use progress::{AnnealObserver, NullAnnealObserver, TeeAnnealObserver};

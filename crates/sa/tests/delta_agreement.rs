@@ -166,10 +166,14 @@ proptest! {
                 -bump_aware_wirelength(&sys, p, &BumpConfig::default()).unwrap()
             }
         };
-        let full = planner.run(&full_objective as &dyn Objective).unwrap();
+        let full = planner
+            .run(None, &mut (&full_objective as &dyn Objective), &mut |_, _, _| {})
+            .unwrap();
 
         let mut incremental_objective = IncrementalWirelengthObjective::new(sys);
-        let incremental = planner.run_delta(&mut incremental_objective).unwrap();
+        let incremental = planner
+            .run(None, &mut incremental_objective, &mut |_, _, _| {})
+            .unwrap();
 
         prop_assert_eq!(&incremental.best_placement, &full.best_placement);
         prop_assert_eq!(

@@ -16,7 +16,7 @@
 //!   integration tests drive the daemon through it.
 //!
 //! Determinism contract: a fixed-seed solve through the daemon is
-//! byte-identical to a direct [`rlplanner::Planner`] call on every
+//! byte-identical to a direct [`rlplanner::FloorplanRequest::solve`] on every
 //! deterministic field of the outcome document — progress streaming
 //! observes the solve without influencing it, and cache-served thermal
 //! models are bit-identical to freshly characterised ones.

@@ -5,7 +5,7 @@
 //! per distinct thermal configuration and is amortised across all requests
 //! (cache-served analyzers are bit-identical to freshly characterised
 //! ones, so a served solve is byte-identical to a direct
-//! [`rlplanner::Planner`] call on its deterministic fields).
+//! [`rlplanner::FloorplanRequest::solve`] on its deterministic fields).
 //!
 //! Threading model: the accept loop polls a non-blocking listener so it can
 //! observe shutdown; each connection gets a reader thread; `workers`
@@ -22,8 +22,8 @@ use crate::queue::{AdmitError, JobQueue, JobState};
 use rlp_thermal::ThermalModelCache;
 use rlplanner::report::outcome_json;
 use rlplanner::{
-    planner_for, request_from_value, FloorplanOutcome, FloorplanRequest, Method, PlanError,
-    PolicyFile, PrebuiltThermal, PreloadedPolicy, SolveObserver,
+    request_from_value, FloorplanOutcome, FloorplanRequest, Method, PlanError, PolicyFile,
+    PrebuiltThermal, PreloadedPolicy,
 };
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -119,24 +119,6 @@ impl Shared {
             completed: counters.completed,
             failed: counters.failed,
             cancelled: counters.cancelled,
-        }
-    }
-}
-
-/// Streams every Nth candidate of a running solve to the submitting
-/// connection. Observation never influences the run, so streamed and
-/// silent solves produce identical outcomes.
-struct ProgressStreamer {
-    job: u64,
-    every: usize,
-    writer: Arc<ConnWriter>,
-}
-
-impl SolveObserver for ProgressStreamer {
-    fn on_candidate(&mut self, index: usize, reward: f64, best_reward: f64) {
-        if self.every != 0 && index.is_multiple_of(self.every) {
-            self.writer
-                .send(&frames::progress(self.job, index, reward, best_reward));
         }
     }
 }
@@ -359,12 +341,16 @@ fn solve_job(id: u64, job: &Job, shared: &Shared) -> Result<FloorplanOutcome, Pl
         builder = builder.preloaded_policy(preloaded.clone());
     }
     let request = builder.build()?;
-    let mut observer = ProgressStreamer {
-        job: id,
-        every: job.progress_every,
-        writer: Arc::clone(&job.writer),
-    };
-    planner_for(request.method()).solve_observed(&request, &mut observer)
+    // Stream every Nth candidate to the submitting connection. The callback
+    // never influences the run, so streamed and silent solves produce
+    // identical outcomes.
+    let every = job.progress_every;
+    request.solve_observed(&mut |index, reward, best_reward| {
+        if every != 0 && index.is_multiple_of(every) {
+            job.writer
+                .send(&frames::progress(id, index, reward, best_reward));
+        }
+    })
 }
 
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>, conn_id: u64) {

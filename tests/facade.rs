@@ -1,16 +1,17 @@
-//! Integration tests for the unified `Planner` facade: every
-//! (system, method, backend) combination the CLI accepts solves through
-//! `Planner::solve` at a tiny budget and yields a complete, legal
-//! placement; and an outcome's manifest reproduces the same result under
-//! the same seed.
+//! Integration tests for the solve pipeline: every (system, method,
+//! backend) combination the CLI accepts solves through
+//! `FloorplanRequest::solve` at a tiny budget and yields a complete, legal
+//! placement; an outcome's manifest reproduces the same result under the
+//! same seed; and for every method the `solve_observed` callback sees
+//! exactly the outcome's telemetry without changing the outcome.
 
 use rlp_benchmarks::{ascend910_system, cpu_dram_system, multi_gpu_system, synthetic_case};
 use rlp_chiplet::ChipletSystem;
 use rlp_sa::SaConfig;
 use rlp_thermal::{CharacterizationOptions, ThermalBackend, ThermalConfig};
 use rlplanner::{
-    planner_for, AgentConfig, Budget, FloorplanOutcome, FloorplanRequest, GradientConfig, Method,
-    PlanError, Planner, PpoPlanner, RlPlannerConfig,
+    AgentConfig, Budget, FloorplanOutcome, FloorplanRequest, GradientConfig, Method,
+    RlPlannerConfig, TelemetrySample,
 };
 
 /// Every system the CLI accepts.
@@ -66,8 +67,8 @@ fn solve(system: &ChipletSystem, method: Method, thermal: ThermalBackend, budget
         .seed(5)
         .build()
         .expect("valid request");
-    let outcome = planner_for(request.method())
-        .solve(&request)
+    let outcome = request
+        .solve()
         .unwrap_or_else(|err| panic!("{} on {}: {err}", request.method().label(), system.name()));
     assert_outcome_is_complete(system, &request, &outcome, budget);
 }
@@ -444,14 +445,84 @@ fn warm_started_rl_is_never_worse_than_the_presolve() {
     assert!(warm_rl.manifest.warm_start);
 }
 
+/// Asserts two outcomes are equal on every field outside the VOLATILE set
+/// (`runtime`, `thermal_prep`, `training.episodes_per_s`).
+fn assert_deterministic_fields_equal(a: &FloorplanOutcome, b: &FloorplanOutcome, context: &str) {
+    assert_eq!(a.placement, b.placement, "{context}: placement");
+    assert_eq!(a.breakdown, b.breakdown, "{context}: breakdown");
+    assert_eq!(a.telemetry, b.telemetry, "{context}: telemetry");
+    assert_eq!(a.evaluations, b.evaluations, "{context}: evaluations");
+    assert_eq!(a.evaluation, b.evaluation, "{context}: evaluation");
+    let training = |o: &FloorplanOutcome| {
+        o.training
+            .map(|t| (t.episodes, t.parallel_envs, t.merge_order_hash))
+    };
+    assert_eq!(training(a), training(b), "{context}: training");
+    assert_eq!(a.manifest, b.manifest, "{context}: manifest");
+}
+
+/// The contract the single pipeline keeps for every method: the
+/// `solve_observed` callback stream is the outcome's telemetry, element
+/// for element, and observing never changes the outcome.
 #[test]
-fn planners_reject_methods_they_do_not_implement() {
-    let request = FloorplanRequest::builder()
+fn on_candidate_stream_is_the_telemetry_for_every_method() {
+    let policy =
+        std::env::temp_dir().join(format!("rlp-facade-{}-contract.policy", std::process::id()));
+    let policy = policy.display().to_string();
+    FloorplanRequest::builder()
         .system(synthetic_case(1))
-        .method(Method::sa())
+        .method(tiny_rl_method(false))
         .thermal(tiny_fast_backend())
+        .budget(Budget::Evaluations(2))
+        .seed(5)
+        .save_policy(policy.clone())
         .build()
-        .unwrap();
-    let err = PpoPlanner.solve(&request).unwrap_err();
-    assert!(matches!(err, PlanError::UnsupportedMethod { .. }));
+        .unwrap()
+        .solve()
+        .expect("training run saves a policy");
+
+    let quick_gradient = Method::Gradient {
+        config: GradientConfig {
+            iterations: 30,
+            ..GradientConfig::default()
+        },
+    };
+    let cases = [
+        ("rl", tiny_rl_method(false), 3, false),
+        ("rl-rnd", tiny_rl_method(true), 3, false),
+        ("sa", Method::sa(), 40, false),
+        ("gradient", quick_gradient, 30, false),
+        ("pretrained", Method::pretrained(policy.clone()), 1, false),
+        ("warm sa", Method::sa(), 40, true),
+        ("warm rl", tiny_rl_method(false), 3, true),
+    ];
+    for (name, method, budget, warm_start) in cases {
+        let request = FloorplanRequest::builder()
+            .system(synthetic_case(2))
+            .method(method)
+            .thermal(tiny_fast_backend())
+            .budget(Budget::Evaluations(budget))
+            .seed(9)
+            .warm_start(warm_start)
+            .build()
+            .unwrap();
+        let mut streamed = Vec::new();
+        let observed = request
+            .solve_observed(&mut |index, reward, best_reward| {
+                streamed.push(TelemetrySample {
+                    index,
+                    reward,
+                    best_reward,
+                });
+            })
+            .unwrap_or_else(|err| panic!("{name}: {err}"));
+        assert!(!streamed.is_empty(), "{name}: nothing streamed");
+        assert_eq!(streamed, observed.telemetry, "{name}: stream != telemetry");
+        let silent = request
+            .solve()
+            .unwrap_or_else(|err| panic!("{name}: {err}"));
+        assert_deterministic_fields_equal(&observed, &silent, name);
+        assert_eq!(observed.manifest.warm_start, warm_start, "{name}");
+    }
+    let _ = std::fs::remove_file(&policy);
 }

@@ -64,11 +64,15 @@ fn sa_incremental_and_full_paths_are_identical_under_fixed_seeds() {
 
         // Full path: the calculator's stateless `Objective` impl, i.e. a
         // from-scratch bump assignment + O(n²) superposition per move.
-        let full = planner.run(&calc as &dyn Objective).expect("full run");
+        let full = planner
+            .run(None, &mut (&calc as &dyn Objective), &mut |_, _, _| {})
+            .expect("full run");
 
         // Incremental path: the propose/commit/reject engine.
         let mut objective = calc.delta_objective();
-        let incremental = planner.run_delta(&mut objective).expect("incremental run");
+        let incremental = planner
+            .run(None, &mut objective, &mut |_, _, _| {})
+            .expect("incremental run");
 
         assert_eq!(
             incremental.best_placement, full.best_placement,
@@ -185,12 +189,16 @@ fn grid_backend_falls_back_to_full_evaluation() {
         },
     );
     let mut objective = calc.delta_objective();
-    let delta_run = planner.run_delta(&mut objective).expect("delta run");
+    let delta_run = planner
+        .run(None, &mut objective, &mut |_, _, _| {})
+        .expect("delta run");
     assert_eq!(objective.mode(), EvalMode::Full);
     assert_eq!(delta_run.eval_counts.mode(), EvalMode::Full);
     assert_eq!(delta_run.eval_counts.full, delta_run.evaluations);
 
-    let full_run = planner.run(&calc as &dyn Objective).expect("full run");
+    let full_run = planner
+        .run(None, &mut (&calc as &dyn Objective), &mut |_, _, _| {})
+        .expect("full run");
     assert_eq!(delta_run.best_placement, full_run.best_placement);
     assert_eq!(
         delta_run.best_objective.to_bits(),
