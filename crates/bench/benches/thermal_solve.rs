@@ -6,9 +6,9 @@
 //!   `available_parallelism()` threads) for Table III case 3's interposer:
 //!   what every cold `sa-fast`, `gradient` or `pretrained` solve pays
 //!   before its first evaluation.
-//! * `grid_solve/multi-gpu` — one grid-backend evaluation (the operator
-//!   and its multigrid preconditioner prepared once for the interposer,
-//!   then one preconditioned CG solve) of a fixed legal placement: the
+//! * `grid_solve/multi-gpu` — one grid-backend evaluation (the direct
+//!   spectral solve prepared once for the interposer, then one forward and
+//!   five inverse cosine transforms) of a fixed legal placement: the
 //!   per-evaluation cost of `sa-hotspot`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

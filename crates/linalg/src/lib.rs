@@ -1,23 +1,24 @@
 //! Dense and sparse linear-algebra kernels for the RLPlanner thermal solver.
 //!
-//! The HotSpot-style compact thermal model assembles a symmetric positive
-//! definite conductance matrix `G` and solves `G · T = P` for the steady-state
-//! temperature vector `T`. This crate provides exactly the pieces that solve
-//! needs, with no external dependencies:
+//! The HotSpot-style compact thermal model solves `G · T = P` for the
+//! steady-state temperature vector `T`, where `G` is the symmetric positive
+//! definite conductance matrix of a layered grid. This crate provides
+//! exactly the pieces that solve needs, with no external dependencies:
 //!
+//! * [`SpectralSolver`] in [`spectral`] — the direct solve. Every layer of
+//!   the package grid is uniform, so cosine transforms diagonalise `G`
+//!   laterally and leave one small tridiagonal system per
+//!   lateral mode. A solve is exact up to rounding and costs a few
+//!   transforms.
 //! * [`DenseMatrix`] / dense vector helpers in [`dense`] — small dense systems,
 //!   LU factorisation, and the dense kernels used by table characterisation.
 //! * [`CsrMatrix`] and [`CooMatrix`] in [`sparse`] — compressed sparse row
 //!   storage assembled from triplets.
-//! * [`LayeredStencil`] in [`stencil`] — the matrix-free 7-point operator of
-//!   a layered grid, read out of an assembled [`CsrMatrix`] and
-//!   bit-identical to it.
-//! * [`AggregationMultigrid`] in [`multigrid`] — a V-cycle with z-line
-//!   smoothing for layered grids, built from an assembled [`CsrMatrix`].
-//! * Iterative solvers in [`solvers`] — conjugate gradient on any
-//!   [`LinearOperator`] with any [`Preconditioner`] (the multigrid V-cycle,
-//!   or [`Jacobi`]) and Gauss–Seidel/SOR iterations, with convergence
-//!   diagnostics.
+//! * Iterative solvers in [`solvers`] — [`Jacobi`]-preconditioned
+//!   [`conjugate_gradient`] and Gauss–Seidel/SOR on a [`CsrMatrix`], with
+//!   convergence diagnostics. They make no assumption about the matrix's
+//!   structure, which makes them the independent reference the direct
+//!   solve is tested against.
 //!
 //! # Examples
 //!
@@ -41,20 +42,15 @@
 
 pub mod dense;
 pub mod error;
-pub mod multigrid;
 pub mod solvers;
 pub mod sparse;
-pub mod stencil;
+pub mod spectral;
 
 pub use dense::DenseMatrix;
 pub use error::LinalgError;
-pub use multigrid::AggregationMultigrid;
-pub use solvers::{
-    conjugate_gradient, gauss_seidel, CgOptions, CgSolution, Jacobi, LinearOperator,
-    Preconditioner, SorOptions,
-};
+pub use solvers::{conjugate_gradient, gauss_seidel, CgOptions, CgSolution, Jacobi, SorOptions};
 pub use sparse::{CooMatrix, CsrMatrix};
-pub use stencil::LayeredStencil;
+pub use spectral::{LayeredGrid, SpectralSolver};
 
 /// Computes the dot product of two equally sized slices.
 ///

@@ -1,76 +1,17 @@
 //! Iterative solvers for sparse symmetric positive definite systems.
 //!
-//! The steady-state thermal solve `G · T = P` dominates HotSpot-style
-//! analysis runtime. `G` is symmetric positive definite, so the workhorse is
-//! a preconditioned [`conjugate_gradient`]. It runs on any
-//! [`LinearOperator`] (an assembled [`CsrMatrix`], or the matrix-free
-//! [`crate::LayeredStencil`] read out of one) with any [`Preconditioner`]:
-//! the [`crate::AggregationMultigrid`] V-cycle of a layered grid, or
-//! [`Jacobi`] for operators the hierarchy cannot take. A [`gauss_seidel`] /
-//! SOR fallback is provided for experimentation and for cross-checking
-//! results.
+//! [`conjugate_gradient`] (preconditioned by [`Jacobi`]) and the
+//! [`gauss_seidel`] / SOR iterations solve any [`CsrMatrix`], whatever its
+//! structure. The thermal model solves its own, structured, system
+//! directly ([`crate::SpectralSolver`]); these solvers are the independent
+//! reference that checks it, and a tool for experimentation.
 
 use crate::error::LinalgError;
 use crate::sparse::CsrMatrix;
 use crate::{dot, norm2};
 
-/// A square linear operator `y = A x` that [`conjugate_gradient`] solves
-/// with.
-pub trait LinearOperator {
-    /// Number of rows.
-    fn rows(&self) -> usize;
-
-    /// Number of columns.
-    fn cols(&self) -> usize;
-
-    /// Computes `y = A x` into a caller-provided buffer without allocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.cols()` or `y.len() != self.rows()`.
-    fn matvec_into(&self, x: &[f64], y: &mut [f64]);
-
-    /// The main diagonal: the Jacobi preconditioner's input.
-    fn diagonal(&self) -> Vec<f64>;
-}
-
-impl LinearOperator for CsrMatrix {
-    fn rows(&self) -> usize {
-        CsrMatrix::rows(self)
-    }
-
-    fn cols(&self) -> usize {
-        CsrMatrix::cols(self)
-    }
-
-    fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
-        CsrMatrix::matvec_into(self, x, y);
-    }
-
-    fn diagonal(&self) -> Vec<f64> {
-        CsrMatrix::diagonal(self)
-    }
-}
-
-/// A symmetric positive definite approximation `M` of a system matrix,
-/// applied as `z = M⁻¹ r` once per [`conjugate_gradient`] iteration.
-pub trait Preconditioner {
-    /// Length of the scratch buffer [`Preconditioner::apply`] works in. A
-    /// solve allocates it once, so applying never allocates.
-    fn scratch_len(&self) -> usize {
-        0
-    }
-
-    /// Computes `z = M⁻¹ r`, using `scratch` (of
-    /// [`Preconditioner::scratch_len`] entries) as working memory.
-    ///
-    /// # Panics
-    ///
-    /// May panic if `r` or `z` does not match the system size.
-    fn apply(&self, r: &[f64], z: &mut [f64], scratch: &mut [f64]);
-}
-
-/// The Jacobi (diagonal) preconditioner `M = diag(A)`.
+/// The Jacobi (diagonal) preconditioner `M = diag(A)`, applied as
+/// `z = M⁻¹ r` once per [`conjugate_gradient`] iteration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Jacobi {
     inv_diag: Vec<f64>,
@@ -79,7 +20,7 @@ pub struct Jacobi {
 impl Jacobi {
     /// The inverse diagonal of `a`; a (numerically) zero diagonal entry
     /// leaves its unknown unscaled.
-    pub fn new<A: LinearOperator + ?Sized>(a: &A) -> Self {
+    pub fn new(a: &CsrMatrix) -> Self {
         let inv_diag = a
             .diagonal()
             .iter()
@@ -87,10 +28,8 @@ impl Jacobi {
             .collect();
         Self { inv_diag }
     }
-}
 
-impl Preconditioner for Jacobi {
-    fn apply(&self, r: &[f64], z: &mut [f64], _scratch: &mut [f64]) {
+    fn apply(&self, r: &[f64], z: &mut [f64]) {
         for ((zi, ri), di) in z.iter_mut().zip(r).zip(&self.inv_diag) {
             *zi = ri * di;
         }
@@ -129,12 +68,9 @@ pub struct CgSolution {
     pub residual: f64,
 }
 
-/// Solves the SPD system `A x = b` with preconditioned conjugate gradient.
-///
-/// The solve sees `A` only through its products, so two operators that
-/// agree on those bit for bit give bit-identical solutions and iteration
-/// counts under the same preconditioner. It stops once the recurrence
-/// residual satisfies `‖r‖ / ‖b‖ <= options.tolerance`.
+/// Solves the SPD system `A x = b` with Jacobi-preconditioned conjugate
+/// gradient. It stops once the recurrence residual satisfies
+/// `‖r‖ / ‖b‖ <= options.tolerance`.
 ///
 /// # Errors
 ///
@@ -165,32 +101,24 @@ pub struct CgSolution {
 /// let sol = conjugate_gradient(&a, &[1.0, 0.0, 1.0], &jacobi, &CgOptions::default()).unwrap();
 /// assert!(sol.residual < 1e-8);
 /// ```
-pub fn conjugate_gradient<A, M>(
-    a: &A,
+pub fn conjugate_gradient(
+    a: &CsrMatrix,
     b: &[f64],
-    preconditioner: &M,
+    preconditioner: &Jacobi,
     options: &CgOptions,
-) -> Result<CgSolution, LinalgError>
-where
-    A: LinearOperator + ?Sized,
-    M: Preconditioner + ?Sized,
-{
+) -> Result<CgSolution, LinalgError> {
     let solution = conjugate_gradient_impl(a, b, preconditioner, options)?;
     rlp_obs::obs_counter!("linalg.cg.solves").inc();
     rlp_obs::obs_counter!("linalg.cg.iterations").add(solution.iterations as u64);
     Ok(solution)
 }
 
-fn conjugate_gradient_impl<A, M>(
-    a: &A,
+fn conjugate_gradient_impl(
+    a: &CsrMatrix,
     b: &[f64],
-    m: &M,
+    m: &Jacobi,
     options: &CgOptions,
-) -> Result<CgSolution, LinalgError>
-where
-    A: LinearOperator + ?Sized,
-    M: Preconditioner + ?Sized,
-{
+) -> Result<CgSolution, LinalgError> {
     if a.rows() != a.cols() {
         return Err(LinalgError::NotSquare {
             rows: a.rows(),
@@ -227,12 +155,11 @@ where
         None => vec![0.0; n],
     };
 
-    let mut scratch = vec![0.0; m.scratch_len()];
     let mut ax = vec![0.0; n];
     a.matvec_into(&x, &mut ax);
     let mut r: Vec<f64> = b.iter().zip(ax.iter()).map(|(bi, axi)| bi - axi).collect();
     let mut z = vec![0.0; n];
-    m.apply(&r, &mut z, &mut scratch);
+    m.apply(&r, &mut z);
     let mut p = z.clone();
     let mut rz = dot(&r, &z);
     let mut residual = norm2(&r) / b_norm;
@@ -274,7 +201,7 @@ where
                 residual,
             });
         }
-        m.apply(&r, &mut z, &mut scratch);
+        m.apply(&r, &mut z);
         let rz_new = dot(&r, &z);
         let beta = rz_new / rz;
         rz = rz_new;
@@ -421,16 +348,19 @@ mod tests {
 
     #[test]
     fn cg_without_preconditioner_still_converges() {
-        /// `M = I`: plain conjugate gradient.
-        struct Identity;
-        impl Preconditioner for Identity {
-            fn apply(&self, r: &[f64], z: &mut [f64], _scratch: &mut [f64]) {
-                z.copy_from_slice(r);
+        // A unit diagonal makes Jacobi `M = I`: plain conjugate gradient.
+        let n = 20;
+        let mut coo = CooMatrix::new(n, n);
+        for i in 0..n {
+            coo.push(i, i, 1.0);
+            if i > 0 {
+                coo.push(i, i - 1, -0.45);
+                coo.push(i - 1, i, -0.45);
             }
         }
-        let a = poisson_1d(20);
-        let b = vec![1.0; 20];
-        let sol = conjugate_gradient(&a, &b, &Identity, &CgOptions::default()).unwrap();
+        let a = coo.to_csr();
+        let b = vec![1.0; n];
+        let sol = conjugate_gradient(&a, &b, &Jacobi::new(&a), &CgOptions::default()).unwrap();
         assert!(sol.residual <= 1e-8);
     }
 

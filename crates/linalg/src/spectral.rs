@@ -1,0 +1,452 @@
+//! Direct solves of separable layered-grid operators by cosine transforms.
+//!
+//! A layered grid couples each node to its four lateral neighbours in the
+//! same layer and to the nodes below and above it. When every layer's
+//! lateral conductances are uniform, the sides are adiabatic and each
+//! layer's conductance to the reference node is spread uniformly over its
+//! cells, the operator is
+//!
+//! ```text
+//! G = Σ_l e_l e_lᵀ ⊗ (gx_l·Lx + gy_l·Ly + s_l·I) + V ⊗ I
+//! ```
+//!
+//! with `Lx`, `Ly` the path Laplacians of the rows and columns (Neumann
+//! ends) and `V` the `layers×layers` tridiagonal vertical Laplacian. The
+//! orthonormal DCT-II basis diagonalises both path Laplacians, so one 2-D
+//! transform turns `G` into an independent tridiagonal system per lateral
+//! mode `(kx, ky)`:
+//!
+//! ```text
+//! T(kx, ky) = diag_l(gx_l·λx_kx + gy_l·λy_ky + s_l) + V
+//! ```
+//!
+//! [`SpectralSolver`] inverts `G` exactly, up to rounding, for a right-hand
+//! side confined to one layer: it keeps the column `T(kx, ky)⁻¹ e_source` of
+//! every mode, so a solve is one forward transform of the source, one
+//! scaling per layer and one inverse transform per layer. Every sum runs in
+//! a fixed index order on the calling thread, so a solve is bit-for-bit
+//! reproducible.
+
+use crate::error::LinalgError;
+
+/// The orthonormal DCT-II basis of the `n`-point path Laplacian with
+/// Neumann ends (diagonal `1, 2, …, 2, 1`, off-diagonals `−1`).
+///
+/// Column `k` is the eigenvector `q_k(i) = c_k·cos(πk(i + ½)/n)` with
+/// eigenvalue `2 − 2cos(πk/n)`, where `c_0 = √(1/n)` and `c_k = √(2/n)`.
+#[derive(Clone, PartialEq)]
+struct CosineBasis {
+    n: usize,
+    /// `q[i * n + k] = q_k(i)`: row `i` holds every mode at point `i`.
+    q: Vec<f64>,
+    /// `q_t[k * n + i] = q_k(i)`: row `k` is mode `k` over every point.
+    q_t: Vec<f64>,
+    eigenvalues: Vec<f64>,
+}
+
+impl CosineBasis {
+    /// The basis of an `n`-point path.
+    fn new(n: usize) -> Self {
+        let norm = |k: usize| (if k == 0 { 1.0 } else { 2.0 } / n as f64).sqrt();
+        let mut q = vec![0.0; n * n];
+        let mut q_t = vec![0.0; n * n];
+        for i in 0..n {
+            for k in 0..n {
+                let angle = std::f64::consts::PI * k as f64 * (i as f64 + 0.5) / n as f64;
+                let value = norm(k) * angle.cos();
+                q[i * n + k] = value;
+                q_t[k * n + i] = value;
+            }
+        }
+        let eigenvalues = (0..n)
+            .map(|k| 2.0 - 2.0 * (std::f64::consts::PI * k as f64 / n as f64).cos())
+            .collect();
+        Self {
+            n,
+            q,
+            q_t,
+            eigenvalues,
+        }
+    }
+}
+
+/// Conductances of a layered grid of `nx`×`ny` cells per layer whose every
+/// layer is uniform: the operator [`SpectralSolver`] inverts.
+///
+/// Nodes are numbered layer-major, then row-major:
+/// `node = layer * nx * ny + row * nx + col`. Layer 0 is the bottom.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LayeredGrid {
+    /// Cells along a row (the west/east direction).
+    pub nx: usize,
+    /// Cells along a column (the south/north direction).
+    pub ny: usize,
+    /// Per layer, the conductance between west/east neighbours.
+    pub west_east: Vec<f64>,
+    /// Per layer, the conductance between south/north neighbours.
+    pub south_north: Vec<f64>,
+    /// Per cell, the conductance between layer `l` and layer `l + 1`
+    /// (one entry fewer than there are layers).
+    pub vertical: Vec<f64>,
+    /// Per layer, the conductance from each cell to the zero-potential
+    /// reference node.
+    pub to_reference: Vec<f64>,
+}
+
+impl LayeredGrid {
+    /// Number of layers.
+    pub fn layers(&self) -> usize {
+        self.west_east.len()
+    }
+}
+
+/// The exact inverse of a [`LayeredGrid`] operator, applied to right-hand
+/// sides confined to one source layer.
+///
+/// # Examples
+///
+/// One layer of 2×2 cells, each tied to the reference by `1.0`: a unit
+/// source in every cell raises every cell by `1.0`.
+///
+/// ```
+/// use rlp_linalg::spectral::{LayeredGrid, SpectralSolver};
+///
+/// let grid = LayeredGrid {
+///     nx: 2,
+///     ny: 2,
+///     west_east: vec![3.0],
+///     south_north: vec![5.0],
+///     vertical: vec![],
+///     to_reference: vec![1.0],
+/// };
+/// let solver = SpectralSolver::new(&grid, 0).unwrap();
+/// for x in solver.solve(&[1.0; 4]) {
+///     assert!((x - 1.0).abs() < 1e-12);
+/// }
+/// ```
+#[derive(Clone, PartialEq)]
+pub struct SpectralSolver {
+    x_basis: CosineBasis,
+    y_basis: CosineBasis,
+    layers: usize,
+    source_layer: usize,
+    /// `response[l * cells + ky * nx + kx]`: entry `l` of
+    /// `T(kx, ky)⁻¹ e_source`.
+    response: Vec<f64>,
+}
+
+impl std::fmt::Debug for SpectralSolver {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SpectralSolver")
+            .field("nx", &self.x_basis.n)
+            .field("ny", &self.y_basis.n)
+            .field("layers", &self.layers)
+            .field("source_layer", &self.source_layer)
+            .finish_non_exhaustive()
+    }
+}
+
+impl SpectralSolver {
+    /// Prepares the solver of `grid` for sources in `source_layer`: both
+    /// cosine bases and the response column of every lateral mode.
+    ///
+    /// # Errors
+    ///
+    /// * [`LinalgError::DimensionMismatch`] if the grid has no cells or no
+    ///   layers, its per-layer vectors disagree in length, or
+    ///   `source_layer` is not one of its layers.
+    /// * [`LinalgError::SingularMatrix`] if a mode's tridiagonal system
+    ///   has a pivot that is not positive and finite: the operator is not
+    ///   positive definite (a layer cut off from the reference, say).
+    ///   `pivot` is the node `layer * nx * ny + mode` it broke down at.
+    pub fn new(grid: &LayeredGrid, source_layer: usize) -> Result<Self, LinalgError> {
+        let layers = grid.layers();
+        let shape_ok = grid.nx > 0
+            && grid.ny > 0
+            && layers > 0
+            && grid.south_north.len() == layers
+            && grid.to_reference.len() == layers
+            && grid.vertical.len() + 1 == layers
+            && source_layer < layers;
+        if !shape_ok {
+            return Err(LinalgError::DimensionMismatch {
+                expected: format!(
+                    "a non-empty grid with {layers} entries per layer, {} vertical \
+                     conductances and a source layer below {layers}",
+                    layers.saturating_sub(1)
+                ),
+                found: format!(
+                    "{}x{} cells, {}/{}/{} west-east/south-north/reference entries, {} \
+                     vertical, source layer {source_layer}",
+                    grid.nx,
+                    grid.ny,
+                    layers,
+                    grid.south_north.len(),
+                    grid.to_reference.len(),
+                    grid.vertical.len()
+                ),
+            });
+        }
+        let x_basis = CosineBasis::new(grid.nx);
+        let y_basis = CosineBasis::new(grid.ny);
+        let cells = grid.nx * grid.ny;
+        let mut response = vec![0.0; layers * cells];
+        let mut diagonal = vec![0.0; layers];
+        let mut column = vec![0.0; layers];
+        let mut scratch = vec![0.0; layers];
+        for (ky, &lambda_y) in y_basis.eigenvalues.iter().enumerate() {
+            for (kx, &lambda_x) in x_basis.eigenvalues.iter().enumerate() {
+                for (l, d) in diagonal.iter_mut().enumerate() {
+                    let below = if l > 0 { grid.vertical[l - 1] } else { 0.0 };
+                    let above = grid.vertical.get(l).copied().unwrap_or(0.0);
+                    *d = grid.west_east[l] * lambda_x
+                        + grid.south_north[l] * lambda_y
+                        + grid.to_reference[l]
+                        + below
+                        + above;
+                }
+                column.fill(0.0);
+                column[source_layer] = 1.0;
+                let mode = ky * grid.nx + kx;
+                solve_tridiagonal(&grid.vertical, &diagonal, &mut column, &mut scratch).map_err(
+                    |l| LinalgError::SingularMatrix {
+                        pivot: l * cells + mode,
+                    },
+                )?;
+                for (l, &r) in column.iter().enumerate() {
+                    response[l * cells + mode] = r;
+                }
+            }
+        }
+        Ok(Self {
+            x_basis,
+            y_basis,
+            layers,
+            source_layer,
+            response,
+        })
+    }
+
+    /// Solves `G x = b`, where `b` is `source` (row-major, `nx * ny`
+    /// cells) in the source layer and zero elsewhere. Returns every node of
+    /// `x`, layer-major.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `source.len() != nx * ny`.
+    pub fn solve(&self, source: &[f64]) -> Vec<f64> {
+        let (nx, ny) = (self.x_basis.n, self.y_basis.n);
+        let cells = nx * ny;
+        assert_eq!(source.len(), cells, "solve: source length mismatch");
+
+        // Forward transform `Qyᵀ · S · Qx` of the ny×nx source map: along
+        // each row first, then along each column.
+        let mut rows = vec![0.0; cells];
+        for (row, out) in source.chunks_exact(nx).zip(rows.chunks_exact_mut(nx)) {
+            for (&s, basis_row) in row.iter().zip(self.x_basis.q.chunks_exact(nx)) {
+                for (o, &q) in out.iter_mut().zip(basis_row) {
+                    *o += s * q;
+                }
+            }
+        }
+        let mut modes = vec![0.0; cells];
+        for (ky, out) in modes.chunks_exact_mut(nx).enumerate() {
+            for (y, row) in rows.chunks_exact(nx).enumerate() {
+                let q = self.y_basis.q[y * ny + ky];
+                for (o, &r) in out.iter_mut().zip(row) {
+                    *o += q * r;
+                }
+            }
+        }
+
+        // Per layer: scale every mode by its response, then transform back
+        // with `Qy · (·) · Qxᵀ`.
+        let mut x = vec![0.0; self.layers * cells];
+        let mut scaled = vec![0.0; cells];
+        for (response, field) in self
+            .response
+            .chunks_exact(cells)
+            .zip(x.chunks_exact_mut(cells))
+        {
+            for ((s, &m), &r) in scaled.iter_mut().zip(&modes).zip(response) {
+                *s = m * r;
+            }
+            rows.fill(0.0);
+            for (y, out) in rows.chunks_exact_mut(nx).enumerate() {
+                for (ky, mode_row) in scaled.chunks_exact(nx).enumerate() {
+                    let q = self.y_basis.q[y * ny + ky];
+                    for (o, &m) in out.iter_mut().zip(mode_row) {
+                        *o += q * m;
+                    }
+                }
+            }
+            for (row, out) in rows.chunks_exact(nx).zip(field.chunks_exact_mut(nx)) {
+                for (&r, mode) in row.iter().zip(self.x_basis.q_t.chunks_exact(nx)) {
+                    for (o, &q) in out.iter_mut().zip(mode) {
+                        *o += r * q;
+                    }
+                }
+            }
+        }
+        x
+    }
+}
+
+/// Solves the symmetric tridiagonal system with `diagonal` and the
+/// off-diagonal `−off[l]` between unknowns `l` and `l + 1` in place
+/// (Thomas algorithm), using `scratch` (as long as `rhs`) for the
+/// eliminated super-diagonal.
+///
+/// Returns the index of the first pivot that is not positive and finite.
+fn solve_tridiagonal(
+    off: &[f64],
+    diagonal: &[f64],
+    rhs: &mut [f64],
+    scratch: &mut [f64],
+) -> Result<(), usize> {
+    let n = diagonal.len();
+    let mut previous = 0.0;
+    for l in 0..n {
+        let coupling = if l > 0 { -off[l - 1] } else { 0.0 };
+        let pivot = diagonal[l] - coupling * previous;
+        if !(pivot > 0.0 && pivot.is_finite()) {
+            return Err(l);
+        }
+        previous = if l + 1 < n { -off[l] / pivot } else { 0.0 };
+        scratch[l] = previous;
+        let carried = if l > 0 { coupling * rhs[l - 1] } else { 0.0 };
+        rhs[l] = (rhs[l] - carried) / pivot;
+    }
+    for l in (0..n.saturating_sub(1)).rev() {
+        rhs[l] -= scratch[l] * rhs[l + 1];
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn path_laplacian(n: usize, i: usize, j: usize) -> f64 {
+        if i == j {
+            let ends = usize::from(i > 0) + usize::from(i + 1 < n);
+            ends as f64
+        } else if i.abs_diff(j) == 1 {
+            -1.0
+        } else {
+            0.0
+        }
+    }
+
+    #[test]
+    fn cosine_basis_is_orthonormal_and_diagonalises_the_path_laplacian() {
+        for n in [1, 2, 3, 7, 16] {
+            let basis = CosineBasis::new(n);
+            for a in 0..n {
+                for b in 0..n {
+                    let gram: f64 = (0..n)
+                        .map(|i| basis.q[i * n + a] * basis.q[i * n + b])
+                        .sum();
+                    let expected = if a == b { 1.0 } else { 0.0 };
+                    assert!((gram - expected).abs() < 1e-14, "n {n}, modes {a},{b}");
+                }
+                // L q_a = λ_a q_a, point by point.
+                for i in 0..n {
+                    let lq: f64 = (0..n)
+                        .map(|j| path_laplacian(n, i, j) * basis.q[j * n + a])
+                        .sum();
+                    let lambda_q = basis.eigenvalues[a] * basis.q[i * n + a];
+                    assert!((lq - lambda_q).abs() < 1e-13, "n {n}, mode {a}, point {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tridiagonal_solve_inverts_the_system_and_reports_bad_pivots() {
+        let off = [0.5, 2.0, 1.0];
+        let diagonal = [1.0, 3.0, 4.0, 2.0];
+        let x_true = [1.0, -2.0, 0.5, 3.0];
+        let mut rhs: Vec<f64> = (0..4)
+            .map(|l| {
+                let below = if l > 0 {
+                    -off[l - 1] * x_true[l - 1]
+                } else {
+                    0.0
+                };
+                let above = if l < 3 { -off[l] * x_true[l + 1] } else { 0.0 };
+                diagonal[l] * x_true[l] + below + above
+            })
+            .collect();
+        let mut scratch = [0.0; 4];
+        solve_tridiagonal(&off, &diagonal, &mut rhs, &mut scratch).unwrap();
+        for (x, t) in rhs.iter().zip(x_true) {
+            assert!((x - t).abs() < 1e-12, "{x} vs {t}");
+        }
+        // A chain with no tie to the reference is singular: the last pivot
+        // of its zero mode vanishes.
+        let mut rhs = [1.0, 0.0];
+        assert_eq!(
+            solve_tridiagonal(&[1.0], &[1.0, 1.0], &mut rhs, &mut scratch),
+            Err(1)
+        );
+    }
+
+    #[test]
+    fn malformed_grids_and_singular_operators_are_refused() {
+        let grid = LayeredGrid {
+            nx: 3,
+            ny: 2,
+            west_east: vec![1.0, 1.0],
+            south_north: vec![1.0, 1.0],
+            vertical: vec![2.0],
+            to_reference: vec![0.0, 0.5],
+        };
+        assert!(SpectralSolver::new(&grid, 1).is_ok());
+        assert!(matches!(
+            SpectralSolver::new(&grid, 2),
+            Err(LinalgError::DimensionMismatch { .. })
+        ));
+        let short = LayeredGrid {
+            vertical: vec![],
+            ..grid.clone()
+        };
+        assert!(matches!(
+            SpectralSolver::new(&short, 0),
+            Err(LinalgError::DimensionMismatch { .. })
+        ));
+        // Nothing leaves the grid: mode (0, 0) of the top layer is singular.
+        let floating = LayeredGrid {
+            to_reference: vec![0.0, 0.0],
+            ..grid.clone()
+        };
+        assert_eq!(
+            SpectralSolver::new(&floating, 0),
+            Err(LinalgError::SingularMatrix { pivot: 6 })
+        );
+        // A layer cut off from the others is singular too.
+        let cut = LayeredGrid {
+            vertical: vec![0.0],
+            ..grid
+        };
+        assert!(matches!(
+            SpectralSolver::new(&cut, 0),
+            Err(LinalgError::SingularMatrix { .. })
+        ));
+    }
+
+    #[test]
+    fn debug_output_stays_short() {
+        let grid = LayeredGrid {
+            nx: 16,
+            ny: 16,
+            west_east: vec![1.0; 3],
+            south_north: vec![1.0; 3],
+            vertical: vec![1.0; 2],
+            to_reference: vec![0.0, 0.0, 1.0],
+        };
+        let text = format!("{:?}", SpectralSolver::new(&grid, 1).unwrap());
+        assert!(text.len() < 120, "{text}");
+        assert!(text.contains("nx: 16") && text.contains("source_layer: 1"));
+    }
+}

@@ -86,6 +86,22 @@ impl ConnWriter {
         }
     }
 
+    /// Writes the frame `render` returns, then runs `after`, all under the
+    /// write lock. No other frame reaches this connection in between, so
+    /// what `after` records is visible to every request the client sends
+    /// once it has read the frame and that is answered on this connection
+    /// (the `metrics` reply renders under the same lock). `after` runs even
+    /// when the connection is dead.
+    fn send_then(&self, render: impl FnOnce() -> String, after: impl FnOnce()) {
+        let mut stream = self.stream.lock().expect("connection writer poisoned");
+        if self.alive.load(Ordering::Acquire)
+            && protocol::write_frame(&mut *stream, &render()).is_err()
+        {
+            self.alive.store(false, Ordering::Release);
+        }
+        after();
+    }
+
     fn close(&self) {
         self.alive.store(false, Ordering::Release);
     }
@@ -250,8 +266,9 @@ fn run_worker(shared: &Shared) {
             job = id,
             conn = job.conn_id,
         );
-        // Record the terminal state before sending the terminal frame, so a
-        // client that receives the frame never observes stale counters.
+        // Record the terminal state before any later frame can be written to
+        // the connection, so a client that receives the terminal frame never
+        // observes stale counters.
         let solve_timer = rlp_obs::Stopwatch::start();
         match solve_job(id, &job, shared) {
             Ok(outcome) => {
@@ -261,18 +278,22 @@ fn run_worker(shared: &Shared) {
                 serialize_timer.stop(rlp_obs::obs_histogram!("serve.job.serialize_ns"));
                 let timings = shared.queue.finish(id, JobState::Done);
                 let flush_timer = rlp_obs::Stopwatch::start();
-                job.writer
-                    .send(&frames::outcome(id, &rendered, Some(&timings)));
-                flush_timer.stop(rlp_obs::obs_histogram!("serve.job.flush_ns"));
-                record_finished_job(&timings, true);
+                job.writer.send_then(
+                    || frames::outcome(id, &rendered, Some(&timings)),
+                    || {
+                        flush_timer.stop(rlp_obs::obs_histogram!("serve.job.flush_ns"));
+                        record_finished_job(&timings, true);
+                    },
+                );
                 span.field("state", "done");
                 span.field("queue_ms", timings.queue_ms());
             }
             Err(e) => {
                 let timings = shared.queue.finish(id, JobState::Failed);
-                job.writer
-                    .send(&frames::failed(id, &e.to_string(), Some(&timings)));
-                record_finished_job(&timings, false);
+                job.writer.send_then(
+                    || frames::failed(id, &e.to_string(), Some(&timings)),
+                    || record_finished_job(&timings, false),
+                );
                 span.field("state", "failed");
                 rlp_obs::obs_event!(
                     rlp_obs::Level::Warn,
@@ -449,9 +470,10 @@ fn handle_message(
             ));
         }
         ClientMessage::Metrics => {
-            writer.send(&frames::metrics(
-                &rlp_obs::registry().snapshot().render_json(),
-            ));
+            writer.send_then(
+                || frames::metrics(&rlp_obs::registry().snapshot().render_json()),
+                || {},
+            );
         }
         ClientMessage::Shutdown => {
             let draining = shared.queue.begin_shutdown();

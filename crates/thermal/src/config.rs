@@ -138,13 +138,31 @@ impl ThermalConfig {
                 self.grid_nx, self.grid_ny
             ));
         }
-        // NaN must be rejected too, hence the explicit `is_nan` arm.
-        if self.convection_resistance_k_per_w <= 0.0 || self.convection_resistance_k_per_w.is_nan()
-        {
-            return Err("convection resistance must be positive".to_string());
+        let positive_finite = |v: f64| v > 0.0 && v.is_finite();
+        if !positive_finite(self.convection_resistance_k_per_w) {
+            return Err(format!(
+                "convection resistance must be positive and finite, got {}",
+                self.convection_resistance_k_per_w
+            ));
         }
         if !self.ambient_c.is_finite() {
             return Err("ambient temperature must be finite".to_string());
+        }
+        // The fields are public, so a layer may never have met
+        // `Layer::new`'s checks. A layer that conducts nothing leaves the
+        // conductance matrix singular.
+        for (index, layer) in self.stack.layers().iter().enumerate() {
+            for (quantity, value) in [
+                ("thickness", layer.thickness_mm),
+                ("conductivity", layer.conductivity_w_mk),
+            ] {
+                if !positive_finite(value) {
+                    return Err(format!(
+                        "layer {index} (\"{}\") {quantity} must be positive and finite, got {value}",
+                        layer.name
+                    ));
+                }
+            }
         }
         Ok(())
     }
@@ -199,6 +217,38 @@ mod tests {
             ..ThermalConfig::default()
         };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn infinite_convection_is_rejected() {
+        let c = ThermalConfig {
+            convection_resistance_k_per_w: f64::INFINITY,
+            ..ThermalConfig::default()
+        };
+        assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn layers_that_cannot_conduct_are_rejected_by_name() {
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            for (index, name) in [(2, "tim"), (4, "heatsink")] {
+                let mut thin = LayerStack::default_2_5d().layers().to_vec();
+                thin[index].thickness_mm = bad;
+                let mut insulating = LayerStack::default_2_5d().layers().to_vec();
+                insulating[index].conductivity_w_mk = bad;
+                for (layers, quantity) in [(thin, "thickness"), (insulating, "conductivity")] {
+                    let c = ThermalConfig {
+                        stack: LayerStack::new(layers, 1),
+                        ..ThermalConfig::default()
+                    };
+                    let reason = c.validate().unwrap_err();
+                    assert!(
+                        reason.contains(&format!("layer {index} (\"{name}\") {quantity}")),
+                        "{reason}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::fmt;
 pub enum ThermalError {
     /// The placement is incomplete or otherwise unusable.
     Placement(PlacementError),
-    /// The sparse steady-state solve failed.
+    /// The steady-state grid solve failed.
     Solver(LinalgError),
     /// The fast model was asked about a footprint or distance outside the
     /// characterised range and extrapolation was disabled.

@@ -8,26 +8,26 @@
 //! symmetric positive definite; the steady-state temperature rise solves
 //! `G · ΔT = P` where `P` is the rasterised chiplet power map.
 //!
-//! `G` depends only on the configuration and the interposer outline, never
-//! on the placement. A solver prepared for an outline assembles it once,
-//! with its preconditioner, and every solve on that outline reuses both.
-//! Conjugate gradient runs on the matrix-free [`LayeredStencil`] read out of
-//! the assembled matrix, which reproduces its products bit for bit, and is
-//! preconditioned by an [`AggregationMultigrid`] V-cycle built from the same
-//! matrix. Where the hierarchy cannot be built (a layer with no
-//! conductance leaves a zero pivot), CG falls back to [`Jacobi`].
+//! Every layer is uniform, the sides are adiabatic and convection is spread
+//! evenly over the top layer, so `G` is separable: the cosine transforms of
+//! the grid's rows and columns diagonalise it laterally, leaving one
+//! `layers×layers` tridiagonal system per lateral mode. The solver inverts
+//! `G` that way ([`SpectralSolver`]), directly and exactly up to rounding:
+//! one forward transform of the power map, one scaling and one inverse
+//! transform per layer. What it prepares depends only on the configuration
+//! and the interposer outline, never on the placement, so a solver prepared
+//! for an outline reuses it for every solve on that outline.
 //!
 //! This solver plays the role of the open-source HotSpot simulator in the
-//! paper's evaluation: it is the accuracy reference and the slow baseline
-//! that the fast thermal model is characterised against.
+//! paper's evaluation: it is the accuracy reference that the fast thermal
+//! model is characterised against.
 
-use crate::config::ThermalConfig;
+use crate::config::{Layer, ThermalConfig};
 use crate::error::ThermalError;
 use crate::power::PowerMap;
 use crate::ThermalAnalyzer;
 use rlp_chiplet::{ChipletSystem, Placement};
-use rlp_linalg::solvers::{conjugate_gradient, CgOptions, LinearOperator, Preconditioner};
-use rlp_linalg::{AggregationMultigrid, CooMatrix, CsrMatrix, Jacobi, LayeredStencil};
+use rlp_linalg::{LayeredGrid, SpectralSolver};
 use std::fmt;
 use std::sync::Arc;
 
@@ -43,7 +43,7 @@ pub struct ThermalSolution {
     delta_t: Vec<f64>,
     /// Index of the layer power was injected into.
     power_layer: usize,
-    /// Iterations used by the conjugate-gradient solve.
+    /// Iterations of the solve: always 0, the solve is direct.
     pub solver_iterations: usize,
 }
 
@@ -97,22 +97,20 @@ impl ThermalSolution {
     }
 }
 
-/// The conductance operator of one interposer outline and its CG
-/// preconditioner, assembled ahead of time and shared by every clone of
-/// the solver.
-struct PreparedOperator {
-    /// Bit patterns of the interposer width and height it was assembled for.
+/// The direct solve of one interposer outline, prepared ahead of time and
+/// shared by every clone of the solver.
+struct PreparedSolve {
+    /// Bit patterns of the interposer width and height it was prepared for.
     outline: (u64, u64),
-    operator: Box<dyn LinearOperator + Send + Sync>,
-    preconditioner: Box<dyn Preconditioner + Send + Sync>,
+    spectral: SpectralSolver,
 }
 
-impl fmt::Debug for PreparedOperator {
+impl fmt::Debug for PreparedSolve {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let (width, height) = self.outline;
         write!(
             f,
-            "PreparedOperator({}x{} mm)",
+            "PreparedSolve({}x{} mm)",
             f64::from_bits(width),
             f64::from_bits(height)
         )
@@ -123,9 +121,8 @@ impl fmt::Debug for PreparedOperator {
 #[derive(Debug, Clone)]
 pub struct GridThermalSolver {
     config: ThermalConfig,
-    cg_options: CgOptions,
-    /// The operator assembled by [`GridThermalSolver::with_interposer`].
-    prepared: Option<Arc<PreparedOperator>>,
+    /// The solve prepared by [`GridThermalSolver::with_interposer`].
+    prepared: Option<Arc<PreparedSolve>>,
 }
 
 impl GridThermalSolver {
@@ -150,22 +147,18 @@ impl GridThermalSolver {
             .map_err(|reason| ThermalError::InvalidConfig { reason })?;
         Ok(Self {
             config,
-            cg_options: CgOptions {
-                tolerance: 1e-7,
-                max_iterations: 50_000,
-                ..CgOptions::default()
-            },
             prepared: None,
         })
     }
 
-    /// Assembles the conductance operator and its preconditioner for an
-    /// interposer outline (mm) ahead of time. Solves of a system with
-    /// exactly this outline reuse them; solves of any other outline
-    /// assemble their own. The results are bit-identical either way.
+    /// Prepares the solve of an interposer outline (mm) ahead of time.
+    /// Solves of a system with exactly this outline reuse it; solves of any
+    /// other outline prepare their own. The results are bit-identical
+    /// either way. An outline that cannot be prepared is left to the solves
+    /// to report.
     #[must_use]
     pub(crate) fn with_interposer(mut self, width_mm: f64, height_mm: f64) -> Self {
-        self.prepared = Some(Arc::new(self.prepare(width_mm, height_mm)));
+        self.prepared = self.prepare(width_mm, height_mm).ok().map(Arc::new);
         self
     }
 
@@ -181,7 +174,8 @@ impl GridThermalSolver {
     ///
     /// # Errors
     ///
-    /// Returns [`ThermalError::Solver`] if the conjugate-gradient solve fails.
+    /// Returns [`ThermalError::Solver`] if the interposer outline leaves the
+    /// conductance matrix singular or non-finite (an infinite outline).
     pub fn solve(
         &self,
         system: &ChipletSystem,
@@ -199,7 +193,8 @@ impl GridThermalSolver {
     ///
     /// * [`ThermalError::InvalidConfig`] if the map is not
     ///   `grid_nx`×`grid_ny` cells.
-    /// * [`ThermalError::Solver`] if the conjugate-gradient solve fails.
+    /// * [`ThermalError::Solver`] if the interposer outline leaves the
+    ///   conductance matrix singular or non-finite.
     pub fn solve_power_map(
         &self,
         system: &ChipletSystem,
@@ -220,164 +215,145 @@ impl GridThermalSolver {
         let prepared = match &self.prepared {
             Some(prepared) if prepared.outline == (width.to_bits(), height.to_bits()) => prepared,
             _ => {
-                fresh = self.prepare(width, height);
+                fresh = self.prepare(width, height)?;
                 &fresh
             }
         };
-        self.solve_with(
-            prepared.operator.as_ref(),
-            prepared.preconditioner.as_ref(),
-            power,
-        )
+        Ok(self.solution(prepared.spectral.solve(power.cells()), 0))
     }
 
-    /// The conductance matrix `G` of this package on an interposer of the
-    /// given outline (mm). Node `layer * nx * ny + row * nx + col` is cell
-    /// `(col, row)` of `layer`.
-    fn conductance_matrix(&self, width_mm: f64, height_mm: f64) -> CsrMatrix {
-        let nx = self.config.grid_nx;
-        let ny = self.config.grid_ny;
+    /// The conductances of this package's grid on an interposer of the
+    /// given outline (mm), in closed form: the operator the direct solve
+    /// inverts and the one the assembled matrix holds.
+    fn layered_grid(&self, width_mm: f64, height_mm: f64) -> LayeredGrid {
+        let (nx, ny) = (self.config.grid_nx, self.config.grid_ny);
         let layers = self.config.stack.layers();
-        let n_layers = layers.len();
-        let cells = nx * ny;
-        let n = cells * n_layers;
 
         // Geometry in metres.
         let dx = width_mm / nx as f64 * 1e-3;
         let dy = height_mm / ny as f64 * 1e-3;
         let area = dx * dy;
+        // Vertical resistance of half a cell of a layer, K/W.
+        let half_cell =
+            |layer: &Layer| (layer.thickness_mm * 1e-3 / 2.0) / (layer.conductivity_w_mk * area);
+        // Convection from every top-layer cell to ambient (temperature rise 0).
+        let g_conv = 1.0 / self.config.convection_resistance_k_per_w / (nx * ny) as f64;
+        LayeredGrid {
+            nx,
+            ny,
+            west_east: layers
+                .iter()
+                .map(|layer| layer.conductivity_w_mk * (dy * layer.thickness_mm * 1e-3) / dx)
+                .collect(),
+            south_north: layers
+                .iter()
+                .map(|layer| layer.conductivity_w_mk * (dx * layer.thickness_mm * 1e-3) / dy)
+                .collect(),
+            vertical: layers
+                .windows(2)
+                .map(|pair| 1.0 / (half_cell(&pair[0]) + half_cell(&pair[1])))
+                .collect(),
+            to_reference: (0..layers.len())
+                .map(|l| if l + 1 == layers.len() { g_conv } else { 0.0 })
+                .collect(),
+        }
+    }
 
+    /// The direct solve of `G` for an outline, with power injected into
+    /// the power layer.
+    fn prepare(&self, width_mm: f64, height_mm: f64) -> Result<PreparedSolve, ThermalError> {
+        let grid = self.layered_grid(width_mm, height_mm);
+        Ok(PreparedSolve {
+            outline: (width_mm.to_bits(), height_mm.to_bits()),
+            spectral: SpectralSolver::new(&grid, self.config.stack.power_layer())?,
+        })
+    }
+
+    /// A solved field of temperature rises over every node.
+    fn solution(&self, delta_t: Vec<f64>, solver_iterations: usize) -> ThermalSolution {
+        ThermalSolution {
+            nx: self.config.grid_nx,
+            ny: self.config.grid_ny,
+            layer_count: self.config.stack.layer_count(),
+            ambient_c: self.config.ambient_c,
+            delta_t,
+            power_layer: self.config.stack.power_layer(),
+            solver_iterations,
+        }
+    }
+
+    /// The conductance matrix `G` of this package on an interposer of the
+    /// given outline (mm), assembled node by node from the closed-form
+    /// conductances. Node `layer * nx * ny + row * nx + col` is cell
+    /// `(col, row)` of `layer`.
+    #[cfg(test)]
+    pub(crate) fn conductance_matrix(
+        &self,
+        width_mm: f64,
+        height_mm: f64,
+    ) -> rlp_linalg::CsrMatrix {
+        let grid = self.layered_grid(width_mm, height_mm);
+        let (nx, ny, layers) = (grid.nx, grid.ny, grid.layers());
+        let cells = nx * ny;
+        let n = cells * layers;
         let node = |layer: usize, col: usize, row: usize| layer * cells + row * nx + col;
 
-        let mut coo = CooMatrix::with_capacity(n, n, n * 7);
+        let mut coo = rlp_linalg::CooMatrix::with_capacity(n, n, n * 7);
         let mut add_conductance = |a: usize, b: usize, g: f64| {
             coo.push(a, a, g);
             coo.push(b, b, g);
             coo.push(a, b, -g);
             coo.push(b, a, -g);
         };
-
-        for (l, layer) in layers.iter().enumerate() {
-            let t = layer.thickness_mm * 1e-3;
-            let k = layer.conductivity_w_mk;
-            let g_x = k * (dy * t) / dx;
-            let g_y = k * (dx * t) / dy;
+        for l in 0..layers {
             for row in 0..ny {
                 for col in 0..nx {
                     let here = node(l, col, row);
                     if col + 1 < nx {
-                        add_conductance(here, node(l, col + 1, row), g_x);
+                        add_conductance(here, node(l, col + 1, row), grid.west_east[l]);
                     }
                     if row + 1 < ny {
-                        add_conductance(here, node(l, col, row + 1), g_y);
+                        add_conductance(here, node(l, col, row + 1), grid.south_north[l]);
                     }
-                    if l + 1 < n_layers {
-                        let upper = &layers[l + 1];
-                        let r = (t / 2.0) / (k * area)
-                            + (upper.thickness_mm * 1e-3 / 2.0) / (upper.conductivity_w_mk * area);
-                        add_conductance(here, node(l + 1, col, row), 1.0 / r);
+                    if l + 1 < layers {
+                        add_conductance(here, node(l + 1, col, row), grid.vertical[l]);
                     }
                 }
             }
         }
-
-        // Convection from every top-layer cell to ambient (temperature rise 0).
-        let g_conv = 1.0 / self.config.convection_resistance_k_per_w / cells as f64;
-        let top = n_layers - 1;
-        for row in 0..ny {
-            for col in 0..nx {
-                let i = node(top, col, row);
-                coo.push(i, i, g_conv);
+        for l in 0..layers {
+            for i in node(l, 0, 0)..node(l + 1, 0, 0) {
+                coo.push(i, i, grid.to_reference[l]);
             }
         }
-
         let g = coo.to_csr();
         debug_assert!(g.is_symmetric(1e-9));
         g
     }
 
-    /// `G` and its preconditioner in the form CG applies them. The operator
-    /// is the matrix-free stencil, or the CSR itself when a zero
-    /// conductance dropped entries that a stencil cannot represent.
-    fn prepare(&self, width_mm: f64, height_mm: f64) -> PreparedOperator {
-        let g = self.conductance_matrix(width_mm, height_mm);
-        let (nx, ny) = (self.config.grid_nx, self.config.grid_ny);
-        let preconditioner = self.preconditioner(&g);
-        let operator: Box<dyn LinearOperator + Send + Sync> =
-            match LayeredStencil::from_csr(&g, nx, ny, self.config.stack.layer_count()) {
-                Some(stencil) => Box::new(stencil),
-                None => Box::new(g),
-            };
-        PreparedOperator {
-            outline: (width_mm.to_bits(), height_mm.to_bits()),
-            operator,
-            preconditioner,
-        }
-    }
-
-    /// The preconditioner of `G`: the multigrid V-cycle, or Jacobi where
-    /// the hierarchy cannot be built.
-    fn preconditioner(&self, g: &CsrMatrix) -> Box<dyn Preconditioner + Send + Sync> {
-        let (nx, ny) = (self.config.grid_nx, self.config.grid_ny);
-        match AggregationMultigrid::from_csr(g, nx, ny, self.config.stack.layer_count()) {
-            Some(multigrid) => Box::new(multigrid),
-            None => Box::new(Jacobi::new(g)),
-        }
-    }
-
-    /// Solves `G · ΔT = P` with the power map injected into the power layer.
-    fn solve_with(
-        &self,
-        g: &dyn LinearOperator,
-        preconditioner: &dyn Preconditioner,
-        power: &PowerMap,
-    ) -> Result<ThermalSolution, ThermalError> {
-        let nx = self.config.grid_nx;
-        let ny = self.config.grid_ny;
-        let n_layers = self.config.stack.layer_count();
-        let cells = nx * ny;
-
-        let power_layer = self.config.stack.power_layer();
-        let mut rhs = vec![0.0; cells * n_layers];
-        rhs[power_layer * cells..][..cells].copy_from_slice(power.cells());
-
-        let solution = conjugate_gradient(g, &rhs, preconditioner, &self.cg_options)?;
-
-        Ok(ThermalSolution {
-            nx,
-            ny,
-            layer_count: n_layers,
-            ambient_c: self.config.ambient_c,
-            delta_t: solution.x,
-            power_layer,
-            solver_iterations: solution.iterations,
-        })
-    }
-
-    /// Solves on the assembled CSR matrix itself, bypassing the stencil and
-    /// any prepared operator: the reference the exactness tests use. The
-    /// preconditioner is built from that matrix like a prepared one, or is
-    /// Jacobi when `jacobi` is set.
+    /// Solves with Jacobi-preconditioned conjugate gradient on the
+    /// assembled [`GridThermalSolver::conductance_matrix`] to the given
+    /// relative residual: the independent oracle the direct solve is
+    /// tested against.
     #[cfg(test)]
-    pub(crate) fn solve_power_map_csr(
+    pub(crate) fn solve_power_map_cg(
         &self,
         system: &ChipletSystem,
         power: &PowerMap,
-        jacobi: bool,
+        tolerance: f64,
     ) -> Result<ThermalSolution, ThermalError> {
+        use rlp_linalg::solvers::{conjugate_gradient, CgOptions};
         let g = self.conductance_matrix(system.interposer_width(), system.interposer_height());
-        if jacobi {
-            self.solve_with(&g, &Jacobi::new(&g), power)
-        } else {
-            self.solve_with(&g, self.preconditioner(&g).as_ref(), power)
-        }
-    }
-
-    /// Caps CG iterations, so tests can make solves fail.
-    #[cfg(test)]
-    pub(crate) fn with_max_iterations(mut self, max_iterations: usize) -> Self {
-        self.cg_options.max_iterations = max_iterations;
-        self
+        let cells = power.cells().len();
+        let mut rhs = vec![0.0; g.rows()];
+        rhs[self.config.stack.power_layer() * cells..][..cells].copy_from_slice(power.cells());
+        let options = CgOptions {
+            tolerance,
+            max_iterations: 100_000,
+            initial_guess: None,
+        };
+        let solution = conjugate_gradient(&g, &rhs, &rlp_linalg::Jacobi::new(&g), &options)?;
+        Ok(self.solution(solution.x, solution.iterations))
     }
 
     /// Per-chiplet maximum die temperature of a solved field, in Celsius.
@@ -438,6 +414,7 @@ impl ThermalAnalyzer for GridThermalSolver {
 mod tests {
     use super::*;
     use crate::config::LayerStack;
+    use proptest::prelude::*;
     use rlp_chiplet::{Chiplet, Position};
 
     fn single_chiplet(power: f64, at: Position) -> (ChipletSystem, Placement) {
@@ -584,22 +561,17 @@ mod tests {
     }
 
     #[test]
-    fn prepared_stencil_solves_equal_per_solve_csr_solves_bit_for_bit() {
+    fn prepared_solves_equal_unprepared_solves_bit_for_bit() {
         let (sys, p) = single_chiplet(30.0, Position::new(7.0, 11.0));
         let fresh = GridThermalSolver::new(ThermalConfig::with_grid(16, 11));
         let prepared = fresh.clone().with_interposer(30.0, 30.0);
-        let reference = fresh
-            .solve_power_map_csr(&sys, &PowerMap::rasterize(&sys, &p, 16, 11), false)
-            .unwrap();
-        for solution in [
-            fresh.solve(&sys, &p).unwrap(),
-            prepared.solve(&sys, &p).unwrap(),
-        ] {
-            assert_eq!(delta_bits(&solution), delta_bits(&reference));
-            assert_eq!(solution.solver_iterations, reference.solver_iterations);
-        }
-        // A system on another outline gets its own assembly, not the
-        // prepared operator.
+        assert!(prepared.prepared.is_some());
+        let reference = fresh.solve(&sys, &p).unwrap();
+        let solution = prepared.solve(&sys, &p).unwrap();
+        assert_eq!(delta_bits(&solution), delta_bits(&reference));
+        assert_eq!(solution.solver_iterations, 0);
+        // A system on another outline prepares its own solve instead of
+        // using the prepared one.
         let mut wider = ChipletSystem::new("t", 40.0, 30.0);
         let a = wider.add_chiplet(Chiplet::new("a", 8.0, 8.0, 30.0));
         let mut q = Placement::for_system(&wider);
@@ -613,46 +585,132 @@ mod tests {
     }
 
     #[test]
-    fn a_zero_conductance_layer_solves_on_the_csr() {
-        // A zero-conductivity interposer drops its matrix entries, which a
-        // stencil cannot represent, so the solve keeps the assembled matrix.
-        // Its nodes are left with a zero pivot, so no multigrid hierarchy
-        // either: CG falls back to Jacobi.
-        let mut layers = LayerStack::default_2_5d().layers().to_vec();
-        layers[0].conductivity_w_mk = 0.0;
-        let config = ThermalConfig {
-            stack: LayerStack::new(layers, 1),
-            ..ThermalConfig::with_grid(8, 8)
-        };
-        let solver = GridThermalSolver::new(config).with_interposer(30.0, 30.0);
-        let g = solver.conductance_matrix(30.0, 30.0);
-        assert!(LayeredStencil::from_csr(&g, 8, 8, 5).is_none());
-        assert!(AggregationMultigrid::from_csr(&g, 8, 8, 5).is_none());
-        let (sys, p) = single_chiplet(30.0, Position::new(11.0, 11.0));
-        let solution = solver.solve(&sys, &p).unwrap();
-        let reference = solver
-            .solve_power_map_csr(&sys, &PowerMap::rasterize(&sys, &p, 8, 8), true)
-            .unwrap();
-        assert_eq!(delta_bits(&solution), delta_bits(&reference));
-        assert!(solution.max_die_temperature() > solver.config().ambient_c + 1.0);
+    fn zero_conductance_layers_are_refused() {
+        // A zero-conductivity TIM cuts the die off from the heat sink and a
+        // zero-conductivity interposer floats: both make `G` singular.
+        let (sys, _) = single_chiplet(30.0, Position::new(11.0, 11.0));
+        for (index, name) in [(2, "tim"), (0, "interposer")] {
+            let mut layers = LayerStack::default_2_5d().layers().to_vec();
+            layers[index].conductivity_w_mk = 0.0;
+            let config = ThermalConfig {
+                stack: LayerStack::new(layers, 1),
+                ..ThermalConfig::with_grid(8, 8)
+            };
+            let refused = |result: Result<(), ThermalError>, by: &str| match result {
+                Err(ThermalError::InvalidConfig { reason }) => {
+                    assert!(reason.contains(name), "{by}: {reason}");
+                }
+                other => panic!("{by} accepted a zero-conductivity {name}: {other:?}"),
+            };
+            refused(
+                GridThermalSolver::try_new(config.clone()).map(drop),
+                "try_new",
+            );
+            let options = crate::CharacterizationOptions::default();
+            refused(
+                crate::FastThermalModel::characterize(&config, 30.0, 30.0, &options).map(drop),
+                "characterize",
+            );
+            let backends = [
+                crate::ThermalBackend::Grid {
+                    config: config.clone(),
+                },
+                crate::ThermalBackend::Fast {
+                    config,
+                    characterization: options,
+                },
+            ];
+            for backend in backends {
+                refused(backend.build_for(&sys).map(drop), backend.label());
+            }
+        }
     }
 
     #[test]
-    fn multigrid_takes_a_fraction_of_jacobi_iterations_to_the_same_field() {
-        let (sys, p) = single_chiplet(30.0, Position::new(7.0, 11.0));
-        let solver = GridThermalSolver::new(ThermalConfig::with_grid(16, 11));
-        let power = PowerMap::rasterize(&sys, &p, 16, 11);
-        let multigrid = solver.solve_power_map(&sys, &power).unwrap();
-        let jacobi = solver.solve_power_map_csr(&sys, &power, true).unwrap();
-        assert!(
-            4 * multigrid.solver_iterations < jacobi.solver_iterations,
-            "multigrid {} vs jacobi {} iterations",
-            multigrid.solver_iterations,
-            jacobi.solver_iterations
-        );
-        let peak = jacobi.max_die_temperature() - solver.config().ambient_c;
-        for (m, j) in multigrid.delta_t.iter().zip(&jacobi.delta_t) {
-            assert!((m - j).abs() <= 1e-6 * peak, "{m} vs {j}");
+    fn an_outline_the_solve_cannot_invert_is_an_error() {
+        let (sys, p) = single_chiplet(30.0, Position::new(11.0, 11.0));
+        let power = PowerMap::rasterize(&sys, &p, 16, 16);
+        let endless = ChipletSystem::new("t", f64::INFINITY, 30.0);
+        let solver = small_solver().with_interposer(f64::INFINITY, 30.0);
+        assert!(solver.prepared.is_none());
+        assert!(matches!(
+            solver.solve_power_map(&endless, &power),
+            Err(ThermalError::Solver(
+                rlp_linalg::LinalgError::SingularMatrix { .. }
+            ))
+        ));
+    }
+
+    /// A layer of the package grid: thickness (mm) and conductivity
+    /// (W/(m·K)) spanning thin low-k TIMs to thick copper.
+    fn layer_strategy() -> impl Strategy<Value = (f64, f64)> {
+        (0.02f64..7.0, 1.0f64..500.0)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The direct solve of random packages matches Jacobi-CG run to a
+        /// 1e-12 residual on the independently assembled conductance matrix
+        /// within 1e-9 of the peak rise, and leaves a residual of at most
+        /// 1e-10·‖b‖ under that matrix. This pins the separability the
+        /// direct solve relies on to the assembled physics.
+        #[test]
+        fn direct_solve_matches_the_cg_oracle_on_random_stacks(
+            stack in prop::collection::vec(layer_strategy(), 1..7),
+            power_layer in 0usize..6,
+            nx in 2usize..34,
+            ny in 2usize..34,
+            width in 8.0f64..60.0,
+            height in 8.0f64..60.0,
+            convection in 0.02f64..2.0,
+            chiplets in prop::collection::vec(
+                (0.0f64..1.0, 0.0f64..1.0, 0.05f64..0.5, 1.0f64..40.0),
+                1..4,
+            ),
+        ) {
+            let layers = stack
+                .iter()
+                .enumerate()
+                .map(|(i, &(t, k))| Layer::new(format!("l{i}"), t, k))
+                .collect::<Vec<_>>();
+            let power_layer = power_layer % layers.len();
+            let config = ThermalConfig {
+                stack: LayerStack::new(layers, power_layer),
+                convection_resistance_k_per_w: convection,
+                ..ThermalConfig::with_grid(nx, ny)
+            };
+            let solver = GridThermalSolver::new(config);
+            let mut sys = ChipletSystem::new("t", width, height);
+            let mut positions = Vec::new();
+            for (i, &(x, y, size, power)) in chiplets.iter().enumerate() {
+                let (w, h) = (size * width, size * height);
+                let id = sys.add_chiplet(Chiplet::new(format!("c{i}"), w, h, power));
+                positions.push((id, Position::new(x * (width - w), y * (height - h))));
+            }
+            let mut placement = Placement::for_system(&sys);
+            for (id, at) in positions {
+                placement.place(id, at);
+            }
+            let power = PowerMap::rasterize(&sys, &placement, nx, ny);
+            let direct = solver.solve_power_map(&sys, &power).unwrap();
+            let oracle = solver.solve_power_map_cg(&sys, &power, 1e-12).unwrap();
+            let peak = oracle.delta_t.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+            for (d, o) in direct.delta_t.iter().zip(&oracle.delta_t) {
+                prop_assert!((d - o).abs() <= 1e-9 * peak, "direct {d} vs oracle {o}, peak {peak}");
+            }
+            let g = solver.conductance_matrix(width, height);
+            let cells = nx * ny;
+            let mut b = vec![0.0; g.rows()];
+            b[power_layer * cells..][..cells].copy_from_slice(power.cells());
+            let gx = g.matvec(&direct.delta_t).unwrap();
+            let residual: Vec<f64> = gx.iter().zip(&b).map(|(p, q)| p - q).collect();
+            prop_assert!(
+                rlp_linalg::norm2(&residual) <= 1e-10 * rlp_linalg::norm2(&b),
+                "‖Gx − b‖ = {} for ‖b‖ = {}",
+                rlp_linalg::norm2(&residual),
+                rlp_linalg::norm2(&b)
+            );
         }
     }
 

@@ -4,11 +4,12 @@
 //!
 //! * [`GridThermalSolver`] — a HotSpot-style compact thermal model. The
 //!   package is discretised into a stack of uniform x-y grids (interposer,
-//!   die, TIM, heat spreader, heat sink), lateral and vertical thermal
-//!   conductances are assembled into a sparse SPD system `G·ΔT = P`, and the
-//!   steady-state temperature field is obtained with preconditioned
-//!   conjugate gradient. This plays the role of the open-source HotSpot
-//!   solver the paper compares against.
+//!   die, TIM, heat spreader, heat sink) connected by lateral and vertical
+//!   thermal conductances: the SPD system `G·ΔT = P`. Every layer is
+//!   uniform, so cosine transforms diagonalise `G` laterally and the
+//!   steady-state temperature field is obtained by a direct solve, exact up
+//!   to rounding. This plays the role of the open-source HotSpot solver the
+//!   paper compares against.
 //! * [`FastThermalModel`] — the paper's contribution: the thermal network is
 //!   treated as a linear, time-invariant system, so a chiplet's temperature
 //!   is the superposition of a *self-heating* term (2D table of self-thermal
