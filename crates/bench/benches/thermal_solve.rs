@@ -2,14 +2,14 @@
 //! all of its time in.
 //!
 //! * `characterize/case3` — one fast-model characterisation with the CLI's
-//!   default fast backend (32×32 grid, 66 probe solves on
-//!   `available_parallelism()` threads) for Table III case 3's interposer:
-//!   what every cold `sa-fast`, `gradient` or `pretrained` solve pays
-//!   before its first evaluation.
+//!   default fast backend (32×32 grid, 66 serial probe solves, each of the
+//!   die-layer cells it reads: 64 footprint windows and 2 whole die layers)
+//!   for Table III case 3's interposer: what every cold `sa-fast`,
+//!   `gradient` or `pretrained` solve pays before its first evaluation.
 //! * `grid_solve/multi-gpu` — one grid-backend evaluation (the direct
 //!   spectral solve prepared once for the interposer, then one forward and
-//!   five inverse cosine transforms) of a fixed legal placement: the
-//!   per-evaluation cost of `sa-hotspot`.
+//!   one inverse cosine transform, of the die layer) of a fixed legal
+//!   placement: the per-evaluation cost of `sa-hotspot`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rlp_bench::random_legal_placement;

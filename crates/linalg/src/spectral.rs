@@ -22,12 +22,16 @@
 //!
 //! [`SpectralSolver`] inverts `G` exactly, up to rounding, for a right-hand
 //! side confined to one layer: it keeps the column `T(kx, ky)⁻¹ e_source` of
-//! every mode, so a solve is one forward transform of the source, one
-//! scaling per layer and one inverse transform per layer. Every sum runs in
-//! a fixed index order on the calling thread, so a solve is bit-for-bit
-//! reproducible.
+//! every mode, so a solve is one forward transform of the source, then one
+//! scaling and one inverse transform per layer it reads. The forward
+//! transform skips zero source cells and rows, and the inverse transform
+//! computes only a requested window of rows and columns of one layer. Every
+//! sum runs in a fixed index order on the calling thread, in the same order
+//! whatever the window, so a solve is bit-for-bit reproducible and a window
+//! equals the matching slice of the full solve bit for bit.
 
 use crate::error::LinalgError;
+use std::ops::Range;
 
 /// The orthonormal DCT-II basis of the `n`-point path Laplacian with
 /// Neumann ends (diagonal `1, 2, …, 2, 1`, off-diagonals `−1`).
@@ -229,66 +233,126 @@ impl SpectralSolver {
 
     /// Solves `G x = b`, where `b` is `source` (row-major, `nx * ny`
     /// cells) in the source layer and zero elsewhere. Returns every node of
-    /// `x`, layer-major.
+    /// `x`, layer-major: [`SpectralSolver::solve_window`] over every layer
+    /// and the whole grid.
     ///
     /// # Panics
     ///
     /// Panics if `source.len() != nx * ny`.
     pub fn solve(&self, source: &[f64]) -> Vec<f64> {
+        let modes = self.forward(source);
+        let mut x = Vec::with_capacity(self.layers * modes.len());
+        for layer in 0..self.layers {
+            x.extend(self.inverse(&modes, layer, 0..self.y_basis.n, 0..self.x_basis.n));
+        }
+        x
+    }
+
+    /// Solves `G x = b` as [`SpectralSolver::solve`] does, but computes only
+    /// the cells of `layer` in grid rows `rows` and columns `cols`. Returns
+    /// them row-major, `rows.len() * cols.len()` values, each bit-identical
+    /// to its node in `solve`'s result.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `source.len() != nx * ny`, `layer` is not a layer of the
+    /// grid, or either range is empty or reaches past the grid.
+    pub fn solve_window(
+        &self,
+        source: &[f64],
+        layer: usize,
+        rows: Range<usize>,
+        cols: Range<usize>,
+    ) -> Vec<f64> {
+        assert!(
+            layer < self.layers
+                && rows.start < rows.end
+                && rows.end <= self.y_basis.n
+                && cols.start < cols.end
+                && cols.end <= self.x_basis.n,
+            "solve_window: layer {layer}, rows {rows:?}, cols {cols:?} outside the grid"
+        );
+        self.inverse(&self.forward(source), layer, rows, cols)
+    }
+
+    /// The forward transform `Qyᵀ · S · Qx` of the ny×nx source map: along
+    /// each row first, then along each column.
+    ///
+    /// Zero source cells and all-zero source rows are skipped. Their terms
+    /// are `±0`, and adding `±0` to a partial sum that starts at `+0` never
+    /// changes its bits, so the modes equal the full transform's bit for bit.
+    fn forward(&self, source: &[f64]) -> Vec<f64> {
         let (nx, ny) = (self.x_basis.n, self.y_basis.n);
         let cells = nx * ny;
         assert_eq!(source.len(), cells, "solve: source length mismatch");
-
-        // Forward transform `Qyᵀ · S · Qx` of the ny×nx source map: along
-        // each row first, then along each column.
         let mut rows = vec![0.0; cells];
-        for (row, out) in source.chunks_exact(nx).zip(rows.chunks_exact_mut(nx)) {
+        let mut modes = vec![0.0; cells];
+        for (y, (row, out)) in source
+            .chunks_exact(nx)
+            .zip(rows.chunks_exact_mut(nx))
+            .enumerate()
+        {
+            if row.iter().all(|&s| s == 0.0) {
+                continue;
+            }
             for (&s, basis_row) in row.iter().zip(self.x_basis.q.chunks_exact(nx)) {
+                if s == 0.0 {
+                    continue;
+                }
                 for (o, &q) in out.iter_mut().zip(basis_row) {
                     *o += s * q;
                 }
             }
-        }
-        let mut modes = vec![0.0; cells];
-        for (ky, out) in modes.chunks_exact_mut(nx).enumerate() {
-            for (y, row) in rows.chunks_exact(nx).enumerate() {
-                let q = self.y_basis.q[y * ny + ky];
-                for (o, &r) in out.iter_mut().zip(row) {
+            // Every mode row accumulates the source rows in increasing `y`.
+            for (mode_row, &q) in modes
+                .chunks_exact_mut(nx)
+                .zip(&self.y_basis.q[y * ny..][..ny])
+            {
+                for (o, &r) in mode_row.iter_mut().zip(&*out) {
                     *o += q * r;
                 }
             }
         }
+        modes
+    }
 
-        // Per layer: scale every mode by its response, then transform back
-        // with `Qy · (·) · Qxᵀ`.
-        let mut x = vec![0.0; self.layers * cells];
-        let mut scaled = vec![0.0; cells];
-        for (response, field) in self
-            .response
-            .chunks_exact(cells)
-            .zip(x.chunks_exact_mut(cells))
-        {
-            for ((s, &m), &r) in scaled.iter_mut().zip(&modes).zip(response) {
-                *s = m * r;
-            }
-            rows.fill(0.0);
-            for (y, out) in rows.chunks_exact_mut(nx).enumerate() {
-                for (ky, mode_row) in scaled.chunks_exact(nx).enumerate() {
-                    let q = self.y_basis.q[y * ny + ky];
-                    for (o, &m) in out.iter_mut().zip(mode_row) {
-                        *o += q * m;
-                    }
-                }
-            }
-            for (row, out) in rows.chunks_exact(nx).zip(field.chunks_exact_mut(nx)) {
-                for (&r, mode) in row.iter().zip(self.x_basis.q_t.chunks_exact(nx)) {
-                    for (o, &q) in out.iter_mut().zip(mode) {
-                        *o += r * q;
-                    }
+    /// The `rows`×`cols` window of `layer` (row-major): every mode scaled
+    /// by its response, then transformed back with `Qy · (·) · Qxᵀ`, for the
+    /// window's rows and columns only.
+    fn inverse(
+        &self,
+        modes: &[f64],
+        layer: usize,
+        rows: Range<usize>,
+        cols: Range<usize>,
+    ) -> Vec<f64> {
+        let (nx, ny) = (self.x_basis.n, self.y_basis.n);
+        let cells = nx * ny;
+        let scaled: Vec<f64> = modes
+            .iter()
+            .zip(&self.response[layer * cells..][..cells])
+            .map(|(&m, &r)| m * r)
+            .collect();
+        let mut partial = vec![0.0; rows.len() * nx];
+        let mut field = vec![0.0; rows.len() * cols.len()];
+        for (y, out) in rows.zip(partial.chunks_exact_mut(nx)) {
+            for (mode_row, &q) in scaled.chunks_exact(nx).zip(&self.y_basis.q[y * ny..][..ny]) {
+                for (o, &m) in out.iter_mut().zip(mode_row) {
+                    *o += q * m;
                 }
             }
         }
-        x
+        for (row, out) in partial
+            .chunks_exact(nx)
+            .zip(field.chunks_exact_mut(cols.len()))
+        {
+            for (&r, mode) in row.iter().zip(self.x_basis.q_t.chunks_exact(nx)) {
+                for (o, &q) in out.iter_mut().zip(&mode[cols.clone()]) {
+                    *o += r * q;
+                }
+            }
+        }
+        field
     }
 }
 

@@ -122,6 +122,61 @@ proptest! {
         );
     }
 
+    /// A windowed single-layer solve equals the matching slice of the full
+    /// solve bit for bit, for sources with all-zero rows and columns and for
+    /// an all-zero source.
+    #[test]
+    fn windowed_solves_equal_the_full_solve_bit_for_bit(
+        nx in 1usize..=33,
+        ny in 1usize..=33,
+        layers in 1usize..7,
+        source_layer in 0usize..6,
+        conductances in prop::collection::vec(0.01f64..500.0, 19),
+        values in prop::collection::vec(-10.0f64..10.0, 33 * 33),
+        zero_rows in prop::collection::vec(any::<bool>(), 33),
+        zero_cols in prop::collection::vec(any::<bool>(), 33),
+        windows in prop::collection::vec((0usize..33, 0usize..33, 1usize..=33, 1usize..=33), 1..4),
+    ) {
+        let source_layer = source_layer % layers;
+        let per_layer = |offset: usize| (0..layers).map(|l| conductances[3 * l + offset]).collect();
+        let mut to_reference = vec![0.0; layers];
+        to_reference[layers - 1] = conductances[3 * layers];
+        let grid = LayeredGrid {
+            nx,
+            ny,
+            west_east: per_layer(0),
+            south_north: per_layer(1),
+            vertical: (0..layers - 1).map(|l| conductances[3 * l + 2]).collect(),
+            to_reference,
+        };
+        let solver = SpectralSolver::new(&grid, source_layer).unwrap();
+        let cells = nx * ny;
+        let sparse: Vec<f64> = (0..cells)
+            .map(|i| {
+                let (row, col) = (i / nx, i % nx);
+                if zero_rows[row] || zero_cols[col] { 0.0 } else { values[i] }
+            })
+            .collect();
+        for source in [sparse, vec![0.0; cells]] {
+            let full = solver.solve(&source);
+            for &(row, col, height, width) in windows.iter().chain([&(0, 0, 33, 33)]) {
+                let rows = row % ny..(row % ny + height).min(ny);
+                let cols = col % nx..(col % nx + width).min(nx);
+                for layer in 0..layers {
+                    let window = solver.solve_window(&source, layer, rows.clone(), cols.clone());
+                    let expected = rows.clone().flat_map(|y| {
+                        let start = layer * cells + y * nx;
+                        full[start + cols.start..start + cols.end].iter()
+                    });
+                    prop_assert!(
+                        window.iter().map(|v| v.to_bits()).eq(expected.map(|v| v.to_bits())),
+                        "layer {layer}, rows {rows:?}, cols {cols:?}"
+                    );
+                }
+            }
+        }
+    }
+
     /// CSR round-trips triplets: matvec agrees with a dense reference.
     #[test]
     fn csr_matvec_matches_dense(

@@ -17,19 +17,19 @@
 //! evaluating a floorplan costs a few table lookups per chiplet pair, which
 //! is where the reported >120x speed-up over the full solver comes from.
 //!
-//! The characterisation probes run on `std::thread::available_parallelism()`
-//! threads against one direct grid solve prepared for the interposer, and
-//! their results are reduced in sweep order: the tables are bit-identical
-//! whatever the core count.
+//! The characterisation probes run serially, in table order, against one
+//! direct grid solve prepared for the interposer. Each probe solves only
+//! the die-layer cells it reads: a footprint probe the cells under its die,
+//! a mutual probe the whole die layer. Those cells equal a full solve's bit
+//! for bit, so the tables are exactly what full solves would give.
 
 use crate::config::ThermalConfig;
 use crate::error::ThermalError;
-use crate::grid::GridThermalSolver;
+use crate::grid::{footprint_cells, peak_temperature, GridThermalSolver};
+use crate::power::PowerMap;
 use crate::ThermalAnalyzer;
-use rlp_chiplet::{Chiplet, ChipletId, ChipletSystem, Placement, Point, Position, Rect};
+use rlp_chiplet::{ChipletId, ChipletSystem, Placement, Point, Rect};
 use serde::{Deserialize, Serialize};
-use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Options controlling fast-model characterisation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -52,6 +52,35 @@ impl Default for CharacterizationOptions {
             distance_bins: 40,
             mutual_source_size_mm: 4.0,
         }
+    }
+}
+
+impl CharacterizationOptions {
+    /// Checks every field, naming the first unusable one.
+    fn validate(&self) -> Result<(), ThermalError> {
+        let mut sizes_and_power = self
+            .footprint_samples_mm
+            .iter()
+            .map(|&s| ("footprint_samples_mm", s))
+            .chain([
+                ("reference_power_w", self.reference_power_w),
+                ("mutual_source_size_mm", self.mutual_source_size_mm),
+            ]);
+        let reason = if self.footprint_samples_mm.len() < 2 {
+            "footprint_samples_mm needs at least two samples".to_string()
+        } else if self.distance_bins < 2 {
+            format!(
+                "distance_bins must be at least 2, got {}",
+                self.distance_bins
+            )
+        } else if let Some((field, bad)) =
+            sizes_and_power.find(|&(_, v)| !(v > 0.0 && v.is_finite()))
+        {
+            format!("{field} must be positive and finite, got {bad}")
+        } else {
+            return Ok(());
+        };
+        Err(ThermalError::InvalidConfig { reason })
     }
 }
 
@@ -100,54 +129,23 @@ impl FastThermalModel {
     ///
     /// # Errors
     ///
-    /// Returns [`ThermalError::InvalidConfig`] for unusable options and
-    /// propagates solver errors from the underlying characterisation runs:
-    /// the first failing probe in sweep order.
+    /// Returns [`ThermalError::InvalidConfig`] for unusable options, before
+    /// any probe runs, and propagates the grid solve's error for an
+    /// interposer outline it cannot invert.
     pub fn characterize(
         config: &ThermalConfig,
         interposer_width_mm: f64,
         interposer_height_mm: f64,
         options: &CharacterizationOptions,
     ) -> Result<Self, ThermalError> {
-        if options.footprint_samples_mm.len() < 2 {
-            return Err(ThermalError::InvalidConfig {
-                reason: "need at least two footprint samples".to_string(),
-            });
-        }
-        if options.distance_bins < 2 {
-            return Err(ThermalError::InvalidConfig {
-                reason: "need at least two distance bins".to_string(),
-            });
-        }
-        if options.reference_power_w <= 0.0 {
-            return Err(ThermalError::InvalidConfig {
-                reason: "reference power must be positive".to_string(),
-            });
-        }
+        options.validate()?;
         let solver = GridThermalSolver::try_new(config.clone())?;
-        let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-        Self::characterize_on(
-            solver,
-            interposer_width_mm,
-            interposer_height_mm,
-            options,
-            workers,
-        )
-    }
-
-    /// The characterisation sweep on up to `workers` threads, with one
-    /// grid solve prepared for the whole sweep.
-    fn characterize_on(
-        solver: GridThermalSolver,
-        interposer_width_mm: f64,
-        interposer_height_mm: f64,
-        options: &CharacterizationOptions,
-        workers: usize,
-    ) -> Result<Self, ThermalError> {
-        let solver = solver.with_interposer(interposer_width_mm, interposer_height_mm);
-        let config = solver.config();
+        let spectral = solver.spectral_for(interposer_width_mm, interposer_height_mm)?;
+        let (nx, ny) = (config.grid_nx, config.grid_ny);
+        let die_layer = config.stack.power_layer();
+        let ambient = config.ambient_c;
         let mut samples = options.footprint_samples_mm.clone();
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("footprint samples must be finite"));
+        samples.sort_by(f64::total_cmp);
         samples.dedup();
         // Footprints larger than the interposer cannot occur in a legal
         // placement; clamp the sample range so characterisation stays legal.
@@ -156,78 +154,64 @@ impl FastThermalModel {
         let widths_mm: Vec<f64> = samples.iter().map(|&s| s.min(max_w)).collect();
         let heights_mm: Vec<f64> = samples.iter().map(|&s| s.min(max_h)).collect();
         let p0 = options.reference_power_w;
-
-        // The mutual-resistance table is a distance histogram of the field
-        // around an isolated source, using two source positions so that the
-        // table covers distances up to the interposer diagonal.
-        let src = options.mutual_source_size_mm.min(max_w).min(max_h);
-        let source_positions = [
-            Point2::new(interposer_width_mm / 2.0, interposer_height_mm / 2.0),
-            Point2::new(interposer_width_mm * 0.2, interposer_height_mm * 0.2),
-        ];
-
-        // Probes in sweep order: one solve per (w, h) footprint sample, in
-        // self-resistance table order, then one per mutual source.
-        let footprints = widths_mm.len() * heights_mm.len();
-        let probe = |index: usize| -> Result<Probe, ThermalError> {
-            let mut sys = ChipletSystem::new("probe", interposer_width_mm, interposer_height_mm);
-            if index < footprints {
-                let w = widths_mm[index % widths_mm.len()];
-                let h = heights_mm[index / widths_mm.len()];
-                let id = sys.add_chiplet(Chiplet::new("probe", w, h, p0));
-                let mut placement = Placement::for_system(&sys);
-                placement.place(
-                    id,
-                    Position::new(
-                        (interposer_width_mm - w) / 2.0,
-                        (interposer_height_mm - h) / 2.0,
-                    ),
-                );
-                let solution = solver.solve(&sys, &placement)?;
-                let temps = solver.chiplet_temperatures_from_solution(&sys, &placement, &solution);
-                Ok(Probe::SelfResistance((temps[0] - config.ambient_c) / p0))
-            } else {
-                let center = source_positions[index - footprints];
-                let id = sys.add_chiplet(Chiplet::new("src", src, src, p0));
-                let mut placement = Placement::for_system(&sys);
-                placement.place(
-                    id,
-                    Position::new(center.x - src / 2.0, center.y - src / 2.0),
-                );
-                let solution = solver.solve(&sys, &placement)?;
-                Ok(Probe::MutualField(solution.die_temperature_field()))
-            }
+        let power_of = |rect: &Rect| {
+            let mut power = PowerMap::empty(interposer_width_mm, interposer_height_mm, nx, ny);
+            power.add(rect, p0);
+            power
         };
-        let mut self_resistance = Vec::with_capacity(footprints);
-        let mut fields = Vec::with_capacity(source_positions.len());
-        for probe in sweep(footprints + source_positions.len(), workers, probe)? {
-            match probe {
-                Probe::SelfResistance(r) => self_resistance.push(r),
-                Probe::MutualField(field) => fields.push(field),
+
+        // One probe per (w, h) footprint sample, in self-resistance table
+        // order: a centred die, whose temperature is the peak over the
+        // cells under it, so only those cells of the die layer are solved.
+        let mut self_resistance = Vec::with_capacity(widths_mm.len() * heights_mm.len());
+        for &h in &heights_mm {
+            for &w in &widths_mm {
+                let rect = Rect::new(
+                    (interposer_width_mm - w) / 2.0,
+                    (interposer_height_mm - h) / 2.0,
+                    w,
+                    h,
+                );
+                let power = power_of(&rect);
+                let (rows, cols) =
+                    footprint_cells(&rect, power.cell_width(), power.cell_height(), nx, ny);
+                let rises = spectral.solve_window(power.cells(), die_layer, rows, cols);
+                self_resistance.push((peak_temperature(ambient, rises) - ambient) / p0);
             }
         }
 
-        let (nx, ny) = (config.grid_nx, config.grid_ny);
+        // The mutual-resistance table is a distance histogram of the
+        // die-layer field around an isolated source, using two source
+        // positions so that the table covers distances up to the interposer
+        // diagonal.
+        let src = options.mutual_source_size_mm.min(max_w).min(max_h);
         let max_distance = (interposer_width_mm.powi(2) + interposer_height_mm.powi(2)).sqrt();
         let bin_width = max_distance / options.distance_bins as f64;
         let mut bin_sum = vec![0.0; options.distance_bins];
         let mut bin_count = vec![0usize; options.distance_bins];
-        for (source_center, field) in source_positions.iter().zip(&fields) {
+        for (cx_src, cy_src) in [
+            (interposer_width_mm / 2.0, interposer_height_mm / 2.0),
+            (interposer_width_mm * 0.2, interposer_height_mm * 0.2),
+        ] {
+            let power = power_of(&Rect::new(cx_src - src / 2.0, cy_src - src / 2.0, src, src));
+            let rises = spectral.solve_window(power.cells(), die_layer, 0..ny, 0..nx);
             let cell_w = interposer_width_mm / nx as f64;
             let cell_h = interposer_height_mm / ny as f64;
             for row in 0..ny {
                 for col in 0..nx {
                     let cx = (col as f64 + 0.5) * cell_w;
                     let cy = (row as f64 + 0.5) * cell_h;
-                    let d =
-                        ((cx - source_center.x).powi(2) + (cy - source_center.y).powi(2)).sqrt();
+                    let d = ((cx - cx_src).powi(2) + (cy - cy_src).powi(2)).sqrt();
                     // Cells inside the source footprint measure self-heating,
                     // not mutual heating; skip them.
                     if d < src {
                         continue;
                     }
                     let bin = ((d / bin_width) as usize).min(options.distance_bins - 1);
-                    bin_sum[bin] += (field[row * nx + col] - config.ambient_c) / p0;
+                    // Through the temperature, as the solved field reports
+                    // it, so the table matches a full solve bit for bit.
+                    let temperature = ambient + rises[row * nx + col];
+                    bin_sum[bin] += (temperature - ambient) / p0;
                     bin_count[bin] += 1;
                 }
             }
@@ -249,7 +233,7 @@ impl FastThermalModel {
         }
 
         Ok(Self {
-            ambient_c: config.ambient_c,
+            ambient_c: ambient,
             interposer_width_mm,
             interposer_height_mm,
             widths_mm,
@@ -327,84 +311,6 @@ impl FastThermalModel {
         }
         Ok(())
     }
-}
-
-/// Internal 2D point helper (avoids importing the full geometry type here).
-#[derive(Clone, Copy)]
-struct Point2 {
-    x: f64,
-    y: f64,
-}
-
-impl Point2 {
-    fn new(x: f64, y: f64) -> Self {
-        Self { x, y }
-    }
-}
-
-/// What one characterisation probe keeps of its solve.
-enum Probe {
-    /// A footprint probe: the self-resistance of its die, K/W.
-    SelfResistance(f64),
-    /// A mutual-source probe: the die-layer temperature field, °C.
-    MutualField(Vec<f64>),
-}
-
-/// Runs `probe(0..count)` on up to `workers` threads, the calling thread
-/// being one of them, and returns the results in index order.
-///
-/// Workers take the next index from a shared counter, so indices start in
-/// increasing order. After a failure no new index starts, but every index
-/// below it has already started and runs to completion. The error returned
-/// is therefore the first in index order: the one a serial sweep returns.
-fn sweep<T: Send>(
-    count: usize,
-    workers: usize,
-    probe: impl Fn(usize) -> Result<T, ThermalError> + Sync,
-) -> Result<Vec<T>, ThermalError> {
-    // Relaxed is enough for both atomics: the counter's read-modify-writes
-    // are totally ordered on their own, `failed` is only a hint to stop
-    // early, and results travel back through the thread joins.
-    let next = AtomicUsize::new(0);
-    let failed = AtomicBool::new(false);
-    let work = || {
-        let mut done = Vec::new();
-        while !failed.load(Ordering::Relaxed) {
-            let index = next.fetch_add(1, Ordering::Relaxed);
-            if index >= count {
-                break;
-            }
-            let result = probe(index);
-            if result.is_err() {
-                failed.store(true, Ordering::Relaxed);
-            }
-            done.push((index, result));
-        }
-        done
-    };
-    let batches = std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..workers.min(count).max(1))
-            .map(|_| scope.spawn(work))
-            .collect();
-        let mut batches = vec![work()];
-        for helper in helpers {
-            batches.push(
-                helper
-                    .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
-            );
-        }
-        batches
-    });
-    let mut slots: Vec<Option<Result<T, ThermalError>>> =
-        std::iter::repeat_with(|| None).take(count).collect();
-    for (index, result) in batches.into_iter().flatten() {
-        slots[index] = Some(result);
-    }
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every probe before the first failure ran"))
-        .collect()
 }
 
 /// Piecewise-linear interpolation with clamping at the table edges.
@@ -680,8 +586,7 @@ mod tests {
     use super::*;
     use crate::config::{Layer, LayerStack, ThermalConfig};
     use crate::grid::ThermalSolution;
-    use crate::power::PowerMap;
-    use std::sync::Barrier;
+    use rlp_chiplet::{Chiplet, Position};
 
     fn quick_options() -> CharacterizationOptions {
         CharacterizationOptions {
@@ -763,8 +668,8 @@ mod tests {
         let mut bin_sum = vec![0.0; options.distance_bins];
         let mut bin_count = vec![0usize; options.distance_bins];
         for center in [
-            Point2::new(interposer_width_mm / 2.0, interposer_height_mm / 2.0),
-            Point2::new(interposer_width_mm * 0.2, interposer_height_mm * 0.2),
+            Point::new(interposer_width_mm / 2.0, interposer_height_mm / 2.0),
+            Point::new(interposer_width_mm * 0.2, interposer_height_mm * 0.2),
         ] {
             let mut sys = ChipletSystem::new("probe", interposer_width_mm, interposer_height_mm);
             let id = sys.add_chiplet(Chiplet::new("src", src, src, p0));
@@ -855,20 +760,8 @@ mod tests {
                 solver.solve(sys, placement)
             })
             .unwrap();
-            let reference = table_bits(&serial);
-            for workers in [1, 3] {
-                let model = FastThermalModel::characterize_on(
-                    solver.clone(),
-                    w,
-                    h,
-                    &quick_options(),
-                    workers,
-                )
-                .unwrap();
-                assert_eq!(table_bits(&model), reference, "{case}, {workers} worker(s)");
-            }
-            let public = FastThermalModel::characterize(&config, w, h, &quick_options()).unwrap();
-            assert_eq!(table_bits(&public), reference, "{case}");
+            let model = FastThermalModel::characterize(&config, w, h, &quick_options()).unwrap();
+            assert_eq!(table_bits(&model), table_bits(&serial), "{case}");
 
             let (nx, ny) = (config.grid_nx, config.grid_ny);
             let oracle = serial_reference(&solver, w, h, &quick_options(), &|sys, placement| {
@@ -895,40 +788,6 @@ mod tests {
                     "{case}, entry {index}: direct {d} vs CG oracle {c}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn sweep_keeps_index_order_and_reports_the_first_failure_in_it() {
-        let fail = |i: usize| ThermalError::InvalidConfig {
-            reason: format!("probe {i}"),
-        };
-        for workers in 1..=4 {
-            assert_eq!(
-                sweep(10, workers, |i| Ok(i * i)),
-                Ok((0..10).map(|i| i * i).collect::<Vec<_>>())
-            );
-            let result = sweep(10, workers, |i| {
-                if i == 3 || i == 7 {
-                    Err(fail(i))
-                } else {
-                    Ok(i)
-                }
-            });
-            assert_eq!(result, Err(fail(3)));
-        }
-        // Probes 3 and 7 are in flight together and both fail: the result is
-        // still probe 3's, whichever failure is recorded first.
-        for workers in 2..=4 {
-            let both_running = Barrier::new(2);
-            let result = sweep(10, workers, |i| {
-                if i == 3 || i == 7 {
-                    both_running.wait();
-                    return Err(fail(i));
-                }
-                Ok(i)
-            });
-            assert_eq!(result, Err(fail(3)));
         }
     }
 
@@ -1140,21 +999,62 @@ mod tests {
     #[test]
     fn bad_characterization_options_are_rejected() {
         let config = ThermalConfig::with_grid(8, 8);
-        let bad_samples = CharacterizationOptions {
-            footprint_samples_mm: vec![4.0],
-            ..quick_options()
-        };
-        assert!(FastThermalModel::characterize(&config, 30.0, 30.0, &bad_samples).is_err());
-        let bad_bins = CharacterizationOptions {
-            distance_bins: 1,
-            ..quick_options()
-        };
-        assert!(FastThermalModel::characterize(&config, 30.0, 30.0, &bad_bins).is_err());
-        let bad_power = CharacterizationOptions {
-            reference_power_w: 0.0,
-            ..quick_options()
-        };
-        assert!(FastThermalModel::characterize(&config, 30.0, 30.0, &bad_power).is_err());
+        let cases = [
+            (
+                "footprint_samples_mm",
+                CharacterizationOptions {
+                    footprint_samples_mm: vec![4.0],
+                    ..quick_options()
+                },
+            ),
+            (
+                "distance_bins",
+                CharacterizationOptions {
+                    distance_bins: 1,
+                    ..quick_options()
+                },
+            ),
+        ];
+        let samples = [0.0, -2.0, f64::NAN, f64::INFINITY].map(|bad| {
+            (
+                "footprint_samples_mm",
+                CharacterizationOptions {
+                    footprint_samples_mm: vec![bad, 4.0],
+                    ..quick_options()
+                },
+            )
+        });
+        let sources = [0.0, -1.0, f64::NAN, f64::INFINITY].map(|bad| {
+            (
+                "mutual_source_size_mm",
+                CharacterizationOptions {
+                    mutual_source_size_mm: bad,
+                    ..quick_options()
+                },
+            )
+        });
+        let powers = [0.0, -1.0, f64::NAN, f64::INFINITY].map(|bad| {
+            (
+                "reference_power_w",
+                CharacterizationOptions {
+                    reference_power_w: bad,
+                    ..quick_options()
+                },
+            )
+        });
+        for (field, options) in cases
+            .into_iter()
+            .chain(samples)
+            .chain(sources)
+            .chain(powers)
+        {
+            match FastThermalModel::characterize(&config, 30.0, 30.0, &options) {
+                Err(ThermalError::InvalidConfig { reason }) => {
+                    assert!(reason.contains(field), "{options:?}: {reason}");
+                }
+                other => panic!("{options:?} was not refused: {other:?}"),
+            }
+        }
     }
 
     // Requires a real serde backend; the offline build vendors a no-op

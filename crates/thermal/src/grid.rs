@@ -14,9 +14,12 @@
 //! `layers×layers` tridiagonal system per lateral mode. The solver inverts
 //! `G` that way ([`SpectralSolver`]), directly and exactly up to rounding:
 //! one forward transform of the power map, one scaling and one inverse
-//! transform per layer. What it prepares depends only on the configuration
-//! and the interposer outline, never on the placement, so a solver prepared
-//! for an outline reuses it for every solve on that outline.
+//! transform per layer. [`GridThermalSolver::solve`] returns every layer;
+//! the [`ThermalAnalyzer`] methods transform back the die layer alone, the
+//! only one a chiplet's temperature is read from, and get the same bits.
+//! What the solver prepares depends only on the configuration and the
+//! interposer outline, never on the placement, so a solver prepared for an
+//! outline reuses it for every solve on that outline.
 //!
 //! This solver plays the role of the open-source HotSpot simulator in the
 //! paper's evaluation: it is the accuracy reference that the fast thermal
@@ -26,9 +29,11 @@ use crate::config::{Layer, ThermalConfig};
 use crate::error::ThermalError;
 use crate::power::PowerMap;
 use crate::ThermalAnalyzer;
-use rlp_chiplet::{ChipletSystem, Placement};
+use rlp_chiplet::{ChipletSystem, Placement, Rect};
 use rlp_linalg::{LayeredGrid, SpectralSolver};
+use std::borrow::Cow;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Result of a full-field steady-state solve.
@@ -85,15 +90,6 @@ impl ThermalSolution {
         let base = self.power_layer * self.nx * self.ny;
         let slice = &self.delta_t[base..base + self.nx * self.ny];
         self.ambient_c + slice.iter().fold(0.0_f64, |acc, &v| acc.max(v))
-    }
-
-    /// The die-layer temperature field (row-major) in degrees Celsius.
-    pub fn die_temperature_field(&self) -> Vec<f64> {
-        let base = self.power_layer * self.nx * self.ny;
-        self.delta_t[base..base + self.nx * self.ny]
-            .iter()
-            .map(|&v| self.ambient_c + v)
-            .collect()
     }
 }
 
@@ -210,16 +206,24 @@ impl GridThermalSolver {
                 ),
             });
         }
-        let (width, height) = (system.interposer_width(), system.interposer_height());
-        let fresh;
-        let prepared = match &self.prepared {
-            Some(prepared) if prepared.outline == (width.to_bits(), height.to_bits()) => prepared,
-            _ => {
-                fresh = self.prepare(width, height)?;
-                &fresh
+        let spectral = self.spectral_for(system.interposer_width(), system.interposer_height())?;
+        Ok(self.solution(spectral.solve(power.cells()), 0))
+    }
+
+    /// The direct solve of an interposer outline (mm): the prepared one if
+    /// it was prepared for exactly this outline, else a fresh one, or
+    /// [`ThermalError::Solver`] if the outline leaves `G` singular.
+    pub(crate) fn spectral_for(
+        &self,
+        width_mm: f64,
+        height_mm: f64,
+    ) -> Result<Cow<'_, SpectralSolver>, ThermalError> {
+        match &self.prepared {
+            Some(prepared) if prepared.outline == (width_mm.to_bits(), height_mm.to_bits()) => {
+                Ok(Cow::Borrowed(&prepared.spectral))
             }
-        };
-        Ok(self.solution(prepared.spectral.solve(power.cells()), 0))
+            _ => Ok(Cow::Owned(self.prepare(width_mm, height_mm)?.spectral)),
+        }
     }
 
     /// The conductances of this package's grid on an interposer of the
@@ -365,44 +369,85 @@ impl GridThermalSolver {
         placement: &Placement,
         solution: &ThermalSolution,
     ) -> Vec<f64> {
-        let nx = solution.nx();
-        let ny = solution.ny();
-        let cell_w = system.interposer_width() / nx as f64;
-        let cell_h = system.interposer_height() / ny as f64;
-        system
-            .chiplet_ids()
-            .map(|id| {
-                let Some(rect) = placement.rect_of(id, system) else {
-                    return self.config.ambient_c;
-                };
-                let col_lo = ((rect.x / cell_w).floor().max(0.0) as usize).min(nx - 1);
-                let col_hi = (((rect.right() / cell_w).ceil() as usize).max(col_lo + 1)).min(nx);
-                let row_lo = ((rect.y / cell_h).floor().max(0.0) as usize).min(ny - 1);
-                let row_hi = (((rect.top() / cell_h).ceil() as usize).max(row_lo + 1)).min(ny);
-                let mut max_t = f64::NEG_INFINITY;
-                for row in row_lo..row_hi {
-                    for col in col_lo..col_hi {
-                        max_t = max_t.max(solution.die_temperature_at(col, row));
-                    }
-                }
-                if max_t.is_finite() {
-                    max_t
-                } else {
-                    self.config.ambient_c
-                }
-            })
-            .collect()
+        let (nx, ny) = (solution.nx, solution.ny);
+        let die = &solution.delta_t[solution.power_layer * nx * ny..][..nx * ny];
+        chiplet_peaks(system, placement, nx, ny, solution.ambient_c, die)
     }
 }
 
+/// The cells `(rows, cols)` of an `nx`×`ny` grid of `cell_w`×`cell_h` mm
+/// cells that a die's temperature is the maximum over: every cell its
+/// rectangle touches, and at least one.
+pub(crate) fn footprint_cells(
+    rect: &Rect,
+    cell_w: f64,
+    cell_h: f64,
+    nx: usize,
+    ny: usize,
+) -> (Range<usize>, Range<usize>) {
+    let col_lo = ((rect.x / cell_w).floor().max(0.0) as usize).min(nx - 1);
+    let col_hi = (((rect.right() / cell_w).ceil() as usize).max(col_lo + 1)).min(nx);
+    let row_lo = ((rect.y / cell_h).floor().max(0.0) as usize).min(ny - 1);
+    let row_hi = (((rect.top() / cell_h).ceil() as usize).max(row_lo + 1)).min(ny);
+    (row_lo..row_hi, col_lo..col_hi)
+}
+
+/// The hottest die temperature, in Celsius, over a die's cells given their
+/// temperature rises (K) in row-major order; ambient if none is finite.
+pub(crate) fn peak_temperature(ambient_c: f64, rises: impl IntoIterator<Item = f64>) -> f64 {
+    let max_t = rises
+        .into_iter()
+        .fold(f64::NEG_INFINITY, |max_t, rise| max_t.max(ambient_c + rise));
+    if max_t.is_finite() {
+        max_t
+    } else {
+        ambient_c
+    }
+}
+
+/// Per-chiplet maximum die temperature, in Celsius, from the die layer's
+/// temperature rises `die` (row-major, `nx`×`ny`). Unplaced chiplets sit
+/// at ambient.
+fn chiplet_peaks(
+    system: &ChipletSystem,
+    placement: &Placement,
+    nx: usize,
+    ny: usize,
+    ambient_c: f64,
+    die: &[f64],
+) -> Vec<f64> {
+    let cell_w = system.interposer_width() / nx as f64;
+    let cell_h = system.interposer_height() / ny as f64;
+    system
+        .chiplet_ids()
+        .map(|id| {
+            let Some(rect) = placement.rect_of(id, system) else {
+                return ambient_c;
+            };
+            let (rows, cols) = footprint_cells(&rect, cell_w, cell_h, nx, ny);
+            peak_temperature(
+                ambient_c,
+                rows.flat_map(|row| &die[row * nx..][cols.clone()]).copied(),
+            )
+        })
+        .collect()
+}
+
 impl ThermalAnalyzer for GridThermalSolver {
+    /// Solves the die layer alone, bit-identical to the chiplet temperatures
+    /// of a full [`GridThermalSolver::solve`].
     fn chiplet_temperatures(
         &self,
         system: &ChipletSystem,
         placement: &Placement,
     ) -> Result<Vec<f64>, ThermalError> {
-        let solution = self.solve(system, placement)?;
-        Ok(self.chiplet_temperatures_from_solution(system, placement, &solution))
+        let (nx, ny) = (self.config.grid_nx, self.config.grid_ny);
+        let power = PowerMap::rasterize(system, placement, nx, ny);
+        let die = self
+            .spectral_for(system.interposer_width(), system.interposer_height())?
+            .solve_window(power.cells(), self.config.stack.power_layer(), 0..ny, 0..nx);
+        let ambient_c = self.config.ambient_c;
+        Ok(chiplet_peaks(system, placement, nx, ny, ambient_c, &die))
     }
 
     fn name(&self) -> &str {
@@ -711,6 +756,61 @@ mod tests {
                 rlp_linalg::norm2(&residual),
                 rlp_linalg::norm2(&b)
             );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// `chiplet_temperatures` solves the die layer alone, yet equals
+        /// the temperatures read from a full solve bit for bit, whichever
+        /// layer the power goes into and whichever chiplets are placed.
+        #[test]
+        fn die_layer_temperatures_equal_the_full_solve_bit_for_bit(
+            power_on_top in any::<bool>(),
+            nx in 2usize..20,
+            ny in 2usize..20,
+            chiplets in prop::collection::vec(
+                (0.0f64..1.0, 0.0f64..1.0, 0.05f64..0.5, 0.0f64..40.0, any::<bool>()),
+                1..5,
+            ),
+        ) {
+            let stack = if power_on_top {
+                LayerStack::new(LayerStack::default_2_5d().layers().to_vec(), 4)
+            } else {
+                LayerStack::new(
+                    vec![Layer::new("die", 0.15, 120.0), Layer::new("sink", 2.0, 400.0)],
+                    0,
+                )
+            };
+            let config = ThermalConfig {
+                stack,
+                ..ThermalConfig::with_grid(nx, ny)
+            };
+            let (width, height) = (30.0, 24.0);
+            let mut sys = ChipletSystem::new("t", width, height);
+            let mut placed = Vec::new();
+            for (i, &(x, y, size, power, place)) in chiplets.iter().enumerate() {
+                let (w, h) = (size * width, size * height);
+                let id = sys.add_chiplet(Chiplet::new(format!("c{i}"), w, h, power));
+                if place {
+                    placed.push((id, Position::new(x * (width - w), y * (height - h))));
+                }
+            }
+            let mut placement = Placement::for_system(&sys);
+            for (id, at) in placed {
+                placement.place(id, at);
+            }
+            let bits = |temps: Vec<f64>| temps.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+            for solver in [
+                GridThermalSolver::new(config.clone()),
+                GridThermalSolver::new(config).with_interposer(width, height),
+            ] {
+                let solution = solver.solve(&sys, &placement).unwrap();
+                let full = solver.chiplet_temperatures_from_solution(&sys, &placement, &solution);
+                let die = solver.chiplet_temperatures(&sys, &placement).unwrap();
+                prop_assert_eq!(bits(die), bits(full));
+            }
         }
     }
 

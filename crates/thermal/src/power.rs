@@ -23,45 +23,58 @@ impl PowerMap {
     /// Unplaced chiplets contribute nothing, which lets the RL environment
     /// evaluate partial placements.
     pub fn rasterize(system: &ChipletSystem, placement: &Placement, nx: usize, ny: usize) -> Self {
-        assert!(nx > 0 && ny > 0, "power map grid must be non-empty");
-        let cell_width_mm = system.interposer_width() / nx as f64;
-        let cell_height_mm = system.interposer_height() / ny as f64;
-        let mut cells = vec![0.0; nx * ny];
+        let mut map = Self::empty(
+            system.interposer_width(),
+            system.interposer_height(),
+            nx,
+            ny,
+        );
         for (id, _, _) in placement.iter_placed() {
-            let Some(rect) = placement.rect_of(id, system) else {
-                continue;
-            };
-            let chiplet = system.chiplet(id);
-            if chiplet.power() == 0.0 {
-                continue;
-            }
-            let density = chiplet.power() / rect.area();
-            // Only visit cells overlapping the chiplet's bounding box.
-            let col_lo = ((rect.x / cell_width_mm).floor().max(0.0)) as usize;
-            let col_hi = ((rect.right() / cell_width_mm).ceil() as usize).min(nx);
-            let row_lo = ((rect.y / cell_height_mm).floor().max(0.0)) as usize;
-            let row_hi = ((rect.top() / cell_height_mm).ceil() as usize).min(ny);
-            for row in row_lo..row_hi {
-                for col in col_lo..col_hi {
-                    let cell_rect = Rect::new(
-                        col as f64 * cell_width_mm,
-                        row as f64 * cell_height_mm,
-                        cell_width_mm,
-                        cell_height_mm,
-                    );
-                    let overlap = cell_rect.intersection_area(&rect);
-                    if overlap > 0.0 {
-                        cells[row * nx + col] += overlap * density;
-                    }
-                }
+            if let Some(rect) = placement.rect_of(id, system) {
+                map.add(&rect, system.chiplet(id).power());
             }
         }
+        map
+    }
+
+    /// A map of `nx`×`ny` cells over an interposer of
+    /// `width_mm × height_mm` with no power in it.
+    pub(crate) fn empty(width_mm: f64, height_mm: f64, nx: usize, ny: usize) -> Self {
+        assert!(nx > 0 && ny > 0, "power map grid must be non-empty");
         Self {
             nx,
             ny,
-            cell_width_mm,
-            cell_height_mm,
-            cells,
+            cell_width_mm: width_mm / nx as f64,
+            cell_height_mm: height_mm / ny as f64,
+            cells: vec![0.0; nx * ny],
+        }
+    }
+
+    /// Spreads `power_w` uniformly over a die's `rect` and adds it to the
+    /// cells in proportion to their overlap with it.
+    pub(crate) fn add(&mut self, rect: &Rect, power_w: f64) {
+        if power_w == 0.0 {
+            return;
+        }
+        let density = power_w / rect.area();
+        // Only visit cells overlapping the die's bounding box.
+        let col_lo = ((rect.x / self.cell_width_mm).floor().max(0.0)) as usize;
+        let col_hi = ((rect.right() / self.cell_width_mm).ceil() as usize).min(self.nx);
+        let row_lo = ((rect.y / self.cell_height_mm).floor().max(0.0)) as usize;
+        let row_hi = ((rect.top() / self.cell_height_mm).ceil() as usize).min(self.ny);
+        for row in row_lo..row_hi {
+            for col in col_lo..col_hi {
+                let cell_rect = Rect::new(
+                    col as f64 * self.cell_width_mm,
+                    row as f64 * self.cell_height_mm,
+                    self.cell_width_mm,
+                    self.cell_height_mm,
+                );
+                let overlap = cell_rect.intersection_area(rect);
+                if overlap > 0.0 {
+                    self.cells[row * self.nx + col] += overlap * density;
+                }
+            }
         }
     }
 

@@ -35,16 +35,9 @@ fn dataset_size() -> usize {
 fn main() {
     let count = dataset_size();
     let thermal_config = ThermalConfig::with_grid(32, 32);
-    // Slightly trimmed characterisation sweep: every synthetic system has its
-    // own interposer size, so the table is rebuilt per system and a full
-    // 8x8 footprint sweep would dominate the runtime of the report.
     let fast_backend = ThermalBackend::Fast {
         config: thermal_config.clone(),
-        characterization: CharacterizationOptions {
-            footprint_samples_mm: vec![4.0, 8.0, 14.0, 22.0],
-            distance_bins: 24,
-            ..CharacterizationOptions::default()
-        },
+        characterization: CharacterizationOptions::default(),
     };
     let grid_solver = GridThermalSolver::new(thermal_config.clone());
     let placement_grid = PlacementGrid::new(16, 16);

@@ -526,3 +526,26 @@ fn on_candidate_stream_is_the_telemetry_for_every_method() {
     }
     let _ = std::fs::remove_file(&policy);
 }
+
+#[test]
+fn a_wire_request_with_unusable_characterisation_options_is_an_error_not_a_panic() {
+    let request = FloorplanRequest::builder()
+        .system(synthetic_case(1))
+        .method(Method::sa())
+        .thermal(tiny_fast_backend())
+        .budget(Budget::Evaluations(10))
+        .build()
+        .unwrap();
+    let json = rlplanner::report::request_json(&request);
+    let samples = "\"footprint_samples_mm\": [4, 10]";
+    assert!(json.contains(samples), "{json}");
+    let bad =
+        rlplanner::request_from_json(&json.replace(samples, "\"footprint_samples_mm\": [0, 4]"))
+            .expect("the request parses; characterisation rejects it");
+    match bad.solve() {
+        Err(rlplanner::PlanError::Thermal(rlp_thermal::ThermalError::InvalidConfig { reason })) => {
+            assert!(reason.contains("footprint_samples_mm"), "{reason}");
+        }
+        other => panic!("expected a characterisation error, got {other:?}"),
+    }
+}
