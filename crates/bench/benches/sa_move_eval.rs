@@ -1,19 +1,18 @@
 //! Per-move evaluation cost of the SA hot loop: full versus incremental.
 //!
-//! The old anneal loop cloned the placement and recomputed the bump
-//! assignment, the total wirelength and the complete O(n²) thermal
-//! superposition for every proposed move. The incremental engine
+//! The old anneal loop cloned the placement and recomputed the wirelength
+//! of every net and the complete O(n²) thermal superposition for every
+//! proposed move. The incremental engine
 //! (`RewardCalculator::delta_objective`) recomputes only the nets and the
-//! thermal row/column the move touched. This bench measures exactly that
-//! per-move cost at 4, 8 and 16 chiplets:
+//! thermal row/column the move touched. Both paths sum a net's bump
+//! wirelength with the same closed-form kernel (`bumps::net_wirelength`).
+//! This bench measures the per-move cost at 4, 8 and 16 chiplets:
 //!
 //! * `full/<n>` — clone + `apply_move` + a from-scratch
 //!   `RewardCalculator::evaluate` (the pre-refactor loop body);
 //! * `incremental/<n>` — `apply_move_in_place` + `propose` + `reject` +
 //!   `undo_move` (the post-refactor loop body for a rejected move, the
 //!   common case late in an anneal).
-//!
-//! The acceptance bar for the refactor is ≥5x at 8 chiplets.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rlp_benchmarks::{SyntheticConfig, SyntheticSystemGenerator};

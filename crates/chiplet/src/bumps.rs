@@ -16,6 +16,11 @@
 //! This captures the dominant geometric effect (wirelength grows with the
 //! separation of the facing edges and with lateral misalignment) without
 //! modelling the full interposer routing fabric.
+//!
+//! [`assign_bumps`] emits every bump coordinate, so it walks every wire.
+//! The reward only needs each net's total, which [`net_wirelength`]
+//! computes in O(rows) from the same geometry: within a run of wires that
+//! share a bump row on both dies, every wire has the same length.
 
 use crate::chiplet::ChipletId;
 use crate::error::PlacementError;
@@ -131,6 +136,22 @@ struct SideLayout {
     per_row: usize,
 }
 
+impl SideLayout {
+    /// Unclamped along-edge coordinate of the first bump of `row` when the
+    /// side carries `count` bumps: each row is centred on the side, and
+    /// only the last row can be partial.
+    fn row_start(self, row: usize, count: usize, pitch: f64) -> f64 {
+        let in_row = self.per_row.min(count - row * self.per_row);
+        let row_span = (in_row.saturating_sub(1)) as f64 * pitch;
+        self.span_start + self.span / 2.0 - row_span / 2.0
+    }
+
+    /// The along-edge range bumps are clamped to.
+    fn bounds(self) -> (f64, f64) {
+        (self.span_start, self.span_start + self.span)
+    }
+}
+
 fn side_layout(rect: &Rect, side: Side, config: &BumpConfig) -> SideLayout {
     let (span, span_start) = match side {
         Side::Left | Side::Right => (rect.height, rect.y),
@@ -145,6 +166,18 @@ fn side_layout(rect: &Rect, side: Side, config: &BumpConfig) -> SideLayout {
     }
 }
 
+/// Depth coordinate (x for left/right sides, y for bottom/top) of bump row
+/// `row`: rows step one pitch further into the die, never past its far edge.
+fn row_depth(rect: &Rect, side: Side, row: usize, config: &BumpConfig) -> f64 {
+    let depth = config.edge_margin_mm + row as f64 * config.pitch_mm;
+    match side {
+        Side::Left => rect.x + depth.min(rect.width),
+        Side::Right => rect.right() - depth.min(rect.width),
+        Side::Bottom => rect.y + depth.min(rect.height),
+        Side::Top => rect.top() - depth.min(rect.height),
+    }
+}
+
 /// Coordinate of bump `i` out of `count` on the given side of a die.
 fn bump_at(
     rect: &Rect,
@@ -154,24 +187,15 @@ fn bump_at(
     count: usize,
     config: &BumpConfig,
 ) -> Point {
-    let SideLayout {
-        span,
-        span_start,
-        per_row,
-    } = layout;
-    let row = i / per_row;
-    let slot = i % per_row;
-    let in_row = per_row.min(count - row * per_row);
-    let row_span = (in_row.saturating_sub(1)) as f64 * config.pitch_mm;
-    let start = span_start + span / 2.0 - row_span / 2.0;
-    let along = start + slot as f64 * config.pitch_mm;
-    let along = along.clamp(span_start, span_start + span);
-    let depth = config.edge_margin_mm + row as f64 * config.pitch_mm;
+    let row = i / layout.per_row;
+    let slot = i % layout.per_row;
+    let (lo, hi) = layout.bounds();
+    let along = (layout.row_start(row, count, config.pitch_mm) + slot as f64 * config.pitch_mm)
+        .clamp(lo, hi);
+    let depth = row_depth(rect, side, row, config);
     match side {
-        Side::Left => Point::new(rect.x + depth.min(rect.width), along),
-        Side::Right => Point::new(rect.right() - depth.min(rect.width), along),
-        Side::Bottom => Point::new(along, rect.y + depth.min(rect.height)),
-        Side::Top => Point::new(along, rect.top() - depth.min(rect.height)),
+        Side::Left | Side::Right => Point::new(depth, along),
+        Side::Bottom | Side::Top => Point::new(along, depth),
     }
 }
 
@@ -187,24 +211,142 @@ fn bumps_on_side(rect: &Rect, side: Side, count: usize, config: &BumpConfig) -> 
         .collect()
 }
 
-/// Manhattan wirelength of one net between two placed die rectangles.
+/// Manhattan wirelength of one net between two placed die rectangles, in
+/// O(rows) with no per-wire loop.
 ///
-/// Computes exactly the value `NetBumps::wirelength` reports for the same
-/// net after [`assign_bumps`] — same bump coordinates, same summation order,
-/// hence bit-identical — but without allocating the bump vectors. This is
-/// the per-net kernel of [`crate::incremental::IncrementalWirelength`].
+/// Facing sides are always opposite, so both bumps of a wire step along the
+/// same axis at the same pitch. Splitting the wires at every row boundary
+/// of either side leaves segments in which every wire has the same depth
+/// offset and, until a clamp binds, the same along-edge offset: a segment
+/// adds `wires × length`. Clamps bind only when a row is wider than its die
+/// side (negative `edge_margin_mm`); those segments have a closed form too,
+/// once split where a clamp starts or stops binding.
+///
+/// The result agrees with `NetBumps::wirelength` of the same net after
+/// [`assign_bumps`] to within 1e-12 relative (property-tested against it),
+/// but is not bit-identical to it: the per-wire sum rounds differently.
+/// This is the per-net kernel of [`crate::wirelength::bump_aware_wirelength`]
+/// and [`crate::incremental::IncrementalWirelength`].
 pub fn net_wirelength(from: &Rect, to: &Rect, wires: u32, config: &BumpConfig) -> f64 {
     let (from_side, to_side) = facing_sides(from, to);
     let from_layout = side_layout(from, from_side, config);
     let to_layout = side_layout(to, to_side, config);
-    let count = wires as usize;
+    let (count, pitch) = (wires as usize, config.pitch_mm);
     let mut total = 0.0;
-    for i in 0..count {
-        let a = bump_at(from, from_side, from_layout, i, count, config);
-        let b = bump_at(to, to_side, to_layout, i, count, config);
-        total += a.manhattan_distance(b);
+    let mut i = 0;
+    while i < count {
+        let (row_a, row_b) = (i / from_layout.per_row, i / to_layout.per_row);
+        let end = ((row_a + 1).saturating_mul(from_layout.per_row))
+            .min((row_b + 1).saturating_mul(to_layout.per_row))
+            .min(count);
+        let n = end - i;
+        let depth = (row_depth(from, from_side, row_a, config)
+            - row_depth(to, to_side, row_b, config))
+        .abs();
+        let a = RowRun::new(from_layout, i, count, pitch);
+        let b = RowRun::new(to_layout, i, count, pitch);
+        let along = if a.is_free(n, pitch) && b.is_free(n, pitch) {
+            n as f64 * (a.unclamped(0, pitch) - b.unclamped(0, pitch)).abs()
+        } else {
+            clamped_along_sum(a, b, n, pitch)
+        };
+        total += n as f64 * depth + along;
+        i = end;
     }
     total
+}
+
+/// The bumps one side contributes to a segment of wires that share a row
+/// on both sides: the segment's `k`-th wire sits at
+/// `clamp(start + (slot0 + k)·pitch, lo, hi)` along the edge.
+#[derive(Clone, Copy)]
+struct RowRun {
+    start: f64,
+    slot0: usize,
+    lo: f64,
+    hi: f64,
+}
+
+impl RowRun {
+    /// The run of `layout`'s row that holds wire `first_wire` of `count`.
+    fn new(layout: SideLayout, first_wire: usize, count: usize, pitch: f64) -> Self {
+        let row = first_wire / layout.per_row;
+        let (lo, hi) = layout.bounds();
+        Self {
+            start: layout.row_start(row, count, pitch),
+            slot0: first_wire - row * layout.per_row,
+            lo,
+            hi,
+        }
+    }
+
+    /// Along-edge coordinate of the `k`-th wire before clamping, computed
+    /// exactly as [`bump_at`] computes it.
+    fn unclamped(self, k: usize, pitch: f64) -> f64 {
+        self.start + (self.slot0 + k) as f64 * pitch
+    }
+
+    /// Whether no wire of `0..n` is clamped (the coordinate is monotone).
+    fn is_free(self, n: usize, pitch: f64) -> bool {
+        self.unclamped(0, pitch) >= self.lo && self.unclamped(n - 1, pitch) <= self.hi
+    }
+
+    /// The half-open range of `k` in `0..n` where the clamp does not bind:
+    /// below it wires sit at `lo`, above it at `hi`.
+    fn free_range(self, n: usize, pitch: f64) -> (usize, usize) {
+        let first = self.unclamped(0, pitch);
+        let n = n as f64;
+        let begin = ((self.lo - first) / pitch).ceil().max(0.0).min(n);
+        let end = (((self.hi - first) / pitch).floor() + 1.0)
+            .max(begin)
+            .min(n);
+        (begin as usize, end as usize)
+    }
+
+    /// Value and per-wire slope of the clamped coordinate on the piece that
+    /// starts at wire `k`, given the run's `free_range`.
+    fn piece(self, k: usize, free: (usize, usize), pitch: f64) -> (f64, f64) {
+        if k < free.0 {
+            (self.lo, 0.0)
+        } else if k < free.1 {
+            (self.unclamped(k, pitch), pitch)
+        } else {
+            (self.hi, 0.0)
+        }
+    }
+}
+
+/// `Σ_{k<n} |along_a(k) − along_b(k)|` for a segment where a clamp binds.
+/// Cutting `0..n` wherever either clamp starts or stops binding leaves at
+/// most five pieces, and on each the difference is affine in `k` with
+/// slope `0` or `±pitch`.
+fn clamped_along_sum(a: RowRun, b: RowRun, n: usize, pitch: f64) -> f64 {
+    let free_a = a.free_range(n, pitch);
+    let free_b = b.free_range(n, pitch);
+    let mut cuts = [0, free_a.0, free_a.1, free_b.0, free_b.1, n];
+    cuts.sort_unstable();
+    cuts.windows(2)
+        .filter(|w| w[0] < w[1])
+        .map(|w| {
+            let (va, sa) = a.piece(w[0], free_a, pitch);
+            let (vb, sb) = b.piece(w[0], free_b, pitch);
+            sum_abs_affine(va - vb, sa - sb, w[1] - w[0])
+        })
+        .sum()
+}
+
+/// `Σ_{j<n} |c + d·j|` in closed form, split where `c + d·j` changes sign.
+fn sum_abs_affine(c: f64, d: f64, n: usize) -> f64 {
+    if d == 0.0 {
+        return n as f64 * c.abs();
+    }
+    // Σ_{j0 ≤ j < j1} (c + d·j)
+    let partial = |j0: usize, j1: usize| {
+        let m = (j1 - j0) as f64;
+        m * c + d * ((j0 + j1) as f64 - 1.0) * m / 2.0
+    };
+    let split = (-c / d).ceil().max(0.0).min(n as f64) as usize;
+    d.signum() * (partial(split, n) - partial(0, split))
 }
 
 /// Assigns microbumps for every net of the system under the given placement.
@@ -343,7 +485,7 @@ mod tests {
     }
 
     #[test]
-    fn net_wirelength_is_bit_identical_to_the_assigned_bumps() {
+    fn net_wirelength_matches_the_assigned_bumps() {
         let config = BumpConfig::default();
         for &gap in &[1.5, 5.0, 13.0, 27.5] {
             let (sys, p) = placed_pair(gap);
@@ -352,7 +494,11 @@ mod tests {
             let ra = p.rect_of(net.net.from, &sys).unwrap();
             let rb = p.rect_of(net.net.to, &sys).unwrap();
             let direct = net_wirelength(&ra, &rb, net.net.wires, &config);
-            assert_eq!(direct.to_bits(), net.wirelength().to_bits(), "gap {gap}");
+            let oracle = net.wirelength();
+            assert!(
+                (direct - oracle).abs() <= 1e-12 * oracle,
+                "gap {gap}: {direct} vs {oracle}"
+            );
         }
     }
 

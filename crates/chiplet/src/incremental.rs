@@ -1,14 +1,15 @@
 //! Incremental (propose/commit/reject) wirelength evaluation.
 //!
-//! [`crate::wirelength::bump_aware_wirelength`] recomputes the bump
-//! assignment of *every* net from scratch, which is wasteful inside a
-//! move-based optimisation loop: a single moved chiplet only changes the
-//! nets incident to it. [`IncrementalWirelength`] caches the per-net
-//! wirelength terms and, for a proposed move, recomputes only the affected
-//! nets — using the same per-net kernel ([`crate::bumps::net_wirelength`])
-//! and the same net-order summation as the full evaluation, so the
-//! maintained total is **bit-identical** to a from-scratch
-//! `bump_aware_wirelength` of the same placement at every step.
+//! [`crate::wirelength::bump_aware_wirelength`] recomputes the wirelength
+//! of *every* net from scratch, which is wasteful inside a move-based
+//! optimisation loop: a single moved chiplet only changes the nets
+//! incident to it. [`IncrementalWirelength`] caches the per-net wirelength
+//! terms and, for a proposed move, recomputes only the affected nets —
+//! using the same closed-form per-net kernel
+//! ([`crate::bumps::net_wirelength`], O(bump rows) per net) and the same
+//! net-order summation as the full evaluation, so the maintained total is
+//! **bit-identical** to a from-scratch `bump_aware_wirelength` of the same
+//! placement at every step.
 //!
 //! The protocol is propose/commit/reject: [`IncrementalWirelength::propose`]
 //! evaluates a candidate placement that differs from the committed one in a
@@ -132,7 +133,8 @@ impl IncrementalWirelength {
     /// [`IncrementalWirelength::reject`] resolves it.
     ///
     /// Only the nets incident to `changed` are recomputed; the cost is
-    /// O(wires on affected nets), not O(all wires).
+    /// O(bump rows on affected nets) plus an O(nets) re-sum, independent of
+    /// the wire counts.
     ///
     /// # Panics
     ///

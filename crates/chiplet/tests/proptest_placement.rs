@@ -1,7 +1,7 @@
 //! Property-based tests for the chiplet placement model.
 
 use proptest::prelude::*;
-use rlp_chiplet::bumps::{assign_bumps, BumpConfig};
+use rlp_chiplet::bumps::{assign_bumps, net_wirelength, BumpConfig, Side};
 use rlp_chiplet::smooth::{smoothed_wirelength, smoothed_wirelength_gradient};
 use rlp_chiplet::wirelength::total_wirelength;
 use rlp_chiplet::{
@@ -28,6 +28,61 @@ fn arb_system() -> impl Strategy<Value = ChipletSystem> {
             }
             sys
         })
+}
+
+/// Two dies `(x, y, width, height)` joined by one net of `wires`.
+fn placed_pair(
+    a: (f64, f64, f64, f64),
+    b: (f64, f64, f64, f64),
+    wires: u32,
+) -> (ChipletSystem, Placement) {
+    let mut sys = ChipletSystem::new("bumps", 100.0, 100.0);
+    let ia = sys.add_chiplet(Chiplet::new("a", a.2, a.3, 1.0));
+    let ib = sys.add_chiplet(Chiplet::new("b", b.2, b.3, 1.0));
+    sys.add_net(Net::new(ia, ib, wires));
+    let mut p = Placement::for_system(&sys);
+    p.place(ia, Position::new(a.0, a.1));
+    p.place(ib, Position::new(b.0, b.1));
+    (sys, p)
+}
+
+/// The closed-form kernel agrees with the per-wire oracle to 1e-12
+/// relative (the sums round differently, so not bit for bit).
+fn assert_kernel_matches_oracle(
+    a: (f64, f64, f64, f64),
+    b: (f64, f64, f64, f64),
+    wires: u32,
+    config: BumpConfig,
+) -> Result<(), TestCaseError> {
+    let (sys, p) = placed_pair(a, b, wires);
+    let oracle = assign_bumps(&sys, &p, &config).unwrap().total_wirelength();
+    let net = sys.nets().next().unwrap();
+    let ra = p.rect_of(net.from, &sys).unwrap();
+    let rb = p.rect_of(net.to, &sys).unwrap();
+    let closed = net_wirelength(&ra, &rb, wires, &config);
+    prop_assert!(
+        (closed - oracle).abs() <= 1e-12 * oracle,
+        "{ra:?} {rb:?} wires {wires} {config:?}: closed form {closed} vs oracle {oracle}"
+    );
+    Ok(())
+}
+
+/// A second die `(x, y, width, height)` next to `a`, chosen by `mode`:
+/// placed anywhere, touching `a`'s right edge, touching its top edge, or
+/// overlapping it. `(u, v)` are unit-interval offsets.
+fn second_die(
+    a: (f64, f64, f64, f64),
+    mode: u8,
+    (w, h): (f64, f64),
+    (u, v): (f64, f64),
+) -> (f64, f64, f64, f64) {
+    let (ax, ay, aw, ah) = a;
+    match mode % 4 {
+        0 => (u * 40.0, v * 40.0, w, h),
+        1 => (ax + aw, ay + (u - 0.5) * (ah + h), w, h),
+        2 => (ax + (u - 0.5) * (aw + w), ay + ah, w, h),
+        _ => (ax + u * aw, ay + v * ah, w, h),
+    }
 }
 
 proptest! {
@@ -192,5 +247,87 @@ proptest! {
         prop_assert!((occupied - system.total_chiplet_area()).abs() < 1e-3 * system.total_chiplet_area().max(1.0));
         let power: f64 = grid.power_map(&system, &placement).iter().map(|&v| v as f64).sum();
         prop_assert!((power - system.total_power()).abs() < 1e-3 * system.total_power().max(1.0));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `net_wirelength` (closed form, O(rows)) agrees with the per-wire
+    /// `assign_bumps` oracle on random dies, including dies too small for
+    /// one full bump row and touching or overlapping pairs.
+    #[test]
+    fn net_wirelength_matches_the_assign_bumps_oracle(
+        a in (0.0f64..40.0, 0.0f64..40.0, 0.01f64..12.0, 0.01f64..12.0),
+        mode in 0u8..4,
+        b_size in (0.01f64..12.0, 0.01f64..12.0),
+        b_offset in (0.0f64..1.0, 0.0f64..1.0),
+        wires in 1u32..=4096,
+        pitch in 0.01f64..1.0,
+        margin in 0.0f64..1.0,
+    ) {
+        let b = second_die(a, mode, b_size, b_offset);
+        assert_kernel_matches_oracle(a, b, wires, BumpConfig { pitch_mm: pitch, edge_margin_mm: margin })?;
+    }
+
+    /// Negative margins make rows wider than their die side, so the
+    /// along-edge clamp binds; the closed form still matches the oracle.
+    #[test]
+    fn net_wirelength_matches_the_oracle_on_clamped_rows(
+        a in (0.0f64..40.0, 0.0f64..40.0, 0.01f64..12.0, 0.01f64..12.0),
+        mode in 0u8..4,
+        b_size in (0.01f64..12.0, 0.01f64..12.0),
+        b_offset in (0.0f64..1.0, 0.0f64..1.0),
+        wires in 1u32..=4096,
+        pitch in 0.01f64..1.0,
+        margin in -3.0f64..0.0,
+    ) {
+        let b = second_die(a, mode, b_size, b_offset);
+        assert_kernel_matches_oracle(a, b, wires, BumpConfig { pitch_mm: pitch, edge_margin_mm: margin })?;
+    }
+}
+
+/// Hand-picked clamped cases: the rows overhang their sides, so some bumps
+/// sit on a clamp bound, and the kernel still matches the oracle.
+#[test]
+fn net_wirelength_matches_the_oracle_when_clamps_bind() {
+    let cases = [
+        // Offset dies: one side clamps at its top, the other at its bottom.
+        ((0.0, 0.0, 4.0, 3.0), (10.0, 2.0, 4.0, 6.0), 300, 0.1, -1.0),
+        // Equal dies facing each other vertically, one multi-row side.
+        ((5.0, 0.0, 2.0, 2.0), (5.5, 8.0, 5.0, 2.0), 90, 0.05, -0.5),
+        // A sliver die whose single row is wider than the whole die.
+        (
+            (0.0, 0.0, 0.3, 0.02),
+            (0.0, 5.0, 6.0, 1.0),
+            4096,
+            0.01,
+            -2.0,
+        ),
+        // Overlapping dies with a large overhang on both sides.
+        ((0.0, 0.0, 3.0, 3.0), (1.0, 0.5, 3.0, 3.0), 2048, 0.02, -5.0),
+    ];
+    for (a, b, wires, pitch, margin) in cases {
+        let config = BumpConfig {
+            pitch_mm: pitch,
+            edge_margin_mm: margin,
+        };
+        let (sys, p) = placed_pair(a, b, wires);
+        let assignment = assign_bumps(&sys, &p, &config).unwrap();
+        let net = &assignment.nets()[0];
+        // A clamped bump sits exactly on an end of its side's along-edge span.
+        let clamped = |point: Point, rect: Rect, side: Side| match side {
+            Side::Left | Side::Right => point.y == rect.y || point.y == rect.top(),
+            Side::Bottom | Side::Top => point.x == rect.x || point.x == rect.right(),
+        };
+        let ra = p.rect_of(net.net.from, &sys).unwrap();
+        let rb = p.rect_of(net.net.to, &sys).unwrap();
+        assert!(
+            net.pairs
+                .iter()
+                .any(|&(pa, pb)| clamped(pa, ra, net.from_side) || clamped(pb, rb, net.to_side)),
+            "case {a:?} {b:?} never clamps"
+        );
+        assert_kernel_matches_oracle(a, b, wires, config).unwrap();
     }
 }

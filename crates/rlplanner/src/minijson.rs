@@ -340,16 +340,23 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    if (c as u32) < 0x20 {
+                    // Copy the run of plain characters up to the next quote,
+                    // backslash or control byte in one step. Those stop
+                    // bytes are ASCII, so the run ends on a char boundary of
+                    // the (valid UTF-8) input. Decode only the run: decoding
+                    // the rest of the document at every character would make
+                    // parsing quadratic in the document length.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(b) if b >= 0x20 && b != b'"' && b != b'\\') {
+                        self.pos += 1;
+                    }
+                    if self.pos == start {
                         return Err(self.error("unescaped control character"));
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(
+                        std::str::from_utf8(&self.bytes[start..self.pos])
+                            .map_err(|_| self.error("invalid UTF-8"))?,
+                    );
                 }
             }
         }
@@ -403,6 +410,18 @@ mod tests {
         let value = Value::parse(r#"{ "s": "a\"b\\c\ndA", "n": -1.25 }"#).unwrap();
         assert_eq!(value.get("s").and_then(Value::as_str), Some("a\"b\\c\ndA"));
         assert_eq!(value.get("n").and_then(Value::as_f64), Some(-1.25));
+    }
+
+    #[test]
+    fn multibyte_strings_and_control_characters() {
+        let value = Value::parse("{ \"s\": \"héllo ✓ 日本\\n\" }").unwrap();
+        assert_eq!(
+            value.get("s").and_then(Value::as_str),
+            Some("héllo ✓ 日本\n")
+        );
+        let err = Value::parse("[\"ab\u{1}c\"]").unwrap_err();
+        assert_eq!(err.offset, 4);
+        assert!(err.message.contains("control character"), "{err}");
     }
 
     #[test]

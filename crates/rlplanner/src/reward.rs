@@ -58,30 +58,33 @@ impl RewardConfig {
     ///
     /// Returns a typed [`ConfigError`] describing the first invalid field.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.lambda < 0.0 {
-            return Err(ConfigError::ExpectedNonNegative {
-                field: "reward.lambda",
-                value: self.lambda,
-            });
+        // Every check is written so that NaN fails it.
+        for (field, value) in [
+            ("reward.lambda", self.lambda),
+            ("reward.mu", self.mu),
+            (
+                "reward.bump_edge_margin_mm",
+                self.bump_config.edge_margin_mm,
+            ),
+        ] {
+            if !(value >= 0.0 && value.is_finite()) {
+                return Err(ConfigError::ExpectedNonNegative { field, value });
+            }
         }
-        if self.mu < 0.0 {
-            return Err(ConfigError::ExpectedNonNegative {
-                field: "reward.mu",
-                value: self.mu,
-            });
-        }
-        if self.alpha <= 0.0 {
-            return Err(ConfigError::ExpectedPositive {
-                field: "reward.alpha",
-                value: self.alpha,
-            });
+        for (field, value) in [
+            ("reward.alpha", self.alpha),
+            ("reward.bump_pitch_mm", self.bump_config.pitch_mm),
+        ] {
+            if !(value > 0.0 && value.is_finite()) {
+                return Err(ConfigError::ExpectedPositive { field, value });
+            }
         }
         if !self.temperature_limit_c.is_finite() {
             return Err(ConfigError::NotFinite {
                 field: "reward.temperature_limit_c",
             });
         }
-        if self.infeasible_penalty >= 0.0 {
+        if !(self.infeasible_penalty < 0.0 && self.infeasible_penalty.is_finite()) {
             return Err(ConfigError::ExpectedNegative {
                 field: "reward.infeasible_penalty",
                 value: self.infeasible_penalty,
@@ -454,6 +457,13 @@ mod tests {
         assert_eq!(Objective::evaluate(&calc, &p), calc.reward_or_penalty(&p));
     }
 
+    /// The field a config with one field replaced fails validation on.
+    fn rejected_field(edit: impl FnOnce(&mut RewardConfig)) -> Option<&'static str> {
+        let mut config = RewardConfig::default();
+        edit(&mut config);
+        config.validate().err().map(|e| e.field())
+    }
+
     #[test]
     fn invalid_configs_are_rejected_with_typed_errors() {
         assert!(matches!(
@@ -487,5 +497,69 @@ mod tests {
             Err(ConfigError::ExpectedNegative { .. })
         ));
         assert!(RewardConfig::default().validate().is_ok());
+    }
+
+    #[test]
+    fn lambda_must_be_non_negative_and_finite() {
+        for value in [-1.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(rejected_field(|c| c.lambda = value), Some("reward.lambda"));
+        }
+        assert_eq!(rejected_field(|c| c.lambda = 0.0), None);
+    }
+
+    #[test]
+    fn mu_must_be_non_negative_and_finite() {
+        for value in [-0.5, f64::NAN, f64::INFINITY] {
+            assert_eq!(rejected_field(|c| c.mu = value), Some("reward.mu"));
+        }
+        assert_eq!(rejected_field(|c| c.mu = 0.0), None);
+    }
+
+    #[test]
+    fn alpha_must_be_positive_and_finite() {
+        for value in [0.0, -2.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(rejected_field(|c| c.alpha = value), Some("reward.alpha"));
+        }
+    }
+
+    #[test]
+    fn temperature_limit_must_be_finite() {
+        for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                rejected_field(|c| c.temperature_limit_c = value),
+                Some("reward.temperature_limit_c")
+            );
+        }
+    }
+
+    #[test]
+    fn infeasible_penalty_must_be_negative_and_finite() {
+        for value in [0.0, 1.0, f64::NAN, f64::NEG_INFINITY] {
+            assert_eq!(
+                rejected_field(|c| c.infeasible_penalty = value),
+                Some("reward.infeasible_penalty")
+            );
+        }
+    }
+
+    #[test]
+    fn bump_pitch_must_be_positive_and_finite() {
+        for value in [0.0, -0.1, f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                rejected_field(|c| c.bump_config.pitch_mm = value),
+                Some("reward.bump_pitch_mm")
+            );
+        }
+    }
+
+    #[test]
+    fn bump_edge_margin_must_be_non_negative_and_finite() {
+        for value in [-5.0, -1e-9, f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                rejected_field(|c| c.bump_config.edge_margin_mm = value),
+                Some("reward.bump_edge_margin_mm")
+            );
+        }
+        assert_eq!(rejected_field(|c| c.bump_config.edge_margin_mm = 0.0), None);
     }
 }

@@ -62,7 +62,9 @@
 //! `job`. `busy` is the backpressure signal: the job queue was full and
 //! the request was *not* admitted — retry later. Job states reported by
 //! `status` are `queued`, `running`, `done`, `failed`, `cancelled` and
-//! `unknown` (an id never admitted).
+//! `unknown` (an id never admitted, or a finished job older than the
+//! last 1024 to finish: the daemon forgets those so its job table stays
+//! bounded).
 //!
 //! # Job timings are VOLATILE
 //!

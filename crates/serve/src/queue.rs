@@ -121,9 +121,16 @@ impl JobInfo {
     }
 }
 
+/// How many finished (done, failed or cancelled) jobs keep their state for
+/// `status`. Older ones are forgotten, so a long-running daemon's job table
+/// stays bounded however many jobs it serves.
+const FINISHED_STATES_KEPT: usize = 1024;
+
 struct QueueInner<T> {
     queue: VecDeque<(u64, T)>,
     states: HashMap<u64, JobInfo>,
+    /// Ids of finished jobs still in `states`, oldest first.
+    finished: VecDeque<u64>,
     next_id: u64,
     shutting_down: bool,
     counters: QueueCounters,
@@ -139,6 +146,11 @@ impl<T> QueueInner<T> {
                     JobState::Running => info.started = Some(now),
                     JobState::Done | JobState::Failed | JobState::Cancelled => {
                         info.finished = Some(now);
+                        self.finished.push_back(id);
+                        if self.finished.len() > FINISHED_STATES_KEPT {
+                            let oldest = self.finished.pop_front().expect("non-empty");
+                            self.states.remove(&oldest);
+                        }
                     }
                     JobState::Queued => {}
                 }
@@ -181,6 +193,7 @@ impl<T> JobQueue<T> {
             inner: Mutex::new(QueueInner {
                 queue: VecDeque::new(),
                 states: HashMap::new(),
+                finished: VecDeque::new(),
                 next_id: 1,
                 shutting_down: false,
                 counters: QueueCounters::default(),
@@ -301,13 +314,15 @@ impl<T> JobQueue<T> {
         cancelled.len()
     }
 
-    /// A job's lifecycle state, or `None` for an id never admitted.
+    /// A job's lifecycle state, or `None` for an id never admitted or one
+    /// of the finished jobs older than the last 1024 to finish.
     pub fn state(&self, id: u64) -> Option<JobState> {
         self.lock().states.get(&id).map(|info| info.state)
     }
 
-    /// A job's wall-clock timings so far, or `None` for an id never
-    /// admitted. Queued and running jobs report partial (still growing)
+    /// A job's wall-clock timings so far, or `None` for an id
+    /// [`JobQueue::state`] does not know. Queued and running jobs report
+    /// partial (still growing)
     /// values; finished jobs report final ones.
     pub fn timings(&self, id: u64) -> Option<JobTimings> {
         let now = Instant::now();
@@ -398,6 +413,28 @@ mod tests {
         assert!(final_timings.solve_ms().unwrap() >= 2.0);
         // Timings freeze at the recorded timestamps once the job finished.
         assert_eq!(queue.timings(id), Some(final_timings));
+    }
+
+    #[test]
+    fn only_the_most_recent_finished_jobs_keep_their_state() {
+        let queue = JobQueue::new(1);
+        let total = FINISHED_STATES_KEPT + 3;
+        for _ in 0..total {
+            queue.admit(()).unwrap();
+            let (id, ()) = queue.next_job().unwrap();
+            queue.finish(id, JobState::Done);
+        }
+        let first = 1;
+        let last = total as u64;
+        assert_eq!(queue.state(first), None, "the oldest state is forgotten");
+        assert_eq!(queue.state(last - FINISHED_STATES_KEPT as u64), None);
+        assert_eq!(
+            queue.state(last - FINISHED_STATES_KEPT as u64 + 1),
+            Some(JobState::Done)
+        );
+        assert_eq!(queue.state(last), Some(JobState::Done));
+        assert_eq!(queue.lock().states.len(), FINISHED_STATES_KEPT);
+        assert_eq!(queue.counters().completed, total);
     }
 
     #[test]

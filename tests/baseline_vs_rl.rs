@@ -162,9 +162,12 @@ fn sa_with_fast_model_explores_more_than_sa_with_hotspot_per_unit_time() {
 
     let system = synthetic_case(3);
     let budget = Duration::from_millis(400);
+    // Cooling this slowly, neither schedule can finish inside the budget,
+    // so both runs stop on the clock and the counts measure throughput.
     let sa_method = Method::Sa {
         config: SaConfig {
             final_temperature: 1e-6,
+            cooling_rate: 0.99999,
             grid: (14, 14),
             ..SaConfig::default()
         },
@@ -194,6 +197,13 @@ fn sa_with_fast_model_explores_more_than_sa_with_hotspot_per_unit_time() {
         .solve()
         .expect("SA (HotSpot) solve failed");
 
+    for (name, outcome) in [("fast", &fast_outcome), ("grid", &hotspot_outcome)] {
+        assert!(
+            outcome.runtime >= budget,
+            "the {name} anneal stopped after {:?}, before the {budget:?} budget",
+            outcome.runtime
+        );
+    }
     // The fast thermal model's whole point: many more candidate floorplans
     // explored in the same wall-clock budget (paper: >120x per evaluation).
     assert!(

@@ -549,3 +549,22 @@ fn a_wire_request_with_unusable_characterisation_options_is_an_error_not_a_panic
         other => panic!("expected a characterisation error, got {other:?}"),
     }
 }
+
+#[test]
+fn a_wire_request_with_a_null_bump_pitch_is_refused_by_the_builder() {
+    let request = FloorplanRequest::builder()
+        .system(synthetic_case(1))
+        .method(Method::sa())
+        .thermal(tiny_fast_backend())
+        .budget(Budget::Evaluations(10))
+        .build()
+        .unwrap();
+    let json = rlplanner::report::request_json(&request);
+    let pitch = "\"bump_pitch_mm\": 0.1";
+    assert!(json.contains(pitch), "{json}");
+    // `null` decodes to NaN, which used to reach the solve and come back as
+    // a NaN reward and wirelength.
+    let err = rlplanner::request_from_json(&json.replace(pitch, "\"bump_pitch_mm\": null"))
+        .expect_err("the builder must refuse a NaN bump pitch");
+    assert!(err.to_string().contains("reward.bump_pitch_mm"), "{err}");
+}
