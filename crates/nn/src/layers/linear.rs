@@ -48,11 +48,30 @@ impl Linear {
             out_features,
             &mut rng,
         );
+        Self::from_parameters(weight, Tensor::zeros(vec![out_features]))
+    }
+
+    /// Creates a layer from its parameter tensors, drawing nothing:
+    /// `weight` is `[in_features, out_features]` and `bias` is
+    /// `[out_features]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weight` is not a rank-2 tensor with positive dimensions
+    /// or `bias` does not match its column count.
+    pub fn from_parameters(weight: Tensor, bias: Tensor) -> Self {
+        let shape = weight.shape();
+        assert!(
+            shape.len() == 2 && shape[0] > 0 && shape[1] > 0,
+            "linear weight must be a non-empty [in, out] matrix"
+        );
+        let (in_features, out_features) = (shape[0], shape[1]);
+        assert_eq!(bias.shape(), &[out_features], "linear bias shape");
         Self {
             in_features,
             out_features,
             weight: Parameter::new(weight),
-            bias: Parameter::new(Tensor::zeros(vec![out_features])),
+            bias: Parameter::new(bias),
             cached_input: None,
         }
     }
@@ -100,11 +119,72 @@ impl Layer for Linear {
             self.out_features,
             "grad feature mismatch"
         );
-        // dL/dW = x^T · dL/dy ; dL/db = sum_rows(dL/dy) ; dL/dx = dL/dy · W^T
-        let grad_w = input.transpose().matmul(grad_output);
-        self.weight.grad.add_assign(&grad_w);
+        // dL/dW = xᵀ·g ; dL/db = sum_rows(g) ; dL/dx = g·Wᵀ, formed without
+        // materialising either transpose. Each element keeps the sequence
+        // of `Tensor::matmul` on the transposed operands: from 0.0, `p`
+        // ascending, a zero left factor skipped. So dL/dW is summed apart
+        // and only then added to the accumulated grad.
+        let (n_in, n_out) = (self.in_features, self.out_features);
+        let (x, g) = (input.data(), grad_output.data());
+        let mut sum = vec![0.0f32; n_out];
+        for (i, grad_row) in self
+            .weight
+            .grad
+            .data_mut()
+            .chunks_exact_mut(n_out)
+            .enumerate()
+        {
+            sum.fill(0.0);
+            for (x_row, g_row) in x.chunks_exact(n_in).zip(g.chunks_exact(n_out)) {
+                let a = x_row[i];
+                if a == 0.0 {
+                    continue;
+                }
+                for (s, &b) in sum.iter_mut().zip(g_row) {
+                    *s += a * b;
+                }
+            }
+            for (w, &s) in grad_row.iter_mut().zip(&sum) {
+                *w += s;
+            }
+        }
         self.bias.grad.add_assign(&grad_output.sum_rows());
-        grad_output.matmul(&self.weight.value.transpose())
+
+        // dL/dx[b, i] is a dot product of g's row `b` with W's row `i`. A
+        // panel of ROWS rows of W, interleaved so that one step of `p` reads
+        // ROWS adjacent weights, runs ROWS of those dot products side by
+        // side.
+        const ROWS: usize = 8;
+        let w = self.weight.value.data();
+        let mut grad_input = Tensor::zeros(vec![input.shape()[0], n_in]);
+        let mut panel = vec![[0.0f32; ROWS]; n_out];
+        for first in (0..n_in).step_by(ROWS) {
+            let rows = ROWS.min(n_in - first);
+            for (k, w_row) in w[first * n_out..][..rows * n_out]
+                .chunks_exact(n_out)
+                .enumerate()
+            {
+                for (lanes, &v) in panel.iter_mut().zip(w_row) {
+                    lanes[k] = v;
+                }
+            }
+            for (g_row, out_row) in g
+                .chunks_exact(n_out)
+                .zip(grad_input.data_mut().chunks_exact_mut(n_in))
+            {
+                let mut acc = [0.0f32; ROWS];
+                for (&a, lanes) in g_row.iter().zip(&panel) {
+                    if a == 0.0 {
+                        continue;
+                    }
+                    for (s, &v) in acc.iter_mut().zip(lanes) {
+                        *s += a * v;
+                    }
+                }
+                out_row[first..first + rows].copy_from_slice(&acc[..rows]);
+            }
+        }
+        grad_input
     }
 
     fn visit_parameters(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
@@ -120,6 +200,66 @@ impl Layer for Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::testing::{bits, maybe_infinite, values};
+    use proptest::prelude::*;
+
+    /// The backward pass the kernel replaced, through materialised
+    /// transposes: the oracle for its accumulation order.
+    fn reference_backward(layer: &mut Linear, input: &Tensor, grad_output: &Tensor) -> Tensor {
+        let grad_w = input.transpose().matmul(grad_output);
+        layer.weight.grad.add_assign(&grad_w);
+        layer.bias.grad.add_assign(&grad_output.sum_rows());
+        grad_output.matmul(&layer.weight.value.transpose())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// The transpose-free backward reproduces the materialised-transpose
+        /// one bit for bit, onto non-zero (and signed-zero) prior grads, with
+        /// inputs and upstream grads that are often exactly zero, sometimes
+        /// against an infinite weight or upstream grad.
+        #[test]
+        fn backward_matches_the_transposed_matmuls_bit_for_bit(
+            n_in in 1usize..40,
+            n_out in 1usize..40,
+            batch in 1usize..6,
+            zeros in 0.0f64..1.0,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut layer = Linear::new(n_in, n_out, seed);
+            maybe_infinite(&mut rng, layer.weight.value.data_mut());
+            layer.weight.grad = Tensor::from_vec(values(&mut rng, n_in * n_out, 0.3), vec![n_in, n_out]);
+            layer.bias.grad = Tensor::from_vec(values(&mut rng, n_out, 0.3), vec![n_out]);
+            let x = Tensor::from_vec(values(&mut rng, batch * n_in, zeros), vec![batch, n_in]);
+            let mut g = Tensor::from_vec(values(&mut rng, batch * n_out, zeros), vec![batch, n_out]);
+            maybe_infinite(&mut rng, g.data_mut());
+            let mut oracle = layer.clone();
+            layer.forward(&x, true);
+            let gi = layer.backward(&g);
+            let gi_oracle = reference_backward(&mut oracle, &x, &g);
+            prop_assert_eq!(bits(&gi), bits(&gi_oracle));
+            prop_assert_eq!(bits(&layer.weight.grad), bits(&oracle.weight.grad));
+            prop_assert_eq!(bits(&layer.bias.grad), bits(&oracle.bias.grad));
+        }
+    }
+
+    #[test]
+    fn from_parameters_uses_the_given_tensors() {
+        let weight = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], vec![3, 2]);
+        let bias = Tensor::from_vec(vec![0.5, -0.5], vec![2]);
+        let mut layer = Linear::from_parameters(weight, bias);
+        assert_eq!((layer.in_features(), layer.out_features()), (3, 2));
+        let y = layer.forward(&Tensor::from_vec(vec![1.0, 0.0, 1.0], vec![1, 3]), false);
+        assert_eq!(y.data(), &[6.5, 7.5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "linear bias shape")]
+    fn from_parameters_rejects_a_mismatched_bias() {
+        Linear::from_parameters(Tensor::zeros(vec![3, 2]), Tensor::zeros(vec![3]));
+    }
 
     /// Numerically checks dL/dx for L = sum(y).
     #[test]

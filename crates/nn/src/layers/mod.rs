@@ -71,3 +71,41 @@ impl Clone for Box<dyn Layer + Send> {
         self.as_ref().clone_box()
     }
 }
+
+/// Inputs for the property tests that pin reordered kernels and the
+/// optimiser step to the loops they replaced, bit for bit.
+#[cfg(test)]
+pub(crate) mod testing {
+    use crate::Tensor;
+    use rand::Rng;
+
+    /// `len` values in `[-2, 2)`, each an exact zero (either sign, so a
+    /// lost `-0.0` shows) with probability `zeros`.
+    pub(crate) fn values(rng: &mut impl Rng, len: usize, zeros: f64) -> Vec<f32> {
+        (0..len)
+            .map(|_| match rng.gen_bool(zeros) {
+                true if rng.gen_bool(0.5) => -0.0,
+                true => 0.0,
+                false => rng.gen_range(-2.0f32..2.0),
+            })
+            .collect()
+    }
+
+    /// Bit patterns, with every NaN as one value: which NaN an operation
+    /// returns is not part of the contract.
+    pub(crate) fn bits(t: &Tensor) -> Vec<u32> {
+        t.data()
+            .iter()
+            .map(|v| if v.is_nan() { u32::MAX } else { v.to_bits() })
+            .collect()
+    }
+
+    /// Sets one random element to `+inf` in a quarter of the cases, so that
+    /// a zero skipped against it (`0 × inf = NaN`) is observable.
+    pub(crate) fn maybe_infinite(rng: &mut impl Rng, data: &mut [f32]) {
+        if rng.gen_bool(0.25) {
+            let i = rng.gen_range(0..data.len());
+            data[i] = f32::INFINITY;
+        }
+    }
+}

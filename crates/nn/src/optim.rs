@@ -121,15 +121,23 @@ impl Adam {
                 param.value.shape(),
                 "optimiser state shape mismatch: was this Adam instance used with a different network?"
             );
-            for i in 0..param.value.len() {
-                let g = param.grad.data()[i];
-                let m_i = b1 * m.data()[i] + (1.0 - b1) * g;
-                let v_i = b2 * v.data()[i] + (1.0 - b2) * g * g;
-                m.data_mut()[i] = m_i;
-                v.data_mut()[i] = v_i;
+            // Element-wise with no cross-element sums, so the compiler may
+            // run it in vector lanes without moving a bit.
+            let moments = m.data_mut().iter_mut().zip(v.data_mut());
+            for ((w, &g), (m, v)) in param
+                .value
+                .data_mut()
+                .iter_mut()
+                .zip(param.grad.data())
+                .zip(moments)
+            {
+                let m_i = b1 * *m + (1.0 - b1) * g;
+                let v_i = b2 * *v + (1.0 - b2) * g * g;
+                *m = m_i;
+                *v = v_i;
                 let m_hat = m_i / bias1;
                 let v_hat = v_i / bias2;
-                param.value.data_mut()[i] -= lr * m_hat / (v_hat.sqrt() + eps);
+                *w -= lr * m_hat / (v_hat.sqrt() + eps);
             }
             index += 1;
         });
@@ -161,8 +169,77 @@ pub fn clip_grad_norm(network: &mut dyn Layer, max_norm: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::testing::{bits, values};
     use crate::layers::{Linear, ReLU, Sequential};
     use crate::loss::mse;
+    use proptest::prelude::*;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+
+    /// The indexed update loop the zipped one replaced: the oracle for its
+    /// per-element arithmetic. `t` is the 1-based step count.
+    fn reference_step(
+        w: &mut [f32],
+        g: &[f32],
+        m: &mut [f32],
+        v: &mut [f32],
+        t: f32,
+        (lr, b1, b2, eps): (f32, f32, f32, f32),
+    ) {
+        let bias1 = 1.0 - b1.powf(t);
+        let bias2 = 1.0 - b2.powf(t);
+        for i in 0..w.len() {
+            let m_i = b1 * m[i] + (1.0 - b1) * g[i];
+            let v_i = b2 * v[i] + (1.0 - b2) * g[i] * g[i];
+            m[i] = m_i;
+            v[i] = v_i;
+            let m_hat = m_i / bias1;
+            let v_hat = v_i / bias2;
+            w[i] -= lr * m_hat / (v_hat.sqrt() + eps);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(100))]
+
+        /// Over several steps with zero-heavy gradients, `Adam::step`
+        /// updates every parameter bit for bit as the indexed loop does.
+        #[test]
+        fn step_matches_the_indexed_loop_bit_for_bit(
+            n_in in 1usize..20,
+            n_out in 1usize..20,
+            zeros in 0.0f64..1.0,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut layer = Linear::new(n_in, n_out, seed);
+            let mut adam = Adam::new(1e-2);
+            let mut oracle = Vec::new();
+            layer.visit_parameters(&mut |p| {
+                let len = p.value.len();
+                oracle.push((p.value.data().to_vec(), vec![0.0f32; len], vec![0.0f32; len]));
+            });
+            for step in 1..=4 {
+                let mut index = 0;
+                layer.visit_parameters(&mut |p| {
+                    let g = values(&mut rng, p.grad.len(), zeros);
+                    p.grad.data_mut().copy_from_slice(&g);
+                    let (w, m, v) = &mut oracle[index];
+                    reference_step(w, &g, m, v, step as f32, (1e-2, 0.9, 0.999, 1e-8));
+                    index += 1;
+                });
+                adam.step(&mut layer);
+                let mut index = 0;
+                let mut ok = true;
+                layer.visit_parameters(&mut |p| {
+                    let w = Tensor::from_vec(oracle[index].0.clone(), p.value.shape().to_vec());
+                    ok &= bits(&p.value) == bits(&w);
+                    index += 1;
+                });
+                prop_assert!(ok, "step {} moved a bit", step);
+            }
+        }
+    }
 
     #[test]
     fn adam_minimises_a_simple_regression() {

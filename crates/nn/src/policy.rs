@@ -29,6 +29,13 @@
 //! applied. [`PolicyFile::checksum`] exposes the same value so reports can
 //! record which exact weights a run used.
 //!
+//! A [`PolicyFile`] is an immutable snapshot: its checksum is computed
+//! once, when the snapshot is built ([`PolicyFile::new`] hashes the
+//! serialized body, [`PolicyFile::from_bytes`] keeps the trailer it just
+//! verified), so reading it back is free however often a server solves
+//! with the same file. The same pass records whether every parameter is
+//! finite; [`PolicyFile::check_finite`] reports the first one that is not.
+//!
 //! # Examples
 //!
 //! ```
@@ -125,6 +132,13 @@ pub enum PolicyError {
     /// Required metadata is missing or malformed (the caller's contract,
     /// e.g. an environment-geometry key the planner needs).
     Metadata(String),
+    /// A parameter is NaN or infinite, so no network can run on the file.
+    NonFinite {
+        /// Tensor position in [`Layer::visit_parameters`] traversal order.
+        tensor: usize,
+        /// Flat row-major element index within that tensor.
+        element: usize,
+    },
 }
 
 impl fmt::Display for PolicyError {
@@ -163,6 +177,10 @@ impl fmt::Display for PolicyError {
                 "policy tensor {index} has shape {file:?} but the network parameter has shape {network:?}"
             ),
             PolicyError::Metadata(reason) => write!(f, "policy metadata invalid: {reason}"),
+            PolicyError::NonFinite { tensor, element } => write!(
+                f,
+                "policy tensor {tensor} holds a non-finite value at element {element}"
+            ),
         }
     }
 }
@@ -181,22 +199,70 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// An in-memory policy snapshot: ordered metadata plus one tensor per
-/// network parameter, in [`Layer::visit_parameters`] traversal order.
+/// An immutable in-memory policy snapshot: ordered metadata plus one
+/// tensor per network parameter, in [`Layer::visit_parameters`] traversal
+/// order, with the checksum of its serialized form computed once at
+/// construction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PolicyFile {
-    /// Flat string metadata, serialized in this order.
-    pub metadata: Vec<(String, String)>,
-    /// Parameter tensors in traversal order.
-    pub tensors: Vec<Tensor>,
+    metadata: Vec<(String, String)>,
+    tensors: Vec<Tensor>,
+    checksum: u64,
+    /// `(tensor, element)` of the first non-finite parameter, if any.
+    non_finite: Option<(usize, usize)>,
 }
 
 impl PolicyFile {
+    /// Builds a snapshot from metadata (serialized in this order) and
+    /// parameter tensors (in traversal order), hashing it once.
+    pub fn new(metadata: Vec<(String, String)>, tensors: Vec<Tensor>) -> Self {
+        let checksum = fnv1a(&body_bytes(&metadata, &tensors));
+        Self::with_checksum(metadata, tensors, checksum)
+    }
+
+    fn with_checksum(metadata: Vec<(String, String)>, tensors: Vec<Tensor>, checksum: u64) -> Self {
+        let non_finite = tensors.iter().enumerate().find_map(|(tensor, t)| {
+            let element = t.data().iter().position(|v| !v.is_finite())?;
+            Some((tensor, element))
+        });
+        Self {
+            metadata,
+            tensors,
+            checksum,
+            non_finite,
+        }
+    }
+
     /// Snapshots every parameter of a network.
     pub fn from_layer(layer: &mut dyn Layer, metadata: Vec<(String, String)>) -> Self {
         let mut tensors = Vec::new();
         layer.visit_parameters(&mut |p| tensors.push(p.value.clone()));
-        Self { metadata, tensors }
+        Self::new(metadata, tensors)
+    }
+
+    /// Flat string metadata, in serialization order.
+    pub fn metadata(&self) -> &[(String, String)] {
+        &self.metadata
+    }
+
+    /// Parameter tensors, in [`Layer::visit_parameters`] traversal order.
+    pub fn tensors(&self) -> &[Tensor] {
+        &self.tensors
+    }
+
+    /// Checks that every parameter is finite — a field read; the scan ran
+    /// when the snapshot was built.
+    ///
+    /// # Errors
+    ///
+    /// [`PolicyError::NonFinite`] naming the first NaN or infinite
+    /// parameter. [`PolicyFile::from_bytes`] accepts any bit pattern, so
+    /// whoever runs a network on the file checks this first.
+    pub fn check_finite(&self) -> Result<(), PolicyError> {
+        match self.non_finite {
+            None => Ok(()),
+            Some((tensor, element)) => Err(PolicyError::NonFinite { tensor, element }),
+        }
     }
 
     /// Looks up a metadata value by key (first match wins).
@@ -212,9 +278,11 @@ impl PolicyFile {
     /// # Errors
     ///
     /// [`PolicyError::TensorCountMismatch`] / [`PolicyError::ShapeMismatch`]
-    /// when the snapshot does not fit the network. The network is not
-    /// modified unless every shape matches.
+    /// when the snapshot does not fit the network, and
+    /// [`PolicyError::NonFinite`] when a parameter is NaN or infinite. The
+    /// network is not modified unless every shape matches.
     pub fn apply_to(&self, layer: &mut dyn Layer) -> Result<(), PolicyError> {
+        self.check_finite()?;
         // Validate the full shape list before touching any parameter, so a
         // mismatch never leaves the network half-loaded.
         let mut shapes = Vec::new();
@@ -245,38 +313,16 @@ impl PolicyFile {
 
     /// Serializes the snapshot into the documented byte layout.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&POLICY_MAGIC);
-        out.extend_from_slice(&POLICY_VERSION.to_le_bytes());
-        out.extend_from_slice(&DTYPE_F32.to_le_bytes());
-        out.extend_from_slice(&(self.metadata.len() as u32).to_le_bytes());
-        for (key, value) in &self.metadata {
-            out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-            out.extend_from_slice(key.as_bytes());
-            out.extend_from_slice(&(value.len() as u32).to_le_bytes());
-            out.extend_from_slice(value.as_bytes());
-        }
-        out.extend_from_slice(&(self.tensors.len() as u32).to_le_bytes());
-        for tensor in &self.tensors {
-            out.extend_from_slice(&(tensor.shape().len() as u32).to_le_bytes());
-            for &dim in tensor.shape() {
-                out.extend_from_slice(&(dim as u32).to_le_bytes());
-            }
-            for &v in tensor.data() {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        let checksum = fnv1a(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
+        let mut out = body_bytes(&self.metadata, &self.tensors);
+        out.extend_from_slice(&self.checksum.to_le_bytes());
         out
     }
 
     /// The FNV-1a 64 checksum of the serialized snapshot — the value
     /// written in (and verified against) the file's trailing 8 bytes.
+    /// Computed when the snapshot was built, so this is a field read.
     pub fn checksum(&self) -> u64 {
-        let bytes = self.to_bytes();
-        let split = bytes.len() - 8;
-        fnv1a(&bytes[..split])
+        self.checksum
     }
 
     /// Parses and validates a serialized snapshot.
@@ -337,7 +383,7 @@ impl PolicyFile {
         if stored != computed {
             return Err(PolicyError::ChecksumMismatch { stored, computed });
         }
-        Ok(Self { metadata, tensors })
+        Ok(Self::with_checksum(metadata, tensors, stored))
     }
 
     /// Writes the snapshot to a file.
@@ -348,10 +394,10 @@ impl PolicyFile {
     /// use rlp_nn::policy::PolicyFile;
     /// use rlp_nn::Tensor;
     ///
-    /// let file = PolicyFile {
-    ///     metadata: vec![("note".into(), "demo".into())],
-    ///     tensors: vec![Tensor::from_vec(vec![1.0, 2.0], vec![2])],
-    /// };
+    /// let file = PolicyFile::new(
+    ///     vec![("note".into(), "demo".into())],
+    ///     vec![Tensor::from_vec(vec![1.0, 2.0], vec![2])],
+    /// );
     /// let path = std::env::temp_dir()
     ///     .join(format!("rlp-nn-doc-{}.policy", std::process::id()));
     /// file.save(&path)?;
@@ -378,6 +424,32 @@ impl PolicyFile {
         let bytes = std::fs::read(path.as_ref()).map_err(|e| PolicyError::Io(e.to_string()))?;
         Self::from_bytes(&bytes)
     }
+}
+
+/// Every serialized byte of a snapshot before the checksum trailer.
+fn body_bytes(metadata: &[(String, String)], tensors: &[Tensor]) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&POLICY_MAGIC);
+    out.extend_from_slice(&POLICY_VERSION.to_le_bytes());
+    out.extend_from_slice(&DTYPE_F32.to_le_bytes());
+    out.extend_from_slice(&(metadata.len() as u32).to_le_bytes());
+    for (key, value) in metadata {
+        out.extend_from_slice(&(key.len() as u32).to_le_bytes());
+        out.extend_from_slice(key.as_bytes());
+        out.extend_from_slice(&(value.len() as u32).to_le_bytes());
+        out.extend_from_slice(value.as_bytes());
+    }
+    out.extend_from_slice(&(tensors.len() as u32).to_le_bytes());
+    for tensor in tensors {
+        out.extend_from_slice(&(tensor.shape().len() as u32).to_le_bytes());
+        for &dim in tensor.shape() {
+            out.extend_from_slice(&(dim as u32).to_le_bytes());
+        }
+        for &v in tensor.data() {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+    out
 }
 
 /// Bounds-checked little-endian cursor over a policy byte stream.
@@ -624,6 +696,39 @@ mod tests {
         assert_eq!(loaded, saved);
         assert_eq!(params(&mut net), params(&mut fresh));
         assert_eq!(loaded.metadata_value("env.grid"), Some("16x16"));
+    }
+
+    #[test]
+    fn checksum_is_the_hash_of_the_serialized_body() {
+        let mut net = demo_net(8);
+        let file = PolicyFile::from_layer(&mut net, vec![("k".into(), "v".into())]);
+        let bytes = file.to_bytes();
+        let split = bytes.len() - 8;
+        assert_eq!(file.checksum(), fnv1a(&bytes[..split]));
+        assert_eq!(bytes[split..], file.checksum().to_le_bytes());
+    }
+
+    #[test]
+    fn non_finite_parameters_parse_but_fail_the_finite_check() {
+        let mut net = demo_net(9);
+        let clean = PolicyFile::from_layer(&mut net, Vec::new());
+        assert_eq!(clean.check_finite(), Ok(()));
+        for bad in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+            let mut tensors = clean.tensors().to_vec();
+            tensors[2].data_mut()[3] = bad;
+            let file = PolicyFile::new(Vec::new(), tensors);
+            // Any bit pattern parses; the finite check names the element.
+            let parsed = PolicyFile::from_bytes(&file.to_bytes()).unwrap();
+            let expected = PolicyError::NonFinite {
+                tensor: 2,
+                element: 3,
+            };
+            assert_eq!(parsed.check_finite(), Err(expected.clone()));
+            let mut target = demo_net(10);
+            let before = params(&mut target);
+            assert_eq!(parsed.apply_to(&mut target), Err(expected));
+            assert_eq!(params(&mut target), before, "failed load modified weights");
+        }
     }
 
     #[test]

@@ -204,7 +204,7 @@ proptest! {
         metadata in metadata_strategy(),
         tensors in tensors_strategy(),
     ) {
-        let file = PolicyFile { metadata, tensors };
+        let file = PolicyFile::new(metadata, tensors);
         let bytes = file.to_bytes();
         let parsed = PolicyFile::from_bytes(&bytes).expect("own bytes parse");
         prop_assert_eq!(
@@ -213,9 +213,9 @@ proptest! {
             "serialize → parse → serialize changed the bytes"
         );
         prop_assert_eq!(parsed.checksum(), file.checksum());
-        prop_assert_eq!(&parsed.metadata, &file.metadata);
-        prop_assert_eq!(parsed.tensors.len(), file.tensors.len());
-        for (a, b) in parsed.tensors.iter().zip(file.tensors.iter()) {
+        prop_assert_eq!(parsed.metadata(), file.metadata());
+        prop_assert_eq!(parsed.tensors().len(), file.tensors().len());
+        for (a, b) in parsed.tensors().iter().zip(file.tensors().iter()) {
             prop_assert_eq!(a.shape(), b.shape());
             // Compare bits, not values: NaN payloads must survive too.
             for (x, y) in a.data().iter().zip(b.data().iter()) {
@@ -232,7 +232,7 @@ proptest! {
         tensors in tensors_strategy(),
         cut in 0.0f64..1.0,
     ) {
-        let bytes = PolicyFile { metadata, tensors }.to_bytes();
+        let bytes = PolicyFile::new(metadata, tensors).to_bytes();
         let len = (bytes.len() as f64 * cut) as usize;
         prop_assert!(
             PolicyFile::from_bytes(&bytes[..len.min(bytes.len() - 1)]).is_err(),
@@ -250,7 +250,7 @@ proptest! {
         position in 0.0f64..1.0,
         bit in 0u8..8,
     ) {
-        let mut bytes = PolicyFile { metadata, tensors }.to_bytes();
+        let mut bytes = PolicyFile::new(metadata, tensors).to_bytes();
         let index = ((bytes.len() as f64 * position) as usize).min(bytes.len() - 1);
         bytes[index] ^= 1 << bit;
         prop_assert!(

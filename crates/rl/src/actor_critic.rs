@@ -34,15 +34,41 @@ impl ActorCritic {
     pub fn new(encoder: Sequential, feature_dim: usize, action_count: usize, seed: u64) -> Self {
         assert!(feature_dim > 0, "feature dimension must be positive");
         assert!(action_count > 0, "action count must be positive");
-        Self {
+        Self::from_parts(
             encoder,
-            policy_head: Linear::new(
+            Linear::new(
                 feature_dim,
                 action_count,
                 seed.wrapping_mul(31).wrapping_add(1),
             ),
-            value_head: Linear::new(feature_dim, 1, seed.wrapping_mul(31).wrapping_add(2)),
-            action_count,
+            Linear::new(feature_dim, 1, seed.wrapping_mul(31).wrapping_add(2)),
+        )
+    }
+
+    /// Assembles the network from an encoder and ready-made heads: a
+    /// policy head with one output per action and a one-output value head,
+    /// both reading the encoder's features.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the heads disagree on the feature width or the value head
+    /// has more than one output.
+    pub fn from_parts(encoder: Sequential, policy_head: Linear, value_head: Linear) -> Self {
+        assert_eq!(
+            policy_head.in_features(),
+            value_head.in_features(),
+            "both heads must read the same features"
+        );
+        assert_eq!(
+            value_head.out_features(),
+            1,
+            "the value head has one output"
+        );
+        Self {
+            encoder,
+            action_count: policy_head.out_features(),
+            policy_head,
+            value_head,
         }
     }
 
@@ -157,11 +183,14 @@ impl Layer for ActorCritic {
         );
         let mut grad_logits = Tensor::zeros(vec![batch, self.action_count]);
         let mut grad_values = Tensor::zeros(vec![batch, 1]);
-        for b in 0..batch {
-            for a in 0..self.action_count {
-                grad_logits.set(&[b, a], grad_output.get(&[b, a]));
-            }
-            grad_values.set(&[b, 0], grad_output.get(&[b, self.action_count]));
+        for ((row, logits), value) in grad_output
+            .data()
+            .chunks_exact(self.action_count + 1)
+            .zip(grad_logits.data_mut().chunks_exact_mut(self.action_count))
+            .zip(grad_values.data_mut())
+        {
+            logits.copy_from_slice(&row[..self.action_count]);
+            *value = row[self.action_count];
         }
         self.backward_heads(&grad_logits, &grad_values);
         // The gradient with respect to the raw input is rarely needed for RL;

@@ -502,19 +502,16 @@ impl PpoAgent {
                     };
                     let logp_grad = dist.log_prob_grad_logits(transition.action);
                     let entropy_grad = dist.entropy_grad_logits();
-                    for a in 0..actions {
-                        let g = d_loss_d_logp * logp_grad[a]
-                            - self.config.entropy_coef * entropy_grad[a];
-                        grad_logits.set(&[row, a], g / batch as f32);
+                    let grad_row = &mut grad_logits.data_mut()[row * actions..][..actions];
+                    for ((g, &lp), &eg) in grad_row.iter_mut().zip(&logp_grad).zip(&entropy_grad) {
+                        *g = (d_loss_d_logp * lp - self.config.entropy_coef * eg) / batch as f32;
                     }
 
-                    let value = values.get(&[row, 0]);
+                    let value = values.data()[row];
                     let v_err = value - target_return;
                     value_loss += v_err * v_err;
-                    grad_values.set(
-                        &[row, 0],
-                        self.config.value_coef * 2.0 * v_err / batch as f32,
-                    );
+                    grad_values.data_mut()[row] =
+                        self.config.value_coef * 2.0 * v_err / batch as f32;
 
                     accumulated_entropy += dist.entropy();
                     entropy_samples += 1;

@@ -7,7 +7,7 @@
 
 use crate::env::EnvConfig;
 use rlp_nn::layers::{Conv2d, Flatten, Linear, ReLU, Sequential};
-use rlp_nn::{PolicyError, PolicyFile};
+use rlp_nn::{PolicyError, PolicyFile, Tensor};
 use rlp_rl::{ActorCritic, RandomNetworkDistillation};
 use serde::{Deserialize, Serialize};
 
@@ -41,40 +41,114 @@ impl Default for AgentConfig {
     }
 }
 
+/// Where [`build_actor_critic`] takes a network's parameters from.
+///
+/// * `&AgentConfig` — a fresh seeded initialisation
+///   ([`AgentConfig::seed`]). It cannot fail, so the build returns the
+///   [`ActorCritic`] itself.
+/// * `&PolicyFile` — the file's tensors, used as they are, with the
+///   encoder geometry its metadata records ([`configs_from_policy`]). The
+///   build returns a `Result`: a file with missing metadata, the wrong
+///   tensor count or shapes, or a non-finite parameter is a typed
+///   [`PolicyError`].
+pub trait Weights<'a> {
+    /// What the build returns.
+    type Built;
+
+    /// The encoder geometry, plus the file whose tensors to use (`None`
+    /// for a seeded initialisation).
+    ///
+    /// # Errors
+    ///
+    /// A [`PolicyError`] when the source cannot describe a network.
+    fn source(self) -> Result<(AgentConfig, Option<&'a PolicyFile>), PolicyError>;
+
+    /// Wraps the build result as [`Weights::Built`].
+    fn finish(built: Result<ActorCritic, PolicyError>) -> Self::Built;
+}
+
+impl<'a> Weights<'a> for &'a AgentConfig {
+    type Built = ActorCritic;
+
+    fn source(self) -> Result<(AgentConfig, Option<&'a PolicyFile>), PolicyError> {
+        Ok((self.clone(), None))
+    }
+
+    fn finish(built: Result<ActorCritic, PolicyError>) -> ActorCritic {
+        built.expect("a seeded initialisation fits its own architecture")
+    }
+}
+
+impl<'a> Weights<'a> for &'a PolicyFile {
+    type Built = Result<ActorCritic, PolicyError>;
+
+    fn source(self) -> Result<(AgentConfig, Option<&'a PolicyFile>), PolicyError> {
+        let (_, agent) = configs_from_policy(self)?;
+        self.check_finite()?;
+        Ok((agent, Some(self)))
+    }
+
+    fn finish(built: Result<ActorCritic, PolicyError>) -> Self::Built {
+        built
+    }
+}
+
 /// Builds the CNN actor-critic network for an observation of shape
 /// `[channels, rows, cols]` and a discrete action space of `action_count`
-/// cells.
+/// cells, with its parameters taken from `weights` (see [`Weights`]).
 ///
 /// The encoder is two stride-2 convolutions followed by a fully connected
 /// feature layer; the policy and value heads sit on top of the shared
-/// features, as described in the paper.
+/// features, as described in the paper. A network built from a policy file
+/// draws no initialisation at all.
 ///
 /// # Panics
 ///
 /// Panics if the observation shape is not rank 3 or the grid is too small
 /// for two stride-2 convolutions.
-pub fn build_actor_critic(
+pub fn build_actor_critic<'a, W: Weights<'a>>(
     observation_shape: &[usize],
     action_count: usize,
-    config: &AgentConfig,
-) -> ActorCritic {
+    weights: W,
+) -> W::Built {
     assert_eq!(
         observation_shape.len(),
         3,
         "observation must be [channels, rows, cols]"
     );
+    W::finish(
+        weights
+            .source()
+            .and_then(|(config, file)| assemble(observation_shape, action_count, &config, file)),
+    )
+}
+
+/// Parameter tensors of the network [`build_actor_critic`] assembles: a
+/// weight and a bias for each of two convolutions, the feature layer and
+/// the two heads.
+const PARAMETER_TENSORS: usize = 10;
+
+fn assemble(
+    observation_shape: &[usize],
+    action_count: usize,
+    config: &AgentConfig,
+    file: Option<&PolicyFile>,
+) -> Result<ActorCritic, PolicyError> {
     let (channels, rows, cols) = (
         observation_shape[0],
         observation_shape[1],
         observation_shape[2],
     );
+    let mut params = Params::new(file)?;
     let (c1, c2) = config.conv_channels;
-    let conv1 = Conv2d::new(channels, c1, 3, 2, 1, config.seed.wrapping_add(1));
+    let seed = config.seed;
+    let conv1 = params.conv(channels, c1, seed.wrapping_add(1))?;
     let (h1, w1) = conv1.output_size(rows, cols);
-    let conv2 = Conv2d::new(c1, c2, 3, 2, 1, config.seed.wrapping_add(2));
+    let conv2 = params.conv(c1, c2, seed.wrapping_add(2))?;
     let (h2, w2) = conv2.output_size(h1, w1);
     assert!(h2 > 0 && w2 > 0, "grid too small for the CNN encoder");
     let flat_dim = c2 * h2 * w2;
+    let features = params.linear(flat_dim, config.feature_dim, seed.wrapping_add(3))?;
 
     let mut encoder = Sequential::new();
     encoder.push(conv1);
@@ -82,14 +156,73 @@ pub fn build_actor_critic(
     encoder.push(conv2);
     encoder.push(ReLU::new());
     encoder.push(Flatten::new());
-    encoder.push(Linear::new(
-        flat_dim,
-        config.feature_dim,
-        config.seed.wrapping_add(3),
-    ));
+    encoder.push(features);
     encoder.push(ReLU::new());
 
-    ActorCritic::new(encoder, config.feature_dim, action_count, config.seed)
+    // The head seeds `ActorCritic::new` derives, so a seeded network is
+    // the one it would build.
+    let head_seed = seed.wrapping_mul(31);
+    let policy_head = params.linear(config.feature_dim, action_count, head_seed.wrapping_add(1))?;
+    let value_head = params.linear(config.feature_dim, 1, head_seed.wrapping_add(2))?;
+    Ok(ActorCritic::from_parts(encoder, policy_head, value_head))
+}
+
+/// Hands out a network's layers in parameter traversal order: seeded
+/// draws, or a policy file's tensors checked against the shapes the
+/// architecture expects.
+struct Params<'a> {
+    /// The file's tensors; `None` for a seeded initialisation.
+    tensors: Option<&'a [Tensor]>,
+    next: usize,
+}
+
+impl<'a> Params<'a> {
+    fn new(file: Option<&'a PolicyFile>) -> Result<Self, PolicyError> {
+        let tensors = file.map(PolicyFile::tensors);
+        if let Some(tensors) = tensors {
+            if tensors.len() != PARAMETER_TENSORS {
+                return Err(PolicyError::TensorCountMismatch {
+                    file: tensors.len(),
+                    network: PARAMETER_TENSORS,
+                });
+            }
+        }
+        Ok(Self { tensors, next: 0 })
+    }
+
+    /// The next file tensor, which must have `shape`.
+    fn take(&mut self, tensors: &[Tensor], shape: &[usize]) -> Result<Tensor, PolicyError> {
+        let index = self.next;
+        self.next += 1;
+        let tensor = &tensors[index];
+        if tensor.shape() != shape {
+            return Err(PolicyError::ShapeMismatch {
+                index,
+                file: tensor.shape().to_vec(),
+                network: shape.to_vec(),
+            });
+        }
+        Ok(tensor.clone())
+    }
+
+    /// A 3×3, stride-2, padding-1 convolution.
+    fn conv(&mut self, inputs: usize, outputs: usize, seed: u64) -> Result<Conv2d, PolicyError> {
+        let Some(tensors) = self.tensors else {
+            return Ok(Conv2d::new(inputs, outputs, 3, 2, 1, seed));
+        };
+        let weight = self.take(tensors, &[outputs, inputs, 3, 3])?;
+        let bias = self.take(tensors, &[outputs])?;
+        Ok(Conv2d::from_parameters(weight, bias, 2, 1))
+    }
+
+    fn linear(&mut self, inputs: usize, outputs: usize, seed: u64) -> Result<Linear, PolicyError> {
+        let Some(tensors) = self.tensors else {
+            return Ok(Linear::new(inputs, outputs, seed));
+        };
+        let weight = self.take(tensors, &[inputs, outputs])?;
+        let bias = self.take(tensors, &[outputs])?;
+        Ok(Linear::from_parameters(weight, bias))
+    }
 }
 
 /// The metadata a `rlplanner.policy/v1` file carries so the facade can
@@ -192,7 +325,7 @@ pub fn build_rnd(observation_shape: &[usize], config: &AgentConfig) -> RandomNet
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rlp_nn::Tensor;
+    use rlp_nn::Layer;
 
     #[test]
     fn actor_critic_matches_environment_dimensions() {
@@ -226,6 +359,89 @@ mod tests {
         assert!(small_model.parameter_count() < large_model.parameter_count());
     }
 
+    /// A small agent on an 8×8 grid, and the policy file of a seeded
+    /// network of it.
+    fn small_policy(seed: u64) -> (ActorCritic, PolicyFile) {
+        let env = EnvConfig {
+            grid: (8, 8),
+            min_spacing_mm: 0.2,
+        };
+        let agent = AgentConfig {
+            conv_channels: (3, 5),
+            feature_dim: 12,
+            seed,
+            ..AgentConfig::default()
+        };
+        let mut model = build_actor_critic(&[4, 8, 8], 64, &agent);
+        let file = model.export_policy(policy_metadata(&env, &agent));
+        (model, file)
+    }
+
+    fn parameters(model: &mut ActorCritic) -> Vec<Tensor> {
+        let mut out = Vec::new();
+        model.visit_parameters(&mut |p| out.push(p.value.clone()));
+        out
+    }
+
+    #[test]
+    fn a_network_built_from_a_policy_file_holds_its_tensors() {
+        let (mut source, file) = small_policy(3);
+        let mut built = build_actor_critic(&[4, 8, 8], 64, &file).unwrap();
+        assert_eq!(parameters(&mut built), parameters(&mut source));
+        // The same network as a seeded build with the file applied on top.
+        let (mut applied, _) = small_policy(99);
+        file.apply_to(&mut applied).unwrap();
+        let states = Tensor::from_vec(
+            (0..4 * 64).map(|i| (i % 5) as f32 / 5.0).collect(),
+            vec![1, 4, 8, 8],
+        );
+        assert_eq!(
+            built.evaluate(&states, false),
+            applied.evaluate(&states, false)
+        );
+    }
+
+    #[test]
+    fn policy_files_that_do_not_fit_are_typed_errors() {
+        let (_, file) = small_policy(4);
+        let build = |file: &PolicyFile| build_actor_critic(&[4, 8, 8], 64, file).unwrap_err();
+        let metadata = file.metadata().to_vec();
+
+        let mut tensors = file.tensors().to_vec();
+        tensors.pop();
+        assert_eq!(
+            build(&PolicyFile::new(metadata.clone(), tensors)),
+            PolicyError::TensorCountMismatch {
+                file: 9,
+                network: 10
+            }
+        );
+
+        let mut tensors = file.tensors().to_vec();
+        tensors[2] = Tensor::zeros(vec![5, 3, 2, 2]);
+        assert_eq!(
+            build(&PolicyFile::new(metadata.clone(), tensors)),
+            PolicyError::ShapeMismatch {
+                index: 2,
+                file: vec![5, 3, 2, 2],
+                network: vec![5, 3, 3, 3],
+            }
+        );
+
+        let mut tensors = file.tensors().to_vec();
+        tensors[9].data_mut()[0] = f32::INFINITY;
+        assert_eq!(
+            build(&PolicyFile::new(metadata, tensors)),
+            PolicyError::NonFinite {
+                tensor: 9,
+                element: 0
+            }
+        );
+
+        let foreign = PolicyFile::new(Vec::new(), file.tensors().to_vec());
+        assert!(matches!(build(&foreign), PolicyError::Metadata(_)));
+    }
+
     #[test]
     fn rnd_matches_flattened_observation() {
         let config = AgentConfig::default();
@@ -252,10 +468,7 @@ mod tests {
             feature_dim: 32,
             ..AgentConfig::default()
         };
-        let file = PolicyFile {
-            metadata: policy_metadata(&env, &agent),
-            tensors: Vec::new(),
-        };
+        let file = PolicyFile::new(policy_metadata(&env, &agent), Vec::new());
         let (env_back, agent_back) = configs_from_policy(&file).unwrap();
         assert_eq!(env_back, env);
         assert_eq!(agent_back.conv_channels, (4, 8));
@@ -265,10 +478,7 @@ mod tests {
     #[test]
     fn foreign_or_corrupt_policy_metadata_is_a_typed_error() {
         // No metadata at all (a policy saved by something else entirely).
-        let empty = PolicyFile {
-            metadata: Vec::new(),
-            tensors: Vec::new(),
-        };
+        let empty = PolicyFile::new(Vec::new(), Vec::new());
         assert!(matches!(
             configs_from_policy(&empty),
             Err(PolicyError::Metadata(_))
@@ -280,10 +490,7 @@ mod tests {
                 *value = "0x16".to_string();
             }
         }
-        let zero_grid = PolicyFile {
-            metadata,
-            tensors: Vec::new(),
-        };
+        let zero_grid = PolicyFile::new(metadata, Vec::new());
         assert!(matches!(
             configs_from_policy(&zero_grid),
             Err(PolicyError::Metadata(_))

@@ -54,6 +54,9 @@ pub struct FloorplanEnv<A> {
     episode_done: bool,
     last_breakdown: Option<RewardBreakdown>,
     max_cell_power: f64,
+    /// Feasibility mask of the next chiplet on the current placement, as
+    /// the last observation built it; `step` checks the action against it.
+    mask: Vec<bool>,
 }
 
 impl<A: ThermalAnalyzer> FloorplanEnv<A> {
@@ -96,6 +99,7 @@ impl<A: ThermalAnalyzer> FloorplanEnv<A> {
             episode_done: false,
             last_breakdown: None,
             max_cell_power,
+            mask: Vec::new(),
         }
     }
 
@@ -134,9 +138,10 @@ impl<A: ThermalAnalyzer> FloorplanEnv<A> {
         self.order.get(self.next_index).copied()
     }
 
-    /// Builds the 4-channel state tensor and mask for the next chiplet;
-    /// returns `None` when the next chiplet has no feasible cell.
-    fn observe(&self) -> Option<Observation> {
+    /// Builds the 4-channel state tensor and mask for the next chiplet,
+    /// keeping the mask for the next `step`; returns `None` when the next
+    /// chiplet has no feasible cell.
+    fn observe(&mut self) -> Option<Observation> {
         let chiplet = self.next_chiplet()?;
         let system = self.reward.system();
         let mask = self.grid.feasibility_mask(
@@ -168,6 +173,7 @@ impl<A: ThermalAnalyzer> FloorplanEnv<A> {
         data.extend(mask.iter().map(|&m| if m { 1.0f32 } else { 0.0 }));
         data.extend(std::iter::repeat_n(next_descriptor, cells));
         let state = Tensor::from_vec(data, vec![4, self.grid.rows(), self.grid.cols()]);
+        self.mask.clone_from(&mask);
         Some(Observation::new(state, mask))
     }
 }
@@ -187,15 +193,10 @@ impl<A: ThermalAnalyzer> Environment for FloorplanEnv<A> {
         let chiplet = self
             .next_chiplet()
             .expect("step called with no chiplet left to place");
+        // The observation the agent acted on built this chiplet's mask on
+        // this placement; nothing has moved since.
         let system = self.reward.system();
-        let mask = self.grid.feasibility_mask(
-            system,
-            &self.placement,
-            chiplet,
-            Rotation::None,
-            self.config.min_spacing_mm,
-        );
-        if action >= mask.len() || !mask[action] {
+        if !self.mask.get(action).copied().unwrap_or(false) {
             // The agent ignored the mask: terminate with the penalty.
             self.episode_done = true;
             return StepResult {

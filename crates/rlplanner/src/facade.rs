@@ -22,7 +22,7 @@
 //! thermal characterisation — and the flag is recorded in the
 //! [`RunManifest`] so replay reproduces the seeded run.
 
-use crate::agent::{build_actor_critic, configs_from_policy, AgentConfig};
+use crate::agent::{build_actor_critic, configs_from_policy};
 use crate::env::{EnvConfig, FloorplanEnv};
 use crate::gradient::{GradientConfig, GradientDescent};
 use crate::outcome::{
@@ -408,13 +408,12 @@ fn run_gradient(
 /// when the greedy rollout dead-ends (see `run_pretrained`).
 const PRETRAINED_FALLBACK_ROLLOUTS: usize = 64;
 
-/// A `rlplanner.policy/v1` file, checked and with the environment and
-/// network geometry recorded in its metadata.
+/// A `rlplanner.policy/v1` file, checked, with the environment geometry
+/// recorded in its metadata.
 struct LoadedPolicy {
     path: String,
     file: Arc<PolicyFile>,
     env: EnvConfig,
-    agent: AgentConfig,
 }
 
 /// Resolves and checks a pretrained method's policy file: the request's
@@ -422,8 +421,8 @@ struct LoadedPolicy {
 /// from disk; then the optional checksum pin and the geometry metadata.
 /// Pins `config.checksum` to the checksum that actually runs, whether or
 /// not the request pinned one, so the manifest lets a replay require the
-/// same file. (The checksum serializes the whole file, so it is computed
-/// once.)
+/// same file. The checksum and the finite-parameter check are field reads:
+/// the file computed both once, when it was parsed.
 fn load_policy(
     request: &FloorplanRequest,
     config: &mut PretrainedConfig,
@@ -449,15 +448,11 @@ fn load_policy(
             }));
         }
     }
-    let (env, agent) = configs_from_policy(&file).map_err(policy_error)?;
+    file.check_finite().map_err(policy_error)?;
+    let (env, _) = configs_from_policy(&file).map_err(policy_error)?;
     let path = path.clone();
     config.checksum = Some(checksum);
-    Ok(LoadedPolicy {
-        path,
-        file,
-        env,
-        agent,
-    })
+    Ok(LoadedPolicy { path, file, env })
 }
 
 /// Inference only — "RLPlanner (pretrained)": rebuilds the network the
@@ -474,14 +469,15 @@ fn run_pretrained(
     let reward =
         RewardCalculator::new(request.system().clone(), analyzer, request.reward().clone());
     let mut env = FloorplanEnv::new(reward, policy.env);
-    let mut model = build_actor_critic(&env.observation_shape(), env.action_count(), &policy.agent);
-    policy
-        .file
-        .apply_to(&mut model)
-        .map_err(|error| PlanError::Policy {
-            path: policy.path,
-            error,
-        })?;
+    let mut model = build_actor_critic(
+        &env.observation_shape(),
+        env.action_count(),
+        policy.file.as_ref(),
+    )
+    .map_err(|error| PlanError::Policy {
+        path: policy.path,
+        error,
+    })?;
 
     // One greedy rollout: at every step, take the most probable feasible
     // cell. Greedy placement can paint itself into a corner on a system the

@@ -154,8 +154,9 @@ impl Server {
     /// # Errors
     ///
     /// Returns the bind error, or an [`io::ErrorKind::InvalidData`] error
-    /// when the configured policy file is unreadable or corrupt
-    /// (fail-fast: a bad file is a startup error, not a per-request one).
+    /// when the configured policy file is unreadable, corrupt or holds a
+    /// non-finite parameter (fail-fast: a bad file is a startup error, not
+    /// a per-request one).
     ///
     /// # Panics
     ///
@@ -164,12 +165,14 @@ impl Server {
         assert!(config.workers > 0, "the daemon needs at least one worker");
         let policy = match &config.policy {
             Some(path) => {
-                let file = PolicyFile::load(path).map_err(|e| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("policy file `{path}`: {e}"),
-                    )
-                })?;
+                let file = PolicyFile::load(path)
+                    .and_then(|file| file.check_finite().map(|()| file))
+                    .map_err(|e| {
+                        io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            format!("policy file `{path}`: {e}"),
+                        )
+                    })?;
                 let checksum = file.checksum();
                 rlp_obs::obs_event!(
                     rlp_obs::Level::Info,

@@ -588,3 +588,35 @@ fn binding_on_a_corrupt_policy_fails_fast() {
         "unhelpful bind error: {err}"
     );
 }
+
+#[test]
+fn binding_on_a_non_finite_policy_fails_fast() {
+    // A checksum-valid file with one `+inf` in the encoder's feature-layer
+    // weight (tensor 4) parses, but no network can run on it.
+    let trained = train_tiny_policy("inf-source");
+    let file = rlplanner::PolicyFile::load(&trained).expect("trained policy loads");
+    std::fs::remove_file(&trained).ok();
+    let mut tensors = file.tensors().to_vec();
+    tensors[4].data_mut()[0] = f32::INFINITY;
+    let path = std::env::temp_dir().join(format!(
+        "rlp-daemon-{}-inf-preload.policy",
+        std::process::id()
+    ));
+    rlplanner::PolicyFile::new(file.metadata().to_vec(), tensors)
+        .save(&path)
+        .expect("write policy");
+    let Err(err) = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        queue_capacity: 1,
+        policy: Some(path.display().to_string()),
+    }) else {
+        panic!("binding with a non-finite policy must fail");
+    };
+    std::fs::remove_file(&path).ok();
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    assert!(
+        err.to_string().contains("non-finite value at element 0"),
+        "unhelpful bind error: {err}"
+    );
+}

@@ -247,10 +247,13 @@ fn hostile_policy_files_are_typed_errors_not_panics() {
 
     // A structurally valid file whose tensors do not match the network the
     // metadata describes is a shape error, not a panic.
-    let mut file = PolicyFile::load(&path).unwrap();
-    file.tensors.pop();
+    let file = PolicyFile::load(&path).unwrap();
+    let mut tensors = file.tensors().to_vec();
+    tensors.pop();
     let bad = scratch_path("shapes");
-    file.save(&bad).unwrap();
+    PolicyFile::new(file.metadata().to_vec(), tensors)
+        .save(&bad)
+        .unwrap();
     let err = pretrained_request(synthetic_case(1), &bad)
         .solve()
         .unwrap_err();
@@ -265,6 +268,31 @@ fn hostile_policy_files_are_typed_errors_not_panics() {
         ),
         "{err}"
     );
+
+    // A checksum-valid file with a non-finite parameter is a typed error,
+    // not a panic in the action distribution.
+    for (tensor, value) in [(4, f32::INFINITY), (0, f32::NAN), (7, f32::NAN)] {
+        let mut tensors = file.tensors().to_vec();
+        tensors[tensor].data_mut()[0] = value;
+        let bad = scratch_path("non-finite");
+        PolicyFile::new(file.metadata().to_vec(), tensors)
+            .save(&bad)
+            .unwrap();
+        let err = pretrained_request(synthetic_case(1), &bad)
+            .solve()
+            .unwrap_err();
+        std::fs::remove_file(&bad).ok();
+        assert!(
+            matches!(
+                &err,
+                PlanError::Policy {
+                    error: PolicyError::NonFinite { tensor: t, element: 0 },
+                    ..
+                } if *t == tensor
+            ),
+            "{err}"
+        );
+    }
 
     std::fs::remove_file(&path).ok();
 }
@@ -294,4 +322,64 @@ fn preloaded_policy_skips_the_disk_read() {
 
     assert_eq!(preloaded.placement, from_disk.placement);
     assert_eq!(preloaded.breakdown, from_disk.breakdown);
+}
+
+/// Checksum of the policy that `rlplanner_cli case1 rl 4 --save-policy`
+/// trained before the NN kernels were reordered (seed 0, the default
+/// agent, one PPO update over 4 episodes, on any number of rollout
+/// workers). Training must stay bit-identical.
+const CASE1_RL4_CHECKSUM: u64 = 0x6ae1_4842_f09d_f5c5;
+
+/// The default CLI's thermal backend.
+fn cli_fast_backend() -> ThermalBackend {
+    ThermalBackend::Fast {
+        config: ThermalConfig::with_grid(32, 32),
+        characterization: CharacterizationOptions::default(),
+    }
+}
+
+#[test]
+fn training_and_inference_reproduce_the_pinned_policy_and_outcome() {
+    let path = scratch_path("pinned");
+    FloorplanRequest::builder()
+        .system(synthetic_case(1))
+        .method(Method::rl())
+        .thermal(cli_fast_backend())
+        .budget(Budget::Evaluations(4))
+        .parallel_envs(2)
+        .save_policy(path.display().to_string())
+        .build()
+        .unwrap()
+        .solve()
+        .unwrap();
+    let checksum = PolicyFile::load(&path).unwrap().checksum();
+    assert_eq!(
+        checksum, CASE1_RL4_CHECKSUM,
+        "trained policy checksum {checksum:#018x}"
+    );
+
+    let outcome = FloorplanRequest::builder()
+        .system(synthetic_case(1))
+        .method(Method::pretrained(path.display().to_string()))
+        .thermal(cli_fast_backend())
+        .build()
+        .unwrap()
+        .solve()
+        .unwrap();
+    std::fs::remove_file(&path).ok();
+    // Wall-clock lines and the scratch path aside, the document is pinned
+    // to the byte.
+    let document = rlplanner::report::outcome_json(&synthetic_case(1), &outcome);
+    let document: Vec<&str> = document
+        .lines()
+        .filter(|line| {
+            !["\"runtime_s\"", "\"thermal_prep\"", "\"policy_path\""]
+                .iter()
+                .any(|key| line.contains(key))
+        })
+        .collect();
+    let expected: Vec<&str> = include_str!("data/pretrained_case1.outcome.json")
+        .lines()
+        .collect();
+    assert_eq!(document, expected);
 }
