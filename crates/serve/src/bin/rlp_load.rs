@@ -482,3 +482,22 @@ fn main() -> ExitCode {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::shard_line;
+
+    #[test]
+    fn shard_lines_match_their_golden_file() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/golden/bench_shards.jsonl"
+        );
+        let expected = std::fs::read_to_string(path).unwrap();
+        let lines = [
+            shard_line("serve/latency/p50", 1_234_567.0, 32),
+            shard_line("serve/latency/p99", 0.1 + 0.2, 1),
+        ];
+        assert_eq!(format!("{}\n", lines.join("\n")), expected);
+    }
+}
