@@ -6,12 +6,10 @@
 //! directory regenerate the *quality* columns (reward, wirelength,
 //! temperature). This crate carries the small amount of setup code both
 //! share, plus the bench-regression machinery CI runs: [`report`] defines
-//! the `rlplanner.bench/v1` document and the >25%-median gate (the tiny
-//! JSON reader it needs lives in [`rlplanner::minijson`], shared with the
-//! campaign engine's stream-resume path), and the `bench_gate` binary the
-//! CLI over both.
+//! the `rlplanner.bench/v1` document and the >25%-median gate (written and
+//! read with the workspace's one JSON layer, [`rlp_obs::json`]), and the
+//! `bench_gate` binary the CLI over both.
 
-pub use rlplanner::minijson;
 pub mod report;
 
 use rand::SeedableRng;

@@ -23,9 +23,9 @@
 //! criterion benchmark id, in shard order, with per-iteration timing
 //! statistics in nanoseconds; `median_ns` is the value the regression gate
 //! compares (medians are robust to the odd slow sample on shared CI
-//! runners). All numbers are finite.
+//! runners). All numbers are finite, and `samples` is an exact integer.
 
-use crate::minijson::Value;
+use rlp_obs::json::{Layout, Value, Writer};
 use std::fmt;
 
 /// Identifier of the bench-document layout produced by [`render_report`].
@@ -66,7 +66,10 @@ fn record_from(value: &Value, context: &str) -> Result<BenchRecord, String> {
         mean_ns: field("mean_ns")?,
         min_ns: field("min_ns")?,
         max_ns: field("max_ns")?,
-        samples: field("samples")? as u64,
+        samples: value
+            .get("samples")
+            .and_then(Value::as_uint)
+            .ok_or_else(|| format!("{context}: missing or non-integer `samples`"))?,
     })
 }
 
@@ -90,31 +93,29 @@ pub fn parse_shards(text: &str) -> Result<Vec<BenchRecord>, String> {
 
 /// Renders records as the documented `rlplanner.bench/v1` document.
 pub fn render_report(records: &[BenchRecord]) -> String {
-    let benchmarks = records
-        .iter()
-        .map(|r| {
-            let escaped: String =
-                r.id.chars()
-                    .flat_map(|c| match c {
-                        '"' => vec!['\\', '"'],
-                        '\\' => vec!['\\', '\\'],
-                        c => vec![c],
-                    })
-                    .collect();
-            format!(
-                "    {{ \"id\": \"{escaped}\", \"median_ns\": {}, \"mean_ns\": {}, \
-                 \"min_ns\": {}, \"max_ns\": {}, \"samples\": {} }}",
-                r.median_ns, r.mean_ns, r.min_ns, r.max_ns, r.samples
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let benchmarks = if benchmarks.is_empty() {
-        "[]".to_string()
-    } else {
-        format!("[\n{benchmarks}\n  ]")
-    };
-    format!("{{\n  \"schema\": \"{BENCH_SCHEMA}\",\n  \"benchmarks\": {benchmarks}\n}}")
+    let mut w = Writer::pretty();
+    w.object(Layout::Block, |w| {
+        w.field("schema", BENCH_SCHEMA);
+        w.key("benchmarks").array(Layout::Block, |w| {
+            for record in records {
+                write_record(w, record);
+            }
+        });
+    });
+    w.finish()
+}
+
+/// Writes one record as an inline object — a `benchmarks` element, or on
+/// its own a shard line.
+pub fn write_record(w: &mut Writer, record: &BenchRecord) {
+    w.object(Layout::Inline, |w| {
+        w.field("id", &record.id)
+            .field("median_ns", record.median_ns)
+            .field("mean_ns", record.mean_ns)
+            .field("min_ns", record.min_ns)
+            .field("max_ns", record.max_ns)
+            .field("samples", record.samples);
+    });
 }
 
 /// Parses a `rlplanner.bench/v1` document back into records.
@@ -283,6 +284,17 @@ mod tests {
         assert!(rendered.starts_with(&format!("{{\n  \"schema\": \"{BENCH_SCHEMA}\"")));
         let reparsed = parse_report(&rendered).unwrap();
         assert_eq!(records, reparsed);
+    }
+
+    #[test]
+    fn ids_with_control_characters_round_trip() {
+        let records = vec![record("line\nbreak\u{1}\"q\"", 12.0)];
+        let rendered = render_report(&records);
+        assert!(
+            rendered.contains("line\\nbreak\\u0001\\\"q\\\""),
+            "{rendered}"
+        );
+        assert_eq!(parse_report(&rendered).unwrap(), records);
     }
 
     #[test]

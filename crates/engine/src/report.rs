@@ -6,9 +6,10 @@
 //! mean/min/max reward), and the campaign-level telemetry — wall-clock,
 //! parallelism and the shared cache's hit/miss/characterisation-time delta.
 //!
-//! [`campaign_json`] renders the report as a hand-rolled JSON document with
-//! the same conventions as [`rlplanner::report`] (stable field order,
-//! RFC 8259 escaping, `null` for non-finite numbers):
+//! [`campaign_json`] renders the report through the workspace's one JSON
+//! writer ([`rlp_obs::json`]), so it shares every encoding rule of
+//! [`rlplanner::report`] (stable field order, RFC 8259 escaping, `null`
+//! for non-finite numbers):
 //!
 //! # Campaign document ([`campaign_json`])
 //!
@@ -76,8 +77,9 @@
 //! this execution performed.
 
 use rlp_chiplet::ChipletSystem;
+use rlp_obs::json::{Layout, Writer};
 use rlp_thermal::ThermalCacheStats;
-use rlplanner::report::{json_escape, json_num, outcome_json};
+use rlplanner::report::write_outcome;
 use rlplanner::{EvalCounts, FloorplanOutcome, PlanError};
 use std::time::Duration;
 
@@ -247,175 +249,124 @@ impl CampaignReport {
     }
 }
 
-fn indent(block: &str, spaces: usize) -> String {
-    let pad = " ".repeat(spaces);
-    block
-        .lines()
-        .enumerate()
-        .map(|(i, line)| {
-            if i == 0 {
-                line.to_string()
-            } else {
-                format!("{pad}{line}")
-            }
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
-fn cell_json(report: &CampaignReport, cell: &CellSummary) -> String {
+fn write_cell(w: &mut Writer, report: &CampaignReport, cell: &CellSummary) {
     let best = &report.runs[cell.best_run];
-    let seeds = cell
-        .seeds
-        .iter()
-        .map(u64::to_string)
-        .collect::<Vec<_>>()
-        .join(", ");
-    let fields = format!(
-        "\"system\": \"{}\",\n\
-         \"method\": \"{}\",\n\
-         \"seeds\": [{}],\n\
-         \"best_seed\": {},\n\
-         \"mean_reward\": {},\n\
-         \"min_reward\": {},\n\
-         \"max_reward\": {},\n\
-         \"total_runtime_s\": {},\n\
-         \"evaluations\": {},\n\
-         \"full_evals\": {},\n\
-         \"incremental_evals\": {},\n\
-         \"mean_eval_us\": {},\n\
-         \"episodes_per_s\": {},\n\
-         \"best\": {}",
-        json_escape(&cell.system),
-        json_escape(&cell.method),
-        seeds,
-        best.seed,
-        json_num(cell.mean_reward),
-        json_num(cell.min_reward),
-        json_num(cell.max_reward),
-        json_num(cell.total_runtime.as_secs_f64()),
-        cell.eval_counts.total(),
-        cell.eval_counts.full,
-        cell.eval_counts.incremental,
-        json_num(cell.mean_eval_time.as_secs_f64() * 1e6),
-        cell.episodes_per_s.map_or("null".to_string(), json_num),
-        indent(
-            &outcome_json(&report.systems[cell.system_index], &best.outcome),
-            0
-        ),
-    );
-    format!("{{\n  {}\n}}", indent(&fields, 2))
+    w.object(Layout::Block, |w| {
+        w.field("system", &cell.system)
+            .field("method", &cell.method);
+        w.key("seeds").array(Layout::Inline, |w| {
+            for seed in &cell.seeds {
+                w.value(seed);
+            }
+        });
+        w.field("best_seed", best.seed)
+            .field("mean_reward", cell.mean_reward)
+            .field("min_reward", cell.min_reward)
+            .field("max_reward", cell.max_reward)
+            .field("total_runtime_s", cell.total_runtime.as_secs_f64())
+            .field("evaluations", cell.eval_counts.total())
+            .field("full_evals", cell.eval_counts.full)
+            .field("incremental_evals", cell.eval_counts.incremental)
+            .field("mean_eval_us", cell.mean_eval_time.as_secs_f64() * 1e6)
+            .field("episodes_per_s", cell.episodes_per_s);
+        write_outcome(
+            w.key("best"),
+            &report.systems[cell.system_index],
+            &best.outcome,
+        );
+    });
 }
 
-fn run_json(run: &RunRecord) -> String {
-    format!(
-        "{{ \"index\": {}, \"system\": \"{}\", \"method\": \"{}\", \"seed\": {}, \"reward\": {}, \"wirelength_mm\": {}, \"max_temperature_c\": {}, \"evaluations\": {}, \"eval_mode\": \"{}\", \"full_evals\": {}, \"incremental_evals\": {}, \"runtime_s\": {}, \"cache_hits\": {}, \"cache_misses\": {} }}",
-        run.index,
-        json_escape(&run.system),
-        json_escape(&run.method),
-        run.seed,
-        json_num(run.outcome.breakdown.reward),
-        json_num(run.outcome.breakdown.wirelength_mm),
-        json_num(run.outcome.breakdown.max_temperature_c),
-        run.outcome.evaluations,
-        run.outcome.evaluation.mode.label(),
-        run.outcome.evaluation.counts.full,
-        run.outcome.evaluation.counts.incremental,
-        json_num(run.outcome.runtime.as_secs_f64()),
-        run.outcome.thermal_prep.cache_hits,
-        run.outcome.thermal_prep.cache_misses,
-    )
+fn write_run(w: &mut Writer, run: &RunRecord) {
+    let outcome = &run.outcome;
+    w.object(Layout::Inline, |w| {
+        w.field("index", run.index)
+            .field("system", &run.system)
+            .field("method", &run.method)
+            .field("seed", run.seed)
+            .field("reward", outcome.breakdown.reward)
+            .field("wirelength_mm", outcome.breakdown.wirelength_mm)
+            .field("max_temperature_c", outcome.breakdown.max_temperature_c)
+            .field("evaluations", outcome.evaluations)
+            .field("eval_mode", outcome.evaluation.mode.label())
+            .field("full_evals", outcome.evaluation.counts.full)
+            .field("incremental_evals", outcome.evaluation.counts.incremental)
+            .field("runtime_s", outcome.runtime.as_secs_f64())
+            .field("cache_hits", outcome.thermal_prep.cache_hits)
+            .field("cache_misses", outcome.thermal_prep.cache_misses);
+    });
 }
 
-fn failure_json(failure: &RunFailure) -> String {
-    format!(
-        "{{ \"index\": {}, \"system\": \"{}\", \"system_index\": {}, \"method\": \"{}\", \"seed\": {}, \"error\": \"{}\" }}",
-        failure.index,
-        json_escape(&failure.system),
-        failure.system_index,
-        json_escape(&failure.method),
-        failure.seed,
-        json_escape(&failure.error.to_string()),
-    )
+fn write_failure(w: &mut Writer, failure: &RunFailure) {
+    w.object(Layout::Inline, |w| {
+        w.field("index", failure.index)
+            .field("system", &failure.system)
+            .field("system_index", failure.system_index)
+            .field("method", &failure.method)
+            .field("seed", failure.seed)
+            .field("error", failure.error.to_string());
+    });
 }
 
-fn scheduler_json(scheduler: &SchedulerTelemetry) -> String {
-    let workers = array_json(
-        scheduler
-            .workers
-            .iter()
-            .enumerate()
-            .map(|(worker, telemetry)| {
-                format!(
-                    "{{ \"worker\": {}, \"busy_s\": {}, \"executed\": {} }}",
-                    worker,
-                    json_num(telemetry.busy.as_secs_f64()),
-                    telemetry.runs,
-                )
-            })
-            .collect(),
-    );
-    let drain = array_json(
-        scheduler
-            .drain
-            .iter()
-            .map(|event| {
-                format!(
-                    "{{ \"index\": {}, \"worker\": {}, \"started_s\": {}, \"finished_s\": {} }}",
-                    event.index,
-                    event.worker,
-                    json_num(event.started.as_secs_f64()),
-                    json_num(event.finished.as_secs_f64()),
-                )
-            })
-            .collect(),
-    );
-    let fields = format!("\"workers\": {workers},\n\"drain\": {drain}");
-    format!("{{\n  {}\n}}", indent(&fields, 2))
-}
-
-fn array_json(items: Vec<String>) -> String {
-    if items.is_empty() {
-        "[]".to_string()
-    } else {
-        format!("[\n  {}\n]", indent(&items.join(",\n"), 2))
-    }
+fn write_scheduler(w: &mut Writer, scheduler: &SchedulerTelemetry) {
+    w.object(Layout::Block, |w| {
+        w.key("workers").array(Layout::Block, |w| {
+            for (worker, telemetry) in scheduler.workers.iter().enumerate() {
+                w.object(Layout::Inline, |w| {
+                    w.field("worker", worker)
+                        .field("busy_s", telemetry.busy.as_secs_f64())
+                        .field("executed", telemetry.runs);
+                });
+            }
+        });
+        w.key("drain").array(Layout::Block, |w| {
+            for event in &scheduler.drain {
+                w.object(Layout::Inline, |w| {
+                    w.field("index", event.index)
+                        .field("worker", event.worker)
+                        .field("started_s", event.started.as_secs_f64())
+                        .field("finished_s", event.finished.as_secs_f64());
+                });
+            }
+        });
+    });
 }
 
 /// Renders a campaign report as the documented campaign document.
 pub fn campaign_json(report: &CampaignReport) -> String {
-    let cells = array_json(
-        report
-            .cells
-            .iter()
-            .map(|cell| cell_json(report, cell))
-            .collect(),
-    );
-    let runs = array_json(report.runs.iter().map(run_json).collect());
-    let failures = array_json(report.failures.iter().map(failure_json).collect());
-    let fields = format!(
-        "\"schema\": \"{}\",\n\
-         \"parallelism\": {},\n\
-         \"resumed_runs\": {},\n\
-         \"wall_clock_s\": {},\n\
-         \"cache\": {{ \"hits\": {}, \"misses\": {}, \"characterization_s\": {} }},\n\
-         \"scheduler\": {},\n\
-         \"cells\": {},\n\
-         \"runs\": {},\n\
-         \"failures\": {}",
-        CAMPAIGN_SCHEMA,
-        report.parallelism,
-        report.resumed_runs,
-        json_num(report.wall_clock.as_secs_f64()),
-        report.cache.hits,
-        report.cache.misses,
-        json_num(report.cache.characterization_time.as_secs_f64()),
-        indent(&scheduler_json(&report.scheduler), 2),
-        cells,
-        runs,
-        failures,
-    );
-    format!("{{\n  {}\n}}", indent(&fields, 2))
+    let mut w = Writer::pretty();
+    w.object(Layout::Block, |w| {
+        w.field("schema", CAMPAIGN_SCHEMA)
+            .field("parallelism", report.parallelism)
+            .field("resumed_runs", report.resumed_runs)
+            .field("wall_clock_s", report.wall_clock.as_secs_f64());
+        w.key("cache").object(Layout::Inline, |w| {
+            w.field("hits", report.cache.hits)
+                .field("misses", report.cache.misses)
+                .field(
+                    "characterization_s",
+                    report.cache.characterization_time.as_secs_f64(),
+                );
+        });
+        w.key("scheduler")
+            .deeper(|w| write_scheduler(w, &report.scheduler));
+        w.key("cells").array(Layout::Block, |w| {
+            for cell in &report.cells {
+                write_cell(w, report, cell);
+            }
+        });
+        w.key("runs").array(Layout::Block, |w| {
+            for run in &report.runs {
+                write_run(w, run);
+            }
+        });
+        w.key("failures").array(Layout::Block, |w| {
+            for failure in &report.failures {
+                write_failure(w, failure);
+            }
+        });
+    });
+    w.finish()
 }
 
 #[cfg(test)]

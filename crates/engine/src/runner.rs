@@ -41,8 +41,8 @@ use crate::report::{
 };
 use crate::sink::{NullSink, RunEvent, RunSink, RUN_RECORD_SCHEMA};
 use crate::spec::{CampaignSpec, RunSpec};
+use rlp_obs::json::Value;
 use rlp_thermal::ThermalModelCache;
-use rlplanner::minijson::Value;
 use rlplanner::{FloorplanOutcome, PlanError, PrebuiltThermal};
 use std::error::Error;
 use std::fmt;
@@ -413,8 +413,7 @@ fn resume_record(
     }
     let index = value
         .get("index")
-        .and_then(Value::as_f64)
-        .filter(|v| v.fract() == 0.0 && (0.0..=9.007_199_254_740_992e15).contains(v))
+        .and_then(Value::as_uint)
         .map(|v| v as usize)
         .ok_or_else(|| fail("missing or invalid `index` field".to_string()))?;
     if index >= runs.len() {
@@ -457,9 +456,7 @@ fn resume_record(
             }
             let record_seed = value
                 .get("seed")
-                .and_then(Value::as_f64)
-                .filter(|v| v.fract() == 0.0 && (0.0..=9.007_199_254_740_992e15).contains(v))
-                .map(|v| v as u64)
+                .and_then(Value::as_uint)
                 .ok_or_else(|| fail("missing or invalid `seed` field".to_string()))?;
             let expected_seed = run.seed.unwrap_or_else(|| method.method().config_seed());
             if record_seed != expected_seed {

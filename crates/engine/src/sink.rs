@@ -42,8 +42,8 @@
 
 use crate::report::{RunFailure, RunRecord};
 use rlp_chiplet::ChipletSystem;
-use rlplanner::minijson::Value;
-use rlplanner::report::{json_escape, json_num, outcome_json};
+use rlp_obs::json::{Layout, Value, Writer};
+use rlplanner::report::outcome_json;
 use std::fs::OpenOptions;
 use std::io::{self, BufWriter, ErrorKind, Write};
 use std::path::{Path, PathBuf};
@@ -83,39 +83,43 @@ impl RunEvent<'_> {
     /// Renders the event as one `rlplanner.campaign-run/v1` line (no
     /// trailing newline).
     pub fn to_jsonl(&self) -> String {
-        match self {
-            RunEvent::Completed { run, system } => {
-                let doc = outcome_json(system, &run.outcome);
-                let outcome = Value::parse(&doc)
-                    .expect("outcome documents are valid JSON")
-                    .render();
-                format!(
-                    "{{\"schema\":\"{RUN_RECORD_SCHEMA}\",\"index\":{},\"status\":\"ok\",\"system\":\"{}\",\"system_index\":{},\"method\":\"{}\",\"seed\":{},\"evaluations\":{},\"full_evals\":{},\"incremental_evals\":{},\"runtime_s\":{},\"cache_hits\":{},\"cache_misses\":{},\"characterization_s\":{},\"outcome\":{}}}",
-                    run.index,
-                    json_escape(&run.system),
-                    run.system_index,
-                    json_escape(&run.method),
-                    run.seed,
-                    run.outcome.evaluations,
-                    run.outcome.evaluation.counts.full,
-                    run.outcome.evaluation.counts.incremental,
-                    json_num(run.outcome.runtime.as_secs_f64()),
-                    run.outcome.thermal_prep.cache_hits,
-                    run.outcome.thermal_prep.cache_misses,
-                    json_num(run.outcome.thermal_prep.characterization.as_secs_f64()),
-                    outcome,
-                )
+        let mut w = Writer::compact();
+        w.object(Layout::Inline, |w| {
+            w.field("schema", RUN_RECORD_SCHEMA)
+                .field("index", self.index());
+            match self {
+                RunEvent::Completed { run, system } => {
+                    let outcome = &run.outcome;
+                    w.field("status", "ok")
+                        .field("system", &run.system)
+                        .field("system_index", run.system_index)
+                        .field("method", &run.method)
+                        .field("seed", run.seed)
+                        .field("evaluations", outcome.evaluations)
+                        .field("full_evals", outcome.evaluation.counts.full)
+                        .field("incremental_evals", outcome.evaluation.counts.incremental)
+                        .field("runtime_s", outcome.runtime.as_secs_f64())
+                        .field("cache_hits", outcome.thermal_prep.cache_hits)
+                        .field("cache_misses", outcome.thermal_prep.cache_misses)
+                        .field(
+                            "characterization_s",
+                            outcome.thermal_prep.characterization.as_secs_f64(),
+                        );
+                    let doc = outcome_json(system, outcome);
+                    let outcome = Value::parse(&doc).expect("outcome documents are valid JSON");
+                    w.field("outcome", &outcome);
+                }
+                RunEvent::Failed { failure } => {
+                    w.field("status", "error")
+                        .field("system", &failure.system)
+                        .field("system_index", failure.system_index)
+                        .field("method", &failure.method)
+                        .field("seed", failure.seed)
+                        .field("error", failure.error.to_string());
+                }
             }
-            RunEvent::Failed { failure } => format!(
-                "{{\"schema\":\"{RUN_RECORD_SCHEMA}\",\"index\":{},\"status\":\"error\",\"system\":\"{}\",\"system_index\":{},\"method\":\"{}\",\"seed\":{},\"error\":\"{}\"}}",
-                failure.index,
-                json_escape(&failure.system),
-                failure.system_index,
-                json_escape(&failure.method),
-                failure.seed,
-                json_escape(&failure.error.to_string()),
-            ),
-        }
+        });
+        w.finish()
     }
 }
 

@@ -9,6 +9,7 @@
 //! fixed seeds.
 
 use rlp_chiplet::ChipletSystem;
+use rlp_obs::json::MAX_EXACT_INTEGER;
 use rlp_thermal::ThermalBackend;
 use rlplanner::{Budget, ConfigError, FloorplanRequest, Method, PrebuiltThermal};
 
@@ -341,6 +342,25 @@ impl CampaignSpecBuilder {
                 value: 0.0,
             });
         }
+        // A stream records each run's seed as a JSON number, and a resumed
+        // campaign must read back exactly the seed it would run with.
+        let run_seeds = if self.seeds.is_empty() {
+            self.methods
+                .iter()
+                .map(|m| m.method.config_seed())
+                .collect()
+        } else {
+            self.seeds.clone()
+        };
+        if let Some(seed) = run_seeds.into_iter().find(|&s| s > MAX_EXACT_INTEGER) {
+            return Err(ConfigError::Invalid {
+                field: "seeds",
+                reason: format!(
+                    "seed {seed} exceeds {MAX_EXACT_INTEGER}, the largest seed a \
+                     campaign stream records exactly"
+                ),
+            });
+        }
         let spec = CampaignSpec {
             methods: self.methods,
             systems: self.systems,
@@ -383,6 +403,48 @@ mod tests {
     fn grid_backend() -> ThermalBackend {
         ThermalBackend::Grid {
             config: ThermalConfig::with_grid(8, 8),
+        }
+    }
+
+    #[test]
+    fn seeds_a_stream_cannot_record_exactly_are_refused() {
+        let spec = |seeds: &[u64], config_seed: u64| {
+            CampaignSpec::builder()
+                .system(tiny_system("s"))
+                .method(CampaignMethod::new(
+                    "sa",
+                    Method::Sa {
+                        config: rlp_sa::SaConfig {
+                            seed: config_seed,
+                            ..rlp_sa::SaConfig::default()
+                        },
+                    },
+                    grid_backend(),
+                ))
+                .seeds(seeds.iter().copied())
+                .build()
+        };
+        let largest = MAX_EXACT_INTEGER;
+        assert!(spec(&[largest], 0).is_ok());
+        assert!(spec(&[], largest).is_ok());
+        // The axis overrides the config seed, so only the axis counts.
+        assert!(spec(&[7], u64::MAX).is_ok());
+        for (seeds, config_seed) in [
+            (&[7, largest + 2][..], 0),
+            (&[largest + 1][..], 0),
+            (&[][..], largest + 1),
+        ] {
+            match spec(seeds, config_seed) {
+                Err(ConfigError::Invalid { field, reason }) => {
+                    assert_eq!(field, "seeds");
+                    assert!(
+                        reason.contains(&(largest + 1).to_string())
+                            || reason.contains(&(largest + 2).to_string()),
+                        "{reason}"
+                    );
+                }
+                other => panic!("{seeds:?}/{config_seed}: expected a seeds error, got {other:?}"),
+            }
         }
     }
 

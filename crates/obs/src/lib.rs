@@ -1,7 +1,9 @@
 //! `rlp-obs`: the workspace's observability substrate — a process-wide
 //! metrics registry (counters, gauges, log-scale latency histograms with
 //! percentile extraction, rendered as `rlplanner.metrics/v1` JSON) plus
-//! structured, levelled events and spans with pluggable sinks.
+//! structured, levelled events and spans with pluggable sinks — and the
+//! workspace's one JSON layer, [`json`]: every document any crate writes
+//! or reads goes through its writer and parser.
 //!
 //! Hand-rolled on `std` only: the build environment vendors its few
 //! dependencies and this crate sits *beneath* every other workspace crate,
@@ -38,6 +40,7 @@
 //! let _span = obs_span!(Level::Debug, "doc", "solve", job = 3u64);
 //! ```
 
+pub mod json;
 pub mod log;
 pub mod metrics;
 

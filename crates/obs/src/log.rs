@@ -29,6 +29,7 @@
 //! design: the interesting datum is the duration, and the start time is
 //! recoverable as `t_ns - elapsed_ns`.
 
+use crate::json::{Encode, Layout, Writer};
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -135,6 +136,18 @@ pub enum FieldValue {
     Bool(bool),
     /// String (JSON-escaped in machine sinks).
     Str(String),
+}
+
+impl Encode for FieldValue {
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            FieldValue::U64(v) => v.encode(w),
+            FieldValue::I64(v) => v.encode(w),
+            FieldValue::F64(v) => v.encode(w),
+            FieldValue::Bool(v) => v.encode(w),
+            FieldValue::Str(v) => v.encode(w),
+        }
+    }
 }
 
 impl From<u64> for FieldValue {
@@ -279,42 +292,31 @@ impl JsonlSink {
     }
 
     fn render(record: &LogRecord) -> String {
-        let mut line = String::with_capacity(160);
-        let _ = write!(
-            line,
-            "{{\"t_ns\":{},\"level\":\"{}\",\"target\":\"{}\",\"kind\":\"{}\",\"message\":\"{}\"",
-            record.t_ns,
-            record.level.label(),
-            record.target,
-            match record.kind {
-                RecordKind::Event => "event",
-                RecordKind::SpanEnd => "span",
-            },
-            escape(&record.message),
-        );
-        if let Some(elapsed) = record.elapsed_ns {
-            let _ = write!(line, ",\"elapsed_ns\":{elapsed}");
-        }
-        if !record.fields.is_empty() {
-            line.push_str(",\"fields\":{");
-            for (i, (key, value)) in record.fields.iter().enumerate() {
-                if i > 0 {
-                    line.push(',');
-                }
-                let _ = write!(line, "\"{}\":", escape(key));
-                match value {
-                    FieldValue::U64(v) => _ = write!(line, "{v}"),
-                    FieldValue::I64(v) => _ = write!(line, "{v}"),
-                    FieldValue::F64(v) if v.is_finite() => _ = write!(line, "{v}"),
-                    FieldValue::F64(_) => line.push_str("null"),
-                    FieldValue::Bool(v) => _ = write!(line, "{v}"),
-                    FieldValue::Str(v) => _ = write!(line, "\"{}\"", escape(v)),
-                }
+        let mut w = Writer::compact();
+        w.object(Layout::Inline, |w| {
+            w.field("t_ns", record.t_ns)
+                .field("level", record.level.label())
+                .field("target", record.target)
+                .field(
+                    "kind",
+                    match record.kind {
+                        RecordKind::Event => "event",
+                        RecordKind::SpanEnd => "span",
+                    },
+                )
+                .field("message", &record.message);
+            if let Some(elapsed) = record.elapsed_ns {
+                w.field("elapsed_ns", elapsed);
             }
-            line.push('}');
-        }
-        line.push('}');
-        line
+            if !record.fields.is_empty() {
+                w.key("fields").object(Layout::Inline, |w| {
+                    for (key, value) in &record.fields {
+                        w.field(key, value);
+                    }
+                });
+            }
+        });
+        w.finish()
     }
 }
 
@@ -325,24 +327,6 @@ impl LogSink for JsonlSink {
         let _ = writeln!(out, "{line}");
         let _ = out.flush();
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn sinks() -> &'static RwLock<Vec<Arc<dyn LogSink>>> {

@@ -22,7 +22,7 @@ use std::time::Duration;
 /// grid solver and the RL training loop evaluate every candidate from
 /// scratch ([`EvalMode::Full`]). The JSON report surfaces this as the
 /// `evaluation` object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalTelemetry {
     /// The engine that evaluated the candidates.
     pub mode: EvalMode,
@@ -39,7 +39,7 @@ pub struct EvalTelemetry {
 /// `parallel_envs` changes only `episodes_per_s`, never the outcome, and
 /// `merge_order_hash` fingerprints the merge sequence so an order
 /// regression is immediately visible.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TrainingTelemetry {
     /// Training episodes the run actually collected (may be fewer than
     /// configured under a wall-clock budget). This — not
@@ -61,7 +61,7 @@ pub struct TrainingTelemetry {
 /// the series answers the same question — how the objective evolved per
 /// candidate — so convergence curves are directly comparable across
 /// methods.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TelemetrySample {
     /// 0-based candidate index in run order.
     pub index: usize,

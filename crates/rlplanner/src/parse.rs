@@ -17,6 +17,12 @@
 //! zero-wire nets, invalid configurations) is surfaced as a parse error
 //! here, so adversarial documents cannot crash the receiving process.
 //!
+//! The nested configuration and telemetry objects are read with the key
+//! tables in `codec.rs`, the same tables [`crate::report`] renders them
+//! from; this module adds what those tables cannot know: schema checks,
+//! the system header, chiplet names resolved against the system, and the
+//! construction contracts of the system itself.
+//!
 //! Two encodings are lossy by design and documented here rather than
 //! hidden: JSON has no non-finite numbers, so the writer emits `null` for
 //! them and this parser maps `null` back to NaN (an `-inf` reward
@@ -25,26 +31,14 @@
 //! parsed outcome reproduces the original document byte for byte, which is
 //! the invariant the campaign resume path relies on.
 
-use crate::gradient::GradientConfig;
-use crate::minijson::Value;
-use crate::outcome::{
-    EvalTelemetry, FloorplanOutcome, RunManifest, TelemetrySample, TrainingTelemetry,
-};
-use crate::planner::RlPlannerConfig;
+use crate::codec::{err, member, read, Key, Result};
+use crate::outcome::{FloorplanOutcome, RunManifest};
 use crate::report::{OUTCOME_SCHEMA, REQUEST_SCHEMA};
-use crate::request::{Budget, FloorplanRequest, Method, PretrainedConfig};
-use crate::reward::{RewardBreakdown, RewardConfig};
-use crate::{AgentConfig, EnvConfig};
-use rlp_chiplet::bumps::BumpConfig;
+use crate::request::{Budget, FloorplanRequest};
 use rlp_chiplet::{Chiplet, ChipletId, ChipletSystem, Net, Placement, Position, Rotation};
-use rlp_rl::PpoConfig;
-use rlp_sa::{EvalCounts, EvalMode, SaConfig};
-use rlp_thermal::{
-    CharacterizationOptions, Layer, LayerStack, ThermalBackend, ThermalConfig, ThermalPrep,
-};
+use rlp_obs::json::Value;
 use std::collections::HashMap;
 use std::fmt;
-use std::time::Duration;
 
 /// Why an outcome document could not be parsed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,10 +55,20 @@ impl fmt::Display for OutcomeParseError {
 
 impl std::error::Error for OutcomeParseError {}
 
-fn err<T>(message: impl Into<String>) -> Result<T, OutcomeParseError> {
-    Err(OutcomeParseError {
-        message: message.into(),
+fn parse(text: &str) -> Result<Value> {
+    Value::parse(text).map_err(|e| OutcomeParseError {
+        message: e.to_string(),
     })
+}
+
+fn check_schema(doc: &Value, expected: &str) -> Result<()> {
+    let schema: String = read(doc, Key::top("schema"))?;
+    if schema != expected {
+        return err(format!(
+            "unsupported schema `{schema}` (expected `{expected}`)"
+        ));
+    }
+    Ok(())
 }
 
 /// Parses an `rlplanner.outcome/v1` document against the system it was
@@ -82,11 +86,8 @@ fn err<T>(message: impl Into<String>) -> Result<T, OutcomeParseError> {
 pub fn outcome_from_json(
     text: &str,
     system: &ChipletSystem,
-) -> Result<FloorplanOutcome, OutcomeParseError> {
-    let doc = Value::parse(text).map_err(|e| OutcomeParseError {
-        message: e.to_string(),
-    })?;
-    outcome_from_value(&doc, system)
+) -> std::result::Result<FloorplanOutcome, OutcomeParseError> {
+    outcome_from_value(&parse(text)?, system)
 }
 
 /// Parses an already-decoded outcome document; see [`outcome_from_json`].
@@ -98,23 +99,17 @@ pub fn outcome_from_json(
 pub fn outcome_from_value(
     doc: &Value,
     system: &ChipletSystem,
-) -> Result<FloorplanOutcome, OutcomeParseError> {
-    let schema = str_field(doc, "schema")?;
-    if schema != OUTCOME_SCHEMA {
-        return err(format!(
-            "unsupported schema `{schema}` (expected `{OUTCOME_SCHEMA}`)"
-        ));
-    }
-
-    let header = field(doc, "system")?;
-    let name = str_field(header, "system.name")?;
+) -> std::result::Result<FloorplanOutcome, OutcomeParseError> {
+    check_schema(doc, OUTCOME_SCHEMA)?;
+    let header = member(doc, Key::top("system"))?;
+    let name: String = read(header, Key::new("system", "name"))?;
     if name != system.name() {
         return err(format!(
             "document is for system `{name}`, not `{}`",
             system.name()
         ));
     }
-    let chiplets = usize_field(header, "system.chiplets")?;
+    let chiplets: usize = read(header, Key::new("system", "chiplets"))?;
     if chiplets != system.chiplet_count() {
         return err(format!(
             "document records {chiplets} chiplets but `{}` has {}",
@@ -122,30 +117,32 @@ pub fn outcome_from_value(
             system.chiplet_count()
         ));
     }
-
-    let breakdown = breakdown_from(field(doc, "breakdown")?)?;
-    let evaluations = usize_field(doc, "evaluations")?;
-    let evaluation = evaluation_from(field(doc, "evaluation")?)?;
-    let training = match field(doc, "training")? {
-        Value::Null => None,
-        value => Some(training_from(value)?),
-    };
-    let runtime = duration_field(doc, "runtime_s")?;
-    let thermal_prep = thermal_prep_from(field(doc, "thermal_prep")?)?;
-    let placement = placement_from(field(doc, "placement")?, system)?;
-    let telemetry = telemetry_from(field(doc, "telemetry")?)?;
-    let manifest = manifest_from(field(doc, "manifest")?, system)?;
-
+    let top = Key::top;
+    let in_manifest = |name| Key::new("manifest", name);
     Ok(FloorplanOutcome {
-        placement,
-        breakdown,
-        telemetry,
-        evaluations,
-        evaluation,
-        training,
-        runtime,
-        thermal_prep,
-        manifest,
+        breakdown: read(doc, top("breakdown"))?,
+        evaluations: read(doc, top("evaluations"))?,
+        evaluation: read(doc, top("evaluation"))?,
+        training: read(doc, top("training"))?,
+        runtime: read(doc, top("runtime_s"))?,
+        thermal_prep: read(doc, top("thermal_prep"))?,
+        placement: placement_from(member(doc, top("placement"))?, system)?,
+        telemetry: read(doc, top("telemetry"))?,
+        manifest: {
+            let manifest = member(doc, top("manifest"))?;
+            RunManifest {
+                // The document's `system` header was already checked
+                // against the caller's system, so the manifest identity
+                // comes from there.
+                system_name: system.name().to_string(),
+                chiplet_count: system.chiplet_count(),
+                method: read(manifest, in_manifest("method"))?,
+                thermal: read(manifest, in_manifest("thermal"))?,
+                reward: read(manifest, in_manifest("reward"))?,
+                seed: read(manifest, in_manifest("seed"))?,
+                warm_start: read(manifest, in_manifest("warm_start"))?,
+            }
+        },
     })
 }
 
@@ -163,11 +160,8 @@ pub fn outcome_from_value(
 /// Returns an [`OutcomeParseError`] naming the first malformed, missing or
 /// invalid field (including JSON syntax errors and configuration errors the
 /// builder rejects).
-pub fn request_from_json(text: &str) -> Result<FloorplanRequest, OutcomeParseError> {
-    let doc = Value::parse(text).map_err(|e| OutcomeParseError {
-        message: e.to_string(),
-    })?;
-    request_from_value(&doc)
+pub fn request_from_json(text: &str) -> std::result::Result<FloorplanRequest, OutcomeParseError> {
+    request_from_value(&parse(text)?)
 }
 
 /// Parses an already-decoded request document; see [`request_from_json`].
@@ -176,60 +170,49 @@ pub fn request_from_json(text: &str) -> Result<FloorplanRequest, OutcomeParseErr
 ///
 /// Returns an [`OutcomeParseError`] naming the first malformed, missing or
 /// invalid field.
-pub fn request_from_value(doc: &Value) -> Result<FloorplanRequest, OutcomeParseError> {
-    let schema = str_field(doc, "schema")?;
-    if schema != REQUEST_SCHEMA {
-        return err(format!(
-            "unsupported schema `{schema}` (expected `{REQUEST_SCHEMA}`)"
-        ));
-    }
-    let system = system_from(field(doc, "system")?)?;
+pub fn request_from_value(doc: &Value) -> std::result::Result<FloorplanRequest, OutcomeParseError> {
+    check_schema(doc, REQUEST_SCHEMA)?;
+    let top = Key::top;
     let mut builder = FloorplanRequest::builder()
-        .system(system)
-        .method(method_from(field(doc, "method")?)?)
-        .thermal(thermal_from(field(doc, "thermal")?)?)
-        .reward(reward_from(field(doc, "reward")?)?);
-    match field(doc, "budget")? {
+        .system(system_from(member(doc, top("system"))?)?)
+        .method(read(doc, top("method"))?)
+        .thermal(read(doc, top("thermal"))?)
+        .reward(read(doc, top("reward"))?);
+    match member(doc, top("budget"))? {
         Value::Null => {}
         value => builder = builder.budget(budget_from(value)?),
     }
-    if !matches!(field(doc, "seed")?, Value::Null) {
-        builder = builder.seed(u64_field(doc, "seed")?);
+    if let Some(seed) = read(doc, top("seed"))? {
+        builder = builder.seed(seed);
     }
-    if !matches!(field(doc, "parallel_envs")?, Value::Null) {
-        builder = builder.parallel_envs(usize_field(doc, "parallel_envs")?);
+    if let Some(parallel_envs) = read(doc, top("parallel_envs"))? {
+        builder = builder.parallel_envs(parallel_envs);
     }
-    builder = builder.warm_start(bool_field(doc, "warm_start")?);
+    builder = builder.warm_start(read(doc, top("warm_start"))?);
     builder.build().map_err(|e| OutcomeParseError {
         message: format!("invalid request configuration: {e}"),
     })
 }
 
-fn system_from(obj: &Value) -> Result<ChipletSystem, OutcomeParseError> {
-    let name = str_field(obj, "system.name")?;
-    let Some(outline) = field(obj, "system.interposer_mm")?.as_array() else {
-        return err("field `system.interposer_mm` must be a two-element array");
-    };
-    if outline.len() != 2 {
-        return err("field `system.interposer_mm` must be a two-element array");
-    }
-    let (Some(width), Some(height)) = (outline[0].as_f64(), outline[1].as_f64()) else {
-        return err("field `system.interposer_mm` must hold numbers");
-    };
+fn system_from(obj: &Value) -> Result<ChipletSystem> {
+    let at = |name| Key::new("system", name);
+    let name: String = read(obj, at("name"))?;
+    let (width, height): (f64, f64) = read(obj, at("interposer_mm"))?;
     // `ChipletSystem::new` panics on a non-positive outline; reject first.
     if !(width > 0.0 && height > 0.0 && width.is_finite() && height.is_finite()) {
         return err("field `system.interposer_mm` must hold positive finite dimensions");
     }
     let mut system = ChipletSystem::new(name, width, height);
 
-    let Some(records) = field(obj, "system.chiplets")?.as_array() else {
+    let Some(records) = member(obj, at("chiplets"))?.as_array() else {
         return err("field `system.chiplets` must be an array");
     };
     for record in records {
-        let name = str_field(record, "system.chiplets[].name")?;
-        let width_mm = f64_field(record, "system.chiplets[].width_mm")?;
-        let height_mm = f64_field(record, "system.chiplets[].height_mm")?;
-        let power_w = f64_field(record, "system.chiplets[].power_w")?;
+        let at = |name| Key::new("system.chiplets[]", name);
+        let name: String = read(record, at("name"))?;
+        let width_mm: f64 = read(record, at("width_mm"))?;
+        let height_mm: f64 = read(record, at("height_mm"))?;
+        let power_w: f64 = read(record, at("power_w"))?;
         // `Chiplet::new` panics on these contracts; turn them into errors.
         if !(width_mm > 0.0 && height_mm > 0.0 && width_mm.is_finite() && height_mm.is_finite()) {
             return err(format!(
@@ -244,13 +227,14 @@ fn system_from(obj: &Value) -> Result<ChipletSystem, OutcomeParseError> {
         system.add_chiplet(Chiplet::new(name, width_mm, height_mm, power_w));
     }
 
-    let Some(records) = field(obj, "system.nets")?.as_array() else {
+    let Some(records) = member(obj, at("nets"))?.as_array() else {
         return err("field `system.nets` must be an array");
     };
     for record in records {
-        let from = usize_field(record, "system.nets[].from")?;
-        let to = usize_field(record, "system.nets[].to")?;
-        let wires = usize_field(record, "system.nets[].wires")?;
+        let at = |name| Key::new("system.nets[]", name);
+        let from: usize = read(record, at("from"))?;
+        let to: usize = read(record, at("to"))?;
+        let wires: usize = read(record, at("wires"))?;
         // `Net::new`/`add_net` panic on these contracts; reject first.
         if from >= system.chiplet_count() || to >= system.chiplet_count() {
             return err(format!(
@@ -276,173 +260,37 @@ fn system_from(obj: &Value) -> Result<ChipletSystem, OutcomeParseError> {
     Ok(system)
 }
 
-fn budget_from(obj: &Value) -> Result<Budget, OutcomeParseError> {
+fn budget_from(obj: &Value) -> Result<Budget> {
+    let at = |name| Key::new("budget", name);
     if obj.get("evaluations").is_some() {
-        Ok(Budget::Evaluations(usize_field(obj, "budget.evaluations")?))
+        Ok(Budget::Evaluations(read(obj, at("evaluations"))?))
     } else if obj.get("time_limit_s").is_some() {
-        Ok(Budget::TimeLimit(duration_field(
-            obj,
-            "budget.time_limit_s",
-        )?))
+        Ok(Budget::TimeLimit(read(obj, at("time_limit_s"))?))
     } else {
         err("field `budget` must be null or hold `evaluations` or `time_limit_s`")
     }
 }
 
-fn field<'a>(obj: &'a Value, key: &str) -> Result<&'a Value, OutcomeParseError> {
-    // Nested callers name fields by path ("system.name"); look up the last
-    // segment so error messages can stay fully qualified.
-    let leaf = key.rsplit('.').next().expect("split is non-empty");
-    match obj.get(leaf) {
-        Some(value) => Ok(value),
-        None => err(format!("missing field `{key}`")),
-    }
-}
-
-fn str_field<'a>(obj: &'a Value, key: &str) -> Result<&'a str, OutcomeParseError> {
-    match field(obj, key)?.as_str() {
-        Some(s) => Ok(s),
-        None => err(format!("field `{key}` must be a string")),
-    }
-}
-
-/// A required number; `null` (the writer's encoding of NaN/±inf) maps back
-/// to NaN.
-fn f64_field(obj: &Value, key: &str) -> Result<f64, OutcomeParseError> {
-    match field(obj, key)? {
-        Value::Num(n) => Ok(*n),
-        Value::Null => Ok(f64::NAN),
-        _ => err(format!("field `{key}` must be a number or null")),
-    }
-}
-
-/// Reads a non-negative integer carried as a JSON double. Only integers up
-/// to 2^53 − 1 are exact: 2^53 is also the double that 2^53 + 1 rounds to,
-/// so it and everything above are refused rather than silently replayed
-/// as a different number.
-fn usize_field(obj: &Value, key: &str) -> Result<usize, OutcomeParseError> {
-    let v = f64_field(obj, key)?;
-    if v.fract() != 0.0 || !(0.0..9_007_199_254_740_992.0).contains(&v) {
-        return err(format!("field `{key}` must be a non-negative integer"));
-    }
-    Ok(v as usize)
-}
-
-fn u64_field(obj: &Value, key: &str) -> Result<u64, OutcomeParseError> {
-    usize_field(obj, key).map(|v| v as u64)
-}
-
-fn bool_field(obj: &Value, key: &str) -> Result<bool, OutcomeParseError> {
-    match field(obj, key)? {
-        Value::Bool(b) => Ok(*b),
-        _ => err(format!("field `{key}` must be a boolean")),
-    }
-}
-
-fn duration_field(obj: &Value, key: &str) -> Result<Duration, OutcomeParseError> {
-    let v = f64_field(obj, key)?;
-    if !v.is_finite() || v < 0.0 {
-        return err(format!("field `{key}` must be a non-negative duration"));
-    }
-    Ok(Duration::from_secs_f64(v))
-}
-
-fn opt_duration_field(obj: &Value, key: &str) -> Result<Option<Duration>, OutcomeParseError> {
-    match field(obj, key)? {
-        Value::Null => Ok(None),
-        _ => duration_field(obj, key).map(Some),
-    }
-}
-
-fn usize_pair_field(obj: &Value, key: &str) -> Result<(usize, usize), OutcomeParseError> {
-    let items = match field(obj, key)?.as_array() {
-        Some(items) if items.len() == 2 => items,
-        _ => return err(format!("field `{key}` must be a two-element array")),
-    };
-    let mut pair = [0usize; 2];
-    for (slot, item) in pair.iter_mut().zip(items) {
-        match item.as_f64() {
-            Some(v) if v.fract() == 0.0 && v >= 0.0 => *slot = v as usize,
-            _ => return err(format!("field `{key}` must hold non-negative integers")),
-        }
-    }
-    Ok((pair[0], pair[1]))
-}
-
-fn eval_mode_from(label: &str, key: &str) -> Result<EvalMode, OutcomeParseError> {
-    match label {
-        "full" => Ok(EvalMode::Full),
-        "incremental" => Ok(EvalMode::Incremental),
-        other => err(format!("field `{key}` has unknown eval mode `{other}`")),
-    }
-}
-
-fn breakdown_from(obj: &Value) -> Result<RewardBreakdown, OutcomeParseError> {
-    Ok(RewardBreakdown {
-        reward: f64_field(obj, "breakdown.reward")?,
-        wirelength_mm: f64_field(obj, "breakdown.wirelength_mm")?,
-        max_temperature_c: f64_field(obj, "breakdown.max_temperature_c")?,
-        eval_mode: eval_mode_from(
-            str_field(obj, "breakdown.eval_mode")?,
-            "breakdown.eval_mode",
-        )?,
-    })
-}
-
-fn evaluation_from(obj: &Value) -> Result<EvalTelemetry, OutcomeParseError> {
-    Ok(EvalTelemetry {
-        mode: eval_mode_from(str_field(obj, "evaluation.mode")?, "evaluation.mode")?,
-        counts: EvalCounts {
-            full: usize_field(obj, "evaluation.full_evals")?,
-            incremental: usize_field(obj, "evaluation.incremental_evals")?,
-        },
-    })
-}
-
-fn training_from(obj: &Value) -> Result<TrainingTelemetry, OutcomeParseError> {
-    let hash = str_field(obj, "training.merge_order_hash")?;
-    let digits = hash.strip_prefix("0x").unwrap_or(hash);
-    let merge_order_hash = u64::from_str_radix(digits, 16).map_err(|_| OutcomeParseError {
-        message: format!("field `training.merge_order_hash` is not a hex hash: `{hash}`"),
-    })?;
-    Ok(TrainingTelemetry {
-        episodes: usize_field(obj, "training.episodes")?,
-        parallel_envs: usize_field(obj, "training.parallel_envs")?,
-        episodes_per_s: f64_field(obj, "training.episodes_per_s")?,
-        merge_order_hash,
-    })
-}
-
-fn thermal_prep_from(obj: &Value) -> Result<ThermalPrep, OutcomeParseError> {
-    Ok(ThermalPrep {
-        cache_hits: usize_field(obj, "thermal_prep.cache_hits")?,
-        cache_misses: usize_field(obj, "thermal_prep.cache_misses")?,
-        characterization: duration_field(obj, "thermal_prep.characterization_s")?,
-    })
-}
-
-fn placement_from(obj: &Value, system: &ChipletSystem) -> Result<Placement, OutcomeParseError> {
+fn placement_from(obj: &Value, system: &ChipletSystem) -> Result<Placement> {
     let slots: HashMap<&str, _> = system
         .chiplet_ids()
         .map(|id| (system.chiplet(id).name(), id))
         .collect();
-    let Some(records) = field(obj, "placement.chiplets")?.as_array() else {
+    let Some(records) = member(obj, Key::new("placement", "chiplets"))?.as_array() else {
         return err("field `placement.chiplets` must be an array");
     };
     let mut placement = Placement::for_system(system);
     for record in records {
-        let name = str_field(record, "placement.chiplets[].name")?;
-        let Some(&id) = slots.get(name) else {
+        let at = |name| Key::new("placement.chiplets[]", name);
+        let name: String = read(record, at("name"))?;
+        let Some(&id) = slots.get(name.as_str()) else {
             return err(format!(
                 "placement names chiplet `{name}`, which `{}` does not contain",
                 system.name()
             ));
         };
-        let position = Position::new(
-            f64_field(record, "placement.chiplets[].x_mm")?,
-            f64_field(record, "placement.chiplets[].y_mm")?,
-        );
-        let rotation = match str_field(record, "placement.chiplets[].rotation")? {
+        let position = Position::new(read(record, at("x_mm"))?, read(record, at("y_mm"))?);
+        let rotation = match read::<String>(record, at("rotation"))?.as_str() {
             "None" => Rotation::None,
             "Quarter" => Rotation::Quarter,
             other => {
@@ -456,258 +304,17 @@ fn placement_from(obj: &Value, system: &ChipletSystem) -> Result<Placement, Outc
     Ok(placement)
 }
 
-fn telemetry_from(value: &Value) -> Result<Vec<TelemetrySample>, OutcomeParseError> {
-    let Some(records) = value.as_array() else {
-        return err("field `telemetry` must be an array");
-    };
-    records
-        .iter()
-        .map(|record| {
-            Ok(TelemetrySample {
-                index: usize_field(record, "telemetry[].index")?,
-                reward: f64_field(record, "telemetry[].reward")?,
-                best_reward: f64_field(record, "telemetry[].best_reward")?,
-            })
-        })
-        .collect()
-}
-
-fn manifest_from(obj: &Value, system: &ChipletSystem) -> Result<RunManifest, OutcomeParseError> {
-    Ok(RunManifest {
-        // The document's `system` header was already checked against the
-        // caller's system, so the manifest identity comes from there.
-        system_name: system.name().to_string(),
-        chiplet_count: system.chiplet_count(),
-        method: method_from(field(obj, "manifest.method")?)?,
-        thermal: thermal_from(field(obj, "manifest.thermal")?)?,
-        reward: reward_from(field(obj, "manifest.reward")?)?,
-        seed: u64_field(obj, "manifest.seed")?,
-        warm_start: bool_field(obj, "manifest.warm_start")?,
-    })
-}
-
-fn method_from(obj: &Value) -> Result<Method, OutcomeParseError> {
-    match str_field(obj, "method.kind")? {
-        "rl" => Ok(Method::Rl {
-            config: rl_config_from(obj)?,
-        }),
-        "rl-rnd" => Ok(Method::RlRnd {
-            config: rl_config_from(obj)?,
-        }),
-        "sa" => Ok(Method::Sa {
-            config: sa_config_from(obj)?,
-        }),
-        "gradient" => Ok(Method::Gradient {
-            config: gradient_config_from(obj)?,
-        }),
-        "pretrained" => Ok(Method::Pretrained {
-            config: pretrained_config_from(obj)?,
-        }),
-        other => err(format!("field `method.kind` has unknown method `{other}`")),
-    }
-}
-
-fn rl_config_from(obj: &Value) -> Result<RlPlannerConfig, OutcomeParseError> {
-    let ppo = field(obj, "method.ppo")?;
-    let agent = field(obj, "method.agent")?;
-    let env = field(obj, "method.env")?;
-    Ok(RlPlannerConfig {
-        episodes: usize_field(obj, "method.episodes")?,
-        episodes_per_update: usize_field(obj, "method.episodes_per_update")?,
-        parallel_envs: usize_field(obj, "method.parallel_envs")?,
-        use_rnd: bool_field(obj, "method.use_rnd")?,
-        seed: u64_field(obj, "method.seed")?,
-        time_budget: opt_duration_field(obj, "method.time_budget_s")?,
-        ppo: PpoConfig {
-            gamma: f64_field(ppo, "method.ppo.gamma")?,
-            gae_lambda: f64_field(ppo, "method.ppo.gae_lambda")?,
-            clip_epsilon: f64_field(ppo, "method.ppo.clip_epsilon")? as f32,
-            entropy_coef: f64_field(ppo, "method.ppo.entropy_coef")? as f32,
-            value_coef: f64_field(ppo, "method.ppo.value_coef")? as f32,
-            learning_rate: f64_field(ppo, "method.ppo.learning_rate")? as f32,
-            epochs: usize_field(ppo, "method.ppo.epochs")?,
-            minibatch_size: usize_field(ppo, "method.ppo.minibatch_size")?,
-            max_grad_norm: f64_field(ppo, "method.ppo.max_grad_norm")? as f32,
-        },
-        agent: AgentConfig {
-            conv_channels: usize_pair_field(agent, "method.agent.conv_channels")?,
-            feature_dim: usize_field(agent, "method.agent.feature_dim")?,
-            rnd_hidden_dim: usize_field(agent, "method.agent.rnd_hidden_dim")?,
-            rnd_embedding_dim: usize_field(agent, "method.agent.rnd_embedding_dim")?,
-            rnd_bonus_scale: f64_field(agent, "method.agent.rnd_bonus_scale")?,
-            seed: u64_field(agent, "method.agent.seed")?,
-        },
-        env: EnvConfig {
-            grid: usize_pair_field(env, "method.env.grid")?,
-            min_spacing_mm: f64_field(env, "method.env.min_spacing_mm")?,
-        },
-    })
-}
-
-fn sa_config_from(obj: &Value) -> Result<SaConfig, OutcomeParseError> {
-    Ok(SaConfig {
-        initial_temperature: f64_field(obj, "method.initial_temperature")?,
-        final_temperature: f64_field(obj, "method.final_temperature")?,
-        cooling_rate: f64_field(obj, "method.cooling_rate")?,
-        moves_per_temperature: usize_field(obj, "method.moves_per_temperature")?,
-        min_spacing_mm: f64_field(obj, "method.min_spacing_mm")?,
-        grid: usize_pair_field(obj, "method.grid")?,
-        seed: u64_field(obj, "method.seed")?,
-        time_budget: opt_duration_field(obj, "method.time_budget_s")?,
-        max_evaluations: match field(obj, "method.max_evaluations")? {
-            Value::Null => None,
-            _ => Some(usize_field(obj, "method.max_evaluations")?),
-        },
-    })
-}
-
-fn gradient_config_from(obj: &Value) -> Result<GradientConfig, OutcomeParseError> {
-    Ok(GradientConfig {
-        iterations: usize_field(obj, "method.iterations")?,
-        restarts: usize_field(obj, "method.restarts")?,
-        learning_rate: f64_field(obj, "method.learning_rate")?,
-        wirelength_sharpness: f64_field(obj, "method.wirelength_sharpness")?,
-        sharpness_growth: f64_field(obj, "method.sharpness_growth")?,
-        thermal_sharpness: f64_field(obj, "method.thermal_sharpness")?,
-        thermal_weight: f64_field(obj, "method.thermal_weight")?,
-        overlap_weight: f64_field(obj, "method.overlap_weight")?,
-        boundary_weight: f64_field(obj, "method.boundary_weight")?,
-        tolerance_mm: f64_field(obj, "method.tolerance_mm")?,
-        min_spacing_mm: f64_field(obj, "method.min_spacing_mm")?,
-        grid: usize_pair_field(obj, "method.grid")?,
-        seed: u64_field(obj, "method.seed")?,
-        time_budget: opt_duration_field(obj, "method.time_budget_s")?,
-        max_evaluations: match field(obj, "method.max_evaluations")? {
-            Value::Null => None,
-            _ => Some(usize_field(obj, "method.max_evaluations")?),
-        },
-    })
-}
-
-fn pretrained_config_from(obj: &Value) -> Result<PretrainedConfig, OutcomeParseError> {
-    // The checksum is written as null (unpinned) or an `0x...` hex string,
-    // like `training.merge_order_hash`.
-    let checksum = match field(obj, "method.checksum")? {
-        Value::Null => None,
-        value => {
-            let Some(hash) = value.as_str() else {
-                return err("field `method.checksum` must be null or a hex-string hash");
-            };
-            let digits = hash.strip_prefix("0x").unwrap_or(hash);
-            Some(
-                u64::from_str_radix(digits, 16).map_err(|_| OutcomeParseError {
-                    message: format!("field `method.checksum` is not a hex hash: `{hash}`"),
-                })?,
-            )
-        }
-    };
-    Ok(PretrainedConfig {
-        policy_path: str_field(obj, "method.policy_path")?.to_string(),
-        checksum,
-        seed: u64_field(obj, "method.seed")?,
-    })
-}
-
-fn thermal_from(obj: &Value) -> Result<ThermalBackend, OutcomeParseError> {
-    let config = thermal_config_from(obj)?;
-    match str_field(obj, "thermal.kind")? {
-        "grid" => Ok(ThermalBackend::Grid { config }),
-        "fast" => {
-            let sweep = field(obj, "thermal.characterization")?;
-            let Some(samples) =
-                field(sweep, "thermal.characterization.footprint_samples_mm")?.as_array()
-            else {
-                return err(
-                    "field `thermal.characterization.footprint_samples_mm` must be an array",
-                );
-            };
-            let footprint_samples_mm = samples
-                .iter()
-                .map(|v| {
-                    v.as_f64().ok_or_else(|| OutcomeParseError {
-                        message: "footprint samples must be numbers".to_string(),
-                    })
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(ThermalBackend::Fast {
-                config,
-                characterization: CharacterizationOptions {
-                    footprint_samples_mm,
-                    reference_power_w: f64_field(
-                        sweep,
-                        "thermal.characterization.reference_power_w",
-                    )?,
-                    distance_bins: usize_field(sweep, "thermal.characterization.distance_bins")?,
-                    mutual_source_size_mm: f64_field(
-                        sweep,
-                        "thermal.characterization.mutual_source_size_mm",
-                    )?,
-                },
-            })
-        }
-        other => err(format!(
-            "field `thermal.kind` has unknown backend `{other}`"
-        )),
-    }
-}
-
-fn thermal_config_from(obj: &Value) -> Result<ThermalConfig, OutcomeParseError> {
-    let (grid_nx, grid_ny) = usize_pair_field(obj, "thermal.grid")?;
-    let Some(records) = field(obj, "thermal.layers")?.as_array() else {
-        return err("field `thermal.layers` must be an array");
-    };
-    if records.is_empty() {
-        return err("field `thermal.layers` must hold at least one layer");
-    }
-    let mut layers = Vec::with_capacity(records.len());
-    for record in records {
-        let name = str_field(record, "thermal.layers[].name")?;
-        let thickness_mm = f64_field(record, "thermal.layers[].thickness_mm")?;
-        let conductivity_w_mk = f64_field(record, "thermal.layers[].conductivity_w_mk")?;
-        // `Layer::new` panics on non-positive values; turn that contract
-        // into a parse error instead.
-        if !(thickness_mm > 0.0 && conductivity_w_mk > 0.0) {
-            return err(format!(
-                "layer `{name}` must have positive thickness and conductivity"
-            ));
-        }
-        layers.push(Layer::new(name, thickness_mm, conductivity_w_mk));
-    }
-    let power_layer = usize_field(obj, "thermal.power_layer")?;
-    if power_layer >= layers.len() {
-        return err(format!(
-            "field `thermal.power_layer` ({power_layer}) is out of range for {} layers",
-            layers.len()
-        ));
-    }
-    Ok(ThermalConfig {
-        grid_nx,
-        grid_ny,
-        stack: LayerStack::new(layers, power_layer),
-        ambient_c: f64_field(obj, "thermal.ambient_c")?,
-        convection_resistance_k_per_w: f64_field(obj, "thermal.convection_resistance_k_per_w")?,
-    })
-}
-
-fn reward_from(obj: &Value) -> Result<RewardConfig, OutcomeParseError> {
-    Ok(RewardConfig {
-        lambda: f64_field(obj, "reward.lambda")?,
-        mu: f64_field(obj, "reward.mu")?,
-        temperature_limit_c: f64_field(obj, "reward.temperature_limit_c")?,
-        alpha: f64_field(obj, "reward.alpha")?,
-        bump_config: BumpConfig {
-            pitch_mm: f64_field(obj, "reward.bump_pitch_mm")?,
-            edge_margin_mm: f64_field(obj, "reward.bump_edge_margin_mm")?,
-        },
-        infeasible_penalty: f64_field(obj, "reward.infeasible_penalty")?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gradient::GradientConfig;
+    use crate::outcome::{EvalTelemetry, TelemetrySample, TrainingTelemetry};
     use crate::report::outcome_json;
-    use rlp_chiplet::{Chiplet, ChipletSystem};
+    use crate::request::{Method, PretrainedConfig};
+    use crate::reward::{RewardBreakdown, RewardConfig};
+    use rlp_sa::{EvalCounts, EvalMode, SaConfig};
+    use rlp_thermal::{ThermalBackend, ThermalPrep};
+    use std::time::Duration;
 
     fn demo_system() -> ChipletSystem {
         let mut sys = ChipletSystem::new("parse-test", 30.0, 30.0);

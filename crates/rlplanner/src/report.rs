@@ -1,11 +1,13 @@
 //! JSON reports for placements and run outcomes.
 //!
-//! The workspace builds offline against a no-op vendored `serde`, so the
-//! documents here are rendered by hand. In exchange the schema is explicit,
-//! the field order is stable (fields always appear exactly in the order
-//! documented below), and strings are escaped per RFC 8259. Non-finite
-//! numbers (`NaN`, `±inf`) are emitted as `null`, since JSON has no
-//! representation for them.
+//! Every document here is written by the one writer in [`rlp_obs::json`],
+//! which fixes the encoding: strings escaped per RFC 8259 (every control
+//! character included), numbers in shortest round-trip form and `null`
+//! for non-finite ones (JSON has no spelling for `NaN` and `±inf`). The
+//! field order is stable: fields always appear exactly in the order
+//! documented below. The nested configuration and telemetry objects are
+//! written from the key tables in `codec.rs`, the same tables
+//! [`crate::parse`] reads them back with.
 //!
 //! # Placement document ([`placement_json`])
 //!
@@ -110,15 +112,11 @@
 //! description; the analyzer itself never crosses the wire (the serving
 //! side re-attaches one from its own cache).
 
-use crate::gradient::GradientConfig;
-use crate::outcome::{FloorplanOutcome, RunManifest};
-use crate::planner::RlPlannerConfig;
-use crate::request::{Budget, FloorplanRequest, Method, PretrainedConfig};
-use crate::reward::RewardConfig;
-use rlp_chiplet::{ChipletSystem, Placement};
-use rlp_sa::SaConfig;
-use rlp_thermal::{ThermalBackend, ThermalConfig};
-use std::time::Duration;
+use crate::codec::{Codec, WriteMember};
+use crate::outcome::FloorplanOutcome;
+use crate::request::{Budget, FloorplanRequest};
+use rlp_chiplet::{ChipletSystem, Placement, Rotation};
+use rlp_obs::json::{Layout, Writer};
 
 /// Identifier of the outcome-document layout produced by [`outcome_json`].
 pub const OUTCOME_SCHEMA: &str = "rlplanner.outcome/v1";
@@ -126,458 +124,150 @@ pub const OUTCOME_SCHEMA: &str = "rlplanner.outcome/v1";
 /// Identifier of the request-document layout produced by [`request_json`].
 pub const REQUEST_SCHEMA: &str = "rlplanner.request/v1";
 
-/// Escapes a string for embedding in a JSON string literal: quotes,
-/// backslashes and control characters (RFC 8259 §7).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if c.is_control() => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders a finite number with full (shortest round-trip) precision, or
-/// `null` for NaN and infinities — the numeric encoding every document in
-/// this module uses. Public so sibling report modules (e.g. the campaign
-/// document in `rlp-engine`) emit numbers identically.
-pub fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Internal shorthand for [`json_num`].
-fn num(v: f64) -> String {
-    json_num(v)
-}
-
-fn opt_usize(v: Option<usize>) -> String {
-    v.map_or("null".to_string(), |n| n.to_string())
-}
-
-fn opt_duration_s(v: Option<Duration>) -> String {
-    v.map_or("null".to_string(), |d| num(d.as_secs_f64()))
-}
-
 /// Renders a placement as the documented placement document.
 pub fn placement_json(system: &ChipletSystem, placement: &Placement) -> String {
-    let mut out = String::from("{\n  \"chiplets\": [");
-    let mut first = true;
-    for (id, position, rotation) in placement.iter_placed() {
-        out.push_str(if first { "\n" } else { ",\n" });
-        first = false;
-        let chiplet = system.chiplet(id);
-        out.push_str(&format!(
-            "    {{ \"name\": \"{}\", \"x_mm\": {:.4}, \"y_mm\": {:.4}, \"rotation\": \"{:?}\" }}",
-            json_escape(chiplet.name()),
-            position.x,
-            position.y,
-            rotation
-        ));
-    }
-    if first {
-        out.push_str("]\n}");
-    } else {
-        out.push_str("\n  ]\n}");
-    }
-    out
+    let mut w = Writer::pretty();
+    write_placement(&mut w, system, placement);
+    w.finish()
 }
 
-fn indent(block: &str, spaces: usize) -> String {
-    let pad = " ".repeat(spaces);
-    block
-        .lines()
-        .enumerate()
-        .map(|(i, line)| {
-            if i == 0 {
-                line.to_string()
-            } else {
-                format!("{pad}{line}")
+fn write_placement(w: &mut Writer, system: &ChipletSystem, placement: &Placement) {
+    w.object(Layout::Block, |w| {
+        w.key("chiplets").array(Layout::Block, |w| {
+            for (id, position, rotation) in placement.iter_placed() {
+                w.object(Layout::Inline, |w| {
+                    w.field("name", system.chiplet(id).name());
+                    w.key("x_mm").fixed(position.x, 4);
+                    w.key("y_mm").fixed(position.y, 4);
+                    w.field(
+                        "rotation",
+                        match rotation {
+                            Rotation::None => "None",
+                            Rotation::Quarter => "Quarter",
+                        },
+                    );
+                });
             }
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
+        });
+    });
 }
 
-fn thermal_config_fields(config: &ThermalConfig) -> String {
-    let layers = config
-        .stack
-        .layers()
-        .iter()
-        .map(|layer| {
-            format!(
-                "{{ \"name\": \"{}\", \"thickness_mm\": {}, \"conductivity_w_mk\": {} }}",
-                json_escape(&layer.name),
-                num(layer.thickness_mm),
-                num(layer.conductivity_w_mk)
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!(
-        "\"grid\": [{}, {}],\n\"ambient_c\": {},\n\"convection_resistance_k_per_w\": {},\n\"power_layer\": {},\n\"layers\": [{}]",
-        config.grid_nx,
-        config.grid_ny,
-        num(config.ambient_c),
-        num(config.convection_resistance_k_per_w),
-        config.stack.power_layer(),
-        layers
-    )
+/// Renders a full run outcome as the documented outcome document.
+pub fn outcome_json(system: &ChipletSystem, outcome: &FloorplanOutcome) -> String {
+    let mut w = Writer::pretty();
+    write_outcome(&mut w, system, outcome);
+    w.finish()
 }
 
-fn thermal_json(thermal: &ThermalBackend) -> String {
-    let mut fields = format!("\"kind\": \"{}\"", thermal.label());
-    fields.push_str(",\n");
-    fields.push_str(&thermal_config_fields(thermal.config()));
-    if let ThermalBackend::Fast {
-        characterization, ..
-    } = thermal
-    {
-        let footprints = characterization
-            .footprint_samples_mm
-            .iter()
-            .map(|&v| num(v))
-            .collect::<Vec<_>>()
-            .join(", ");
-        fields.push_str(&format!(
-            ",\n\"characterization\": {{ \"footprint_samples_mm\": [{}], \"reference_power_w\": {}, \"distance_bins\": {}, \"mutual_source_size_mm\": {} }}",
-            footprints,
-            num(characterization.reference_power_w),
-            characterization.distance_bins,
-            num(characterization.mutual_source_size_mm)
-        ));
-    }
-    format!("{{\n  {}\n}}", indent(&fields, 2))
-}
-
-fn rl_method_json(kind: &str, config: &RlPlannerConfig) -> String {
-    let ppo = &config.ppo;
-    let agent = &config.agent;
-    let fields = format!(
-        "\"kind\": \"{kind}\",\n\
-         \"episodes\": {},\n\
-         \"episodes_per_update\": {},\n\
-         \"parallel_envs\": {},\n\
-         \"use_rnd\": {},\n\
-         \"seed\": {},\n\
-         \"time_budget_s\": {},\n\
-         \"ppo\": {{ \"gamma\": {}, \"gae_lambda\": {}, \"clip_epsilon\": {}, \"entropy_coef\": {}, \"value_coef\": {}, \"learning_rate\": {}, \"epochs\": {}, \"minibatch_size\": {}, \"max_grad_norm\": {} }},\n\
-         \"agent\": {{ \"conv_channels\": [{}, {}], \"feature_dim\": {}, \"rnd_hidden_dim\": {}, \"rnd_embedding_dim\": {}, \"rnd_bonus_scale\": {}, \"seed\": {} }},\n\
-         \"env\": {{ \"grid\": [{}, {}], \"min_spacing_mm\": {} }}",
-        config.episodes,
-        config.episodes_per_update,
-        config.parallel_envs,
-        config.use_rnd,
-        config.seed,
-        opt_duration_s(config.time_budget),
-        num(ppo.gamma),
-        num(ppo.gae_lambda),
-        num(f64::from(ppo.clip_epsilon)),
-        num(f64::from(ppo.entropy_coef)),
-        num(f64::from(ppo.value_coef)),
-        num(f64::from(ppo.learning_rate)),
-        ppo.epochs,
-        ppo.minibatch_size,
-        num(f64::from(ppo.max_grad_norm)),
-        agent.conv_channels.0,
-        agent.conv_channels.1,
-        agent.feature_dim,
-        agent.rnd_hidden_dim,
-        agent.rnd_embedding_dim,
-        num(agent.rnd_bonus_scale),
-        agent.seed,
-        config.env.grid.0,
-        config.env.grid.1,
-        num(config.env.min_spacing_mm),
-    );
-    format!("{{\n  {}\n}}", indent(&fields, 2))
-}
-
-fn sa_method_json(config: &SaConfig) -> String {
-    let fields = format!(
-        "\"kind\": \"sa\",\n\
-         \"initial_temperature\": {},\n\
-         \"final_temperature\": {},\n\
-         \"cooling_rate\": {},\n\
-         \"moves_per_temperature\": {},\n\
-         \"min_spacing_mm\": {},\n\
-         \"grid\": [{}, {}],\n\
-         \"seed\": {},\n\
-         \"time_budget_s\": {},\n\
-         \"max_evaluations\": {}",
-        num(config.initial_temperature),
-        num(config.final_temperature),
-        num(config.cooling_rate),
-        config.moves_per_temperature,
-        num(config.min_spacing_mm),
-        config.grid.0,
-        config.grid.1,
-        config.seed,
-        opt_duration_s(config.time_budget),
-        opt_usize(config.max_evaluations),
-    );
-    format!("{{\n  {}\n}}", indent(&fields, 2))
-}
-
-fn gradient_method_json(config: &GradientConfig) -> String {
-    let fields = format!(
-        "\"kind\": \"gradient\",\n\
-         \"iterations\": {},\n\
-         \"restarts\": {},\n\
-         \"learning_rate\": {},\n\
-         \"wirelength_sharpness\": {},\n\
-         \"sharpness_growth\": {},\n\
-         \"thermal_sharpness\": {},\n\
-         \"thermal_weight\": {},\n\
-         \"overlap_weight\": {},\n\
-         \"boundary_weight\": {},\n\
-         \"tolerance_mm\": {},\n\
-         \"min_spacing_mm\": {},\n\
-         \"grid\": [{}, {}],\n\
-         \"seed\": {},\n\
-         \"time_budget_s\": {},\n\
-         \"max_evaluations\": {}",
-        config.iterations,
-        config.restarts,
-        num(config.learning_rate),
-        num(config.wirelength_sharpness),
-        num(config.sharpness_growth),
-        num(config.thermal_sharpness),
-        num(config.thermal_weight),
-        num(config.overlap_weight),
-        num(config.boundary_weight),
-        num(config.tolerance_mm),
-        num(config.min_spacing_mm),
-        config.grid.0,
-        config.grid.1,
-        config.seed,
-        opt_duration_s(config.time_budget),
-        opt_usize(config.max_evaluations),
-    );
-    format!("{{\n  {}\n}}", indent(&fields, 2))
-}
-
-fn pretrained_method_json(config: &PretrainedConfig) -> String {
-    let checksum = config
-        .checksum
-        .map_or("null".to_string(), |c| format!("\"{c:#018x}\""));
-    let fields = format!(
-        "\"kind\": \"pretrained\",\n\
-         \"policy_path\": \"{}\",\n\
-         \"checksum\": {},\n\
-         \"seed\": {}",
-        json_escape(&config.policy_path),
-        checksum,
-        config.seed,
-    );
-    format!("{{\n  {}\n}}", indent(&fields, 2))
-}
-
-fn method_json(method: &Method) -> String {
-    match method {
-        Method::Rl { config } => rl_method_json("rl", config),
-        Method::RlRnd { config } => rl_method_json("rl-rnd", config),
-        Method::Sa { config } => sa_method_json(config),
-        Method::Gradient { config } => gradient_method_json(config),
-        Method::Pretrained { config } => pretrained_method_json(config),
-    }
-}
-
-fn reward_json(reward: &RewardConfig) -> String {
-    format!(
-        "{{ \"lambda\": {}, \"mu\": {}, \"temperature_limit_c\": {}, \"alpha\": {}, \"bump_pitch_mm\": {}, \"bump_edge_margin_mm\": {}, \"infeasible_penalty\": {} }}",
-        num(reward.lambda),
-        num(reward.mu),
-        num(reward.temperature_limit_c),
-        num(reward.alpha),
-        num(reward.bump_config.pitch_mm),
-        num(reward.bump_config.edge_margin_mm),
-        num(reward.infeasible_penalty),
-    )
-}
-
-fn manifest_json(manifest: &RunManifest) -> String {
-    let fields = format!(
-        "\"seed\": {},\n\"method\": {},\n\"thermal\": {},\n\"reward\": {},\n\"warm_start\": {}",
-        manifest.seed,
-        method_json(&manifest.method),
-        thermal_json(&manifest.thermal),
-        reward_json(&manifest.reward),
-        manifest.warm_start,
-    );
-    format!("{{\n  {}\n}}", indent(&fields, 2))
-}
-
-fn system_json(system: &ChipletSystem) -> String {
-    let chiplets = system
-        .chiplet_ids()
-        .map(|id| {
-            let c = system.chiplet(id);
-            format!(
-                "{{ \"name\": \"{}\", \"width_mm\": {}, \"height_mm\": {}, \"power_w\": {} }}",
-                json_escape(c.name()),
-                num(c.width()),
-                num(c.height()),
-                num(c.power())
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let chiplets = if chiplets.is_empty() {
-        "[]".to_string()
-    } else {
-        format!("[\n  {}\n]", indent(&chiplets, 2))
-    };
-    let nets = system
-        .nets()
-        .map(|n| {
-            format!(
-                "{{ \"from\": {}, \"to\": {}, \"wires\": {} }}",
-                n.from.index(),
-                n.to.index(),
-                n.wires
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let nets = if nets.is_empty() {
-        "[]".to_string()
-    } else {
-        format!("[\n  {}\n]", indent(&nets, 2))
-    };
-    let fields = format!(
-        "\"name\": \"{}\",\n\"interposer_mm\": [{}, {}],\n\"chiplets\": {},\n\"nets\": {}",
-        json_escape(system.name()),
-        num(system.interposer_width()),
-        num(system.interposer_height()),
-        chiplets,
-        nets
-    );
-    format!("{{\n  {}\n}}", indent(&fields, 2))
-}
-
-fn budget_json(budget: Option<Budget>) -> String {
-    match budget {
-        None => "null".to_string(),
-        Some(Budget::Evaluations(n)) => format!("{{ \"evaluations\": {n} }}"),
-        Some(Budget::TimeLimit(limit)) => {
-            format!("{{ \"time_limit_s\": {} }}", num(limit.as_secs_f64()))
-        }
-        // `Budget` is non-exhaustive for downstream code; this crate owns
-        // the full variant list.
-        #[allow(unreachable_patterns)]
-        Some(_) => unreachable!("unrendered budget variant"),
-    }
+/// Writes the outcome document as `w`'s next value — how documents that
+/// embed an outcome (campaign cells, stream records) nest it, pretty or
+/// compact.
+pub fn write_outcome(w: &mut Writer, system: &ChipletSystem, outcome: &FloorplanOutcome) {
+    w.object(Layout::Block, |w| {
+        w.field("schema", OUTCOME_SCHEMA);
+        w.key("system").object(Layout::Inline, |w| {
+            w.field("name", system.name())
+                .field("chiplets", system.chiplet_count())
+                .member(
+                    "interposer_mm",
+                    &(system.interposer_width(), system.interposer_height()),
+                );
+        });
+        w.member("breakdown", &outcome.breakdown)
+            .member("evaluations", &outcome.evaluations)
+            .member("evaluation", &outcome.evaluation)
+            .member("training", &outcome.training)
+            .member("runtime_s", &outcome.runtime)
+            .member("thermal_prep", &outcome.thermal_prep);
+        write_placement(w.key("placement"), system, &outcome.placement);
+        w.key("telemetry").array(Layout::Block, |w| {
+            for sample in &outcome.telemetry {
+                sample.write(w);
+            }
+        });
+        let manifest = &outcome.manifest;
+        w.key("manifest").object(Layout::Block, |w| {
+            w.member("seed", &manifest.seed)
+                .member("method", &manifest.method)
+                .member("thermal", &manifest.thermal)
+                .member("reward", &manifest.reward)
+                .member("warm_start", &manifest.warm_start);
+        });
+    });
 }
 
 /// Renders a request as the documented request document — the wire form an
 /// `rlp-serve` client sends. [`crate::request_from_json`] is the inverse.
 pub fn request_json(request: &FloorplanRequest) -> String {
-    let fields = format!(
-        "\"schema\": \"{}\",\n\
-         \"system\": {},\n\
-         \"method\": {},\n\
-         \"thermal\": {},\n\
-         \"reward\": {},\n\
-         \"budget\": {},\n\
-         \"seed\": {},\n\
-         \"parallel_envs\": {},\n\
-         \"warm_start\": {}",
-        REQUEST_SCHEMA,
-        system_json(request.system()),
-        method_json(request.method()),
-        thermal_json(request.thermal()),
-        reward_json(request.reward()),
-        budget_json(request.budget()),
-        request.seed().map_or("null".to_string(), |s| s.to_string()),
-        opt_usize(request.parallel_envs()),
-        request.warm_start(),
-    );
-    format!("{{\n  {}\n}}", indent(&fields, 2))
-}
-
-/// Renders a full run outcome as the documented outcome document.
-pub fn outcome_json(system: &ChipletSystem, outcome: &FloorplanOutcome) -> String {
-    let telemetry = outcome
-        .telemetry
-        .iter()
-        .map(|s| {
-            format!(
-                "{{ \"index\": {}, \"reward\": {}, \"best_reward\": {} }}",
-                s.index,
-                num(s.reward),
-                num(s.best_reward)
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let telemetry = if telemetry.is_empty() {
-        "[]".to_string()
-    } else {
-        format!("[\n  {}\n]", indent(&telemetry, 2))
-    };
-    let training = outcome.training.map_or("null".to_string(), |t| {
-        format!(
-            "{{ \"episodes\": {}, \"parallel_envs\": {}, \"episodes_per_s\": {}, \"merge_order_hash\": \"{:#018x}\" }}",
-            t.episodes,
-            t.parallel_envs,
-            num(t.episodes_per_s),
-            t.merge_order_hash,
-        )
+    let mut w = Writer::pretty();
+    w.object(Layout::Block, |w| {
+        w.field("schema", REQUEST_SCHEMA);
+        let system = request.system();
+        w.key("system").object(Layout::Block, |w| {
+            w.field("name", system.name()).member(
+                "interposer_mm",
+                &(system.interposer_width(), system.interposer_height()),
+            );
+            w.key("chiplets").array(Layout::Block, |w| {
+                for id in system.chiplet_ids() {
+                    let chiplet = system.chiplet(id);
+                    w.object(Layout::Inline, |w| {
+                        w.field("name", chiplet.name())
+                            .field("width_mm", chiplet.width())
+                            .field("height_mm", chiplet.height())
+                            .field("power_w", chiplet.power());
+                    });
+                }
+            });
+            w.key("nets").array(Layout::Block, |w| {
+                for net in system.nets() {
+                    w.object(Layout::Inline, |w| {
+                        w.field("from", net.from.index())
+                            .field("to", net.to.index())
+                            .field("wires", net.wires);
+                    });
+                }
+            });
+        });
+        w.member("method", request.method())
+            .member("thermal", request.thermal())
+            .member("reward", request.reward());
+        let budget = w.key("budget");
+        match request.budget() {
+            None => {
+                budget.null();
+            }
+            Some(Budget::Evaluations(n)) => {
+                budget.object(Layout::Inline, |w| {
+                    w.field("evaluations", n);
+                });
+            }
+            Some(Budget::TimeLimit(limit)) => {
+                budget.object(Layout::Inline, |w| {
+                    w.member("time_limit_s", &limit);
+                });
+            }
+            // `Budget` is non-exhaustive for downstream code; this crate
+            // owns the full variant list.
+            #[allow(unreachable_patterns)]
+            Some(_) => unreachable!("unrendered budget variant"),
+        }
+        w.member("seed", &request.seed())
+            .member("parallel_envs", &request.parallel_envs())
+            .member("warm_start", &request.warm_start());
     });
-    let fields = format!(
-        "\"schema\": \"{}\",\n\
-         \"system\": {{ \"name\": \"{}\", \"chiplets\": {}, \"interposer_mm\": [{}, {}] }},\n\
-         \"breakdown\": {{ \"reward\": {}, \"wirelength_mm\": {}, \"max_temperature_c\": {}, \"eval_mode\": \"{}\" }},\n\
-         \"evaluations\": {},\n\
-         \"evaluation\": {{ \"mode\": \"{}\", \"full_evals\": {}, \"incremental_evals\": {} }},\n\
-         \"training\": {},\n\
-         \"runtime_s\": {},\n\
-         \"thermal_prep\": {{ \"cache_hits\": {}, \"cache_misses\": {}, \"characterization_s\": {} }},\n\
-         \"placement\": {},\n\
-         \"telemetry\": {},\n\
-         \"manifest\": {}",
-        OUTCOME_SCHEMA,
-        json_escape(system.name()),
-        system.chiplet_count(),
-        num(system.interposer_width()),
-        num(system.interposer_height()),
-        num(outcome.breakdown.reward),
-        num(outcome.breakdown.wirelength_mm),
-        num(outcome.breakdown.max_temperature_c),
-        outcome.breakdown.eval_mode.label(),
-        outcome.evaluations,
-        outcome.evaluation.mode.label(),
-        outcome.evaluation.counts.full,
-        outcome.evaluation.counts.incremental,
-        training,
-        num(outcome.runtime.as_secs_f64()),
-        outcome.thermal_prep.cache_hits,
-        outcome.thermal_prep.cache_misses,
-        num(outcome.thermal_prep.characterization.as_secs_f64()),
-        indent(&placement_json(system, &outcome.placement), 0),
-        telemetry,
-        manifest_json(&outcome.manifest),
-    );
-    format!("{{\n  {}\n}}", indent(&fields, 2))
+    w.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::outcome::TelemetrySample;
-    use crate::reward::RewardBreakdown;
+    use crate::outcome::{RunManifest, TelemetrySample};
+    use crate::request::Method;
+    use crate::reward::{RewardBreakdown, RewardConfig};
     use rlp_chiplet::{Chiplet, Position};
+    use rlp_thermal::ThermalBackend;
+    use std::time::Duration;
 
     fn system_with(names: &[&str]) -> (ChipletSystem, Placement) {
         let mut sys = ChipletSystem::new("report-test", 30.0, 30.0);
@@ -663,14 +353,8 @@ mod tests {
     }
 
     #[test]
-    fn quotes_backslashes_and_control_characters_are_escaped() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b"), "a\\\"b");
-        assert_eq!(json_escape("a\\b"), "a\\\\b");
-        assert_eq!(json_escape("a\nb\tc"), "a\\nb\\tc");
-        assert_eq!(json_escape("\u{7}"), "\\u0007");
-        // A chiplet name full of hostile characters stays inside its string
-        // literal.
+    fn hostile_chiplet_names_stay_inside_their_string_literal() {
+        // The escaping rules themselves are tested in `rlp_obs::json`.
         let (sys, placement) = system_with(&["die\"0\\\n"]);
         let json = placement_json(&sys, &placement);
         assert!(json.contains("\"name\": \"die\\\"0\\\\\\n\""));
@@ -678,9 +362,6 @@ mod tests {
 
     #[test]
     fn non_finite_numbers_render_as_null() {
-        assert_eq!(num(f64::NAN), "null");
-        assert_eq!(num(f64::INFINITY), "null");
-        assert_eq!(num(-1.25), "-1.25");
         let (sys, placement) = system_with(&["cpu"]);
         let mut outcome = outcome_for(&sys, placement);
         outcome.breakdown.wirelength_mm = f64::NAN;

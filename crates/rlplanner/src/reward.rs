@@ -97,7 +97,7 @@ impl RewardConfig {
 /// The three quantities the paper reports per design: reward, total
 /// wirelength and maximum operating temperature — plus which evaluation
 /// engine produced them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct RewardBreakdown {
     /// Combined reward (higher is better, always negative in practice).
     pub reward: f64,

@@ -52,9 +52,10 @@ impl Objective for &dyn Objective {
 }
 
 /// How an objective evaluates candidate placements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EvalMode {
     /// Every candidate is evaluated from scratch.
+    #[default]
     Full,
     /// Candidates are evaluated against maintained propose/commit/reject
     /// state; only the terms a move changes are recomputed.

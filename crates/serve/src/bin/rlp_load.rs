@@ -40,6 +40,7 @@
 
 use rlp_benchmarks::{ascend910_system, cpu_dram_system, multi_gpu_system, synthetic_case};
 use rlp_chiplet::ChipletSystem;
+use rlp_obs::json::{Layout, Writer};
 use rlp_sa::SaConfig;
 use rlp_serve::{ClientError, ServeClient, Submit};
 use rlp_thermal::{CharacterizationOptions, ThermalBackend, ThermalConfig};
@@ -274,10 +275,15 @@ fn percentile(sorted: &[Duration], q: f64) -> Duration {
 /// did — made the two rows describe overlapping, inconsistent
 /// distributions.)
 fn shard_line(id: &str, value_ns: f64, samples: usize) -> String {
-    format!(
-        "{{ \"id\": \"{id}\", \"median_ns\": {value_ns}, \"mean_ns\": {value_ns}, \
-         \"min_ns\": {value_ns}, \"max_ns\": {value_ns}, \"samples\": {samples} }}"
-    )
+    let mut w = Writer::pretty();
+    w.object(Layout::Inline, |w| {
+        w.field("id", id);
+        for stat in ["median_ns", "mean_ns", "min_ns", "max_ns"] {
+            w.field(stat, value_ns);
+        }
+        w.field("samples", samples);
+    });
+    w.finish()
 }
 
 fn run_load(args: &LoadArgs) -> ExitCode {

@@ -8,7 +8,7 @@
 //! and replayed by [`ServeClient::wait_outcome`].
 
 use crate::protocol::{self, ClientMessage, SchedulerStats, RPC_SCHEMA};
-use rlplanner::minijson::Value;
+use rlp_obs::json::Value;
 use std::collections::VecDeque;
 use std::fmt;
 use std::io;
@@ -353,10 +353,8 @@ fn f64_field(frame: &Value, key: &str) -> Result<f64, ClientError> {
 }
 
 fn u64_field(frame: &Value, key: &str) -> Result<u64, ClientError> {
-    match frame.get(key).and_then(Value::as_f64) {
-        Some(v) if v.fract() == 0.0 && v >= 0.0 => Ok(v as u64),
-        _ => Err(protocol_err(&format!(
-            "frame has no non-negative integer `{key}`"
-        ))),
-    }
+    frame
+        .get(key)
+        .and_then(Value::as_uint)
+        .ok_or_else(|| protocol_err(&format!("frame has no non-negative integer `{key}`")))
 }

@@ -5,10 +5,14 @@
 //! Every message in either direction is one *frame*: a 4-byte big-endian
 //! unsigned length followed by that many bytes of UTF-8 JSON. Frames are
 //! bounded by [`MAX_FRAME_BYTES`]; a peer announcing a larger frame is
-//! malformed and the connection is closed. The JSON payload is parsed by
-//! the hardened `rlplanner::minijson` parser (nesting bounded by
-//! [`rlplanner::minijson::MAX_DEPTH`]), so adversarial documents fail with
-//! an error frame instead of exhausting the stack.
+//! malformed and the connection is closed. Frames are written by the
+//! workspace's one JSON writer and parsed by its hardened parser
+//! ([`rlp_obs::json`], nesting bounded by [`rlp_obs::json::MAX_DEPTH`]), so
+//! adversarial documents fail with an error frame instead of exhausting
+//! the stack. Integers on the wire (`job`, `progress_every`, and every
+//! count the client reads) follow the one integer rule,
+//! [`Value::as_uint`]: a number that is not an exact non-negative integer
+//! up to 2^53 − 1 is refused, never saturated.
 //!
 //! # Client → server messages
 //!
@@ -85,8 +89,7 @@
 //! `serve.job.solve_ns`, `serve.job.serialize_ns` and
 //! `serve.job.flush_ns`.
 
-use rlplanner::minijson::Value;
-use rlplanner::report::{json_escape, json_num};
+use rlp_obs::json::{Layout, Value, Writer};
 use std::io::{self, Read, Write};
 
 /// Identifier carried by every rpc message in both directions.
@@ -201,10 +204,9 @@ impl ClientMessage {
             .and_then(Value::as_str)
             .ok_or("message has no `type` string")?;
         let job = |doc: &Value| -> Result<u64, String> {
-            match doc.get("job").and_then(Value::as_f64) {
-                Some(v) if v.fract() == 0.0 && v >= 0.0 => Ok(v as u64),
-                _ => Err(format!("`{kind}` needs a non-negative integer `job`")),
-            }
+            doc.get("job")
+                .and_then(Value::as_uint)
+                .ok_or_else(|| format!("`{kind}` needs a non-negative integer `job`"))
         };
         match kind {
             "solve" => {
@@ -214,9 +216,11 @@ impl ClientMessage {
                     .ok_or("`solve` needs a `request` document")?;
                 let progress_every = match doc.get("progress_every") {
                     None | Some(Value::Null) => 0,
-                    Some(value) => match value.as_f64() {
-                        Some(v) if v.fract() == 0.0 && v >= 0.0 => v as usize,
-                        _ => return Err("`progress_every` must be a non-negative integer".into()),
+                    Some(value) => match value.as_uint() {
+                        Some(n) => n as usize,
+                        None => {
+                            return Err("`progress_every` must be a non-negative integer".into())
+                        }
                     },
                 };
                 Ok(ClientMessage::Solve {
@@ -236,36 +240,52 @@ impl ClientMessage {
     /// Renders a `solve` message embedding an already-rendered
     /// `rlplanner.request/v1` document.
     pub fn render_solve(request_json: &str, progress_every: usize) -> String {
-        format!(
-            "{{ \"schema\": \"{RPC_SCHEMA}\", \"type\": \"solve\", \
-             \"progress_every\": {progress_every}, \"request\": {request_json} }}"
-        )
+        message("solve", |w| {
+            w.field("progress_every", progress_every)
+                .key("request")
+                .raw(request_json);
+        })
     }
 
     /// Renders a `status` query.
     pub fn render_status(job: u64) -> String {
-        format!("{{ \"schema\": \"{RPC_SCHEMA}\", \"type\": \"status\", \"job\": {job} }}")
+        message("status", |w| {
+            w.field("job", job);
+        })
     }
 
     /// Renders a `cancel` request.
     pub fn render_cancel(job: u64) -> String {
-        format!("{{ \"schema\": \"{RPC_SCHEMA}\", \"type\": \"cancel\", \"job\": {job} }}")
+        message("cancel", |w| {
+            w.field("job", job);
+        })
     }
 
     /// Renders a `stats` query.
     pub fn render_stats() -> String {
-        format!("{{ \"schema\": \"{RPC_SCHEMA}\", \"type\": \"stats\" }}")
+        message("stats", |_| {})
     }
 
     /// Renders a `metrics` query.
     pub fn render_metrics() -> String {
-        format!("{{ \"schema\": \"{RPC_SCHEMA}\", \"type\": \"metrics\" }}")
+        message("metrics", |_| {})
     }
 
     /// Renders a `shutdown` request.
     pub fn render_shutdown() -> String {
-        format!("{{ \"schema\": \"{RPC_SCHEMA}\", \"type\": \"shutdown\" }}")
+        message("shutdown", |_| {})
     }
+}
+
+/// Renders one message of either direction: `schema` and `type`, then the
+/// members `body` writes.
+fn message(kind: &str, body: impl FnOnce(&mut Writer)) -> String {
+    let mut w = Writer::pretty();
+    w.object(Layout::Inline, |w| {
+        w.field("schema", RPC_SCHEMA).field("type", kind);
+        body(w);
+    });
+    w.finish()
 }
 
 /// Scheduler-side counters reported by a `stats` frame.
@@ -295,121 +315,116 @@ pub mod frames {
     use crate::queue::JobTimings;
     use rlp_thermal::ThermalCacheSnapshot;
 
-    /// Renders the VOLATILE `queue_ms`/`solve_ms` fields job frames carry
-    /// (empty string when the queue had no record of the job).
-    fn timing_fields(timings: Option<&JobTimings>) -> String {
-        let Some(timings) = timings else {
-            return String::new();
-        };
-        let mut out = format!(", \"queue_ms\": {}", json_num(timings.queue_ms()));
-        if let Some(solve_ms) = timings.solve_ms() {
-            out.push_str(&format!(", \"solve_ms\": {}", json_num(solve_ms)));
+    /// Writes the VOLATILE `queue_ms`/`solve_ms` fields job frames carry
+    /// (nothing when the queue had no record of the job).
+    fn timing_fields(w: &mut Writer, timings: Option<&JobTimings>) {
+        if let Some(timings) = timings {
+            w.field("queue_ms", timings.queue_ms());
+            if let Some(solve_ms) = timings.solve_ms() {
+                w.field("solve_ms", solve_ms);
+            }
         }
-        out
     }
 
     /// `accepted` — the job was admitted under this id.
     pub fn accepted(job: u64) -> String {
-        format!("{{ \"schema\": \"{RPC_SCHEMA}\", \"type\": \"accepted\", \"job\": {job} }}")
+        message("accepted", |w| {
+            w.field("job", job);
+        })
     }
 
     /// `busy` — the queue was full; the request was not admitted.
     pub fn busy(capacity: usize) -> String {
-        format!("{{ \"schema\": \"{RPC_SCHEMA}\", \"type\": \"busy\", \"capacity\": {capacity} }}")
+        message("busy", |w| {
+            w.field("capacity", capacity);
+        })
     }
 
     /// `error` — the request was malformed or inadmissible.
-    pub fn error(message: &str) -> String {
-        format!(
-            "{{ \"schema\": \"{RPC_SCHEMA}\", \"type\": \"error\", \"message\": \"{}\" }}",
-            json_escape(message)
-        )
+    pub fn error(text: &str) -> String {
+        message("error", |w| {
+            w.field("message", text);
+        })
     }
 
     /// `progress` — one streamed candidate from a running job.
     pub fn progress(job: u64, candidate: usize, reward: f64, best_reward: f64) -> String {
-        format!(
-            "{{ \"schema\": \"{RPC_SCHEMA}\", \"type\": \"progress\", \"job\": {job}, \
-             \"candidate\": {candidate}, \"reward\": {}, \"best_reward\": {} }}",
-            json_num(reward),
-            json_num(best_reward)
-        )
+        message("progress", |w| {
+            w.field("job", job)
+                .field("candidate", candidate)
+                .field("reward", reward)
+                .field("best_reward", best_reward);
+        })
     }
 
     /// `outcome` — the job finished; embeds the canonical outcome document
     /// plus the VOLATILE job timings (see the [module docs](super)).
     pub fn outcome(job: u64, outcome_json: &str, timings: Option<&JobTimings>) -> String {
-        format!(
-            "{{ \"schema\": \"{RPC_SCHEMA}\", \"type\": \"outcome\", \"job\": {job}{}, \
-             \"outcome\": {outcome_json} }}",
-            timing_fields(timings)
-        )
+        message("outcome", |w| {
+            w.field("job", job);
+            timing_fields(w, timings);
+            w.key("outcome").raw(outcome_json);
+        })
     }
 
     /// `failed` — the job's solve returned an error.
-    pub fn failed(job: u64, message: &str, timings: Option<&JobTimings>) -> String {
-        format!(
-            "{{ \"schema\": \"{RPC_SCHEMA}\", \"type\": \"failed\", \"job\": {job}, \
-             \"message\": \"{}\"{} }}",
-            json_escape(message),
-            timing_fields(timings)
-        )
+    pub fn failed(job: u64, text: &str, timings: Option<&JobTimings>) -> String {
+        message("failed", |w| {
+            w.field("job", job).field("message", text);
+            timing_fields(w, timings);
+        })
     }
 
     /// `status` — a job's lifecycle state, with the timings measured so
     /// far for a known job (`solve_ms` still growing while running).
     pub fn status(job: u64, state: &str, timings: Option<&JobTimings>) -> String {
-        format!(
-            "{{ \"schema\": \"{RPC_SCHEMA}\", \"type\": \"status\", \"job\": {job}, \
-             \"state\": \"{state}\"{} }}",
-            timing_fields(timings)
-        )
+        message("status", |w| {
+            w.field("job", job).field("state", state);
+            timing_fields(w, timings);
+        })
     }
 
     /// `cancelled` — whether a cancel request removed the queued job.
     pub fn cancelled(job: u64, ok: bool) -> String {
-        format!(
-            "{{ \"schema\": \"{RPC_SCHEMA}\", \"type\": \"cancelled\", \"job\": {job}, \
-             \"ok\": {ok} }}"
-        )
+        message("cancelled", |w| {
+            w.field("job", job).field("ok", ok);
+        })
     }
 
     /// `stats` — cache + scheduler telemetry.
     pub fn stats(cache: ThermalCacheSnapshot, scheduler: SchedulerStats) -> String {
-        format!(
-            "{{ \"schema\": \"{RPC_SCHEMA}\", \"type\": \"stats\", \
-             \"cache\": {{ \"models\": {}, \"hits\": {}, \"misses\": {} }}, \
-             \"scheduler\": {{ \"workers\": {}, \"capacity\": {}, \"queued\": {}, \
-             \"running\": {}, \"admitted\": {}, \"completed\": {}, \"failed\": {}, \
-             \"cancelled\": {} }} }}",
-            cache.models,
-            cache.stats.hits,
-            cache.stats.misses,
-            scheduler.workers,
-            scheduler.capacity,
-            scheduler.queued,
-            scheduler.running,
-            scheduler.admitted,
-            scheduler.completed,
-            scheduler.failed,
-            scheduler.cancelled,
-        )
+        message("stats", |w| {
+            w.key("cache").object(Layout::Inline, |w| {
+                w.field("models", cache.models)
+                    .field("hits", cache.stats.hits)
+                    .field("misses", cache.stats.misses);
+            });
+            w.key("scheduler").object(Layout::Inline, |w| {
+                w.field("workers", scheduler.workers)
+                    .field("capacity", scheduler.capacity)
+                    .field("queued", scheduler.queued)
+                    .field("running", scheduler.running)
+                    .field("admitted", scheduler.admitted)
+                    .field("completed", scheduler.completed)
+                    .field("failed", scheduler.failed)
+                    .field("cancelled", scheduler.cancelled);
+            });
+        })
     }
 
     /// `metrics` — embeds an already-rendered `rlplanner.metrics/v1`
     /// registry snapshot.
     pub fn metrics(snapshot_json: &str) -> String {
-        format!(
-            "{{ \"schema\": \"{RPC_SCHEMA}\", \"type\": \"metrics\", \
-             \"metrics\": {snapshot_json} }}"
-        )
+        message("metrics", |w| {
+            w.key("metrics").raw(snapshot_json);
+        })
     }
 
     /// `shutdown` — acknowledgement; `draining` jobs remained at the time.
     pub fn shutdown(draining: usize) -> String {
-        format!(
-            "{{ \"schema\": \"{RPC_SCHEMA}\", \"type\": \"shutdown\", \"draining\": {draining} }}"
-        )
+        message("shutdown", |w| {
+            w.field("draining", draining);
+        })
     }
 }
 
@@ -539,6 +554,19 @@ mod tests {
             (
                 "{ \"schema\": \"rlplanner.rpc/v1\", \"type\": \"solve\" }",
                 "needs a `request`",
+            ),
+            // Integers on the wire are refused, never saturated.
+            (
+                "{ \"schema\": \"rlplanner.rpc/v1\", \"type\": \"cancel\", \"job\": 1e300 }",
+                "non-negative integer",
+            ),
+            (
+                "{ \"schema\": \"rlplanner.rpc/v1\", \"type\": \"status\", \"job\": 9007199254740992 }",
+                "non-negative integer",
+            ),
+            (
+                "{ \"schema\": \"rlplanner.rpc/v1\", \"type\": \"solve\", \"request\": {}, \"progress_every\": 1e20 }",
+                "`progress_every` must be a non-negative integer",
             ),
         ] {
             let error = ClientMessage::parse(payload).unwrap_err();
