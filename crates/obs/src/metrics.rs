@@ -25,6 +25,7 @@
 //! Because the grid is global and fixed, per-thread histograms merge by
 //! adding bucket counts, and percentile extraction is a cumulative walk.
 
+use crate::json::{Layout, Writer};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -475,79 +476,50 @@ impl MetricsSnapshot {
     ///   "histograms": { "serve.job.solve_ns": {
     ///       "count": 3, "sum": 450000000, "min": 120000000, "max": 190000000,
     ///       "p50": 159383551, "p90": 191889407, "p99": 191889407,
-    ///       "buckets": [ { "le": 127506431, "count": 1 }, ... ] } } }
+    ///       "buckets": [{ "le": 127506431, "count": 1 }, ...] } } }
     /// ```
     ///
     /// Histogram `min`/`max` are exact recorded values; `p50`/`p90`/`p99`
     /// and bucket `le` bounds are bucket upper bounds (≤ 25% relative
     /// error). Only non-empty buckets are listed.
     pub fn render_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{ \"schema\": \"");
-        out.push_str(METRICS_SCHEMA);
-        out.push_str("\", \"uptime_s\": ");
-        out.push_str(&format!("{:.6}", self.uptime.as_secs_f64()));
-        out.push_str(", \"counters\": {");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(" \"{}\": {value}", json_escape(name)));
-        }
-        out.push_str(" }, \"gauges\": {");
-        for (i, (name, value)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(" \"{}\": {value}", json_escape(name)));
-        }
-        out.push_str(" }, \"histograms\": {");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                " \"{}\": {{ \"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
-                 \"p50\": {}, \"p90\": {}, \"p99\": {}, \"buckets\": [",
-                json_escape(name),
-                h.count(),
-                h.sum(),
-                h.min().unwrap_or(0),
-                h.max().unwrap_or(0),
-                h.percentile(0.50),
-                h.percentile(0.90),
-                h.percentile(0.99),
-            ));
-            for (j, (le, count)) in h.nonempty_buckets().enumerate() {
-                if j > 0 {
-                    out.push(',');
+        let mut w = Writer::pretty();
+        w.object(Layout::Inline, |w| {
+            w.field("schema", METRICS_SCHEMA);
+            w.key("uptime_s").fixed(self.uptime.as_secs_f64(), 6);
+            w.key("counters").object(Layout::Inline, |w| {
+                for (name, value) in &self.counters {
+                    w.field(name, value);
                 }
-                out.push_str(&format!(" {{ \"le\": {le}, \"count\": {count} }}"));
-            }
-            out.push_str(" ] }");
-        }
-        out.push_str(" } }");
-        out
+            });
+            w.key("gauges").object(Layout::Inline, |w| {
+                for (name, value) in &self.gauges {
+                    w.field(name, value);
+                }
+            });
+            w.key("histograms").object(Layout::Inline, |w| {
+                for (name, h) in &self.histograms {
+                    w.key(name).object(Layout::Inline, |w| {
+                        w.field("count", h.count())
+                            .field("sum", h.sum())
+                            .field("min", h.min().unwrap_or(0))
+                            .field("max", h.max().unwrap_or(0))
+                            .field("p50", h.percentile(0.50))
+                            .field("p90", h.percentile(0.90))
+                            .field("p99", h.percentile(0.99));
+                        w.key("buckets").array(Layout::Inline, |w| {
+                            for (le, count) in h.nonempty_buckets() {
+                                w.object(Layout::Inline, |w| {
+                                    w.field("le", le).field("count", count);
+                                });
+                            }
+                        });
+                    });
+                }
+            });
+        });
+        w.finish()
     }
-}
-
-/// Minimal JSON string escaping for metric names (the full workspace
-/// escaper lives in `rlplanner::report`; obs is a leaf crate and cannot
-/// depend on it).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
@@ -770,11 +742,11 @@ mod tests {
         assert!(json.contains("\"p90\": "));
         assert!(json.contains("\"p99\": "));
         assert!(json.contains("\"le\": 5, \"count\": 1"));
-        // Balanced braces/brackets — cheap structural sanity without a
-        // parser (obs is beneath rlplanner and cannot use minijson; the
-        // daemon test and CI smoke parse the full document).
+        // Balanced braces/brackets — cheap structural sanity; the golden
+        // test pins the exact bytes.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+        assert!(crate::json::Value::parse(&json).is_ok());
     }
 
     #[test]
@@ -783,6 +755,14 @@ mod tests {
         registry.counter("weird\"name\\with\ncontrol\u{1}").inc();
         let json = registry.snapshot().render_json();
         assert!(json.contains("weird\\\"name\\\\with\\ncontrol\\u0001"));
+    }
+
+    #[test]
+    fn del_and_c1_controls_in_metric_names_are_escaped() {
+        let registry = MetricsRegistry::new();
+        registry.counter("del\u{7f}c1\u{85}").inc();
+        let json = registry.snapshot().render_json();
+        assert!(json.contains("\"del\\u007fc1\\u0085\": 1"), "{json}");
     }
 
     #[test]
