@@ -34,16 +34,18 @@
 //! `index` is the run's position in the spec's canonical grid order
 //! (systems outermost, then methods, then seeds) — the key a resumed
 //! campaign matches records against its spec with. An `ok` record embeds
-//! the full `rlplanner.outcome/v1` document (flattened to one line via
-//! [`rlplanner::minijson`]'s canonical render) plus the per-run cache and
-//! evaluation telemetry; [`rlplanner::outcome_from_value`] reconstructs the
-//! outcome losslessly on resume. An `error` record carries the rendered
-//! solve error only — resume retries it.
+//! the full `rlplanner.outcome/v1` document, written compact by the same
+//! writer as the pretty document, so every number keeps its spelling:
+//! placement coordinates keep four decimals and integers stay exact. It
+//! also carries the per-run cache and evaluation telemetry;
+//! [`rlplanner::outcome_from_value`] reconstructs the outcome losslessly
+//! on resume. An `error` record carries the rendered solve error only —
+//! resume retries it.
 
 use crate::report::{RunFailure, RunRecord};
 use rlp_chiplet::ChipletSystem;
-use rlp_obs::json::{Layout, Value, Writer};
-use rlplanner::report::outcome_json;
+use rlp_obs::json::{Layout, Writer};
+use rlplanner::report::write_outcome;
 use std::fs::OpenOptions;
 use std::io::{self, BufWriter, ErrorKind, Write};
 use std::path::{Path, PathBuf};
@@ -105,9 +107,7 @@ impl RunEvent<'_> {
                             "characterization_s",
                             outcome.thermal_prep.characterization.as_secs_f64(),
                         );
-                    let doc = outcome_json(system, outcome);
-                    let outcome = Value::parse(&doc).expect("outcome documents are valid JSON");
-                    w.field("outcome", &outcome);
+                    write_outcome(w.key("outcome"), system, outcome);
                 }
                 RunEvent::Failed { failure } => {
                     w.field("status", "error")
