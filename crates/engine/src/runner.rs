@@ -402,40 +402,38 @@ fn resume_record(
         reason,
     };
     let value = Value::parse(line).map_err(|err| fail(format!("invalid JSON: {err}")))?;
-    let schema = value
-        .get("schema")
-        .and_then(Value::as_str)
-        .ok_or_else(|| fail("missing `schema` field".to_string()))?;
+    let text = |key: &str| {
+        value
+            .get(key)
+            .and_then(Value::as_str)
+            .ok_or_else(|| fail(format!("missing `{key}` field")))
+    };
+    let uint = |key: &str| {
+        value
+            .get(key)
+            .and_then(Value::as_uint)
+            .ok_or_else(|| fail(format!("missing or invalid `{key}` field")))
+    };
+    let schema = text("schema")?;
     if schema != RUN_RECORD_SCHEMA {
         return Err(fail(format!(
             "unknown schema `{schema}` (expected `{RUN_RECORD_SCHEMA}`)"
         )));
     }
-    let index = value
-        .get("index")
-        .and_then(Value::as_uint)
-        .map(|v| v as usize)
-        .ok_or_else(|| fail("missing or invalid `index` field".to_string()))?;
+    let index = uint("index")? as usize;
     if index >= runs.len() {
         return Err(fail(format!(
             "grid index {index} out of range for this spec ({} runs)",
             runs.len()
         )));
     }
-    let status = value
-        .get("status")
-        .and_then(Value::as_str)
-        .ok_or_else(|| fail("missing `status` field".to_string()))?;
-    match status {
+    match text("status")? {
         "error" => Ok(None),
         "ok" => {
             let run = runs[index];
             let method = &spec.methods()[run.method];
             let system = &spec.systems()[run.system];
-            let record_system = value
-                .get("system")
-                .and_then(Value::as_str)
-                .ok_or_else(|| fail("missing `system` field".to_string()))?;
+            let record_system = text("system")?;
             if record_system != system.name() {
                 return Err(fail(format!(
                     "grid index {index} is system `{}` in this spec but `{record_system}` \
@@ -443,10 +441,7 @@ fn resume_record(
                     system.name()
                 )));
             }
-            let record_method = value
-                .get("method")
-                .and_then(Value::as_str)
-                .ok_or_else(|| fail("missing `method` field".to_string()))?;
+            let record_method = text("method")?;
             if record_method != method.label() {
                 return Err(fail(format!(
                     "grid index {index} is method `{}` in this spec but `{record_method}` \
@@ -454,10 +449,7 @@ fn resume_record(
                     method.label()
                 )));
             }
-            let record_seed = value
-                .get("seed")
-                .and_then(Value::as_uint)
-                .ok_or_else(|| fail("missing or invalid `seed` field".to_string()))?;
+            let record_seed = uint("seed")?;
             let expected_seed = run.seed.unwrap_or_else(|| method.method().config_seed());
             if record_seed != expected_seed {
                 return Err(fail(format!(

@@ -40,6 +40,7 @@
 //! as `f64`, which is exact for every value the documents contain.
 
 use std::fmt::{self, Write as _};
+use std::time::Duration;
 
 /// Maximum container (object/array) nesting depth [`Value::parse`] accepts.
 ///
@@ -216,8 +217,7 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => self.container(open),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -227,70 +227,46 @@ impl Parser<'_> {
         }
     }
 
-    fn enter_container(&mut self) -> Result<(), ParseError> {
+    /// An object (`open` is `{`) or an array (`[`).
+    fn container(&mut self, open: u8) -> Result<Value, ParseError> {
         if self.depth >= MAX_DEPTH {
             return Err(self.error(&format!(
                 "document nests deeper than {MAX_DEPTH} containers"
             )));
         }
         self.depth += 1;
-        Ok(())
-    }
-
-    fn object(&mut self) -> Result<Value, ParseError> {
-        self.enter_container()?;
-        self.expect(b'{')?;
-        let mut members = Vec::new();
+        self.pos += 1;
+        let (object, close) = (open == b'{', if open == b'{' { b'}' } else { b']' });
+        let (mut members, mut items) = (Vec::new(), Vec::new());
         self.skip_whitespace();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Value::Obj(members));
-        }
-        loop {
-            self.skip_whitespace();
-            let key = self.string()?;
-            self.skip_whitespace();
-            self.expect(b':')?;
-            self.skip_whitespace();
-            members.push((key, self.value()?));
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Value::Obj(members));
+        if self.peek() != Some(close) {
+            loop {
+                self.skip_whitespace();
+                if object {
+                    let key = self.string()?;
+                    self.skip_whitespace();
+                    self.expect(b':')?;
+                    self.skip_whitespace();
+                    members.push((key, self.value()?));
+                } else {
+                    items.push(self.value()?);
                 }
-                _ => return Err(self.error("expected `,` or `}` in object")),
+                self.skip_whitespace();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b) if b == close => break,
+                    _ if object => return Err(self.error("expected `,` or `}` in object")),
+                    _ => return Err(self.error("expected `,` or `]` in array")),
+                }
             }
         }
-    }
-
-    fn array(&mut self) -> Result<Value, ParseError> {
-        self.enter_container()?;
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            self.skip_whitespace();
-            items.push(self.value()?);
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(self.error("expected `,` or `]` in array")),
-            }
-        }
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(if object {
+            Value::Obj(members)
+        } else {
+            Value::Arr(items)
+        })
     }
 
     fn string(&mut self) -> Result<String, ParseError> {
@@ -387,7 +363,7 @@ pub enum Layout {
     Inline,
 }
 
-/// One open container.
+/// One open container of a [`Writer`].
 struct Frame {
     layout: Layout,
     array: bool,
@@ -424,8 +400,6 @@ pub struct Writer {
     /// Block containers enclosing the write position: the indentation.
     depth: usize,
     stack: Vec<Frame>,
-    /// A key was just written; the next value is its member's value.
-    after_key: bool,
 }
 
 impl Writer {
@@ -445,82 +419,66 @@ impl Writer {
             pretty,
             depth: 0,
             stack: Vec::new(),
-            after_key: false,
         }
     }
 
     /// The rendered document.
     pub fn finish(self) -> String {
-        debug_assert!(self.stack.is_empty(), "unclosed container");
         self.out
+    }
+
+    fn newline(&mut self) {
+        self.out.push('\n');
+        for _ in 0..self.depth {
+            self.out.push_str("  ");
+        }
     }
 
     /// Writes the separator and line break due before the next member or
     /// element of the innermost container.
     fn next_member(&mut self) {
-        let pretty = self.pretty;
         let Some(frame) = self.stack.last_mut() else {
             return;
         };
-        let first = std::mem::replace(&mut frame.empty, false);
+        let (first, layout, array) = (frame.empty, frame.layout, frame.array);
+        frame.empty = false;
         if !first {
             self.out.push(',');
         }
-        if !pretty {
-            return;
-        }
-        match frame.layout {
-            Layout::Block => {
-                self.out.push('\n');
-                for _ in 0..self.depth {
-                    self.out.push_str("  ");
-                }
-            }
-            Layout::Inline if !first || !frame.array => self.out.push(' '),
+        match layout {
+            _ if !self.pretty => {}
+            Layout::Block => self.newline(),
+            Layout::Inline if !first || !array => self.out.push(' '),
             Layout::Inline => {}
         }
     }
 
-    /// Positions the writer for a value: after its key, or as the next
-    /// array element.
-    fn begin_value(&mut self) {
-        if !std::mem::take(&mut self.after_key) {
-            debug_assert!(
-                self.stack.last().is_none_or(|f| f.array),
-                "an object member needs a key"
-            );
+    /// Positions the writer for a value. An object member's separator came
+    /// with its key; an array element's comes here.
+    fn begin_value(&mut self) -> &mut String {
+        if self.stack.last().is_some_and(|f| f.array) {
             self.next_member();
         }
+        &mut self.out
     }
 
     fn container(&mut self, layout: Layout, array: bool, body: impl FnOnce(&mut Writer)) {
-        self.begin_value();
-        self.out.push(if array { '[' } else { '{' });
+        self.begin_value().push(if array { '[' } else { '{' });
         let block = layout == Layout::Block;
-        if block {
-            self.depth += 1;
-        }
+        self.depth += usize::from(block);
         self.stack.push(Frame {
             layout,
             array,
             empty: true,
         });
         body(self);
-        let frame = self.stack.pop().expect("container frame");
-        if block {
-            self.depth -= 1;
-        }
-        if self.pretty && !frame.empty {
-            match layout {
-                Layout::Block => {
-                    self.out.push('\n');
-                    for _ in 0..self.depth {
-                        self.out.push_str("  ");
-                    }
-                }
-                Layout::Inline if !array => self.out.push(' '),
-                Layout::Inline => {}
-            }
+        let empty = self.stack.pop().is_some_and(|f| f.empty);
+        self.depth -= usize::from(block);
+        match layout {
+            _ if !self.pretty || empty => {}
+            Layout::Block => self.newline(),
+            Layout::Inline if !array => self.out.push(' '),
+            Layout::Inline => {}
         }
         self.out.push(if array { ']' } else { '}' });
     }
@@ -540,17 +498,9 @@ impl Writer {
 
     /// Starts an object member; the next value written is its value.
     pub fn key(&mut self, key: &str) -> &mut Self {
-        debug_assert!(
-            self.stack.last().is_some_and(|f| !f.array) && !self.after_key,
-            "a key belongs directly inside an object"
-        );
         self.next_member();
         write_string(&mut self.out, key);
-        self.out.push(':');
-        if self.pretty {
-            self.out.push(' ');
-        }
-        self.after_key = true;
+        self.out.push_str(if self.pretty { ": " } else { ":" });
         self
     }
 
@@ -560,7 +510,8 @@ impl Writer {
         self.key(key).value(value)
     }
 
-    /// Writes a scalar (or a parsed [`Value`]) as the next value.
+    /// Writes a scalar, a pair, a list or a parsed [`Value`] as the next
+    /// value.
     pub fn value(&mut self, value: impl Encode) -> &mut Self {
         value.encode(self);
         self
@@ -568,29 +519,24 @@ impl Writer {
 
     /// Writes `null`.
     pub fn null(&mut self) -> &mut Self {
-        self.begin_value();
-        self.out.push_str("null");
-        self
+        self.raw("null")
     }
 
     /// Writes a number with exactly `decimals` digits after the point
     /// (`null` when non-finite), for the fields whose spelling is pinned
     /// that way.
     pub fn fixed(&mut self, value: f64, decimals: usize) -> &mut Self {
-        self.begin_value();
-        if value.is_finite() {
-            let _ = write!(self.out, "{value:.decimals$}");
-        } else {
-            self.out.push_str("null");
+        if !value.is_finite() {
+            return self.null();
         }
+        let _ = write!(self.begin_value(), "{value:.decimals$}");
         self
     }
 
     /// Writes an already-rendered JSON document as the next value,
     /// verbatim.
     pub fn raw(&mut self, json: &str) -> &mut Self {
-        self.begin_value();
-        self.out.push_str(json);
+        self.begin_value().push_str(json);
         self
     }
 
@@ -618,6 +564,7 @@ impl<T: Encode + ?Sized> Encode for &T {
     }
 }
 
+/// `null` when `None`.
 impl<T: Encode> Encode for Option<T> {
     fn encode(&self, w: &mut Writer) {
         match self {
@@ -629,43 +576,42 @@ impl<T: Encode> Encode for Option<T> {
     }
 }
 
+/// Integers and booleans, exactly as `Display` spells them.
+macro_rules! encode_display {
+    ($($t:ty),*) => {$(
+        impl Encode for $t {
+            fn encode(&self, w: &mut Writer) {
+                let _ = write!(w.begin_value(), "{self}");
+            }
+        }
+    )*};
+}
+
+encode_display!(u32, u64, usize, i64, bool);
+
 impl Encode for f64 {
     fn encode(&self, w: &mut Writer) {
-        w.begin_value();
-        write_number(&mut w.out, *self);
+        write_number(w.begin_value(), *self);
     }
 }
 
+/// Written as the `f64` it widens to.
 impl Encode for f32 {
     fn encode(&self, w: &mut Writer) {
         f64::from(*self).encode(w);
     }
 }
 
-macro_rules! encode_integers {
-    ($($t:ty),*) => {$(
-        impl Encode for $t {
-            fn encode(&self, w: &mut Writer) {
-                w.begin_value();
-                let _ = write!(w.out, "{self}");
-            }
-        }
-    )*};
-}
-
-encode_integers!(u32, u64, usize, i64);
-
-impl Encode for bool {
+/// Seconds, as a number.
+impl Encode for Duration {
     fn encode(&self, w: &mut Writer) {
-        w.begin_value();
-        w.out.push_str(if *self { "true" } else { "false" });
+        self.as_secs_f64().encode(w);
     }
 }
 
 impl Encode for str {
     fn encode(&self, w: &mut Writer) {
-        w.begin_value();
-        write_string(&mut w.out, self);
+        write_string(w.begin_value(), self);
     }
 }
 
@@ -675,8 +621,34 @@ impl Encode for String {
     }
 }
 
+/// An inline two-element array.
+impl<T: Encode> Encode for (T, T) {
+    fn encode(&self, w: &mut Writer) {
+        w.array(Layout::Inline, |w| {
+            w.value(&self.0).value(&self.1);
+        });
+    }
+}
+
+/// An inline array.
+impl<T: Encode> Encode for [T] {
+    fn encode(&self, w: &mut Writer) {
+        w.array(Layout::Inline, |w| {
+            for item in self {
+                w.value(item);
+            }
+        });
+    }
+}
+
+impl<T: Encode> Encode for Vec<T> {
+    fn encode(&self, w: &mut Writer) {
+        self.as_slice().encode(w);
+    }
+}
+
+/// Objects and arrays are written inline.
 impl Encode for Value {
-    /// Objects and arrays are written inline.
     fn encode(&self, w: &mut Writer) {
         match self {
             Value::Null => {
@@ -685,13 +657,7 @@ impl Encode for Value {
             Value::Bool(b) => b.encode(w),
             Value::Num(n) => n.encode(w),
             Value::Str(s) => s.encode(w),
-            Value::Arr(items) => {
-                w.array(Layout::Inline, |w| {
-                    for item in items {
-                        item.encode(w);
-                    }
-                });
-            }
+            Value::Arr(items) => items.encode(w),
             Value::Obj(members) => {
                 w.object(Layout::Inline, |w| {
                     for (key, value) in members {
@@ -700,6 +666,77 @@ impl Encode for Value {
                 });
             }
         }
+    }
+}
+
+/// A value that reads back from a parsed [`Value`] by the rules of the
+/// [module docs](self): what [`Encode`] writes, `decode` reads.
+pub trait Decode: Sized {
+    /// What a value must be to decode, completing "must be …" in error
+    /// messages.
+    const EXPECTED: &'static str;
+
+    /// The decoded value, or `None` when `value` is not one.
+    fn decode(value: &Value) -> Option<Self>;
+}
+
+macro_rules! decode {
+    ($($t:ty, $expected:literal, |$v:ident| $body:expr;)*) => {$(
+        impl Decode for $t {
+            const EXPECTED: &'static str = $expected;
+
+            fn decode($v: &Value) -> Option<Self> {
+                $body
+            }
+        }
+    )*};
+}
+
+decode! {
+    // `null`, the encoding of NaN and ±inf, reads back as NaN.
+    f64, "a number or null", |v| match v {
+        Value::Num(n) => Some(*n),
+        Value::Null => Some(f64::NAN),
+        _ => None,
+    };
+    f32, "a number or null", |v| f64::decode(v).map(|n| n as f32);
+    u64, "a non-negative integer", |v| v.as_uint();
+    usize, "a non-negative integer", |v| v.as_uint().map(|n| n as usize);
+    bool, "a boolean", |v| v.as_bool();
+    String, "a string", |v| v.as_str().map(str::to_string);
+    Duration, "a non-negative duration", |v| {
+        f64::decode(v).filter(|s| s.is_finite() && *s >= 0.0).map(Duration::from_secs_f64)
+    };
+}
+
+/// `null` or the value.
+impl<T: Decode> Decode for Option<T> {
+    const EXPECTED: &'static str = T::EXPECTED;
+
+    fn decode(value: &Value) -> Option<Self> {
+        match value {
+            Value::Null => Some(None),
+            value => T::decode(value).map(Some),
+        }
+    }
+}
+
+impl<T: Decode> Decode for (T, T) {
+    const EXPECTED: &'static str = "a two-element array";
+
+    fn decode(value: &Value) -> Option<Self> {
+        match value.as_array()? {
+            [a, b] => Some((T::decode(a)?, T::decode(b)?)),
+            _ => None,
+        }
+    }
+}
+
+impl<T: Decode> Decode for Vec<T> {
+    const EXPECTED: &'static str = "an array";
+
+    fn decode(value: &Value) -> Option<Self> {
+        value.as_array()?.iter().map(T::decode).collect()
     }
 }
 
@@ -743,120 +780,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_nested_documents() {
-        let doc = r#"{ "schema": "rlplanner.bench/v1", "ok": true, "none": null,
-                      "benchmarks": [ { "id": "a/b", "median_ns": 12.5 },
-                                      { "id": "c", "median_ns": 3e2 } ] }"#;
-        let value = Value::parse(doc).unwrap();
-        assert_eq!(
-            value.get("schema").and_then(Value::as_str),
-            Some("rlplanner.bench/v1")
-        );
-        assert_eq!(value.get("ok"), Some(&Value::Bool(true)));
-        assert_eq!(value.get("none"), Some(&Value::Null));
-        let benches = value.get("benchmarks").and_then(Value::as_array).unwrap();
-        assert_eq!(benches.len(), 2);
-        assert_eq!(benches[0].get("id").and_then(Value::as_str), Some("a/b"));
-        assert_eq!(
-            benches[1].get("median_ns").and_then(Value::as_f64),
-            Some(300.0)
-        );
-    }
-
-    #[test]
-    fn parses_escapes_and_negative_numbers() {
-        let value = Value::parse(r#"{ "s": "a\"b\\c\ndA", "n": -1.25 }"#).unwrap();
-        assert_eq!(value.get("s").and_then(Value::as_str), Some("a\"b\\c\ndA"));
-        assert_eq!(value.get("n").and_then(Value::as_f64), Some(-1.25));
-    }
-
-    #[test]
-    fn multibyte_strings_and_control_characters() {
-        let value = Value::parse("{ \"s\": \"héllo ✓ 日本\\n\" }").unwrap();
-        assert_eq!(
-            value.get("s").and_then(Value::as_str),
-            Some("héllo ✓ 日本\n")
-        );
-        let err = Value::parse("[\"ab\u{1}c\"]").unwrap_err();
-        assert_eq!(err.offset, 4);
-        assert!(err.message.contains("control character"), "{err}");
-    }
-
-    #[test]
-    fn empty_containers_parse() {
-        assert_eq!(Value::parse("{}").unwrap(), Value::Obj(vec![]));
-        assert_eq!(Value::parse("[ ]").unwrap(), Value::Arr(vec![]));
-    }
-
-    #[test]
-    fn malformed_documents_report_an_offset() {
-        for bad in [
-            "{",
-            "{\"a\" 1}",
-            "[1,]",
-            "tru",
-            "\"unterminated",
-            "{} extra",
-        ] {
-            let err = Value::parse(bad).unwrap_err();
-            assert!(!err.message.is_empty(), "{bad}");
-            assert!(err.to_string().contains("at byte"), "{bad}");
-        }
-    }
-
-    #[test]
-    fn render_round_trips_and_is_canonical() {
-        let pretty = "{\n  \"a\": [1, 2.5, null],\n  \"s\": \"x\\ny\",\n  \"ok\": true\n}";
-        let compact = "{\"a\":[1,2.5,null],\"s\":\"x\\ny\",\"ok\":true}";
-        let value = Value::parse(pretty).unwrap();
-        assert_eq!(value.render(), compact);
-        // Canonical: parsing the render reproduces the same value and the
-        // same bytes.
-        let reparsed = Value::parse(&value.render()).unwrap();
-        assert_eq!(reparsed, value);
-        assert_eq!(reparsed.render(), compact);
-    }
-
-    #[test]
-    fn nesting_depth_is_bounded() {
-        // A 10k-deep array must come back as a parse error, not recurse the
-        // parser into a stack overflow — this is socket-facing code.
-        let hostile = "[".repeat(10_000);
-        let err = Value::parse(&hostile).unwrap_err();
-        assert!(
-            err.message.contains("nests deeper"),
-            "unexpected error: {err}"
-        );
-        let hostile_objects = "{\"k\":".repeat(10_000);
-        let err = Value::parse(&hostile_objects).unwrap_err();
-        assert!(
-            err.message.contains("nests deeper"),
-            "unexpected error: {err}"
-        );
-
-        // The limit counts *nesting*, not total containers: a long but flat
-        // document parses fine...
-        let flat = format!("[{}]", vec!["[]"; 1000].join(","));
-        assert!(Value::parse(&flat).is_ok());
-        // ...as does a document exactly at the bound.
-        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
-        assert!(Value::parse(&at_limit).is_ok());
-        let over_limit = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
-        assert!(Value::parse(&over_limit).is_err());
-    }
-
-    #[test]
-    fn accessors_are_type_checked() {
-        let value = Value::parse("[1]").unwrap();
-        assert!(value.get("x").is_none());
-        assert!(value.as_f64().is_none());
-        assert!(value.as_str().is_none());
-        assert!(value.as_bool().is_none());
-        assert!(value.as_uint().is_none());
-        assert_eq!(value.as_array().map(<[Value]>::len), Some(1));
-    }
-
-    #[test]
     fn integers_read_back_exactly_or_not_at_all() {
         let uint = |text: &str| Value::parse(text).unwrap().as_uint();
         assert_eq!(uint("0"), Some(0));
@@ -867,6 +790,37 @@ mod tests {
         for bad in ["-1", "1.5", "1e300", "-0.5", "null", "\"3\""] {
             assert_eq!(uint(bad), None, "{bad}");
         }
+    }
+
+    #[test]
+    fn decode_reads_back_what_encode_writes() {
+        fn round_trip<T: Encode + Decode>(value: T) -> Option<T> {
+            T::decode(&Value::parse(&compact(value)).unwrap())
+        }
+        assert_eq!(round_trip(1.5f64), Some(1.5));
+        assert!(round_trip(f64::NAN).unwrap().is_nan());
+        assert_eq!(round_trip(0.2f32), Some(0.2f32));
+        assert_eq!(round_trip(MAX_EXACT_INTEGER), Some(MAX_EXACT_INTEGER));
+        assert_eq!(round_trip(u64::MAX), None, "refused, not rounded");
+        assert_eq!(round_trip(true), Some(true));
+        assert_eq!(round_trip("a\"b".to_string()), Some("a\"b".to_string()));
+        assert_eq!(
+            round_trip(Duration::from_millis(1250)),
+            Some(Duration::from_millis(1250))
+        );
+        assert_eq!(round_trip(None::<usize>), Some(None));
+        assert_eq!(round_trip(Some(3usize)), Some(Some(3)));
+        assert_eq!(round_trip((16usize, 8usize)), Some((16, 8)));
+        assert_eq!(round_trip(vec![4.0, 10.5]), Some(vec![4.0, 10.5]));
+
+        let decode = |text: &str| Value::parse(text).unwrap();
+        assert_eq!(Duration::decode(&decode("-1")), None);
+        assert_eq!(Duration::decode(&decode("null")), None);
+        assert_eq!(<(usize, usize)>::decode(&decode("[1, 2, 3]")), None);
+        assert_eq!(<(usize, usize)>::decode(&decode("[1, -2]")), None);
+        assert_eq!(Vec::<f64>::decode(&decode("[1, \"x\"]")), None);
+        assert_eq!(String::decode(&decode("3")), None);
+        assert_eq!(<Vec<u64>>::EXPECTED, "an array");
     }
 
     #[test]

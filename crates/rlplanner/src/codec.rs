@@ -1,18 +1,16 @@
-//! One key table per configuration and outcome type, shared by the
+//! One key table per configuration and telemetry type, shared by the
 //! renderer ([`crate::report`]) and the parser ([`crate::parse`]).
 //!
 //! Each record's JSON keys are declared once, in a `record!` table that
-//! maps every key to a field. The table derives both directions —
-//! [`Codec::write`] and [`Codec::read`] — so a key cannot be rendered
-//! without being parsed, or spelled two ways. How a field is encoded
-//! follows from its type ([`Codec`] for numbers, integers, durations,
-//! pairs, options, ...) unless the table names a codec (`as hex`). The few
-//! types with cross-field rules (the thermal stack, the method and backend
-//! tags) implement [`Codec`] by hand next to the tables.
+//! maps every key to a field. The table derives both directions, so a key
+//! cannot be rendered without being parsed, or spelled two ways. A field
+//! is encoded by its type ([`rlp_obs::json::Encode`] and [`Decode`])
+//! unless the table names a codec: `as object` for a nested record,
+//! `as hex` for a 64-bit hash, `as eval_mode` for an [`EvalMode`](rlp_sa::EvalMode) label.
+//! The thermal configuration, the thermal backend and the method have
+//! cross-field rules and are written out by hand below the tables.
 //!
-//! Reading follows the rules of [`rlp_obs::json`]: `null` reads back as NaN
-//! for numbers, integers must be exact ([`Value::as_uint`]), and every
-//! error names the offending field by its full path, e.g.
+//! Every read error names the offending field by its full path, e.g.
 //! `method.ppo.gamma`.
 
 use crate::gradient::GradientConfig;
@@ -22,15 +20,14 @@ use crate::planner::RlPlannerConfig;
 use crate::request::{Method, PretrainedConfig};
 use crate::reward::{RewardBreakdown, RewardConfig};
 use crate::{AgentConfig, EnvConfig};
-use rlp_obs::json::{Layout, Value, Writer};
+use rlp_obs::json::{Decode, Layout, Value, Writer};
 use rlp_rl::PpoConfig;
-use rlp_sa::{EvalMode, SaConfig};
+use rlp_sa::SaConfig;
 use rlp_thermal::{
     CharacterizationOptions, Layer, LayerStack, ThermalBackend, ThermalConfig, ThermalPrep,
 };
 use std::borrow::Cow;
 use std::fmt;
-use std::time::Duration;
 
 pub(crate) type Result<T> = std::result::Result<T, OutcomeParseError>;
 
@@ -55,10 +52,10 @@ impl<'a> Key<'a> {
 
     /// A member of the document's top-level object.
     pub(crate) fn top(name: &'a str) -> Self {
-        Key { parent: "", name }
+        Key::new("", name)
     }
 
-    /// The member's full path: the parent of its own members.
+    /// The member's full path, which is the parent of its own members.
     pub(crate) fn path(self) -> Cow<'a, str> {
         if self.parent.is_empty() {
             Cow::Borrowed(self.name)
@@ -80,78 +77,59 @@ impl fmt::Display for Key<'_> {
 
 /// The required member `key` of `obj`.
 pub(crate) fn member<'v>(obj: &'v Value, key: Key<'_>) -> Result<&'v Value> {
-    match obj.get(key.name) {
-        Some(value) => Ok(value),
-        None => err(format!("missing field `{key}`")),
-    }
+    obj.get(key.name)
+        .map_or_else(|| err(format!("missing field `{key}`")), Ok)
 }
 
-/// Reads the required member `key` of `obj` with its type's codec.
-pub(crate) fn read<T: Codec>(obj: &Value, key: Key<'_>) -> Result<T> {
-    T::read(member(obj, key)?, key)
+/// Reads the required member `key` of `obj` as a `T`.
+pub(crate) fn read<T: Decode>(obj: &Value, key: Key<'_>) -> Result<T> {
+    T::decode(member(obj, key)?)
+        .map_or_else(|| err(format!("field `{key}` must be {}", T::EXPECTED)), Ok)
 }
 
-/// Both directions of one type's JSON encoding.
-pub(crate) trait Codec: Sized {
-    /// Writes `self` as the writer's next value.
-    fn write(&self, w: &mut Writer);
-    /// Reads a value written by [`Codec::write`]; `key` names it in errors.
-    fn read(value: &Value, key: Key<'_>) -> Result<Self>;
-}
-
-/// Writes a member whose value has a [`Codec`].
-pub(crate) trait WriteMember {
-    fn member<T: Codec>(&mut self, key: &str, value: &T) -> &mut Self;
-}
-
-impl WriteMember for Writer {
-    fn member<T: Codec>(&mut self, key: &str, value: &T) -> &mut Self {
-        value.write(self.key(key));
-        self
-    }
-}
-
-/// A type whose members a `record!` table lists, so it can be written
-/// into (and read out of) an object another codec opens — the method
-/// configurations follow a `kind` tag that way.
+/// A type whose members a `record!` table lists. Its members can also be
+/// written into an object another codec opens: the method configurations
+/// follow a `kind` tag that way.
 pub(crate) trait Record: Default {
+    const LAYOUT: Layout;
+
     fn write_fields(&self, w: &mut Writer);
+
     fn read_fields(&mut self, obj: &Value, path: &str) -> Result<()>;
+
+    fn write(&self, w: &mut Writer) {
+        w.object(Self::LAYOUT, |w| self.write_fields(w));
+    }
+
+    /// Reads the object `value`, whose own path is `path`.
+    fn read(value: &Value, path: &str) -> Result<Self> {
+        let mut out = Self::default();
+        out.read_fields(value, path)?;
+        Ok(out)
+    }
 }
 
 /// Declares a record's key table: `"json_key" => field.path`, optionally
-/// `as codec` for a field whose type alone does not fix its encoding.
-/// Keys render in table order; parsing starts from `Default` and sets
-/// every listed field.
+/// `as codec`. Keys render in table order; parsing starts from `Default`
+/// and sets every listed field.
 macro_rules! record {
-    (@write $w:expr, $value:expr) => { Codec::write($value, $w) };
-    (@write $w:expr, $value:expr, $codec:ident) => { $codec::write($value, $w) };
+    (@write $w:ident, $key:literal, $value:expr) => { $w.field($key, $value) };
+    (@write $w:ident, $key:literal, $value:expr, $codec:ident) => {
+        $codec::write($value, $w.key($key))
+    };
     (@read $obj:ident, $key:expr) => { read($obj, $key) };
-    (@read $obj:ident, $key:expr, $codec:ident) => {{
-        let key = $key;
-        member($obj, key).and_then(|value| $codec::read(value, key))
-    }};
+    (@read $obj:ident, $key:expr, $codec:ident) => { $codec::read($obj, $key) };
     ($ty:ty, $layout:ident { $($key:literal => $($field:ident).+ $(as $codec:ident)?),* $(,)? }) => {
         impl Record for $ty {
+            const LAYOUT: Layout = Layout::$layout;
+
             fn write_fields(&self, w: &mut Writer) {
-                $( record!(@write w.key($key), &self.$($field).+ $(, $codec)?); )*
+                $( record!(@write w, $key, &self.$($field).+ $(, $codec)?); )*
             }
 
             fn read_fields(&mut self, obj: &Value, path: &str) -> Result<()> {
                 $( self.$($field).+ = record!(@read obj, Key::new(path, $key) $(, $codec)?)?; )*
                 Ok(())
-            }
-        }
-
-        impl Codec for $ty {
-            fn write(&self, w: &mut Writer) {
-                w.object(Layout::$layout, |w| self.write_fields(w));
-            }
-
-            fn read(value: &Value, key: Key<'_>) -> Result<Self> {
-                let mut out = Self::default();
-                out.read_fields(value, &key.path())?;
-                Ok(out)
             }
         }
     };
@@ -164,9 +142,9 @@ record!(RlPlannerConfig, Block {
     "use_rnd" => use_rnd,
     "seed" => seed,
     "time_budget_s" => time_budget,
-    "ppo" => ppo,
-    "agent" => agent,
-    "env" => env,
+    "ppo" => ppo as object,
+    "agent" => agent as object,
+    "env" => env as object,
 });
 
 record!(PpoConfig, Inline {
@@ -252,11 +230,11 @@ record!(RewardBreakdown, Inline {
     "reward" => reward,
     "wirelength_mm" => wirelength_mm,
     "max_temperature_c" => max_temperature_c,
-    "eval_mode" => eval_mode,
+    "eval_mode" => eval_mode as eval_mode,
 });
 
 record!(EvalTelemetry, Inline {
-    "mode" => mode,
+    "mode" => mode as eval_mode,
     "full_evals" => counts.full,
     "incremental_evals" => counts.incremental,
 });
@@ -280,33 +258,134 @@ record!(TelemetrySample, Inline {
     "best_reward" => best_reward,
 });
 
+/// Nested records: `"ppo" => ppo as object`.
+pub(crate) mod object {
+    use super::{member, Key, Record, Result};
+    use rlp_obs::json::{Value, Writer};
+
+    pub(crate) fn write<T: Record>(value: &T, w: &mut Writer) {
+        value.write(w);
+    }
+
+    pub(crate) fn read<T: Record>(obj: &Value, key: Key<'_>) -> Result<T> {
+        T::read(member(obj, key)?, &key.path())
+    }
+}
+
+/// 64-bit hashes, as `"0x…"` strings: a JSON number cannot carry one
+/// exactly. An optional hash is `null` when unset.
+mod hex {
+    use super::{err, member, Key, Result};
+    use rlp_obs::json::{Value, Writer};
+
+    /// A `u64` hash, or an optional one.
+    pub(super) trait Hash: Copy + Into<Option<u64>> {
+        fn from_hash(hash: Option<u64>) -> Option<Self>;
+    }
+
+    impl Hash for u64 {
+        fn from_hash(hash: Option<u64>) -> Option<Self> {
+            hash
+        }
+    }
+
+    impl Hash for Option<u64> {
+        fn from_hash(hash: Option<u64>) -> Option<Self> {
+            Some(hash)
+        }
+    }
+
+    pub(super) fn write<T: Hash>(value: &T, w: &mut Writer) {
+        w.value((*value).into().map(|hash| format!("{hash:#018x}")));
+    }
+
+    pub(super) fn read<T: Hash>(obj: &Value, key: Key<'_>) -> Result<T> {
+        let hash = match member(obj, key)? {
+            Value::Null => None,
+            Value::Str(text) => {
+                let digits = text.strip_prefix("0x").unwrap_or(text);
+                match u64::from_str_radix(digits, 16) {
+                    Ok(hash) => Some(hash),
+                    Err(_) => return err(format!("field `{key}` is not a hex hash: `{text}`")),
+                }
+            }
+            _ => None,
+        };
+        T::from_hash(hash).map_or_else(
+            || err(format!("field `{key}` must be a hex-string hash")),
+            Ok,
+        )
+    }
+}
+
+/// [`EvalMode`] by its label.
+mod eval_mode {
+    use super::{err, Key, Result};
+    use rlp_obs::json::{Value, Writer};
+    use rlp_sa::EvalMode;
+
+    pub(super) fn write(mode: &EvalMode, w: &mut Writer) {
+        w.value(mode.label());
+    }
+
+    pub(super) fn read(obj: &Value, key: Key<'_>) -> Result<EvalMode> {
+        match super::read::<String>(obj, key)?.as_str() {
+            "full" => Ok(EvalMode::Full),
+            "incremental" => Ok(EvalMode::Incremental),
+            other => err(format!("field `{key}` has unknown eval mode `{other}`")),
+        }
+    }
+}
+
 /// The thermal configuration's members inside a backend object. The stack
 /// is two keys that must agree (`power_layer` indexes `layers`), and the
 /// grid is one pair for two fields, so this table is written out.
 impl Record for ThermalConfig {
+    const LAYOUT: Layout = Layout::Block;
+
     fn write_fields(&self, w: &mut Writer) {
-        w.member("grid", &(self.grid_nx, self.grid_ny))
-            .member("ambient_c", &self.ambient_c)
-            .member(
+        w.field("grid", (self.grid_nx, self.grid_ny))
+            .field("ambient_c", self.ambient_c)
+            .field(
                 "convection_resistance_k_per_w",
-                &self.convection_resistance_k_per_w,
+                self.convection_resistance_k_per_w,
             )
-            .member("power_layer", &self.stack.power_layer())
-            .key("layers")
-            .array(Layout::Inline, |w| {
-                for layer in self.stack.layers() {
-                    layer.write(w);
-                }
-            });
+            .field("power_layer", self.stack.power_layer());
+        w.key("layers").array(Layout::Inline, |w| {
+            for layer in self.stack.layers() {
+                w.object(Layout::Inline, |w| {
+                    w.field("name", &layer.name)
+                        .field("thickness_mm", layer.thickness_mm)
+                        .field("conductivity_w_mk", layer.conductivity_w_mk);
+                });
+            }
+        });
     }
 
     fn read_fields(&mut self, obj: &Value, path: &str) -> Result<()> {
         (self.grid_nx, self.grid_ny) = read(obj, Key::new(path, "grid"))?;
-        let layers: Vec<Layer> = read(obj, Key::new(path, "layers"))?;
-        if layers.is_empty() {
+        let Some(records) = member(obj, Key::new(path, "layers"))?.as_array() else {
+            return err(format!("field `{path}.layers` must be an array"));
+        };
+        if records.is_empty() {
             return err(format!(
                 "field `{path}.layers` must hold at least one layer"
             ));
+        }
+        let item = format!("{path}.layers[]");
+        let mut layers = Vec::with_capacity(records.len());
+        for record in records {
+            let name: String = read(record, Key::new(&item, "name"))?;
+            let thickness_mm: f64 = read(record, Key::new(&item, "thickness_mm"))?;
+            let conductivity_w_mk: f64 = read(record, Key::new(&item, "conductivity_w_mk"))?;
+            // `Layer::new` panics on non-positive values; turn that
+            // contract into a parse error instead.
+            if !(thickness_mm > 0.0 && conductivity_w_mk > 0.0) {
+                return err(format!(
+                    "layer `{name}` must have positive thickness and conductivity"
+                ));
+            }
+            layers.push(Layer::new(name, thickness_mm, conductivity_w_mk));
         }
         let power_layer: usize = read(obj, Key::new(path, "power_layer"))?;
         if power_layer >= layers.len() {
@@ -323,57 +402,33 @@ impl Record for ThermalConfig {
     }
 }
 
-impl Codec for Layer {
-    fn write(&self, w: &mut Writer) {
-        w.object(Layout::Inline, |w| {
-            w.field("name", &self.name)
-                .field("thickness_mm", self.thickness_mm)
-                .field("conductivity_w_mk", self.conductivity_w_mk);
-        });
-    }
+/// `{ "kind": "grid" | "fast", <thermal configuration>,
+/// "characterization": {...} }`, the last for the fast backend only.
+pub(crate) mod thermal {
+    use super::*;
 
-    fn read(value: &Value, key: Key<'_>) -> Result<Self> {
-        let path = key.path();
-        let name: String = read(value, Key::new(&path, "name"))?;
-        let thickness_mm: f64 = read(value, Key::new(&path, "thickness_mm"))?;
-        let conductivity_w_mk: f64 = read(value, Key::new(&path, "conductivity_w_mk"))?;
-        // `Layer::new` panics on non-positive values; turn that contract
-        // into a parse error instead.
-        if !(thickness_mm > 0.0 && conductivity_w_mk > 0.0) {
-            return err(format!(
-                "layer `{name}` must have positive thickness and conductivity"
-            ));
-        }
-        Ok(Layer::new(name, thickness_mm, conductivity_w_mk))
-    }
-}
-
-/// `{ "kind": "grid" | "fast", <thermal configuration>, "characterization": {...} }`,
-/// the last for the fast backend only.
-impl Codec for ThermalBackend {
-    fn write(&self, w: &mut Writer) {
+    pub(crate) fn write(thermal: &ThermalBackend, w: &mut Writer) {
         w.object(Layout::Block, |w| {
-            w.field("kind", self.label());
-            self.config().write_fields(w);
+            w.field("kind", thermal.label());
+            thermal.config().write_fields(w);
             if let ThermalBackend::Fast {
                 characterization, ..
-            } = self
+            } = thermal
             {
-                w.member("characterization", characterization);
+                characterization.write(w.key("characterization"));
             }
         });
     }
 
-    fn read(value: &Value, key: Key<'_>) -> Result<Self> {
-        let path = key.path();
-        let kind: String = read(value, Key::new(&path, "kind"))?;
-        let mut config = ThermalConfig::default();
-        config.read_fields(value, &path)?;
+    pub(crate) fn read(obj: &Value, key: Key<'_>) -> Result<ThermalBackend> {
+        let (value, path) = (member(obj, key)?, key.path());
+        let kind: String = super::read(value, Key::new(&path, "kind"))?;
+        let config = ThermalConfig::read(value, &path)?;
         match kind.as_str() {
             "grid" => Ok(ThermalBackend::Grid { config }),
             "fast" => Ok(ThermalBackend::Fast {
                 config,
-                characterization: read(value, Key::new(&path, "characterization"))?,
+                characterization: object::read(value, Key::new(&path, "characterization"))?,
             }),
             other => err(format!("field `{path}.kind` has unknown backend `{other}`")),
         }
@@ -381,11 +436,13 @@ impl Codec for ThermalBackend {
 }
 
 /// `{ "kind": <label>, <the method configuration's members> }`.
-impl Codec for Method {
-    fn write(&self, w: &mut Writer) {
+pub(crate) mod method {
+    use super::*;
+
+    pub(crate) fn write(method: &Method, w: &mut Writer) {
         w.object(Layout::Block, |w| {
-            w.field("kind", self.label());
-            match self {
+            w.field("kind", method.label());
+            match method {
                 Method::Rl { config } | Method::RlRnd { config } => config.write_fields(w),
                 Method::Sa { config } => config.write_fields(w),
                 Method::Gradient { config } => config.write_fields(w),
@@ -394,246 +451,26 @@ impl Codec for Method {
         });
     }
 
-    fn read(value: &Value, key: Key<'_>) -> Result<Self> {
-        fn fields<T: Record>(value: &Value, path: &str) -> Result<T> {
-            let mut config = T::default();
-            config.read_fields(value, path)?;
-            Ok(config)
-        }
-        let path = key.path();
-        let kind: String = read(value, Key::new(&path, "kind"))?;
+    pub(crate) fn read(obj: &Value, key: Key<'_>) -> Result<Method> {
+        let (value, path) = (member(obj, key)?, key.path());
+        let kind: String = super::read(value, Key::new(&path, "kind"))?;
         Ok(match kind.as_str() {
             "rl" => Method::Rl {
-                config: fields(value, &path)?,
+                config: Record::read(value, &path)?,
             },
             "rl-rnd" => Method::RlRnd {
-                config: fields(value, &path)?,
+                config: Record::read(value, &path)?,
             },
             "sa" => Method::Sa {
-                config: fields(value, &path)?,
+                config: Record::read(value, &path)?,
             },
             "gradient" => Method::Gradient {
-                config: fields(value, &path)?,
+                config: Record::read(value, &path)?,
             },
             "pretrained" => Method::Pretrained {
-                config: fields(value, &path)?,
+                config: Record::read(value, &path)?,
             },
             other => return err(format!("field `{path}.kind` has unknown method `{other}`")),
         })
-    }
-}
-
-impl Codec for EvalMode {
-    fn write(&self, w: &mut Writer) {
-        w.value(self.label());
-    }
-
-    fn read(value: &Value, key: Key<'_>) -> Result<Self> {
-        match String::read(value, key)?.as_str() {
-            "full" => Ok(EvalMode::Full),
-            "incremental" => Ok(EvalMode::Incremental),
-            other => err(format!("field `{key}` has unknown eval mode `{other}`")),
-        }
-    }
-}
-
-/// Numbers; `null` (the encoding of NaN and ±inf) reads back as NaN.
-impl Codec for f64 {
-    fn write(&self, w: &mut Writer) {
-        w.value(*self);
-    }
-
-    fn read(value: &Value, key: Key<'_>) -> Result<Self> {
-        match value {
-            Value::Num(n) => Ok(*n),
-            Value::Null => Ok(f64::NAN),
-            _ => err(format!("field `{key}` must be a number or null")),
-        }
-    }
-}
-
-/// Written as the `f64` it widens to, read back by narrowing.
-impl Codec for f32 {
-    fn write(&self, w: &mut Writer) {
-        w.value(*self);
-    }
-
-    fn read(value: &Value, key: Key<'_>) -> Result<Self> {
-        f64::read(value, key).map(|v| v as f32)
-    }
-}
-
-/// Integers follow [`Value::as_uint`]: exact, non-negative, at most
-/// 2^53 − 1.
-impl Codec for u64 {
-    fn write(&self, w: &mut Writer) {
-        w.value(*self);
-    }
-
-    fn read(value: &Value, key: Key<'_>) -> Result<Self> {
-        match value.as_uint() {
-            Some(n) => Ok(n),
-            None => err(format!("field `{key}` must be a non-negative integer")),
-        }
-    }
-}
-
-impl Codec for usize {
-    fn write(&self, w: &mut Writer) {
-        w.value(*self);
-    }
-
-    fn read(value: &Value, key: Key<'_>) -> Result<Self> {
-        u64::read(value, key).map(|n| n as usize)
-    }
-}
-
-impl Codec for bool {
-    fn write(&self, w: &mut Writer) {
-        w.value(*self);
-    }
-
-    fn read(value: &Value, key: Key<'_>) -> Result<Self> {
-        match value.as_bool() {
-            Some(b) => Ok(b),
-            None => err(format!("field `{key}` must be a boolean")),
-        }
-    }
-}
-
-impl Codec for String {
-    fn write(&self, w: &mut Writer) {
-        w.value(self);
-    }
-
-    fn read(value: &Value, key: Key<'_>) -> Result<Self> {
-        match value.as_str() {
-            Some(s) => Ok(s.to_string()),
-            None => err(format!("field `{key}` must be a string")),
-        }
-    }
-}
-
-/// Seconds, as a number.
-impl Codec for Duration {
-    fn write(&self, w: &mut Writer) {
-        w.value(self.as_secs_f64());
-    }
-
-    fn read(value: &Value, key: Key<'_>) -> Result<Self> {
-        let secs = f64::read(value, key)?;
-        if !secs.is_finite() || secs < 0.0 {
-            return err(format!("field `{key}` must be a non-negative duration"));
-        }
-        Ok(Duration::from_secs_f64(secs))
-    }
-}
-
-/// `null` or the value.
-impl<T: Codec> Codec for Option<T> {
-    fn write(&self, w: &mut Writer) {
-        match self {
-            Some(value) => value.write(w),
-            None => {
-                w.null();
-            }
-        }
-    }
-
-    fn read(value: &Value, key: Key<'_>) -> Result<Self> {
-        match value {
-            Value::Null => Ok(None),
-            value => T::read(value, key).map(Some),
-        }
-    }
-}
-
-/// A two-element inline array.
-impl<T: Codec> Codec for (T, T) {
-    fn write(&self, w: &mut Writer) {
-        w.array(Layout::Inline, |w| {
-            self.0.write(w);
-            self.1.write(w);
-        });
-    }
-
-    fn read(value: &Value, key: Key<'_>) -> Result<Self> {
-        match value.as_array() {
-            Some([a, b]) => Ok((T::read(a, key)?, T::read(b, key)?)),
-            _ => err(format!("field `{key}` must be a two-element array")),
-        }
-    }
-}
-
-/// An inline array.
-impl<T: Codec> Codec for Vec<T> {
-    fn write(&self, w: &mut Writer) {
-        w.array(Layout::Inline, |w| {
-            for item in self {
-                item.write(w);
-            }
-        });
-    }
-
-    fn read(value: &Value, key: Key<'_>) -> Result<Self> {
-        let Some(items) = value.as_array() else {
-            return err(format!("field `{key}` must be an array"));
-        };
-        let item = format!("{key}[]");
-        items.iter().map(|v| T::read(v, Key::top(&item))).collect()
-    }
-}
-
-/// 64-bit hashes, as `"0x…"` strings: JSON numbers cannot carry them.
-mod hex {
-    use super::{err, Codec, Key, Result};
-    use rlp_obs::json::{Value, Writer};
-
-    /// The hex field: a `u64` or an optional one (`null` when unset).
-    pub(super) trait Hex: Sized {
-        fn write(&self, w: &mut Writer);
-        fn read(value: &Value, key: Key<'_>) -> Result<Self>;
-    }
-
-    impl Hex for u64 {
-        fn write(&self, w: &mut Writer) {
-            w.value(format!("{self:#018x}"));
-        }
-
-        fn read(value: &Value, key: Key<'_>) -> Result<Self> {
-            let hash = String::read(value, key)
-                .or_else(|_| err(format!("field `{key}` must be a hex-string hash")))?;
-            let digits = hash.strip_prefix("0x").unwrap_or(&hash);
-            match u64::from_str_radix(digits, 16) {
-                Ok(n) => Ok(n),
-                Err(_) => err(format!("field `{key}` is not a hex hash: `{hash}`")),
-            }
-        }
-    }
-
-    impl Hex for Option<u64> {
-        fn write(&self, w: &mut Writer) {
-            match self {
-                Some(hash) => Hex::write(hash, w),
-                None => {
-                    w.null();
-                }
-            }
-        }
-
-        fn read(value: &Value, key: Key<'_>) -> Result<Self> {
-            match value {
-                Value::Null => Ok(None),
-                value => <u64 as Hex>::read(value, key).map(Some),
-            }
-        }
-    }
-
-    pub(super) fn write<T: Hex>(value: &T, w: &mut Writer) {
-        value.write(w);
-    }
-
-    pub(super) fn read<T: Hex>(value: &Value, key: Key<'_>) -> Result<T> {
-        T::read(value, key)
     }
 }

@@ -88,16 +88,13 @@ mod codec;
 pub mod env;
 pub mod facade;
 pub mod gradient;
+pub mod minijson;
 pub mod outcome;
 pub mod parse;
 pub mod planner;
 pub mod report;
 pub mod request;
 pub mod reward;
-
-/// The workspace's JSON layer, [`rlp_obs::json`], under the name this
-/// crate has always exported it by.
-pub use rlp_obs::json as minijson;
 
 pub use agent::AgentConfig;
 pub use env::{EnvConfig, FloorplanEnv};

@@ -31,7 +31,8 @@
 //! parsed outcome reproduces the original document byte for byte, which is
 //! the invariant the campaign resume path relies on.
 
-use crate::codec::{err, member, read, Key, Result};
+use crate::codec::{err, member, method, object, read, thermal, Key, Record, Result};
+use crate::outcome::TrainingTelemetry;
 use crate::outcome::{FloorplanOutcome, RunManifest};
 use crate::report::{OUTCOME_SCHEMA, REQUEST_SCHEMA};
 use crate::request::{Budget, FloorplanRequest};
@@ -120,14 +121,23 @@ pub fn outcome_from_value(
     let top = Key::top;
     let in_manifest = |name| Key::new("manifest", name);
     Ok(FloorplanOutcome {
-        breakdown: read(doc, top("breakdown"))?,
+        breakdown: object::read(doc, top("breakdown"))?,
         evaluations: read(doc, top("evaluations"))?,
-        evaluation: read(doc, top("evaluation"))?,
-        training: read(doc, top("training"))?,
+        evaluation: object::read(doc, top("evaluation"))?,
+        training: match member(doc, top("training"))? {
+            Value::Null => None,
+            value => Some(TrainingTelemetry::read(value, "training")?),
+        },
         runtime: read(doc, top("runtime_s"))?,
-        thermal_prep: read(doc, top("thermal_prep"))?,
+        thermal_prep: object::read(doc, top("thermal_prep"))?,
         placement: placement_from(member(doc, top("placement"))?, system)?,
-        telemetry: read(doc, top("telemetry"))?,
+        telemetry: match member(doc, top("telemetry"))?.as_array() {
+            Some(samples) => samples
+                .iter()
+                .map(|sample| Record::read(sample, "telemetry[]"))
+                .collect::<Result<_>>()?,
+            None => return err("field `telemetry` must be an array"),
+        },
         manifest: {
             let manifest = member(doc, top("manifest"))?;
             RunManifest {
@@ -136,9 +146,9 @@ pub fn outcome_from_value(
                 // comes from there.
                 system_name: system.name().to_string(),
                 chiplet_count: system.chiplet_count(),
-                method: read(manifest, in_manifest("method"))?,
-                thermal: read(manifest, in_manifest("thermal"))?,
-                reward: read(manifest, in_manifest("reward"))?,
+                method: method::read(manifest, in_manifest("method"))?,
+                thermal: thermal::read(manifest, in_manifest("thermal"))?,
+                reward: object::read(manifest, in_manifest("reward"))?,
                 seed: read(manifest, in_manifest("seed"))?,
                 warm_start: read(manifest, in_manifest("warm_start"))?,
             }
@@ -175,9 +185,9 @@ pub fn request_from_value(doc: &Value) -> std::result::Result<FloorplanRequest, 
     let top = Key::top;
     let mut builder = FloorplanRequest::builder()
         .system(system_from(member(doc, top("system"))?)?)
-        .method(read(doc, top("method"))?)
-        .thermal(read(doc, top("thermal"))?)
-        .reward(read(doc, top("reward"))?);
+        .method(method::read(doc, top("method"))?)
+        .thermal(thermal::read(doc, top("thermal"))?)
+        .reward(object::read(doc, top("reward"))?);
     match member(doc, top("budget"))? {
         Value::Null => {}
         value => builder = builder.budget(budget_from(value)?),

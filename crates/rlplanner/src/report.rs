@@ -112,7 +112,7 @@
 //! description; the analyzer itself never crosses the wire (the serving
 //! side re-attaches one from its own cache).
 
-use crate::codec::{Codec, WriteMember};
+use crate::codec::{method, thermal, Record};
 use crate::outcome::FloorplanOutcome;
 use crate::request::{Budget, FloorplanRequest};
 use rlp_chiplet::{ChipletSystem, Placement, Rotation};
@@ -168,17 +168,22 @@ pub fn write_outcome(w: &mut Writer, system: &ChipletSystem, outcome: &Floorplan
         w.key("system").object(Layout::Inline, |w| {
             w.field("name", system.name())
                 .field("chiplets", system.chiplet_count())
-                .member(
+                .field(
                     "interposer_mm",
-                    &(system.interposer_width(), system.interposer_height()),
+                    (system.interposer_width(), system.interposer_height()),
                 );
         });
-        w.member("breakdown", &outcome.breakdown)
-            .member("evaluations", &outcome.evaluations)
-            .member("evaluation", &outcome.evaluation)
-            .member("training", &outcome.training)
-            .member("runtime_s", &outcome.runtime)
-            .member("thermal_prep", &outcome.thermal_prep);
+        outcome.breakdown.write(w.key("breakdown"));
+        w.field("evaluations", outcome.evaluations);
+        outcome.evaluation.write(w.key("evaluation"));
+        match &outcome.training {
+            Some(training) => training.write(w.key("training")),
+            None => {
+                w.key("training").null();
+            }
+        }
+        w.field("runtime_s", outcome.runtime);
+        outcome.thermal_prep.write(w.key("thermal_prep"));
         write_placement(w.key("placement"), system, &outcome.placement);
         w.key("telemetry").array(Layout::Block, |w| {
             for sample in &outcome.telemetry {
@@ -187,11 +192,11 @@ pub fn write_outcome(w: &mut Writer, system: &ChipletSystem, outcome: &Floorplan
         });
         let manifest = &outcome.manifest;
         w.key("manifest").object(Layout::Block, |w| {
-            w.member("seed", &manifest.seed)
-                .member("method", &manifest.method)
-                .member("thermal", &manifest.thermal)
-                .member("reward", &manifest.reward)
-                .member("warm_start", &manifest.warm_start);
+            w.field("seed", manifest.seed);
+            method::write(&manifest.method, w.key("method"));
+            thermal::write(&manifest.thermal, w.key("thermal"));
+            manifest.reward.write(w.key("reward"));
+            w.field("warm_start", manifest.warm_start);
         });
     });
 }
@@ -204,9 +209,9 @@ pub fn request_json(request: &FloorplanRequest) -> String {
         w.field("schema", REQUEST_SCHEMA);
         let system = request.system();
         w.key("system").object(Layout::Block, |w| {
-            w.field("name", system.name()).member(
+            w.field("name", system.name()).field(
                 "interposer_mm",
-                &(system.interposer_width(), system.interposer_height()),
+                (system.interposer_width(), system.interposer_height()),
             );
             w.key("chiplets").array(Layout::Block, |w| {
                 for id in system.chiplet_ids() {
@@ -229,9 +234,9 @@ pub fn request_json(request: &FloorplanRequest) -> String {
                 }
             });
         });
-        w.member("method", request.method())
-            .member("thermal", request.thermal())
-            .member("reward", request.reward());
+        method::write(request.method(), w.key("method"));
+        thermal::write(request.thermal(), w.key("thermal"));
+        request.reward().write(w.key("reward"));
         let budget = w.key("budget");
         match request.budget() {
             None => {
@@ -244,7 +249,7 @@ pub fn request_json(request: &FloorplanRequest) -> String {
             }
             Some(Budget::TimeLimit(limit)) => {
                 budget.object(Layout::Inline, |w| {
-                    w.member("time_limit_s", &limit);
+                    w.field("time_limit_s", limit);
                 });
             }
             // `Budget` is non-exhaustive for downstream code; this crate
@@ -252,9 +257,9 @@ pub fn request_json(request: &FloorplanRequest) -> String {
             #[allow(unreachable_patterns)]
             Some(_) => unreachable!("unrendered budget variant"),
         }
-        w.member("seed", &request.seed())
-            .member("parallel_envs", &request.parallel_envs())
-            .member("warm_start", &request.warm_start());
+        w.field("seed", request.seed())
+            .field("parallel_envs", request.parallel_envs())
+            .field("warm_start", request.warm_start());
     });
     w.finish()
 }
@@ -353,7 +358,7 @@ mod tests {
     }
 
     #[test]
-    fn hostile_chiplet_names_stay_inside_their_string_literal() {
+    fn quotes_backslashes_and_control_characters_are_escaped() {
         // The escaping rules themselves are tested in `rlp_obs::json`.
         let (sys, placement) = system_with(&["die\"0\\\n"]);
         let json = placement_json(&sys, &placement);

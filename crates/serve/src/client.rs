@@ -8,7 +8,7 @@
 //! and replayed by [`ServeClient::wait_outcome`].
 
 use crate::protocol::{self, ClientMessage, SchedulerStats, RPC_SCHEMA};
-use rlp_obs::json::Value;
+use rlp_obs::json::{Decode, Value};
 use std::collections::VecDeque;
 use std::fmt;
 use std::io;
@@ -129,9 +129,9 @@ impl ServeClient {
         self.send(&ClientMessage::render_solve(request_json, progress_every))?;
         let reply = self.read_reply(&["accepted", "busy"])?;
         match frame_type(&reply)? {
-            "accepted" => Ok(Submit::Accepted(u64_field(&reply, "job")?)),
+            "accepted" => Ok(Submit::Accepted(field(&reply, "job")?)),
             _ => Ok(Submit::Busy {
-                capacity: u64_field(&reply, "capacity")? as usize,
+                capacity: field(&reply, "capacity")?,
             }),
         }
     }
@@ -150,12 +150,12 @@ impl ServeClient {
             let frame = match self
                 .stashed
                 .iter()
-                .position(|f| u64_field(f, "job").ok() == Some(job))
+                .position(|f| field(f, "job").ok() == Some(job))
             {
                 Some(index) => self.stashed.remove(index).expect("index in bounds"),
                 None => {
                     let frame = self.read_socket_frame()?;
-                    if u64_field(&frame, "job").ok() != Some(job) {
+                    if field(&frame, "job").ok() != Some(job) {
                         self.stashed.push_back(frame);
                         continue;
                     }
@@ -164,9 +164,9 @@ impl ServeClient {
             };
             match frame_type(&frame)? {
                 "progress" => progress.push(ProgressSample {
-                    candidate: u64_field(&frame, "candidate")? as usize,
-                    reward: f64_field(&frame, "reward")?,
-                    best_reward: f64_field(&frame, "best_reward")?,
+                    candidate: field(&frame, "candidate")?,
+                    reward: field(&frame, "reward")?,
+                    best_reward: field(&frame, "best_reward")?,
                 }),
                 "outcome" => {
                     let outcome = frame
@@ -176,9 +176,7 @@ impl ServeClient {
                     return Ok(JobResult { outcome, progress });
                 }
                 "failed" => {
-                    return Err(ClientError::Remote(
-                        str_field(&frame, "message")?.to_string(),
-                    ));
+                    return Err(ClientError::Remote(field(&frame, "message")?));
                 }
                 other => {
                     return Err(protocol_err(&format!(
@@ -198,7 +196,7 @@ impl ServeClient {
     pub fn status(&mut self, job: u64) -> Result<String, ClientError> {
         self.send(&ClientMessage::render_status(job))?;
         let reply = self.read_reply(&["status"])?;
-        Ok(str_field(&reply, "state")?.to_string())
+        field(&reply, "state")
     }
 
     /// Cancels a queued job; `true` if it was removed before running.
@@ -229,7 +227,6 @@ impl ServeClient {
         let scheduler = reply
             .get("scheduler")
             .ok_or_else(|| protocol_err("stats frame has no `scheduler`"))?;
-        let field = |doc: &Value, key: &str| u64_field(doc, key).map(|v| v as usize);
         Ok(StatsReport {
             cache_models: field(cache, "models")?,
             cache_hits: field(cache, "hits")?,
@@ -273,7 +270,7 @@ impl ServeClient {
     pub fn shutdown(&mut self) -> Result<usize, ClientError> {
         self.send(&ClientMessage::render_shutdown())?;
         let reply = self.read_reply(&["shutdown"])?;
-        u64_field(&reply, "draining").map(|v| v as usize)
+        field(&reply, "draining")
     }
 
     fn send(&mut self, payload: &str) -> io::Result<()> {
@@ -294,9 +291,7 @@ impl ServeClient {
             }
             match kind {
                 "error" => {
-                    return Err(ClientError::Remote(
-                        str_field(&frame, "message")?.to_string(),
-                    ));
+                    return Err(ClientError::Remote(field(&frame, "message")?));
                 }
                 "progress" | "outcome" | "failed" => self.stashed.push_back(frame),
                 other => {
@@ -338,23 +333,11 @@ fn frame_type(frame: &Value) -> Result<&str, ClientError> {
         .ok_or_else(|| protocol_err("frame has no `type`"))
 }
 
-fn str_field<'a>(frame: &'a Value, key: &str) -> Result<&'a str, ClientError> {
+/// Member `key` of a frame, read by the rules of [`rlp_obs::json`]: an
+/// integer must be exact, and a `null` number is NaN.
+fn field<T: Decode>(frame: &Value, key: &str) -> Result<T, ClientError> {
     frame
         .get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| protocol_err(&format!("frame has no `{key}` string")))
-}
-
-fn f64_field(frame: &Value, key: &str) -> Result<f64, ClientError> {
-    frame
-        .get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| protocol_err(&format!("frame has no `{key}` number")))
-}
-
-fn u64_field(frame: &Value, key: &str) -> Result<u64, ClientError> {
-    frame
-        .get(key)
-        .and_then(Value::as_uint)
-        .ok_or_else(|| protocol_err(&format!("frame has no non-negative integer `{key}`")))
+        .and_then(T::decode)
+        .ok_or_else(|| protocol_err(&format!("frame has no `{key}` that is {}", T::EXPECTED)))
 }
