@@ -31,9 +31,8 @@
 //! parsed outcome reproduces the original document byte for byte, which is
 //! the invariant the campaign resume path relies on.
 
-use crate::codec::{err, member, method, object, read, thermal, Key, Record, Result};
-use crate::outcome::TrainingTelemetry;
-use crate::outcome::{FloorplanOutcome, RunManifest};
+use crate::codec::{err, member, method, object, read, thermal, Key, Record};
+use crate::outcome::{FloorplanOutcome, RunManifest, TrainingTelemetry};
 use crate::report::{OUTCOME_SCHEMA, REQUEST_SCHEMA};
 use crate::request::{Budget, FloorplanRequest};
 use rlp_chiplet::{Chiplet, ChipletId, ChipletSystem, Net, Placement, Position, Rotation};
@@ -56,13 +55,13 @@ impl fmt::Display for OutcomeParseError {
 
 impl std::error::Error for OutcomeParseError {}
 
-fn parse(text: &str) -> Result<Value> {
+fn parse(text: &str) -> Result<Value, OutcomeParseError> {
     Value::parse(text).map_err(|e| OutcomeParseError {
         message: e.to_string(),
     })
 }
 
-fn check_schema(doc: &Value, expected: &str) -> Result<()> {
+fn check_schema(doc: &Value, expected: &str) -> Result<(), OutcomeParseError> {
     let schema: String = read(doc, Key::top("schema"))?;
     if schema != expected {
         return err(format!(
@@ -87,7 +86,7 @@ fn check_schema(doc: &Value, expected: &str) -> Result<()> {
 pub fn outcome_from_json(
     text: &str,
     system: &ChipletSystem,
-) -> std::result::Result<FloorplanOutcome, OutcomeParseError> {
+) -> Result<FloorplanOutcome, OutcomeParseError> {
     outcome_from_value(&parse(text)?, system)
 }
 
@@ -100,7 +99,7 @@ pub fn outcome_from_json(
 pub fn outcome_from_value(
     doc: &Value,
     system: &ChipletSystem,
-) -> std::result::Result<FloorplanOutcome, OutcomeParseError> {
+) -> Result<FloorplanOutcome, OutcomeParseError> {
     check_schema(doc, OUTCOME_SCHEMA)?;
     let header = member(doc, Key::top("system"))?;
     let name: String = read(header, Key::new("system", "name"))?;
@@ -135,7 +134,7 @@ pub fn outcome_from_value(
             Some(samples) => samples
                 .iter()
                 .map(|sample| Record::read(sample, "telemetry[]"))
-                .collect::<Result<_>>()?,
+                .collect::<Result<_, _>>()?,
             None => return err("field `telemetry` must be an array"),
         },
         manifest: {
@@ -170,7 +169,7 @@ pub fn outcome_from_value(
 /// Returns an [`OutcomeParseError`] naming the first malformed, missing or
 /// invalid field (including JSON syntax errors and configuration errors the
 /// builder rejects).
-pub fn request_from_json(text: &str) -> std::result::Result<FloorplanRequest, OutcomeParseError> {
+pub fn request_from_json(text: &str) -> Result<FloorplanRequest, OutcomeParseError> {
     request_from_value(&parse(text)?)
 }
 
@@ -180,7 +179,7 @@ pub fn request_from_json(text: &str) -> std::result::Result<FloorplanRequest, Ou
 ///
 /// Returns an [`OutcomeParseError`] naming the first malformed, missing or
 /// invalid field.
-pub fn request_from_value(doc: &Value) -> std::result::Result<FloorplanRequest, OutcomeParseError> {
+pub fn request_from_value(doc: &Value) -> Result<FloorplanRequest, OutcomeParseError> {
     check_schema(doc, REQUEST_SCHEMA)?;
     let top = Key::top;
     let mut builder = FloorplanRequest::builder()
@@ -204,7 +203,7 @@ pub fn request_from_value(doc: &Value) -> std::result::Result<FloorplanRequest, 
     })
 }
 
-fn system_from(obj: &Value) -> Result<ChipletSystem> {
+fn system_from(obj: &Value) -> Result<ChipletSystem, OutcomeParseError> {
     let at = |name| Key::new("system", name);
     let name: String = read(obj, at("name"))?;
     let (width, height): (f64, f64) = read(obj, at("interposer_mm"))?;
@@ -270,7 +269,7 @@ fn system_from(obj: &Value) -> Result<ChipletSystem> {
     Ok(system)
 }
 
-fn budget_from(obj: &Value) -> Result<Budget> {
+fn budget_from(obj: &Value) -> Result<Budget, OutcomeParseError> {
     let at = |name| Key::new("budget", name);
     if obj.get("evaluations").is_some() {
         Ok(Budget::Evaluations(read(obj, at("evaluations"))?))
@@ -281,7 +280,7 @@ fn budget_from(obj: &Value) -> Result<Budget> {
     }
 }
 
-fn placement_from(obj: &Value, system: &ChipletSystem) -> Result<Placement> {
+fn placement_from(obj: &Value, system: &ChipletSystem) -> Result<Placement, OutcomeParseError> {
     let slots: HashMap<&str, _> = system
         .chiplet_ids()
         .map(|id| (system.chiplet(id).name(), id))
