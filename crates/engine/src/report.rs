@@ -263,7 +263,7 @@ fn write_cell(w: &mut Writer, report: &CampaignReport, cell: &CellSummary) {
             .field("mean_reward", cell.mean_reward)
             .field("min_reward", cell.min_reward)
             .field("max_reward", cell.max_reward)
-            .field("total_runtime_s", cell.total_runtime.as_secs_f64())
+            .field("total_runtime_s", cell.total_runtime)
             .field("evaluations", cell.eval_counts.total())
             .field("full_evals", cell.eval_counts.full)
             .field("incremental_evals", cell.eval_counts.incremental)
@@ -291,7 +291,7 @@ fn write_run(w: &mut Writer, run: &RunRecord) {
             .field("eval_mode", outcome.evaluation.mode.label())
             .field("full_evals", outcome.evaluation.counts.full)
             .field("incremental_evals", outcome.evaluation.counts.incremental)
-            .field("runtime_s", outcome.runtime.as_secs_f64())
+            .field("runtime_s", outcome.runtime)
             .field("cache_hits", outcome.thermal_prep.cache_hits)
             .field("cache_misses", outcome.thermal_prep.cache_misses);
     });
@@ -314,7 +314,7 @@ fn write_scheduler(w: &mut Writer, scheduler: &SchedulerTelemetry) {
             for (worker, telemetry) in scheduler.workers.iter().enumerate() {
                 w.object(Layout::Inline, |w| {
                     w.field("worker", worker)
-                        .field("busy_s", telemetry.busy.as_secs_f64())
+                        .field("busy_s", telemetry.busy)
                         .field("executed", telemetry.runs);
                 });
             }
@@ -324,8 +324,8 @@ fn write_scheduler(w: &mut Writer, scheduler: &SchedulerTelemetry) {
                 w.object(Layout::Inline, |w| {
                     w.field("index", event.index)
                         .field("worker", event.worker)
-                        .field("started_s", event.started.as_secs_f64())
-                        .field("finished_s", event.finished.as_secs_f64());
+                        .field("started_s", event.started)
+                        .field("finished_s", event.finished);
                 });
             }
         });
@@ -339,14 +339,11 @@ pub fn campaign_json(report: &CampaignReport) -> String {
         w.field("schema", CAMPAIGN_SCHEMA)
             .field("parallelism", report.parallelism)
             .field("resumed_runs", report.resumed_runs)
-            .field("wall_clock_s", report.wall_clock.as_secs_f64());
+            .field("wall_clock_s", report.wall_clock);
         w.key("cache").object(Layout::Inline, |w| {
             w.field("hits", report.cache.hits)
                 .field("misses", report.cache.misses)
-                .field(
-                    "characterization_s",
-                    report.cache.characterization_time.as_secs_f64(),
-                );
+                .field("characterization_s", report.cache.characterization_time);
         });
         w.key("scheduler")
             .deeper(|w| write_scheduler(w, &report.scheduler));

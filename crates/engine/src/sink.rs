@@ -100,13 +100,10 @@ impl RunEvent<'_> {
                         .field("evaluations", outcome.evaluations)
                         .field("full_evals", outcome.evaluation.counts.full)
                         .field("incremental_evals", outcome.evaluation.counts.incremental)
-                        .field("runtime_s", outcome.runtime.as_secs_f64())
+                        .field("runtime_s", outcome.runtime)
                         .field("cache_hits", outcome.thermal_prep.cache_hits)
                         .field("cache_misses", outcome.thermal_prep.cache_misses)
-                        .field(
-                            "characterization_s",
-                            outcome.thermal_prep.characterization.as_secs_f64(),
-                        );
+                        .field("characterization_s", outcome.thermal_prep.characterization);
                     write_outcome(w.key("outcome"), system, outcome);
                 }
                 RunEvent::Failed { failure } => {
