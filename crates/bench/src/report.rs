@@ -25,7 +25,7 @@
 //! compares (medians are robust to the odd slow sample on shared CI
 //! runners). All numbers are finite, and `samples` is an exact integer.
 
-use rlp_obs::json::{Layout, Value, Writer};
+use rlp_obs::json::{Decode, Layout, Value, Writer};
 use std::fmt;
 
 /// Identifier of the bench-document layout produced by [`render_report`].
@@ -68,7 +68,7 @@ fn record_from(value: &Value, context: &str) -> Result<BenchRecord, String> {
         max_ns: field("max_ns")?,
         samples: value
             .get("samples")
-            .and_then(Value::as_uint)
+            .and_then(u64::decode)
             .ok_or_else(|| format!("{context}: missing or non-integer `samples`"))?,
     })
 }

@@ -41,7 +41,7 @@ use crate::report::{
 };
 use crate::sink::{NullSink, RunEvent, RunSink, RUN_RECORD_SCHEMA};
 use crate::spec::{CampaignSpec, RunSpec};
-use rlp_obs::json::Value;
+use rlp_obs::json::{Decode, Value};
 use rlp_thermal::ThermalModelCache;
 use rlplanner::{FloorplanOutcome, PlanError, PrebuiltThermal};
 use std::error::Error;
@@ -411,7 +411,7 @@ fn resume_record(
     let uint = |key: &str| {
         value
             .get(key)
-            .and_then(Value::as_uint)
+            .and_then(u64::decode)
             .ok_or_else(|| fail(format!("missing or invalid `{key}` field")))
     };
     let schema = text("schema")?;

@@ -15,7 +15,7 @@
 //!   JSON has no spelling for those. [`Writer::fixed`] writes a fixed
 //!   number of decimals instead, for the few fields whose spelling is
 //!   pinned that way. Integers are written exactly, whatever their size.
-//! * **Integers read back** through [`Value::as_uint`]: a non-negative
+//! * **Integers read back** (`u64`'s [`Decode`]) only as a non-negative
 //!   whole number no larger than [`MAX_EXACT_INTEGER`] (2^53 − 1). Larger
 //!   numbers are refused rather than rounded, since 2^53 is also the double
 //!   that 2^53 + 1 parses to.
@@ -49,7 +49,7 @@ use std::time::Duration;
 /// any document the workspace emits (outcome documents nest 5 levels).
 pub const MAX_DEPTH: usize = 128;
 
-/// The largest integer [`Value::as_uint`] accepts: 2^53 − 1, the largest
+/// The largest integer `u64`'s [`Decode`] accepts: 2^53 − 1, the largest
 /// `n` for which the double nearest `n` is `n` and no other integer's.
 pub const MAX_EXACT_INTEGER: u64 = (1 << 53) - 1;
 
@@ -104,26 +104,6 @@ impl Value {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The integer, if this is a non-negative whole number no larger than
-    /// [`MAX_EXACT_INTEGER`] — the workspace's one rule for reading an
-    /// integer back.
-    pub fn as_uint(&self) -> Option<u64> {
-        match self {
-            Value::Num(n) if n.fract() == 0.0 && (0.0..=MAX_EXACT_INTEGER as f64).contains(n) => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-
-    /// The boolean, if this is `true` or `false`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -700,9 +680,18 @@ decode! {
         _ => None,
     };
     f32, "a number or null", |v| f64::decode(v).map(|n| n as f32);
-    u64, "a non-negative integer", |v| v.as_uint();
-    usize, "a non-negative integer", |v| v.as_uint().map(|n| n as usize);
-    bool, "a boolean", |v| v.as_bool();
+    // The one rule for reading an integer back.
+    u64, "a non-negative integer", |v| match v {
+        Value::Num(n) if n.fract() == 0.0 && (0.0..=MAX_EXACT_INTEGER as f64).contains(n) => {
+            Some(*n as u64)
+        }
+        _ => None,
+    };
+    usize, "a non-negative integer", |v| u64::decode(v).map(|n| n as usize);
+    bool, "a boolean", |v| match v {
+        Value::Bool(b) => Some(*b),
+        _ => None,
+    };
     String, "a string", |v| v.as_str().map(str::to_string);
     Duration, "a non-negative duration", |v| {
         f64::decode(v).filter(|s| s.is_finite() && *s >= 0.0).map(Duration::from_secs_f64)
@@ -781,7 +770,7 @@ mod tests {
 
     #[test]
     fn integers_read_back_exactly_or_not_at_all() {
-        let uint = |text: &str| Value::parse(text).unwrap().as_uint();
+        let uint = |text: &str| u64::decode(&Value::parse(text).unwrap());
         assert_eq!(uint("0"), Some(0));
         assert_eq!(uint("9007199254740991"), Some(MAX_EXACT_INTEGER));
         // 2^53 is also what 2^53 + 1 parses to, so both are ambiguous.

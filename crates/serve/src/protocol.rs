@@ -10,9 +10,9 @@
 //! ([`rlp_obs::json`], nesting bounded by [`rlp_obs::json::MAX_DEPTH`]), so
 //! adversarial documents fail with an error frame instead of exhausting
 //! the stack. Integers on the wire (`job`, `progress_every`, and every
-//! count the client reads) follow the one integer rule,
-//! [`Value::as_uint`]: a number that is not an exact non-negative integer
-//! up to 2^53 − 1 is refused, never saturated.
+//! count the client reads) follow the one integer rule, `u64`'s
+//! [`Decode`]: a number that is not an exact non-negative integer up to
+//! 2^53 − 1 is refused, never saturated.
 //!
 //! # Client → server messages
 //!
@@ -89,7 +89,7 @@
 //! `serve.job.solve_ns`, `serve.job.serialize_ns` and
 //! `serve.job.flush_ns`.
 
-use rlp_obs::json::{Layout, Value, Writer};
+use rlp_obs::json::{Decode, Layout, Value, Writer};
 use std::io::{self, Read, Write};
 
 /// Identifier carried by every rpc message in both directions.
@@ -205,7 +205,7 @@ impl ClientMessage {
             .ok_or("message has no `type` string")?;
         let job = |doc: &Value| -> Result<u64, String> {
             doc.get("job")
-                .and_then(Value::as_uint)
+                .and_then(u64::decode)
                 .ok_or_else(|| format!("`{kind}` needs a non-negative integer `job`"))
         };
         match kind {
@@ -216,7 +216,7 @@ impl ClientMessage {
                     .ok_or("`solve` needs a `request` document")?;
                 let progress_every = match doc.get("progress_every") {
                     None | Some(Value::Null) => 0,
-                    Some(value) => match value.as_uint() {
+                    Some(value) => match u64::decode(value) {
                         Some(n) => n as usize,
                         None => {
                             return Err("`progress_every` must be a non-negative integer".into())
