@@ -301,7 +301,6 @@ mod hex {
 
     pub(super) fn read<T: Hash>(obj: &Value, key: Key<'_>) -> Result<T> {
         let hash = match member(obj, key)? {
-            Value::Null => None,
             Value::Str(text) => {
                 let digits = text.strip_prefix("0x").unwrap_or(text);
                 match u64::from_str_radix(digits, 16) {
@@ -309,7 +308,8 @@ mod hex {
                     Err(_) => return err(format!("field `{key}` is not a hex hash: `{text}`")),
                 }
             }
-            _ => None,
+            Value::Null => None,
+            _ => return err(format!("field `{key}` must be a hex-string hash")),
         };
         T::from_hash(hash).map_or_else(
             || err(format!("field `{key}` must be a hex-string hash")),

@@ -658,6 +658,38 @@ mod tests {
     }
 
     #[test]
+    fn hashes_must_be_hex_strings() {
+        use crate::report::request_json;
+        let request = FloorplanRequest::builder()
+            .system(demo_system())
+            .method(Method::pretrained("gen.policy"))
+            .build()
+            .unwrap();
+        let json = request_json(&request);
+        let doc = json.replace("\"checksum\": null", "\"checksum\": 5");
+        assert_ne!(doc, json);
+        let error = request_from_json(&doc).unwrap_err();
+        assert!(
+            error
+                .to_string()
+                .contains("`method.checksum` must be a hex-string hash"),
+            "{error}"
+        );
+
+        let sys = demo_system();
+        let json = outcome_json(&sys, &rl_outcome(&sys));
+        for hash in ["null", "81985529216486895"] {
+            let doc = json.replace("\"0x0123456789abcdef\"", hash);
+            assert_ne!(doc, json);
+            let error = outcome_from_json(&doc, &sys).unwrap_err();
+            assert!(
+                error.to_string().contains("must be a hex-string hash"),
+                "{hash}: {error}"
+            );
+        }
+    }
+
+    #[test]
     fn hostile_request_documents_are_errors_not_panics() {
         use crate::report::request_json;
         let mut sys = ChipletSystem::new("req-h", 20.0, 20.0);
