@@ -4,6 +4,7 @@
 //! and die dimensions used by the TAP-2.5D benchmarks.
 
 use serde::{Deserialize, Serialize};
+use std::ops::{BitAnd, BitOr};
 
 /// A point in the interposer plane, in millimetres.
 ///
@@ -117,10 +118,8 @@ impl Rect {
     ///
     /// Rectangles that merely touch along an edge do not overlap.
     pub fn overlaps(&self, other: &Rect) -> bool {
-        self.x < other.right()
-            && other.x < self.right()
-            && self.y < other.top()
-            && other.y < self.top()
+        AxisGap::overlaps(self.x, self.right(), other.x, other.right())
+            && AxisGap::overlaps(self.y, self.top(), other.y, other.top())
     }
 
     /// Area of the intersection of two rectangles (zero if disjoint).
@@ -136,10 +135,8 @@ impl Rect {
 
     /// Returns `true` if `other` lies entirely inside `self` (edges may touch).
     pub fn contains_rect(&self, other: &Rect) -> bool {
-        other.x >= self.x
-            && other.y >= self.y
-            && other.right() <= self.right()
-            && other.top() <= self.top()
+        axis_contains(self.x, self.right(), other.x, other.right())
+            && axis_contains(self.y, self.top(), other.y, other.top())
     }
 
     /// Returns `true` if the point lies inside or on the boundary.
@@ -162,27 +159,96 @@ impl Rect {
     /// Each component is zero when the projections overlap on that axis, so
     /// `(0.0, 0.0)` means the rectangles overlap or touch.
     pub fn separation(&self, other: &Rect) -> (f64, f64) {
-        let dx = if self.right() < other.x {
-            other.x - self.right()
-        } else if other.right() < self.x {
-            self.x - other.right()
-        } else {
-            0.0
-        };
-        let dy = if self.top() < other.y {
-            other.y - self.top()
-        } else if other.top() < self.y {
-            self.y - other.top()
-        } else {
-            0.0
-        };
-        (dx, dy)
+        (
+            AxisGap::gap(self.x, self.right(), other.x, other.right()),
+            AxisGap::gap(self.y, self.top(), other.y, other.top()),
+        )
+    }
+
+    /// Returns `true` if the two rectangles break the spacing rule: they
+    /// overlap, or their gap is below `min_spacing_mm` on both axes.
+    ///
+    /// This is the one statement of the TAP-2.5D spacing rule; placement
+    /// validation, the grid feasibility masks and the annealer's
+    /// moved-chiplet checks all reduce to it. A NaN spacing is never met,
+    /// so every pair violates it.
+    pub fn violates_spacing(&self, other: &Rect, min_spacing_mm: f64) -> bool {
+        let x = AxisGap::new(self.x, self.right(), other.x, other.right(), min_spacing_mm);
+        let y = AxisGap::new(self.y, self.top(), other.y, other.top(), min_spacing_mm);
+        x.violates_spacing_with(y)
     }
 
     /// Shortest centre-to-centre Euclidean distance to another rectangle.
     pub fn center_distance(&self, other: &Rect) -> f64 {
         self.center().euclidean_distance(other.center())
     }
+}
+
+/// `true` when the interval `[lo, hi]` lies inside `[outer_lo, outer_hi]`:
+/// one axis of [`Rect::contains_rect`].
+pub(crate) fn axis_contains(outer_lo: f64, outer_hi: f64, lo: f64, hi: f64) -> bool {
+    lo >= outer_lo && hi <= outer_hi
+}
+
+/// One axis of the spacing rule between two rectangles.
+///
+/// The rule of [`Rect::violates_spacing`] splits exactly into an x half and
+/// a y half: the rectangles overlap when their projections overlap on both
+/// axes, and they are too close when the gap is below the spacing on both
+/// axes (`dx.max(dy) < s` is `!(dx >= s || dy >= s)` under IEEE `max`).
+/// [`PlacementGrid`](crate::PlacementGrid) evaluates each half once per
+/// column or row instead of once per cell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct AxisGap {
+    /// The projections overlap with positive length.
+    pub(crate) overlaps: bool,
+    /// The gap between the projections is not at least the spacing.
+    pub(crate) close: bool,
+}
+
+impl AxisGap {
+    /// Relates the projections `[lo_a, hi_a]` and `[lo_b, hi_b]` under the
+    /// spacing `min_spacing_mm`.
+    pub(crate) fn new(lo_a: f64, hi_a: f64, lo_b: f64, hi_b: f64, min_spacing_mm: f64) -> Self {
+        Self {
+            overlaps: Self::overlaps(lo_a, hi_a, lo_b, hi_b),
+            close: !(Self::gap(lo_a, hi_a, lo_b, hi_b) >= min_spacing_mm),
+        }
+    }
+
+    /// `true` when the projections overlap with positive length.
+    fn overlaps(lo_a: f64, hi_a: f64, lo_b: f64, hi_b: f64) -> bool {
+        lo_a < hi_b && lo_b < hi_a
+    }
+
+    /// Distance between the projections; zero when they overlap or touch.
+    fn gap(lo_a: f64, hi_a: f64, lo_b: f64, hi_b: f64) -> f64 {
+        if hi_a < lo_b {
+            lo_b - hi_a
+        } else if hi_b < lo_a {
+            lo_a - hi_b
+        } else {
+            0.0
+        }
+    }
+
+    /// Combines this axis with the other one: `true` when the pair breaks
+    /// the spacing rule.
+    pub(crate) fn violates_spacing_with(self, other: AxisGap) -> bool {
+        spacing_violation(self.overlaps, self.close, other.overlaps, other.close)
+    }
+}
+
+/// The spacing rule assembled from its per-axis halves: overlapping on both
+/// axes, or close on both axes. Evaluated on `bool`s for one pair of
+/// rectangles, or on `u64` bitsets for up to 64 pairs at once.
+pub(crate) fn spacing_violation<T: BitAnd<Output = T> + BitOr<Output = T>>(
+    x_overlaps: T,
+    x_close: T,
+    y_overlaps: T,
+    y_close: T,
+) -> T {
+    (x_overlaps & y_overlaps) | (x_close & y_close)
 }
 
 #[cfg(test)]
@@ -266,6 +332,53 @@ mod tests {
         let c = Rect::new(0.0, 7.0, 2.0, 2.0);
         assert_eq!(a.separation(&c), (0.0, 5.0));
         assert_eq!(a.separation(&a), (0.0, 0.0));
+    }
+
+    /// The spacing rule as validation spelled it before it was split into
+    /// per-axis halves.
+    fn violates_spacing_reference(a: &Rect, b: &Rect, min_spacing_mm: f64) -> bool {
+        let overlaps = a.x < b.x + b.width
+            && b.x < a.x + a.width
+            && a.y < b.y + b.height
+            && b.y < a.y + a.height;
+        let gap = |lo_a: f64, hi_a: f64, lo_b: f64, hi_b: f64| {
+            if hi_a < lo_b {
+                lo_b - hi_a
+            } else if hi_b < lo_a {
+                lo_a - hi_b
+            } else {
+                0.0
+            }
+        };
+        let dx = gap(a.x, a.right(), b.x, b.right());
+        let dy = gap(a.y, a.top(), b.y, b.top());
+        dx.max(dy) < min_spacing_mm || overlaps
+    }
+
+    #[test]
+    fn spacing_rule_matches_its_combined_spelling() {
+        // A lattice of positions and sizes hits touching edges, gaps equal
+        // to the spacing, containment and overlap on either axis.
+        let steps = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0];
+        let a = Rect::new(1.0, 1.0, 1.0, 1.0);
+        for &x in &steps {
+            for &y in &steps {
+                for &w in &steps[..4] {
+                    for &h in &steps[1..4] {
+                        let b = Rect::new(x, y, w, h);
+                        for s in [-1.0, 0.0, 0.5, 1.0, 2.0] {
+                            let expected = violates_spacing_reference(&a, &b, s);
+                            assert_eq!(a.violates_spacing(&b, s), expected, "{b:?} s={s}");
+                            assert_eq!(b.violates_spacing(&a, s), expected, "{b:?} s={s}");
+                        }
+                    }
+                }
+            }
+        }
+        // A NaN spacing is never met.
+        let far = Rect::new(10.0, 10.0, 1.0, 1.0);
+        assert!(a.violates_spacing(&far, f64::NAN));
+        assert!(!a.violates_spacing(&far, 0.2));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::chiplet::{ChipletId, Rotation};
 use crate::error::PlacementError;
-use crate::geometry::{Point, Rect};
+use crate::geometry::{axis_contains, spacing_violation, AxisGap, Point, Rect};
 use crate::netlist::ChipletSystem;
 use crate::placement::{Placement, Position};
 use serde::{Deserialize, Serialize};
@@ -175,25 +175,15 @@ impl PlacementGrid {
     /// This is the occupancy channel of the RL state tensor; values lie in
     /// `[0, 1]`.
     pub fn occupancy_map(&self, system: &ChipletSystem, placement: &Placement) -> Vec<f32> {
-        let cw = self.cell_width(system);
-        let ch = self.cell_height(system);
-        let cell_area = cw * ch;
-        let rects: Vec<Rect> = placement
-            .iter_placed()
-            .filter_map(|(id, _, _)| placement.rect_of(id, system))
-            .collect();
-        let mut map = vec![0.0f32; self.cell_count()];
-        for row in 0..self.rows {
-            for col in 0..self.cols {
-                let cell_rect = Rect::new(col as f64 * cw, row as f64 * ch, cw, ch);
-                let mut covered = 0.0;
-                for r in &rects {
-                    covered += cell_rect.intersection_area(r);
-                }
-                map[self.cell_index(col, row)] = (covered / cell_area).min(1.0) as f32;
-            }
-        }
-        map
+        let cell_area = self.cell_width(system) * self.cell_height(system);
+        let mut covered = vec![0.0f64; self.cell_count()];
+        self.for_each_overlap(system, placement, |_, cell, overlap| {
+            covered[cell] += overlap;
+        });
+        covered
+            .iter()
+            .map(|&c| (c / cell_area).min(1.0) as f32)
+            .collect()
     }
 
     /// Power dissipated inside each cell by already-placed chiplets (watts),
@@ -202,32 +192,69 @@ impl PlacementGrid {
     /// This is the power channel of the RL state tensor and also feeds the
     /// thermal model's power-map rasterisation.
     pub fn power_map(&self, system: &ChipletSystem, placement: &Placement) -> Vec<f32> {
+        let mut map = vec![0.0f32; self.cell_count()];
+        self.for_each_overlap(system, placement, |(id, rect), cell, overlap| {
+            if overlap > 0.0 {
+                let density = system.chiplet(id).power() / rect.area().max(f64::MIN_POSITIVE);
+                map[cell] += (overlap * density) as f32;
+            }
+        });
+        map
+    }
+
+    /// Calls `visit(placed, cell, area)` with the intersection area of every
+    /// placed chiplet and every cell it covers, chiplet by chiplet in
+    /// placement order, so each cell sees its terms in that order.
+    ///
+    /// A cell's rectangle has an x-extent that depends only on its column
+    /// and a y-extent that depends only on its row, so the two extents of
+    /// [`Rect::intersection_area`] are computed once per column and once per
+    /// row. Cells with no positive extent on an axis would add an exact zero
+    /// and are skipped.
+    fn for_each_overlap(
+        &self,
+        system: &ChipletSystem,
+        placement: &Placement,
+        mut visit: impl FnMut((ChipletId, &Rect), usize, f64),
+    ) {
         let cw = self.cell_width(system);
         let ch = self.cell_height(system);
-        let mut map = vec![0.0f32; self.cell_count()];
+        let mut columns: Vec<(usize, f64)> = Vec::with_capacity(self.cols);
+        let mut rows: Vec<(usize, f64)> = Vec::with_capacity(self.rows);
         for (id, _, _) in placement.iter_placed() {
             let Some(rect) = placement.rect_of(id, system) else {
                 continue;
             };
-            let density = system.chiplet(id).power() / rect.area().max(f64::MIN_POSITIVE);
-            for row in 0..self.rows {
-                for col in 0..self.cols {
-                    let cell_rect = Rect::new(col as f64 * cw, row as f64 * ch, cw, ch);
-                    let overlap = cell_rect.intersection_area(&rect);
-                    if overlap > 0.0 {
-                        map[self.cell_index(col, row)] += (overlap * density) as f32;
-                    }
+            columns.clear();
+            columns.extend(
+                (0..self.cols)
+                    .map(|col| (col, overlap_extent(col, cw, rect.x, rect.right())))
+                    .filter(|&(_, dx)| dx > 0.0),
+            );
+            rows.clear();
+            rows.extend(
+                (0..self.rows)
+                    .map(|row| (row, overlap_extent(row, ch, rect.y, rect.top())))
+                    .filter(|&(_, dy)| dy > 0.0),
+            );
+            for &(row, dy) in &rows {
+                for &(col, dx) in &columns {
+                    visit((id, &rect), row * self.cols + col, dx * dy);
                 }
             }
         }
-        map
     }
 
     /// Boolean mask of cells where the chiplet can legally be centred.
     ///
     /// A cell is feasible when the resulting rectangle lies inside the
     /// interposer and keeps at least `min_spacing_mm` of clearance (in x or
-    /// y) from every already-placed chiplet.
+    /// y) from every already-placed chiplet (see [`Rect::violates_spacing`]).
+    ///
+    /// The outline test and both halves of the spacing rule are evaluated
+    /// once per (column, placed chiplet) and once per (row, placed chiplet),
+    /// then combined per cell as bitsets over the placed chiplets; the
+    /// result equals [`PlacementGrid::cell_feasible`] on every cell.
     pub fn feasibility_mask(
         &self,
         system: &ChipletSystem,
@@ -236,30 +263,57 @@ impl PlacementGrid {
         rotation: Rotation,
         min_spacing_mm: f64,
     ) -> Vec<bool> {
+        let (w, h) = system.chiplet(chiplet).footprint(rotation);
         let outline = system.interposer_rect();
-        let placed: Vec<Rect> = placement
-            .iter_placed()
-            .filter(|(id, _, _)| *id != chiplet)
-            .filter_map(|(id, _, _)| placement.rect_of(id, system))
-            .collect();
+        let placed = placed_rects_except(system, placement, chiplet);
+        let columns = AxisTable::new(
+            self.cols,
+            self.cell_width(system),
+            w,
+            (outline.x, outline.right()),
+            placed.iter().map(|r| (r.x, r.right())),
+            min_spacing_mm,
+        );
+        let rows = AxisTable::new(
+            self.rows,
+            self.cell_height(system),
+            h,
+            (outline.y, outline.top()),
+            placed.iter().map(|r| (r.y, r.top())),
+            min_spacing_mm,
+        );
         let mut mask = vec![false; self.cell_count()];
-        for (cell, feasible) in mask.iter_mut().enumerate() {
-            let rect = match self.rect_for(system, chiplet, rotation, cell) {
-                Ok(r) => r,
-                Err(_) => continue,
-            };
-            if !outline.contains_rect(&rect) {
-                continue;
+        for row in (0..self.rows).filter(|&row| rows.inside[row]) {
+            let (y_overlaps, y_close) = rows.bits(row);
+            for col in (0..self.cols).filter(|&col| columns.inside[col]) {
+                let (x_overlaps, x_close) = columns.bits(col);
+                mask[row * self.cols + col] = (0..columns.words).all(|k| {
+                    spacing_violation(x_overlaps[k], x_close[k], y_overlaps[k], y_close[k]) == 0
+                });
             }
-            *feasible = placed.iter().all(|other| {
-                if rect.overlaps(other) {
-                    return false;
-                }
-                let (dx, dy) = rect.separation(other);
-                dx.max(dy) >= min_spacing_mm
-            });
         }
         mask
+    }
+
+    /// Whether the chiplet can legally be centred on one cell: the same
+    /// answer as `feasibility_mask(..)[cell]`, for the cost of one cell.
+    /// An out-of-range cell is infeasible.
+    pub fn cell_feasible(
+        &self,
+        system: &ChipletSystem,
+        placement: &Placement,
+        chiplet: ChipletId,
+        rotation: Rotation,
+        min_spacing_mm: f64,
+        cell: usize,
+    ) -> bool {
+        let Ok(rect) = self.rect_for(system, chiplet, rotation, cell) else {
+            return false;
+        };
+        system.interposer_rect().contains_rect(&rect)
+            && placed_rects_except(system, placement, chiplet)
+                .iter()
+                .all(|other| !rect.violates_spacing(other, min_spacing_mm))
     }
 
     /// Applies a masked action: centres `chiplet` on `cell` and records it in
@@ -285,10 +339,331 @@ impl PlacementGrid {
     }
 }
 
+/// Rectangles of every placed chiplet except `chiplet`, in placement order.
+fn placed_rects_except(
+    system: &ChipletSystem,
+    placement: &Placement,
+    chiplet: ChipletId,
+) -> Vec<Rect> {
+    placement
+        .iter_placed()
+        .filter(|(id, _, _)| *id != chiplet)
+        .filter_map(|(id, _, _)| placement.rect_of(id, system))
+        .collect()
+}
+
+/// Length of the overlap between cell `index` of an axis with the given
+/// `pitch` and the interval `[lo, hi]`: one axis of
+/// [`Rect::intersection_area`], spelled the same way so the product is
+/// bit-identical.
+fn overlap_extent(index: usize, pitch: f64, lo: f64, hi: f64) -> f64 {
+    let cell_lo = index as f64 * pitch;
+    let cell_hi = cell_lo + pitch;
+    cell_hi.min(hi) - cell_lo.max(lo)
+}
+
+/// One axis of a feasibility mask: the chiplet's extent when centred on
+/// each column (or row), related to the outline and to every placed
+/// chiplet through the per-axis halves of the spacing rule ([`AxisGap`]).
+struct AxisTable {
+    /// `u64` words per bitset: one bit per placed chiplet.
+    words: usize,
+    /// Whether the extent lies inside the outline, per column (row).
+    inside: Vec<bool>,
+    /// Placed chiplets whose projection overlaps the extent, `words` per
+    /// column (row).
+    overlaps: Vec<u64>,
+    /// Placed chiplets closer than the spacing on this axis, `words` per
+    /// column (row).
+    close: Vec<u64>,
+}
+
+impl AxisTable {
+    /// Tabulates `count` cells of `pitch` for a footprint `extent` long
+    /// against the `outline` interval and the `placed` intervals.
+    fn new(
+        count: usize,
+        pitch: f64,
+        extent: f64,
+        outline: (f64, f64),
+        placed: impl ExactSizeIterator<Item = (f64, f64)> + Clone,
+        min_spacing_mm: f64,
+    ) -> Self {
+        let words = placed.len().div_ceil(64);
+        let mut inside = Vec::with_capacity(count);
+        let mut overlaps = vec![0u64; count * words];
+        let mut close = vec![0u64; count * words];
+        for i in 0..count {
+            // The cell centre and lower edge exactly as `position_for`
+            // computes them.
+            let lo = (i as f64 + 0.5) * pitch - extent / 2.0;
+            let hi = lo + extent;
+            inside.push(axis_contains(outline.0, outline.1, lo, hi));
+            for (k, (other_lo, other_hi)) in placed.clone().enumerate() {
+                let gap = AxisGap::new(lo, hi, other_lo, other_hi, min_spacing_mm);
+                let (word, bit) = (i * words + k / 64, 1u64 << (k % 64));
+                if gap.overlaps {
+                    overlaps[word] |= bit;
+                }
+                if gap.close {
+                    close[word] |= bit;
+                }
+            }
+        }
+        Self {
+            words,
+            inside,
+            overlaps,
+            close,
+        }
+    }
+
+    /// The `(overlaps, close)` bitsets of column (row) `i`.
+    fn bits(&self, i: usize) -> (&[u64], &[u64]) {
+        let span = i * self.words..(i + 1) * self.words;
+        (&self.overlaps[span.clone()], &self.close[span])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chiplet::Chiplet;
+    use proptest::prelude::*;
+
+    /// The per-cell feasibility loop the axis tables replaced: every cell
+    /// builds its rectangle and tests it against every placed chiplet.
+    fn feasibility_mask_reference(
+        grid: &PlacementGrid,
+        system: &ChipletSystem,
+        placement: &Placement,
+        chiplet: ChipletId,
+        rotation: Rotation,
+        min_spacing_mm: f64,
+    ) -> Vec<bool> {
+        let outline = system.interposer_rect();
+        let placed: Vec<Rect> = placement
+            .iter_placed()
+            .filter(|(id, _, _)| *id != chiplet)
+            .filter_map(|(id, _, _)| placement.rect_of(id, system))
+            .collect();
+        let mut mask = vec![false; grid.cell_count()];
+        for (cell, feasible) in mask.iter_mut().enumerate() {
+            let rect = match grid.rect_for(system, chiplet, rotation, cell) {
+                Ok(r) => r,
+                Err(_) => continue,
+            };
+            if !outline.contains_rect(&rect) {
+                continue;
+            }
+            *feasible = placed.iter().all(|other| {
+                if rect.overlaps(other) {
+                    return false;
+                }
+                let (dx, dy) = rect.separation(other);
+                dx.max(dy) >= min_spacing_mm
+            });
+        }
+        mask
+    }
+
+    /// The per-cell occupancy loop the axis extents replaced.
+    fn occupancy_map_reference(
+        grid: &PlacementGrid,
+        system: &ChipletSystem,
+        placement: &Placement,
+    ) -> Vec<f32> {
+        let cw = grid.cell_width(system);
+        let ch = grid.cell_height(system);
+        let cell_area = cw * ch;
+        let rects: Vec<Rect> = placement
+            .iter_placed()
+            .filter_map(|(id, _, _)| placement.rect_of(id, system))
+            .collect();
+        let mut map = vec![0.0f32; grid.cell_count()];
+        for row in 0..grid.rows() {
+            for col in 0..grid.cols() {
+                let cell_rect = Rect::new(col as f64 * cw, row as f64 * ch, cw, ch);
+                let mut covered = 0.0;
+                for r in &rects {
+                    covered += cell_rect.intersection_area(r);
+                }
+                map[grid.cell_index(col, row)] = (covered / cell_area).min(1.0) as f32;
+            }
+        }
+        map
+    }
+
+    /// The per-cell power loop the axis extents replaced.
+    fn power_map_reference(
+        grid: &PlacementGrid,
+        system: &ChipletSystem,
+        placement: &Placement,
+    ) -> Vec<f32> {
+        let cw = grid.cell_width(system);
+        let ch = grid.cell_height(system);
+        let mut map = vec![0.0f32; grid.cell_count()];
+        for (id, _, _) in placement.iter_placed() {
+            let Some(rect) = placement.rect_of(id, system) else {
+                continue;
+            };
+            let density = system.chiplet(id).power() / rect.area().max(f64::MIN_POSITIVE);
+            for row in 0..grid.rows() {
+                for col in 0..grid.cols() {
+                    let cell_rect = Rect::new(col as f64 * cw, row as f64 * ch, cw, ch);
+                    let overlap = cell_rect.intersection_area(&rect);
+                    if overlap > 0.0 {
+                        map[grid.cell_index(col, row)] += (overlap * density) as f32;
+                    }
+                }
+            }
+        }
+        map
+    }
+
+    fn bits(map: &[f32]) -> Vec<u32> {
+        map.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A random scene on a 0.25 mm lattice, so edges often touch each other,
+    /// the outline and the cell boundaries exactly: an interposer, a grid of
+    /// 1..=17 cells per side (odd sizes included), up to 80 chiplets of
+    /// which some are left unplaced and some are rotated, and positions
+    /// that may overlap or spill outside the outline. Every other case
+    /// places more than 64 chiplets, so the masks need several bitset
+    /// words.
+    fn arb_scene() -> impl Strategy<Value = (ChipletSystem, Placement, PlacementGrid)> {
+        (
+            (1usize..18, 1usize..18),
+            (16u32..161, 16u32..161),
+            any::<bool>(),
+            prop::collection::vec(
+                (
+                    (1u32..33, 1u32..33),
+                    0.0f64..40.0,
+                    0u8..8,
+                    (-8i32..170, -8i32..170),
+                    any::<bool>(),
+                ),
+                80,
+            ),
+        )
+            .prop_map(|((cols, rows), (w, h), crowded, dies)| {
+                let quarter = |q: i64| q as f64 * 0.25;
+                let mut system = ChipletSystem::new("scene", quarter(w.into()), quarter(h.into()));
+                let count = if crowded {
+                    80
+                } else {
+                    1 + dies[0].2 as usize * 2
+                };
+                let mut placement = Placement::new(count);
+                for (i, &((dw, dh), power, placed, (x, y), rotated)) in
+                    dies.iter().take(count).enumerate()
+                {
+                    let id = system.add_chiplet(Chiplet::new(
+                        format!("c{i}"),
+                        quarter(dw.into()),
+                        quarter(dh.into()),
+                        power,
+                    ));
+                    // Three in four chiplets are placed.
+                    if placed % 4 != 0 {
+                        let rotation = if rotated {
+                            Rotation::Quarter
+                        } else {
+                            Rotation::None
+                        };
+                        let position = Position::new(quarter(x.into()), quarter(y.into()));
+                        placement.place_rotated(id, position, rotation);
+                    }
+                }
+                (system, placement, PlacementGrid::new(cols, rows))
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The axis-table mask equals the per-cell loop on every cell, for
+        /// every chiplet (placed or not), both rotations and spacings that
+        /// include zero and lattice multiples that make gaps exactly equal
+        /// to the spacing; `cell_feasible` equals the mask cell by cell.
+        #[test]
+        fn feasibility_mask_matches_the_per_cell_loop(
+            (system, placement, grid) in arb_scene(),
+            pick in 0usize..80,
+            rotated in any::<bool>(),
+            spacing_quarters in 0u32..5,
+        ) {
+            let chiplet = ChipletId::from_index(pick % system.chiplet_count());
+            let rotation = if rotated { Rotation::Quarter } else { Rotation::None };
+            let spacing = spacing_quarters as f64 * 0.25;
+            let mask = grid.feasibility_mask(&system, &placement, chiplet, rotation, spacing);
+            let reference =
+                feasibility_mask_reference(&grid, &system, &placement, chiplet, rotation, spacing);
+            prop_assert_eq!(&mask, &reference);
+            for (cell, &feasible) in mask.iter().enumerate() {
+                prop_assert_eq!(
+                    grid.cell_feasible(&system, &placement, chiplet, rotation, spacing, cell),
+                    feasible
+                );
+            }
+        }
+
+        /// Occupancy and power maps equal the per-cell loops bit for bit.
+        #[test]
+        fn maps_match_the_per_cell_loops_bit_for_bit(
+            (system, placement, grid) in arb_scene(),
+        ) {
+            prop_assert_eq!(
+                bits(&grid.occupancy_map(&system, &placement)),
+                bits(&occupancy_map_reference(&grid, &system, &placement))
+            );
+            prop_assert_eq!(
+                bits(&grid.power_map(&system, &placement)),
+                bits(&power_map_reference(&grid, &system, &placement))
+            );
+        }
+    }
+
+    #[test]
+    fn non_finite_spacing_makes_every_cell_infeasible() {
+        let (sys, a, b) = system();
+        let grid = PlacementGrid::new(10, 10);
+        let mut placement = Placement::for_system(&sys);
+        grid.apply_action(
+            &sys,
+            &mut placement,
+            a,
+            Rotation::None,
+            grid.cell_index(2, 2),
+        )
+        .unwrap();
+        for spacing in [f64::NAN, f64::INFINITY] {
+            let mask = grid.feasibility_mask(&sys, &placement, b, Rotation::None, spacing);
+            assert_eq!(
+                mask,
+                feasibility_mask_reference(&grid, &sys, &placement, b, Rotation::None, spacing)
+            );
+            assert!(mask.iter().all(|&m| !m), "spacing {spacing}");
+        }
+    }
+
+    #[test]
+    fn cell_feasible_rejects_out_of_range_cells() {
+        let (sys, a, _) = system();
+        let grid = PlacementGrid::new(10, 10);
+        let placement = Placement::for_system(&sys);
+        assert!(grid.cell_feasible(
+            &sys,
+            &placement,
+            a,
+            Rotation::None,
+            0.0,
+            grid.cell_index(5, 5)
+        ));
+        assert!(!grid.cell_feasible(&sys, &placement, a, Rotation::None, 0.0, 100));
+    }
 
     fn system() -> (ChipletSystem, ChipletId, ChipletId) {
         let mut sys = ChipletSystem::new("t", 20.0, 20.0);

@@ -254,8 +254,7 @@ impl ChipletSystem {
             for j in (i + 1)..rects.len() {
                 let (id_a, ref a) = rects[i];
                 let (id_b, ref b) = rects[j];
-                let (dx, dy) = a.separation(b);
-                if dx.max(dy) < min_spacing_mm || a.overlaps(b) {
+                if a.violates_spacing(b, min_spacing_mm) {
                     return Err(PlacementError::SpacingViolation {
                         first: id_a,
                         second: id_b,
@@ -265,6 +264,43 @@ impl ChipletSystem {
             }
         }
         Ok(())
+    }
+
+    /// Checks only what a move touched: the outline of each chiplet in
+    /// `changed`, and every pair that contains one of them.
+    ///
+    /// # Precondition
+    ///
+    /// `placement` was legal under `min_spacing_mm` before the chiplets in
+    /// `changed` moved, and no other chiplet moved since. Pairs of unmoved
+    /// chiplets are then still legal, so the result equals
+    /// `self.validate_placement(placement, min_spacing_mm).is_ok()` at
+    /// O(moved × n) instead of O(n²) cost and without allocating. Without
+    /// the precondition the result says nothing about the unmoved pairs.
+    pub fn moved_chiplets_legal(
+        &self,
+        placement: &Placement,
+        changed: &[ChipletId],
+        min_spacing_mm: f64,
+    ) -> bool {
+        if placement.slot_count() != self.chiplets.len() {
+            return false;
+        }
+        let outline = self.interposer_rect();
+        changed.iter().all(|&id| {
+            let Some(rect) = placement.rect_of(id, self) else {
+                return false;
+            };
+            outline.contains_rect(&rect)
+                && self
+                    .chiplet_ids()
+                    .filter(|&other| other != id)
+                    .all(|other| {
+                        placement
+                            .rect_of(other, self)
+                            .is_some_and(|r| !rect.violates_spacing(&r, min_spacing_mm))
+                    })
+        })
     }
 }
 
@@ -366,6 +402,39 @@ mod tests {
             Err(PlacementError::SpacingViolation { .. })
         ));
         assert!(sys.validate_placement(&p, 0.1).is_ok());
+    }
+
+    #[test]
+    fn moved_chiplet_checks_match_full_validation() {
+        let (mut sys, a, b) = two_chiplet_system();
+        let c = sys.add_chiplet(Chiplet::new("c", 3.0, 3.0, 1.0));
+        let mut p = Placement::new(sys.chiplet_count());
+        p.place(a, Position::new(1.0, 1.0));
+        p.place(b, Position::new(10.0, 10.0));
+        p.place(c, Position::new(1.0, 12.0));
+        assert!(sys.validate_placement(&p, 0.5).is_ok());
+        // Each target for `b`: legal, overlapping `a`, too close to `c`,
+        // outside the outline, touching `a` at spacing zero.
+        for (x, y, spacing) in [
+            (12.0, 2.0, 0.5),
+            (3.0, 3.0, 0.5),
+            (4.2, 12.0, 0.5),
+            (17.0, 10.0, 0.5),
+            (6.0, 1.0, 0.0),
+        ] {
+            let mut moved = p.clone();
+            moved.place(b, Position::new(x, y));
+            assert_eq!(
+                sys.moved_chiplets_legal(&moved, &[b], spacing),
+                sys.validate_placement(&moved, spacing).is_ok(),
+                "b at ({x}, {y}), spacing {spacing}"
+            );
+        }
+        // An unplaced chiplet or a foreign placement is never legal.
+        let mut partial = p.clone();
+        partial.unplace(c);
+        assert!(!sys.moved_chiplets_legal(&partial, &[b], 0.5));
+        assert!(!sys.moved_chiplets_legal(&Placement::new(2), &[b], 0.5));
     }
 
     #[test]

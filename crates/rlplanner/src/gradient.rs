@@ -540,7 +540,9 @@ impl<A: ThermalAnalyzer> GradientDescent<A> {
                         }
                         // Relocation alone gets trapped when two chiplets hold
                         // each other's best cells; one ranked pairwise swap per
-                        // pass breaks those deadlocks.
+                        // pass breaks those deadlocks. `current` is legal (it
+                        // came from `legalize` or a masked relocation), so
+                        // checking the two swapped chiplets is exact.
                         let mut swap: Option<(Placement, f64)> = None;
                         for i in 0..n {
                             for j in (i + 1)..n {
@@ -562,9 +564,11 @@ impl<A: ThermalAnalyzer> GradientDescent<A> {
                                     || grid
                                         .apply_action(system, &mut trial, b, rot_b, cell_a)
                                         .is_err()
-                                    || system
-                                        .validate_placement(&trial, cfg.min_spacing_mm)
-                                        .is_err()
+                                    || !system.moved_chiplets_legal(
+                                        &trial,
+                                        &[a, b],
+                                        cfg.min_spacing_mm,
+                                    )
                                 {
                                     continue;
                                 }
@@ -787,19 +791,17 @@ impl<A: ThermalAnalyzer> GradientDescent<A> {
             area(b).partial_cmp(&area(a)).unwrap().then(a.cmp(&b))
         });
         let mut placement = Placement::for_system(system);
+        let spacing = self.config.min_spacing_mm;
         for i in order {
             let id = ChipletId::from_index(i);
-            let mask = grid.feasibility_mask(
-                system,
-                &placement,
-                id,
-                Rotation::None,
-                self.config.min_spacing_mm,
-            );
             let preferred = grid.nearest_cell(system, centers[i]);
-            let cell = if mask[preferred] {
+            // The full mask is built only when the preferred cell is blocked.
+            let preferred_free =
+                grid.cell_feasible(system, &placement, id, Rotation::None, spacing, preferred);
+            let cell = if preferred_free {
                 preferred
             } else {
+                let mask = grid.feasibility_mask(system, &placement, id, Rotation::None, spacing);
                 let mut chosen = None;
                 let mut best_d2 = f64::INFINITY;
                 for (cell, &feasible) in mask.iter().enumerate() {

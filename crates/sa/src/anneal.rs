@@ -232,6 +232,7 @@ impl SaPlanner {
             (
                 registry.counter("sa.moves.proposed"),
                 registry.counter("sa.moves.accepted"),
+                registry.counter("sa.moves.illegal"),
                 registry.histogram("sa.move_eval_ns"),
             )
         });
@@ -258,6 +259,9 @@ impl SaPlanner {
                     candidate_move,
                     self.config.min_spacing_mm,
                 ) else {
+                    if let Some((_, _, illegal, _)) = &obs {
+                        illegal.inc();
+                    }
                     continue;
                 };
                 let candidate_objective = objective.propose(&current, undo.changed());
@@ -276,7 +280,7 @@ impl SaPlanner {
                     objective.reject();
                     undo_move(&mut current, &undo);
                 }
-                if let Some((proposed, accepted, move_eval_ns)) = &obs {
+                if let Some((proposed, accepted, _, move_eval_ns)) = &obs {
                     proposed.inc();
                     if accept {
                         accepted.inc();

@@ -93,15 +93,15 @@ pub fn random_initial_placement(
 /// [`apply_move`] which validates and returns the modified placement only if
 /// it stays legal.
 pub fn propose_move(system: &ChipletSystem, grid: &PlacementGrid, rng: &mut impl Rng) -> Move {
-    let ids: Vec<ChipletId> = system.chiplet_ids().collect();
-    let pick = |rng: &mut dyn rand::RngCore| ids[rng.gen_range(0..ids.len())];
+    let n = system.chiplet_count();
+    let pick = |rng: &mut dyn rand::RngCore| ChipletId::from_index(rng.gen_range(0..n));
     match rng.gen_range(0..10) {
         // Relocations dominate, as in TAP-2.5D.
         0..=5 => Move::Relocate {
             chiplet: pick(rng),
             cell: rng.gen_range(0..grid.cell_count()),
         },
-        6..=8 if ids.len() >= 2 => {
+        6..=8 if n >= 2 => {
             let first = pick(rng);
             let mut second = pick(rng);
             while second == first {
@@ -174,12 +174,37 @@ pub fn undo_move(placement: &mut Placement, undo: &MoveUndo) {
 /// This is the allocation-free core of [`apply_move`]; the anneal loop uses
 /// it together with [`undo_move`] to avoid cloning a candidate placement on
 /// every proposal.
+///
+/// # Precondition
+///
+/// `placement` must be legal under `min_spacing_mm` on entry, as it always
+/// is inside the anneal loop. Only the moved chiplets are checked — their
+/// outline and every pair that contains one of them (see
+/// [`ChipletSystem::moved_chiplets_legal`]) — which is exact only when
+/// every pair of unmoved chiplets was already legal.
 pub fn apply_move_in_place(
     system: &ChipletSystem,
     grid: &PlacementGrid,
     placement: &mut Placement,
     candidate: Move,
     min_spacing_mm: f64,
+) -> Option<MoveUndo> {
+    let undo = apply_unchecked(system, grid, placement, candidate)?;
+    if system.moved_chiplets_legal(placement, undo.changed(), min_spacing_mm) {
+        Some(undo)
+    } else {
+        undo_move(placement, &undo);
+        None
+    }
+}
+
+/// Performs a move without any legality check, returning its undo record;
+/// `None`, with the placement untouched, when the move does not apply.
+fn apply_unchecked(
+    system: &ChipletSystem,
+    grid: &PlacementGrid,
+    placement: &mut Placement,
+    candidate: Move,
 ) -> Option<MoveUndo> {
     let undo = match candidate {
         Move::Relocate { chiplet, cell } => {
@@ -218,16 +243,14 @@ pub fn apply_move_in_place(
             MoveUndo::one(chiplet, prev)
         }
     };
-    if system.validate_placement(placement, min_spacing_mm).is_ok() {
-        Some(undo)
-    } else {
-        undo_move(placement, &undo);
-        None
-    }
+    Some(undo)
 }
 
 /// Applies a move to a copy of the placement, returning the new placement if
 /// it is legal (every chiplet inside the interposer and spacing respected).
+///
+/// `placement` must be legal on entry: the same precondition as
+/// [`apply_move_in_place`].
 pub fn apply_move(
     system: &ChipletSystem,
     grid: &PlacementGrid,
@@ -242,9 +265,115 @@ pub fn apply_move(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use rlp_chiplet::Chiplet;
+
+    /// The check the moved-only one replaced: the whole placement is
+    /// validated after every move.
+    fn apply_move_in_place_reference(
+        system: &ChipletSystem,
+        grid: &PlacementGrid,
+        placement: &mut Placement,
+        candidate: Move,
+        min_spacing_mm: f64,
+    ) -> Option<MoveUndo> {
+        let undo = apply_unchecked(system, grid, placement, candidate)?;
+        if system.validate_placement(placement, min_spacing_mm).is_ok() {
+            Some(undo)
+        } else {
+            undo_move(placement, &undo);
+            None
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// From every legal start, along a random walk of relocations,
+        /// swaps and rotations, the moved-only check accepts exactly the
+        /// moves full validation accepts. Die sizes and the interposer sit
+        /// on a 0.5 mm lattice so edges touch and gaps equal the spacing.
+        #[test]
+        fn moved_only_checks_match_full_validation(
+            seed in any::<u64>(),
+            count in 2usize..9,
+            spacing_halves in 0u32..3,
+            grid_side in 4usize..21,
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut sys = ChipletSystem::new("walk", 24.0, 24.0);
+            for i in 0..count {
+                let w = rng.gen_range(2..13) as f64 * 0.5;
+                let h = rng.gen_range(2..13) as f64 * 0.5;
+                sys.add_chiplet(Chiplet::new(format!("c{i}"), w, h, 1.0));
+            }
+            let spacing = spacing_halves as f64 * 0.5;
+            let grid = PlacementGrid::new(grid_side, grid_side);
+            let Ok(mut placement) = random_initial_placement(&sys, &grid, spacing, &mut rng) else {
+                return Ok(());
+            };
+            for _ in 0..200 {
+                let candidate = propose_move(&sys, &grid, &mut rng);
+                let mut raw = placement.clone();
+                if let Some(undo) = apply_unchecked(&sys, &grid, &mut raw, candidate) {
+                    prop_assert_eq!(
+                        sys.moved_chiplets_legal(&raw, undo.changed(), spacing),
+                        sys.validate_placement(&raw, spacing).is_ok()
+                    );
+                }
+                let mut reference = placement.clone();
+                let expected = apply_move_in_place_reference(
+                    &sys, &grid, &mut reference, candidate, spacing,
+                );
+                let got = apply_move_in_place(&sys, &grid, &mut placement, candidate, spacing);
+                prop_assert_eq!(got, expected);
+                prop_assert_eq!(&placement, &reference);
+            }
+        }
+    }
+
+    #[test]
+    fn proposals_draw_the_same_stream_as_an_id_list() {
+        // The id-list draw `propose_move` replaced, kept as an oracle.
+        fn propose_move_reference(
+            system: &ChipletSystem,
+            grid: &PlacementGrid,
+            rng: &mut impl Rng,
+        ) -> Move {
+            let ids: Vec<ChipletId> = system.chiplet_ids().collect();
+            let pick = |rng: &mut dyn rand::RngCore| ids[rng.gen_range(0..ids.len())];
+            match rng.gen_range(0..10) {
+                0..=5 => Move::Relocate {
+                    chiplet: pick(rng),
+                    cell: rng.gen_range(0..grid.cell_count()),
+                },
+                6..=8 if ids.len() >= 2 => {
+                    let first = pick(rng);
+                    let mut second = pick(rng);
+                    while second == first {
+                        second = pick(rng);
+                    }
+                    Move::Swap { first, second }
+                }
+                _ => Move::Rotate { chiplet: pick(rng) },
+            }
+        }
+        let grid = PlacementGrid::new(16, 16);
+        let mut single = ChipletSystem::new("one", 40.0, 40.0);
+        single.add_chiplet(Chiplet::new("a", 8.0, 8.0, 1.0));
+        for sys in [system(), single] {
+            let mut rng = ChaCha8Rng::seed_from_u64(11);
+            let mut reference_rng = rng.clone();
+            for _ in 0..2_000 {
+                assert_eq!(
+                    propose_move(&sys, &grid, &mut rng),
+                    propose_move_reference(&sys, &grid, &mut reference_rng)
+                );
+            }
+        }
+    }
 
     fn system() -> ChipletSystem {
         let mut sys = ChipletSystem::new("t", 40.0, 40.0);
