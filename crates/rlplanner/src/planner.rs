@@ -87,6 +87,19 @@ impl RlPlannerConfig {
                 value: 0.0,
             });
         }
+        if self.env.grid.0 == 0 || self.env.grid.1 == 0 {
+            return Err(ConfigError::ExpectedPositive {
+                field: "env.grid",
+                value: 0.0,
+            });
+        }
+        let spacing = self.env.min_spacing_mm;
+        if !(spacing >= 0.0 && spacing.is_finite()) {
+            return Err(ConfigError::ExpectedNonNegative {
+                field: "env.min_spacing_mm",
+                value: spacing,
+            });
+        }
         self.ppo.validate()
     }
 }
@@ -582,6 +595,35 @@ mod tests {
             })
         ));
         assert!(RlPlannerConfig::default().validate().is_ok());
+        // A zero-sided grid used to pass validation and panic at solve
+        // time; a NaN spacing used to surface as a stalled training run.
+        for grid in [(0, 16), (16, 0)] {
+            let config = RlPlannerConfig {
+                env: EnvConfig {
+                    grid,
+                    ..EnvConfig::default()
+                },
+                ..RlPlannerConfig::default()
+            };
+            assert_eq!(
+                config.validate(),
+                Err(ConfigError::ExpectedPositive {
+                    field: "env.grid",
+                    value: 0.0
+                })
+            );
+        }
+        for spacing in [f64::NAN, f64::INFINITY, -0.1] {
+            let config = RlPlannerConfig {
+                env: EnvConfig {
+                    min_spacing_mm: spacing,
+                    ..EnvConfig::default()
+                },
+                ..RlPlannerConfig::default()
+            };
+            let err = config.validate().unwrap_err();
+            assert_eq!(err.field(), "env.min_spacing_mm", "{spacing}");
+        }
         // The constructor surfaces the same error instead of panicking.
         let err = RlPlanner::new(
             small_system(),

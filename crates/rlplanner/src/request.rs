@@ -25,7 +25,7 @@ use crate::reward::RewardConfig;
 use rlp_chiplet::ChipletSystem;
 use rlp_nn::PolicyFile;
 use rlp_rl::ConfigError;
-use rlp_sa::SaConfig;
+use rlp_sa::{SaConfig, SaConfigError};
 use rlp_thermal::{AnyThermalAnalyzer, ThermalBackend, ThermalError, ThermalPrep};
 use std::sync::Arc;
 use std::time::Duration;
@@ -246,12 +246,18 @@ impl Method {
     }
 }
 
-/// Maps a stringly-typed [`SaConfig::validate`] failure into the workspace's
-/// typed [`ConfigError`].
-fn sa_config_error(reason: String) -> ConfigError {
-    ConfigError::Invalid {
-        field: "sa",
-        reason,
+/// Maps an [`SaConfig::validate`] failure into the workspace's typed
+/// [`ConfigError`].
+fn sa_config_error(err: SaConfigError) -> ConfigError {
+    match err {
+        SaConfigError::MinSpacing(value) => ConfigError::ExpectedNonNegative {
+            field: "sa.min_spacing_mm",
+            value,
+        },
+        other => ConfigError::Invalid {
+            field: "sa",
+            reason: other.to_string(),
+        },
     }
 }
 
@@ -841,6 +847,48 @@ mod tests {
             .build()
             .unwrap_err();
         assert_eq!(err.field(), "sa");
+
+        let err = FloorplanRequest::builder()
+            .system(tiny_system())
+            .method(Method::Sa {
+                config: SaConfig {
+                    min_spacing_mm: f64::NAN,
+                    ..SaConfig::default()
+                },
+            })
+            .build()
+            .unwrap_err();
+        assert_eq!(err.field(), "sa.min_spacing_mm");
+
+        for (grid, min_spacing_mm, field) in [
+            ((0, 16), 0.2, "env.grid"),
+            ((16, 0), 0.2, "env.grid"),
+            ((16, 16), f64::NAN, "env.min_spacing_mm"),
+            ((16, 16), -1.0, "env.min_spacing_mm"),
+        ] {
+            let config = RlPlannerConfig {
+                env: crate::EnvConfig {
+                    grid,
+                    min_spacing_mm,
+                },
+                ..RlPlannerConfig::default()
+            };
+            for method in [
+                Method::Rl {
+                    config: config.clone(),
+                },
+                Method::RlRnd {
+                    config: config.clone(),
+                },
+            ] {
+                let err = FloorplanRequest::builder()
+                    .system(tiny_system())
+                    .method(method)
+                    .build()
+                    .unwrap_err();
+                assert_eq!(err.field(), field, "{grid:?} {min_spacing_mm}");
+            }
+        }
 
         let err = FloorplanRequest::builder()
             .system(tiny_system())

@@ -18,6 +18,8 @@ use rand_chacha::ChaCha8Rng;
 use rlp_chiplet::{ChipletSystem, Placement, PlacementGrid};
 use rlp_obs::OnCandidate;
 use serde::{Deserialize, Serialize};
+use std::error::Error;
+use std::fmt;
 use std::time::{Duration, Instant};
 
 /// Annealing schedule and search parameters.
@@ -60,27 +62,55 @@ impl Default for SaConfig {
     }
 }
 
+/// Why [`SaConfig::validate`] refused a configuration.
+#[derive(Debug, Clone, PartialEq)]
+#[non_exhaustive]
+pub enum SaConfigError {
+    /// `min_spacing_mm` is negative or not finite.
+    MinSpacing(f64),
+    /// Another field is invalid; the message names it.
+    Invalid(String),
+}
+
+impl fmt::Display for SaConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SaConfigError::MinSpacing(value) => write!(
+                f,
+                "min_spacing_mm must be finite and not negative, got {value}"
+            ),
+            SaConfigError::Invalid(reason) => f.write_str(reason),
+        }
+    }
+}
+
+impl Error for SaConfigError {}
+
 impl SaConfig {
     /// Validates the configuration.
     ///
     /// # Errors
     ///
-    /// Returns a human-readable description of the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
+    /// Returns an [`SaConfigError`] describing the first invalid field.
+    pub fn validate(&self) -> Result<(), SaConfigError> {
+        let invalid = |reason: &str| Err(SaConfigError::Invalid(reason.to_string()));
         if self.initial_temperature <= 0.0 || self.final_temperature <= 0.0 {
-            return Err("temperatures must be positive".to_string());
+            return invalid("temperatures must be positive");
         }
         if self.final_temperature > self.initial_temperature {
-            return Err("final temperature must not exceed the initial temperature".to_string());
+            return invalid("final temperature must not exceed the initial temperature");
         }
         if !(0.0 < self.cooling_rate && self.cooling_rate < 1.0) {
-            return Err("cooling rate must be in (0, 1)".to_string());
+            return invalid("cooling rate must be in (0, 1)");
         }
         if self.moves_per_temperature == 0 {
-            return Err("moves_per_temperature must be positive".to_string());
+            return invalid("moves_per_temperature must be positive");
         }
         if self.grid.0 == 0 || self.grid.1 == 0 {
-            return Err("grid must be non-empty".to_string());
+            return invalid("grid must be non-empty");
+        }
+        if !(self.min_spacing_mm >= 0.0 && self.min_spacing_mm.is_finite()) {
+            return Err(SaConfigError::MinSpacing(self.min_spacing_mm));
         }
         Ok(())
     }
@@ -457,6 +487,15 @@ mod tests {
         .validate()
         .is_err());
         assert!(SaConfig::default().validate().is_ok());
+        for spacing in [f64::NAN, f64::NEG_INFINITY, -0.5] {
+            let err = SaConfig {
+                min_spacing_mm: spacing,
+                ..SaConfig::default()
+            }
+            .validate()
+            .unwrap_err();
+            assert!(matches!(err, SaConfigError::MinSpacing(_)), "{err}");
+        }
     }
 
     #[test]

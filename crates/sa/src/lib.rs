@@ -27,6 +27,6 @@ pub mod anneal;
 pub mod moves;
 pub mod objective;
 
-pub use anneal::{SaConfig, SaPlanner, SaResult};
+pub use anneal::{SaConfig, SaConfigError, SaPlanner, SaResult};
 pub use moves::{InitialPlacementError, Move, MoveUndo};
 pub use objective::{DeltaObjective, EvalCounts, EvalMode, Objective};

@@ -568,3 +568,33 @@ fn a_wire_request_with_a_null_bump_pitch_is_refused_by_the_builder() {
         .expect_err("the builder must refuse a NaN bump pitch");
     assert!(err.to_string().contains("reward.bump_pitch_mm"), "{err}");
 }
+
+#[test]
+fn a_wire_request_with_a_zero_sided_env_grid_is_refused_by_the_builder() {
+    let request = FloorplanRequest::builder()
+        .system(synthetic_case(1))
+        .method(Method::rl())
+        .thermal(tiny_fast_backend())
+        .budget(Budget::Evaluations(2))
+        .build()
+        .unwrap();
+    let json = rlplanner::report::request_json(&request);
+    let env = "\"env\": { \"grid\": [16, 16], \"min_spacing_mm\": 0.2 }";
+    assert!(json.contains(env), "{json}");
+    // A zero-sided grid used to pass the builder and panic in the solve,
+    // killing a daemon worker; a null spacing decodes to NaN.
+    for (bad, field) in [
+        (
+            "\"env\": { \"grid\": [0, 16], \"min_spacing_mm\": 0.2 }",
+            "env.grid",
+        ),
+        (
+            "\"env\": { \"grid\": [16, 16], \"min_spacing_mm\": null }",
+            "env.min_spacing_mm",
+        ),
+    ] {
+        let err = rlplanner::request_from_json(&json.replace(env, bad))
+            .expect_err("the builder must refuse the request");
+        assert!(err.to_string().contains(field), "{err}");
+    }
+}
