@@ -177,8 +177,10 @@ impl PlacementGrid {
     pub fn occupancy_map(&self, system: &ChipletSystem, placement: &Placement) -> Vec<f32> {
         let cell_area = self.cell_width(system) * self.cell_height(system);
         let mut covered = vec![0.0f64; self.cell_count()];
-        self.for_each_overlap(system, placement, |_, cell, overlap| {
-            covered[cell] += overlap;
+        self.for_each_footprint(system, placement, |_, _, cells| {
+            for (cell, overlap) in cells.iter() {
+                covered[cell] += overlap;
+            }
         });
         covered
             .iter()
@@ -193,29 +195,31 @@ impl PlacementGrid {
     /// thermal model's power-map rasterisation.
     pub fn power_map(&self, system: &ChipletSystem, placement: &Placement) -> Vec<f32> {
         let mut map = vec![0.0f32; self.cell_count()];
-        self.for_each_overlap(system, placement, |(id, rect), cell, overlap| {
-            if overlap > 0.0 {
-                let density = system.chiplet(id).power() / rect.area().max(f64::MIN_POSITIVE);
-                map[cell] += (overlap * density) as f32;
+        self.for_each_footprint(system, placement, |id, rect, cells| {
+            let density = system.chiplet(id).power() / rect.area().max(f64::MIN_POSITIVE);
+            for (cell, overlap) in cells.iter() {
+                if overlap > 0.0 {
+                    map[cell] += (overlap * density) as f32;
+                }
             }
         });
         map
     }
 
-    /// Calls `visit(placed, cell, area)` with the intersection area of every
-    /// placed chiplet and every cell it covers, chiplet by chiplet in
-    /// placement order, so each cell sees its terms in that order.
+    /// Calls `visit(id, rect, cells)` for every placed chiplet in placement
+    /// order, with the cells its rectangle covers, so each cell sees its
+    /// intersection areas in that order.
     ///
     /// A cell's rectangle has an x-extent that depends only on its column
     /// and a y-extent that depends only on its row, so the two extents of
     /// [`Rect::intersection_area`] are computed once per column and once per
     /// row. Cells with no positive extent on an axis would add an exact zero
     /// and are skipped.
-    fn for_each_overlap(
+    fn for_each_footprint(
         &self,
         system: &ChipletSystem,
         placement: &Placement,
-        mut visit: impl FnMut((ChipletId, &Rect), usize, f64),
+        mut visit: impl FnMut(ChipletId, &Rect, CoveredCells<'_>),
     ) {
         let cw = self.cell_width(system);
         let ch = self.cell_height(system);
@@ -237,11 +241,12 @@ impl PlacementGrid {
                     .map(|row| (row, overlap_extent(row, ch, rect.y, rect.top())))
                     .filter(|&(_, dy)| dy > 0.0),
             );
-            for &(row, dy) in &rows {
-                for &(col, dx) in &columns {
-                    visit((id, &rect), row * self.cols + col, dx * dy);
-                }
-            }
+            let cells = CoveredCells {
+                cols: self.cols,
+                columns: &columns,
+                rows: &rows,
+            };
+            visit(id, &rect, cells);
         }
     }
 
@@ -362,6 +367,25 @@ fn overlap_extent(index: usize, pitch: f64, lo: f64, hi: f64) -> f64 {
     cell_hi.min(hi) - cell_lo.max(lo)
 }
 
+/// The cells one placed chiplet covers: the positive overlap extent of its
+/// rectangle on each column and on each row.
+struct CoveredCells<'a> {
+    cols: usize,
+    columns: &'a [(usize, f64)],
+    rows: &'a [(usize, f64)],
+}
+
+impl CoveredCells<'_> {
+    /// `(cell, intersection area)` of every covered cell, row-major.
+    fn iter(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.rows.iter().flat_map(move |&(row, dy)| {
+            self.columns
+                .iter()
+                .map(move |&(col, dx)| (row * self.cols + col, dx * dy))
+        })
+    }
+}
+
 /// One axis of a feasibility mask: the chiplet's extent when centred on
 /// each column (or row), related to the outline and to every placed
 /// chiplet through the per-axis halves of the spacing rule ([`AxisGap`]).
@@ -401,13 +425,9 @@ impl AxisTable {
             inside.push(axis_contains(outline.0, outline.1, lo, hi));
             for (k, (other_lo, other_hi)) in placed.clone().enumerate() {
                 let gap = AxisGap::new(lo, hi, other_lo, other_hi, min_spacing_mm);
-                let (word, bit) = (i * words + k / 64, 1u64 << (k % 64));
-                if gap.overlaps {
-                    overlaps[word] |= bit;
-                }
-                if gap.close {
-                    close[word] |= bit;
-                }
+                let (word, shift) = (i * words + k / 64, k % 64);
+                overlaps[word] |= u64::from(gap.overlaps) << shift;
+                close[word] |= u64::from(gap.close) << shift;
             }
         }
         Self {
