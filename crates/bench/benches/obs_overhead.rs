@@ -6,7 +6,8 @@
 //! within noise of the pre-instrumentation anneal — the gate holds it to
 //! the same ±25% band as every other benchmark, and the PR acceptance bar
 //! is ≤3%). The *enabled* path (`anneal/on`) adds two atomic increments
-//! and one histogram record per proposed move; it is benchmarked so a
+//! and one histogram record per legal move and one atomic increment per
+//! illegal proposal; it is benchmarked so a
 //! future change that accidentally makes "on" expensive (or worse, makes
 //! "off" pay for "on") shows up as a regression here rather than in
 //! production profiles.
