@@ -33,13 +33,7 @@ fn placement_grid(c: &mut Criterion) {
         let chiplet = system.chiplet_ids().next().expect("non-empty system");
         group.bench_function(BenchmarkId::new("feasibility_mask", n), |b| {
             b.iter(|| {
-                black_box(grid.feasibility_mask(
-                    &system,
-                    &placement,
-                    chiplet,
-                    Rotation::None,
-                    0.2,
-                ))
+                black_box(grid.feasibility_mask(&system, &placement, chiplet, Rotation::None, 0.2))
             })
         });
         if n == 8 {

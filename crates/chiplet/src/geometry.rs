@@ -209,6 +209,8 @@ pub(crate) struct AxisGap {
 impl AxisGap {
     /// Relates the projections `[lo_a, hi_a]` and `[lo_b, hi_b]` under the
     /// spacing `min_spacing_mm`.
+    // `!(gap >= s)` rather than `gap < s`: a NaN spacing is never met.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
     pub(crate) fn new(lo_a: f64, hi_a: f64, lo_b: f64, hi_b: f64, min_spacing_mm: f64) -> Self {
         Self {
             overlaps: Self::overlaps(lo_a, hi_a, lo_b, hi_b),

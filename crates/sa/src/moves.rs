@@ -92,9 +92,9 @@ pub fn random_initial_placement(
 /// Proposes a random move. The move is *not* yet checked for legality; use
 /// [`apply_move`] which validates and returns the modified placement only if
 /// it stays legal.
-pub fn propose_move(system: &ChipletSystem, grid: &PlacementGrid, rng: &mut impl Rng) -> Move {
+pub fn propose_move<R: Rng>(system: &ChipletSystem, grid: &PlacementGrid, rng: &mut R) -> Move {
     let n = system.chiplet_count();
-    let pick = |rng: &mut dyn rand::RngCore| ChipletId::from_index(rng.gen_range(0..n));
+    let pick = |rng: &mut R| ChipletId::from_index(rng.gen_range(0..n));
     match rng.gen_range(0..10) {
         // Relocations dominate, as in TAP-2.5D.
         0..=5 => Move::Relocate {
