@@ -124,8 +124,8 @@ impl Rect {
 
     /// Area of the intersection of two rectangles (zero if disjoint).
     pub fn intersection_area(&self, other: &Rect) -> f64 {
-        let dx = self.right().min(other.right()) - self.x.max(other.x);
-        let dy = self.top().min(other.top()) - self.y.max(other.y);
+        let dx = axis_overlap(self.x, self.right(), other.x, other.right());
+        let dy = axis_overlap(self.y, self.top(), other.y, other.top());
         if dx > 0.0 && dy > 0.0 {
             dx * dy
         } else {
@@ -182,6 +182,13 @@ impl Rect {
     pub fn center_distance(&self, other: &Rect) -> f64 {
         self.center().euclidean_distance(other.center())
     }
+}
+
+/// Signed length of the overlap of `[lo_a, hi_a]` and `[lo_b, hi_b]`
+/// (not positive when they are disjoint): one axis of
+/// [`Rect::intersection_area`].
+pub(crate) fn axis_overlap(lo_a: f64, hi_a: f64, lo_b: f64, hi_b: f64) -> f64 {
+    hi_a.min(hi_b) - lo_a.max(lo_b)
 }
 
 /// `true` when the interval `[lo, hi]` lies inside `[outer_lo, outer_hi]`:

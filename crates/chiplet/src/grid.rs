@@ -8,7 +8,7 @@
 
 use crate::chiplet::{ChipletId, Rotation};
 use crate::error::PlacementError;
-use crate::geometry::{axis_contains, spacing_violation, AxisGap, Point, Rect};
+use crate::geometry::{axis_contains, axis_overlap, spacing_violation, AxisGap, Point, Rect};
 use crate::netlist::ChipletSystem;
 use crate::placement::{Placement, Position};
 use serde::{Deserialize, Serialize};
@@ -270,7 +270,7 @@ impl PlacementGrid {
     ) -> Vec<bool> {
         let (w, h) = system.chiplet(chiplet).footprint(rotation);
         let outline = system.interposer_rect();
-        let placed = placed_rects_except(system, placement, chiplet);
+        let placed: Vec<Rect> = placed_rects_except(system, placement, chiplet).collect();
         let columns = AxisTable::new(
             self.cols,
             self.cell_width(system),
@@ -317,8 +317,7 @@ impl PlacementGrid {
         };
         system.interposer_rect().contains_rect(&rect)
             && placed_rects_except(system, placement, chiplet)
-                .iter()
-                .all(|other| !rect.violates_spacing(other, min_spacing_mm))
+                .all(|other| !rect.violates_spacing(&other, min_spacing_mm))
     }
 
     /// Applies a masked action: centres `chiplet` on `cell` and records it in
@@ -345,26 +344,24 @@ impl PlacementGrid {
 }
 
 /// Rectangles of every placed chiplet except `chiplet`, in placement order.
-fn placed_rects_except(
-    system: &ChipletSystem,
-    placement: &Placement,
+fn placed_rects_except<'a>(
+    system: &'a ChipletSystem,
+    placement: &'a Placement,
     chiplet: ChipletId,
-) -> Vec<Rect> {
+) -> impl Iterator<Item = Rect> + 'a {
     placement
         .iter_placed()
-        .filter(|(id, _, _)| *id != chiplet)
+        .filter(move |(id, _, _)| *id != chiplet)
         .filter_map(|(id, _, _)| placement.rect_of(id, system))
-        .collect()
 }
 
-/// Length of the overlap between cell `index` of an axis with the given
-/// `pitch` and the interval `[lo, hi]`: one axis of
-/// [`Rect::intersection_area`], spelled the same way so the product is
-/// bit-identical.
+/// Overlap of cell `index` of an axis with the given `pitch` and the
+/// interval `[lo, hi]`, with the cell's extent computed as the cell's
+/// `Rect` computes it, so the product of two extents is bit-identical to
+/// [`Rect::intersection_area`].
 fn overlap_extent(index: usize, pitch: f64, lo: f64, hi: f64) -> f64 {
     let cell_lo = index as f64 * pitch;
-    let cell_hi = cell_lo + pitch;
-    cell_hi.min(hi) - cell_lo.max(lo)
+    axis_overlap(cell_lo, cell_lo + pitch, lo, hi)
 }
 
 /// The cells one placed chiplet covers: the positive overlap extent of its

@@ -430,6 +430,12 @@ mod tests {
                 "b at ({x}, {y}), spacing {spacing}"
             );
         }
+        // Two moved chiplets that collide only with each other.
+        let mut both = p.clone();
+        both.place(a, Position::new(12.0, 2.0));
+        both.place(b, Position::new(13.0, 3.0));
+        assert!(sys.validate_placement(&both, 0.5).is_err());
+        assert!(!sys.moved_chiplets_legal(&both, &[a, b], 0.5));
         // An unplaced chiplet or a foreign placement is never legal.
         let mut partial = p.clone();
         partial.unplace(c);

@@ -206,7 +206,7 @@ fn apply_unchecked(
     placement: &mut Placement,
     candidate: Move,
 ) -> Option<MoveUndo> {
-    let undo = match candidate {
+    Some(match candidate {
         Move::Relocate { chiplet, cell } => {
             let prev = placement
                 .position(chiplet)
@@ -242,8 +242,7 @@ fn apply_unchecked(
             placement.place_rotated(chiplet, centered_position(footprint, centre), rotation);
             MoveUndo::one(chiplet, prev)
         }
-    };
-    Some(undo)
+    })
 }
 
 /// Applies a move to a copy of the placement, returning the new placement if
