@@ -678,12 +678,15 @@ mod tests {
         let endless = ChipletSystem::new("t", f64::INFINITY, 30.0);
         let solver = small_solver().with_interposer(f64::INFINITY, 30.0);
         assert!(solver.prepared.is_none());
+        let error = solver.solve_power_map(&endless, &power).unwrap_err();
         assert!(matches!(
-            solver.solve_power_map(&endless, &power),
-            Err(ThermalError::Solver(
-                rlp_linalg::LinalgError::SingularMatrix { .. }
-            ))
+            error,
+            ThermalError::Solver(rlp_linalg::LinalgError::SingularMatrix { .. })
         ));
+        assert_eq!(
+            error.to_string(),
+            "thermal solve failed: matrix is singular at pivot column 0"
+        );
     }
 
     /// A layer of the package grid: thickness (mm) and conductivity
