@@ -9,10 +9,9 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rlp_chiplet::{Chiplet, ChipletSystem, Net};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the synthetic system distribution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticConfig {
     /// Inclusive range of chiplet counts.
     pub chiplet_count: (usize, usize),

@@ -27,10 +27,9 @@ use crate::error::PlacementError;
 use crate::geometry::{Point, Rect};
 use crate::netlist::{ChipletSystem, Net};
 use crate::placement::Placement;
-use serde::{Deserialize, Serialize};
 
 /// Geometric parameters of the microbump array.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BumpConfig {
     /// Centre-to-centre bump pitch along an edge, in millimetres.
     pub pitch_mm: f64,
@@ -49,7 +48,7 @@ impl Default for BumpConfig {
 }
 
 /// Which side of a die a bump row sits on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Side {
     /// Left edge (negative x direction).
     Left,
@@ -63,7 +62,7 @@ pub enum Side {
 
 /// Bump locations for one net: `pairs[i]` is the (source, destination) bump
 /// of wire `i`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetBumps {
     /// The net these bumps belong to.
     pub net: Net,
@@ -86,7 +85,7 @@ impl NetBumps {
 }
 
 /// A complete microbump assignment for every net of a system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BumpAssignment {
     nets: Vec<NetBumps>,
 }

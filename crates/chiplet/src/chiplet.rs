@@ -1,12 +1,10 @@
 //! Chiplet dies and their identifiers.
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a chiplet inside a [`crate::ChipletSystem`].
 ///
 /// Identifiers are handed out by [`crate::ChipletSystem::add_chiplet`] and
 /// are valid only for the system that created them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ChipletId(pub(crate) usize);
 
 impl ChipletId {
@@ -35,7 +33,7 @@ impl std::fmt::Display for ChipletId {
 ///
 /// Only 90° rotations are modelled; the paper's benchmarks use rectangular
 /// dies, so a rotation simply swaps width and height.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Rotation {
     /// Width along the x axis (as authored).
     #[default]
@@ -64,7 +62,7 @@ impl Rotation {
 /// assert_eq!(c.footprint(Rotation::Quarter), (14.0, 12.0));
 /// assert!((c.power_density() - 75.0 / (12.0 * 14.0)).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Chiplet {
     name: String,
     width_mm: f64,
@@ -186,17 +184,5 @@ mod tests {
         let id = ChipletId::from_index(3);
         assert_eq!(id.index(), 3);
         assert_eq!(id.to_string(), "chiplet#3");
-    }
-
-    // Requires a real serde backend; the offline build vendors a no-op
-    // serde. Compiled only under `--cfg serde_roundtrip` (see the root
-    // Cargo.toml lints table) with crates.io serde + serde_json dev-deps.
-    #[cfg(serde_roundtrip)]
-    #[test]
-    fn chiplet_serde_round_trip() {
-        let c = Chiplet::new("cpu", 10.0, 10.0, 30.0);
-        let json = serde_json::to_string(&c).unwrap();
-        let back: Chiplet = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, c);
     }
 }

@@ -3,7 +3,6 @@
 //! All dimensions in this crate are in millimetres, matching the interposer
 //! and die dimensions used by the TAP-2.5D benchmarks.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{BitAnd, BitOr};
 
 /// A point in the interposer plane, in millimetres.
@@ -17,7 +16,7 @@ use std::ops::{BitAnd, BitOr};
 /// assert_eq!(a.manhattan_distance(b), 7.0);
 /// assert!((a.euclidean_distance(b) - 5.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     /// Horizontal coordinate in millimetres.
     pub x: f64,
@@ -53,7 +52,7 @@ impl Point {
 /// assert!(a.overlaps(&b));
 /// assert_eq!(a.intersection_area(&b), 4.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Rect {
     /// X coordinate of the lower-left corner, in millimetres.
     pub x: f64,
@@ -176,11 +175,6 @@ impl Rect {
         let x = AxisGap::new(self.x, self.right(), other.x, other.right(), min_spacing_mm);
         let y = AxisGap::new(self.y, self.top(), other.y, other.top(), min_spacing_mm);
         x.violates_spacing_with(y)
-    }
-
-    /// Shortest centre-to-centre Euclidean distance to another rectangle.
-    pub fn center_distance(&self, other: &Rect) -> f64 {
-        self.center().euclidean_distance(other.center())
     }
 }
 

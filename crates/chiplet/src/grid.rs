@@ -11,7 +11,6 @@ use crate::error::PlacementError;
 use crate::geometry::{axis_contains, axis_overlap, spacing_violation, AxisGap, Point, Rect};
 use crate::netlist::ChipletSystem;
 use crate::placement::{Placement, Position};
-use serde::{Deserialize, Serialize};
 
 /// Lower-left position that centres a footprint on `center`.
 ///
@@ -39,7 +38,7 @@ pub fn centered_position(footprint: (f64, f64), center: Point) -> Position {
 /// assert!(mask.iter().any(|&m| m));
 /// assert!(mask.iter().any(|&m| !m));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlacementGrid {
     cols: usize,
     rows: usize,

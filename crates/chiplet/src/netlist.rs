@@ -4,10 +4,9 @@ use crate::chiplet::{Chiplet, ChipletId};
 use crate::error::PlacementError;
 use crate::geometry::Rect;
 use crate::placement::Placement;
-use serde::{Deserialize, Serialize};
 
 /// Index of a net inside a [`ChipletSystem`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NetId(pub(crate) usize);
 
 impl NetId {
@@ -22,7 +21,7 @@ impl NetId {
 /// Every net connects exactly two chiplets and carries `wires` parallel
 /// signals (microbump pairs); total wirelength counts each wire, mirroring
 /// the TAP-2.5D objective the paper adopts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Net {
     /// Source chiplet.
     pub from: ChipletId,
@@ -70,7 +69,7 @@ impl Net {
 /// assert_eq!(sys.chiplet_count(), 2);
 /// assert_eq!(sys.total_power(), 53.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChipletSystem {
     name: String,
     interposer_width_mm: f64,
@@ -466,16 +465,5 @@ mod tests {
         let mut sys = ChipletSystem::new("t", 10.0, 10.0);
         let a = sys.add_chiplet(Chiplet::new("a", 1.0, 1.0, 1.0));
         sys.add_net(Net::new(a, ChipletId::from_index(5), 1));
-    }
-
-    // See `chiplet.rs`: compiled only under `--cfg serde_roundtrip`, which
-    // needs a real serde backend unavailable in the offline build.
-    #[cfg(serde_roundtrip)]
-    #[test]
-    fn system_serde_round_trip() {
-        let (sys, _, _) = two_chiplet_system();
-        let json = serde_json::to_string(&sys).unwrap();
-        let back: ChipletSystem = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, sys);
     }
 }

@@ -3,10 +3,9 @@
 use crate::chiplet::{ChipletId, Rotation};
 use crate::geometry::{Point, Rect};
 use crate::netlist::ChipletSystem;
-use serde::{Deserialize, Serialize};
 
 /// Lower-left corner of a placed chiplet, in millimetres.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Position {
     /// X coordinate of the lower-left corner.
     pub x: f64,
@@ -43,7 +42,7 @@ impl From<Position> for Point {
 /// p.place(ChipletId::from_index(1), Position::new(5.0, 5.0));
 /// assert!(p.is_complete());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
     slots: Vec<Option<(Position, Rotation)>>,
 }
@@ -271,21 +270,5 @@ mod tests {
     fn placing_out_of_range_panics() {
         let mut p = Placement::new(1);
         p.place(ChipletId::from_index(1), Position::new(0.0, 0.0));
-    }
-
-    // See `chiplet.rs`: compiled only under `--cfg serde_roundtrip`, which
-    // needs a real serde backend unavailable in the offline build.
-    #[cfg(serde_roundtrip)]
-    #[test]
-    fn placement_serde_round_trip() {
-        let mut p = Placement::new(2);
-        p.place_rotated(
-            ChipletId::from_index(0),
-            Position::new(1.5, 2.5),
-            Rotation::Quarter,
-        );
-        let json = serde_json::to_string(&p).unwrap();
-        let back: Placement = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, p);
     }
 }

@@ -1,7 +1,5 @@
 //! Dense row-major `f32` tensors.
 
-use serde::{Deserialize, Serialize};
-
 /// A dense, row-major tensor of `f32` values.
 ///
 /// Shapes are dynamic (a `Vec<usize>`); the layers in this crate use rank-2
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.get(&[1, 0]), 3.0);
 /// assert_eq!(t.sum(), 10.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,
@@ -481,17 +479,5 @@ mod tests {
         let a = Tensor::zeros(vec![2, 3]);
         let b = Tensor::zeros(vec![2, 3]);
         a.matmul(&b);
-    }
-
-    // Requires a real serde backend; the offline build vendors a no-op
-    // serde. Compiled only under `--cfg serde_roundtrip` (see the root
-    // Cargo.toml lints table) with crates.io serde + serde_json dev-deps.
-    #[cfg(serde_roundtrip)]
-    #[test]
-    fn serde_round_trip() {
-        let t = Tensor::from_vec(vec![1.5, -2.5], vec![2]);
-        let json = serde_json::to_string(&t).unwrap();
-        let back: Tensor = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, t);
     }
 }

@@ -12,10 +12,9 @@ use rand_chacha::ChaCha8Rng;
 use rlp_nn::layers::Layer;
 use rlp_nn::optim::clip_grad_norm;
 use rlp_nn::{Adam, Categorical, Tensor};
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters of the PPO agent.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PpoConfig {
     /// Discount factor.
     pub gamma: f64,

@@ -9,10 +9,9 @@ use crate::env::EnvConfig;
 use rlp_nn::layers::{Conv2d, Flatten, Linear, ReLU, Sequential};
 use rlp_nn::{PolicyError, PolicyFile, Tensor};
 use rlp_rl::{ActorCritic, RandomNetworkDistillation};
-use serde::{Deserialize, Serialize};
 
 /// Agent network hyper-parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AgentConfig {
     /// Channel widths of the two convolutional encoder stages.
     pub conv_channels: (usize, usize),

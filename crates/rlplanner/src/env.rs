@@ -21,10 +21,9 @@ use rlp_chiplet::{ChipletId, Placement, PlacementGrid, Rotation};
 use rlp_nn::Tensor;
 use rlp_rl::{Environment, Observation, StepResult};
 use rlp_thermal::ThermalAnalyzer;
-use serde::{Deserialize, Serialize};
 
 /// Environment parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnvConfig {
     /// Placement grid resolution (columns, rows); also the action space.
     pub grid: (usize, usize),

@@ -63,11 +63,10 @@ use rlp_chiplet::{ChipletId, ChipletSystem, Placement, PlacementGrid, Point, Rot
 use rlp_obs::OnCandidate;
 use rlp_rl::ConfigError;
 use rlp_thermal::ThermalAnalyzer;
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// Configuration of the gradient placement engine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GradientConfig {
     /// Maximum number of descent iterations (each ending in one exact
     /// reward evaluation of the legalised iterate), shared across all

@@ -11,11 +11,10 @@ use rlp_rl::{
     VecEnvPool,
 };
 use rlp_thermal::ThermalAnalyzer;
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// Training-loop configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RlPlannerConfig {
     /// Total number of training episodes (the paper trains for 600 epochs on
     /// its benchmarks; examples and tests use far fewer).

@@ -17,11 +17,10 @@ use rlp_chiplet::{ChipletId, ChipletSystem, IncrementalWirelength, Placement};
 use rlp_rl::ConfigError;
 use rlp_sa::{DeltaObjective, EvalMode, Objective};
 use rlp_thermal::{ThermalAnalyzer, ThermalError, ThermalState};
-use serde::{Deserialize, Serialize};
 
 /// Weights and limits of the reward function
 /// `R = −λ·W − µ·(max(T−T₀, 0))^α / (1 + e^−(T−T₀))`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RewardConfig {
     /// Wirelength weight λ, in reward units per millimetre.
     pub lambda: f64,
@@ -97,7 +96,7 @@ impl RewardConfig {
 /// The three quantities the paper reports per design: reward, total
 /// wirelength and maximum operating temperature — plus which evaluation
 /// engine produced them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RewardBreakdown {
     /// Combined reward (higher is better, always negative in practice).
     pub reward: f64,

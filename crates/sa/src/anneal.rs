@@ -17,13 +17,12 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rlp_chiplet::{ChipletSystem, Placement, PlacementGrid};
 use rlp_obs::OnCandidate;
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 use std::time::{Duration, Instant};
 
 /// Annealing schedule and search parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SaConfig {
     /// Starting temperature of the schedule (in objective units).
     pub initial_temperature: f64,

@@ -13,7 +13,6 @@
 //!   closures keep working unchanged.
 
 use rlp_chiplet::{ChipletId, Placement};
-use serde::{Deserialize, Serialize};
 
 /// A (higher-is-better) objective over complete placements.
 ///
@@ -52,7 +51,7 @@ impl Objective for &dyn Objective {
 }
 
 /// How an objective evaluates candidate placements.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum EvalMode {
     /// Every candidate is evaluated from scratch.
     #[default]
@@ -74,7 +73,7 @@ impl EvalMode {
 }
 
 /// How many candidate evaluations ran in each mode during a search.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalCounts {
     /// Evaluations computed from scratch (for an incremental run this is
     /// the initial state construction).

@@ -15,7 +15,6 @@ use crate::fast::{CharacterizationOptions, FastThermalModel};
 use crate::grid::GridThermalSolver;
 use crate::ThermalAnalyzer;
 use rlp_chiplet::{ChipletSystem, Placement};
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// Which thermal analyzer to run inside an optimisation loop, expressed as
@@ -23,7 +22,7 @@ use std::time::{Duration, Instant};
 ///
 /// The enum is `#[non_exhaustive]`: future backends (e.g. a learned
 /// surrogate) may be added without a breaking release.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ThermalBackend {
     /// The HotSpot-style grid solver in the loop — reference accuracy, slow

@@ -1,9 +1,7 @@
 //! Package stack-up and solver configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// One layer of the package stack-up.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Layer {
     /// Human-readable layer name ("die", "tim", ...).
     pub name: String,
@@ -37,7 +35,7 @@ impl Layer {
 /// heat sink at the top. Heat leaves the package through convection above
 /// the last (top) layer; the bottom is adiabatic, matching HotSpot's default
 /// primary-path-only configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerStack {
     layers: Vec<Layer>,
     /// Index of the layer into which chiplet power is injected.
@@ -99,7 +97,7 @@ impl Default for LayerStack {
 }
 
 /// Full configuration of a thermal analysis run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThermalConfig {
     /// Number of grid cells along the interposer width.
     pub grid_nx: usize,
@@ -261,16 +259,5 @@ mod tests {
     #[should_panic(expected = "power layer index")]
     fn power_layer_out_of_range_panics() {
         LayerStack::new(vec![Layer::new("a", 1.0, 1.0)], 3);
-    }
-
-    // See `fast.rs`: compiled only under `--cfg serde_roundtrip`, which
-    // needs a real serde backend unavailable in the offline build.
-    #[cfg(serde_roundtrip)]
-    #[test]
-    fn config_serde_round_trip() {
-        let c = ThermalConfig::default();
-        let json = serde_json::to_string(&c).unwrap();
-        let back: ThermalConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, c);
     }
 }

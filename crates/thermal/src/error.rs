@@ -1,9 +1,42 @@
 //! Error types for the thermal analyzers.
 
 use rlp_chiplet::PlacementError;
-use rlp_linalg::LinalgError;
 use std::error::Error;
 use std::fmt;
+
+/// Why the direct solve of the package grid could not be prepared.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SolveError {
+    /// The grid's shape is inconsistent: no cells or layers, per-layer
+    /// vectors of different lengths, or a source layer outside the stack.
+    DimensionMismatch {
+        /// Human-readable description of the expected shape.
+        expected: String,
+        /// Human-readable description of the shape that was provided.
+        found: String,
+    },
+    /// The conductance matrix is (numerically) singular: a pivot of the
+    /// solve was not positive and finite.
+    SingularMatrix {
+        /// Node at which the solve broke down.
+        pivot: usize,
+    },
+}
+
+impl fmt::Display for SolveError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SolveError::DimensionMismatch { expected, found } => {
+                write!(f, "dimension mismatch: expected {expected}, found {found}")
+            }
+            SolveError::SingularMatrix { pivot } => {
+                write!(f, "matrix is singular at pivot column {pivot}")
+            }
+        }
+    }
+}
+
+impl Error for SolveError {}
 
 /// Errors produced by the grid solver and the fast thermal model.
 #[derive(Debug, Clone, PartialEq)]
@@ -11,7 +44,7 @@ pub enum ThermalError {
     /// The placement is incomplete or otherwise unusable.
     Placement(PlacementError),
     /// The steady-state grid solve failed.
-    Solver(LinalgError),
+    Solver(SolveError),
     /// The fast model was asked about a footprint or distance outside the
     /// characterised range and extrapolation was disabled.
     OutOfCharacterizedRange {
@@ -56,8 +89,8 @@ impl From<PlacementError> for ThermalError {
     }
 }
 
-impl From<LinalgError> for ThermalError {
-    fn from(e: LinalgError) -> Self {
+impl From<SolveError> for ThermalError {
+    fn from(e: SolveError) -> Self {
         ThermalError::Solver(e)
     }
 }
@@ -68,7 +101,7 @@ mod tests {
 
     #[test]
     fn display_and_source() {
-        let e: ThermalError = LinalgError::SingularMatrix { pivot: 2 }.into();
+        let e: ThermalError = SolveError::SingularMatrix { pivot: 2 }.into();
         assert!(e.to_string().contains("thermal solve failed"));
         assert!(e.source().is_some());
 
@@ -80,8 +113,21 @@ mod tests {
     }
 
     #[test]
+    fn display_messages_are_lowercase_and_informative() {
+        let e = SolveError::SingularMatrix { pivot: 3 };
+        assert_eq!(e.to_string(), "matrix is singular at pivot column 3");
+
+        let e = SolveError::DimensionMismatch {
+            expected: "3".into(),
+            found: "4".into(),
+        };
+        assert_eq!(e.to_string(), "dimension mismatch: expected 3, found 4");
+    }
+
+    #[test]
     fn error_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<ThermalError>();
+        assert_send_sync::<SolveError>();
     }
 }

@@ -29,10 +29,9 @@ use crate::grid::{footprint_cells, peak_temperature, GridThermalSolver};
 use crate::power::PowerMap;
 use crate::ThermalAnalyzer;
 use rlp_chiplet::{ChipletId, ChipletSystem, Placement, Point, Rect};
-use serde::{Deserialize, Serialize};
 
 /// Options controlling fast-model characterisation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CharacterizationOptions {
     /// Die side lengths (mm) sampled for the 2D self-resistance table.
     pub footprint_samples_mm: Vec<f64>,
@@ -106,7 +105,7 @@ impl CharacterizationOptions {
 /// let t = model.max_temperature(&sys, &placement).unwrap();
 /// assert!(t > 45.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FastThermalModel {
     ambient_c: f64,
     interposer_width_mm: f64,
@@ -766,7 +765,7 @@ mod tests {
             let (nx, ny) = (config.grid_nx, config.grid_ny);
             let oracle = serial_reference(&solver, w, h, &quick_options(), &|sys, placement| {
                 let power = PowerMap::rasterize(sys, placement, nx, ny);
-                solver.solve_power_map_cg(sys, &power, 1e-12)
+                Ok(solver.solve_power_map_cg(sys, &power, 1e-12))
             })
             .unwrap();
             assert_eq!(serial.widths_mm, oracle.widths_mm, "{case}");
@@ -1054,27 +1053,6 @@ mod tests {
                 }
                 other => panic!("{options:?} was not refused: {other:?}"),
             }
-        }
-    }
-
-    // Requires a real serde backend; the offline build vendors a no-op
-    // serde. Compiled only under `--cfg serde_roundtrip` (see the root
-    // Cargo.toml lints table) with crates.io serde + serde_json dev-deps.
-    #[cfg(serde_roundtrip)]
-    #[test]
-    fn model_serde_round_trip() {
-        // JSON serialisation may drop the last bit of a float, so compare the
-        // lookups rather than requiring bit-exact equality.
-        let model = quick_model();
-        let json = serde_json::to_string(&model).unwrap();
-        let back: FastThermalModel = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.ambient(), model.ambient());
-        assert_eq!(back.interposer(), model.interposer());
-        for &(w, h) in &[(4.0, 4.0), (10.0, 6.0), (16.0, 16.0)] {
-            assert!((back.self_resistance(w, h) - model.self_resistance(w, h)).abs() < 1e-9);
-        }
-        for &d in &[2.0, 10.0, 30.0] {
-            assert!((back.mutual_resistance(d) - model.mutual_resistance(d)).abs() < 1e-9);
         }
     }
 }

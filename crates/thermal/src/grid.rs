@@ -12,11 +12,12 @@
 //! evenly over the top layer, so `G` is separable: the cosine transforms of
 //! the grid's rows and columns diagonalise it laterally, leaving one
 //! `layers×layers` tridiagonal system per lateral mode. The solver inverts
-//! `G` that way ([`SpectralSolver`]), directly and exactly up to rounding:
-//! one forward transform of the power map, one scaling and one inverse
-//! transform per layer. [`GridThermalSolver::solve`] returns every layer;
-//! the [`ThermalAnalyzer`] methods transform back the die layer alone, the
-//! only one a chiplet's temperature is read from, and get the same bits.
+//! `G` that way (the crate's `SpectralSolver`), directly and exactly up to
+//! rounding: one forward transform of the power map, one scaling and one
+//! inverse transform per layer. [`GridThermalSolver::solve`] returns every
+//! layer; the [`ThermalAnalyzer`] methods transform back the die layer
+//! alone, the only one a chiplet's temperature is read from, and get the
+//! same bits.
 //! What the solver prepares depends only on the configuration and the
 //! interposer outline, never on the placement, so a solver prepared for an
 //! outline reuses it for every solve on that outline.
@@ -28,9 +29,9 @@
 use crate::config::{Layer, ThermalConfig};
 use crate::error::ThermalError;
 use crate::power::PowerMap;
+use crate::spectral::{LayeredGrid, SpectralSolver};
 use crate::ThermalAnalyzer;
 use rlp_chiplet::{ChipletSystem, Placement, Rect};
-use rlp_linalg::{LayeredGrid, SpectralSolver};
 use std::borrow::Cow;
 use std::fmt;
 use std::ops::Range;
@@ -83,13 +84,6 @@ impl ThermalSolution {
     /// Panics if the cell is out of range.
     pub fn die_temperature_at(&self, col: usize, row: usize) -> f64 {
         self.temperature_at(self.power_layer, col, row)
-    }
-
-    /// Maximum temperature over the die layer, in degrees Celsius.
-    pub fn max_die_temperature(&self) -> f64 {
-        let base = self.power_layer * self.nx * self.ny;
-        let slice = &self.delta_t[base..base + self.nx * self.ny];
-        self.ambient_c + slice.iter().fold(0.0_f64, |acc, &v| acc.max(v))
     }
 }
 
@@ -288,65 +282,32 @@ impl GridThermalSolver {
 
     /// The conductance matrix `G` of this package on an interposer of the
     /// given outline (mm), assembled node by node from the closed-form
-    /// conductances. Node `layer * nx * ny + row * nx + col` is cell
-    /// `(col, row)` of `layer`.
+    /// conductances.
     #[cfg(test)]
     pub(crate) fn conductance_matrix(
         &self,
         width_mm: f64,
         height_mm: f64,
-    ) -> rlp_linalg::CsrMatrix {
-        let grid = self.layered_grid(width_mm, height_mm);
-        let (nx, ny, layers) = (grid.nx, grid.ny, grid.layers());
-        let cells = nx * ny;
-        let n = cells * layers;
-        let node = |layer: usize, col: usize, row: usize| layer * cells + row * nx + col;
-
-        let mut coo = rlp_linalg::CooMatrix::with_capacity(n, n, n * 7);
-        let mut add_conductance = |a: usize, b: usize, g: f64| {
-            coo.push(a, a, g);
-            coo.push(b, b, g);
-            coo.push(a, b, -g);
-            coo.push(b, a, -g);
-        };
-        for l in 0..layers {
-            for row in 0..ny {
-                for col in 0..nx {
-                    let here = node(l, col, row);
-                    if col + 1 < nx {
-                        add_conductance(here, node(l, col + 1, row), grid.west_east[l]);
-                    }
-                    if row + 1 < ny {
-                        add_conductance(here, node(l, col, row + 1), grid.south_north[l]);
-                    }
-                    if l + 1 < layers {
-                        add_conductance(here, node(l + 1, col, row), grid.vertical[l]);
-                    }
-                }
-            }
-        }
-        for l in 0..layers {
-            for i in node(l, 0, 0)..node(l + 1, 0, 0) {
-                coo.push(i, i, grid.to_reference[l]);
-            }
-        }
-        let g = coo.to_csr();
-        debug_assert!(g.is_symmetric(1e-9));
-        g
+    ) -> crate::oracle::CsrMatrix {
+        crate::oracle::assemble(&self.layered_grid(width_mm, height_mm))
     }
 
     /// Solves with Jacobi-preconditioned conjugate gradient on the
     /// assembled [`GridThermalSolver::conductance_matrix`] to the given
     /// relative residual: the independent oracle the direct solve is
     /// tested against.
+    ///
+    /// # Panics
+    ///
+    /// Panics if conjugate gradient does not converge.
     #[cfg(test)]
     pub(crate) fn solve_power_map_cg(
         &self,
         system: &ChipletSystem,
         power: &PowerMap,
         tolerance: f64,
-    ) -> Result<ThermalSolution, ThermalError> {
-        use rlp_linalg::solvers::{conjugate_gradient, CgOptions};
+    ) -> ThermalSolution {
+        use crate::oracle::{conjugate_gradient, CgOptions};
         let g = self.conductance_matrix(system.interposer_width(), system.interposer_height());
         let cells = power.cells().len();
         let mut rhs = vec![0.0; g.rows()];
@@ -356,8 +317,8 @@ impl GridThermalSolver {
             max_iterations: 100_000,
             initial_guess: None,
         };
-        let solution = conjugate_gradient(&g, &rhs, &rlp_linalg::Jacobi::new(&g), &options)?;
-        Ok(self.solution(solution.x, solution.iterations))
+        let solution = conjugate_gradient(&g, &rhs, &options).expect("the CG oracle converges");
+        self.solution(solution.x, solution.iterations)
     }
 
     /// Per-chiplet maximum die temperature of a solved field, in Celsius.
@@ -459,6 +420,7 @@ impl ThermalAnalyzer for GridThermalSolver {
 mod tests {
     use super::*;
     use crate::config::LayerStack;
+    use crate::oracle::norm2;
     use proptest::prelude::*;
     use rlp_chiplet::{Chiplet, Position};
 
@@ -681,7 +643,7 @@ mod tests {
         let error = solver.solve_power_map(&endless, &power).unwrap_err();
         assert!(matches!(
             error,
-            ThermalError::Solver(rlp_linalg::LinalgError::SingularMatrix { .. })
+            ThermalError::Solver(crate::SolveError::SingularMatrix { .. })
         ));
         assert_eq!(
             error.to_string(),
@@ -742,7 +704,7 @@ mod tests {
             }
             let power = PowerMap::rasterize(&sys, &placement, nx, ny);
             let direct = solver.solve_power_map(&sys, &power).unwrap();
-            let oracle = solver.solve_power_map_cg(&sys, &power, 1e-12).unwrap();
+            let oracle = solver.solve_power_map_cg(&sys, &power, 1e-12);
             let peak = oracle.delta_t.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
             for (d, o) in direct.delta_t.iter().zip(&oracle.delta_t) {
                 prop_assert!((d - o).abs() <= 1e-9 * peak, "direct {d} vs oracle {o}, peak {peak}");
@@ -754,10 +716,10 @@ mod tests {
             let gx = g.matvec(&direct.delta_t).unwrap();
             let residual: Vec<f64> = gx.iter().zip(&b).map(|(p, q)| p - q).collect();
             prop_assert!(
-                rlp_linalg::norm2(&residual) <= 1e-10 * rlp_linalg::norm2(&b),
+                norm2(&residual) <= 1e-10 * norm2(&b),
                 "‖Gx − b‖ = {} for ‖b‖ = {}",
-                rlp_linalg::norm2(&residual),
-                rlp_linalg::norm2(&b)
+                norm2(&residual),
+                norm2(&b)
             );
         }
     }

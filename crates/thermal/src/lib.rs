@@ -60,7 +60,10 @@ pub mod error;
 pub mod fast;
 pub mod grid;
 pub mod metrics;
+#[cfg(test)]
+mod oracle;
 pub mod power;
+mod spectral;
 pub mod state;
 
 pub use backend::{AnyThermalAnalyzer, ThermalBackend};
@@ -68,7 +71,7 @@ pub use cache::{
     FastModelKey, ThermalCacheSnapshot, ThermalCacheStats, ThermalModelCache, ThermalPrep,
 };
 pub use config::{Layer, LayerStack, ThermalConfig};
-pub use error::ThermalError;
+pub use error::{SolveError, ThermalError};
 pub use fast::{CharacterizationOptions, FastThermalModel};
 pub use grid::{GridThermalSolver, ThermalSolution};
 pub use metrics::ErrorMetrics;

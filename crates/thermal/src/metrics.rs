@@ -1,11 +1,9 @@
 //! Error metrics used to compare thermal analyzers (paper Table II).
 
-use serde::{Deserialize, Serialize};
-
 /// Aggregate error metrics between a prediction series and a reference
 /// series: mean square error, root mean square error, mean absolute error
 /// and mean absolute percentage error.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErrorMetrics {
     /// Mean square error, in K².
     pub mse: f64,

@@ -1,10 +1,9 @@
 //! Rasterisation of chiplet power onto the thermal grid.
 
 use rlp_chiplet::{ChipletSystem, Placement, Rect};
-use serde::{Deserialize, Serialize};
 
 /// A power density map on the thermal grid (row-major, watts per cell).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerMap {
     nx: usize,
     ny: usize,
