@@ -93,8 +93,11 @@ impl SaConfig {
     /// Returns an [`SaConfigError`] describing the first invalid field.
     pub fn validate(&self) -> Result<(), SaConfigError> {
         let invalid = |reason: &str| Err(SaConfigError::Invalid(reason.to_string()));
-        if self.initial_temperature <= 0.0 || self.final_temperature <= 0.0 {
-            return invalid("temperatures must be positive");
+        // NaN fails this check: an infinite initial temperature never cools
+        // below the final one, and a NaN one runs no move at all.
+        let positive = |t: f64| t > 0.0 && t.is_finite();
+        if !(positive(self.initial_temperature) && positive(self.final_temperature)) {
+            return invalid("temperatures must be finite and positive");
         }
         if self.final_temperature > self.initial_temperature {
             return invalid("final temperature must not exceed the initial temperature");
@@ -564,6 +567,31 @@ mod tests {
         assert_eq!(cold.best_placement, warm.best_placement);
         assert_eq!(cold.best_objective, warm.best_objective);
         assert_eq!(cold.evaluations, warm.evaluations);
+    }
+
+    #[test]
+    fn non_finite_temperatures_are_refused() {
+        for (initial_temperature, final_temperature) in [
+            (f64::INFINITY, 1e-3),
+            (f64::NAN, 1e-3),
+            (1.0, f64::NAN),
+            (f64::INFINITY, f64::INFINITY),
+            (1.0, 0.0),
+        ] {
+            let config = SaConfig {
+                initial_temperature,
+                final_temperature,
+                ..SaConfig::default()
+            };
+            assert_eq!(
+                config.validate(),
+                Err(SaConfigError::Invalid(
+                    "temperatures must be finite and positive".to_string()
+                )),
+                "{initial_temperature} -> {final_temperature}"
+            );
+        }
+        assert!(quick_config(0).validate().is_ok());
     }
 
     #[test]

@@ -598,3 +598,36 @@ fn a_wire_request_with_a_zero_sided_env_grid_is_refused_by_the_builder() {
         assert!(err.to_string().contains(field), "{err}");
     }
 }
+
+#[test]
+fn a_wire_sa_request_with_a_non_finite_temperature_is_refused_by_the_builder() {
+    let request = FloorplanRequest::builder()
+        .system(synthetic_case(1))
+        .method(Method::sa())
+        .thermal(tiny_fast_backend())
+        .budget(Budget::Evaluations(40))
+        .build()
+        .unwrap();
+    let json = rlplanner::report::request_json(&request);
+    let temperature = "\"initial_temperature\": 1,";
+    let budget = "\"budget\": { \"evaluations\": 40 }";
+    assert!(
+        json.contains(temperature) && json.contains(budget),
+        "{json}"
+    );
+    // `1e999` decodes to +inf, which never cools below the final
+    // temperature: with no budget the anneal ran forever and wedged a daemon
+    // worker. `null` decodes to NaN, which ran no move at all.
+    for bad in ["1e999", "null"] {
+        let text = json
+            .replace(temperature, &format!("\"initial_temperature\": {bad},"))
+            .replace(budget, "\"budget\": null");
+        let err =
+            rlplanner::request_from_json(&text).expect_err("the builder must refuse the request");
+        assert!(
+            err.to_string()
+                .contains("`sa` is invalid: temperatures must be finite and positive"),
+            "{err}"
+        );
+    }
+}
