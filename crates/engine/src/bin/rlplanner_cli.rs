@@ -82,17 +82,13 @@
 //! (system, method) cell. Exit codes: 0 on success, 2 on usage errors, 1
 //! when a solve fails (single-run) or any sweep run fails.
 
-use rlp_benchmarks::{
-    ascend910_system, cpu_dram_system, multi_gpu_system, synthetic_case, SyntheticConfig,
-    SyntheticSystemGenerator,
-};
-use rlp_chiplet::ChipletSystem;
+use rlp_benchmarks::{system_by_name, SyntheticConfig, SyntheticSystemGenerator};
 use rlp_engine::{campaign_json, CampaignEngine, CampaignMethod, CampaignSpec, JsonlSink};
-use rlp_sa::SaConfig;
 use rlp_thermal::{CharacterizationOptions, ThermalBackend, ThermalConfig};
 use rlplanner::report::{outcome_json, placement_json};
 use rlplanner::{
-    Budget, FloorplanRequest, Method, PolicyFile, RewardConfig, RlPlanner, RlPlannerConfig,
+    method_by_name, Budget, FloorplanRequest, Method, PolicyFile, RewardConfig, RlPlanner,
+    RlPlannerConfig,
 };
 use std::process::ExitCode;
 
@@ -110,56 +106,6 @@ fn usage() -> ExitCode {
          [--episodes-per-system <n>] [--seed <n>] [--log-level <filter>]"
     );
     ExitCode::from(2)
-}
-
-fn load_system(name: &str) -> Option<ChipletSystem> {
-    match name {
-        "multi-gpu" => Some(multi_gpu_system()),
-        "cpu-dram" => Some(cpu_dram_system()),
-        "ascend910" => Some(ascend910_system()),
-        _ => name
-            .strip_prefix("case")
-            .and_then(|n| n.parse::<usize>().ok())
-            .filter(|n| (1..=5).contains(n))
-            .map(synthetic_case),
-    }
-}
-
-/// Maps a CLI method name to the request's method and thermal backend.
-/// The `pretrained` method needs the `--policy` path and is the only one
-/// that reads it.
-fn load_method(name: &str, policy: Option<&str>) -> Result<(Method, ThermalBackend), String> {
-    let thermal_config = ThermalConfig::with_grid(32, 32);
-    let fast = ThermalBackend::Fast {
-        config: thermal_config.clone(),
-        characterization: CharacterizationOptions::default(),
-    };
-    let sa = Method::Sa {
-        config: SaConfig {
-            final_temperature: 1e-6,
-            ..SaConfig::default()
-        },
-    };
-    match name {
-        "rl" => Ok((Method::rl(), fast)),
-        "rl-rnd" => Ok((Method::rl_rnd(), fast)),
-        "sa-fast" => Ok((sa, fast)),
-        "sa-hotspot" => Ok((
-            sa,
-            ThermalBackend::Grid {
-                config: thermal_config,
-            },
-        )),
-        // The analytic engine needs gradients, which only the fast
-        // (characterised) backend provides.
-        "gradient" => Ok((Method::gradient(), fast)),
-        "pretrained" => {
-            let path =
-                policy.ok_or_else(|| "method `pretrained` needs --policy <path>".to_string())?;
-            Ok((Method::pretrained(path), fast))
-        }
-        other => Err(format!("unknown method `{other}`")),
-    }
 }
 
 /// Parsed `--flag value` / `--flag=value` sweep options.
@@ -295,14 +241,14 @@ fn run_sweep(args: &[String]) -> ExitCode {
         spec = spec.warm_start(true);
     }
     for name in &parsed.systems {
-        let Some(system) = load_system(name) else {
+        let Some(system) = system_by_name(name) else {
             eprintln!("unknown system `{name}`");
             return usage();
         };
         spec = spec.system(system);
     }
     for name in &parsed.methods {
-        let (method, thermal) = match load_method(name, parsed.policy.as_deref()) {
+        let (method, thermal) = match method_by_name(name, parsed.policy.as_deref()) {
             Ok(loaded) => loaded,
             Err(reason) => {
                 eprintln!("{reason}");
@@ -684,11 +630,11 @@ fn main() -> ExitCode {
         return usage();
     }
 
-    let Some(system) = load_system(positional[0]) else {
+    let Some(system) = system_by_name(positional[0]) else {
         eprintln!("unknown system `{}`", positional[0]);
         return usage();
     };
-    let (method, thermal) = match load_method(positional[1], policy.as_deref()) {
+    let (method, thermal) = match method_by_name(positional[1], policy.as_deref()) {
         Ok(loaded) => loaded,
         Err(reason) => {
             eprintln!("{reason}");

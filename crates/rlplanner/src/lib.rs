@@ -108,8 +108,8 @@ pub use parse::{
 };
 pub use planner::{RlPlanner, RlPlannerConfig, TrainingResult, TrainingStalled};
 pub use request::{
-    Budget, FloorplanRequest, FloorplanRequestBuilder, Method, PrebuiltThermal, PreloadedPolicy,
-    PretrainedConfig,
+    method_by_name, Budget, FloorplanRequest, FloorplanRequestBuilder, Method, PrebuiltThermal,
+    PreloadedPolicy, PretrainedConfig,
 };
 pub use reward::{DeltaRewardObjective, RewardBreakdown, RewardCalculator, RewardConfig};
 

@@ -38,14 +38,11 @@
 //! backpressure delay. The run exits nonzero if any request ultimately
 //! failed.
 
-use rlp_benchmarks::{ascend910_system, cpu_dram_system, multi_gpu_system, synthetic_case};
-use rlp_chiplet::ChipletSystem;
+use rlp_benchmarks::system_by_name;
 use rlp_obs::json::{Layout, Writer};
-use rlp_sa::SaConfig;
 use rlp_serve::{ClientError, ServeClient, Submit};
-use rlp_thermal::{CharacterizationOptions, ThermalBackend, ThermalConfig};
 use rlplanner::report::request_json;
-use rlplanner::{Budget, FloorplanRequest, Method};
+use rlplanner::{method_by_name, Budget, FloorplanRequest};
 use std::process::ExitCode;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -61,48 +58,6 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn load_system(name: &str) -> Option<ChipletSystem> {
-    match name {
-        "multi-gpu" => Some(multi_gpu_system()),
-        "cpu-dram" => Some(cpu_dram_system()),
-        "ascend910" => Some(ascend910_system()),
-        _ => name
-            .strip_prefix("case")
-            .and_then(|n| n.parse::<usize>().ok())
-            .filter(|n| (1..=5).contains(n))
-            .map(synthetic_case),
-    }
-}
-
-/// The same method → (Method, ThermalBackend) mapping as `rlplanner_cli`,
-/// so served and direct solves are byte-comparable.
-fn load_method(name: &str) -> Option<(Method, ThermalBackend)> {
-    let thermal_config = ThermalConfig::with_grid(32, 32);
-    let fast = ThermalBackend::Fast {
-        config: thermal_config.clone(),
-        characterization: CharacterizationOptions::default(),
-    };
-    let sa = Method::Sa {
-        config: SaConfig {
-            final_temperature: 1e-6,
-            ..SaConfig::default()
-        },
-    };
-    match name {
-        "rl" => Some((Method::rl(), fast)),
-        "rl-rnd" => Some((Method::rl_rnd(), fast)),
-        "sa-fast" => Some((sa, fast)),
-        "sa-hotspot" => Some((
-            sa,
-            ThermalBackend::Grid {
-                config: thermal_config,
-            },
-        )),
-        "gradient" => Some((Method::gradient(), fast)),
-        _ => None,
-    }
-}
-
 fn build_request(
     system: &str,
     method: &str,
@@ -110,9 +65,8 @@ fn build_request(
     seed: Option<u64>,
     warm_start: bool,
 ) -> Result<FloorplanRequest, String> {
-    let system = load_system(system).ok_or_else(|| format!("unknown system `{system}`"))?;
-    let (method, thermal) =
-        load_method(method).ok_or_else(|| format!("unknown method `{method}`"))?;
+    let system = system_by_name(system).ok_or_else(|| format!("unknown system `{system}`"))?;
+    let (method, thermal) = method_by_name(method, None)?;
     let mut builder = FloorplanRequest::builder()
         .system(system)
         .method(method)

@@ -2,13 +2,13 @@
 //! the byte-identity contract, progress streaming, backpressure, cancel,
 //! connection teardown and graceful shutdown under load.
 
-use rlp_benchmarks::synthetic_case;
+use rlp_benchmarks::{synthetic_case, system_by_name};
 use rlp_chiplet::ChipletSystem;
 use rlp_sa::SaConfig;
 use rlp_serve::{ClientError, ServeClient, Server, ServerConfig, Submit};
 use rlp_thermal::{CharacterizationOptions, ThermalBackend, ThermalConfig};
 use rlplanner::report::{outcome_json, request_json};
-use rlplanner::{outcome_from_value, Budget, FloorplanRequest, Method};
+use rlplanner::{method_by_name, outcome_from_value, Budget, FloorplanRequest, Method};
 use std::io;
 use std::net::SocketAddr;
 use std::thread::{self, JoinHandle};
@@ -61,6 +61,19 @@ fn sa_request_with_moves(
         .seed(seed)
         .build()
         .expect("test request is valid")
+}
+
+/// The request `rlp_load print-request <system> <method> <budget>` prints:
+/// the command-line tools' shared name tables.
+fn named_request(system: &str, method: &str, budget: usize) -> FloorplanRequest {
+    let (method, thermal) = method_by_name(method, None).expect("known method");
+    FloorplanRequest::builder()
+        .system(system_by_name(system).expect("known system"))
+        .method(method)
+        .thermal(thermal)
+        .budget(Budget::Evaluations(budget))
+        .build()
+        .expect("named request is valid")
 }
 
 fn start_server(workers: usize, capacity: usize) -> (SocketAddr, JoinHandle<io::Result<()>>) {
@@ -306,6 +319,45 @@ fn malformed_and_inadmissible_documents_are_remote_errors() {
     }
     // The connection survives rejected documents.
     assert_eq!(client.status(1).expect("status"), "unknown");
+
+    client.shutdown().expect("shutdown ack");
+    server.join().expect("server thread").expect("clean exit");
+}
+
+#[test]
+fn an_anneal_that_never_cools_is_refused_and_the_only_worker_stays_free() {
+    let request = named_request("case1", "sa-fast", 40);
+    let document = request_json(&request);
+    // `1e999` decodes to +inf, and +inf never cools below the final
+    // temperature: with no budget such a job, once admitted, ran forever on
+    // its worker, and a running job cannot be cancelled.
+    let temperature = "\"initial_temperature\": 1,";
+    let budget = "\"budget\": { \"evaluations\": 40 }";
+    assert!(document.contains(temperature) && document.contains(budget));
+    let hostile = document
+        .replace(temperature, "\"initial_temperature\": 1e999,")
+        .replace(budget, "\"budget\": null");
+
+    let (addr, server) = start_server(1, 2);
+    let mut client = ServeClient::connect(addr).expect("connect");
+    match client.submit(&hostile, 0) {
+        Err(ClientError::Remote(message)) => assert!(
+            message.contains("`sa` is invalid: temperatures must be finite and positive"),
+            "{message}"
+        ),
+        other => panic!("daemon admitted a never-cooling anneal: {other:?}"),
+    }
+    // The one worker is free: an honest job on the same daemon completes,
+    // byte-identical to the direct solve.
+    let Submit::Accepted(job) = client.submit(&document, 0).expect("submit") else {
+        panic!("empty daemon rejected a solve");
+    };
+    let result = client.wait_outcome(job).expect("honest job completes");
+    let direct = outcome_json(request.system(), &request.solve().expect("direct solve"));
+    assert_eq!(
+        deterministic_projection(&canonical(&result.outcome, request.system())),
+        deterministic_projection(&direct)
+    );
 
     client.shutdown().expect("shutdown ack");
     server.join().expect("server thread").expect("clean exit");
