@@ -315,7 +315,7 @@ impl GridThermalSolver {
         let options = CgOptions {
             tolerance,
             max_iterations: 100_000,
-            initial_guess: None,
+            ..CgOptions::default()
         };
         let solution = conjugate_gradient(&g, &rhs, &options).expect("the CG oracle converges");
         self.solution(solution.x, solution.iterations)
