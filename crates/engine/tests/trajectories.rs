@@ -14,13 +14,23 @@ use std::process::Command;
 const VOLATILE: [&str; 3] = ["\"runtime_s\"", "\"thermal_prep\"", "\"episodes_per_s\""];
 
 fn assert_pinned(system: &str, method: &str, budget: &str) {
+    assert_pinned_run(system, method, budget, false);
+}
+
+/// Pins one CLI run; a warm-started run (`--warm-start`) is pinned in the
+/// file with the `_warm` suffix.
+fn assert_pinned_run(system: &str, method: &str, budget: &str, warm_start: bool) {
+    let mut args = vec![system, method, budget, "--json"];
+    if warm_start {
+        args.push("--warm-start");
+    }
     let output = Command::new(env!("CARGO_BIN_EXE_rlplanner_cli"))
-        .args([system, method, budget, "--json"])
+        .args(&args)
         .output()
         .expect("the CLI runs");
     assert!(
         output.status.success(),
-        "{system} {method} {budget} failed: {}",
+        "{args:?} failed: {}",
         String::from_utf8_lossy(&output.stderr)
     );
     let document = String::from_utf8(output.stdout).expect("the document is UTF-8");
@@ -28,7 +38,8 @@ fn assert_pinned(system: &str, method: &str, budget: &str) {
         .lines()
         .filter(|line| !VOLATILE.iter().any(|key| line.contains(key)))
         .collect();
-    let name = format!("trajectory_{system}_{method}_{budget}.outcome.json");
+    let suffix = if warm_start { "_warm" } else { "" };
+    let name = format!("trajectory_{system}_{method}_{budget}{suffix}.outcome.json");
     let path = format!("{}/../../tests/data/{name}", env!("CARGO_MANIFEST_DIR"));
     let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{name}: {e}"));
     let expected: Vec<&str> = expected.lines().collect();
@@ -50,4 +61,13 @@ fn gradient_trajectories_are_pinned() {
 #[test]
 fn rl_trajectory_is_pinned() {
     assert_pinned("case1", "rl", "4");
+}
+
+/// Warm-started runs: SA anneals from the presolve's placement, and RL
+/// keeps the presolve as its best artifact while its candidate stream
+/// starts from its own first episode.
+#[test]
+fn warm_started_trajectories_are_pinned() {
+    assert_pinned_run("case1", "rl", "4", true);
+    assert_pinned_run("case3", "sa-fast", "600", true);
 }

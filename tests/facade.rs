@@ -527,6 +527,83 @@ fn on_candidate_stream_is_the_telemetry_for_every_method() {
     let _ = std::fs::remove_file(&policy);
 }
 
+/// The candidate-stream contract, cold and warm-started, for every method:
+/// indices are dense from 0, and `best_reward[i]` is the maximum of
+/// `reward[0..=i]` bit for bit. A warm start changes where SA starts but
+/// never seeds RL's stream: a warm-started RL run streams exactly the cold
+/// run's episodes, and its first best is its own first episode.
+#[test]
+fn candidate_streams_are_dense_and_carry_the_running_maximum() {
+    let policy =
+        std::env::temp_dir().join(format!("rlp-facade-{}-stream.policy", std::process::id()));
+    let policy = policy.display().to_string();
+    FloorplanRequest::builder()
+        .system(synthetic_case(1))
+        .method(tiny_rl_method(false))
+        .thermal(tiny_fast_backend())
+        .budget(Budget::Evaluations(2))
+        .seed(5)
+        .save_policy(policy.clone())
+        .build()
+        .unwrap()
+        .solve()
+        .expect("training run saves a policy");
+
+    let quick_gradient = Method::Gradient {
+        config: GradientConfig {
+            iterations: 30,
+            ..GradientConfig::default()
+        },
+    };
+    let cases = [
+        ("sa", Method::sa(), 60),
+        ("gradient", quick_gradient, 30),
+        ("rl", tiny_rl_method(false), 4),
+        ("rl-rnd", tiny_rl_method(true), 4),
+        ("pretrained", Method::pretrained(policy.clone()), 1),
+    ];
+    for (name, method, budget) in cases {
+        let solve = |warm_start: bool| {
+            FloorplanRequest::builder()
+                .system(synthetic_case(2))
+                .method(method.clone())
+                .thermal(tiny_fast_backend())
+                .budget(Budget::Evaluations(budget))
+                .seed(11)
+                .warm_start(warm_start)
+                .build()
+                .unwrap()
+                .solve()
+                .unwrap_or_else(|err| panic!("{name}: {err}"))
+        };
+        let (cold, warm) = (solve(false), solve(true));
+        for (context, outcome) in [("cold", &cold), ("warm", &warm)] {
+            let stream = &outcome.telemetry;
+            assert!(!stream.is_empty(), "{name} {context}: nothing streamed");
+            let mut best = stream[0].reward;
+            for (i, sample) in stream.iter().enumerate() {
+                assert_eq!(sample.index, i, "{name} {context}: index {i}");
+                if sample.reward > best {
+                    best = sample.reward;
+                }
+                assert_eq!(
+                    sample.best_reward.to_bits(),
+                    best.to_bits(),
+                    "{name} {context}: best_reward at {i}"
+                );
+            }
+        }
+        if name.starts_with("rl") {
+            assert_eq!(
+                cold.telemetry, warm.telemetry,
+                "{name}: warm start seeded the stream"
+            );
+            assert!(warm.breakdown.reward >= cold.breakdown.reward, "{name}");
+        }
+    }
+    let _ = std::fs::remove_file(&policy);
+}
+
 #[test]
 fn a_wire_request_with_unusable_characterisation_options_is_an_error_not_a_panic() {
     let request = FloorplanRequest::builder()
