@@ -37,12 +37,12 @@ use rlp_chiplet::Placement;
 use rlp_nn::{Categorical, PolicyError, PolicyFile};
 use rlp_obs::OnCandidate;
 use rlp_rl::{ConfigError, Environment};
-use rlp_sa::{EvalCounts, EvalMode, InitialPlacementError, SaConfig, SaPlanner};
+use rlp_sa::{EvalCounts, EvalMode, InitialPlacementError, SaConfig, SaPlanner, SearchRun};
 use rlp_thermal::{AnyThermalAnalyzer, ThermalError};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Errors produced while solving a [`FloorplanRequest`].
 #[derive(Debug, Clone, PartialEq)]
@@ -487,7 +487,7 @@ fn run_pretrained(
     // method's `seed`, so the whole solve stays deterministic. The first
     // rollout that produces a finite placement wins; only completed
     // episodes reach the reward pipeline, and `evaluations` counts those.
-    let start = Instant::now();
+    let mut search = SearchRun::new(None, None, on_candidate);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut full_evals = 0usize;
     for attempt in 0..=PRETRAINED_FALLBACK_ROLLOUTS {
@@ -519,9 +519,9 @@ fn run_pretrained(
             break;
         }
     }
-    let runtime = start.elapsed();
+    let runtime = search.elapsed();
     let breakdown = env.last_breakdown().ok_or(PlanError::Incomplete)?;
-    on_candidate(0, breakdown.reward, breakdown.reward);
+    search.record(breakdown.reward);
     Ok(EngineRun {
         placement: env.placement().clone(),
         breakdown,

@@ -62,6 +62,7 @@ use rlp_chiplet::wirelength::total_wirelength;
 use rlp_chiplet::{ChipletId, ChipletSystem, Placement, PlacementGrid, Point, Rotation};
 use rlp_obs::OnCandidate;
 use rlp_rl::ConfigError;
+use rlp_sa::SearchRun;
 use rlp_thermal::ThermalAnalyzer;
 use std::time::{Duration, Instant};
 
@@ -288,8 +289,8 @@ impl<A: ThermalAnalyzer> GradientDescent<A> {
         &self,
         on_candidate: &mut OnCandidate<'_>,
     ) -> Result<GradientResult, GradientStalled> {
-        let start = Instant::now();
         let cfg = &self.config;
+        let mut search = SearchRun::new(cfg.max_evaluations, cfg.time_budget, on_candidate);
         let system = self.reward.system();
         let n = system.chiplet_count();
         let grid = PlacementGrid::new(cfg.grid.0, cfg.grid.1);
@@ -303,9 +304,7 @@ impl<A: ThermalAnalyzer> GradientDescent<A> {
         // one evaluation, so an evaluation cap below `iterations`
         // effectively shortens the run. The last third of the budget is
         // reserved for the discrete polish pass below.
-        let effective_iterations = cfg
-            .iterations
-            .min(cfg.max_evaluations.unwrap_or(usize::MAX));
+        let effective_iterations = search.capped(cfg.iterations);
         let probe_iterations = (effective_iterations - effective_iterations / 3).max(1);
         let per_start = probe_iterations.div_ceil(cfg.restarts).max(1);
         let mut wl_grad = vec![Point::new(0.0, 0.0); n];
@@ -326,7 +325,6 @@ impl<A: ThermalAnalyzer> GradientDescent<A> {
         });
 
         let mut best: Option<(Placement, RewardBreakdown)> = None;
-        let mut evaluations = 0usize;
         let mut iterations_run = 0usize;
         let mut converged = false;
         let lambda = self.reward.config().lambda;
@@ -345,15 +343,7 @@ impl<A: ThermalAnalyzer> GradientDescent<A> {
                 let mut v = vec![Point::new(0.0, 0.0); n];
 
                 for iteration in 0..per_start {
-                    if iterations_run == next_probe_target {
-                        break 'starts;
-                    }
-                    if let Some(budget) = cfg.time_budget {
-                        if start.elapsed() > budget {
-                            break 'starts;
-                        }
-                    }
-                    if Some(evaluations) == cfg.max_evaluations {
+                    if iterations_run == next_probe_target || search.exhausted() {
                         break 'starts;
                     }
                     let step_started = obs.as_ref().map(|_| Instant::now());
@@ -401,20 +391,9 @@ impl<A: ThermalAnalyzer> GradientDescent<A> {
                     // 3. Legalise onto the shared grid and score exactly.
                     if let Some(placement) = self.legalize(&grid, &centers, &footprints) {
                         if let Ok(breakdown) = self.reward.evaluate(&placement) {
-                            let index = evaluations;
-                            evaluations += 1;
-                            let improved = best
-                                .as_ref()
-                                .map(|(_, b)| breakdown.reward > b.reward)
-                                .unwrap_or(true);
-                            if improved {
+                            if search.record(breakdown.reward) {
                                 best = Some((placement, breakdown));
                             }
-                            let best_reward = best
-                                .as_ref()
-                                .map(|(_, b)| b.reward)
-                                .expect("best was just set or already better");
-                            on_candidate(index, breakdown.reward, best_reward);
                         }
                     }
 
@@ -496,15 +475,8 @@ impl<A: ThermalAnalyzer> GradientDescent<A> {
                             let Some((cell, rotation, _)) = candidate else {
                                 continue;
                             };
-                            if iterations_run == cfg.iterations
-                                || Some(evaluations) == cfg.max_evaluations
-                            {
+                            if iterations_run == cfg.iterations || search.exhausted() {
                                 break 'polish;
-                            }
-                            if let Some(budget) = cfg.time_budget {
-                                if start.elapsed() > budget {
-                                    break 'polish;
-                                }
                             }
                             iterations_run += 1;
                             let mut trial = current.clone();
@@ -517,20 +489,9 @@ impl<A: ThermalAnalyzer> GradientDescent<A> {
                             let Ok(b) = self.reward.evaluate(&trial) else {
                                 continue;
                             };
-                            let index = evaluations;
-                            evaluations += 1;
-                            let better_than_best = best
-                                .as_ref()
-                                .map(|(_, bb)| b.reward > bb.reward)
-                                .unwrap_or(true);
-                            if better_than_best {
+                            if search.record(b.reward) {
                                 best = Some((trial.clone(), b));
                             }
-                            let best_reward = best
-                                .as_ref()
-                                .map(|(_, bb)| bb.reward)
-                                .expect("best was just set or already better");
-                            on_candidate(index, b.reward, best_reward);
                             if b.reward > current_reward {
                                 current_reward = b.reward;
                                 current = trial;
@@ -582,32 +543,14 @@ impl<A: ThermalAnalyzer> GradientDescent<A> {
                             }
                         }
                         if let Some((trial, _)) = swap {
-                            if iterations_run == cfg.iterations
-                                || Some(evaluations) == cfg.max_evaluations
-                            {
+                            if iterations_run == cfg.iterations || search.exhausted() {
                                 break 'polish;
-                            }
-                            if let Some(budget) = cfg.time_budget {
-                                if start.elapsed() > budget {
-                                    break 'polish;
-                                }
                             }
                             iterations_run += 1;
                             if let Ok(b) = self.reward.evaluate(&trial) {
-                                let index = evaluations;
-                                evaluations += 1;
-                                let better_than_best = best
-                                    .as_ref()
-                                    .map(|(_, bb)| b.reward > bb.reward)
-                                    .unwrap_or(true);
-                                if better_than_best {
+                                if search.record(b.reward) {
                                     best = Some((trial.clone(), b));
                                 }
-                                let best_reward = best
-                                    .as_ref()
-                                    .map(|(_, bb)| bb.reward)
-                                    .expect("best was just set or already better");
-                                on_candidate(index, b.reward, best_reward);
                                 if b.reward > current_reward {
                                     current_reward = b.reward;
                                     current = trial;
@@ -626,13 +569,8 @@ impl<A: ThermalAnalyzer> GradientDescent<A> {
                     .unwrap_or(last_polished);
             }
 
-            if iterations_run >= cfg.iterations || Some(evaluations) == cfg.max_evaluations {
+            if iterations_run >= cfg.iterations || search.exhausted() {
                 break 'rounds;
-            }
-            if let Some(budget) = cfg.time_budget {
-                if start.elapsed() > budget {
-                    break 'rounds;
-                }
             }
             next_probe_target = (iterations_run + per_start).min(cfg.iterations);
         }
@@ -648,10 +586,10 @@ impl<A: ThermalAnalyzer> GradientDescent<A> {
         Ok(GradientResult {
             best_placement,
             best_breakdown,
-            evaluations,
+            evaluations: search.evaluations(),
             iterations_run,
             converged,
-            runtime: start.elapsed(),
+            runtime: search.elapsed(),
         })
     }
 

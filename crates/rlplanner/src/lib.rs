@@ -121,9 +121,10 @@ pub use rlp_rl::ConfigError;
 // policy files/errors without depending on `rlp_nn` directly.
 pub use rlp_nn::{PolicyError, PolicyFile, POLICY_SCHEMA};
 
-// Re-exported so reward/outcome telemetry types can be named without
-// depending on `rlp_sa` directly.
-pub use rlp_sa::{EvalCounts, EvalMode};
+// Re-exported so reward/outcome telemetry types and the stop rule and
+// candidate stream every engine runs on can be named without depending on
+// `rlp_sa` directly.
+pub use rlp_sa::{EvalCounts, EvalMode, SearchRun};
 
 // Re-exported so facade users can share characterisations across requests
 // and read outcome telemetry without depending on `rlp_thermal` directly.

@@ -128,89 +128,3 @@ pub struct FloorplanOutcome {
     /// Reproducibility manifest of the run.
     pub manifest: RunManifest,
 }
-
-impl FloorplanOutcome {
-    /// Mean reward over the last `window` telemetry samples (or all of them
-    /// if fewer); a cheap convergence indicator. Returns negative infinity
-    /// when there is nothing to average (empty telemetry or a zero window).
-    pub fn recent_mean_reward(&self, window: usize) -> f64 {
-        tail_mean(&self.telemetry, window, |s| s.reward)
-    }
-}
-
-/// Mean of `reward` over the last `window` elements of `values` (or all of
-/// them if fewer); negative infinity when there is nothing to average.
-/// Shared by [`FloorplanOutcome`] and [`crate::TrainingResult`].
-pub(crate) fn tail_mean<T>(values: &[T], window: usize, reward: impl Fn(&T) -> f64) -> f64 {
-    if values.is_empty() || window == 0 {
-        return f64::NEG_INFINITY;
-    }
-    let tail = &values[values.len().saturating_sub(window)..];
-    tail.iter().map(reward).sum::<f64>() / tail.len() as f64
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn outcome_with_rewards(rewards: &[f64]) -> FloorplanOutcome {
-        let mut best = f64::NEG_INFINITY;
-        let telemetry: Vec<TelemetrySample> = rewards
-            .iter()
-            .enumerate()
-            .map(|(index, &reward)| {
-                best = best.max(reward);
-                TelemetrySample {
-                    index,
-                    reward,
-                    best_reward: best,
-                }
-            })
-            .collect();
-        FloorplanOutcome {
-            placement: Placement::new(0),
-            breakdown: RewardBreakdown {
-                reward: best,
-                wirelength_mm: 1.0,
-                max_temperature_c: 50.0,
-                eval_mode: EvalMode::Full,
-            },
-            evaluations: telemetry.len(),
-            evaluation: EvalTelemetry {
-                mode: EvalMode::Full,
-                counts: EvalCounts {
-                    full: telemetry.len(),
-                    incremental: 0,
-                },
-            },
-            training: None,
-            telemetry,
-            runtime: Duration::from_millis(1),
-            thermal_prep: ThermalPrep::default(),
-            manifest: RunManifest {
-                system_name: "t".to_string(),
-                chiplet_count: 0,
-                method: Method::rl(),
-                thermal: ThermalBackend::fast(),
-                reward: RewardConfig::default(),
-                seed: 0,
-                warm_start: false,
-            },
-        }
-    }
-
-    #[test]
-    fn recent_mean_reward_averages_the_tail() {
-        let outcome = outcome_with_rewards(&[-4.0, -2.0, -1.0, -3.0]);
-        assert!((outcome.recent_mean_reward(2) - (-2.0)).abs() < 1e-12);
-        assert!((outcome.recent_mean_reward(100) - (-2.5)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_telemetry_and_zero_window_report_negative_infinity() {
-        let outcome = outcome_with_rewards(&[]);
-        assert_eq!(outcome.recent_mean_reward(5), f64::NEG_INFINITY);
-        let outcome = outcome_with_rewards(&[-1.0]);
-        assert_eq!(outcome.recent_mean_reward(0), f64::NEG_INFINITY);
-    }
-}

@@ -10,6 +10,7 @@ use rlp_rl::{
     ConfigError, Environment, PpoAgent, PpoConfig, RandomNetworkDistillation, RolloutBuffer,
     VecEnvPool,
 };
+use rlp_sa::SearchRun;
 use rlp_thermal::ThermalAnalyzer;
 use std::time::{Duration, Instant};
 
@@ -127,8 +128,6 @@ pub struct TrainingResult {
     pub best_placement: Placement,
     /// Reward breakdown of the best placement.
     pub best_breakdown: RewardBreakdown,
-    /// Episode rewards in training order.
-    pub reward_history: Vec<f64>,
     /// Number of episodes actually run (may be fewer than configured when a
     /// time budget is set).
     pub episodes_run: usize,
@@ -143,15 +142,6 @@ pub struct TrainingResult {
     /// rollout buffer. Fixed seed + fixed `parallel_envs` always reproduce
     /// the same hash, making merge-order regressions visible in telemetry.
     pub merge_order_hash: u64,
-}
-
-impl TrainingResult {
-    /// Mean reward over the last `window` episodes (or all of them if
-    /// fewer). Returns negative infinity when there is nothing to average
-    /// (no episodes or a zero window).
-    pub fn recent_mean_reward(&self, window: usize) -> f64 {
-        crate::outcome::tail_mean(&self.reward_history, window, |&r| r)
-    }
 }
 
 /// The RLPlanner: a PPO agent training on a pool of floorplanning
@@ -243,12 +233,12 @@ impl<A: ThermalAnalyzer + Clone + Send> RlPlanner<A> {
         initial: Option<(Placement, RewardBreakdown)>,
         on_candidate: &mut OnCandidate<'_>,
     ) -> Result<TrainingResult, TrainingStalled> {
-        let start = Instant::now();
-        let mut reward_history = Vec::with_capacity(self.config.episodes);
+        // Episode rewards are the candidate stream; the best artifact is kept
+        // apart from it, because a warm start seeds the artifact but not the
+        // stream and an incomplete episode has a reward but no artifact.
+        let mut search = SearchRun::new(None, self.config.time_budget, on_candidate);
         let mut best: Option<(Placement, RewardBreakdown)> = initial;
-        let mut best_episode_reward = f64::NEG_INFINITY;
         let mut buffer = RolloutBuffer::new();
-        let mut episodes_run = 0usize;
         let mut merge_order_hash = FNV_OFFSET;
 
         // Handles resolve once per training run; per-env utilisation gets
@@ -270,13 +260,9 @@ impl<A: ThermalAnalyzer + Clone + Send> RlPlanner<A> {
             )
         });
 
-        while episodes_run < self.config.episodes {
-            if let Some(budget) = self.config.time_budget {
-                if start.elapsed() > budget {
-                    break;
-                }
-            }
-            let batch = (self.config.episodes - episodes_run).min(self.config.episodes_per_update);
+        while search.evaluations() < self.config.episodes && !search.exhausted() {
+            let batch =
+                (self.config.episodes - search.evaluations()).min(self.config.episodes_per_update);
             buffer.clear();
             let collect_started = obs.as_ref().map(|_| Instant::now());
             let reports = self.agent.collect_episodes_parallel(
@@ -298,13 +284,9 @@ impl<A: ThermalAnalyzer + Clone + Send> RlPlanner<A> {
                 }
             }
             for report in reports {
-                let index = episodes_run;
-                episodes_run += 1;
                 merge_order_hash = fnv1a_mix(merge_order_hash, report.episode);
                 merge_order_hash = fnv1a_mix(merge_order_hash, report.env as u64);
-                reward_history.push(report.reward);
-                best_episode_reward = best_episode_reward.max(report.reward);
-                on_candidate(index, report.reward, best_episode_reward);
+                search.record(report.reward);
                 if let Some((placement, breakdown)) = report.artifact {
                     let is_better = best
                         .as_ref()
@@ -329,12 +311,12 @@ impl<A: ThermalAnalyzer + Clone + Send> RlPlanner<A> {
             }
         }
 
-        let runtime = start.elapsed();
+        let runtime = search.elapsed();
+        let episodes_run = search.evaluations();
         let (best_placement, best_breakdown) = best.ok_or(TrainingStalled)?;
         Ok(TrainingResult {
             best_placement,
             best_breakdown,
-            reward_history,
             episodes_run,
             runtime,
             parallel_envs: self.config.parallel_envs,
@@ -443,6 +425,17 @@ mod tests {
         planner.train(None, &mut |_, _, _| {}).unwrap()
     }
 
+    /// Trains and returns the result with the streamed episode rewards.
+    fn train_recording<A: ThermalAnalyzer + Clone + Send>(
+        planner: &mut RlPlanner<A>,
+    ) -> (TrainingResult, Vec<f64>) {
+        let mut rewards = Vec::new();
+        let result = planner
+            .train(None, &mut |_, reward, _| rewards.push(reward))
+            .unwrap();
+        (result, rewards)
+    }
+
     fn quick_config(episodes: usize, use_rnd: bool) -> RlPlannerConfig {
         RlPlannerConfig {
             episodes,
@@ -473,16 +466,16 @@ mod tests {
             quick_config(12, false),
         )
         .unwrap();
-        let result = train_silently(&mut planner);
+        let (result, rewards) = train_recording(&mut planner);
         assert_eq!(result.episodes_run, 12);
-        assert_eq!(result.reward_history.len(), 12);
+        assert_eq!(rewards.len(), 12);
+        assert!(rewards.iter().all(|reward| reward.is_finite()));
         assert!(result.best_placement.is_complete());
         assert!(system
             .validate_placement(&result.best_placement, 0.2)
             .is_ok());
         assert!(result.best_breakdown.reward < 0.0);
         assert!(result.best_breakdown.wirelength_mm > 0.0);
-        assert!(result.recent_mean_reward(4).is_finite());
     }
 
     #[test]
@@ -544,12 +537,8 @@ mod tests {
                 },
             )
             .unwrap();
-            let result = train_silently(&mut planner);
-            (
-                result.best_placement,
-                result.best_breakdown,
-                result.reward_history,
-            )
+            let (result, rewards) = train_recording(&mut planner);
+            (result.best_placement, result.best_breakdown, rewards)
         };
         for use_rnd in [false, true] {
             let serial = train(1, use_rnd);
@@ -655,11 +644,12 @@ mod tests {
             })
             .unwrap();
         assert_eq!(episodes.len(), result.episodes_run);
-        // The streamed rewards match the recorded history, and the
-        // best-so-far series is monotone non-decreasing.
-        for (i, &(reward, _)) in episodes.iter().enumerate() {
-            assert_eq!(reward, result.reward_history[i]);
+        // The best-so-far series is the running maximum of the streamed
+        // rewards.
+        let mut best = f64::NEG_INFINITY;
+        for &(reward, best_reward) in &episodes {
+            best = best.max(reward);
+            assert_eq!(best_reward, best);
         }
-        assert!(episodes.windows(2).all(|w| w[1].1 >= w[0].1));
     }
 }

@@ -12,6 +12,7 @@ use crate::moves::{
     apply_move_in_place, propose_move, random_initial_placement, undo_move, InitialPlacementError,
 };
 use crate::objective::{DeltaObjective, EvalCounts, EvalMode};
+use crate::search::SearchRun;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -201,7 +202,11 @@ impl SaPlanner {
         objective: &mut dyn DeltaObjective,
         on_candidate: &mut OnCandidate<'_>,
     ) -> Result<SaResult, InitialPlacementError> {
-        let started = Instant::now();
+        let search = SearchRun::new(
+            self.config.max_evaluations,
+            self.config.time_budget,
+            on_candidate,
+        );
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
         let grid = PlacementGrid::new(self.config.grid.0, self.config.grid.1);
         let warm = start.filter(|initial| {
@@ -215,7 +220,7 @@ impl SaPlanner {
             Some(initial) => initial,
             None => self.random_start(&grid, &mut rng)?,
         };
-        Ok(self.anneal_from(started, rng, grid, current, objective, on_candidate))
+        Ok(self.anneal_from(search, rng, grid, current, objective))
     }
 
     /// Draws a random initial placement. The constructor places chiplets
@@ -241,20 +246,17 @@ impl SaPlanner {
     /// fixed.
     fn anneal_from(
         &self,
-        start: Instant,
+        mut search: SearchRun<'_>,
         mut rng: ChaCha8Rng,
         grid: PlacementGrid,
         mut current: Placement,
         objective: &mut dyn DeltaObjective,
-        on_candidate: &mut OnCandidate<'_>,
     ) -> SaResult {
         let mut current_objective = objective.reset(&current);
         let initial_objective = current_objective;
         let mut best = current.clone();
-        let mut best_objective = current_objective;
-        let mut evaluations = 1usize;
         let mut accepted_moves = 0usize;
-        on_candidate(0, current_objective, best_objective);
+        search.record(current_objective);
 
         // Metrics handles are resolved once per run; the hot loop then pays
         // one branch on a local when metrics are off, and never perturbs the
@@ -272,15 +274,8 @@ impl SaPlanner {
         let mut temperature = self.config.initial_temperature;
         'outer: while temperature > self.config.final_temperature {
             for _ in 0..self.config.moves_per_temperature {
-                if let Some(budget) = self.config.time_budget {
-                    if start.elapsed() > budget {
-                        break 'outer;
-                    }
-                }
-                if let Some(max_evals) = self.config.max_evaluations {
-                    if evaluations >= max_evals {
-                        break 'outer;
-                    }
+                if search.exhausted() {
+                    break 'outer;
                 }
                 let move_started = obs.as_ref().map(|_| Instant::now());
                 let candidate_move = propose_move(&self.system, &grid, &mut rng);
@@ -297,17 +292,12 @@ impl SaPlanner {
                     continue;
                 };
                 let candidate_objective = objective.propose(&current, undo.changed());
-                evaluations += 1;
                 let delta = candidate_objective - current_objective;
                 let accept = delta >= 0.0 || rng.gen::<f64>() < (delta / temperature).exp();
                 if accept {
                     objective.commit();
                     current_objective = candidate_objective;
                     accepted_moves += 1;
-                    if current_objective > best_objective {
-                        best_objective = current_objective;
-                        best = current.clone();
-                    }
                 } else {
                     objective.reject();
                     undo_move(&mut current, &undo);
@@ -321,11 +311,16 @@ impl SaPlanner {
                         move_eval_ns.record_duration(at.elapsed());
                     }
                 }
-                on_candidate(evaluations - 1, candidate_objective, best_objective);
+                // Only an accepted move can beat the best: it beats the
+                // current objective too, so `accept` held.
+                if search.record(candidate_objective) {
+                    best = current.clone();
+                }
             }
             temperature *= self.config.cooling_rate;
         }
 
+        let evaluations = search.evaluations();
         let eval_counts = match objective.evaluation_mode() {
             EvalMode::Incremental => EvalCounts {
                 full: 1,
@@ -348,12 +343,12 @@ impl SaPlanner {
         }
         SaResult {
             best_placement: best,
-            best_objective,
+            best_objective: search.best_reward().unwrap_or(initial_objective),
             initial_objective,
             evaluations,
             eval_counts,
             accepted_moves,
-            runtime: start.elapsed(),
+            runtime: search.elapsed(),
         }
     }
 }

@@ -26,7 +26,9 @@
 pub mod anneal;
 pub mod moves;
 pub mod objective;
+pub mod search;
 
 pub use anneal::{SaConfig, SaConfigError, SaPlanner, SaResult};
 pub use moves::{InitialPlacementError, Move, MoveUndo};
 pub use objective::{DeltaObjective, EvalCounts, EvalMode, Objective};
+pub use search::SearchRun;
