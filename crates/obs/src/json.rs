@@ -693,8 +693,10 @@ decode! {
         _ => None,
     };
     String, "a string", |v| v.as_str().map(str::to_string);
+    // Negative, non-finite and too-long durations (above ~1.8e19 s) are
+    // refused, not a panic.
     Duration, "a non-negative duration", |v| {
-        f64::decode(v).filter(|s| s.is_finite() && *s >= 0.0).map(Duration::from_secs_f64)
+        f64::decode(v).and_then(|s| Duration::try_from_secs_f64(s).ok())
     };
 }
 
@@ -805,11 +807,25 @@ mod tests {
         let decode = |text: &str| Value::parse(text).unwrap();
         assert_eq!(Duration::decode(&decode("-1")), None);
         assert_eq!(Duration::decode(&decode("null")), None);
+        assert_eq!(Duration::decode(&decode("0")), Some(Duration::ZERO));
         assert_eq!(<(usize, usize)>::decode(&decode("[1, 2, 3]")), None);
         assert_eq!(<(usize, usize)>::decode(&decode("[1, -2]")), None);
         assert_eq!(Vec::<f64>::decode(&decode("[1, \"x\"]")), None);
         assert_eq!(String::decode(&decode("3")), None);
         assert_eq!(<Vec<u64>>::EXPECTED, "an array");
+    }
+
+    #[test]
+    fn durations_too_long_to_represent_are_refused_not_a_panic() {
+        for text in ["1e300", "2e19", "1e999"] {
+            let value = Value::parse(text).unwrap();
+            assert_eq!(Duration::decode(&value), None, "{text}");
+        }
+        let longest = Value::parse("1e19").unwrap();
+        assert_eq!(
+            Duration::decode(&longest),
+            Some(Duration::from_secs(10_000_000_000_000_000_000))
+        );
     }
 
     #[test]

@@ -753,6 +753,34 @@ mod tests {
     }
 
     #[test]
+    fn durations_too_long_to_represent_are_named_errors_not_panics() {
+        use crate::report::request_json;
+        let request = FloorplanRequest::builder()
+            .system(demo_system())
+            .method(Method::rl())
+            .build()
+            .unwrap();
+        let json = request_json(&request);
+        for (needle, replacement, field) in [
+            (
+                "\"budget\": null",
+                "\"budget\": { \"time_limit_s\": 1e300 }",
+                "`budget.time_limit_s`",
+            ),
+            (
+                "\"time_budget_s\": null",
+                "\"time_budget_s\": 1e300",
+                "`method.time_budget_s`",
+            ),
+        ] {
+            let doc = json.replace(needle, replacement);
+            assert_ne!(doc, json, "replacement `{needle}` did not apply");
+            let error = request_from_json(&doc).unwrap_err();
+            assert!(error.to_string().contains(field), "{field}: {error}");
+        }
+    }
+
+    #[test]
     fn missing_and_malformed_fields_are_named_in_errors() {
         let sys = demo_system();
         let error =

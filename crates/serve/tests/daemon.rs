@@ -364,6 +364,40 @@ fn an_anneal_that_never_cools_is_refused_and_the_only_worker_stays_free() {
 }
 
 #[test]
+fn a_duration_too_long_to_represent_is_an_error_frame_and_the_connection_serves_on() {
+    let request = named_request("case1", "sa-fast", 40);
+    let document = request_json(&request);
+    // `1e300` seconds is finite but beyond `Duration`: decoding it used to
+    // panic on the connection thread, so the client got no answer at all.
+    let budget = "\"budget\": { \"evaluations\": 40 }";
+    assert!(document.contains(budget));
+    let hostile = document.replace(budget, "\"budget\": { \"time_limit_s\": 1e300 }");
+
+    let (addr, server) = start_server(1, 2);
+    let mut client = ServeClient::connect(addr).expect("connect");
+    match client.submit(&hostile, 0) {
+        Err(ClientError::Remote(message)) => {
+            assert!(message.contains("`budget.time_limit_s`"), "{message}")
+        }
+        other => panic!("daemon admitted an unrepresentable time limit: {other:?}"),
+    }
+    // An honest job on the same connection completes, byte-identical to the
+    // direct solve.
+    let Submit::Accepted(job) = client.submit(&document, 0).expect("submit") else {
+        panic!("empty daemon rejected a solve");
+    };
+    let result = client.wait_outcome(job).expect("honest job completes");
+    let direct = outcome_json(request.system(), &request.solve().expect("direct solve"));
+    assert_eq!(
+        deterministic_projection(&canonical(&result.outcome, request.system())),
+        deterministic_projection(&direct)
+    );
+
+    client.shutdown().expect("shutdown ack");
+    server.join().expect("server thread").expect("clean exit");
+}
+
+#[test]
 fn metrics_rpc_exposes_a_job_timeline_and_frames_carry_timings() {
     use rlp_serve::protocol::{self, ClientMessage};
     use rlplanner::minijson::Value;
