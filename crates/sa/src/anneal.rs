@@ -115,6 +115,9 @@ impl SaConfig {
         if !(self.min_spacing_mm >= 0.0 && self.min_spacing_mm.is_finite()) {
             return Err(SaConfigError::MinSpacing(self.min_spacing_mm));
         }
+        if self.max_evaluations == Some(0) {
+            return invalid("max_evaluations must be positive");
+        }
         Ok(())
     }
 }
@@ -587,6 +590,31 @@ mod tests {
             );
         }
         assert!(quick_config(0).validate().is_ok());
+    }
+
+    #[test]
+    fn a_zero_evaluation_cap_is_refused() {
+        // The initial placement is always evaluated, so a cap of 0 used to
+        // run one evaluation anyway.
+        let config = SaConfig {
+            max_evaluations: Some(0),
+            ..SaConfig::default()
+        };
+        assert_eq!(
+            config.validate(),
+            Err(SaConfigError::Invalid(
+                "max_evaluations must be positive".to_string()
+            ))
+        );
+        let one = SaConfig {
+            max_evaluations: Some(1),
+            ..quick_config(9)
+        };
+        let result = run_full(
+            &SaPlanner::new(connected_system(), one),
+            &|_: &Placement| 0.0,
+        );
+        assert_eq!(result.evaluations, 1);
     }
 
     #[test]

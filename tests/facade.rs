@@ -708,3 +708,28 @@ fn a_wire_sa_request_with_a_non_finite_temperature_is_refused_by_the_builder() {
         );
     }
 }
+
+#[test]
+fn a_wire_sa_request_with_a_zero_evaluation_cap_is_refused_by_the_builder() {
+    let request = FloorplanRequest::builder()
+        .system(synthetic_case(1))
+        .method(Method::sa())
+        .thermal(tiny_fast_backend())
+        .build()
+        .unwrap();
+    let json = rlplanner::report::request_json(&request);
+    let cap = "\"max_evaluations\": null";
+    assert!(
+        json.contains(cap) && json.contains("\"budget\": null"),
+        "{json}"
+    );
+    // The initial placement is always evaluated, so a cap of 0 was
+    // admitted and ran one evaluation.
+    let err = rlplanner::request_from_json(&json.replace(cap, "\"max_evaluations\": 0"))
+        .expect_err("the builder must refuse the request");
+    assert!(
+        err.to_string()
+            .contains("`sa` is invalid: max_evaluations must be positive"),
+        "{err}"
+    );
+}
