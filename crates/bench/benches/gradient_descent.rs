@@ -24,7 +24,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rlp_benchmarks::{SyntheticConfig, SyntheticSystemGenerator};
 use rlp_chiplet::smooth::smoothed_wirelength_gradient;
 use rlp_chiplet::{ChipletSystem, Point};
-use rlp_thermal::{CharacterizationOptions, FastThermalModel, ThermalConfig};
+use rlp_thermal::{AnyThermalAnalyzer, CharacterizationOptions, FastThermalModel, ThermalConfig};
 use rlplanner::{GradientConfig, GradientDescent, RewardConfig};
 use std::hint::black_box;
 
@@ -92,7 +92,7 @@ fn gradient_descent(c: &mut Criterion) {
         let system = system_with(n);
         let engine = GradientDescent::new(
             system.clone(),
-            quick_model(&system),
+            AnyThermalAnalyzer::Fast(quick_model(&system)),
             RewardConfig::default(),
             GradientConfig {
                 iterations: 60,

@@ -19,7 +19,7 @@ use rlp_bench::characterize_for;
 use rlp_benchmarks::{multi_gpu_system, synthetic_case};
 use rlp_nn::Tensor;
 use rlp_rl::{ActorCritic, PpoAgent, PpoConfig, RolloutBuffer, VecEnvPool};
-use rlp_thermal::{CharacterizationOptions, ThermalBackend, ThermalConfig};
+use rlp_thermal::{AnyThermalAnalyzer, CharacterizationOptions, ThermalBackend, ThermalConfig};
 use rlplanner::agent::{build_actor_critic, AgentConfig};
 use rlplanner::{
     EnvConfig, FloorplanEnv, FloorplanRequest, Method, PrebuiltThermal, PreloadedPolicy,
@@ -62,7 +62,7 @@ fn nn(c: &mut Criterion) {
 
 fn ppo(c: &mut Criterion) {
     let system = multi_gpu_system();
-    let analyzer = characterize_for(&system);
+    let analyzer = AnyThermalAnalyzer::Fast(characterize_for(&system));
     let envs = (0..2)
         .map(|_| {
             FloorplanEnv::new(

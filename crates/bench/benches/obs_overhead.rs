@@ -20,7 +20,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rlp_benchmarks::{SyntheticConfig, SyntheticSystemGenerator};
 use rlp_chiplet::ChipletSystem;
 use rlp_sa::{SaConfig, SaPlanner};
-use rlp_thermal::{CharacterizationOptions, FastThermalModel, ThermalConfig};
+use rlp_thermal::{AnyThermalAnalyzer, CharacterizationOptions, FastThermalModel, ThermalConfig};
 use rlplanner::{RewardCalculator, RewardConfig};
 use std::hint::black_box;
 
@@ -67,7 +67,7 @@ fn obs_overhead(c: &mut Criterion) {
     let system = system_with(4);
     let calc = RewardCalculator::new(
         system.clone(),
-        quick_model(&system),
+        AnyThermalAnalyzer::Fast(quick_model(&system)),
         RewardConfig::default(),
     );
     let planner = SaPlanner::new(system, short_anneal_config());

@@ -15,21 +15,21 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rlp_bench::characterize_for;
 use rlp_benchmarks::multi_gpu_system;
 use rlp_rl::{PpoAgent, RolloutBuffer, VecEnvPool};
-use rlp_thermal::FastThermalModel;
+use rlp_thermal::AnyThermalAnalyzer;
 use rlplanner::agent::{build_actor_critic, AgentConfig};
 use rlplanner::{EnvConfig, FloorplanEnv, RewardCalculator, RewardConfig};
 use std::hint::black_box;
 
 const EPISODES_PER_BATCH: usize = 8;
 
-fn rollout_pool(envs: usize) -> (PpoAgent, VecEnvPool<FloorplanEnv<FastThermalModel>>) {
+fn rollout_pool(envs: usize) -> (PpoAgent, VecEnvPool<FloorplanEnv>) {
     let system = multi_gpu_system();
-    let model = characterize_for(&system);
+    let model = AnyThermalAnalyzer::Fast(characterize_for(&system));
     let env_config = EnvConfig {
         grid: (16, 16),
         min_spacing_mm: 0.2,
     };
-    let pool: Vec<FloorplanEnv<FastThermalModel>> = (0..envs)
+    let pool: Vec<FloorplanEnv> = (0..envs)
         .map(|_| {
             FloorplanEnv::new(
                 RewardCalculator::new(system.clone(), model.clone(), RewardConfig::default()),

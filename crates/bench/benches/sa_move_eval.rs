@@ -19,7 +19,7 @@ use rlp_benchmarks::{SyntheticConfig, SyntheticSystemGenerator};
 use rlp_chiplet::{ChipletSystem, Placement, PlacementGrid};
 use rlp_sa::moves::{apply_move, apply_move_in_place, undo_move, Move};
 use rlp_sa::{DeltaObjective, Objective};
-use rlp_thermal::{CharacterizationOptions, FastThermalModel, ThermalConfig};
+use rlp_thermal::{AnyThermalAnalyzer, CharacterizationOptions, FastThermalModel, ThermalConfig};
 use rlplanner::{RewardCalculator, RewardConfig};
 use std::hint::black_box;
 
@@ -77,7 +77,7 @@ fn sa_move_eval(c: &mut Criterion) {
         let placement = rlp_bench::random_legal_placement(&system, 7);
         let calc = RewardCalculator::new(
             system.clone(),
-            quick_model(&system),
+            AnyThermalAnalyzer::Fast(quick_model(&system)),
             RewardConfig::default(),
         );
         let (candidate, _) = probe_move(&system, &grid, &placement);

@@ -13,7 +13,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rlp_bench::{characterize_for, first_fit_placement, harness_thermal_config};
 use rlp_benchmarks::standard_benchmarks;
 use rlp_rl::{Environment, PpoAgent, RolloutBuffer};
-use rlp_thermal::GridThermalSolver;
+use rlp_thermal::{AnyThermalAnalyzer, GridThermalSolver};
 use rlplanner::{
     agent::build_actor_critic, AgentConfig, EnvConfig, FloorplanEnv, RewardCalculator, RewardConfig,
 };
@@ -26,12 +26,12 @@ fn reward_evaluation_cost(c: &mut Criterion) {
         let placement = first_fit_placement(&system);
         let grid_calc = RewardCalculator::new(
             system.clone(),
-            GridThermalSolver::new(harness_thermal_config()),
+            AnyThermalAnalyzer::Grid(GridThermalSolver::new(harness_thermal_config())),
             RewardConfig::default(),
         );
         let fast_calc = RewardCalculator::new(
             system.clone(),
-            characterize_for(&system),
+            AnyThermalAnalyzer::Fast(characterize_for(&system)),
             RewardConfig::default(),
         );
         group.bench_with_input(
@@ -54,7 +54,7 @@ fn rl_episode_cost(c: &mut Criterion) {
     for system in standard_benchmarks() {
         let calc = RewardCalculator::new(
             system.clone(),
-            characterize_for(&system),
+            AnyThermalAnalyzer::Fast(characterize_for(&system)),
             RewardConfig::default(),
         );
         let mut env = FloorplanEnv::new(calc, EnvConfig::default());

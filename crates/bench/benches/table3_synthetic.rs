@@ -13,7 +13,7 @@ use rlp_bench::{characterize_for, harness_thermal_config};
 use rlp_benchmarks::synthetic_cases;
 use rlp_rl::{Environment, PpoAgent, RolloutBuffer};
 use rlp_sa::{Objective, SaConfig, SaPlanner};
-use rlp_thermal::GridThermalSolver;
+use rlp_thermal::{AnyThermalAnalyzer, GridThermalSolver};
 use rlplanner::{
     agent::{build_actor_critic, build_rnd},
     AgentConfig, EnvConfig, FloorplanEnv, RewardCalculator, RewardConfig,
@@ -38,12 +38,12 @@ fn sa_burst_cost(c: &mut Criterion) {
     for system in synthetic_cases() {
         let fast_calc = RewardCalculator::new(
             system.clone(),
-            characterize_for(&system),
+            AnyThermalAnalyzer::Fast(characterize_for(&system)),
             RewardConfig::default(),
         );
         let grid_calc = RewardCalculator::new(
             system.clone(),
-            GridThermalSolver::new(harness_thermal_config()),
+            AnyThermalAnalyzer::Grid(GridThermalSolver::new(harness_thermal_config())),
             RewardConfig::default(),
         );
         group.bench_function(
@@ -79,7 +79,7 @@ fn rnd_episode_cost(c: &mut Criterion) {
     let system = synthetic_cases().remove(2);
     let calc = RewardCalculator::new(
         system.clone(),
-        characterize_for(&system),
+        AnyThermalAnalyzer::Fast(characterize_for(&system)),
         RewardConfig::default(),
     );
     let mut env = FloorplanEnv::new(calc, EnvConfig::default());

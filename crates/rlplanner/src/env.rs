@@ -20,7 +20,6 @@ use crate::reward::{RewardBreakdown, RewardCalculator};
 use rlp_chiplet::{ChipletId, Placement, PlacementGrid, Rotation};
 use rlp_nn::Tensor;
 use rlp_rl::{Environment, Observation, StepResult};
-use rlp_thermal::ThermalAnalyzer;
 
 /// Environment parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,8 +41,8 @@ impl Default for EnvConfig {
 
 /// The sequential chiplet placement environment.
 #[derive(Debug)]
-pub struct FloorplanEnv<A> {
-    reward: RewardCalculator<A>,
+pub struct FloorplanEnv {
+    reward: RewardCalculator,
     grid: PlacementGrid,
     config: EnvConfig,
     /// Placement order: chiplet ids sorted by decreasing area.
@@ -58,13 +57,13 @@ pub struct FloorplanEnv<A> {
     mask: Vec<bool>,
 }
 
-impl<A: ThermalAnalyzer> FloorplanEnv<A> {
+impl FloorplanEnv {
     /// Creates an environment around a reward calculator.
     ///
     /// # Panics
     ///
     /// Panics if the grid is empty or the system has no chiplets.
-    pub fn new(reward: RewardCalculator<A>, config: EnvConfig) -> Self {
+    pub fn new(reward: RewardCalculator, config: EnvConfig) -> Self {
         assert!(
             reward.system().chiplet_count() > 0,
             "the system must contain at least one chiplet"
@@ -108,7 +107,7 @@ impl<A: ThermalAnalyzer> FloorplanEnv<A> {
     }
 
     /// The reward calculator driving the final reward.
-    pub fn reward_calculator(&self) -> &RewardCalculator<A> {
+    pub fn reward_calculator(&self) -> &RewardCalculator {
         &self.reward
     }
 
@@ -177,7 +176,7 @@ impl<A: ThermalAnalyzer> FloorplanEnv<A> {
     }
 }
 
-impl<A: ThermalAnalyzer> Environment for FloorplanEnv<A> {
+impl Environment for FloorplanEnv {
     fn reset(&mut self) -> Observation {
         self.placement = Placement::for_system(self.reward.system());
         self.next_index = 0;
@@ -259,9 +258,9 @@ mod tests {
     use super::*;
     use crate::reward::RewardConfig;
     use rlp_chiplet::{Chiplet, ChipletSystem, Net};
-    use rlp_thermal::{GridThermalSolver, ThermalConfig};
+    use rlp_thermal::{AnyThermalAnalyzer, GridThermalSolver, ThermalConfig};
 
-    fn env() -> FloorplanEnv<GridThermalSolver> {
+    fn env() -> FloorplanEnv {
         let mut sys = ChipletSystem::new("t", 40.0, 40.0);
         let a = sys.add_chiplet(Chiplet::new("a", 10.0, 10.0, 30.0));
         let b = sys.add_chiplet(Chiplet::new("b", 6.0, 6.0, 10.0));
@@ -270,7 +269,7 @@ mod tests {
         sys.add_net(Net::new(b, c, 8));
         let calc = RewardCalculator::new(
             sys,
-            GridThermalSolver::new(ThermalConfig::with_grid(12, 12)),
+            AnyThermalAnalyzer::Grid(GridThermalSolver::new(ThermalConfig::with_grid(12, 12))),
             RewardConfig::default(),
         );
         FloorplanEnv::new(calc, EnvConfig::default())

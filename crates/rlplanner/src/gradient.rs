@@ -63,7 +63,7 @@ use rlp_chiplet::{ChipletId, ChipletSystem, Placement, PlacementGrid, Point, Rot
 use rlp_obs::OnCandidate;
 use rlp_rl::ConfigError;
 use rlp_sa::SearchRun;
-use rlp_thermal::ThermalAnalyzer;
+use rlp_thermal::{AnyThermalAnalyzer, ThermalAnalyzer};
 use std::time::{Duration, Instant};
 
 /// Configuration of the gradient placement engine.
@@ -242,12 +242,12 @@ pub struct GradientResult {
 
 /// The analytic-gradient placement engine; see the [module docs](self).
 #[derive(Debug, Clone)]
-pub struct GradientDescent<A> {
-    reward: RewardCalculator<A>,
+pub struct GradientDescent {
+    reward: RewardCalculator,
     config: GradientConfig,
 }
 
-impl<A: ThermalAnalyzer> GradientDescent<A> {
+impl GradientDescent {
     /// Creates an engine for a system, thermal backend and reward weights.
     ///
     /// # Errors
@@ -256,7 +256,7 @@ impl<A: ThermalAnalyzer> GradientDescent<A> {
     /// invalid.
     pub fn new(
         system: ChipletSystem,
-        analyzer: A,
+        analyzer: AnyThermalAnalyzer,
         reward_config: RewardConfig,
         config: GradientConfig,
     ) -> Result<Self, ConfigError> {
@@ -269,7 +269,7 @@ impl<A: ThermalAnalyzer> GradientDescent<A> {
     }
 
     /// The reward calculator (shared objective with SA and RL).
-    pub fn reward_calculator(&self) -> &RewardCalculator<A> {
+    pub fn reward_calculator(&self) -> &RewardCalculator {
         &self.reward
     }
 
@@ -791,18 +791,20 @@ mod tests {
         sys
     }
 
-    fn fast_model() -> FastThermalModel {
-        FastThermalModel::characterize(
-            &ThermalConfig::with_grid(12, 12),
-            36.0,
-            36.0,
-            &CharacterizationOptions {
-                footprint_samples_mm: vec![4.0, 8.0, 12.0],
-                distance_bins: 16,
-                ..CharacterizationOptions::default()
-            },
+    fn fast_model() -> AnyThermalAnalyzer {
+        AnyThermalAnalyzer::Fast(
+            FastThermalModel::characterize(
+                &ThermalConfig::with_grid(12, 12),
+                36.0,
+                36.0,
+                &CharacterizationOptions {
+                    footprint_samples_mm: vec![4.0, 8.0, 12.0],
+                    distance_bins: 16,
+                    ..CharacterizationOptions::default()
+                },
+            )
+            .unwrap(),
         )
-        .unwrap()
     }
 
     fn quick_config(seed: u64) -> GradientConfig {
@@ -877,7 +879,7 @@ mod tests {
         // legalise and improve using the wirelength force.
         let engine = GradientDescent::new(
             system(),
-            GridThermalSolver::new(ThermalConfig::with_grid(10, 10)),
+            AnyThermalAnalyzer::Grid(GridThermalSolver::new(ThermalConfig::with_grid(10, 10))),
             RewardConfig::default(),
             GradientConfig {
                 iterations: 20,
@@ -897,7 +899,7 @@ mod tests {
         sys.add_chiplet(Chiplet::new("a", 5.0, 5.0, 10.0));
         let engine = GradientDescent::new(
             sys,
-            GridThermalSolver::new(ThermalConfig::with_grid(8, 8)),
+            AnyThermalAnalyzer::Grid(GridThermalSolver::new(ThermalConfig::with_grid(8, 8))),
             RewardConfig::default(),
             quick_config(3),
         )

@@ -66,8 +66,8 @@
 //!
 //! * [`RewardCalculator`] — the thermal-aware reward
 //!   `R = −λ·W − µ·(max(T−T₀, 0))^α / (1 + e^−(T−T₀))` evaluated after
-//!   microbump assignment, with either thermal backend plugged in through
-//!   [`rlp_thermal::ThermalAnalyzer`].
+//!   microbump assignment, with either thermal backend plugged in as an
+//!   [`rlp_thermal::AnyThermalAnalyzer`].
 //! * [`FloorplanEnv`] — the chiplet floorplanning environment: chiplets are
 //!   placed sequentially on a grid, the state tensor carries occupancy,
 //!   power and feasibility channels, and infeasible cells are masked out of

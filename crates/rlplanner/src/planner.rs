@@ -11,7 +11,7 @@ use rlp_rl::{
     VecEnvPool,
 };
 use rlp_sa::SearchRun;
-use rlp_thermal::ThermalAnalyzer;
+use rlp_thermal::AnyThermalAnalyzer;
 use std::time::{Duration, Instant};
 
 /// Training-loop configuration.
@@ -151,14 +151,14 @@ pub struct TrainingResult {
 /// wrapping a clone of the (typically cache-served) thermal analyzer, so
 /// expensive characterisation still happens once upstream — see
 /// [`crate::PrebuiltThermal`].
-pub struct RlPlanner<A> {
-    pool: VecEnvPool<FloorplanEnv<A>>,
+pub struct RlPlanner {
+    pool: VecEnvPool<FloorplanEnv>,
     agent: PpoAgent,
     rnd: Option<RandomNetworkDistillation>,
     config: RlPlannerConfig,
 }
 
-impl<A: ThermalAnalyzer + Clone + Send> RlPlanner<A> {
+impl RlPlanner {
     /// Builds a planner for a system with the given thermal backend.
     ///
     /// # Errors
@@ -167,14 +167,14 @@ impl<A: ThermalAnalyzer + Clone + Send> RlPlanner<A> {
     /// invalid.
     pub fn new(
         system: ChipletSystem,
-        analyzer: A,
+        analyzer: AnyThermalAnalyzer,
         reward_config: RewardConfig,
         config: RlPlannerConfig,
     ) -> Result<Self, ConfigError> {
         config.validate()?;
         reward_config.validate()?;
         let reward = RewardCalculator::new(system, analyzer, reward_config);
-        let envs: Vec<FloorplanEnv<A>> = (0..config.parallel_envs)
+        let envs: Vec<FloorplanEnv> = (0..config.parallel_envs)
             .map(|_| FloorplanEnv::new(reward.clone(), config.env))
             .collect();
         let observation_shape = envs[0].observation_shape();
@@ -202,7 +202,7 @@ impl<A: ThermalAnalyzer + Clone + Send> RlPlanner<A> {
 
     /// The first pooled environment (e.g. to inspect the reward
     /// calculator); all pool members are interchangeable replicas.
-    pub fn env(&self) -> &FloorplanEnv<A> {
+    pub fn env(&self) -> &FloorplanEnv {
         &self.pool.envs()[0]
     }
 
@@ -381,7 +381,7 @@ fn fnv1a_mix(hash: u64, value: u64) -> u64 {
     hash
 }
 
-impl<A> std::fmt::Debug for RlPlanner<A> {
+impl std::fmt::Debug for RlPlanner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RlPlanner")
             .field("config", &self.config)
@@ -405,30 +405,28 @@ mod tests {
         sys
     }
 
-    fn fast_model(size: f64) -> FastThermalModel {
-        FastThermalModel::characterize(
-            &ThermalConfig::with_grid(12, 12),
-            size,
-            size,
-            &CharacterizationOptions {
-                footprint_samples_mm: vec![4.0, 8.0, 12.0],
-                distance_bins: 16,
-                ..CharacterizationOptions::default()
-            },
+    fn fast_model(size: f64) -> AnyThermalAnalyzer {
+        AnyThermalAnalyzer::Fast(
+            FastThermalModel::characterize(
+                &ThermalConfig::with_grid(12, 12),
+                size,
+                size,
+                &CharacterizationOptions {
+                    footprint_samples_mm: vec![4.0, 8.0, 12.0],
+                    distance_bins: 16,
+                    ..CharacterizationOptions::default()
+                },
+            )
+            .unwrap(),
         )
-        .unwrap()
     }
 
-    fn train_silently<A: ThermalAnalyzer + Clone + Send>(
-        planner: &mut RlPlanner<A>,
-    ) -> TrainingResult {
+    fn train_silently(planner: &mut RlPlanner) -> TrainingResult {
         planner.train(None, &mut |_, _, _| {}).unwrap()
     }
 
     /// Trains and returns the result with the streamed episode rewards.
-    fn train_recording<A: ThermalAnalyzer + Clone + Send>(
-        planner: &mut RlPlanner<A>,
-    ) -> (TrainingResult, Vec<f64>) {
+    fn train_recording(planner: &mut RlPlanner) -> (TrainingResult, Vec<f64>) {
         let mut rewards = Vec::new();
         let result = planner
             .train(None, &mut |_, reward, _| rewards.push(reward))

@@ -16,7 +16,7 @@ use rlp_chiplet::wirelength::bump_aware_wirelength;
 use rlp_chiplet::{ChipletId, ChipletSystem, IncrementalWirelength, Placement};
 use rlp_rl::ConfigError;
 use rlp_sa::{DeltaObjective, EvalMode, Objective};
-use rlp_thermal::{ThermalAnalyzer, ThermalError, ThermalState};
+use rlp_thermal::{AnyThermalAnalyzer, ThermalAnalyzer, ThermalError, ThermalState};
 
 /// Weights and limits of the reward function
 /// `R = −λ·W − µ·(max(T−T₀, 0))^α / (1 + e^−(T−T₀))`.
@@ -114,19 +114,19 @@ pub struct RewardBreakdown {
 /// backend — the grid solver for "(HotSpot)" rows and the fast model for
 /// "(Fast Thermal Model)" rows of the paper's tables.
 #[derive(Debug, Clone)]
-pub struct RewardCalculator<A> {
+pub struct RewardCalculator {
     system: ChipletSystem,
-    analyzer: A,
+    analyzer: AnyThermalAnalyzer,
     config: RewardConfig,
 }
 
-impl<A: ThermalAnalyzer> RewardCalculator<A> {
+impl RewardCalculator {
     /// Creates a calculator for a system and thermal backend.
     ///
     /// # Panics
     ///
     /// Panics if the reward configuration is invalid.
-    pub fn new(system: ChipletSystem, analyzer: A, config: RewardConfig) -> Self {
+    pub fn new(system: ChipletSystem, analyzer: AnyThermalAnalyzer, config: RewardConfig) -> Self {
         config.validate().expect("invalid reward configuration");
         Self {
             system,
@@ -146,7 +146,7 @@ impl<A: ThermalAnalyzer> RewardCalculator<A> {
     }
 
     /// The thermal backend.
-    pub fn analyzer(&self) -> &A {
+    pub fn analyzer(&self) -> &AnyThermalAnalyzer {
         &self.analyzer
     }
 
@@ -214,7 +214,7 @@ impl<A: ThermalAnalyzer> RewardCalculator<A> {
     /// A propose/commit/reject objective over this calculator — the
     /// [`rlp_sa::DeltaObjective`] implementation move-based optimisers run
     /// on. See [`DeltaRewardObjective`].
-    pub fn delta_objective(&self) -> DeltaRewardObjective<'_, A> {
+    pub fn delta_objective(&self) -> DeltaRewardObjective<'_> {
         DeltaRewardObjective {
             calc: self,
             mode: EvalMode::Full,
@@ -247,8 +247,8 @@ impl<A: ThermalAnalyzer> RewardCalculator<A> {
 /// the annealer's best-so-far tracking and saves the final re-evaluation
 /// of the best placement.
 #[derive(Debug)]
-pub struct DeltaRewardObjective<'a, A> {
-    calc: &'a RewardCalculator<A>,
+pub struct DeltaRewardObjective<'a> {
+    calc: &'a RewardCalculator,
     mode: EvalMode,
     wirelength: Option<IncrementalWirelength>,
     thermal: Option<ThermalState>,
@@ -257,7 +257,7 @@ pub struct DeltaRewardObjective<'a, A> {
     best: Option<RewardBreakdown>,
 }
 
-impl<A: ThermalAnalyzer> DeltaRewardObjective<'_, A> {
+impl DeltaRewardObjective<'_> {
     /// Which engine is evaluating (decided at [`DeltaObjective::reset`]).
     pub fn mode(&self) -> EvalMode {
         self.mode
@@ -284,7 +284,7 @@ impl<A: ThermalAnalyzer> DeltaRewardObjective<'_, A> {
     }
 }
 
-impl<A: ThermalAnalyzer> DeltaObjective for DeltaRewardObjective<'_, A> {
+impl DeltaObjective for DeltaRewardObjective<'_> {
     fn reset(&mut self, placement: &Placement) -> f64 {
         self.pending = None;
         self.best = None;
@@ -358,7 +358,7 @@ impl<A: ThermalAnalyzer> DeltaObjective for DeltaRewardObjective<'_, A> {
     }
 }
 
-impl<A: ThermalAnalyzer> Objective for RewardCalculator<A> {
+impl Objective for RewardCalculator {
     fn evaluate(&self, placement: &Placement) -> f64 {
         self.reward_or_penalty(placement)
     }
@@ -378,10 +378,10 @@ mod tests {
         sys
     }
 
-    fn calculator() -> RewardCalculator<GridThermalSolver> {
+    fn calculator() -> RewardCalculator {
         RewardCalculator::new(
             system(),
-            GridThermalSolver::new(ThermalConfig::with_grid(12, 12)),
+            AnyThermalAnalyzer::Grid(GridThermalSolver::new(ThermalConfig::with_grid(12, 12))),
             RewardConfig::default(),
         )
     }

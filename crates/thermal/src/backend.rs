@@ -1,12 +1,10 @@
 //! Data-driven thermal backend selection.
 //!
-//! The reward calculator and both optimisers are generic over
-//! [`crate::ThermalAnalyzer`], which keeps the hot paths monomorphised. At
-//! an API boundary, however, the backend choice should be *data* — a request
-//! says "grid" or "fast" and a factory builds the matching analyzer. This
-//! module provides exactly that: [`ThermalBackend`] is the plain-data
-//! description of a backend and [`AnyThermalAnalyzer`] the runtime-dispatched
-//! analyzer it builds into.
+//! The backend choice is *data*: a request says "grid" or "fast" and a
+//! factory builds the matching analyzer. [`ThermalBackend`] is the
+//! plain-data description of a backend and [`AnyThermalAnalyzer`] the
+//! runtime-dispatched analyzer it builds into, which the reward calculator
+//! and every optimiser hold.
 
 use crate::cache::{ThermalModelCache, ThermalPrep};
 use crate::config::ThermalConfig;
@@ -192,11 +190,10 @@ impl ThermalBackend {
 }
 
 /// A thermal analyzer whose backend was chosen at runtime: enum dispatch
-/// over the grid solver and the fast model.
+/// over the grid solver and the fast model (see [`ThermalBackend::build`]).
 ///
-/// Hot loops that know their backend statically should stay generic over
-/// [`ThermalAnalyzer`] instead; this type exists for API boundaries where
-/// the backend arrives as data (see [`ThermalBackend::build`]).
+/// This is the one analyzer type the reward calculator and the optimisers
+/// hold; the dispatch costs one `match` per thermal call.
 #[derive(Debug, Clone)]
 pub enum AnyThermalAnalyzer {
     /// A built grid solver.

@@ -115,9 +115,10 @@ pub(crate) fn fold_max(temps: impl IntoIterator<Item = f64>) -> f64 {
 
 /// Common interface of the slow (grid) and fast (LTI) thermal analyzers.
 ///
-/// Both the SA baseline and the RL reward calculator are generic over this
-/// trait, which is exactly the swap the paper performs between
-/// "TAP-2.5D (HotSpot)" and "TAP-2.5D (fast thermal model)".
+/// Swapping one implementation for the other is exactly the swap the paper
+/// performs between "TAP-2.5D (HotSpot)" and "TAP-2.5D (fast thermal
+/// model)". The optimisers hold the one runtime-dispatched implementation,
+/// [`AnyThermalAnalyzer`].
 pub trait ThermalAnalyzer {
     /// Steady-state temperature of every chiplet in degrees Celsius, indexed
     /// by chiplet id.

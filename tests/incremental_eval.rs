@@ -10,7 +10,9 @@
 use rlp_chiplet::{Chiplet, ChipletId, ChipletSystem, Net, Placement, PlacementGrid};
 use rlp_sa::moves::{apply_move_in_place, propose_move, random_initial_placement, undo_move};
 use rlp_sa::{DeltaObjective, EvalMode, Objective, SaConfig, SaPlanner};
-use rlp_thermal::{CharacterizationOptions, FastThermalModel, ThermalBackend, ThermalConfig};
+use rlp_thermal::{
+    AnyThermalAnalyzer, CharacterizationOptions, FastThermalModel, ThermalBackend, ThermalConfig,
+};
 use rlplanner::{Budget, FloorplanRequest, Method, RewardCalculator, RewardConfig};
 
 fn system() -> ChipletSystem {
@@ -26,18 +28,20 @@ fn system() -> ChipletSystem {
     sys
 }
 
-fn fast_model() -> FastThermalModel {
-    FastThermalModel::characterize(
-        &ThermalConfig::with_grid(12, 12),
-        36.0,
-        36.0,
-        &CharacterizationOptions {
-            footprint_samples_mm: vec![4.0, 8.0, 12.0],
-            distance_bins: 16,
-            ..CharacterizationOptions::default()
-        },
+fn fast_model() -> AnyThermalAnalyzer {
+    AnyThermalAnalyzer::Fast(
+        FastThermalModel::characterize(
+            &ThermalConfig::with_grid(12, 12),
+            36.0,
+            36.0,
+            &CharacterizationOptions {
+                footprint_samples_mm: vec![4.0, 8.0, 12.0],
+                distance_bins: 16,
+                ..CharacterizationOptions::default()
+            },
+        )
+        .expect("characterisation succeeds"),
     )
-    .expect("characterisation succeeds")
 }
 
 fn quick_sa(seed: u64) -> SaConfig {
@@ -178,7 +182,7 @@ fn grid_backend_falls_back_to_full_evaluation() {
     let sys = system();
     let calc = RewardCalculator::new(
         sys.clone(),
-        GridThermalSolver::new(ThermalConfig::with_grid(8, 8)),
+        AnyThermalAnalyzer::Grid(GridThermalSolver::new(ThermalConfig::with_grid(8, 8))),
         RewardConfig::default(),
     );
     let planner = SaPlanner::new(

@@ -6,7 +6,7 @@
 
 use rlp_chiplet::{Chiplet, ChipletSystem, Net};
 use rlp_rl::Environment;
-use rlp_thermal::{GridThermalSolver, ThermalBackend, ThermalConfig};
+use rlp_thermal::{AnyThermalAnalyzer, GridThermalSolver, ThermalBackend, ThermalConfig};
 use rlplanner::{
     Budget, EnvConfig, FloorplanEnv, FloorplanRequest, Method, RewardCalculator, RewardConfig,
     RlPlannerConfig,
@@ -20,10 +20,10 @@ fn two_chiplet_system() -> ChipletSystem {
     system
 }
 
-fn tiny_env() -> FloorplanEnv<GridThermalSolver> {
+fn tiny_env() -> FloorplanEnv {
     let calculator = RewardCalculator::new(
         two_chiplet_system(),
-        GridThermalSolver::new(ThermalConfig::with_grid(8, 8)),
+        AnyThermalAnalyzer::Grid(GridThermalSolver::new(ThermalConfig::with_grid(8, 8))),
         RewardConfig::default(),
     );
     FloorplanEnv::new(
