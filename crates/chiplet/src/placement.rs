@@ -141,39 +141,6 @@ impl Placement {
             .enumerate()
             .filter_map(|(i, s)| s.map(|(p, r)| (ChipletId::from_index(i), p, r)))
     }
-
-    /// Identifiers of chiplets that have not been placed yet, in index order.
-    pub fn unplaced_ids(&self) -> Vec<ChipletId> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_none())
-            .map(|(i, _)| ChipletId::from_index(i))
-            .collect()
-    }
-
-    /// Bounding box of all placed chiplets, or `None` if nothing is placed.
-    pub fn bounding_box(&self, system: &ChipletSystem) -> Option<Rect> {
-        let mut min_x = f64::INFINITY;
-        let mut min_y = f64::INFINITY;
-        let mut max_x = f64::NEG_INFINITY;
-        let mut max_y = f64::NEG_INFINITY;
-        let mut any = false;
-        for (id, _, _) in self.iter_placed() {
-            if let Some(r) = self.rect_of(id, system) {
-                any = true;
-                min_x = min_x.min(r.x);
-                min_y = min_y.min(r.y);
-                max_x = max_x.max(r.right());
-                max_y = max_y.max(r.top());
-            }
-        }
-        if any {
-            Some(Rect::new(min_x, min_y, max_x - min_x, max_y - min_y))
-        } else {
-            None
-        }
-    }
 }
 
 #[cfg(test)]
@@ -225,27 +192,19 @@ mod tests {
     #[test]
     fn completeness_and_unplaced_ids() {
         let mut p = Placement::new(3);
+        let unplaced = |p: &Placement| -> Vec<usize> {
+            (0..3)
+                .filter(|&i| p.position(ChipletId::from_index(i)).is_none())
+                .collect()
+        };
         assert!(!p.is_complete());
-        assert_eq!(p.unplaced_ids().len(), 3);
+        assert_eq!(unplaced(&p), [0, 1, 2]);
         p.place(ChipletId::from_index(1), Position::new(0.0, 0.0));
-        assert_eq!(
-            p.unplaced_ids(),
-            vec![ChipletId::from_index(0), ChipletId::from_index(2)]
-        );
+        assert!(!p.is_complete());
+        assert_eq!(unplaced(&p), [0, 2]);
         p.place(ChipletId::from_index(0), Position::new(0.0, 0.0));
         p.place(ChipletId::from_index(2), Position::new(0.0, 0.0));
         assert!(p.is_complete());
-    }
-
-    #[test]
-    fn bounding_box_covers_all_rects() {
-        let sys = system();
-        let mut p = Placement::for_system(&sys);
-        assert_eq!(p.bounding_box(&sys), None);
-        p.place(ChipletId::from_index(0), Position::new(1.0, 1.0));
-        p.place(ChipletId::from_index(1), Position::new(10.0, 12.0));
-        let bb = p.bounding_box(&sys).unwrap();
-        assert_eq!(bb, Rect::new(1.0, 1.0, 12.0, 14.0));
     }
 
     #[test]

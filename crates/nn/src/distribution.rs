@@ -60,21 +60,6 @@ impl Categorical {
         Self { probs }
     }
 
-    /// Builds the distribution directly from (already normalised) probabilities.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the probabilities are empty or do not sum to approximately one.
-    pub fn from_probs(probs: Vec<f32>) -> Self {
-        assert!(!probs.is_empty(), "categorical needs at least one action");
-        let sum: f32 = probs.iter().sum();
-        assert!(
-            (sum - 1.0).abs() < 1e-3,
-            "probabilities must sum to 1 (got {sum})"
-        );
-        Self { probs }
-    }
-
     /// The action probabilities.
     pub fn probs(&self) -> &[f32] {
         &self.probs
@@ -216,7 +201,8 @@ mod tests {
 
     #[test]
     fn log_prob_and_argmax() {
-        let d = Categorical::from_probs(vec![0.25, 0.75]);
+        // Logits 0 and ln 3 give probabilities 1/4 and 3/4.
+        let d = Categorical::from_logits(&[0.0, 3f32.ln()], None);
         assert!((d.log_prob(1) - 0.75f32.ln()).abs() < 1e-6);
         assert_eq!(d.argmax(), 1);
         assert_eq!(d.action_count(), 2);
@@ -242,7 +228,7 @@ mod tests {
 
     #[test]
     fn entropy_of_deterministic_distribution_is_zero() {
-        let d = Categorical::from_probs(vec![1.0, 0.0]);
+        let d = Categorical::from_logits(&[1.0, 2.0], Some(&[true, false]));
         assert_eq!(d.entropy(), 0.0);
     }
 
@@ -250,11 +236,5 @@ mod tests {
     #[should_panic(expected = "disables every action")]
     fn fully_masked_distribution_panics() {
         Categorical::from_logits(&[1.0, 2.0], Some(&[false, false]));
-    }
-
-    #[test]
-    #[should_panic(expected = "sum to 1")]
-    fn from_probs_validates_normalisation() {
-        Categorical::from_probs(vec![0.5, 0.1]);
     }
 }

@@ -20,39 +20,6 @@ pub fn mse(prediction: &Tensor, target: &Tensor) -> (f32, Tensor) {
     (loss, grad)
 }
 
-/// Huber (smooth L1) loss and its gradient with respect to the prediction.
-///
-/// Quadratic for residuals smaller than `delta`, linear beyond; more robust
-/// than MSE against the occasional huge reward spike during RL training.
-///
-/// # Panics
-///
-/// Panics if the shapes differ, the tensors are empty, or `delta <= 0`.
-pub fn huber(prediction: &Tensor, target: &Tensor, delta: f32) -> (f32, Tensor) {
-    assert_eq!(prediction.shape(), target.shape(), "huber: shape mismatch");
-    assert!(!prediction.is_empty(), "huber: empty input");
-    assert!(delta > 0.0, "huber: delta must be positive");
-    let n = prediction.len() as f32;
-    let mut loss = 0.0;
-    let mut grad = Tensor::zeros(prediction.shape().to_vec());
-    for (i, (&p, &t)) in prediction
-        .data()
-        .iter()
-        .zip(target.data().iter())
-        .enumerate()
-    {
-        let r = p - t;
-        if r.abs() <= delta {
-            loss += 0.5 * r * r;
-            grad.data_mut()[i] = r / n;
-        } else {
-            loss += delta * (r.abs() - 0.5 * delta);
-            grad.data_mut()[i] = delta * r.signum() / n;
-        }
-    }
-    (loss / n, grad)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,27 +58,8 @@ mod tests {
     }
 
     #[test]
-    fn huber_is_quadratic_inside_and_linear_outside() {
-        let t = Tensor::from_vec(vec![0.0], vec![1]);
-        let small = Tensor::from_vec(vec![0.5], vec![1]);
-        let large = Tensor::from_vec(vec![10.0], vec![1]);
-        let (l_small, _) = huber(&small, &t, 1.0);
-        let (l_large, g_large) = huber(&large, &t, 1.0);
-        assert!((l_small - 0.125).abs() < 1e-6);
-        assert!((l_large - (10.0 - 0.5)).abs() < 1e-6);
-        // Gradient saturates at delta.
-        assert!((g_large.data()[0] - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
     #[should_panic(expected = "shape mismatch")]
     fn mse_rejects_shape_mismatch() {
         mse(&Tensor::zeros(vec![2]), &Tensor::zeros(vec![3]));
-    }
-
-    #[test]
-    #[should_panic(expected = "delta must be positive")]
-    fn huber_rejects_bad_delta() {
-        huber(&Tensor::zeros(vec![1]), &Tensor::zeros(vec![1]), 0.0);
     }
 }

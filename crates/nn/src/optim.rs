@@ -78,16 +78,6 @@ impl Adam {
         self.learning_rate
     }
 
-    /// Changes the learning rate (e.g. for a decay schedule).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the learning rate is not strictly positive.
-    pub fn set_learning_rate(&mut self, learning_rate: f32) {
-        assert!(learning_rate > 0.0, "learning rate must be positive");
-        self.learning_rate = learning_rate;
-    }
-
     /// Number of optimisation steps performed so far.
     pub fn steps(&self) -> u64 {
         self.step_count
@@ -266,14 +256,6 @@ mod tests {
         }
         assert!(final_loss < 1e-2, "final loss {final_loss}");
         assert_eq!(adam.steps(), 500);
-    }
-
-    #[test]
-    fn learning_rate_can_be_adjusted() {
-        let mut adam = Adam::new(0.1);
-        assert_eq!(adam.learning_rate(), 0.1);
-        adam.set_learning_rate(0.01);
-        assert_eq!(adam.learning_rate(), 0.01);
     }
 
     #[test]

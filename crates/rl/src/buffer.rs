@@ -96,11 +96,6 @@ impl RolloutBuffer {
         &self.returns
     }
 
-    /// Sum of extrinsic rewards currently stored (useful for logging).
-    pub fn total_reward(&self) -> f64 {
-        self.transitions.iter().map(|t| t.reward).sum()
-    }
-
     /// Computes generalised advantage estimates and return targets.
     ///
     /// `gamma` is the discount factor, `lambda` the GAE smoothing factor and
@@ -149,25 +144,6 @@ impl RolloutBuffer {
         }
     }
 
-    /// Stacks all states into a `[n, ...]` batch tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer is empty.
-    pub fn stacked_states(&self) -> Tensor {
-        assert!(!self.transitions.is_empty(), "buffer is empty");
-        let state_shape = self.transitions[0].state.shape().to_vec();
-        let per_state: usize = state_shape.iter().product();
-        let mut data = Vec::with_capacity(self.transitions.len() * per_state);
-        for t in &self.transitions {
-            assert_eq!(t.state.shape(), state_shape.as_slice(), "state shape drift");
-            data.extend_from_slice(t.state.data());
-        }
-        let mut shape = vec![self.transitions.len()];
-        shape.extend(state_shape);
-        Tensor::from_vec(data, shape)
-    }
-
     /// Stacks a subset of states (by index) into a batch tensor.
     ///
     /// # Panics
@@ -210,7 +186,6 @@ mod tests {
         assert!(buf.is_empty());
         buf.push(transition(1.0, 0.0, true));
         assert_eq!(buf.len(), 1);
-        assert_eq!(buf.total_reward(), 1.0);
         buf.clear();
         assert!(buf.is_empty());
     }
@@ -273,7 +248,7 @@ mod tests {
         let mut buf = RolloutBuffer::new();
         buf.push(transition(1.0, 0.0, false));
         buf.push(transition(2.0, 0.0, true));
-        let states = buf.stacked_states();
+        let states = buf.stacked_states_for(&[0, 1]);
         assert_eq!(states.shape(), &[2, 1]);
         assert_eq!(states.data(), &[1.0, 2.0]);
         let subset = buf.stacked_states_for(&[1]);

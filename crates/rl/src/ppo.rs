@@ -206,20 +206,6 @@ impl PpoAgent {
         Self::sample_masked(&mut self.model, observation, &mut self.rng)
     }
 
-    /// Picks the most probable feasible action (no exploration).
-    pub fn greedy_action(&mut self, observation: &Observation) -> usize {
-        let states = Self::batch_of_one(observation);
-        let (logits, _) = self.model.evaluate(&states, false);
-        Categorical::from_logits(logits.row(0).data(), Some(&observation.action_mask)).argmax()
-    }
-
-    /// Value estimate of a single observation.
-    pub fn value_of(&mut self, observation: &Observation) -> f32 {
-        let states = Self::batch_of_one(observation);
-        let (_, values) = self.model.evaluate(&states, false);
-        values.get(&[0, 0])
-    }
-
     /// Plays one full episode in `env`, appending transitions to `buffer`.
     ///
     /// When an RND module is supplied, intrinsic rewards are added to each
@@ -609,6 +595,16 @@ mod tests {
         PpoAgent::new(model, config, seed)
     }
 
+    /// The most probable feasible action for one observation and its value
+    /// estimate.
+    fn greedy_action_and_value(agent: &mut PpoAgent, observation: &Observation) -> (usize, f32) {
+        let states = PpoAgent::batch_of_one(observation);
+        let (logits, values) = agent.model.evaluate(&states, false);
+        let mask = Some(observation.action_mask.as_slice());
+        let action = Categorical::from_logits(logits.row(0).data(), mask).argmax();
+        (action, values.get(&[0, 0]))
+    }
+
     #[test]
     fn ppo_learns_the_best_bandit_arm() {
         let mut agent = bandit_agent(3);
@@ -622,7 +618,7 @@ mod tests {
         }
         let obs = env.reset();
         assert_eq!(
-            agent.greedy_action(&obs),
+            greedy_action_and_value(&mut agent, &obs).0,
             1,
             "agent failed to learn the best arm"
         );
@@ -641,7 +637,7 @@ mod tests {
             agent.update(&mut buffer).expect("non-empty rollout");
         }
         let obs = env.reset();
-        let action = agent.greedy_action(&obs);
+        let (action, _) = greedy_action_and_value(&mut agent, &obs);
         assert_ne!(action, 1);
     }
 
@@ -657,7 +653,7 @@ mod tests {
             agent.update(&mut buffer).expect("non-empty rollout");
         }
         let obs = env.reset();
-        let value = agent.value_of(&obs);
+        let (_, value) = greedy_action_and_value(&mut agent, &obs);
         // Once the policy prefers arm 1, the value should approach 1.0.
         assert!(value > 0.5, "value {value}");
     }

@@ -348,24 +348,6 @@ impl RlPlanner {
     pub fn import_policy(&mut self, file: &PolicyFile) -> Result<(), PolicyError> {
         self.agent.model_mut().import_policy(file)
     }
-
-    /// Runs one greedy (argmax) episode with the current policy and returns
-    /// its breakdown, or `None` if the greedy episode failed to complete a
-    /// placement.
-    pub fn evaluate_greedy(&mut self) -> Option<RewardBreakdown> {
-        let env = &mut self.pool.envs_mut()[0];
-        let mut observation = env.reset();
-        loop {
-            let action = self.agent.greedy_action(&observation);
-            let step = env.step(action);
-            if step.done {
-                return env.last_breakdown();
-            }
-            observation = step
-                .observation
-                .expect("non-terminal step has an observation");
-        }
-    }
 }
 
 /// FNV-1a offset basis (64 bit).
@@ -488,21 +470,6 @@ mod tests {
         .unwrap();
         let result = train_silently(&mut planner);
         assert!(result.best_placement.is_complete());
-    }
-
-    #[test]
-    fn greedy_evaluation_completes_a_placement() {
-        let system = small_system();
-        let mut planner = RlPlanner::new(
-            system,
-            fast_model(36.0),
-            RewardConfig::default(),
-            quick_config(8, false),
-        )
-        .unwrap();
-        train_silently(&mut planner);
-        let breakdown = planner.evaluate_greedy();
-        assert!(breakdown.is_some());
     }
 
     #[test]

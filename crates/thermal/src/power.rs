@@ -97,16 +97,6 @@ impl PowerMap {
         self.cell_height_mm
     }
 
-    /// Power in watts injected into the cell at `(col, row)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the coordinates are out of range.
-    pub fn power_at(&self, col: usize, row: usize) -> f64 {
-        assert!(col < self.nx && row < self.ny, "cell out of range");
-        self.cells[row * self.nx + col]
-    }
-
     /// Row-major view of all cell powers (watts).
     pub fn cells(&self) -> &[f64] {
         &self.cells
@@ -151,9 +141,9 @@ mod tests {
         let (sys, p) = system();
         let map = PowerMap::rasterize(&sys, &p, 20, 20); // 1 mm cells
                                                          // Chiplet a covers x in [2,7), y in [2,7): cell (3,3) is fully inside.
-        assert!(map.power_at(3, 3) > 0.0);
+        assert!(map.cells()[3 * 20 + 3] > 0.0);
         // Far corner is empty.
-        assert_eq!(map.power_at(19, 0), 0.0);
+        assert_eq!(map.cells()[19], 0.0);
     }
 
     #[test]
