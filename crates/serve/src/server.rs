@@ -90,12 +90,13 @@ impl ConnWriter {
     /// write lock. No other frame reaches this connection in between, so
     /// what `after` records is visible to every request the client sends
     /// once it has read the frame and that is answered on this connection
-    /// (the `metrics` reply renders under the same lock). `after` runs even
-    /// when the connection is dead.
+    /// (the `metrics` reply renders under the same lock). `render` and
+    /// `after` run even when the connection is dead.
     fn send_then(&self, render: impl FnOnce() -> String, after: impl FnOnce()) {
         let mut stream = self.stream.lock().expect("connection writer poisoned");
+        let payload = render();
         if self.alive.load(Ordering::Acquire)
-            && protocol::write_frame(&mut *stream, &render()).is_err()
+            && protocol::write_frame(&mut *stream, &payload).is_err()
         {
             self.alive.store(false, Ordering::Release);
         }
@@ -429,30 +430,33 @@ fn handle_message(
                 writer: Arc::clone(writer),
                 conn_id,
             };
-            match shared.queue.admit(job) {
-                Ok(id) => {
-                    rlp_obs::obs_counter!("serve.jobs.admitted").inc();
-                    if rlp_obs::metrics_enabled() {
-                        rlp_obs::obs_gauge!("serve.queue.depth")
-                            .set(shared.queue.counters().queued as i64);
+            // Admit under the write lock, so the job's `accepted` frame is
+            // on the wire before its worker can send a progress frame.
+            writer.send_then(
+                || match shared.queue.admit(job) {
+                    Ok(id) => {
+                        rlp_obs::obs_counter!("serve.jobs.admitted").inc();
+                        if rlp_obs::metrics_enabled() {
+                            rlp_obs::obs_gauge!("serve.queue.depth")
+                                .set(shared.queue.counters().queued as i64);
+                        }
+                        rlp_obs::obs_event!(
+                            rlp_obs::Level::Debug,
+                            "rlp_serve",
+                            "job admitted",
+                            job = id,
+                            conn = conn_id,
+                        );
+                        frames::accepted(id)
                     }
-                    rlp_obs::obs_event!(
-                        rlp_obs::Level::Debug,
-                        "rlp_serve",
-                        "job admitted",
-                        job = id,
-                        conn = conn_id,
-                    );
-                    writer.send(&frames::accepted(id));
-                }
-                Err(AdmitError::Busy { capacity }) => {
-                    rlp_obs::obs_counter!("serve.jobs.rejected").inc();
-                    writer.send(&frames::busy(capacity));
-                }
-                Err(AdmitError::ShuttingDown) => {
-                    writer.send(&frames::error("daemon is shutting down"));
-                }
-            }
+                    Err(AdmitError::Busy { capacity }) => {
+                        rlp_obs::obs_counter!("serve.jobs.rejected").inc();
+                        frames::busy(capacity)
+                    }
+                    Err(AdmitError::ShuttingDown) => frames::error("daemon is shutting down"),
+                },
+                || {},
+            );
         }
         ClientMessage::Status { job } => {
             let state = shared.queue.state(job).map_or("unknown", JobState::label);
