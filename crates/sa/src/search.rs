@@ -8,7 +8,6 @@
 //! and tell it what they evaluated; none keeps its own counter or clock.
 
 use rlp_obs::OnCandidate;
-use std::fmt;
 use std::time::{Duration, Instant};
 
 /// One run's stop rule and candidate stream; see the [module docs](self).
@@ -86,17 +85,6 @@ impl<'a> SearchRun<'a> {
     /// Wall-clock time since the run started.
     pub fn elapsed(&self) -> Duration {
         self.started.elapsed()
-    }
-}
-
-impl fmt::Debug for SearchRun<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SearchRun")
-            .field("max_evaluations", &self.max_evaluations)
-            .field("time_limit", &self.time_limit)
-            .field("evaluations", &self.evaluations)
-            .field("best_reward", &self.best_reward)
-            .finish_non_exhaustive()
     }
 }
 
