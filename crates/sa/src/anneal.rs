@@ -42,7 +42,8 @@ pub struct SaConfig {
     /// Optional wall-clock budget; the anneal stops early when exceeded.
     pub time_budget: Option<Duration>,
     /// Optional cap on objective evaluations; used to give the SA baseline
-    /// the same evaluation budget as an RL training run.
+    /// the same evaluation budget as an RL training run. At least 1: the
+    /// initial placement is always evaluated.
     pub max_evaluations: Option<usize>,
 }
 
