@@ -63,7 +63,7 @@
 //! but job-lifecycle frames (`progress`, `outcome`, `failed`) are pushed
 //! by worker threads whenever the job produces them, so a client must be
 //! prepared to see them interleaved with any reply and demultiplex on
-//! `job`. `busy` is the backpressure signal: the job queue was full and
+//! `job`. A job's own lifecycle frames never precede its `accepted`. `busy` is the backpressure signal: the job queue was full and
 //! the request was *not* admitted — retry later. Job states reported by
 //! `status` are `queued`, `running`, `done`, `failed`, `cancelled` and
 //! `unknown` (an id never admitted, or a finished job older than the
