@@ -16,6 +16,7 @@
 //! 0 pass, 1 gate failure, 2 usage or parse error.
 
 use rlp_bench::report::{compare, parse_report, parse_shards, render_report};
+use rlplanner::cli::Scanner;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -103,30 +104,32 @@ fn check(baseline_path: &str, current_path: &str, max_regression_pct: f64) -> Ex
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("collect") if args.len() >= 3 => collect(&args[1], &args[2..]),
-        Some("check") if args.len() >= 3 => {
-            let mut max_regression_pct = 25.0;
-            let mut rest = args[3..].iter();
-            while let Some(flag) = rest.next() {
-                let value = match flag.as_str() {
-                    "--max-regression-pct" => rest.next().cloned(),
-                    _ => {
-                        eprintln!("unknown flag `{flag}`");
-                        return usage();
-                    }
-                };
-                max_regression_pct = match value.as_deref().map(str::parse::<f64>) {
-                    Some(Ok(pct)) if pct.is_finite() && pct >= 0.0 => pct,
-                    _ => {
-                        eprintln!("--max-regression-pct needs a non-negative number");
-                        return usage();
-                    }
-                };
+    let mut scan = Scanner::new(std::env::args().skip(1));
+    let run = scan.subcommand(&["collect", "check"]).and_then(|mode| {
+        let mut paths = Vec::new();
+        let mut max_regression_pct = 25.0;
+        while let Some(arg) = scan.next_arg()? {
+            match arg.flag() {
+                Some("max-regression-pct") if mode == Some("check") => {
+                    max_regression_pct = scan
+                        .value()?
+                        .parse::<f64>()
+                        .ok()
+                        .filter(|pct| pct.is_finite() && *pct >= 0.0)
+                        .ok_or("--max-regression-pct needs a non-negative number")?;
+                }
+                None if mode == Some("collect") || paths.len() < 2 => paths.push(arg.to_string()),
+                _ => return Err(arg.unexpected()),
             }
-            check(&args[1], &args[2], max_regression_pct)
         }
-        _ => usage(),
-    }
+        Ok(match (mode, paths.as_slice()) {
+            (Some("collect"), [out, shards @ ..]) if !shards.is_empty() => collect(out, shards),
+            (Some("check"), [baseline, current]) => check(baseline, current, max_regression_pct),
+            _ => usage(),
+        })
+    });
+    run.unwrap_or_else(|reason| {
+        eprintln!("{reason}");
+        usage()
+    })
 }

@@ -85,10 +85,10 @@
 use rlp_benchmarks::{system_by_name, SyntheticConfig, SyntheticSystemGenerator};
 use rlp_engine::{campaign_json, CampaignEngine, CampaignMethod, CampaignSpec, JsonlSink};
 use rlp_thermal::{CharacterizationOptions, ThermalBackend, ThermalConfig};
+use rlplanner::cli::{self, Scanner};
 use rlplanner::report::{outcome_json, placement_json};
 use rlplanner::{
-    method_by_name, Budget, FloorplanRequest, Method, PolicyFile, RewardConfig, RlPlanner,
-    RlPlannerConfig,
+    Budget, FloorplanRequest, Method, PolicyFile, RewardConfig, RlPlanner, RlPlannerConfig,
 };
 use std::process::ExitCode;
 
@@ -108,162 +108,140 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Parsed `--flag value` / `--flag=value` sweep options.
+/// What a command line asks for.
+enum Mode {
+    Run {
+        request: Box<FloorplanRequest>,
+        json: bool,
+    },
+    Sweep(SweepArgs),
+    TrainGeneralist(GeneralistArgs),
+}
+
+fn parse_run_args(scan: &mut Scanner) -> Result<Mode, String> {
+    let mut json = false;
+    let mut warm_start = false;
+    let mut train_parallel = None;
+    let mut policy = None;
+    let mut save_policy = None;
+    let mut positional = Vec::new();
+    while let Some(arg) = scan.next_arg()? {
+        match arg.flag() {
+            Some("json") => json = true,
+            Some("warm-start") => warm_start = true,
+            Some("train-parallel") => train_parallel = Some(scan.positive("rollout parallelism")?),
+            Some("policy") => policy = Some(scan.path()?),
+            Some("save-policy") => save_policy = Some(scan.path()?),
+            Some(_) => return Err(arg.unexpected()),
+            None => positional.push(arg.to_string()),
+        }
+    }
+    let mut builder = cli::named_request(&positional, policy.as_deref())?.warm_start(warm_start);
+    if let Some(train_parallel) = train_parallel {
+        builder = builder.parallel_envs(train_parallel);
+    }
+    if let Some(path) = save_policy {
+        builder = builder.save_policy(path);
+    }
+    let request = builder
+        .build()
+        .map_err(|err| format!("invalid request: {err}"))?;
+    // Saving weights only makes sense for a run that trains them.
+    if request.save_policy().is_some()
+        && !matches!(request.method(), Method::Rl { .. } | Method::RlRnd { .. })
+    {
+        return Err("--save-policy needs an RL method (rl or rl-rnd)".to_string());
+    }
+    Ok(Mode::Run {
+        request: Box::new(request),
+        json,
+    })
+}
+
+fn run(request: &FloorplanRequest, json: bool) -> ExitCode {
+    let outcome = match request.solve() {
+        Ok(outcome) => outcome,
+        Err(err) => {
+            eprintln!("solve failed: {err}");
+            return ExitCode::FAILURE;
+        }
+    };
+
+    if json {
+        println!("{}", outcome_json(request.system(), &outcome));
+    } else {
+        eprintln!(
+            "{}: {} candidate floorplans in {:.2?}",
+            request.method().display_name(),
+            outcome.evaluations,
+            outcome.runtime
+        );
+        println!(
+            "reward {:.4} | wirelength {:.0} mm | peak temperature {:.2} C",
+            outcome.breakdown.reward,
+            outcome.breakdown.wirelength_mm,
+            outcome.breakdown.max_temperature_c
+        );
+        println!("{}", placement_json(request.system(), &outcome.placement));
+    }
+    ExitCode::SUCCESS
+}
+
+/// Parsed sweep options.
 struct SweepArgs {
-    systems: Vec<String>,
-    methods: Vec<String>,
-    seeds: Vec<u64>,
-    budget: usize,
-    parallel: usize,
-    train_parallel: Option<usize>,
-    warm_start: bool,
+    spec: CampaignSpec,
     stream: Option<String>,
-    policy: Option<String>,
     json: bool,
 }
 
-fn parse_sweep_args(args: &[String]) -> Result<SweepArgs, String> {
-    let mut parsed = SweepArgs {
-        systems: vec!["case1".to_string()],
-        methods: vec!["rl".to_string()],
-        seeds: vec![7],
-        budget: 50,
-        parallel: 1,
-        train_parallel: None,
-        warm_start: false,
-        stream: None,
-        policy: None,
-        json: false,
-    };
-    let mut iter = args.iter().peekable();
-    while let Some(arg) = iter.next() {
-        let (flag, inline) = match arg.split_once('=') {
-            Some((flag, value)) => (flag, Some(value.to_string())),
-            None => (arg.as_str(), None),
-        };
-        if flag == "--json" || flag == "--warm-start" {
-            if inline.is_some() {
-                return Err(format!("{flag} takes no value"));
-            }
-            if flag == "--json" {
-                parsed.json = true;
-            } else {
-                parsed.warm_start = true;
-            }
-            continue;
-        }
-        let value = match inline {
-            Some(value) => value,
-            None => iter
-                .next()
-                .ok_or_else(|| format!("flag `{flag}` needs a value"))?
-                .clone(),
-        };
-        match flag {
-            "--systems" => parsed.systems = value.split(',').map(str::to_string).collect(),
-            "--methods" => parsed.methods = value.split(',').map(str::to_string).collect(),
-            "--seeds" => {
-                parsed.seeds = value
+fn parse_sweep_args(scan: &mut Scanner) -> Result<SweepArgs, String> {
+    let (mut systems, mut methods, mut seeds) = ("case1".to_string(), "rl".to_string(), vec![7]);
+    let (mut budget, mut parallel, mut train_parallel) = (50, 1, None);
+    let (mut warm_start, mut stream, mut policy, mut json) = (false, None, None, false);
+    while let Some(arg) = scan.next_arg()? {
+        match arg.flag() {
+            Some("json") => json = true,
+            Some("warm-start") => warm_start = true,
+            Some("systems") => systems = scan.value()?,
+            Some("methods") => methods = scan.value()?,
+            Some("seeds") => {
+                seeds = scan
+                    .value()?
                     .split(',')
-                    .map(|s| {
-                        s.parse::<u64>()
-                            .map_err(|_| format!("invalid seed `{s}`: expected an integer"))
-                    })
+                    .map(cli::seed)
                     .collect::<Result<_, _>>()?;
             }
-            "--budget" => {
-                parsed.budget =
-                    value
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .ok_or_else(|| {
-                            format!("invalid budget `{value}`: expected a positive integer")
-                        })?;
-            }
-            "--parallel" => {
-                parsed.parallel =
-                    value
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .ok_or_else(|| {
-                            format!("invalid parallelism `{value}`: expected a positive integer")
-                        })?;
-            }
-            "--train-parallel" => {
-                parsed.train_parallel = Some(
-                    value
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .ok_or_else(|| {
-                            format!(
-                                "invalid rollout parallelism `{value}`: expected a positive integer"
-                            )
-                        })?,
-                );
-            }
-            "--stream" => {
-                if value.is_empty() {
-                    return Err("--stream needs a non-empty path".to_string());
-                }
-                parsed.stream = Some(value);
-            }
-            "--policy" => {
-                if value.is_empty() {
-                    return Err("--policy needs a non-empty path".to_string());
-                }
-                parsed.policy = Some(value);
-            }
-            other => return Err(format!("unknown flag `{other}`")),
+            Some("budget") => budget = scan.positive("budget")?,
+            Some("parallel") => parallel = scan.positive("parallelism")?,
+            Some("train-parallel") => train_parallel = Some(scan.positive("rollout parallelism")?),
+            Some("stream") => stream = Some(scan.path()?),
+            Some("policy") => policy = Some(scan.path()?),
+            _ => return Err(arg.unexpected()),
         }
     }
-    Ok(parsed)
-}
-
-fn run_sweep(args: &[String]) -> ExitCode {
-    let parsed = match parse_sweep_args(args) {
-        Ok(parsed) => parsed,
-        Err(reason) => {
-            eprintln!("{reason}");
-            return usage();
-        }
-    };
     let mut spec = CampaignSpec::builder()
-        .budget(Budget::Evaluations(parsed.budget))
-        .parallelism(parsed.parallel)
-        .seeds(parsed.seeds.iter().copied());
-    if let Some(train_parallel) = parsed.train_parallel {
+        .budget(Budget::Evaluations(budget))
+        .parallelism(parallel)
+        .seeds(seeds)
+        .warm_start(warm_start);
+    if let Some(train_parallel) = train_parallel {
         spec = spec.train_parallel(train_parallel);
     }
-    if parsed.warm_start {
-        spec = spec.warm_start(true);
+    for name in systems.split(',') {
+        spec = spec.system(system_by_name(name).ok_or_else(|| format!("unknown system `{name}`"))?);
     }
-    for name in &parsed.systems {
-        let Some(system) = system_by_name(name) else {
-            eprintln!("unknown system `{name}`");
-            return usage();
-        };
-        spec = spec.system(system);
+    for name in methods.split(',') {
+        let (method, thermal) = cli::method_by_name(name, policy.as_deref())?;
+        spec = spec.method(CampaignMethod::new(name, method, thermal));
     }
-    for name in &parsed.methods {
-        let (method, thermal) = match method_by_name(name, parsed.policy.as_deref()) {
-            Ok(loaded) => loaded,
-            Err(reason) => {
-                eprintln!("{reason}");
-                return usage();
-            }
-        };
-        spec = spec.method(CampaignMethod::new(name.clone(), method, thermal));
-    }
-    let spec = match spec.build() {
-        Ok(spec) => spec,
-        Err(err) => {
-            eprintln!("invalid sweep: {err}");
-            return ExitCode::from(2);
-        }
-    };
+    let spec = spec
+        .build()
+        .map_err(|err| format!("invalid sweep: {err}"))?;
+    Ok(SweepArgs { spec, stream, json })
+}
+
+fn run_sweep(parsed: &SweepArgs) -> ExitCode {
+    let spec = &parsed.spec;
     let engine = CampaignEngine::new();
     let report = if let Some(path) = &parsed.stream {
         let mut sink = match JsonlSink::open(path) {
@@ -279,7 +257,7 @@ fn run_sweep(args: &[String]) -> ExitCode {
                 sink.prior_len()
             );
         }
-        match engine.run_streamed(&spec, &mut sink) {
+        match engine.run_streamed(spec, &mut sink) {
             Ok(report) => report,
             Err(err) => {
                 eprintln!("sweep failed: {err}");
@@ -287,7 +265,7 @@ fn run_sweep(args: &[String]) -> ExitCode {
             }
         }
     } else {
-        match engine.run(&spec) {
+        match engine.run(spec) {
             Ok(report) => report,
             Err(err) => {
                 eprintln!("sweep failed: {err}");
@@ -365,63 +343,24 @@ struct GeneralistArgs {
     seed: u64,
 }
 
-fn parse_generalist_args(args: &[String]) -> Result<GeneralistArgs, String> {
-    let mut out = None;
-    let mut parsed = GeneralistArgs {
-        out: String::new(),
-        systems: 8,
-        episodes_per_system: 60,
-        seed: 7,
-    };
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let (flag, inline) = match arg.split_once('=') {
-            Some((flag, value)) => (flag, Some(value.to_string())),
-            None => (arg.as_str(), None),
-        };
-        let value = match inline {
-            Some(value) => value,
-            None => iter
-                .next()
-                .ok_or_else(|| format!("flag `{flag}` needs a value"))?
-                .clone(),
-        };
-        match flag {
-            "--out" => {
-                if value.is_empty() {
-                    return Err("--out needs a non-empty path".to_string());
-                }
-                out = Some(value);
-            }
-            "--systems" => {
-                parsed.systems =
-                    value
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .ok_or_else(|| {
-                            format!("invalid system count `{value}`: expected a positive integer")
-                        })?;
-            }
-            "--episodes-per-system" => {
-                parsed.episodes_per_system = value
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| {
-                        format!("invalid episode count `{value}`: expected a positive integer")
-                    })?;
-            }
-            "--seed" => {
-                parsed.seed = value
-                    .parse::<u64>()
-                    .map_err(|_| format!("invalid seed `{value}`: expected an integer"))?;
-            }
-            other => return Err(format!("unknown flag `{other}`")),
+fn parse_generalist_args(scan: &mut Scanner) -> Result<GeneralistArgs, String> {
+    let (mut out, mut systems, mut episodes_per_system, mut seed) = (None, 8, 60, 7);
+    while let Some(arg) = scan.next_arg()? {
+        match arg.flag() {
+            Some("out") => out = Some(scan.path()?),
+            Some("systems") => systems = scan.positive("system count")?,
+            Some("episodes-per-system") => episodes_per_system = scan.positive("episode count")?,
+            Some("seed") => seed = scan.seed()?,
+            _ => return Err(arg.unexpected()),
         }
     }
-    parsed.out = out.ok_or_else(|| "train-generalist needs --out <path>".to_string())?;
-    Ok(parsed)
+    let out = out.ok_or("train-generalist needs --out <path>")?;
+    Ok(GeneralistArgs {
+        out,
+        systems,
+        episodes_per_system,
+        seed,
+    })
 }
 
 /// Trains one policy across the randomized synthetic system distribution
@@ -430,14 +369,7 @@ fn parse_generalist_args(args: &[String]) -> Result<GeneralistArgs, String> {
 /// the in-memory policy snapshot (all systems share the default 16×16
 /// placement grid, so the network shapes are equal), and the saved file
 /// records the distribution provenance in its metadata.
-fn run_train_generalist(args: &[String]) -> ExitCode {
-    let parsed = match parse_generalist_args(args) {
-        Ok(parsed) => parsed,
-        Err(reason) => {
-            eprintln!("{reason}");
-            return usage();
-        }
-    };
+fn run_train_generalist(parsed: &GeneralistArgs) -> ExitCode {
     let systems = SyntheticSystemGenerator::new(SyntheticConfig::default(), parsed.seed)
         .generate_batch(parsed.systems);
     let thermal = ThermalBackend::Fast {
@@ -513,33 +445,6 @@ fn run_train_generalist(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Strips a `--log-level <filter>` / `--log-level=<filter>` flag from
-/// `args` and applies it, overriding whatever `RLP_LOG` set. Handled
-/// before mode dispatch so the flag works for single runs and sweeps
-/// alike.
-fn apply_log_level_flag(args: &mut Vec<String>) -> Result<(), String> {
-    let Some(index) = args
-        .iter()
-        .position(|a| a == "--log-level" || a.starts_with("--log-level="))
-    else {
-        return Ok(());
-    };
-    let raw = args.remove(index);
-    let value = match raw.strip_prefix("--log-level=") {
-        Some(inline) => inline.to_string(),
-        None => {
-            if index >= args.len() {
-                return Err("--log-level needs a value".to_string());
-            }
-            args.remove(index)
-        }
-    };
-    let filter =
-        rlp_obs::Level::parse_filter(&value).map_err(|e| format!("invalid --log-level: {e}"))?;
-    rlp_obs::set_max_level(filter);
-    Ok(())
-}
-
 fn main() -> ExitCode {
     // Environment first (`RLP_LOG`, `RLP_METRICS`, `RLP_TRACE`), then an
     // explicit `--log-level` flag overrides the environment. The CLI
@@ -548,159 +453,21 @@ fn main() -> ExitCode {
         eprintln!("{e}");
         return ExitCode::from(2);
     }
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(e) = apply_log_level_flag(&mut args) {
-        eprintln!("{e}");
-        return usage();
-    }
-    if args.first().map(String::as_str) == Some("sweep") {
-        return run_sweep(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("train-generalist") {
-        return run_train_generalist(&args[1..]);
-    }
-
-    let mut json = false;
-    let mut warm_start = false;
-    let mut train_parallel: Option<usize> = None;
-    let mut policy: Option<String> = None;
-    let mut save_policy: Option<String> = None;
-    let mut positional: Vec<&String> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let Some(rest) = arg.strip_prefix("--") else {
-            positional.push(arg);
-            continue;
-        };
-        let (flag, inline) = match rest.split_once('=') {
-            Some((flag, value)) => (flag, Some(value.to_string())),
-            None => (rest, None),
-        };
-        match flag {
-            "json" | "warm-start" => {
-                if inline.is_some() {
-                    eprintln!("--{flag} takes no value");
-                    return usage();
-                }
-                if flag == "json" {
-                    json = true;
-                } else {
-                    warm_start = true;
-                }
-            }
-            "train-parallel" => {
-                let value = match inline.or_else(|| iter.next().cloned()) {
-                    Some(value) => value,
-                    None => {
-                        eprintln!("--train-parallel needs a value");
-                        return usage();
-                    }
-                };
-                train_parallel = match value.parse::<usize>() {
-                    Ok(n) if n > 0 => Some(n),
-                    _ => {
-                        eprintln!(
-                            "invalid rollout parallelism `{value}`: expected a positive integer"
-                        );
-                        return usage();
-                    }
-                };
-            }
-            "policy" | "save-policy" => {
-                let value = match inline.or_else(|| iter.next().cloned()) {
-                    Some(value) if !value.is_empty() => value,
-                    _ => {
-                        eprintln!("--{flag} needs a non-empty path");
-                        return usage();
-                    }
-                };
-                if flag == "policy" {
-                    policy = Some(value);
-                } else {
-                    save_policy = Some(value);
-                }
-            }
-            other => {
-                eprintln!("unknown flag `--{other}`");
-                return usage();
-            }
-        }
-    }
-    if !(2..=3).contains(&positional.len()) {
-        return usage();
-    }
-
-    let Some(system) = system_by_name(positional[0]) else {
-        eprintln!("unknown system `{}`", positional[0]);
-        return usage();
-    };
-    let (method, thermal) = match method_by_name(positional[1], policy.as_deref()) {
-        Ok(loaded) => loaded,
+    let mut scan = Scanner::new(std::env::args().skip(1)).with_log_level();
+    let mode = scan
+        .subcommand(&["sweep", "train-generalist"])
+        .and_then(|mode| match mode {
+            Some("sweep") => parse_sweep_args(&mut scan).map(Mode::Sweep),
+            Some(_) => parse_generalist_args(&mut scan).map(Mode::TrainGeneralist),
+            None => parse_run_args(&mut scan),
+        });
+    match mode {
+        Ok(Mode::Run { request, json }) => run(&request, json),
+        Ok(Mode::Sweep(args)) => run_sweep(&args),
+        Ok(Mode::TrainGeneralist(args)) => run_train_generalist(&args),
         Err(reason) => {
             eprintln!("{reason}");
-            return usage();
+            usage()
         }
-    };
-    // Saving weights only makes sense for a run that trains them.
-    if save_policy.is_some() && !matches!(method, Method::Rl { .. } | Method::RlRnd { .. }) {
-        eprintln!("--save-policy needs an RL method (rl or rl-rnd)");
-        return usage();
     }
-    let budget = match positional.get(2) {
-        Some(raw) => match raw.parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("invalid budget `{raw}`: expected a positive integer");
-                return usage();
-            }
-        },
-        None => 100,
-    };
-
-    let mut builder = FloorplanRequest::builder()
-        .system(system)
-        .method(method)
-        .thermal(thermal)
-        .budget(Budget::Evaluations(budget));
-    if let Some(train_parallel) = train_parallel {
-        builder = builder.parallel_envs(train_parallel);
-    }
-    if let Some(path) = save_policy {
-        builder = builder.save_policy(path);
-    }
-    builder = builder.warm_start(warm_start);
-    let request = match builder.build() {
-        Ok(request) => request,
-        Err(err) => {
-            eprintln!("invalid request: {err}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let outcome = match request.solve() {
-        Ok(outcome) => outcome,
-        Err(err) => {
-            eprintln!("solve failed: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    if json {
-        println!("{}", outcome_json(request.system(), &outcome));
-    } else {
-        eprintln!(
-            "{}: {} candidate floorplans in {:.2?}",
-            request.method().display_name(),
-            outcome.evaluations,
-            outcome.runtime
-        );
-        println!(
-            "reward {:.4} | wirelength {:.0} mm | peak temperature {:.2} C",
-            outcome.breakdown.reward,
-            outcome.breakdown.wirelength_mm,
-            outcome.breakdown.max_temperature_c
-        );
-        println!("{}", placement_json(request.system(), &outcome.placement));
-    }
-    ExitCode::SUCCESS
 }

@@ -84,6 +84,7 @@
 //! start, its objective where it needs one, and the progress callback.
 
 pub mod agent;
+pub mod cli;
 mod codec;
 pub mod env;
 pub mod facade;
@@ -108,8 +109,8 @@ pub use parse::{
 };
 pub use planner::{RlPlanner, RlPlannerConfig, TrainingResult, TrainingStalled};
 pub use request::{
-    method_by_name, Budget, FloorplanRequest, FloorplanRequestBuilder, Method, PrebuiltThermal,
-    PreloadedPolicy, PretrainedConfig,
+    Budget, FloorplanRequest, FloorplanRequestBuilder, Method, PrebuiltThermal, PreloadedPolicy,
+    PretrainedConfig,
 };
 pub use reward::{DeltaRewardObjective, RewardBreakdown, RewardCalculator, RewardConfig};
 

@@ -26,10 +26,7 @@ use rlp_chiplet::ChipletSystem;
 use rlp_nn::PolicyFile;
 use rlp_rl::ConfigError;
 use rlp_sa::{SaConfig, SaConfigError};
-use rlp_thermal::{
-    AnyThermalAnalyzer, CharacterizationOptions, ThermalBackend, ThermalConfig, ThermalError,
-    ThermalPrep,
-};
+use rlp_thermal::{AnyThermalAnalyzer, ThermalBackend, ThermalError, ThermalPrep};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -246,56 +243,6 @@ impl Method {
             Method::Gradient { config } => config.validate(),
             Method::Pretrained { config } => config.validate(),
         }
-    }
-}
-
-/// The method a command line names, with the thermal backend it runs on:
-/// `rl`, `rl-rnd`, `sa-fast`, `gradient` and `pretrained` on the fast
-/// model, `sa-hotspot` on the grid solver, all over a 32×32 thermal grid.
-/// SA anneals down to `1e-6`. `pretrained` runs the policy file at
-/// `policy` and is the only method that reads it.
-///
-/// The command-line tools share this table, so a request one of them
-/// builds is byte-identical to another's for the same names.
-///
-/// # Errors
-///
-/// Returns a message naming an unknown method, or `pretrained` without a
-/// policy.
-pub fn method_by_name(
-    name: &str,
-    policy: Option<&str>,
-) -> Result<(Method, ThermalBackend), String> {
-    let thermal_config = ThermalConfig::with_grid(32, 32);
-    let fast = ThermalBackend::Fast {
-        config: thermal_config.clone(),
-        characterization: CharacterizationOptions::default(),
-    };
-    let sa = Method::Sa {
-        config: SaConfig {
-            final_temperature: 1e-6,
-            ..SaConfig::default()
-        },
-    };
-    match name {
-        "rl" => Ok((Method::rl(), fast)),
-        "rl-rnd" => Ok((Method::rl_rnd(), fast)),
-        "sa-fast" => Ok((sa, fast)),
-        "sa-hotspot" => Ok((
-            sa,
-            ThermalBackend::Grid {
-                config: thermal_config,
-            },
-        )),
-        // The analytic engine needs gradients, which only the fast
-        // (characterised) backend provides.
-        "gradient" => Ok((Method::gradient(), fast)),
-        "pretrained" => {
-            let path =
-                policy.ok_or_else(|| "method `pretrained` needs --policy <path>".to_string())?;
-            Ok((Method::pretrained(path), fast))
-        }
-        other => Err(format!("unknown method `{other}`")),
     }
 }
 

@@ -38,11 +38,11 @@
 //! backpressure delay. The run exits nonzero if any request ultimately
 //! failed.
 
-use rlp_benchmarks::system_by_name;
 use rlp_obs::json::{Layout, Writer};
 use rlp_serve::{ClientError, ServeClient, Submit};
+use rlplanner::cli::{self, Scanner};
 use rlplanner::report::request_json;
-use rlplanner::{method_by_name, Budget, FloorplanRequest};
+use rlplanner::FloorplanRequest;
 use std::process::ExitCode;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -58,25 +58,31 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
+/// The request a load run submits and `print-request` prints, named by
+/// `<system> <method> [budget]`.
 fn build_request(
-    system: &str,
-    method: &str,
-    budget: usize,
+    named: &[String],
     seed: Option<u64>,
     warm_start: bool,
 ) -> Result<FloorplanRequest, String> {
-    let system = system_by_name(system).ok_or_else(|| format!("unknown system `{system}`"))?;
-    let (method, thermal) = method_by_name(method, None)?;
-    let mut builder = FloorplanRequest::builder()
-        .system(system)
-        .method(method)
-        .thermal(thermal)
-        .budget(Budget::Evaluations(budget))
-        .warm_start(warm_start);
+    let mut builder = cli::named_request(named, None)?.warm_start(warm_start);
     if let Some(seed) = seed {
         builder = builder.seed(seed);
     }
     builder.build().map_err(|e| format!("invalid request: {e}"))
+}
+
+fn print_request(scan: &mut Scanner) -> Result<String, String> {
+    let (mut named, mut seed, mut warm_start) = (Vec::new(), None, false);
+    while let Some(arg) = scan.next_arg()? {
+        match arg.flag() {
+            Some("seed") => seed = Some(scan.seed()?),
+            Some("warm-start") => warm_start = true,
+            Some(_) => return Err(arg.unexpected()),
+            None => named.push(arg.to_string()),
+        }
+    }
+    Ok(request_json(&build_request(&named, seed, warm_start)?))
 }
 
 struct LoadArgs {
@@ -86,86 +92,58 @@ struct LoadArgs {
     system: String,
     method: String,
     budget: usize,
-    seed: Option<u64>,
-    warm_start: bool,
+    /// The `rlplanner.request/v1` document every request submits.
+    document: String,
     progress_every: usize,
     save_json: Option<String>,
     metrics: bool,
     shutdown: bool,
 }
 
-fn parse_load_args(args: &[String]) -> Result<LoadArgs, String> {
-    let mut iter = args.iter();
-    let addr = iter
-        .next()
-        .filter(|a| !a.starts_with("--"))
-        .ok_or("missing daemon address")?
-        .clone();
+fn parse_load_args(scan: &mut Scanner) -> Result<LoadArgs, String> {
+    let (mut addr, mut seed, mut warm_start) = (None, None, false);
     let mut parsed = LoadArgs {
-        addr,
+        addr: String::new(),
         clients: 4,
         requests: 8,
         system: "case1".to_string(),
         method: "sa-fast".to_string(),
         budget: 60,
-        seed: None,
-        warm_start: false,
+        document: String::new(),
         progress_every: 0,
         save_json: None,
         metrics: false,
         shutdown: false,
     };
-    while let Some(arg) = iter.next() {
-        let Some(rest) = arg.strip_prefix("--") else {
-            return Err(format!("unexpected argument `{arg}`"));
-        };
-        let (flag, inline) = match rest.split_once('=') {
-            Some((flag, value)) => (flag, Some(value.to_string())),
-            None => (rest, None),
-        };
-        if flag == "shutdown" || flag == "metrics" || flag == "warm-start" {
-            if inline.is_some() {
-                return Err(format!("--{flag} takes no value"));
-            }
-            match flag {
-                "shutdown" => parsed.shutdown = true,
-                "metrics" => parsed.metrics = true,
-                _ => parsed.warm_start = true,
-            }
-            continue;
-        }
-        let value = inline
-            .or_else(|| iter.next().cloned())
-            .ok_or_else(|| format!("flag `--{flag}` needs a value"))?;
-        let positive = |value: &str, what: &str| {
-            value
-                .parse::<usize>()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| format!("invalid {what} `{value}`: expected a positive integer"))
-        };
-        match flag {
-            "clients" => parsed.clients = positive(&value, "client count")?,
-            "requests" => parsed.requests = positive(&value, "request count")?,
-            "system" => parsed.system = value,
-            "method" => parsed.method = value,
-            "budget" => parsed.budget = positive(&value, "budget")?,
-            "seed" => {
-                parsed.seed = Some(
-                    value
-                        .parse::<u64>()
-                        .map_err(|_| format!("invalid seed `{value}`: expected an integer"))?,
-                );
-            }
-            "progress-every" => {
+    while let Some(arg) = scan.next_arg()? {
+        match arg.flag() {
+            Some("shutdown") => parsed.shutdown = true,
+            Some("metrics") => parsed.metrics = true,
+            Some("warm-start") => warm_start = true,
+            Some("clients") => parsed.clients = scan.positive("client count")?,
+            Some("requests") => parsed.requests = scan.positive("request count")?,
+            Some("system") => parsed.system = scan.value()?,
+            Some("method") => parsed.method = scan.value()?,
+            Some("budget") => parsed.budget = scan.positive("budget")?,
+            Some("seed") => seed = Some(scan.seed()?),
+            Some("progress-every") => {
+                let value = scan.value()?;
                 parsed.progress_every = value
-                    .parse::<usize>()
+                    .parse()
                     .map_err(|_| format!("invalid stride `{value}`"))?;
             }
-            "save-json" => parsed.save_json = Some(value),
-            other => return Err(format!("unknown flag `--{other}`")),
+            Some("save-json") => parsed.save_json = Some(scan.path()?),
+            None if addr.is_none() => addr = Some(arg.to_string()),
+            _ => return Err(arg.unexpected()),
         }
     }
+    parsed.addr = addr.ok_or("missing daemon address")?;
+    let named = [
+        parsed.system.clone(),
+        parsed.method.clone(),
+        parsed.budget.to_string(),
+    ];
+    parsed.document = request_json(&build_request(&named, seed, warm_start)?);
     Ok(parsed)
 }
 
@@ -241,26 +219,11 @@ fn shard_line(id: &str, value_ns: f64, samples: usize) -> String {
 }
 
 fn run_load(args: &LoadArgs) -> ExitCode {
-    let request = match build_request(
-        &args.system,
-        &args.method,
-        args.budget,
-        args.seed,
-        args.warm_start,
-    ) {
-        Ok(request) => request,
-        Err(reason) => {
-            eprintln!("{reason}");
-            return usage();
-        }
-    };
-    let document = request_json(&request);
-
     let started = Instant::now();
     let tallies: Vec<ClientTally> = thread::scope(|scope| {
         let handles: Vec<_> = (0..args.clients)
             .map(|_| {
-                let (addr, document) = (&args.addr, &document);
+                let (addr, document) = (&args.addr, &args.document);
                 scope.spawn(move || run_client(addr, document, args.requests, args.progress_every))
             })
             .collect();
@@ -370,77 +333,19 @@ fn append(path: &str, text: &str) -> std::io::Result<()> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("print-request") {
-        let mut positional: Vec<&String> = Vec::new();
-        let mut seed = None;
-        let mut warm_start = false;
-        let mut iter = args[1..].iter();
-        while let Some(arg) = iter.next() {
-            let Some(rest) = arg.strip_prefix("--") else {
-                positional.push(arg);
-                continue;
-            };
-            let (flag, inline) = match rest.split_once('=') {
-                Some((flag, value)) => (flag, Some(value.to_string())),
-                None => (rest, None),
-            };
-            if flag == "warm-start" {
-                if inline.is_some() {
-                    eprintln!("--warm-start takes no value");
-                    return usage();
-                }
-                warm_start = true;
-                continue;
-            }
-            if flag != "seed" {
-                eprintln!("unknown flag `--{flag}`");
-                return usage();
-            }
-            let Some(value) = inline.or_else(|| iter.next().cloned()) else {
-                eprintln!("--seed needs a value");
-                return usage();
-            };
-            seed = match value.parse::<u64>() {
-                Ok(seed) => Some(seed),
-                Err(_) => {
-                    eprintln!("invalid seed `{value}`: expected an integer");
-                    return usage();
-                }
-            };
-        }
-        if !(2..=3).contains(&positional.len()) {
-            return usage();
-        }
-        let budget = match positional.get(2) {
-            Some(raw) => match raw.parse::<usize>() {
-                Ok(n) if n > 0 => n,
-                _ => {
-                    eprintln!("invalid budget `{raw}`: expected a positive integer");
-                    return usage();
-                }
-            },
-            None => 100,
-        };
-        return match build_request(positional[0], positional[1], budget, seed, warm_start) {
-            Ok(request) => {
-                println!("{}", request_json(&request));
-                ExitCode::SUCCESS
-            }
-            Err(reason) => {
-                eprintln!("{reason}");
-                usage()
-            }
-        };
-    }
-
-    match parse_load_args(&args) {
-        Ok(parsed) => run_load(&parsed),
-        Err(reason) => {
-            eprintln!("{reason}");
-            usage()
-        }
-    }
+    let mut scan = Scanner::new(std::env::args().skip(1));
+    let run = match scan.subcommand(&["print-request"]) {
+        Ok(Some(_)) => print_request(&mut scan).map(|document| {
+            println!("{document}");
+            ExitCode::SUCCESS
+        }),
+        Ok(None) => parse_load_args(&mut scan).map(|args| run_load(&args)),
+        Err(reason) => Err(reason),
+    };
+    run.unwrap_or_else(|reason| {
+        eprintln!("{reason}");
+        usage()
+    })
 }
 
 #[cfg(test)]

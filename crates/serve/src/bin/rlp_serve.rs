@@ -36,6 +36,7 @@
 //! events and spans to a JSONL trace file.
 
 use rlp_serve::{Server, ServerConfig};
+use rlplanner::cli::Scanner;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -44,6 +45,23 @@ fn usage() -> ExitCode {
          [--policy <path>] [--log-level <filter>]"
     );
     ExitCode::from(2)
+}
+
+fn parse_args(mut scan: Scanner) -> Result<ServerConfig, String> {
+    let mut config = ServerConfig {
+        addr: "127.0.0.1:7878".to_string(),
+        ..ServerConfig::default()
+    };
+    while let Some(arg) = scan.next_arg()? {
+        match arg.flag() {
+            Some("addr") => config.addr = scan.value()?,
+            Some("workers") => config.workers = scan.positive("worker count")?,
+            Some("capacity") => config.queue_capacity = scan.positive("capacity")?,
+            Some("policy") => config.policy = Some(scan.path()?),
+            _ => return Err(arg.unexpected()),
+        }
+    }
+    Ok(config)
 }
 
 fn main() -> ExitCode {
@@ -58,62 +76,13 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut config = ServerConfig {
-        addr: "127.0.0.1:7878".to_string(),
-        ..ServerConfig::default()
-    };
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let Some(rest) = arg.strip_prefix("--") else {
-            eprintln!("unexpected argument `{arg}`");
+    let config = match parse_args(Scanner::new(std::env::args().skip(1)).with_log_level()) {
+        Ok(config) => config,
+        Err(reason) => {
+            eprintln!("{reason}");
             return usage();
-        };
-        let (flag, inline) = match rest.split_once('=') {
-            Some((flag, value)) => (flag, Some(value.to_string())),
-            None => (rest, None),
-        };
-        let Some(value) = inline.or_else(|| iter.next().cloned()) else {
-            eprintln!("flag `--{flag}` needs a value");
-            return usage();
-        };
-        match flag {
-            "addr" => config.addr = value,
-            "workers" => match value.parse::<usize>() {
-                Ok(n) if n > 0 => config.workers = n,
-                _ => {
-                    eprintln!("invalid worker count `{value}`: expected a positive integer");
-                    return usage();
-                }
-            },
-            "capacity" => match value.parse::<usize>() {
-                Ok(n) if n > 0 => config.queue_capacity = n,
-                _ => {
-                    eprintln!("invalid capacity `{value}`: expected a positive integer");
-                    return usage();
-                }
-            },
-            "policy" => {
-                if value.is_empty() {
-                    eprintln!("--policy needs a non-empty path");
-                    return usage();
-                }
-                config.policy = Some(value);
-            }
-            "log-level" => match rlp_obs::Level::parse_filter(&value) {
-                Ok(filter) => rlp_obs::set_max_level(filter),
-                Err(e) => {
-                    eprintln!("invalid --log-level: {e}");
-                    return usage();
-                }
-            },
-            other => {
-                eprintln!("unknown flag `--{other}`");
-                return usage();
-            }
         }
-    }
-
+    };
     let (workers, capacity) = (config.workers, config.queue_capacity);
     let server = match Server::bind(config) {
         Ok(server) => server,

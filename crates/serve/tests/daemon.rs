@@ -2,13 +2,13 @@
 //! the byte-identity contract, progress streaming, backpressure, cancel,
 //! connection teardown and graceful shutdown under load.
 
-use rlp_benchmarks::{synthetic_case, system_by_name};
+use rlp_benchmarks::synthetic_case;
 use rlp_chiplet::ChipletSystem;
 use rlp_sa::SaConfig;
 use rlp_serve::{ClientError, ServeClient, Server, ServerConfig, Submit};
 use rlp_thermal::{CharacterizationOptions, ThermalBackend, ThermalConfig};
 use rlplanner::report::{outcome_json, request_json};
-use rlplanner::{method_by_name, outcome_from_value, Budget, FloorplanRequest, Method};
+use rlplanner::{cli, outcome_from_value, Budget, FloorplanRequest, Method};
 use std::io;
 use std::net::SocketAddr;
 use std::thread::{self, JoinHandle};
@@ -63,15 +63,11 @@ fn sa_request_with_moves(
         .expect("test request is valid")
 }
 
-/// The request `rlp_load print-request <system> <method> <budget>` prints:
-/// the command-line tools' shared name tables.
-fn named_request(system: &str, method: &str, budget: usize) -> FloorplanRequest {
-    let (method, thermal) = method_by_name(method, None).expect("known method");
-    FloorplanRequest::builder()
-        .system(system_by_name(system).expect("known system"))
-        .method(method)
-        .thermal(thermal)
-        .budget(Budget::Evaluations(budget))
+/// The request `rlp_load print-request case1 sa-fast 40` prints.
+fn case1_sa_fast_40() -> FloorplanRequest {
+    let named = ["case1", "sa-fast", "40"].map(String::from);
+    cli::named_request(&named, None)
+        .expect("known names")
         .build()
         .expect("named request is valid")
 }
@@ -326,7 +322,7 @@ fn malformed_and_inadmissible_documents_are_remote_errors() {
 
 #[test]
 fn an_anneal_that_never_cools_is_refused_and_the_only_worker_stays_free() {
-    let request = named_request("case1", "sa-fast", 40);
+    let request = case1_sa_fast_40();
     let document = request_json(&request);
     // `1e999` decodes to +inf, and +inf never cools below the final
     // temperature: with no budget such a job, once admitted, ran forever on
@@ -365,7 +361,7 @@ fn an_anneal_that_never_cools_is_refused_and_the_only_worker_stays_free() {
 
 #[test]
 fn a_duration_too_long_to_represent_is_an_error_frame_and_the_connection_serves_on() {
-    let request = named_request("case1", "sa-fast", 40);
+    let request = case1_sa_fast_40();
     let document = request_json(&request);
     // `1e300` seconds is finite but beyond `Duration`: decoding it used to
     // panic on the connection thread, so the client got no answer at all.
