@@ -3,19 +3,22 @@
 //! ```text
 //! rlp_load <addr> [--clients <n>] [--requests <m>] [--system <s>]
 //!          [--method <m>] [--budget <n>] [--seed <n>] [--warm-start]
-//!          [--progress-every <k>] [--save-json <path>] [--metrics]
-//!          [--shutdown]
+//!          [--policy <path>] [--progress-every <k>] [--save-json <path>]
+//!          [--metrics] [--shutdown]
 //!
 //!   <addr>            daemon address, e.g. 127.0.0.1:7878
 //!   --clients         concurrent client connections        (default 4)
 //!   --requests        solve requests per client            (default 8)
 //!   --system          multi-gpu | cpu-dram | ascend910 | case1..case5
 //!                                                          (default case1)
-//!   --method          rl | rl-rnd | sa-hotspot | sa-fast | gradient
-//!                                                          (default sa-fast)
+//!   --method          rl | rl-rnd | sa-hotspot | sa-fast | gradient |
+//!                     pretrained                           (default sa-fast)
 //!   --budget          candidate floorplans per request     (default 60)
 //!   --seed            fixed request seed (default: the method's own)
 //!   --warm-start      gradient-presolve each request's SA/RL solve
+//!   --policy          `rlplanner.policy/v1` file a `pretrained` request
+//!                     names (required by that method only); the daemon
+//!                     reads it, so give a path valid on its host
 //!   --progress-every  stream every Nth candidate           (default 0, off)
 //!   --save-json       append p50/p99 latency + throughput as
 //!                     `rlplanner.bench/v1` shard lines to <path>
@@ -24,7 +27,7 @@
 //!   --shutdown        send a graceful shutdown after the run
 //!
 //! rlp_load print-request <system> <method> [budget] [--seed <n>]
-//!                        [--warm-start]
+//!                        [--warm-start] [--policy <path>]
 //!
 //!   prints the `rlplanner.request/v1` document the load run would submit —
 //!   the same system/method mapping as `rlplanner_cli`, so a daemon solve
@@ -51,9 +54,10 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: rlp_load <addr> [--clients <n>] [--requests <m>] [--system <s>] \
          [--method <m>] [--budget <n>] [--seed <n>] [--warm-start] \
-         [--progress-every <k>] [--save-json <path>] [--metrics] [--shutdown]\n\
+         [--policy <path>] [--progress-every <k>] [--save-json <path>] [--metrics] \
+         [--shutdown]\n\
          \x20      rlp_load print-request <system> <method> [budget] [--seed <n>] \
-         [--warm-start]"
+         [--warm-start] [--policy <path>]"
     );
     ExitCode::from(2)
 }
@@ -64,8 +68,9 @@ fn build_request(
     named: &[String],
     seed: Option<u64>,
     warm_start: bool,
+    policy: Option<&str>,
 ) -> Result<FloorplanRequest, String> {
-    let mut builder = cli::named_request(named, None)?.warm_start(warm_start);
+    let mut builder = cli::named_request(named, policy)?.warm_start(warm_start);
     if let Some(seed) = seed {
         builder = builder.seed(seed);
     }
@@ -73,16 +78,18 @@ fn build_request(
 }
 
 fn print_request(scan: &mut Scanner) -> Result<String, String> {
-    let (mut named, mut seed, mut warm_start) = (Vec::new(), None, false);
+    let (mut named, mut seed, mut warm_start, mut policy) = (Vec::new(), None, false, None);
     while let Some(arg) = scan.next_arg()? {
         match arg.flag() {
             Some("seed") => seed = Some(scan.seed()?),
             Some("warm-start") => warm_start = true,
+            Some("policy") => policy = Some(scan.path()?),
             Some(_) => return Err(arg.unexpected()),
             None => named.push(arg.to_string()),
         }
     }
-    Ok(request_json(&build_request(&named, seed, warm_start)?))
+    let request = build_request(&named, seed, warm_start, policy.as_deref())?;
+    Ok(request_json(&request))
 }
 
 struct LoadArgs {
@@ -101,7 +108,7 @@ struct LoadArgs {
 }
 
 fn parse_load_args(scan: &mut Scanner) -> Result<LoadArgs, String> {
-    let (mut addr, mut seed, mut warm_start) = (None, None, false);
+    let (mut addr, mut seed, mut warm_start, mut policy) = (None, None, false, None);
     let mut parsed = LoadArgs {
         addr: String::new(),
         clients: 4,
@@ -126,6 +133,7 @@ fn parse_load_args(scan: &mut Scanner) -> Result<LoadArgs, String> {
             Some("method") => parsed.method = scan.value()?,
             Some("budget") => parsed.budget = scan.positive("budget")?,
             Some("seed") => seed = Some(scan.seed()?),
+            Some("policy") => policy = Some(scan.path()?),
             Some("progress-every") => {
                 let value = scan.value()?;
                 parsed.progress_every = value
@@ -143,7 +151,8 @@ fn parse_load_args(scan: &mut Scanner) -> Result<LoadArgs, String> {
         parsed.method.clone(),
         parsed.budget.to_string(),
     ];
-    parsed.document = request_json(&build_request(&named, seed, warm_start)?);
+    let request = build_request(&named, seed, warm_start, policy.as_deref())?;
+    parsed.document = request_json(&request);
     Ok(parsed)
 }
 
