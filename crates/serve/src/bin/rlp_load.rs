@@ -174,7 +174,8 @@ fn run_client(
     let mut client = match ServeClient::connect(addr) {
         Ok(client) => client,
         Err(e) => {
-            tally.failures.push(format!("connect: {e}"));
+            // None of this client's requests can be sent.
+            tally.failures = vec![format!("connect: {e}"); requests];
             return tally;
         }
     };
@@ -359,7 +360,18 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::shard_line;
+    use super::{run_client, shard_line};
+
+    #[test]
+    fn a_client_that_cannot_connect_fails_every_request() {
+        // A port that was just free: nothing listens on it.
+        let addr = std::net::TcpListener::bind("127.0.0.1:0")
+            .and_then(|listener| listener.local_addr())
+            .expect("an ephemeral port");
+        let tally = run_client(&addr.to_string(), "{}", 3, 0);
+        assert_eq!(tally.failures.len(), 3, "{:?}", tally.failures);
+        assert!(tally.latencies.is_empty());
+    }
 
     #[test]
     fn shard_lines_match_their_golden_file() {
