@@ -12,7 +12,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rlp_bench::{characterize_for, first_fit_placement, harness_thermal_config};
 use rlp_benchmarks::standard_benchmarks;
-use rlp_rl::{Environment, PpoAgent, RolloutBuffer};
+use rlp_rl::{Environment, PpoAgent, RolloutBuffer, VecEnvPool};
 use rlp_thermal::{AnyThermalAnalyzer, GridThermalSolver};
 use rlplanner::{
     agent::build_actor_critic, AgentConfig, EnvConfig, FloorplanEnv, RewardCalculator, RewardConfig,
@@ -57,16 +57,24 @@ fn rl_episode_cost(c: &mut Criterion) {
             AnyThermalAnalyzer::Fast(characterize_for(&system)),
             RewardConfig::default(),
         );
-        let mut env = FloorplanEnv::new(calc, EnvConfig::default());
+        let env = FloorplanEnv::new(calc, EnvConfig::default());
         let agent_config = AgentConfig::default();
         let model = build_actor_critic(&env.observation_shape(), env.action_count(), &agent_config);
         let mut agent = PpoAgent::new(model, rlp_rl::PpoConfig::default(), 7);
+        // A one-environment pool: the collector training runs.
+        let mut pool = VecEnvPool::new(vec![env], 7).expect("non-empty pool");
         group.bench_function(
             BenchmarkId::new("rlplanner_episode_fast_model", system.name()),
             |b| {
                 b.iter(|| {
                     let mut buffer = RolloutBuffer::new();
-                    black_box(agent.collect_episode(&mut env, &mut buffer, None))
+                    black_box(agent.collect_episodes_parallel(
+                        &mut pool,
+                        1,
+                        &mut buffer,
+                        None,
+                        |_| (),
+                    ))
                 })
             },
         );

@@ -11,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rlp_bench::{characterize_for, harness_thermal_config};
 use rlp_benchmarks::synthetic_cases;
-use rlp_rl::{Environment, PpoAgent, RolloutBuffer};
+use rlp_rl::{Environment, PpoAgent, RolloutBuffer, VecEnvPool};
 use rlp_sa::{Objective, SaConfig, SaPlanner};
 use rlp_thermal::{AnyThermalAnalyzer, GridThermalSolver};
 use rlplanner::{
@@ -82,22 +82,25 @@ fn rnd_episode_cost(c: &mut Criterion) {
         AnyThermalAnalyzer::Fast(characterize_for(&system)),
         RewardConfig::default(),
     );
-    let mut env = FloorplanEnv::new(calc, EnvConfig::default());
+    let env = FloorplanEnv::new(calc, EnvConfig::default());
     let agent_config = AgentConfig::default();
     let model = build_actor_critic(&env.observation_shape(), env.action_count(), &agent_config);
     let mut agent = PpoAgent::new(model, rlp_rl::PpoConfig::default(), 11);
     let mut rnd = build_rnd(&env.observation_shape(), &agent_config);
+    // A one-environment pool: the collector training runs.
+    let mut pool = VecEnvPool::new(vec![env], 11).expect("non-empty pool");
 
     group.bench_function("rlplanner_episode_plain", |b| {
         b.iter(|| {
             let mut buffer = RolloutBuffer::new();
-            black_box(agent.collect_episode(&mut env, &mut buffer, None))
+            black_box(agent.collect_episodes_parallel(&mut pool, 1, &mut buffer, None, |_| ()))
         })
     });
     group.bench_function("rlplanner_episode_with_rnd", |b| {
         b.iter(|| {
             let mut buffer = RolloutBuffer::new();
-            black_box(agent.collect_episode(&mut env, &mut buffer, Some(&mut rnd)))
+            let rnd = Some(&mut rnd);
+            black_box(agent.collect_episodes_parallel(&mut pool, 1, &mut buffer, rnd, |_| ()))
         })
     });
     group.finish();

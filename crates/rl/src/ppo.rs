@@ -184,7 +184,7 @@ impl PpoAgent {
     }
 
     /// Samples a masked action for one observation with an explicit model
-    /// and rng — the kernel shared by the serial and parallel collectors.
+    /// and rng.
     fn sample_masked(
         model: &mut ActorCritic,
         observation: &Observation,
@@ -199,64 +199,6 @@ impl PpoAgent {
             log_prob: dist.log_prob(action),
             value: values.get(&[0, 0]),
         }
-    }
-
-    /// Samples an action from the masked policy for a single observation.
-    pub fn select_action(&mut self, observation: &Observation) -> ActionSample {
-        Self::sample_masked(&mut self.model, observation, &mut self.rng)
-    }
-
-    /// Plays one full episode in `env`, appending transitions to `buffer`.
-    ///
-    /// When an RND module is supplied, intrinsic rewards are added to each
-    /// transition and the predictor network is trained on the visited states
-    /// at the end of the episode (the "RLPlanner (RND)" variant).
-    ///
-    /// Returns the total extrinsic episode reward.
-    pub fn collect_episode(
-        &mut self,
-        env: &mut dyn Environment,
-        buffer: &mut RolloutBuffer,
-        mut rnd: Option<&mut RandomNetworkDistillation>,
-    ) -> f64 {
-        let mut observation = env.reset();
-        let mut episode_reward = 0.0;
-        let mut visited_states = Vec::new();
-        loop {
-            let sample = self.select_action(&observation);
-            let step = env.step(sample.action);
-            episode_reward += step.reward;
-            let intrinsic = match (&mut rnd, &step.observation) {
-                (Some(rnd), Some(next)) => {
-                    visited_states.push(next.state.clone());
-                    rnd.bonus(&next.state)
-                }
-                _ => 0.0,
-            };
-            buffer.push(Transition {
-                state: observation.state.clone(),
-                action_mask: observation.action_mask.clone(),
-                action: sample.action,
-                log_prob: sample.log_prob,
-                value: sample.value,
-                reward: step.reward,
-                intrinsic_reward: intrinsic,
-                done: step.done,
-            });
-            if step.done {
-                break;
-            }
-            observation = step
-                .observation
-                .expect("non-terminal step must produce an observation");
-        }
-        if let Some(rnd) = rnd {
-            if !visited_states.is_empty() {
-                let refs: Vec<&Tensor> = visited_states.iter().collect();
-                rnd.update(&refs);
-            }
-        }
-        episode_reward
     }
 
     /// Plays one episode on one environment with a dedicated policy replica
@@ -308,9 +250,10 @@ impl PpoAgent {
     /// see [`VecEnvPool`]).
     ///
     /// When an RND module is supplied, intrinsic rewards and predictor
-    /// updates are applied in a serial post-pass in episode order, which
-    /// reproduces exactly what [`PpoAgent::collect_episode`] would have done
-    /// episode by episode (action sampling never depends on the bonuses).
+    /// updates are applied in a serial post-pass in episode order: each
+    /// episode's bonuses come from the predictor as the earlier episodes
+    /// left it, whatever the pool size (action sampling never depends on
+    /// the bonuses).
     ///
     /// `artifact` is called on each environment right after it finishes an
     /// episode (from the worker thread), letting callers extract per-episode
@@ -394,8 +337,7 @@ impl PpoAgent {
             }
         }
 
-        // RND post-pass: bonuses and predictor updates in episode order,
-        // replicating the serial collector's exact call sequence.
+        // RND post-pass: bonuses and predictor updates in episode order.
         if let Some(rnd) = rnd {
             for entry in ordered.iter_mut() {
                 let (_, transitions, _, _) = entry.as_mut().expect("every slot was collected");
@@ -605,18 +547,27 @@ mod tests {
         (action, values.get(&[0, 0]))
     }
 
+    /// Collects `episodes` bandit episodes through a one-environment pool,
+    /// the path training runs.
+    fn collect(
+        agent: &mut PpoAgent,
+        pool: &mut VecEnvPool<Bandit>,
+        episodes: usize,
+    ) -> RolloutBuffer {
+        let mut buffer = RolloutBuffer::new();
+        agent.collect_episodes_parallel(pool, episodes, &mut buffer, None, |_| ());
+        buffer
+    }
+
     #[test]
     fn ppo_learns_the_best_bandit_arm() {
         let mut agent = bandit_agent(3);
-        let mut env = Bandit::new();
+        let mut pool = VecEnvPool::new(vec![Bandit::new()], 3).unwrap();
         for _ in 0..40 {
-            let mut buffer = RolloutBuffer::new();
-            for _ in 0..16 {
-                agent.collect_episode(&mut env, &mut buffer, None);
-            }
+            let mut buffer = collect(&mut agent, &mut pool, 16);
             agent.update(&mut buffer).expect("non-empty rollout");
         }
-        let obs = env.reset();
+        let obs = Bandit::new().reset();
         assert_eq!(
             greedy_action_and_value(&mut agent, &obs).0,
             1,
@@ -627,16 +578,13 @@ mod tests {
     #[test]
     fn masked_actions_are_never_selected() {
         let mut agent = bandit_agent(5);
-        let mut env = Bandit::masked();
+        let mut pool = VecEnvPool::new(vec![Bandit::masked()], 5).unwrap();
         // The environment asserts that masked actions are never stepped.
         for _ in 0..10 {
-            let mut buffer = RolloutBuffer::new();
-            for _ in 0..8 {
-                agent.collect_episode(&mut env, &mut buffer, None);
-            }
+            let mut buffer = collect(&mut agent, &mut pool, 8);
             agent.update(&mut buffer).expect("non-empty rollout");
         }
-        let obs = env.reset();
+        let obs = Bandit::masked().reset();
         let (action, _) = greedy_action_and_value(&mut agent, &obs);
         assert_ne!(action, 1);
     }
@@ -644,15 +592,12 @@ mod tests {
     #[test]
     fn value_estimate_converges_towards_mean_reward() {
         let mut agent = bandit_agent(9);
-        let mut env = Bandit::new();
+        let mut pool = VecEnvPool::new(vec![Bandit::new()], 9).unwrap();
         for _ in 0..50 {
-            let mut buffer = RolloutBuffer::new();
-            for _ in 0..16 {
-                agent.collect_episode(&mut env, &mut buffer, None);
-            }
+            let mut buffer = collect(&mut agent, &mut pool, 16);
             agent.update(&mut buffer).expect("non-empty rollout");
         }
-        let obs = env.reset();
+        let obs = Bandit::new().reset();
         let (_, value) = greedy_action_and_value(&mut agent, &obs);
         // Once the policy prefers arm 1, the value should approach 1.0.
         assert!(value > 0.5, "value {value}");
@@ -661,11 +606,8 @@ mod tests {
     #[test]
     fn update_reports_statistics() {
         let mut agent = bandit_agent(1);
-        let mut env = Bandit::new();
-        let mut buffer = RolloutBuffer::new();
-        for _ in 0..8 {
-            agent.collect_episode(&mut env, &mut buffer, None);
-        }
+        let mut pool = VecEnvPool::new(vec![Bandit::new()], 1).unwrap();
+        let mut buffer = collect(&mut agent, &mut pool, 8);
         let stats = agent.update(&mut buffer).expect("non-empty rollout");
         assert!(stats.gradient_steps > 0);
         assert!(stats.entropy > 0.0);
@@ -675,11 +617,11 @@ mod tests {
     #[test]
     fn collect_episode_accumulates_reward() {
         let mut agent = bandit_agent(2);
-        let mut env = Bandit::new();
+        let mut pool = VecEnvPool::new(vec![Bandit::new()], 2).unwrap();
         let mut buffer = RolloutBuffer::new();
-        let reward = agent.collect_episode(&mut env, &mut buffer, None);
+        let reports = agent.collect_episodes_parallel(&mut pool, 1, &mut buffer, None, |_| ());
         assert_eq!(buffer.len(), 1);
-        assert!((0.0..=1.0).contains(&reward));
+        assert!((0.0..=1.0).contains(&reports[0].reward));
     }
 
     #[test]
