@@ -59,7 +59,6 @@
 //! assert_eq!(restored.metadata_value("note"), Some("demo"));
 //! ```
 
-use crate::layers::Sequential;
 use crate::{Layer, Tensor};
 use std::fmt;
 use std::path::Path;
@@ -498,41 +497,10 @@ impl<'a> Reader<'a> {
     }
 }
 
-impl Sequential {
-    /// Saves this network's parameters as a `rlplanner.policy/v1` file.
-    ///
-    /// # Errors
-    ///
-    /// [`PolicyError::Io`] when the file cannot be written.
-    pub fn save_policy(
-        &mut self,
-        path: impl AsRef<Path>,
-        metadata: Vec<(String, String)>,
-    ) -> Result<PolicyFile, PolicyError> {
-        let file = PolicyFile::from_layer(self, metadata);
-        file.save(path)?;
-        Ok(file)
-    }
-
-    /// Loads a `rlplanner.policy/v1` file into this network's parameters.
-    ///
-    /// Returns the parsed file (metadata included) on success.
-    ///
-    /// # Errors
-    ///
-    /// Any [`PolicyError`]: unreadable, corrupt, truncated, version-skewed
-    /// or shape-mismatched files leave the network untouched.
-    pub fn load_policy(&mut self, path: impl AsRef<Path>) -> Result<PolicyFile, PolicyError> {
-        let file = PolicyFile::load(path)?;
-        file.apply_to(self)?;
-        Ok(file)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Linear, ReLU};
+    use crate::layers::{Linear, ReLU, Sequential};
 
     fn demo_net(seed: u64) -> Sequential {
         let mut net = Sequential::new();
@@ -687,12 +655,12 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("rlp_nn_policy_test_{}.policy", std::process::id()));
         let mut net = demo_net(11);
-        let saved = net
-            .save_policy(&path, vec![("env.grid".into(), "16x16".into())])
-            .unwrap();
-        let mut fresh = demo_net(500);
-        let loaded = fresh.load_policy(&path).unwrap();
+        let saved = PolicyFile::from_layer(&mut net, vec![("env.grid".into(), "16x16".into())]);
+        saved.save(&path).unwrap();
+        let loaded = PolicyFile::load(&path).unwrap();
         std::fs::remove_file(&path).ok();
+        let mut fresh = demo_net(500);
+        loaded.apply_to(&mut fresh).unwrap();
         assert_eq!(loaded, saved);
         assert_eq!(params(&mut net), params(&mut fresh));
         assert_eq!(loaded.metadata_value("env.grid"), Some("16x16"));

@@ -3,7 +3,6 @@
 use rlp_nn::layers::{Layer, Linear, Sequential};
 use rlp_nn::policy::{PolicyError, PolicyFile};
 use rlp_nn::{Parameter, Tensor};
-use std::path::Path;
 
 /// An actor-critic network: a shared feature encoder followed by a policy
 /// head (action logits) and a value head (state value), matching the agent
@@ -123,34 +122,6 @@ impl ActorCritic {
     /// network is untouched on error.
     pub fn import_policy(&mut self, file: &PolicyFile) -> Result<(), PolicyError> {
         file.apply_to(self)
-    }
-
-    /// Saves this network as a `rlplanner.policy/v1` file.
-    ///
-    /// # Errors
-    ///
-    /// [`PolicyError::Io`] when the file cannot be written.
-    pub fn save(
-        &mut self,
-        path: impl AsRef<Path>,
-        metadata: Vec<(String, String)>,
-    ) -> Result<PolicyFile, PolicyError> {
-        let file = self.export_policy(metadata);
-        file.save(path)?;
-        Ok(file)
-    }
-
-    /// Loads a `rlplanner.policy/v1` file into this network, returning the
-    /// parsed file (metadata included).
-    ///
-    /// # Errors
-    ///
-    /// Any [`PolicyError`]: unreadable, corrupt, truncated, version-skewed
-    /// or shape-mismatched files leave the network untouched.
-    pub fn load(&mut self, path: impl AsRef<Path>) -> Result<PolicyFile, PolicyError> {
-        let file = PolicyFile::load(path)?;
-        self.import_policy(&file)?;
-        Ok(file)
     }
 }
 
@@ -303,17 +274,17 @@ mod tests {
             std::process::id()
         ));
         let mut trained = model(8, 5);
-        let saved = trained
-            .save(&path, vec![("schema".into(), rlp_nn::POLICY_SCHEMA.into())])
-            .unwrap();
+        let saved = trained.export_policy(vec![("schema".into(), rlp_nn::POLICY_SCHEMA.into())]);
+        saved.save(&path).unwrap();
         // A differently-seeded network of the same architecture converges
         // to the trained weights exactly after loading.
         let mut encoder = Sequential::new();
         encoder.push(Linear::new(4, 8, 77));
         encoder.push(ReLU::new());
         let mut fresh = ActorCritic::new(encoder, 8, 5, 78);
-        let loaded = fresh.load(&path).unwrap();
+        let loaded = PolicyFile::load(&path).unwrap();
         std::fs::remove_file(&path).ok();
+        fresh.import_policy(&loaded).unwrap();
         assert_eq!(loaded, saved);
         let states = Tensor::from_vec(vec![0.3, -0.2, 0.9, 0.1], vec![1, 4]);
         let (logits_a, values_a) = trained.evaluate(&states, false);
