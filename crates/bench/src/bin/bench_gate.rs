@@ -16,16 +16,11 @@
 //! 0 pass, 1 gate failure, 2 usage or parse error.
 
 use rlp_bench::report::{compare, parse_report, parse_shards, render_report};
-use rlplanner::cli::Scanner;
+use rlplanner::cli::{self, Scanner};
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: bench_gate collect <out.json> <shards.jsonl>...\n\
-         \x20      bench_gate check <baseline.json> <current.json> [--max-regression-pct <p>]"
-    );
-    ExitCode::from(2)
-}
+const USAGE: &str = "usage: bench_gate collect <out.json> <shards.jsonl>...\n\
+         \x20      bench_gate check <baseline.json> <current.json> [--max-regression-pct <p>]";
 
 fn read(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|err| format!("cannot read `{path}`: {err}"))
@@ -106,11 +101,12 @@ fn check(baseline_path: &str, current_path: &str, max_regression_pct: f64) -> Ex
 fn main() -> ExitCode {
     let mut scan = Scanner::new(std::env::args().skip(1));
     let run = scan.subcommand(&["collect", "check"]).and_then(|mode| {
+        let mode = mode.ok_or("expected `collect` or `check`")?;
         let mut paths = Vec::new();
         let mut max_regression_pct = 25.0;
         while let Some(arg) = scan.next_arg()? {
             match arg.flag() {
-                Some("max-regression-pct") if mode == Some("check") => {
+                Some("max-regression-pct") if mode == "check" => {
                     max_regression_pct = scan
                         .value()?
                         .parse::<f64>()
@@ -118,18 +114,15 @@ fn main() -> ExitCode {
                         .filter(|pct| pct.is_finite() && *pct >= 0.0)
                         .ok_or("--max-regression-pct needs a non-negative number")?;
                 }
-                None if mode == Some("collect") || paths.len() < 2 => paths.push(arg.to_string()),
+                None if mode == "collect" || paths.len() < 2 => paths.push(arg.to_string()),
                 _ => return Err(arg.unexpected()),
             }
         }
-        Ok(match (mode, paths.as_slice()) {
-            (Some("collect"), [out, shards @ ..]) if !shards.is_empty() => collect(out, shards),
-            (Some("check"), [baseline, current]) => check(baseline, current, max_regression_pct),
-            _ => usage(),
-        })
+        match (mode, paths.as_slice()) {
+            ("collect", [out, shards @ ..]) if !shards.is_empty() => Ok(collect(out, shards)),
+            ("check", [baseline, current]) => Ok(check(baseline, current, max_regression_pct)),
+            _ => Err(format!("`{mode}` is missing a path")),
+        }
     });
-    run.unwrap_or_else(|reason| {
-        eprintln!("{reason}");
-        usage()
-    })
+    run.unwrap_or_else(|reason| cli::usage_error(&reason, USAGE))
 }

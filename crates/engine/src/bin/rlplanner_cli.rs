@@ -92,9 +92,7 @@ use rlplanner::{
 };
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: rlplanner_cli <multi-gpu|cpu-dram|ascend910|case1..case5> \
+const USAGE: &str = "usage: rlplanner_cli <multi-gpu|cpu-dram|ascend910|case1..case5> \
          <rl|rl-rnd|sa-hotspot|sa-fast|gradient|pretrained> [budget] \
          [--train-parallel <n>] [--warm-start] [--policy <path>] \
          [--save-policy <path>] [--json] [--log-level <filter>]\n\
@@ -103,10 +101,7 @@ fn usage() -> ExitCode {
          [--train-parallel <n>] [--warm-start] [--policy <path>] \
          [--stream <path>] [--json] [--log-level <filter>]\n\
          \x20      rlplanner_cli train-generalist --out <path> [--systems <n>] \
-         [--episodes-per-system <n>] [--seed <n>] [--log-level <filter>]"
-    );
-    ExitCode::from(2)
-}
+         [--episodes-per-system <n>] [--seed <n>] [--log-level <filter>]";
 
 /// What a command line asks for.
 enum Mode {
@@ -465,9 +460,6 @@ fn main() -> ExitCode {
         Ok(Mode::Run { request, json }) => run(&request, json),
         Ok(Mode::Sweep(args)) => run_sweep(&args),
         Ok(Mode::TrainGeneralist(args)) => run_train_generalist(&args),
-        Err(reason) => {
-            eprintln!("{reason}");
-            usage()
-        }
+        Err(reason) => cli::usage_error(&reason, USAGE),
     }
 }

@@ -10,13 +10,21 @@
 //!   so `rlplanner_cli` and `rlp_load` build byte-identical documents for
 //!   the same names.
 //!
-//! Every error is a one-line message. The binaries print it above their
-//! usage text and exit with status 2.
+//! Every error is a one-line message, which [`usage_error`] prints above
+//! the binary's usage text before it exits with status 2.
 
 use crate::request::{Budget, FloorplanRequest, FloorplanRequestBuilder, Method};
 use rlp_benchmarks::system_by_name;
 use rlp_sa::SaConfig;
 use rlp_thermal::{CharacterizationOptions, ThermalBackend, ThermalConfig};
+use std::process::ExitCode;
+
+/// Reports a usage error: `reason` above the binary's `usage` text, and
+/// exit status 2.
+pub fn usage_error(reason: &str, usage: &str) -> ExitCode {
+    eprintln!("{reason}\n{usage}");
+    ExitCode::from(2)
+}
 
 /// One command-line argument, as [`Scanner::next_arg`] hands it out.
 #[derive(Debug, Clone, PartialEq, Eq)]

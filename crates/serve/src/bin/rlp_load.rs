@@ -45,36 +45,33 @@ use rlp_obs::json::{Layout, Writer};
 use rlp_serve::{ClientError, ServeClient, Submit};
 use rlplanner::cli::{self, Scanner};
 use rlplanner::report::request_json;
-use rlplanner::FloorplanRequest;
 use std::process::ExitCode;
 use std::thread;
 use std::time::{Duration, Instant};
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: rlp_load <addr> [--clients <n>] [--requests <m>] [--system <s>] \
+const USAGE: &str = "usage: rlp_load <addr> [--clients <n>] [--requests <m>] [--system <s>] \
          [--method <m>] [--budget <n>] [--seed <n>] [--warm-start] \
          [--policy <path>] [--progress-every <k>] [--save-json <path>] [--metrics] \
          [--shutdown]\n\
          \x20      rlp_load print-request <system> <method> [budget] [--seed <n>] \
-         [--warm-start] [--policy <path>]"
-    );
-    ExitCode::from(2)
-}
+         [--warm-start] [--policy <path>]";
 
-/// The request a load run submits and `print-request` prints, named by
-/// `<system> <method> [budget]`.
-fn build_request(
+/// The `rlplanner.request/v1` document a load run submits and
+/// `print-request` prints, named by `<system> <method> [budget]`.
+fn request_document(
     named: &[String],
     seed: Option<u64>,
     warm_start: bool,
     policy: Option<&str>,
-) -> Result<FloorplanRequest, String> {
+) -> Result<String, String> {
     let mut builder = cli::named_request(named, policy)?.warm_start(warm_start);
     if let Some(seed) = seed {
         builder = builder.seed(seed);
     }
-    builder.build().map_err(|e| format!("invalid request: {e}"))
+    let request = builder
+        .build()
+        .map_err(|e| format!("invalid request: {e}"))?;
+    Ok(request_json(&request))
 }
 
 fn print_request(scan: &mut Scanner) -> Result<String, String> {
@@ -88,8 +85,7 @@ fn print_request(scan: &mut Scanner) -> Result<String, String> {
             None => named.push(arg.to_string()),
         }
     }
-    let request = build_request(&named, seed, warm_start, policy.as_deref())?;
-    Ok(request_json(&request))
+    request_document(&named, seed, warm_start, policy.as_deref())
 }
 
 struct LoadArgs {
@@ -151,8 +147,7 @@ fn parse_load_args(scan: &mut Scanner) -> Result<LoadArgs, String> {
         parsed.method.clone(),
         parsed.budget.to_string(),
     ];
-    let request = build_request(&named, seed, warm_start, policy.as_deref())?;
-    parsed.document = request_json(&request);
+    parsed.document = request_document(&named, seed, warm_start, policy.as_deref())?;
     Ok(parsed)
 }
 
@@ -352,10 +347,7 @@ fn main() -> ExitCode {
         Ok(None) => parse_load_args(&mut scan).map(|args| run_load(&args)),
         Err(reason) => Err(reason),
     };
-    run.unwrap_or_else(|reason| {
-        eprintln!("{reason}");
-        usage()
-    })
+    run.unwrap_or_else(|reason| cli::usage_error(&reason, USAGE))
 }
 
 #[cfg(test)]

@@ -36,16 +36,11 @@
 //! events and spans to a JSONL trace file.
 
 use rlp_serve::{Server, ServerConfig};
-use rlplanner::cli::Scanner;
+use rlplanner::cli::{self, Scanner};
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: rlp_serve [--addr <host:port>] [--workers <n>] [--capacity <n>] \
-         [--policy <path>] [--log-level <filter>]"
-    );
-    ExitCode::from(2)
-}
+const USAGE: &str = "usage: rlp_serve [--addr <host:port>] [--workers <n>] [--capacity <n>] \
+         [--policy <path>] [--log-level <filter>]";
 
 fn parse_args(mut scan: Scanner) -> Result<ServerConfig, String> {
     let mut config = ServerConfig {
@@ -78,10 +73,7 @@ fn main() -> ExitCode {
 
     let config = match parse_args(Scanner::new(std::env::args().skip(1)).with_log_level()) {
         Ok(config) => config,
-        Err(reason) => {
-            eprintln!("{reason}");
-            return usage();
-        }
+        Err(reason) => return cli::usage_error(&reason, USAGE),
     };
     let (workers, capacity) = (config.workers, config.queue_capacity);
     let server = match Server::bind(config) {
