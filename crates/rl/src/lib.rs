@@ -47,6 +47,6 @@ pub use actor_critic::ActorCritic;
 pub use buffer::{RolloutBuffer, Transition};
 pub use env::{Environment, Observation, StepResult};
 pub use error::{ConfigError, RlError};
-pub use ppo::{ActionSample, PpoAgent, PpoConfig, PpoStats};
+pub use ppo::{PpoAgent, PpoConfig, PpoStats};
 pub use rnd::RandomNetworkDistillation;
 pub use vec_env::{episode_rng, ParallelEpisode, VecEnvPool};

@@ -110,14 +110,13 @@ impl PpoConfig {
 }
 
 /// The outcome of sampling an action for one observation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ActionSample {
+struct ActionSample {
     /// Sampled action index.
-    pub action: usize,
+    action: usize,
     /// Log-probability of the action under the current policy.
-    pub log_prob: f32,
+    log_prob: f32,
     /// Value estimate of the observed state.
-    pub value: f32,
+    value: f32,
 }
 
 /// Aggregate statistics of one PPO update.

@@ -27,7 +27,7 @@ pub fn usage_error(reason: &str, usage: &str) -> ExitCode {
 }
 
 /// One command-line argument, as [`Scanner::next_arg`] hands it out.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub enum Arg {
     /// `--name` or `--name=value`, carrying the name without dashes. Take
     /// its value with [`Scanner::value`] or a typed reader; a flag whose
