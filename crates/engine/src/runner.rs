@@ -254,19 +254,12 @@ impl CampaignEngine {
                             let run_elapsed = run_finished.saturating_sub(run_started);
                             span.field("ok", solved.is_ok());
                             span.end();
-                            if rlp_obs::metrics_enabled() {
-                                let registry = rlp_obs::registry();
-                                registry
-                                    .counter(if solved.is_ok() {
-                                        "engine.runs.completed"
-                                    } else {
-                                        "engine.runs.failed"
-                                    })
-                                    .inc();
-                                registry
-                                    .histogram("engine.run_ns")
-                                    .record_duration(run_elapsed);
+                            if solved.is_ok() {
+                                rlp_obs::obs_counter!("engine.runs.completed").inc();
+                            } else {
+                                rlp_obs::obs_counter!("engine.runs.failed").inc();
                             }
+                            rlp_obs::obs_histogram!("engine.run_ns").record_duration(run_elapsed);
                             busy += run_elapsed;
                             executed += 1;
                             let result = match solved {

@@ -60,11 +60,11 @@ use rlp_chiplet::grid::centered_position;
 use rlp_chiplet::smooth::smoothed_wirelength_gradient;
 use rlp_chiplet::wirelength::total_wirelength;
 use rlp_chiplet::{ChipletId, ChipletSystem, Placement, PlacementGrid, Point, Rotation};
-use rlp_obs::OnCandidate;
+use rlp_obs::{obs_counter, obs_histogram, OnCandidate, Stopwatch};
 use rlp_rl::ConfigError;
 use rlp_sa::SearchRun;
 use rlp_thermal::{AnyThermalAnalyzer, ThermalAnalyzer};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Configuration of the gradient placement engine.
 #[derive(Debug, Clone, PartialEq)]
@@ -313,17 +313,6 @@ impl GradientDescent {
         const BETA2: f64 = 0.999;
         const EPS: f64 = 1e-8;
 
-        // Handles resolve once per run; recording never touches the RNG or
-        // the iterate, so results are identical with metrics on or off.
-        let obs = rlp_obs::metrics_enabled().then(|| {
-            let registry = rlp_obs::registry();
-            (
-                registry.histogram("grad.step_ns"),
-                registry.counter("grad.iterations"),
-                registry.counter("grad.converged"),
-            )
-        });
-
         let mut best: Option<(Placement, RewardBreakdown)> = None;
         let mut iterations_run = 0usize;
         let mut converged = false;
@@ -346,7 +335,9 @@ impl GradientDescent {
                     if iterations_run == next_probe_target || search.exhausted() {
                         break 'starts;
                     }
-                    let step_started = obs.as_ref().map(|_| Instant::now());
+                    // Recording never touches the RNG or the iterate, so
+                    // results are identical with metrics on or off.
+                    let timer = Stopwatch::start();
                     iterations_run += 1;
 
                     // 1. Assemble the continuous loss gradient (reward
@@ -397,11 +388,7 @@ impl GradientDescent {
                         }
                     }
 
-                    if let Some((step_ns, _, _)) = &obs {
-                        if let Some(at) = step_started {
-                            step_ns.record_duration(at.elapsed());
-                        }
-                    }
+                    timer.stop(obs_histogram!("grad.step_ns"));
                     if max_step < cfg.tolerance_mm {
                         // This start settled; spend what remains on a new one.
                         converged = true;
@@ -575,11 +562,9 @@ impl GradientDescent {
             next_probe_target = (iterations_run + per_start).min(cfg.iterations);
         }
 
-        if let Some((_, iterations, converged_counter)) = &obs {
-            iterations.add(iterations_run as u64);
-            if converged {
-                converged_counter.inc();
-            }
+        obs_counter!("grad.iterations").add(iterations_run as u64);
+        if converged {
+            obs_counter!("grad.converged").inc();
         }
 
         let (best_placement, best_breakdown) = best.ok_or(GradientStalled)?;

@@ -5,14 +5,14 @@ use crate::env::{EnvConfig, FloorplanEnv};
 use crate::reward::{RewardBreakdown, RewardCalculator, RewardConfig};
 use rlp_chiplet::{ChipletSystem, Placement};
 use rlp_nn::{PolicyError, PolicyFile};
-use rlp_obs::OnCandidate;
+use rlp_obs::{obs_counter, obs_histogram, OnCandidate, Stopwatch};
 use rlp_rl::{
     ConfigError, Environment, PpoAgent, PpoConfig, RandomNetworkDistillation, RolloutBuffer,
     VecEnvPool,
 };
 use rlp_sa::SearchRun;
 use rlp_thermal::AnyThermalAnalyzer;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Training-loop configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -241,30 +241,13 @@ impl RlPlanner {
         let mut buffer = RolloutBuffer::new();
         let mut merge_order_hash = FNV_OFFSET;
 
-        // Handles resolve once per training run; per-env utilisation gets
-        // one counter per pool slot so a starved env shows up as a skewed
-        // distribution in the metrics snapshot. Recording never touches the
-        // agent, the pool or the RNG, so trajectories are identical with
-        // metrics on or off.
-        let obs = rlp_obs::metrics_enabled().then(|| {
-            let registry = rlp_obs::registry();
-            let per_env: Vec<_> = (0..self.config.parallel_envs.max(1))
-                .map(|env| registry.counter(&format!("rl.env{env}.episodes")))
-                .collect();
-            (
-                registry.counter("rl.episodes"),
-                registry.counter("rl.updates"),
-                registry.histogram("rl.rollout_collect_ns"),
-                registry.histogram("rl.update_ns"),
-                per_env,
-            )
-        });
-
         while search.evaluations() < self.config.episodes && !search.exhausted() {
             let batch =
                 (self.config.episodes - search.evaluations()).min(self.config.episodes_per_update);
             buffer.clear();
-            let collect_started = obs.as_ref().map(|_| Instant::now());
+            // Recording never touches the agent, the pool or the RNG, so
+            // trajectories are identical with metrics on or off.
+            let timer = Stopwatch::start();
             let reports = self.agent.collect_episodes_parallel(
                 &mut self.pool,
                 batch,
@@ -272,17 +255,8 @@ impl RlPlanner {
                 self.rnd.as_mut(),
                 |env| env.last_breakdown().map(|b| (env.placement().clone(), b)),
             );
-            if let Some((episodes, _, collect_ns, _, per_env)) = &obs {
-                if let Some(at) = collect_started {
-                    collect_ns.record_duration(at.elapsed());
-                }
-                episodes.add(reports.len() as u64);
-                for report in &reports {
-                    if let Some(counter) = per_env.get(report.env) {
-                        counter.inc();
-                    }
-                }
-            }
+            timer.stop(obs_histogram!("rl.rollout_collect_ns"));
+            obs_counter!("rl.episodes").add(reports.len() as u64);
             for report in reports {
                 merge_order_hash = fnv1a_mix(merge_order_hash, report.episode);
                 merge_order_hash = fnv1a_mix(merge_order_hash, report.env as u64);
@@ -298,16 +272,12 @@ impl RlPlanner {
                 }
             }
             if !buffer.is_empty() {
-                let update_started = obs.as_ref().map(|_| Instant::now());
+                let timer = Stopwatch::start();
                 self.agent
                     .update(&mut buffer)
                     .expect("a collected batch holds at least one transition");
-                if let Some((_, updates, _, update_ns, _)) = &obs {
-                    updates.inc();
-                    if let Some(at) = update_started {
-                        update_ns.record_duration(at.elapsed());
-                    }
-                }
+                obs_counter!("rl.updates").inc();
+                timer.stop(obs_histogram!("rl.update_ns"));
             }
         }
 

@@ -17,10 +17,10 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rlp_chiplet::{ChipletSystem, Placement, PlacementGrid};
-use rlp_obs::OnCandidate;
+use rlp_obs::{obs_counter, obs_histogram, OnCandidate, Stopwatch};
 use std::error::Error;
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Annealing schedule and search parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -262,26 +262,14 @@ impl SaPlanner {
         let mut accepted_moves = 0usize;
         search.record(current_objective);
 
-        // Metrics handles are resolved once per run; the hot loop then pays
-        // one branch on a local when metrics are off, and never perturbs the
-        // RNG stream or the trajectory either way.
-        let obs = rlp_obs::metrics_enabled().then(|| {
-            let registry = rlp_obs::registry();
-            (
-                registry.counter("sa.moves.proposed"),
-                registry.counter("sa.moves.accepted"),
-                registry.counter("sa.moves.illegal"),
-                registry.histogram("sa.move_eval_ns"),
-            )
-        });
-
+        // Recording never perturbs the RNG stream or the trajectory.
         let mut temperature = self.config.initial_temperature;
         'outer: while temperature > self.config.final_temperature {
             for _ in 0..self.config.moves_per_temperature {
                 if search.exhausted() {
                     break 'outer;
                 }
-                let move_started = obs.as_ref().map(|_| Instant::now());
+                let timer = Stopwatch::start();
                 let candidate_move = propose_move(&self.system, &grid, &mut rng);
                 let Some(undo) = apply_move_in_place(
                     &self.system,
@@ -290,9 +278,7 @@ impl SaPlanner {
                     candidate_move,
                     self.config.min_spacing_mm,
                 ) else {
-                    if let Some((_, _, illegal, _)) = &obs {
-                        illegal.inc();
-                    }
+                    obs_counter!("sa.moves.illegal").inc();
                     continue;
                 };
                 let candidate_objective = objective.propose(&current, undo.changed());
@@ -306,15 +292,11 @@ impl SaPlanner {
                     objective.reject();
                     undo_move(&mut current, &undo);
                 }
-                if let Some((proposed, accepted, _, move_eval_ns)) = &obs {
-                    proposed.inc();
-                    if accept {
-                        accepted.inc();
-                    }
-                    if let Some(at) = move_started {
-                        move_eval_ns.record_duration(at.elapsed());
-                    }
+                obs_counter!("sa.moves.proposed").inc();
+                if accept {
+                    obs_counter!("sa.moves.accepted").inc();
                 }
+                timer.stop(obs_histogram!("sa.move_eval_ns"));
                 // Only an accepted move can beat the best: it beats the
                 // current objective too, so `accept` held.
                 if search.record(candidate_objective) {
@@ -335,16 +317,9 @@ impl SaPlanner {
                 incremental: 0,
             },
         };
-        if obs.is_some() {
-            let registry = rlp_obs::registry();
-            registry.counter("sa.runs").inc();
-            registry
-                .counter("sa.evals.full")
-                .add(eval_counts.full as u64);
-            registry
-                .counter("sa.evals.incremental")
-                .add(eval_counts.incremental as u64);
-        }
+        obs_counter!("sa.runs").inc();
+        obs_counter!("sa.evals.full").add(eval_counts.full as u64);
+        obs_counter!("sa.evals.incremental").add(eval_counts.incremental as u64);
         SaResult {
             best_placement: best,
             best_objective: search.best_reward().unwrap_or(initial_objective),

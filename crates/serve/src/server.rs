@@ -313,20 +313,12 @@ fn run_worker(shared: &Shared) {
 /// Job-level counters + the queue-wait histogram, recorded once per
 /// finished job.
 fn record_finished_job(timings: &crate::queue::JobTimings, ok: bool) {
-    if !rlp_obs::metrics_enabled() {
-        return;
+    if ok {
+        rlp_obs::obs_counter!("serve.jobs.completed").inc();
+    } else {
+        rlp_obs::obs_counter!("serve.jobs.failed").inc();
     }
-    let registry = rlp_obs::registry();
-    registry
-        .counter(if ok {
-            "serve.jobs.completed"
-        } else {
-            "serve.jobs.failed"
-        })
-        .inc();
-    registry
-        .histogram("serve.job.queue_wait_ns")
-        .record_duration(timings.queue_wait);
+    rlp_obs::obs_histogram!("serve.job.queue_wait_ns").record_duration(timings.queue_wait);
 }
 
 /// Solves one job against the process-wide cache; the caller renders the
