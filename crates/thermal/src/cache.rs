@@ -202,9 +202,7 @@ impl ThermalModelCache {
             interposer_height_mm,
             options,
         );
-        let elapsed = start.elapsed();
-        inner.stats.characterization_time += elapsed;
-        rlp_obs::obs_histogram!("thermal.characterization_ns").record_duration(elapsed);
+        inner.stats.characterization_time += start.elapsed();
         let model = Arc::new(model?);
         inner.models.insert(key, Arc::clone(&model));
         Ok((model, false))

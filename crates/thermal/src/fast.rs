@@ -29,6 +29,7 @@ use crate::grid::{footprint_cells, peak_temperature, GridThermalSolver};
 use crate::power::PowerMap;
 use crate::ThermalAnalyzer;
 use rlp_chiplet::{ChipletId, ChipletSystem, Placement, Point, Rect};
+use rlp_obs::{obs_histogram, Stopwatch};
 
 /// Options controlling fast-model characterisation.
 #[derive(Debug, Clone, PartialEq)]
@@ -137,6 +138,7 @@ impl FastThermalModel {
         interposer_height_mm: f64,
         options: &CharacterizationOptions,
     ) -> Result<Self, ThermalError> {
+        let timer = Stopwatch::start();
         options.validate()?;
         let solver = GridThermalSolver::try_new(config.clone())?;
         let spectral = solver.spectral_for(interposer_width_mm, interposer_height_mm)?;
@@ -231,6 +233,7 @@ impl FastThermalModel {
             mutual_resistance.push(value);
         }
 
+        timer.stop(obs_histogram!("thermal.characterization_ns"));
         Ok(Self {
             ambient_c: ambient,
             interposer_width_mm,
