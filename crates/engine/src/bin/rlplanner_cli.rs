@@ -32,7 +32,9 @@
 //!   --log-level  structured-log filter on stderr
 //!              (off|error|warn|info|debug|trace; default off, overrides
 //!              the `RLP_LOG` environment variable; valid in every mode —
-//!              `RLP_METRICS=1` and `RLP_TRACE=<path>` are also honoured)
+//!              `RLP_TRACE=<path>` is also honoured, and `RLP_METRICS=1`
+//!              prints the run's `rlplanner.metrics/v1` snapshot as one
+//!              line on stderr when the process ends)
 //!
 //! rlplanner_cli sweep [--systems <s,...>] [--methods <m,...>]
 //!                     [--seeds <n,...>] [--budget <n>] [--parallel <n>]
@@ -456,10 +458,16 @@ fn main() -> ExitCode {
             Some(_) => parse_generalist_args(&mut scan).map(Mode::TrainGeneralist),
             None => parse_run_args(&mut scan),
         });
-    match mode {
+    let code = match mode {
         Ok(Mode::Run { request, json }) => run(&request, json),
         Ok(Mode::Sweep(args)) => run_sweep(&args),
         Ok(Mode::TrainGeneralist(args)) => run_train_generalist(&args),
         Err(reason) => cli::usage_error(&reason, USAGE),
+    };
+    // What the run collected, as one `rlplanner.metrics/v1` line; stdout
+    // stays the run's own.
+    if rlp_obs::metrics_enabled() {
+        eprintln!("{}", rlp_obs::registry().snapshot().render_json());
     }
+    code
 }

@@ -31,3 +31,43 @@ fn usage_errors_exit_2_and_name_the_argument() {
         assert_eq!(stderr.lines().next(), Some(reason), "{args:?}");
     }
 }
+
+/// `RLP_METRICS=1` ends the run with its `rlplanner.metrics/v1` snapshot as
+/// one stderr line; without the variable no such line appears.
+#[test]
+fn rlp_metrics_prints_the_snapshot_on_stderr() {
+    let snapshot_line = |metrics: Option<&str>| {
+        let mut command = Command::new(env!("CARGO_BIN_EXE_rlplanner_cli"));
+        command
+            .args(["case1", "sa-fast", "40"])
+            .env_remove("RLP_METRICS");
+        if let Some(value) = metrics {
+            command.env("RLP_METRICS", value);
+        }
+        let output = command.output().expect("the CLI runs");
+        assert!(output.status.success(), "{output:?}");
+        String::from_utf8_lossy(&output.stderr)
+            .lines()
+            .find(|line| line.starts_with("{ \"schema\": \"rlplanner.metrics/v1\""))
+            .map(str::to_string)
+    };
+    assert_eq!(snapshot_line(None), None);
+
+    let line = snapshot_line(Some("1")).expect("a metrics line on stderr");
+    let snapshot = rlp_obs::json::Value::parse(&line).expect("the snapshot is JSON");
+    let counter = |name: &str| {
+        snapshot
+            .get("counters")
+            .and_then(|counters| counters.get(name))
+            .and_then(|value| value.as_f64())
+    };
+    assert_eq!(counter("plan.solves"), Some(1.0));
+    assert_eq!(counter("sa.moves.proposed"), Some(39.0));
+    assert_eq!(counter("sa.evals.incremental"), Some(39.0));
+    let characterizations = snapshot
+        .get("histograms")
+        .and_then(|histograms| histograms.get("thermal.characterization_ns"))
+        .and_then(|histogram| histogram.get("count"))
+        .and_then(|count| count.as_f64());
+    assert_eq!(characterizations, Some(1.0));
+}
