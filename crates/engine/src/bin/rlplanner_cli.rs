@@ -86,7 +86,6 @@
 
 use rlp_benchmarks::{system_by_name, SyntheticConfig, SyntheticSystemGenerator};
 use rlp_engine::{campaign_json, CampaignEngine, CampaignMethod, CampaignSpec, JsonlSink};
-use rlp_thermal::{CharacterizationOptions, ThermalBackend, ThermalConfig};
 use rlplanner::cli::{self, Scanner};
 use rlplanner::report::{outcome_json, placement_json};
 use rlplanner::{
@@ -369,10 +368,8 @@ fn parse_generalist_args(scan: &mut Scanner) -> Result<GeneralistArgs, String> {
 fn run_train_generalist(parsed: &GeneralistArgs) -> ExitCode {
     let systems = SyntheticSystemGenerator::new(SyntheticConfig::default(), parsed.seed)
         .generate_batch(parsed.systems);
-    let thermal = ThermalBackend::Fast {
-        config: ThermalConfig::with_grid(32, 32),
-        characterization: CharacterizationOptions::default(),
-    };
+    // The `rl` backend, which `pretrained` solves share.
+    let (_, thermal) = cli::method_by_name("rl", None).expect("`rl` is a CLI method");
     let mut snapshot: Option<PolicyFile> = None;
     for (index, system) in systems.into_iter().enumerate() {
         let name = system.name().to_string();

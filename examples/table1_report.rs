@@ -34,9 +34,8 @@
 
 use rlp_benchmarks::standard_benchmarks;
 use rlp_engine::{CampaignEngine, CampaignMethod, CampaignSpec};
-use rlp_sa::SaConfig;
-use rlp_thermal::{CharacterizationOptions, ThermalBackend, ThermalConfig};
-use rlplanner::{Budget, Method};
+use rlplanner::cli::method_by_name;
+use rlplanner::Budget;
 use std::time::Duration;
 
 struct Row {
@@ -57,19 +56,11 @@ fn env_usize(name: &str, default: usize) -> usize {
 
 fn main() {
     let episodes = env_usize("RLP_EPISODES", 150);
-    let thermal_config = ThermalConfig::with_grid(32, 32);
-    let fast_backend = ThermalBackend::Fast {
-        config: thermal_config.clone(),
-        characterization: CharacterizationOptions::default(),
-    };
-    let grid_backend = ThermalBackend::Grid {
-        config: thermal_config,
-    };
-    let sa_method = Method::Sa {
-        config: SaConfig {
-            final_temperature: 1e-6,
-            ..SaConfig::default()
-        },
+    // The CLI's method table: each column runs what `rlplanner_cli
+    // <system> <method>` runs.
+    let column = |label: &str, name: &str| {
+        let (method, thermal) = method_by_name(name, None).expect("a CLI method");
+        CampaignMethod::new(label, method, thermal)
     };
 
     // One engine — and thus one characterisation cache — for every campaign
@@ -94,16 +85,8 @@ fn main() {
         // budget...
         let rl_spec = CampaignSpec::builder()
             .system(system.clone())
-            .method(CampaignMethod::new(
-                "RLPlanner",
-                Method::rl(),
-                fast_backend.clone(),
-            ))
-            .method(CampaignMethod::new(
-                "RLPlanner (RND)",
-                Method::rl_rnd(),
-                fast_backend.clone(),
-            ))
+            .method(column("RLPlanner", "rl"))
+            .method(column("RLPlanner (RND)", "rl-rnd"))
             .seed(7)
             .budget(Budget::Evaluations(episodes))
             .build()
@@ -126,16 +109,8 @@ fn main() {
             .max(Duration::from_secs(1));
         let sa_spec = CampaignSpec::builder()
             .system(system.clone())
-            .method(CampaignMethod::new(
-                "TAP-2.5D (HotSpot)",
-                sa_method.clone(),
-                grid_backend.clone(),
-            ))
-            .method(CampaignMethod::new(
-                "TAP-2.5D (fast model)",
-                sa_method.clone(),
-                fast_backend.clone(),
-            ))
+            .method(column("TAP-2.5D (HotSpot)", "sa-hotspot"))
+            .method(column("TAP-2.5D (fast model)", "sa-fast"))
             .seed(7)
             .budget(Budget::TimeLimit(rl_runtime))
             .build()

@@ -20,9 +20,8 @@
 
 use rlp_benchmarks::synthetic_cases;
 use rlp_engine::{CampaignEngine, CampaignMethod, CampaignSpec};
-use rlp_sa::SaConfig;
-use rlp_thermal::{CharacterizationOptions, ThermalBackend, ThermalConfig};
-use rlplanner::{Budget, Method};
+use rlplanner::cli::method_by_name;
+use rlplanner::Budget;
 use std::time::Duration;
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -34,19 +33,11 @@ fn env_usize(name: &str, default: usize) -> usize {
 
 fn main() {
     let episodes = env_usize("RLP_EPISODES", 120);
-    let thermal_config = ThermalConfig::with_grid(32, 32);
-    let fast_backend = ThermalBackend::Fast {
-        config: thermal_config.clone(),
-        characterization: CharacterizationOptions::default(),
-    };
-    let grid_backend = ThermalBackend::Grid {
-        config: thermal_config,
-    };
-    let sa_method = Method::Sa {
-        config: SaConfig {
-            final_temperature: 1e-6,
-            ..SaConfig::default()
-        },
+    // The CLI's method table: each column runs what `rlplanner_cli
+    // <system> <method>` runs.
+    let column = |label: &str, name: &str| {
+        let (method, thermal) = method_by_name(name, None).expect("a CLI method");
+        CampaignMethod::new(label, method, thermal)
     };
     let methods = [
         "RLPlanner",
@@ -70,16 +61,8 @@ fn main() {
     for (case_index, system) in cases.iter().enumerate() {
         let rl_spec = CampaignSpec::builder()
             .system(system.clone())
-            .method(CampaignMethod::new(
-                methods[0],
-                Method::rl(),
-                fast_backend.clone(),
-            ))
-            .method(CampaignMethod::new(
-                methods[1],
-                Method::rl_rnd(),
-                fast_backend.clone(),
-            ))
+            .method(column(methods[0], "rl"))
+            .method(column(methods[1], "rl-rnd"))
             .seed(13)
             .budget(Budget::Evaluations(episodes))
             .build()
@@ -100,16 +83,8 @@ fn main() {
 
         let sa_spec = CampaignSpec::builder()
             .system(system.clone())
-            .method(CampaignMethod::new(
-                methods[2],
-                sa_method.clone(),
-                grid_backend.clone(),
-            ))
-            .method(CampaignMethod::new(
-                methods[3],
-                sa_method.clone(),
-                fast_backend.clone(),
-            ))
+            .method(column(methods[2], "sa-hotspot"))
+            .method(column(methods[3], "sa-fast"))
             .seed(13)
             .budget(Budget::TimeLimit(rl_runtime))
             .build()

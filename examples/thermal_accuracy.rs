@@ -19,10 +19,8 @@ use rand_chacha::ChaCha8Rng;
 use rlp_benchmarks::{SyntheticConfig, SyntheticSystemGenerator};
 use rlp_chiplet::PlacementGrid;
 use rlp_sa::moves::random_initial_placement;
-use rlp_thermal::{
-    CharacterizationOptions, ErrorMetrics, GridThermalSolver, ThermalAnalyzer, ThermalBackend,
-    ThermalConfig,
-};
+use rlp_thermal::{ErrorMetrics, GridThermalSolver, ThermalAnalyzer};
+use rlplanner::cli::method_by_name;
 use std::time::{Duration, Instant};
 
 fn dataset_size() -> usize {
@@ -34,12 +32,9 @@ fn dataset_size() -> usize {
 
 fn main() {
     let count = dataset_size();
-    let thermal_config = ThermalConfig::with_grid(32, 32);
-    let fast_backend = ThermalBackend::Fast {
-        config: thermal_config.clone(),
-        characterization: CharacterizationOptions::default(),
-    };
-    let grid_solver = GridThermalSolver::new(thermal_config.clone());
+    // The CLI's fast backend, and the grid solver on the same package.
+    let (_, fast_backend) = method_by_name("sa-fast", None).expect("a CLI method");
+    let grid_solver = GridThermalSolver::new(fast_backend.config().clone());
     let placement_grid = PlacementGrid::new(16, 16);
     let mut generator = SyntheticSystemGenerator::new(SyntheticConfig::default(), 2024);
     let mut rng = ChaCha8Rng::seed_from_u64(99);
