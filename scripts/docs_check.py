@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
-"""Docs-consistency gate: docs/SCHEMAS.md vs real rendered documents.
+"""Docs-consistency gate: docs/SCHEMAS.md vs real rendered documents, and
+README's metric series table vs the series the code records.
 
 Parses the schema names and per-field tables out of docs/SCHEMAS.md, then
 generates one real document of every schema by driving the release
 binaries (a single solve, a sweep with a stream file, a saved policy
 file, and a live `rlp_serve --policy` daemon spoken to over a socket),
 and fails if the documented top-level keys drift from the rendered ones
-in either direction.
+in either direction. It also fails if an `obs_counter!`/`obs_gauge!`/
+`obs_histogram!` call under crates/*/src takes anything but a string
+literal, or if the names in those calls and README's "Observability"
+series table differ in either direction.
 
 Usage: python3 scripts/docs_check.py [--bin-dir target/release]
 
@@ -26,6 +30,7 @@ import time
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCHEMAS_MD = os.path.join(REPO, "docs", "SCHEMAS.md")
+README_MD = os.path.join(REPO, "README.md")
 POLICY_MAGIC = b"RLPPOL\x01\n"
 
 FAILURES = []
@@ -306,6 +311,74 @@ def parse_policy_metadata(path):
 # ---------------------------------------------------------------------------
 
 
+SERIES_TABLE_HEADER = "| Series | Kind | Records |"
+OBS_CALL = re.compile(r"obs_(?:counter|gauge|histogram)!\(\s*")
+STRING_LITERAL = re.compile(r'"([^"\\]*)"\s*\)')
+
+
+def recorded_series():
+    """The metric names in `obs_*!` calls in the crates' code (comment
+    lines are blanked). A call whose name is not a plain string literal is
+    a failure: every name must be checkable here."""
+    names = set()
+    crates = os.path.join(REPO, "crates")
+    for crate in sorted(os.listdir(crates)):
+        src = os.path.join(crates, crate, "src")
+        for dirpath, _, files in os.walk(src):
+            for file in sorted(files):
+                if not file.endswith(".rs"):
+                    continue
+                path = os.path.join(dirpath, file)
+                with open(path) as fh:
+                    code = "\n".join(
+                        "" if line.lstrip().startswith("//") else line
+                        for line in fh.read().splitlines()
+                    )
+                for call in OBS_CALL.finditer(code):
+                    literal = STRING_LITERAL.match(code, call.end())
+                    if literal:
+                        names.add(literal.group(1))
+                    else:
+                        line = code.count("\n", 0, call.start()) + 1
+                        rel = os.path.relpath(path, REPO)
+                        fail(f"{rel}:{line}: metric name is not a string literal")
+    return names
+
+
+def documented_series(text):
+    """The backticked names in the first column of README's series table."""
+    names = set()
+    in_table = False
+    for line in text.splitlines():
+        if line.startswith(SERIES_TABLE_HEADER):
+            in_table = True
+            continue
+        if in_table:
+            if not line.startswith("|"):
+                break
+            m = re.match(r"\|\s*`([^`]+)`\s*\|", line)
+            if m:
+                names.add(m.group(1))
+    return names
+
+
+def check_series():
+    with open(README_MD) as fh:
+        documented = documented_series(fh.read())
+    recorded = recorded_series()
+    if not documented:
+        fail(f"README.md has no table headed {SERIES_TABLE_HEADER!r}")
+        return
+    undocumented = sorted(recorded - documented)
+    unrecorded = sorted(documented - recorded)
+    if undocumented:
+        fail(f"series recorded but missing from README's table: {undocumented}")
+    if unrecorded:
+        fail(f"series in README's table that nothing records: {unrecorded}")
+    if not undocumented and not unrecorded:
+        ok(f"README lists all {len(recorded)} recorded metric series")
+
+
 def check_keys(name, documented, actual_docs):
     """Top-level keys must match in both directions. actual_docs is a
     list of rendered documents; the union of their keys is compared so
@@ -356,6 +429,9 @@ def main():
         )
     else:
         ok(f"master table lists all {len(master_names)} documented schemas")
+
+    print("== README metric series ==")
+    check_series()
 
     with tempfile.TemporaryDirectory(prefix="docs-check-") as tmp:
         print("== generating real documents ==")
