@@ -256,6 +256,7 @@ impl Server {
 
 fn run_worker(shared: &Shared) {
     while let Some((id, job)) = shared.queue.next_job() {
+        // Reading the depth takes the queue lock; the guard skips that too.
         if rlp_obs::metrics_enabled() {
             rlp_obs::obs_gauge!("serve.queue.depth").set(shared.queue.counters().queued as i64);
         }
