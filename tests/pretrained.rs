@@ -383,3 +383,49 @@ fn training_and_inference_reproduce_the_pinned_policy_and_outcome() {
         .collect();
     assert_eq!(document, expected);
 }
+
+/// Checksums of the policies `case1` saves after 12 episodes in batches of
+/// 4 — three collect/update rounds — with the CLI's backend and seed 0,
+/// measured before the trailing PPO update moved into the save. The saved
+/// weights must not depend on when that update runs, nor on the number of
+/// rollout workers.
+const CASE1_RL12_CHECKSUM: u64 = 0x469b_f8f0_1de9_274f;
+const CASE1_RL12_RND_CHECKSUM: u64 = 0xacfc_83ef_8e43_1cf7;
+
+#[test]
+fn multi_batch_training_saves_the_pinned_policy() {
+    for (use_rnd, pinned) in [
+        (false, CASE1_RL12_CHECKSUM),
+        (true, CASE1_RL12_RND_CHECKSUM),
+    ] {
+        for parallel_envs in [1, 2] {
+            let path = scratch_path(&format!("rl12-{use_rnd}-{parallel_envs}"));
+            let config = RlPlannerConfig {
+                episodes_per_update: 4,
+                ..RlPlannerConfig::default()
+            };
+            let method = match use_rnd {
+                true => Method::RlRnd { config },
+                false => Method::Rl { config },
+            };
+            let outcome = FloorplanRequest::builder()
+                .system(synthetic_case(1))
+                .method(method)
+                .thermal(cli_fast_backend())
+                .budget(Budget::Evaluations(12))
+                .parallel_envs(parallel_envs)
+                .save_policy(path.display().to_string())
+                .build()
+                .unwrap()
+                .solve()
+                .unwrap();
+            assert_eq!(outcome.training.map(|t| t.episodes), Some(12));
+            let checksum = PolicyFile::load(&path).unwrap().checksum();
+            std::fs::remove_file(&path).ok();
+            assert_eq!(
+                checksum, pinned,
+                "rnd={use_rnd}, parallel_envs={parallel_envs}: {checksum:#018x}"
+            );
+        }
+    }
+}
