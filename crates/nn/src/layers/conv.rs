@@ -278,6 +278,61 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+        self.backward_parameters(grad_output);
+        let input = self
+            .cached_input
+            .as_ref()
+            .expect("checked by backward_parameters");
+        let (batch, h, w) = (input.shape()[0], input.shape()[2], input.shape()[3]);
+        let (oh, ow) = self.output_size(h, w);
+        let (ic_n, oc_n, k) = (self.in_channels, self.out_channels, self.kernel);
+        let rows = spans(oh, k, self.stride, self.padding, h);
+        let cols = spans(ow, k, self.stride, self.padding, w);
+        let (go, image_len) = (grad_output.data(), ic_n * h * w);
+
+        // Input grad, vectorised over `ic` into a [b, iy, ix, ic] scratch,
+        // with weights as [oc, kh, kw, ic] so that one kernel row's taps
+        // and the inputs they read are both contiguous. Per element the
+        // sequence is `oc, y, x` ascending, and the upstream grad is shared
+        // by every `ic`, so its zero skip stays a branch.
+        let mut weights = Vec::with_capacity(oc_n * k * k * ic_n);
+        for block in self.weight.value.data().chunks_exact(ic_n * k * k) {
+            weights.extend(transposed(block, ic_n, k * k));
+        }
+        let mut gi = vec![0.0f32; batch * h * w * ic_n];
+        for (b, image) in gi.chunks_exact_mut(h * w * ic_n).enumerate() {
+            for (oc, kernel) in weights.chunks_exact(k * k * ic_n).enumerate() {
+                let plane = &go[(b * oc_n + oc) * oh * ow..][..oh * ow];
+                for (y, row) in rows.iter().enumerate() {
+                    for (x, col) in cols.iter().enumerate() {
+                        let g = plane[y * ow + x];
+                        if g == 0.0 {
+                            continue;
+                        }
+                        for dy in 0..row.len {
+                            let (kh, iy) = (row.first + dy, row.start + dy);
+                            let dst = &mut image[(iy * w + col.start) * ic_n..][..col.len * ic_n];
+                            let src = &kernel[(kh * k + col.first) * ic_n..][..col.len * ic_n];
+                            for (d, &wv) in dst.iter_mut().zip(src) {
+                                *d += wv * g;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let mut grad_input = Tensor::zeros(input.shape().to_vec());
+        for (dst, src) in grad_input
+            .data_mut()
+            .chunks_exact_mut(image_len)
+            .zip(gi.chunks_exact(h * w * ic_n))
+        {
+            dst.copy_from_slice(&transposed(src, h * w, ic_n));
+        }
+        grad_input
+    }
+
+    fn backward_parameters(&mut self, grad_output: &Tensor) {
         let input = self
             .cached_input
             .as_ref()
@@ -346,47 +401,6 @@ impl Layer for Conv2d {
         }
         from_lane_blocks(&gw, self.weight.grad.data_mut(), taps_n);
         from_lane_blocks(&gb, self.bias.grad.data_mut(), 1);
-
-        // Input grad, vectorised over `ic` into a [b, iy, ix, ic] scratch,
-        // with weights as [oc, kh, kw, ic] so that one kernel row's taps
-        // and the inputs they read are both contiguous. Per element the
-        // sequence is `oc, y, x` ascending, and the upstream grad is shared
-        // by every `ic`, so its zero skip stays a branch.
-        let mut weights = Vec::with_capacity(oc_n * k * k * ic_n);
-        for block in self.weight.value.data().chunks_exact(ic_n * k * k) {
-            weights.extend(transposed(block, ic_n, k * k));
-        }
-        let mut gi = vec![0.0f32; batch * h * w * ic_n];
-        for (b, image) in gi.chunks_exact_mut(h * w * ic_n).enumerate() {
-            for (oc, kernel) in weights.chunks_exact(k * k * ic_n).enumerate() {
-                let plane = &go[(b * oc_n + oc) * oh * ow..][..oh * ow];
-                for (y, row) in rows.iter().enumerate() {
-                    for (x, col) in cols.iter().enumerate() {
-                        let g = plane[y * ow + x];
-                        if g == 0.0 {
-                            continue;
-                        }
-                        for dy in 0..row.len {
-                            let (kh, iy) = (row.first + dy, row.start + dy);
-                            let dst = &mut image[(iy * w + col.start) * ic_n..][..col.len * ic_n];
-                            let src = &kernel[(kh * k + col.first) * ic_n..][..col.len * ic_n];
-                            for (d, &wv) in dst.iter_mut().zip(src) {
-                                *d += wv * g;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let mut grad_input = Tensor::zeros(input.shape().to_vec());
-        for (dst, src) in grad_input
-            .data_mut()
-            .chunks_exact_mut(image_len)
-            .zip(gi.chunks_exact(h * w * ic_n))
-        {
-            dst.copy_from_slice(&transposed(src, h * w, ic_n));
-        }
-        grad_input
     }
 
     fn visit_parameters(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
@@ -403,6 +417,7 @@ impl Layer for Conv2d {
 mod tests {
     use super::*;
     use crate::layers::testing::{bits, maybe_infinite, values};
+    use crate::layers::{Flatten, Linear, ReLU, Sequential};
     use proptest::prelude::*;
 
     /// The direct seven-deep forward loop the kernel replaced: the oracle
@@ -545,6 +560,102 @@ mod tests {
             prop_assert_eq!(bits(&conv.weight.grad), bits(&oracle.weight.grad));
             prop_assert_eq!(bits(&conv.bias.grad), bits(&oracle.bias.grad));
         }
+
+        /// `backward_parameters` accumulates the weight and bias grads of
+        /// `backward` bit for bit, for a convolution (and the direct loop),
+        /// a linear layer and networks that start with either: onto
+        /// non-zero (and signed-zero) prior grads, under upstream grads
+        /// that are often exactly zero, sometimes against infinite weights.
+        #[test]
+        fn parameter_only_backward_matches_backward_bit_for_bit(
+            in_channels in 1usize..4,
+            out_channels in 1usize..12,
+            kernel in 1usize..4,
+            stride in 1usize..3,
+            padding in 0usize..2,
+            batch in 1usize..4,
+            h_extra in 0usize..6,
+            w_extra in 0usize..6,
+            features in 1usize..12,
+            grad_zeros in 0.0f64..1.0,
+            seed in any::<u64>(),
+        ) {
+            let h = (kernel + h_extra).saturating_sub(2 * padding).max(1);
+            let w = (kernel + w_extra).saturating_sub(2 * padding).max(1);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let conv = Conv2d::new(in_channels, out_channels, kernel, stride, padding, seed);
+            let x_shape = vec![batch, in_channels, h, w];
+            let x = Tensor::from_vec(values(&mut rng, x_shape.iter().product(), 0.3), x_shape);
+            let (oh, ow) = conv.output_size(h, w);
+            let flat = out_channels * oh * ow;
+
+            let mut conv_first = Sequential::new();
+            conv_first.push(conv.clone());
+            conv_first.push(ReLU::new());
+            conv_first.push(Flatten::new());
+            conv_first.push(Linear::new(flat, features, seed ^ 1));
+            let mut linear_first = Sequential::new();
+            linear_first.push(Linear::new(in_channels * h * w, features, seed ^ 2));
+            linear_first.push(ReLU::new());
+            linear_first.push(Linear::new(features, out_channels, seed ^ 3));
+            let flat_x = x.reshape(vec![batch, in_channels * h * w]);
+
+            // The convolution against the direct loop, too.
+            let mut conv_only = conv.clone();
+            randomise(&mut conv_only, &mut rng);
+            let mut oracle = conv_only.clone();
+            let y = conv_only.forward(&x, true);
+            let g = Tensor::from_vec(values(&mut rng, y.len(), grad_zeros), y.shape().to_vec());
+            conv_only.backward_parameters(&g);
+            reference_backward(&mut oracle, &x, &g);
+            prop_assert_eq!(grad_bits(&mut conv_only), grad_bits(&mut oracle));
+
+            let linear = Linear::new(in_channels * h * w, features, seed);
+            let (only, full) = both_backwards(conv, &x, grad_zeros, &mut rng);
+            prop_assert_eq!(only, full, "conv");
+            let (only, full) = both_backwards(linear, &flat_x, grad_zeros, &mut rng);
+            prop_assert_eq!(only, full, "linear");
+            let (only, full) = both_backwards(conv_first, &x, grad_zeros, &mut rng);
+            prop_assert_eq!(only, full, "conv-first network");
+            let (only, full) = both_backwards(linear_first, &flat_x, grad_zeros, &mut rng);
+            prop_assert_eq!(only, full, "linear-first network");
+        }
+    }
+
+    /// The bit patterns of every parameter grad, in visit order.
+    fn grad_bits(layer: &mut dyn Layer) -> Vec<Vec<u32>> {
+        let mut grads = Vec::new();
+        layer.visit_parameters(&mut |p| grads.push(bits(&p.grad)));
+        grads
+    }
+
+    /// Gives every parameter non-zero (and signed-zero) prior grads and, in
+    /// a quarter of the cases, an infinite weight.
+    fn randomise(layer: &mut dyn Layer, rng: &mut ChaCha8Rng) {
+        layer.visit_parameters(&mut |p| {
+            maybe_infinite(rng, p.value.data_mut());
+            let prior = values(rng, p.grad.len(), 0.3);
+            p.grad = Tensor::from_vec(prior, p.grad.shape().to_vec());
+        });
+    }
+
+    /// Randomises `layer`, then runs `backward_parameters` on it and
+    /// `backward` on a copy under one random upstream grad; returns both
+    /// copies' [`grad_bits`].
+    fn both_backwards(
+        mut layer: impl Layer + Clone,
+        input: &Tensor,
+        grad_zeros: f64,
+        rng: &mut ChaCha8Rng,
+    ) -> (Vec<Vec<u32>>, Vec<Vec<u32>>) {
+        randomise(&mut layer, rng);
+        let mut full = layer.clone();
+        let y = layer.forward(input, true);
+        full.forward(input, true);
+        let g = Tensor::from_vec(values(rng, y.len(), grad_zeros), y.shape().to_vec());
+        layer.backward_parameters(&g);
+        full.backward(&g);
+        (grad_bits(&mut layer), grad_bits(&mut full))
     }
 
     #[test]

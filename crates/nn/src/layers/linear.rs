@@ -109,54 +109,17 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("backward called before forward(train=true)");
-        assert_eq!(grad_output.shape()[0], input.shape()[0], "batch mismatch");
-        assert_eq!(
-            grad_output.shape()[1],
-            self.out_features,
-            "grad feature mismatch"
-        );
-        // dL/dW = xᵀ·g ; dL/db = sum_rows(g) ; dL/dx = g·Wᵀ, formed without
-        // materialising either transpose. Each element keeps the sequence
-        // of `Tensor::matmul` on the transposed operands: from 0.0, `p`
-        // ascending, a zero left factor skipped. So dL/dW is summed apart
-        // and only then added to the accumulated grad.
-        let (n_in, n_out) = (self.in_features, self.out_features);
-        let (x, g) = (input.data(), grad_output.data());
-        let mut sum = vec![0.0f32; n_out];
-        for (i, grad_row) in self
-            .weight
-            .grad
-            .data_mut()
-            .chunks_exact_mut(n_out)
-            .enumerate()
-        {
-            sum.fill(0.0);
-            for (x_row, g_row) in x.chunks_exact(n_in).zip(g.chunks_exact(n_out)) {
-                let a = x_row[i];
-                if a == 0.0 {
-                    continue;
-                }
-                for (s, &b) in sum.iter_mut().zip(g_row) {
-                    *s += a * b;
-                }
-            }
-            for (w, &s) in grad_row.iter_mut().zip(&sum) {
-                *w += s;
-            }
-        }
-        self.bias.grad.add_assign(&grad_output.sum_rows());
+        self.backward_parameters(grad_output);
 
-        // dL/dx[b, i] is a dot product of g's row `b` with W's row `i`. A
-        // panel of ROWS rows of W, interleaved so that one step of `p` reads
-        // ROWS adjacent weights, runs ROWS of those dot products side by
-        // side.
+        // dL/dx = g·Wᵀ, formed without materialising the transpose and in
+        // the sequence of `Tensor::matmul` on it. dL/dx[b, i] is a dot
+        // product of g's row `b` with W's row `i`. A panel of ROWS rows of
+        // W, interleaved so that one step of `p` reads ROWS adjacent
+        // weights, runs ROWS of those dot products side by side.
         const ROWS: usize = 8;
-        let w = self.weight.value.data();
-        let mut grad_input = Tensor::zeros(vec![input.shape()[0], n_in]);
+        let (n_in, n_out) = (self.in_features, self.out_features);
+        let (g, w) = (grad_output.data(), self.weight.value.data());
+        let mut grad_input = Tensor::zeros(vec![grad_output.shape()[0], n_in]);
         let mut panel = vec![[0.0f32; ROWS]; n_out];
         for first in (0..n_in).step_by(ROWS) {
             let rows = ROWS.min(n_in - first);
@@ -185,6 +148,49 @@ impl Layer for Linear {
             }
         }
         grad_input
+    }
+
+    fn backward_parameters(&mut self, grad_output: &Tensor) {
+        let input = self
+            .cached_input
+            .as_ref()
+            .expect("backward called before forward(train=true)");
+        assert_eq!(grad_output.shape()[0], input.shape()[0], "batch mismatch");
+        assert_eq!(
+            grad_output.shape()[1],
+            self.out_features,
+            "grad feature mismatch"
+        );
+        // dL/dW = xᵀ·g ; dL/db = sum_rows(g), formed without materialising
+        // the transpose. Each element keeps the sequence of `Tensor::matmul`
+        // on the transposed operand: from 0.0, `p` ascending, a zero left
+        // factor skipped. So dL/dW is summed apart and only then added to
+        // the accumulated grad.
+        let (n_in, n_out) = (self.in_features, self.out_features);
+        let (x, g) = (input.data(), grad_output.data());
+        let mut sum = vec![0.0f32; n_out];
+        for (i, grad_row) in self
+            .weight
+            .grad
+            .data_mut()
+            .chunks_exact_mut(n_out)
+            .enumerate()
+        {
+            sum.fill(0.0);
+            for (x_row, g_row) in x.chunks_exact(n_in).zip(g.chunks_exact(n_out)) {
+                let a = x_row[i];
+                if a == 0.0 {
+                    continue;
+                }
+                for (s, &b) in sum.iter_mut().zip(g_row) {
+                    *s += a * b;
+                }
+            }
+            for (w, &s) in grad_row.iter_mut().zip(&sum) {
+                *w += s;
+            }
+        }
+        self.bias.grad.add_assign(&grad_output.sum_rows());
     }
 
     fn visit_parameters(&mut self, f: &mut dyn FnMut(&mut Parameter)) {

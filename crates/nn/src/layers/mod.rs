@@ -23,7 +23,9 @@ use crate::{Parameter, Tensor};
 ///
 /// Gradients of trainable parameters are **accumulated** into
 /// [`Parameter::grad`]; call [`Layer::zero_grad`] (or
-/// [`crate::Adam::zero_grad`]) between optimisation steps.
+/// [`crate::Adam::zero_grad`]) between optimisation steps. A caller that
+/// needs only those gradients, not the input's, calls
+/// [`Layer::backward_parameters`] instead of `backward`.
 ///
 /// Layers are `Send`-compatible plain data: [`Layer::clone_box`] produces an
 /// independent deep copy, which is how parallel rollout workers obtain their
@@ -44,6 +46,21 @@ pub trait Layer {
     ///
     /// Panics if no forward pass with `train = true` preceded this call.
     fn backward(&mut self, grad_output: &Tensor) -> Tensor;
+
+    /// Accumulates the parameter gradients [`Layer::backward`] would, bit
+    /// for bit and in the same order, but skips the gradient with respect
+    /// to the input. A network's first layer calls this when nothing reads
+    /// the gradient of the network's input.
+    ///
+    /// The default runs `backward` and drops its result; layers whose
+    /// input gradient costs real work override it.
+    ///
+    /// # Panics
+    ///
+    /// Panics wherever [`Layer::backward`] would.
+    fn backward_parameters(&mut self, grad_output: &Tensor) {
+        let _ = self.backward(grad_output);
+    }
 
     /// Visits every trainable parameter of the layer, in a deterministic
     /// order.

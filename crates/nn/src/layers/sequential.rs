@@ -68,6 +68,21 @@ impl Layer for Sequential {
         grad
     }
 
+    /// Backpropagates through every layer but the first as
+    /// [`Layer::backward`] does, and through the first with
+    /// [`Layer::backward_parameters`], so the input gradient is never
+    /// formed.
+    fn backward_parameters(&mut self, grad_output: &Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let mut grad = grad_output.clone();
+        for layer in rest.iter_mut().rev() {
+            grad = layer.backward(&grad);
+        }
+        first.backward_parameters(&grad);
+    }
+
     fn visit_parameters(&mut self, f: &mut dyn FnMut(&mut Parameter)) {
         for layer in &mut self.layers {
             layer.visit_parameters(f);

@@ -86,7 +86,9 @@ impl ActorCritic {
     }
 
     /// Backpropagates separate gradients for the two heads through the
-    /// shared encoder.
+    /// shared encoder. Nothing reads the gradient of the input states, so
+    /// the encoder's first layer forms only its parameter gradients
+    /// ([`Layer::backward_parameters`]).
     ///
     /// # Panics
     ///
@@ -96,7 +98,7 @@ impl ActorCritic {
         let g1 = self.policy_head.backward(grad_logits);
         let g2 = self.value_head.backward(grad_values);
         let grad_features = g1.add(&g2);
-        self.encoder.backward(&grad_features);
+        self.encoder.backward_parameters(&grad_features);
     }
 
     /// Total number of trainable scalars.

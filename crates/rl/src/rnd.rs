@@ -125,7 +125,8 @@ impl RandomNetworkDistillation {
         self.predictor.zero_grad();
         let predicted = self.predictor.forward(&batch, true);
         let (loss, grad) = mse(&predicted, &target_embeddings);
-        self.predictor.backward(&grad);
+        // The states are data, so their gradient is never formed.
+        self.predictor.backward_parameters(&grad);
         self.optimizer.step(&mut self.predictor);
         loss
     }
