@@ -151,11 +151,21 @@ pub struct TrainingResult {
 /// wrapping a clone of the (typically cache-served) thermal analyzer, so
 /// expensive characterisation still happens once upstream — see
 /// [`crate::PrebuiltThermal`].
+///
+/// A batch's PPO update is deferred until something reads the weights it
+/// writes: the next collection batch, [`RlPlanner::export_policy`] or
+/// [`RlPlanner::import_policy`]. Training's last update therefore runs
+/// only when the policy is exported or training resumes, never when the
+/// planner is dropped; the weights, optimiser state and sampling streams
+/// anything observes are the same as with an eager update.
 pub struct RlPlanner {
     pool: VecEnvPool<FloorplanEnv>,
     agent: PpoAgent,
     rnd: Option<RandomNetworkDistillation>,
     config: RlPlannerConfig,
+    /// The last batch's transitions while its update is pending; empty
+    /// otherwise.
+    pending: RolloutBuffer,
 }
 
 impl RlPlanner {
@@ -192,6 +202,7 @@ impl RlPlanner {
             agent,
             rnd,
             config,
+            pending: RolloutBuffer::new(),
         })
     }
 
@@ -215,7 +226,8 @@ impl RlPlanner {
     /// `parallel_envs` environments; transitions merge in episode order, so
     /// the trajectory (and everything downstream) is independent of the
     /// parallelism level. The wall-clock budget is checked once per
-    /// collection batch.
+    /// collection batch, before the previous batch's pending update is paid
+    /// for; the last batch's update is left pending (see [`RlPlanner`]).
     ///
     /// `initial` is an optional warm start (see
     /// [`crate::FloorplanRequestBuilder::warm_start`]): it seeds the
@@ -238,20 +250,19 @@ impl RlPlanner {
         // stream and an incomplete episode has a reward but no artifact.
         let mut search = SearchRun::new(None, self.config.time_budget, on_candidate);
         let mut best: Option<(Placement, RewardBreakdown)> = initial;
-        let mut buffer = RolloutBuffer::new();
         let mut merge_order_hash = FNV_OFFSET;
 
         while search.evaluations() < self.config.episodes && !search.exhausted() {
+            self.run_pending_update();
             let batch =
                 (self.config.episodes - search.evaluations()).min(self.config.episodes_per_update);
-            buffer.clear();
             // Recording never touches the agent, the pool or the RNG, so
             // trajectories are identical with metrics on or off.
             let timer = Stopwatch::start();
             let reports = self.agent.collect_episodes_parallel(
                 &mut self.pool,
                 batch,
-                &mut buffer,
+                &mut self.pending,
                 self.rnd.as_mut(),
                 |env| env.last_breakdown().map(|b| (env.placement().clone(), b)),
             );
@@ -271,14 +282,6 @@ impl RlPlanner {
                     }
                 }
             }
-            if !buffer.is_empty() {
-                let timer = Stopwatch::start();
-                self.agent
-                    .update(&mut buffer)
-                    .expect("a collected batch holds at least one transition");
-                obs_counter!("rl.updates").inc();
-                timer.stop(obs_histogram!("rl.update_ns"));
-            }
         }
 
         let runtime = search.elapsed();
@@ -295,13 +298,30 @@ impl RlPlanner {
         })
     }
 
+    /// Runs the PPO update of the last collected batch, if it has not run
+    /// yet.
+    fn run_pending_update(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        let timer = Stopwatch::start();
+        self.agent
+            .update(&mut self.pending)
+            .expect("a pending batch holds at least one transition");
+        obs_counter!("rl.updates").inc();
+        timer.stop(obs_histogram!("rl.update_ns"));
+        self.pending.clear();
+    }
+
     /// Snapshots the agent's current policy/value weights into an in-memory
     /// `rlplanner.policy/v1` file, tagged with the environment and network
     /// geometry (see [`crate::agent::policy_metadata`]) so
     /// [`crate::Method::Pretrained`] can rebuild a matching network later.
     /// `extra` entries (e.g. `trained.*` provenance) are appended after the
-    /// geometry keys.
+    /// geometry keys. A pending update runs first, so the snapshot holds
+    /// the weights after the last batch's update.
     pub fn export_policy(&mut self, extra: Vec<(String, String)>) -> PolicyFile {
+        self.run_pending_update();
         let mut metadata = policy_metadata(&self.config.env, &self.config.agent);
         metadata.extend(extra);
         self.agent.model_mut().export_policy(metadata)
@@ -314,8 +334,11 @@ impl RlPlanner {
     /// # Errors
     ///
     /// Returns a [`PolicyError`] when the snapshot was saved from a
-    /// different architecture; the agent is untouched on error.
+    /// different architecture; the weights are left as training left them
+    /// on error. A pending update runs first either way, since the
+    /// optimiser state it moves outlives the import.
     pub fn import_policy(&mut self, file: &PolicyFile) -> Result<(), PolicyError> {
+        self.run_pending_update();
         self.agent.model_mut().import_policy(file)
     }
 }
