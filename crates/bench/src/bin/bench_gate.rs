@@ -17,6 +17,7 @@
 
 use rlp_bench::report::{compare, parse_report, parse_shards, render_report};
 use rlplanner::cli::{self, Scanner};
+use rlplanner::errln;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: bench_gate collect <out.json> <shards.jsonl>...\n\
@@ -32,23 +33,23 @@ fn collect(out: &str, shards: &[String]) -> ExitCode {
         let text = match read(shard) {
             Ok(text) => text,
             Err(err) => {
-                eprintln!("{err}");
+                errln!("{err}");
                 return ExitCode::from(2);
             }
         };
         match parse_shards(&text) {
             Ok(mut parsed) => records.append(&mut parsed),
             Err(err) => {
-                eprintln!("`{shard}`: {err}");
+                errln!("`{shard}`: {err}");
                 return ExitCode::from(2);
             }
         }
     }
     if let Err(err) = std::fs::write(out, render_report(&records) + "\n") {
-        eprintln!("cannot write `{out}`: {err}");
+        errln!("cannot write `{out}`: {err}");
         return ExitCode::from(2);
     }
-    eprintln!("wrote {} benchmark(s) to {out}", records.len());
+    errln!("wrote {} benchmark(s) to {out}", records.len());
     ExitCode::SUCCESS
 }
 
@@ -59,7 +60,7 @@ fn check(baseline_path: &str, current_path: &str, max_regression_pct: f64) -> Ex
     let (baseline, current) = match (parse(baseline_path), parse(current_path)) {
         (Ok(baseline), Ok(current)) => (baseline, current),
         (Err(err), _) | (_, Err(err)) => {
-            eprintln!("{err}");
+            errln!("{err}");
             return ExitCode::from(2);
         }
     };
@@ -75,25 +76,26 @@ fn check(baseline_path: &str, current_path: &str, max_regression_pct: f64) -> Ex
                         (record.median_ns / b.median_ns.max(f64::MIN_POSITIVE) - 1.0) * 100.0
                     )
                 });
-        eprintln!(
+        errln!(
             "{:<55} median {:>12.0} ns ({against})",
-            record.id, record.median_ns
+            record.id,
+            record.median_ns
         );
     }
     let findings = compare(&baseline, &current, max_regression_pct / 100.0);
     if findings.is_empty() {
-        eprintln!(
+        errln!(
             "bench gate passed: {} benchmark(s) within {max_regression_pct}% of the baseline",
             baseline.len()
         );
         return ExitCode::SUCCESS;
     }
-    eprintln!(
+    errln!(
         "bench gate FAILED ({} finding(s), threshold {max_regression_pct}%):",
         findings.len()
     );
     for finding in &findings {
-        eprintln!("  {finding}");
+        errln!("  {finding}");
     }
     ExitCode::FAILURE
 }

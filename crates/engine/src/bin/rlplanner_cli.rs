@@ -88,6 +88,7 @@ use rlp_benchmarks::{system_by_name, SyntheticConfig, SyntheticSystemGenerator};
 use rlp_engine::{campaign_json, CampaignEngine, CampaignMethod, CampaignSpec, JsonlSink};
 use rlplanner::cli::{self, Scanner};
 use rlplanner::report::{outcome_json, placement_json};
+use rlplanner::{errln, outln};
 use rlplanner::{
     Budget, FloorplanRequest, Method, PolicyFile, RewardConfig, RlPlanner, RlPlannerConfig,
 };
@@ -158,27 +159,27 @@ fn run(request: &FloorplanRequest, json: bool) -> ExitCode {
     let outcome = match request.solve() {
         Ok(outcome) => outcome,
         Err(err) => {
-            eprintln!("solve failed: {err}");
+            errln!("solve failed: {err}");
             return ExitCode::FAILURE;
         }
     };
 
     if json {
-        println!("{}", outcome_json(request.system(), &outcome));
+        outln!("{}", outcome_json(request.system(), &outcome));
     } else {
-        eprintln!(
+        errln!(
             "{}: {} candidate floorplans in {:.2?}",
             request.method().display_name(),
             outcome.evaluations,
             outcome.runtime
         );
-        println!(
+        outln!(
             "reward {:.4} | wirelength {:.0} mm | peak temperature {:.2} C",
             outcome.breakdown.reward,
             outcome.breakdown.wirelength_mm,
             outcome.breakdown.max_temperature_c
         );
-        println!("{}", placement_json(request.system(), &outcome.placement));
+        outln!("{}", placement_json(request.system(), &outcome.placement));
     }
     ExitCode::SUCCESS
 }
@@ -243,12 +244,12 @@ fn run_sweep(parsed: &SweepArgs) -> ExitCode {
         let mut sink = match JsonlSink::open(path) {
             Ok(sink) => sink,
             Err(err) => {
-                eprintln!("cannot open stream file `{path}`: {err}");
+                errln!("cannot open stream file `{path}`: {err}");
                 return ExitCode::FAILURE;
             }
         };
         if sink.prior_len() > 0 {
-            eprintln!(
+            errln!(
                 "resuming from {} record(s) already in `{path}`",
                 sink.prior_len()
             );
@@ -256,7 +257,7 @@ fn run_sweep(parsed: &SweepArgs) -> ExitCode {
         match engine.run_streamed(spec, &mut sink) {
             Ok(report) => report,
             Err(err) => {
-                eprintln!("sweep failed: {err}");
+                errln!("sweep failed: {err}");
                 return ExitCode::FAILURE;
             }
         }
@@ -264,15 +265,15 @@ fn run_sweep(parsed: &SweepArgs) -> ExitCode {
         match engine.run(spec) {
             Ok(report) => report,
             Err(err) => {
-                eprintln!("sweep failed: {err}");
+                errln!("sweep failed: {err}");
                 return ExitCode::FAILURE;
             }
         }
     };
     if parsed.json {
-        println!("{}", campaign_json(&report));
+        outln!("{}", campaign_json(&report));
     } else {
-        eprintln!(
+        errln!(
             "{} runs ({} resumed) on {} worker(s) in {:.2?}; cache: {} hit(s), {} characterisation(s) ({:.2?})",
             report.runs.len() + report.failures.len(),
             report.resumed_runs,
@@ -282,7 +283,7 @@ fn run_sweep(parsed: &SweepArgs) -> ExitCode {
             report.cache.misses,
             report.cache.characterization_time,
         );
-        println!(
+        outln!(
             "{:<12}{:<12}{:>8}{:>12}{:>12}{:>12}{:>12}{:>10}{:>12}{:>10}{:>14}",
             "system",
             "method",
@@ -300,7 +301,7 @@ fn run_sweep(parsed: &SweepArgs) -> ExitCode {
             let episodes_per_s = cell
                 .episodes_per_s
                 .map_or_else(|| "-".to_string(), |v| format!("{v:.1}"));
-            println!(
+            outln!(
                 "{:<12}{:<12}{:>8}{:>12.4}{:>12.4}{:>12.4}{:>12}{:>10}{:>12.1}{:>10}{:>14}",
                 cell.system,
                 cell.method,
@@ -319,11 +320,15 @@ fn run_sweep(parsed: &SweepArgs) -> ExitCode {
     // Fail-soft: completed cells were reported above (and streamed), but a
     // sweep with failed runs still exits nonzero.
     if !report.failures.is_empty() {
-        eprintln!("{} run(s) failed:", report.failures.len());
+        errln!("{} run(s) failed:", report.failures.len());
         for failure in &report.failures {
-            eprintln!(
+            errln!(
                 "  run {} `{}` on `{}` (seed {}): {}",
-                failure.index, failure.method, failure.system, failure.seed, failure.error
+                failure.index,
+                failure.method,
+                failure.system,
+                failure.seed,
+                failure.error
             );
         }
         return ExitCode::FAILURE;
@@ -377,7 +382,7 @@ fn run_train_generalist(parsed: &GeneralistArgs) -> ExitCode {
         let (analyzer, _prep) = match thermal.build_prepared(&system) {
             Ok(built) => built,
             Err(err) => {
-                eprintln!("thermal backend failed on `{name}`: {err}");
+                errln!("thermal backend failed on `{name}`: {err}");
                 return ExitCode::FAILURE;
             }
         };
@@ -391,19 +396,19 @@ fn run_train_generalist(parsed: &GeneralistArgs) -> ExitCode {
         let mut planner = match RlPlanner::new(system, analyzer, RewardConfig::default(), config) {
             Ok(planner) => planner,
             Err(err) => {
-                eprintln!("invalid training configuration on `{name}`: {err}");
+                errln!("invalid training configuration on `{name}`: {err}");
                 return ExitCode::FAILURE;
             }
         };
         if let Some(file) = &snapshot {
             if let Err(err) = planner.import_policy(file) {
-                eprintln!("cannot carry weights into `{name}`: {err}");
+                errln!("cannot carry weights into `{name}`: {err}");
                 return ExitCode::FAILURE;
             }
         }
         match planner.train(None, &mut |_, _, _| {}) {
             Ok(result) => {
-                eprintln!(
+                errln!(
                     "[{}/{}] {name}: {chiplets} chiplets, {} episodes, best reward {:.4}",
                     index + 1,
                     parsed.systems,
@@ -412,7 +417,7 @@ fn run_train_generalist(parsed: &GeneralistArgs) -> ExitCode {
                 );
             }
             Err(err) => {
-                eprintln!("training stalled on `{name}`: {err}");
+                errln!("training stalled on `{name}`: {err}");
                 return ExitCode::FAILURE;
             }
         }
@@ -428,10 +433,10 @@ fn run_train_generalist(parsed: &GeneralistArgs) -> ExitCode {
     }
     let snapshot = snapshot.expect("at least one system trains");
     if let Err(err) = snapshot.save(&parsed.out) {
-        eprintln!("cannot save policy to `{}`: {err}", parsed.out);
+        errln!("cannot save policy to `{}`: {err}", parsed.out);
         return ExitCode::FAILURE;
     }
-    eprintln!(
+    errln!(
         "saved generalist policy to `{}` (checksum {:#018x})",
         parsed.out,
         snapshot.checksum(),
@@ -444,7 +449,7 @@ fn main() -> ExitCode {
     // explicit `--log-level` flag overrides the environment. The CLI
     // defaults to everything off: solves stay silent unless asked.
     if let Err(e) = rlp_obs::init_from_env() {
-        eprintln!("{e}");
+        errln!("{e}");
         return ExitCode::from(2);
     }
     let mut scan = Scanner::new(std::env::args().skip(1)).with_log_level();
@@ -464,7 +469,7 @@ fn main() -> ExitCode {
     // What the run collected, as one `rlplanner.metrics/v1` line; stdout
     // stays the run's own.
     if rlp_obs::metrics_enabled() {
-        eprintln!("{}", rlp_obs::registry().snapshot().render_json());
+        errln!("{}", rlp_obs::registry().snapshot().render_json());
     }
     code
 }

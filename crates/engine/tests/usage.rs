@@ -1,7 +1,7 @@
 //! `rlplanner_cli` usage errors: exit status 2, with a first stderr line
 //! that names the offending argument.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 #[test]
 fn usage_errors_exit_2_and_name_the_argument() {
@@ -70,4 +70,27 @@ fn rlp_metrics_prints_the_snapshot_on_stderr() {
         .and_then(|histogram| histogram.get("count"))
         .and_then(|count| count.as_f64());
     assert_eq!(characterizations, Some(1.0));
+}
+
+/// A reader that goes away (`| head`) is no `Broken pipe` panic: the run
+/// exits with its own status. The RL run trains before it writes, so the
+/// pipes are closed by then.
+#[test]
+fn closed_pipes_exit_quietly() {
+    for close_stderr in [false, true] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_rlplanner_cli"))
+            .args(["case1", "rl", "20"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("the CLI runs");
+        drop(child.stdout.take());
+        if close_stderr {
+            drop(child.stderr.take());
+        }
+        let output = child.wait_with_output().expect("the CLI exits");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(0), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
 }

@@ -265,7 +265,10 @@ impl LogSink for StderrSink {
                 FieldValue::Str(v) => _ = write!(line, " {key}={v}"),
             }
         }
-        eprintln!("{line}");
+        // A failed write (say, to a reader that has gone away) drops the
+        // line; logging never panics.
+        line.push('\n');
+        let _ = std::io::Write::write_all(&mut std::io::stderr().lock(), line.as_bytes());
     }
 }
 

@@ -10,6 +10,10 @@
 //!   so `rlplanner_cli` and `rlp_load` build byte-identical documents for
 //!   the same names.
 //!
+//! * [`outln!`](crate::outln) and [`errln!`](crate::errln) print lines
+//!   as `println!` and `eprintln!` do, but a reader that has gone away
+//!   (`| head`) is no panic.
+//!
 //! Every error is a one-line message, which [`usage_error`] prints above
 //! the binary's usage text before it exits with status 2.
 
@@ -17,13 +21,65 @@ use crate::request::{Budget, FloorplanRequest, FloorplanRequestBuilder, Method};
 use rlp_benchmarks::system_by_name;
 use rlp_sa::SaConfig;
 use rlp_thermal::{CharacterizationOptions, ThermalBackend, ThermalConfig};
+use std::io::{self, ErrorKind, Write};
 use std::process::ExitCode;
 
 /// Reports a usage error: `reason` above the binary's `usage` text, and
 /// exit status 2.
 pub fn usage_error(reason: &str, usage: &str) -> ExitCode {
-    eprintln!("{reason}\n{usage}");
+    crate::errln!("{reason}\n{usage}");
     ExitCode::from(2)
+}
+
+/// `println!` for the binaries, through [`cli::print_line`](crate::cli::print_line).
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::cli::print_line(::std::format_args!($($arg)*))
+    };
+}
+
+/// `eprintln!` for the binaries, through [`cli::eprint_line`](crate::cli::eprint_line).
+#[macro_export]
+macro_rules! errln {
+    ($($arg:tt)*) => {
+        $crate::cli::eprint_line(::std::format_args!($($arg)*))
+    };
+}
+
+/// Writes one line to stdout. When its reader has gone away (`EPIPE`, as
+/// after `| head`), nothing is left to read the rest, so the process ends
+/// quietly with status 0 instead of panicking as `println!` does.
+///
+/// # Panics
+///
+/// Panics on any other write error, as `println!` does.
+pub fn print_line(args: std::fmt::Arguments<'_>) {
+    match write_line(&mut io::stdout().lock(), args) {
+        Err(err) if err.kind() == ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(err) => panic!("failed printing to stdout: {err}"),
+        Ok(()) => {}
+    }
+}
+
+/// Writes one line to stderr. When its reader has gone away the line is
+/// dropped, so the run goes on and its exit status stays its own.
+///
+/// # Panics
+///
+/// Panics on any other write error, as `eprintln!` does.
+pub fn eprint_line(args: std::fmt::Arguments<'_>) {
+    match write_line(&mut io::stderr().lock(), args) {
+        Err(err) if err.kind() != ErrorKind::BrokenPipe => {
+            panic!("failed printing to stderr: {err}")
+        }
+        _ => {}
+    }
+}
+
+fn write_line(out: &mut impl Write, args: std::fmt::Arguments<'_>) -> io::Result<()> {
+    out.write_fmt(args)?;
+    out.write_all(b"\n")
 }
 
 /// One command-line argument, as [`Scanner::next_arg`] hands it out.

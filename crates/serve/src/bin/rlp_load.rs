@@ -45,6 +45,7 @@ use rlp_obs::json::{Layout, Writer};
 use rlp_serve::{ClientError, ServeClient, Submit};
 use rlplanner::cli::{self, Scanner};
 use rlplanner::report::request_json;
+use rlplanner::{errln, outln};
 use std::process::ExitCode;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -246,10 +247,10 @@ fn run_load(args: &LoadArgs) -> ExitCode {
     if args.metrics {
         match ServeClient::connect(&args.addr) {
             Ok(mut client) => match client.metrics() {
-                Ok(snapshot) => println!("{}", snapshot.render()),
-                Err(e) => eprintln!("metrics request failed: {e}"),
+                Ok(snapshot) => outln!("{}", snapshot.render()),
+                Err(e) => errln!("metrics request failed: {e}"),
             },
-            Err(e) => eprintln!("metrics connection failed: {e}"),
+            Err(e) => errln!("metrics connection failed: {e}"),
         }
     }
 
@@ -257,17 +258,17 @@ fn run_load(args: &LoadArgs) -> ExitCode {
         match ServeClient::connect(&args.addr).map_err(ClientError::Io) {
             Ok(mut client) => {
                 if let Err(e) = client.shutdown() {
-                    eprintln!("shutdown request failed: {e}");
+                    errln!("shutdown request failed: {e}");
                 }
             }
-            Err(e) => eprintln!("shutdown connection failed: {e}"),
+            Err(e) => errln!("shutdown connection failed: {e}"),
         }
     }
 
     if latencies.is_empty() {
-        eprintln!("all {total} request(s) failed:");
+        errln!("all {total} request(s) failed:");
         for failure in failures.iter().take(5) {
-            eprintln!("  {failure}");
+            errln!("  {failure}");
         }
         return ExitCode::FAILURE;
     }
@@ -278,7 +279,7 @@ fn run_load(args: &LoadArgs) -> ExitCode {
     let (min, max) = (latencies[0], latencies[latencies.len() - 1]);
     let throughput = latencies.len() as f64 / wall.as_secs_f64();
 
-    println!(
+    outln!(
         "{} clients x {} requests against {} ({} {} budget {}): \
          {} ok, {} failed, {} busy retr{} in {:.2?}",
         args.clients,
@@ -293,7 +294,7 @@ fn run_load(args: &LoadArgs) -> ExitCode {
         if busy_retries == 1 { "y" } else { "ies" },
         wall,
     );
-    println!(
+    outln!(
         "latency p50 {:.2?}  p99 {:.2?}  mean {:.2?}  min {:.2?}  max {:.2?}  |  {:.1} solves/s",
         p50,
         p99,
@@ -311,18 +312,18 @@ fn run_load(args: &LoadArgs) -> ExitCode {
             shard_line(&format!("{prefix}/p99"), ns(p99), latencies.len()),
         );
         if let Err(e) = append(path, &shards) {
-            eprintln!("cannot append shards to `{path}`: {e}");
+            errln!("cannot append shards to `{path}`: {e}");
             return ExitCode::FAILURE;
         }
-        eprintln!("appended 2 shard line(s) to `{path}`");
+        errln!("appended 2 shard line(s) to `{path}`");
     }
 
     if failures.is_empty() {
         ExitCode::SUCCESS
     } else {
-        eprintln!("{} request(s) failed:", failures.len());
+        errln!("{} request(s) failed:", failures.len());
         for failure in failures.iter().take(5) {
-            eprintln!("  {failure}");
+            errln!("  {failure}");
         }
         ExitCode::FAILURE
     }
@@ -341,7 +342,7 @@ fn main() -> ExitCode {
     let mut scan = Scanner::new(std::env::args().skip(1));
     let run = match scan.subcommand(&["print-request"]) {
         Ok(Some(_)) => print_request(&mut scan).map(|document| {
-            println!("{document}");
+            outln!("{document}");
             ExitCode::SUCCESS
         }),
         Ok(None) => parse_load_args(&mut scan).map(|args| run_load(&args)),

@@ -37,6 +37,7 @@
 
 use rlp_serve::{Server, ServerConfig};
 use rlplanner::cli::{self, Scanner};
+use rlplanner::errln;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: rlp_serve [--addr <host:port>] [--workers <n>] [--capacity <n>] \
@@ -67,7 +68,7 @@ fn main() -> ExitCode {
     rlp_obs::set_metrics_enabled(true);
     rlp_obs::set_max_level(Some(rlp_obs::Level::Info));
     if let Err(e) = rlp_obs::init_from_env() {
-        eprintln!("{e}");
+        errln!("{e}");
         return ExitCode::from(2);
     }
 
@@ -79,7 +80,7 @@ fn main() -> ExitCode {
     let server = match Server::bind(config) {
         Ok(server) => server,
         Err(e) => {
-            eprintln!("cannot bind: {e}");
+            errln!("cannot bind: {e}");
             return ExitCode::FAILURE;
         }
     };
@@ -96,7 +97,7 @@ fn main() -> ExitCode {
             );
         }
         Err(e) => {
-            eprintln!("cannot resolve listen address: {e}");
+            errln!("cannot resolve listen address: {e}");
             return ExitCode::FAILURE;
         }
     }
@@ -110,7 +111,7 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Err(e) => {
-            eprintln!("accept loop failed: {e}");
+            errln!("accept loop failed: {e}");
             ExitCode::FAILURE
         }
     }
