@@ -277,61 +277,6 @@ impl Layer for Conv2d {
         out
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        self.backward_parameters(grad_output);
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("checked by backward_parameters");
-        let (batch, h, w) = (input.shape()[0], input.shape()[2], input.shape()[3]);
-        let (oh, ow) = self.output_size(h, w);
-        let (ic_n, oc_n, k) = (self.in_channels, self.out_channels, self.kernel);
-        let rows = spans(oh, k, self.stride, self.padding, h);
-        let cols = spans(ow, k, self.stride, self.padding, w);
-        let (go, image_len) = (grad_output.data(), ic_n * h * w);
-
-        // Input grad, vectorised over `ic` into a [b, iy, ix, ic] scratch,
-        // with weights as [oc, kh, kw, ic] so that one kernel row's taps
-        // and the inputs they read are both contiguous. Per element the
-        // sequence is `oc, y, x` ascending, and the upstream grad is shared
-        // by every `ic`, so its zero skip stays a branch.
-        let mut weights = Vec::with_capacity(oc_n * k * k * ic_n);
-        for block in self.weight.value.data().chunks_exact(ic_n * k * k) {
-            weights.extend(transposed(block, ic_n, k * k));
-        }
-        let mut gi = vec![0.0f32; batch * h * w * ic_n];
-        for (b, image) in gi.chunks_exact_mut(h * w * ic_n).enumerate() {
-            for (oc, kernel) in weights.chunks_exact(k * k * ic_n).enumerate() {
-                let plane = &go[(b * oc_n + oc) * oh * ow..][..oh * ow];
-                for (y, row) in rows.iter().enumerate() {
-                    for (x, col) in cols.iter().enumerate() {
-                        let g = plane[y * ow + x];
-                        if g == 0.0 {
-                            continue;
-                        }
-                        for dy in 0..row.len {
-                            let (kh, iy) = (row.first + dy, row.start + dy);
-                            let dst = &mut image[(iy * w + col.start) * ic_n..][..col.len * ic_n];
-                            let src = &kernel[(kh * k + col.first) * ic_n..][..col.len * ic_n];
-                            for (d, &wv) in dst.iter_mut().zip(src) {
-                                *d += wv * g;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let mut grad_input = Tensor::zeros(input.shape().to_vec());
-        for (dst, src) in grad_input
-            .data_mut()
-            .chunks_exact_mut(image_len)
-            .zip(gi.chunks_exact(h * w * ic_n))
-        {
-            dst.copy_from_slice(&transposed(src, h * w, ic_n));
-        }
-        grad_input
-    }
-
     fn backward_parameters(&mut self, grad_output: &Tensor) {
         let input = self
             .cached_input
@@ -401,6 +346,61 @@ impl Layer for Conv2d {
         }
         from_lane_blocks(&gw, self.weight.grad.data_mut(), taps_n);
         from_lane_blocks(&gb, self.bias.grad.data_mut(), 1);
+    }
+
+    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+        self.backward_parameters(grad_output);
+        let input = self
+            .cached_input
+            .as_ref()
+            .expect("checked by backward_parameters");
+        let (batch, h, w) = (input.shape()[0], input.shape()[2], input.shape()[3]);
+        let (oh, ow) = self.output_size(h, w);
+        let (ic_n, oc_n, k) = (self.in_channels, self.out_channels, self.kernel);
+        let rows = spans(oh, k, self.stride, self.padding, h);
+        let cols = spans(ow, k, self.stride, self.padding, w);
+        let (go, image_len) = (grad_output.data(), ic_n * h * w);
+
+        // Input grad, vectorised over `ic` into a [b, iy, ix, ic] scratch,
+        // with weights as [oc, kh, kw, ic] so that one kernel row's taps
+        // and the inputs they read are both contiguous. Per element the
+        // sequence is `oc, y, x` ascending, and the upstream grad is shared
+        // by every `ic`, so its zero skip stays a branch.
+        let mut weights = Vec::with_capacity(oc_n * k * k * ic_n);
+        for block in self.weight.value.data().chunks_exact(ic_n * k * k) {
+            weights.extend(transposed(block, ic_n, k * k));
+        }
+        let mut gi = vec![0.0f32; batch * h * w * ic_n];
+        for (b, image) in gi.chunks_exact_mut(h * w * ic_n).enumerate() {
+            for (oc, kernel) in weights.chunks_exact(k * k * ic_n).enumerate() {
+                let plane = &go[(b * oc_n + oc) * oh * ow..][..oh * ow];
+                for (y, row) in rows.iter().enumerate() {
+                    for (x, col) in cols.iter().enumerate() {
+                        let g = plane[y * ow + x];
+                        if g == 0.0 {
+                            continue;
+                        }
+                        for dy in 0..row.len {
+                            let (kh, iy) = (row.first + dy, row.start + dy);
+                            let dst = &mut image[(iy * w + col.start) * ic_n..][..col.len * ic_n];
+                            let src = &kernel[(kh * k + col.first) * ic_n..][..col.len * ic_n];
+                            for (d, &wv) in dst.iter_mut().zip(src) {
+                                *d += wv * g;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let mut grad_input = Tensor::zeros(input.shape().to_vec());
+        for (dst, src) in grad_input
+            .data_mut()
+            .chunks_exact_mut(image_len)
+            .zip(gi.chunks_exact(h * w * ic_n))
+        {
+            dst.copy_from_slice(&transposed(src, h * w, ic_n));
+        }
+        grad_input
     }
 
     fn visit_parameters(&mut self, f: &mut dyn FnMut(&mut Parameter)) {

@@ -108,48 +108,6 @@ impl Layer for Linear {
             .add_row_broadcast(&self.bias.value)
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        self.backward_parameters(grad_output);
-
-        // dL/dx = g·Wᵀ, formed without materialising the transpose and in
-        // the sequence of `Tensor::matmul` on it. dL/dx[b, i] is a dot
-        // product of g's row `b` with W's row `i`. A panel of ROWS rows of
-        // W, interleaved so that one step of `p` reads ROWS adjacent
-        // weights, runs ROWS of those dot products side by side.
-        const ROWS: usize = 8;
-        let (n_in, n_out) = (self.in_features, self.out_features);
-        let (g, w) = (grad_output.data(), self.weight.value.data());
-        let mut grad_input = Tensor::zeros(vec![grad_output.shape()[0], n_in]);
-        let mut panel = vec![[0.0f32; ROWS]; n_out];
-        for first in (0..n_in).step_by(ROWS) {
-            let rows = ROWS.min(n_in - first);
-            for (k, w_row) in w[first * n_out..][..rows * n_out]
-                .chunks_exact(n_out)
-                .enumerate()
-            {
-                for (lanes, &v) in panel.iter_mut().zip(w_row) {
-                    lanes[k] = v;
-                }
-            }
-            for (g_row, out_row) in g
-                .chunks_exact(n_out)
-                .zip(grad_input.data_mut().chunks_exact_mut(n_in))
-            {
-                let mut acc = [0.0f32; ROWS];
-                for (&a, lanes) in g_row.iter().zip(&panel) {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    for (s, &v) in acc.iter_mut().zip(lanes) {
-                        *s += a * v;
-                    }
-                }
-                out_row[first..first + rows].copy_from_slice(&acc[..rows]);
-            }
-        }
-        grad_input
-    }
-
     fn backward_parameters(&mut self, grad_output: &Tensor) {
         let input = self
             .cached_input
@@ -191,6 +149,48 @@ impl Layer for Linear {
             }
         }
         self.bias.grad.add_assign(&grad_output.sum_rows());
+    }
+
+    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+        self.backward_parameters(grad_output);
+
+        // dL/dx = g·Wᵀ, formed without materialising the transpose and in
+        // the sequence of `Tensor::matmul` on it. dL/dx[b, i] is a dot
+        // product of g's row `b` with W's row `i`. A panel of ROWS rows of
+        // W, interleaved so that one step of `p` reads ROWS adjacent
+        // weights, runs ROWS of those dot products side by side.
+        const ROWS: usize = 8;
+        let (n_in, n_out) = (self.in_features, self.out_features);
+        let (g, w) = (grad_output.data(), self.weight.value.data());
+        let mut grad_input = Tensor::zeros(vec![grad_output.shape()[0], n_in]);
+        let mut panel = vec![[0.0f32; ROWS]; n_out];
+        for first in (0..n_in).step_by(ROWS) {
+            let rows = ROWS.min(n_in - first);
+            for (k, w_row) in w[first * n_out..][..rows * n_out]
+                .chunks_exact(n_out)
+                .enumerate()
+            {
+                for (lanes, &v) in panel.iter_mut().zip(w_row) {
+                    lanes[k] = v;
+                }
+            }
+            for (g_row, out_row) in g
+                .chunks_exact(n_out)
+                .zip(grad_input.data_mut().chunks_exact_mut(n_in))
+            {
+                let mut acc = [0.0f32; ROWS];
+                for (&a, lanes) in g_row.iter().zip(&panel) {
+                    if a == 0.0 {
+                        continue;
+                    }
+                    for (s, &v) in acc.iter_mut().zip(lanes) {
+                        *s += a * v;
+                    }
+                }
+                out_row[first..first + rows].copy_from_slice(&acc[..rows]);
+            }
+        }
+        grad_input
     }
 
     fn visit_parameters(&mut self, f: &mut dyn FnMut(&mut Parameter)) {

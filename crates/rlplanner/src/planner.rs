@@ -506,6 +506,29 @@ mod tests {
     }
 
     #[test]
+    fn a_pending_update_runs_before_training_resumes() {
+        // An export runs the pending update at once. Resumed training must
+        // run it before its first batch collects, or the second run's
+        // episodes and final weights would differ.
+        let run = |export_between: bool| {
+            let mut planner = RlPlanner::new(
+                small_system(),
+                fast_model(36.0),
+                RewardConfig::default(),
+                quick_config(8, true),
+            )
+            .unwrap();
+            train_silently(&mut planner);
+            if export_between {
+                planner.export_policy(Vec::new());
+            }
+            let (_, rewards) = train_recording(&mut planner);
+            (rewards, planner.export_policy(Vec::new()).checksum())
+        };
+        assert_eq!(run(true), run(false));
+    }
+
+    #[test]
     fn training_result_reports_rollout_telemetry() {
         let run = || {
             let mut planner = RlPlanner::new(
