@@ -82,7 +82,8 @@
 //! stdout followed by the placement as JSON (the `rlplanner::report`
 //! placement document), and the sweep mode prints one summary line per
 //! (system, method) cell. Exit codes: 0 on success, 2 on usage errors, 1
-//! when a solve fails (single-run) or any sweep run fails.
+//! when a solve fails (single-run) or any sweep run fails. A stdout
+//! closed by its reader (`| head`) ends the run quietly with 0.
 
 use rlp_benchmarks::{system_by_name, SyntheticConfig, SyntheticSystemGenerator};
 use rlp_engine::{campaign_json, CampaignEngine, CampaignMethod, CampaignSpec, JsonlSink};

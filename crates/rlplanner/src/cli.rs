@@ -62,19 +62,11 @@ pub fn print_line(args: std::fmt::Arguments<'_>) {
     }
 }
 
-/// Writes one line to stderr. When its reader has gone away the line is
-/// dropped, so the run goes on and its exit status stays its own.
-///
-/// # Panics
-///
-/// Panics on any other write error, as `eprintln!` does.
+/// Writes one line to stderr. A line that cannot be written (say, its
+/// reader has gone away) is dropped, so the run goes on and its exit
+/// status stays its own.
 pub fn eprint_line(args: std::fmt::Arguments<'_>) {
-    match write_line(&mut io::stderr().lock(), args) {
-        Err(err) if err.kind() != ErrorKind::BrokenPipe => {
-            panic!("failed printing to stderr: {err}")
-        }
-        _ => {}
-    }
+    let _ = write_line(&mut io::stderr().lock(), args);
 }
 
 fn write_line(out: &mut impl Write, args: std::fmt::Arguments<'_>) -> io::Result<()> {
