@@ -17,11 +17,16 @@
 //! evaluating a floorplan costs a few table lookups per chiplet pair, which
 //! is where the reported >120x speed-up over the full solver comes from.
 //!
-//! The characterisation probes run serially, in table order, against one
-//! direct grid solve prepared for the interposer. Each probe solves only
-//! the die-layer cells it reads: a footprint probe the cells under its die,
-//! a mutual probe the whole die layer. Those cells equal a full solve's bit
-//! for bit, so the tables are exactly what full solves would give.
+//! Characterisation runs serially on the calling thread against one direct
+//! grid solve prepared for the interposer, and solves only die-layer cells.
+//! A centred footprint probe's rasterised power is the outer product of its
+//! overlaps with the columns and with the rows of cells, so all footprint
+//! probes are one separable sweep of 1-D cosine transforms
+//! (`SpectralSolver::solve_separable_windows`). Each self-resistance entry
+//! equals a windowed solve of the rasterised die to at most 1e-13 relative,
+//! not bit for bit. The two mutual probes solve the whole die layer, which
+//! equals a full solve bit for bit, so the mutual table is exactly what
+//! full solves give. Either table is the same on one core or many.
 
 use crate::config::ThermalConfig;
 use crate::error::ThermalError;
@@ -127,6 +132,12 @@ impl FastThermalModel {
     /// Characterises the model for an interposer of the given size using the
     /// grid solver as the reference, following the paper's procedure.
     ///
+    /// The footprint probes run as one separable sweep: every
+    /// self-resistance entry is within 1e-13 relative of the peak a
+    /// windowed solve of the rasterised probe die gives. The mutual table
+    /// equals full solves bit for bit. A call returns the same bits on one
+    /// core or many.
+    ///
     /// # Errors
     ///
     /// Returns [`ThermalError::InvalidConfig`] for unusable options, before
@@ -155,31 +166,36 @@ impl FastThermalModel {
         let widths_mm: Vec<f64> = samples.iter().map(|&s| s.min(max_w)).collect();
         let heights_mm: Vec<f64> = samples.iter().map(|&s| s.min(max_h)).collect();
         let p0 = options.reference_power_w;
-        let power_of = |rect: &Rect| {
-            let mut power = PowerMap::empty(interposer_width_mm, interposer_height_mm, nx, ny);
-            power.add(rect, p0);
-            power
-        };
 
         // One probe per (w, h) footprint sample, in self-resistance table
         // order: a centred die, whose temperature is the peak over the
-        // cells under it, so only those cells of the die layer are solved.
-        let mut self_resistance = Vec::with_capacity(widths_mm.len() * heights_mm.len());
-        for &h in &heights_mm {
-            for &w in &widths_mm {
-                let rect = Rect::new(
-                    (interposer_width_mm - w) / 2.0,
-                    (interposer_height_mm - h) / 2.0,
-                    w,
-                    h,
-                );
-                let power = power_of(&rect);
-                let (rows, cols) =
-                    footprint_cells(&rect, power.cell_width(), power.cell_height(), nx, ny);
-                let rises = spectral.solve_window(power.cells(), die_layer, rows, cols);
-                self_resistance.push((peak_temperature(ambient, rises) - ambient) / p0);
-            }
+        // cells under it. Its rasterised power is `density·oy[y]·ox[x]`,
+        // with `ox` its overlap with each column of cells, which depends on
+        // `w` alone, and `oy` with each row, on `h` alone. So the sweep is
+        // one separable solve of the die layer over those cells.
+        let (cell_w, cell_h) = (
+            interposer_width_mm / nx as f64,
+            interposer_height_mm / ny as f64,
+        );
+        let (mut columns, mut rows) = (Vec::new(), Vec::new());
+        for (&w, &h) in widths_mm.iter().zip(&heights_mm) {
+            let rect = Rect::new(
+                (interposer_width_mm - w) / 2.0,
+                (interposer_height_mm - h) / 2.0,
+                w,
+                h,
+            );
+            let (die_rows, die_cols) = footprint_cells(&rect, cell_w, cell_h, nx, ny);
+            columns.push((cell_overlaps(rect.x, w, cell_w, nx), die_cols));
+            rows.push((cell_overlaps(rect.y, h, cell_h, ny), die_rows));
         }
+        let mut self_resistance = Vec::with_capacity(widths_mm.len() * heights_mm.len());
+        spectral.solve_separable_windows(die_layer, &rows, &columns, |hi, wi, window| {
+            // `PowerMap::add`'s density: the probe power over the die's area.
+            let density = p0 / (widths_mm[wi] * heights_mm[hi]);
+            let rises = window.iter().map(|&s| density * s);
+            self_resistance.push((peak_temperature(ambient, rises) - ambient) / p0);
+        });
 
         // The mutual-resistance table is a distance histogram of the
         // die-layer field around an isolated source, using two source
@@ -194,10 +210,12 @@ impl FastThermalModel {
             (interposer_width_mm / 2.0, interposer_height_mm / 2.0),
             (interposer_width_mm * 0.2, interposer_height_mm * 0.2),
         ] {
-            let power = power_of(&Rect::new(cx_src - src / 2.0, cy_src - src / 2.0, src, src));
+            let mut power = PowerMap::empty(interposer_width_mm, interposer_height_mm, nx, ny);
+            power.add(
+                &Rect::new(cx_src - src / 2.0, cy_src - src / 2.0, src, src),
+                p0,
+            );
             let rises = spectral.solve_window(power.cells(), die_layer, 0..ny, 0..nx);
-            let cell_w = interposer_width_mm / nx as f64;
-            let cell_h = interposer_height_mm / ny as f64;
             for row in 0..ny {
                 for col in 0..nx {
                     let cx = (col as f64 + 0.5) * cell_w;
@@ -313,6 +331,23 @@ impl FastThermalModel {
         }
         Ok(())
     }
+}
+
+/// The overlap (mm) of the interval `lo..lo + len` with each of `n` cells
+/// of `cell` mm along one axis, zero where they are disjoint: one factor of
+/// the `dx·dy` that `Rect::intersection_area` gives `PowerMap::add`.
+fn cell_overlaps(lo: f64, len: f64, cell: f64, n: usize) -> Vec<f64> {
+    (0..n)
+        .map(|i| {
+            let cell_lo = i as f64 * cell;
+            let overlap = (cell_lo + cell).min(lo + len) - cell_lo.max(lo);
+            if overlap > 0.0 {
+                overlap
+            } else {
+                0.0
+            }
+        })
+        .collect()
 }
 
 /// Piecewise-linear interpolation with clamping at the table edges.
@@ -588,6 +623,7 @@ mod tests {
     use super::*;
     use crate::config::{Layer, LayerStack, ThermalConfig};
     use crate::grid::ThermalSolution;
+    use proptest::prelude::*;
     use rlp_chiplet::{Chiplet, Position};
 
     fn quick_options() -> CharacterizationOptions {
@@ -790,6 +826,101 @@ mod tests {
                     "{case}, entry {index}: direct {d} vs CG oracle {c}"
                 );
             }
+        }
+    }
+
+    /// Checks `model` against the serial `reference`: every self-resistance
+    /// entry within 1e-13 relative, every other field bit for bit.
+    fn assert_matches_reference(
+        model: &FastThermalModel,
+        reference: &FastThermalModel,
+        case: &str,
+    ) -> Result<(), TestCaseError> {
+        let without_self = |model: &FastThermalModel| {
+            table_bits(&FastThermalModel {
+                self_resistance_k_per_w: Vec::new(),
+                ..model.clone()
+            })
+        };
+        prop_assert_eq!(without_self(model), without_self(reference), "{}", case);
+        let (table, expected) = (
+            &model.self_resistance_k_per_w,
+            &reference.self_resistance_k_per_w,
+        );
+        prop_assert_eq!(table.len(), expected.len(), "{}", case);
+        for (index, (r, e)) in table.iter().zip(expected).enumerate() {
+            prop_assert!(
+                (r - e).abs() <= 1e-13 * e.abs(),
+                "{case}, entry {index}: separable {r} vs windowed solve {e}"
+            );
+        }
+        Ok(())
+    }
+
+    fn serial_solves(
+        config: &ThermalConfig,
+        width_mm: f64,
+        height_mm: f64,
+        options: &CharacterizationOptions,
+    ) -> FastThermalModel {
+        let solver = GridThermalSolver::new(config.clone());
+        serial_reference(&solver, width_mm, height_mm, options, &|sys, placement| {
+            solver.solve(sys, placement)
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn separable_footprint_tables_match_windowed_solves_on_every_benchmark_outline() {
+        let outlines = [
+            ("multi-gpu", 55.0, 55.0),
+            ("cpu-dram", 55.0, 55.0),
+            ("ascend910", 65.0, 50.0),
+            ("case1", 26.0, 26.0),
+            ("case2", 29.0, 29.0),
+            ("case3", 34.0, 34.0),
+            ("case4", 38.0, 38.0),
+            ("case5", 40.0, 40.0),
+        ];
+        let (config, options) = (ThermalConfig::default(), CharacterizationOptions::default());
+        for (name, w, h) in outlines {
+            let model = FastThermalModel::characterize(&config, w, h, &options).unwrap();
+            let reference = serial_solves(&config, w, h, &options);
+            assert_matches_reference(&model, &reference, name).unwrap();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// On random non-square outlines and grids, odd ones included, with
+        /// samples clamped to the outline and duplicated, every footprint
+        /// entry is within 1e-13 of the windowed solves and the rest of the
+        /// model is bit-identical.
+        #[test]
+        fn separable_footprint_tables_match_windowed_solves_on_random_outlines(
+            width_mm in 10.0f64..80.0,
+            height_mm in 10.0f64..80.0,
+            nx in 2usize..=33,
+            ny in 2usize..=33,
+            samples in prop::collection::vec(0.5f64..90.0, 2..=4),
+            duplicate in 0usize..4,
+            reference_power_w in 0.5f64..50.0,
+            distance_bins in 2usize..30,
+            mutual_source_size_mm in 1.0f64..12.0,
+        ) {
+            let mut footprint_samples_mm = samples.clone();
+            footprint_samples_mm.push(samples[duplicate % samples.len()]);
+            let options = CharacterizationOptions {
+                footprint_samples_mm,
+                reference_power_w,
+                distance_bins,
+                mutual_source_size_mm,
+            };
+            let config = ThermalConfig::with_grid(nx, ny);
+            let model = FastThermalModel::characterize(&config, width_mm, height_mm, &options).unwrap();
+            let reference = serial_solves(&config, width_mm, height_mm, &options);
+            assert_matches_reference(&model, &reference, &format!("{options:?} on {nx}x{ny}"))?;
         }
     }
 

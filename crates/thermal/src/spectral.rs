@@ -72,6 +72,28 @@ impl CosineBasis {
             eigenvalues,
         }
     }
+
+    /// The 1-D transform `Qᵀ·v` of an `n`-point profile, each mode summed
+    /// over the points in increasing order, zero points skipped; also
+    /// checks `window` against the path.
+    fn project(&self, v: &[f64], window: &Range<usize>) -> Vec<f64> {
+        let n = self.n;
+        assert!(
+            v.len() == n && window.start < window.end && window.end <= n,
+            "separable source: {} points and window {window:?} on a {n}-point path",
+            v.len()
+        );
+        let mut modes = vec![0.0; n];
+        for (&s, basis_row) in v.iter().zip(self.q.chunks_exact(n)) {
+            if s == 0.0 {
+                continue;
+            }
+            for (m, &q) in modes.iter_mut().zip(basis_row) {
+                *m += q * s;
+            }
+        }
+        modes
+    }
 }
 
 /// Conductances of a layered grid of `nx`×`ny` cells per layer whose every
@@ -251,6 +273,90 @@ impl SpectralSolver {
             "solve_window: layer {layer}, rows {rows:?}, cols {cols:?} outside the grid"
         );
         self.inverse(&self.forward(source), layer, rows, cols)
+    }
+
+    /// Solves `G x = b` for every separable source `oy ⊗ ox`, the
+    /// `source[y * nx + x] = oy[y]·ox[x]` of one `(oy, rows)` of `rows` and
+    /// one `(ox, cols)` of `columns`, and hands `visit(i, j, window)` the
+    /// cells of `layer` in that pair's grid rows and columns, row-major, for
+    /// `rows[i]` and `columns[j]`, `i` outer.
+    ///
+    /// The source's modes are the outer product `a[ky]·b[kx]` of the 1-D
+    /// transforms `a = Qyᵀ·oy` and `b = Qxᵀ·ox`, so with the layer's
+    /// response `H` a window cell is `Σ_ky (qy[y][ky]·a[ky])·G[ky][x]`,
+    /// where `G[ky][x] = Σ_kx (H[ky][kx]·b[kx])·qx[x][kx]` depends on the
+    /// column profile alone and is built once for every row profile. Each
+    /// sum runs in increasing mode order and zero overlaps are skipped. The
+    /// order is not [`SpectralSolver::solve_window`]'s, so a window agrees
+    /// with the rasterised source's solve to rounding, not bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layer` is not a layer of the grid, an `ox` is not `nx`
+    /// long or an `oy` not `ny` long, or a range is empty or reaches past
+    /// the grid.
+    pub fn solve_separable_windows(
+        &self,
+        layer: usize,
+        rows: &[(Vec<f64>, Range<usize>)],
+        columns: &[(Vec<f64>, Range<usize>)],
+        mut visit: impl FnMut(usize, usize, &[f64]),
+    ) {
+        let (nx, ny) = (self.x_basis.n, self.y_basis.n);
+        assert!(
+            layer < self.layers,
+            "solve_separable_windows: layer {layer} outside the grid"
+        );
+        let response = &self.response[layer * nx * ny..][..nx * ny];
+        // Per column profile, `G` over its columns: `g[ky * cols.len() + i]`
+        // for column `cols.start + i`.
+        let gs: Vec<Vec<f64>> = columns
+            .iter()
+            .map(|(ox, cols)| {
+                let b = self.x_basis.project(ox, cols);
+                let mut g = vec![0.0; ny * cols.len()];
+                for (h_row, g_row) in response
+                    .chunks_exact(nx)
+                    .zip(g.chunks_exact_mut(cols.len()))
+                {
+                    for ((&h, &b), mode) in
+                        h_row.iter().zip(&b).zip(self.x_basis.q_t.chunks_exact(nx))
+                    {
+                        let hb = h * b;
+                        for (o, &q) in g_row.iter_mut().zip(&mode[cols.clone()]) {
+                            *o += hb * q;
+                        }
+                    }
+                }
+                g
+            })
+            .collect();
+        let mut weights = Vec::new();
+        let mut window = Vec::new();
+        for (i, (oy, window_rows)) in rows.iter().enumerate() {
+            // `qy[y][ky]·a[ky]` for every row `y` of the window.
+            let a = self.y_basis.project(oy, window_rows);
+            weights.clear();
+            for y in window_rows.clone() {
+                let basis_row = &self.y_basis.q[y * ny..][..ny];
+                weights.extend(basis_row.iter().zip(&a).map(|(&q, &a)| q * a));
+            }
+            for (j, ((_, cols), g)) in columns.iter().zip(&gs).enumerate() {
+                window.clear();
+                window.resize(window_rows.len() * cols.len(), 0.0);
+                for (row_weights, out) in weights
+                    .chunks_exact(ny)
+                    .zip(window.chunks_exact_mut(cols.len()))
+                {
+                    for (&w, g_row) in row_weights.iter().zip(g.chunks_exact(cols.len())) {
+                        for (o, &g) in out.iter_mut().zip(g_row) {
+                            *o += w * g;
+                        }
+                    }
+                }
+                visit(i, j, &window);
+            }
+        }
     }
 
     /// The forward transform `Qyᵀ · S · Qx` of the ny×nx source map: along
