@@ -100,6 +100,15 @@ impl Value {
         }
     }
 
+    /// Member of an object by key (first match), moved out of the object,
+    /// if this is an object.
+    pub fn into_member(self, key: &str) -> Option<Value> {
+        match self {
+            Value::Obj(members) => members.into_iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
     /// The number, if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -768,6 +777,15 @@ mod tests {
         let mut w = Writer::compact();
         w.value(value);
         w.finish()
+    }
+
+    #[test]
+    fn into_member_moves_out_what_get_borrows() {
+        let doc = Value::parse(r#"{"a": [1, {"b": 2}], "a": 3, "c": null}"#).unwrap();
+        assert_eq!(doc.clone().into_member("a").as_ref(), doc.get("a"));
+        assert_eq!(doc.clone().into_member("c"), Some(Value::Null));
+        assert_eq!(doc.into_member("missing"), None);
+        assert_eq!(Value::Arr(vec![]).into_member("a"), None);
     }
 
     #[test]

@@ -170,8 +170,7 @@ impl ServeClient {
                 }),
                 "outcome" => {
                     let outcome = frame
-                        .get("outcome")
-                        .cloned()
+                        .into_member("outcome")
                         .ok_or_else(|| protocol_err("outcome frame has no `outcome`"))?;
                     return Ok(JobResult { outcome, progress });
                 }
