@@ -666,6 +666,66 @@ mod tests {
             );
         }
 
+        /// Every separable window agrees, cell by cell, with a windowed solve
+        /// of the outer-product source: within 1e-12 of the layer's largest
+        /// rise, for profiles with zero entries on any grid, layer and
+        /// window, visited in `rows`-major order.
+        #[test]
+        fn separable_windows_match_windowed_solves_of_the_outer_product(
+            nx in 1usize..=17,
+            ny in 1usize..=17,
+            layers in 1usize..5,
+            source_layer in 0usize..4,
+            layer in 0usize..4,
+            conductances in prop::collection::vec(0.01f64..500.0, 13),
+            x_profiles in prop::collection::vec(
+                (prop::collection::vec(0.0f64..2.0, 17), 0usize..17, 1usize..=17), 1..4),
+            y_profiles in prop::collection::vec(
+                (prop::collection::vec(0.0f64..2.0, 17), 0usize..17, 1usize..=17), 1..4),
+            zero_below in 0.0f64..1.0,
+        ) {
+            let (source_layer, layer) = (source_layer % layers, layer % layers);
+            let grid = layered_grid(nx, ny, layers, &conductances);
+            let solver = SpectralSolver::new(&grid, source_layer).unwrap();
+            // Profiles with their small entries zeroed, each with a window.
+            let profiles = |raw: &[(Vec<f64>, usize, usize)], n: usize| {
+                raw.iter()
+                    .map(|(values, start, len)| {
+                        let profile = values[..n]
+                            .iter()
+                            .map(|&v| if v < zero_below { 0.0 } else { v })
+                            .collect();
+                        (profile, start % n..(start % n + len).min(n))
+                    })
+                    .collect::<Vec<(Vec<f64>, Range<usize>)>>()
+            };
+            let (rows, columns) = (profiles(&y_profiles, ny), profiles(&x_profiles, nx));
+            let mut visited = Vec::new();
+            let mut failure = None;
+            solver.solve_separable_windows(layer, &rows, &columns, |i, j, window| {
+                visited.push((i, j));
+                let ((oy, window_rows), (ox, cols)) = (&rows[i], &columns[j]);
+                let source: Vec<f64> =
+                    oy.iter().flat_map(|&y| ox.iter().map(move |&x| y * x)).collect();
+                let expected =
+                    solver.solve_window(&source, layer, window_rows.clone(), cols.clone());
+                let scale = solver
+                    .solve_window(&source, layer, 0..ny, 0..nx)
+                    .iter()
+                    .fold(0.0f64, |m, v| m.max(v.abs()));
+                if window.len() != expected.len()
+                    || window.iter().zip(&expected).any(|(w, e)| (w - e).abs() > 1e-12 * scale)
+                {
+                    failure.get_or_insert(format!("pair ({i}, {j}): {window:?} vs {expected:?}"));
+                }
+            });
+            prop_assert!(failure.is_none(), "{}", failure.unwrap_or_default());
+            let order: Vec<(usize, usize)> = (0..rows.len())
+                .flat_map(|i| (0..columns.len()).map(move |j| (i, j)))
+                .collect();
+            prop_assert_eq!(visited, order);
+        }
+
         /// A windowed single-layer solve equals the matching slice of the full
         /// solve bit for bit, for sources with all-zero rows and columns and for
         /// an all-zero source.
