@@ -2,10 +2,11 @@
 //! all of its time in.
 //!
 //! * `characterize/case3` — one fast-model characterisation with the CLI's
-//!   default fast backend (32×32 grid, 66 serial probe solves, each of the
-//!   die-layer cells it reads: 64 footprint windows and 2 whole die layers)
-//!   for Table III case 3's interposer: what every cold `sa-fast`,
-//!   `gradient` or `pretrained` solve pays before its first evaluation.
+//!   default fast backend (32×32 grid; the 64 footprint probes as one
+//!   separable sweep of die-layer windows, the 2 mutual probes as whole
+//!   die-layer solves) for Table III case 3's interposer: what every cold
+//!   `sa-fast`, `gradient` or `pretrained` solve pays before its first
+//!   evaluation.
 //! * `grid_solve/multi-gpu` — one grid-backend evaluation (the direct
 //!   spectral solve prepared once for the interposer, then one forward and
 //!   one inverse cosine transform, of the die layer) of a fixed legal

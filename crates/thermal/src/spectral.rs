@@ -29,6 +29,13 @@
 //! sum runs in a fixed index order on the calling thread, in the same order
 //! whatever the window, so a solve is bit-for-bit reproducible and a window
 //! equals the matching slice of the full solve bit for bit.
+//!
+//! A source that is the outer product of a row profile and a column profile
+//! has modes that are the outer product of two 1-D transforms.
+//! [`SpectralSolver::solve_separable_windows`] solves a set of such sources
+//! from those 1-D transforms alone, sharing the work a column profile needs
+//! across every row profile. It sums in another order, so its windows
+//! agree with `solve_window`'s to rounding, not bit for bit.
 
 use crate::error::SolveError;
 use std::ops::Range;
@@ -283,8 +290,8 @@ impl SpectralSolver {
     ///
     /// The source's modes are the outer product `a[ky]·b[kx]` of the 1-D
     /// transforms `a = Qyᵀ·oy` and `b = Qxᵀ·ox`, so with the layer's
-    /// response `H` a window cell is `Σ_ky (qy[y][ky]·a[ky])·G[ky][x]`,
-    /// where `G[ky][x] = Σ_kx (H[ky][kx]·b[kx])·qx[x][kx]` depends on the
+    /// response `H` a window cell is `Σ_ky (qy[y][ky]·a[ky])·C[ky][x]`,
+    /// where `C[ky][x] = Σ_kx (H[ky][kx]·b[kx])·qx[x][kx]` depends on the
     /// column profile alone and is built once for every row profile. Each
     /// sum runs in increasing mode order and zero overlaps are skipped. The
     /// order is not [`SpectralSolver::solve_window`]'s, so a window agrees
@@ -308,27 +315,27 @@ impl SpectralSolver {
             "solve_separable_windows: layer {layer} outside the grid"
         );
         let response = &self.response[layer * nx * ny..][..nx * ny];
-        // Per column profile, `G` over its columns: `g[ky * cols.len() + i]`
+        // Per column profile, `C` over its columns: `c[ky * cols.len() + i]`
         // for column `cols.start + i`.
-        let gs: Vec<Vec<f64>> = columns
+        let cs: Vec<Vec<f64>> = columns
             .iter()
             .map(|(ox, cols)| {
                 let b = self.x_basis.project(ox, cols);
-                let mut g = vec![0.0; ny * cols.len()];
-                for (h_row, g_row) in response
+                let mut c = vec![0.0; ny * cols.len()];
+                for (h_row, c_row) in response
                     .chunks_exact(nx)
-                    .zip(g.chunks_exact_mut(cols.len()))
+                    .zip(c.chunks_exact_mut(cols.len()))
                 {
                     for ((&h, &b), mode) in
                         h_row.iter().zip(&b).zip(self.x_basis.q_t.chunks_exact(nx))
                     {
                         let hb = h * b;
-                        for (o, &q) in g_row.iter_mut().zip(&mode[cols.clone()]) {
+                        for (o, &q) in c_row.iter_mut().zip(&mode[cols.clone()]) {
                             *o += hb * q;
                         }
                     }
                 }
-                g
+                c
             })
             .collect();
         let mut weights = Vec::new();
@@ -341,16 +348,16 @@ impl SpectralSolver {
                 let basis_row = &self.y_basis.q[y * ny..][..ny];
                 weights.extend(basis_row.iter().zip(&a).map(|(&q, &a)| q * a));
             }
-            for (j, ((_, cols), g)) in columns.iter().zip(&gs).enumerate() {
+            for (j, ((_, cols), c)) in columns.iter().zip(&cs).enumerate() {
                 window.clear();
                 window.resize(window_rows.len() * cols.len(), 0.0);
                 for (row_weights, out) in weights
                     .chunks_exact(ny)
                     .zip(window.chunks_exact_mut(cols.len()))
                 {
-                    for (&w, g_row) in row_weights.iter().zip(g.chunks_exact(cols.len())) {
-                        for (o, &g) in out.iter_mut().zip(g_row) {
-                            *o += w * g;
+                    for (&w, c_row) in row_weights.iter().zip(c.chunks_exact(cols.len())) {
+                        for (o, &c) in out.iter_mut().zip(c_row) {
+                            *o += w * c;
                         }
                     }
                 }
