@@ -293,7 +293,7 @@ impl SpectralSolver {
     /// response `H` a window cell is `Σ_ky (qy[y][ky]·a[ky])·C[ky][x]`,
     /// where `C[ky][x] = Σ_kx (H[ky][kx]·b[kx])·qx[x][kx]` depends on the
     /// column profile alone and is built once for every row profile. Each
-    /// sum runs in increasing mode order and zero overlaps are skipped. The
+    /// sum runs in increasing index order and zero overlaps are skipped. The
     /// order is not [`SpectralSolver::solve_window`]'s, so a window agrees
     /// with the rasterised source's solve to rounding, not bit for bit.
     ///
