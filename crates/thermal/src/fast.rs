@@ -215,7 +215,7 @@ impl FastThermalModel {
                 &Rect::new(cx_src - src / 2.0, cy_src - src / 2.0, src, src),
                 p0,
             );
-            let rises = spectral.solve_window(power.cells(), die_layer, 0..ny, 0..nx);
+            let rises = spectral.solve_layer(power.cells(), die_layer);
             for row in 0..ny {
                 for col in 0..nx {
                     let cx = (col as f64 + 0.5) * cell_w;

@@ -406,7 +406,7 @@ impl ThermalAnalyzer for GridThermalSolver {
         let power = PowerMap::rasterize(system, placement, nx, ny);
         let die = self
             .spectral_for(system.interposer_width(), system.interposer_height())?
-            .solve_window(power.cells(), self.config.stack.power_layer(), 0..ny, 0..nx);
+            .solve_layer(power.cells(), self.config.stack.power_layer());
         let ambient_c = self.config.ambient_c;
         Ok(chiplet_peaks(system, placement, nx, ny, ambient_c, &die))
     }

@@ -24,18 +24,19 @@
 //! side confined to one layer: it keeps the column `T(kx, ky)⁻¹ e_source` of
 //! every mode, so a solve is one forward transform of the source, then one
 //! scaling and one inverse transform per layer it reads. The forward
-//! transform skips zero source cells and rows, and the inverse transform
-//! computes only a requested window of rows and columns of one layer. Every
-//! sum runs in a fixed index order on the calling thread, in the same order
-//! whatever the window, so a solve is bit-for-bit reproducible and a window
-//! equals the matching slice of the full solve bit for bit.
+//! transform skips zero source cells and rows, and
+//! [`SpectralSolver::solve_layer`] transforms back one layer only. Every
+//! sum runs in a fixed index order on the calling thread, so a solve is
+//! bit-for-bit reproducible and a layer solve equals that layer of the
+//! full solve bit for bit.
 //!
 //! A source that is the outer product of a row profile and a column profile
 //! has modes that are the outer product of two 1-D transforms.
 //! [`SpectralSolver::solve_separable_windows`] solves a set of such sources
 //! from those 1-D transforms alone, sharing the work a column profile needs
 //! across every row profile. It sums in another order, so its windows
-//! agree with `solve_window`'s to rounding, not bit for bit.
+//! agree with the matching cells of `solve_layer` to rounding, not bit for
+//! bit.
 
 use crate::error::SolveError;
 use std::ops::Range;
@@ -240,8 +241,7 @@ impl SpectralSolver {
 
     /// Solves `G x = b`, where `b` is `source` (row-major, `nx * ny`
     /// cells) in the source layer and zero elsewhere. Returns every node of
-    /// `x`, layer-major: [`SpectralSolver::solve_window`] over every layer
-    /// and the whole grid.
+    /// `x`, layer-major: [`SpectralSolver::solve_layer`] over every layer.
     ///
     /// # Panics
     ///
@@ -250,36 +250,25 @@ impl SpectralSolver {
         let modes = self.forward(source);
         let mut x = Vec::with_capacity(self.layers * modes.len());
         for layer in 0..self.layers {
-            x.extend(self.inverse(&modes, layer, 0..self.y_basis.n, 0..self.x_basis.n));
+            x.extend(self.inverse(&modes, layer));
         }
         x
     }
 
-    /// Solves `G x = b` as [`SpectralSolver::solve`] does, but computes only
-    /// the cells of `layer` in grid rows `rows` and columns `cols`. Returns
-    /// them row-major, `rows.len() * cols.len()` values, each bit-identical
-    /// to its node in `solve`'s result.
+    /// Solves `G x = b` as [`SpectralSolver::solve`] does, but transforms
+    /// back only `layer`. Returns its `nx * ny` cells row-major, each
+    /// bit-identical to its node in `solve`'s result.
     ///
     /// # Panics
     ///
-    /// Panics if `source.len() != nx * ny`, `layer` is not a layer of the
-    /// grid, or either range is empty or reaches past the grid.
-    pub fn solve_window(
-        &self,
-        source: &[f64],
-        layer: usize,
-        rows: Range<usize>,
-        cols: Range<usize>,
-    ) -> Vec<f64> {
+    /// Panics if `source.len() != nx * ny` or `layer` is not a layer of the
+    /// grid.
+    pub fn solve_layer(&self, source: &[f64], layer: usize) -> Vec<f64> {
         assert!(
-            layer < self.layers
-                && rows.start < rows.end
-                && rows.end <= self.y_basis.n
-                && cols.start < cols.end
-                && cols.end <= self.x_basis.n,
-            "solve_window: layer {layer}, rows {rows:?}, cols {cols:?} outside the grid"
+            layer < self.layers,
+            "solve_layer: layer {layer} outside the grid"
         );
-        self.inverse(&self.forward(source), layer, rows, cols)
+        self.inverse(&self.forward(source), layer)
     }
 
     /// Solves `G x = b` for every separable source `oy ⊗ ox`, the
@@ -294,7 +283,7 @@ impl SpectralSolver {
     /// where `C[ky][x] = Σ_kx (H[ky][kx]·b[kx])·qx[x][kx]` depends on the
     /// column profile alone and is built once for every row profile. Each
     /// sum runs in increasing index order and zero overlaps are skipped. The
-    /// order is not [`SpectralSolver::solve_window`]'s, so a window agrees
+    /// order is not [`SpectralSolver::solve_layer`]'s, so a window agrees
     /// with the rasterised source's solve to rounding, not bit for bit.
     ///
     /// # Panics
@@ -407,16 +396,9 @@ impl SpectralSolver {
         modes
     }
 
-    /// The `rows`×`cols` window of `layer` (row-major): every mode scaled
-    /// by its response, then transformed back with `Qy · (·) · Qxᵀ`, for the
-    /// window's rows and columns only.
-    fn inverse(
-        &self,
-        modes: &[f64],
-        layer: usize,
-        rows: Range<usize>,
-        cols: Range<usize>,
-    ) -> Vec<f64> {
+    /// The field of `layer` (row-major): every mode scaled by its
+    /// response, then transformed back with `Qy · (·) · Qxᵀ`.
+    fn inverse(&self, modes: &[f64], layer: usize) -> Vec<f64> {
         let (nx, ny) = (self.x_basis.n, self.y_basis.n);
         let cells = nx * ny;
         let scaled: Vec<f64> = modes
@@ -424,21 +406,18 @@ impl SpectralSolver {
             .zip(&self.response[layer * cells..][..cells])
             .map(|(&m, &r)| m * r)
             .collect();
-        let mut partial = vec![0.0; rows.len() * nx];
-        let mut field = vec![0.0; rows.len() * cols.len()];
-        for (y, out) in rows.zip(partial.chunks_exact_mut(nx)) {
+        let mut partial = vec![0.0; cells];
+        let mut field = vec![0.0; cells];
+        for (y, out) in partial.chunks_exact_mut(nx).enumerate() {
             for (mode_row, &q) in scaled.chunks_exact(nx).zip(&self.y_basis.q[y * ny..][..ny]) {
                 for (o, &m) in out.iter_mut().zip(mode_row) {
                     *o += q * m;
                 }
             }
         }
-        for (row, out) in partial
-            .chunks_exact(nx)
-            .zip(field.chunks_exact_mut(cols.len()))
-        {
+        for (row, out) in partial.chunks_exact(nx).zip(field.chunks_exact_mut(nx)) {
             for (&r, mode) in row.iter().zip(self.x_basis.q_t.chunks_exact(nx)) {
-                for (o, &q) in out.iter_mut().zip(&mode[cols.clone()]) {
+                for (o, &q) in out.iter_mut().zip(mode) {
                     *o += r * q;
                 }
             }
@@ -714,12 +693,13 @@ mod tests {
                 let ((oy, window_rows), (ox, cols)) = (&rows[i], &columns[j]);
                 let source: Vec<f64> =
                     oy.iter().flat_map(|&y| ox.iter().map(move |&x| y * x)).collect();
-                let expected =
-                    solver.solve_window(&source, layer, window_rows.clone(), cols.clone());
-                let scale = solver
-                    .solve_window(&source, layer, 0..ny, 0..nx)
-                    .iter()
-                    .fold(0.0f64, |m, v| m.max(v.abs()));
+                let field = solver.solve_layer(&source, layer);
+                let expected: Vec<f64> = window_rows
+                    .clone()
+                    .flat_map(|y| &field[y * nx..][cols.clone()])
+                    .copied()
+                    .collect();
+                let scale = field.iter().fold(0.0f64, |m, v| m.max(v.abs()));
                 if window.len() != expected.len()
                     || window.iter().zip(&expected).any(|(w, e)| (w - e).abs() > 1e-12 * scale)
                 {
@@ -733,9 +713,9 @@ mod tests {
             prop_assert_eq!(visited, order);
         }
 
-        /// A windowed single-layer solve equals the matching slice of the full
-        /// solve bit for bit, for sources with all-zero rows and columns and for
-        /// an all-zero source.
+        /// A window cropped from a single-layer solve equals the matching
+        /// slice of the full solve bit for bit, for sources with all-zero rows
+        /// and columns and for an all-zero source.
         #[test]
         fn windowed_solves_equal_the_full_solve_bit_for_bit(
             nx in 1usize..=33,
@@ -760,17 +740,19 @@ mod tests {
                 .collect();
             for source in [sparse, vec![0.0; cells]] {
                 let full = solver.solve(&source);
+                let fields: Vec<Vec<f64>> =
+                    (0..layers).map(|layer| solver.solve_layer(&source, layer)).collect();
                 for &(row, col, height, width) in windows.iter().chain([&(0, 0, 33, 33)]) {
                     let rows = row % ny..(row % ny + height).min(ny);
                     let cols = col % nx..(col % nx + width).min(nx);
-                    for layer in 0..layers {
-                        let window = solver.solve_window(&source, layer, rows.clone(), cols.clone());
+                    for (layer, field) in fields.iter().enumerate() {
+                        let window = rows.clone().flat_map(|y| &field[y * nx..][cols.clone()]);
                         let expected = rows.clone().flat_map(|y| {
                             let start = layer * cells + y * nx;
                             full[start + cols.start..start + cols.end].iter()
                         });
                         prop_assert!(
-                            window.iter().map(|v| v.to_bits()).eq(expected.map(|v| v.to_bits())),
+                            window.map(|v| v.to_bits()).eq(expected.map(|v| v.to_bits())),
                             "layer {layer}, rows {rows:?}, cols {cols:?}"
                         );
                     }
