@@ -14,9 +14,9 @@ use rlp_engine::{
     CampaignEngine, CampaignError, CampaignMethod, CampaignSpec, JsonlSink, MemorySink, RunEvent,
     RunSink,
 };
+use rlp_obs::json::Value;
 use rlp_sa::SaConfig;
 use rlp_thermal::{ThermalBackend, ThermalConfig};
-use rlplanner::minijson::Value;
 use rlplanner::{Budget, Method};
 use std::io;
 use std::path::PathBuf;

@@ -786,6 +786,105 @@ mod tests {
         assert_eq!(doc.clone().into_member("c"), Some(Value::Null));
         assert_eq!(doc.into_member("missing"), None);
         assert_eq!(Value::Arr(vec![]).into_member("a"), None);
+        // Every accessor checks the value's type.
+        let array = Value::parse("[1]").unwrap();
+        assert!(array.get("x").is_none());
+        assert!(array.as_f64().is_none());
+        assert!(array.as_str().is_none());
+        assert_eq!(array.as_array().map(<[Value]>::len), Some(1));
+    }
+
+    #[test]
+    fn parses_nested_documents() {
+        let doc = r#"{ "schema": "rlplanner.bench/v1", "ok": true, "none": null,
+                      "benchmarks": [ { "id": "a/b", "median_ns": 12.5 },
+                                      { "id": "c", "median_ns": 3e2 } ] }"#;
+        let value = Value::parse(doc).unwrap();
+        assert_eq!(
+            value.get("schema").and_then(Value::as_str),
+            Some("rlplanner.bench/v1")
+        );
+        assert_eq!(value.get("ok"), Some(&Value::Bool(true)));
+        assert_eq!(value.get("none"), Some(&Value::Null));
+        let benches = value.get("benchmarks").and_then(Value::as_array).unwrap();
+        assert_eq!(benches.len(), 2);
+        assert_eq!(benches[0].get("id").and_then(Value::as_str), Some("a/b"));
+        assert_eq!(
+            benches[1].get("median_ns").and_then(Value::as_f64),
+            Some(300.0)
+        );
+        // Escapes, negative numbers, multibyte text and empty containers.
+        let value = Value::parse(r#"{ "s": "a\"b\\c\ndA", "n": -1.25 }"#).unwrap();
+        assert_eq!(value.get("s").and_then(Value::as_str), Some("a\"b\\c\ndA"));
+        assert_eq!(value.get("n").and_then(Value::as_f64), Some(-1.25));
+        let value = Value::parse("{ \"s\": \"héllo ✓ 日本\\n\" }").unwrap();
+        assert_eq!(
+            value.get("s").and_then(Value::as_str),
+            Some("héllo ✓ 日本\n")
+        );
+        assert_eq!(Value::parse("{}").unwrap(), Value::Obj(vec![]));
+        assert_eq!(Value::parse("[ ]").unwrap(), Value::Arr(vec![]));
+    }
+
+    #[test]
+    fn malformed_documents_report_an_offset() {
+        for bad in [
+            "{",
+            "{\"a\" 1}",
+            "[1,]",
+            "tru",
+            "\"unterminated",
+            "{} extra",
+        ] {
+            let err = Value::parse(bad).unwrap_err();
+            assert!(!err.message.is_empty(), "{bad}");
+            assert!(err.to_string().contains("at byte"), "{bad}");
+        }
+        // A raw control character inside a string is refused where it sits.
+        let err = Value::parse("[\"ab\u{1}c\"]").unwrap_err();
+        assert_eq!(err.offset, 4);
+        assert!(err.message.contains("control character"), "{err}");
+    }
+
+    #[test]
+    fn render_round_trips_and_is_canonical() {
+        let pretty = "{\n  \"a\": [1, 2.5, null],\n  \"s\": \"x\\ny\",\n  \"ok\": true\n}";
+        let compact = "{\"a\":[1,2.5,null],\"s\":\"x\\ny\",\"ok\":true}";
+        let value = Value::parse(pretty).unwrap();
+        assert_eq!(value.render(), compact);
+        // Canonical: parsing the render reproduces the same value and the
+        // same bytes.
+        let reparsed = Value::parse(&value.render()).unwrap();
+        assert_eq!(reparsed, value);
+        assert_eq!(reparsed.render(), compact);
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        // A 10k-deep array must come back as a parse error, not recurse the
+        // parser into a stack overflow — this is socket-facing code.
+        let hostile = "[".repeat(10_000);
+        let err = Value::parse(&hostile).unwrap_err();
+        assert!(
+            err.message.contains("nests deeper"),
+            "unexpected error: {err}"
+        );
+        let hostile_objects = "{\"k\":".repeat(10_000);
+        let err = Value::parse(&hostile_objects).unwrap_err();
+        assert!(
+            err.message.contains("nests deeper"),
+            "unexpected error: {err}"
+        );
+
+        // The limit counts *nesting*, not total containers: a long but flat
+        // document parses fine...
+        let flat = format!("[{}]", vec!["[]"; 1000].join(","));
+        assert!(Value::parse(&flat).is_ok());
+        // ...as does a document exactly at the bound.
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Value::parse(&at_limit).is_ok());
+        let over_limit = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Value::parse(&over_limit).is_err());
     }
 
     #[test]

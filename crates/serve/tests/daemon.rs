@@ -95,7 +95,7 @@ fn start_server_with_policy(
 /// Re-renders a daemon outcome through the canonical renderer; the parse →
 /// render pair is byte-preserving, so this is exactly the document the
 /// daemon rendered.
-fn canonical(outcome: &rlplanner::minijson::Value, system: &ChipletSystem) -> String {
+fn canonical(outcome: &rlp_obs::json::Value, system: &ChipletSystem) -> String {
     let parsed = outcome_from_value(outcome, system).expect("daemon outcome parses");
     outcome_json(system, &parsed)
 }
@@ -395,8 +395,8 @@ fn a_duration_too_long_to_represent_is_an_error_frame_and_the_connection_serves_
 
 #[test]
 fn metrics_rpc_exposes_a_job_timeline_and_frames_carry_timings() {
+    use rlp_obs::json::Value;
     use rlp_serve::protocol::{self, ClientMessage};
-    use rlplanner::minijson::Value;
     use std::net::TcpStream;
 
     // The metrics registry is process-global (the `rlp_serve` binary
