@@ -21,7 +21,7 @@ use rlp_benchmarks::multi_gpu_system;
 use rlp_engine::{CampaignEngine, CampaignMethod, CampaignSpec};
 use rlp_sa::SaConfig;
 use rlp_thermal::{ThermalBackend, ThermalModelCache};
-use rlplanner::Method;
+use rlplanner::{Budget, Method};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -52,24 +52,21 @@ fn analyzer_construction(c: &mut Criterion) {
 }
 
 fn campaign_spec(parallelism: usize) -> CampaignSpec {
+    let sa = Method::Sa {
+        config: SaConfig {
+            initial_temperature: 2.0,
+            final_temperature: 0.05,
+            cooling_rate: 0.85,
+            moves_per_temperature: 50,
+            ..SaConfig::default()
+        },
+    };
     CampaignSpec::builder()
         .system(multi_gpu_system())
-        .method(CampaignMethod::new(
-            "sa-fast",
-            Method::Sa {
-                config: SaConfig {
-                    initial_temperature: 2.0,
-                    final_temperature: 0.05,
-                    cooling_rate: 0.85,
-                    moves_per_temperature: 50,
-                    // Long enough (~tens of ms per run) that worker-pool
-                    // scaling is visible over thread-spawn overhead.
-                    max_evaluations: Some(2000),
-                    ..SaConfig::default()
-                },
-            },
-            harness_fast_backend(),
-        ))
+        .method(CampaignMethod::new("sa-fast", sa, harness_fast_backend()))
+        // Long enough (~tens of ms per run) that worker-pool scaling is
+        // visible over thread-spawn overhead.
+        .budget(Budget::Evaluations(2000))
         .seeds([1, 2, 3, 4])
         .parallelism(parallelism)
         .build()

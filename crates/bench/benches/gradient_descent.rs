@@ -25,7 +25,7 @@ use rlp_benchmarks::{SyntheticConfig, SyntheticSystemGenerator};
 use rlp_chiplet::smooth::smoothed_wirelength_gradient;
 use rlp_chiplet::{ChipletSystem, Point};
 use rlp_thermal::{AnyThermalAnalyzer, CharacterizationOptions, FastThermalModel, ThermalConfig};
-use rlplanner::{GradientConfig, GradientDescent, RewardConfig};
+use rlplanner::{search_run, Budget, GradientConfig, GradientDescent, Method, RewardConfig};
 use std::hint::black_box;
 
 /// A reproducible synthetic system with exactly `n` chiplets.
@@ -96,17 +96,19 @@ fn gradient_descent(c: &mut Criterion) {
             RewardConfig::default(),
             GradientConfig {
                 iterations: 60,
-                max_evaluations: Some(60),
-                seed: 7,
                 ..GradientConfig::default()
             },
         )
         .expect("configuration is valid");
+        let budget = Some(Budget::Evaluations(60));
         group.bench_function(BenchmarkId::new("solve", n), |b| {
             b.iter(|| {
                 black_box(
                     engine
-                        .run(&mut |_, _, _| {})
+                        .run(
+                            7,
+                            &mut search_run(&Method::gradient(), budget, &mut |_, _, _| {}),
+                        )
                         .expect("descent legalises an iterate"),
                 )
             })

@@ -22,8 +22,8 @@ use rlp_rl::{ActorCritic, PpoAgent, PpoConfig, RolloutBuffer, VecEnvPool};
 use rlp_thermal::{AnyThermalAnalyzer, CharacterizationOptions, ThermalBackend, ThermalConfig};
 use rlplanner::agent::{build_actor_critic, AgentConfig};
 use rlplanner::{
-    EnvConfig, FloorplanEnv, FloorplanRequest, Method, PrebuiltThermal, PreloadedPolicy,
-    RewardCalculator, RewardConfig, RlPlanner, RlPlannerConfig,
+    search_run, Budget, EnvConfig, FloorplanEnv, FloorplanRequest, Method, PrebuiltThermal,
+    PreloadedPolicy, RewardCalculator, RewardConfig, RlPlanner, RlPlannerConfig,
 };
 use std::hint::black_box;
 use std::sync::Arc;
@@ -100,18 +100,22 @@ fn pretrained(c: &mut Criterion) {
     let system = synthetic_case(1);
     let (analyzer, prep) = backend.build_prepared(&system).expect("characterisation");
     let analyzer = Arc::new(analyzer);
-    let config = RlPlannerConfig {
-        episodes: 4,
-        ..RlPlannerConfig::default()
-    };
     let mut planner = RlPlanner::new(
         system.clone(),
         analyzer.as_ref().clone(),
         RewardConfig::default(),
-        config,
+        RlPlannerConfig::default(),
+        0,
+        false,
     )
     .expect("valid training config");
-    planner.train(None, &mut |_, _, _| {}).expect("training");
+    let budget = Some(Budget::Evaluations(4));
+    planner
+        .train(
+            None,
+            &mut search_run(&Method::rl(), budget, &mut |_, _, _| {}),
+        )
+        .expect("training");
     let policy = Arc::new(planner.export_policy(Vec::new()));
 
     let path = "nn_kernels.policy";

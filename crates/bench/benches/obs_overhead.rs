@@ -21,7 +21,7 @@ use rlp_benchmarks::{SyntheticConfig, SyntheticSystemGenerator};
 use rlp_chiplet::ChipletSystem;
 use rlp_sa::{SaConfig, SaPlanner};
 use rlp_thermal::{AnyThermalAnalyzer, CharacterizationOptions, FastThermalModel, ThermalConfig};
-use rlplanner::{RewardCalculator, RewardConfig};
+use rlplanner::{search_run, Method, RewardCalculator, RewardConfig};
 use std::hint::black_box;
 
 /// A reproducible synthetic system with exactly `n` chiplets.
@@ -55,7 +55,6 @@ fn short_anneal_config() -> SaConfig {
     SaConfig {
         final_temperature: 1e-2,
         moves_per_temperature: 40,
-        seed: 7,
         ..SaConfig::default()
     }
 }
@@ -79,7 +78,12 @@ fn obs_overhead(c: &mut Criterion) {
                 let mut objective = calc.delta_objective();
                 black_box(
                     planner
-                        .run(None, &mut objective, &mut |_, _, _| {})
+                        .run(
+                            None,
+                            &mut objective,
+                            7,
+                            &mut search_run(&Method::sa(), None, &mut |_, _, _| {}),
+                        )
                         .expect("anneal succeeds"),
                 )
             })

@@ -11,25 +11,37 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rlp_bench::{characterize_for, harness_thermal_config};
 use rlp_benchmarks::synthetic_cases;
+use rlp_chiplet::ChipletSystem;
 use rlp_rl::{Environment, PpoAgent, RolloutBuffer, VecEnvPool};
 use rlp_sa::{Objective, SaConfig, SaPlanner};
 use rlp_thermal::{AnyThermalAnalyzer, GridThermalSolver};
 use rlplanner::{
     agent::{build_actor_critic, build_rnd},
-    AgentConfig, EnvConfig, FloorplanEnv, RewardCalculator, RewardConfig,
+    search_run, AgentConfig, Budget, EnvConfig, FloorplanEnv, Method, RewardCalculator,
+    RewardConfig,
 };
 use std::hint::black_box;
 
-fn short_sa_config(seed: u64) -> SaConfig {
+fn short_sa_config() -> SaConfig {
     SaConfig {
         initial_temperature: 1.0,
         final_temperature: 0.5,
         cooling_rate: 0.9,
         moves_per_temperature: 10,
-        max_evaluations: Some(20),
-        seed,
         ..SaConfig::default()
     }
+}
+
+/// A burst of at most 20 evaluations on `seed`.
+fn sa_burst(system: &ChipletSystem, objective: &dyn Objective, seed: u64) -> f64 {
+    let planner = SaPlanner::new(system.clone(), short_sa_config());
+    let budget = Some(Budget::Evaluations(20));
+    let mut silent = |_, _, _| {};
+    let mut search = search_run(&Method::sa(), budget, &mut silent);
+    let result = planner
+        .run(None, &mut { objective }, seed, &mut search)
+        .unwrap();
+    result.best_objective
 }
 
 fn sa_burst_cost(c: &mut Criterion) {
@@ -48,25 +60,11 @@ fn sa_burst_cost(c: &mut Criterion) {
         );
         group.bench_function(
             BenchmarkId::new("tap25d_fast_model_20_moves", system.name()),
-            |b| {
-                b.iter(|| {
-                    let planner = SaPlanner::new(system.clone(), short_sa_config(1));
-                    let mut full: &dyn Objective = &fast_calc;
-                    let result = planner.run(None, &mut full, &mut |_, _, _| {}).unwrap();
-                    black_box(result.best_objective)
-                })
-            },
+            |b| b.iter(|| black_box(sa_burst(&system, &fast_calc, 1))),
         );
         group.bench_function(
             BenchmarkId::new("tap25d_hotspot_20_moves", system.name()),
-            |b| {
-                b.iter(|| {
-                    let planner = SaPlanner::new(system.clone(), short_sa_config(2));
-                    let mut full: &dyn Objective = &grid_calc;
-                    let result = planner.run(None, &mut full, &mut |_, _, _| {}).unwrap();
-                    black_box(result.best_objective)
-                })
-            },
+            |b| b.iter(|| black_box(sa_burst(&system, &grid_calc, 2))),
         );
     }
     group.finish();

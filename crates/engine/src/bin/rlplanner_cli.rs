@@ -91,7 +91,8 @@ use rlplanner::cli::{self, Scanner};
 use rlplanner::report::{outcome_json, placement_json};
 use rlplanner::{errln, outln};
 use rlplanner::{
-    Budget, FloorplanRequest, Method, PolicyFile, RewardConfig, RlPlanner, RlPlannerConfig,
+    search_run, Budget, FloorplanRequest, Method, PolicyFile, RewardConfig, RlPlanner,
+    RlPlannerConfig,
 };
 use std::process::ExitCode;
 
@@ -387,14 +388,17 @@ fn run_train_generalist(parsed: &GeneralistArgs) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let config = RlPlannerConfig {
-            episodes: parsed.episodes_per_system,
-            // Each system trains on its own deterministic stream; the
-            // carried weights are the only cross-system state.
-            seed: parsed.seed.wrapping_add(index as u64),
-            ..RlPlannerConfig::default()
-        };
-        let mut planner = match RlPlanner::new(system, analyzer, RewardConfig::default(), config) {
+        // Each system trains on its own deterministic stream; the carried
+        // weights are the only cross-system state.
+        let seed = parsed.seed.wrapping_add(index as u64);
+        let mut planner = match RlPlanner::new(
+            system,
+            analyzer,
+            RewardConfig::default(),
+            RlPlannerConfig::default(),
+            seed,
+            false,
+        ) {
             Ok(planner) => planner,
             Err(err) => {
                 errln!("invalid training configuration on `{name}`: {err}");
@@ -407,7 +411,9 @@ fn run_train_generalist(parsed: &GeneralistArgs) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-        match planner.train(None, &mut |_, _, _| {}) {
+        let mut silent = |_, _, _| {};
+        let budget = Some(Budget::Evaluations(parsed.episodes_per_system));
+        match planner.train(None, &mut search_run(&Method::rl(), budget, &mut silent)) {
             Ok(result) => {
                 errln!(
                     "[{}/{}] {name}: {chiplets} chiplets, {} episodes, best reward {:.4}",

@@ -121,10 +121,10 @@ pub struct RunFailure {
     pub system_index: usize,
     /// Label of the run's method column.
     pub method: String,
-    /// The seed the run was executed with — resolved exactly like a
-    /// successful run's manifest seed (the seeds-axis override, or the
-    /// method config's own seed), so the two paths always report the same
-    /// number for the same grid cell.
+    /// The seed the run was executed with — the one a successful run's
+    /// manifest records (its seeds-axis value, or 0 without a seeds axis),
+    /// so the two paths always report the same number for the same grid
+    /// cell.
     pub seed: u64,
     /// The underlying solve error.
     pub error: PlanError,
@@ -435,9 +435,11 @@ mod tests {
         // The grid backend has no incremental state, so these SA runs
         // report full evaluation.
         assert!(json.contains("\"eval_mode\": \"full\""));
-        assert_eq!(json.matches("\"seed\": ").count(), 2 + 2); // runs + embedded manifests
-                                                               // An all-green campaign still renders the failure and scheduler
-                                                               // sections (empty / populated respectively).
+        // Two runs, and the best run's embedded manifest: a method object
+        // carries no seed of its own.
+        assert_eq!(json.matches("\"seed\": ").count(), 2 + 1);
+        // An all-green campaign still renders the failure and scheduler
+        // sections (empty / populated respectively).
         assert!(json.contains("\"failures\": []"));
         assert!(json.contains("\"busy_s\""));
         assert!(json.contains("\"drain\""));

@@ -271,15 +271,14 @@ impl CampaignEngine {
                                     seed: outcome.manifest.seed,
                                     outcome,
                                 }),
-                                // Resolve the effective seed exactly like the
-                                // success path's manifest does, so both paths
-                                // report the same seed for the same cell.
+                                // The run's seed is the one its request, and a
+                                // successful run's manifest, carries.
                                 Err(error) => Err(RunFailure {
                                     index,
                                     system: system.name().to_string(),
                                     system_index: run.system,
                                     method: method.label().to_string(),
-                                    seed: run.seed.unwrap_or_else(|| method.method().config_seed()),
+                                    seed: run.seed,
                                     error,
                                 }),
                             };
@@ -443,7 +442,7 @@ fn resume_record(
                 )));
             }
             let record_seed = uint("seed")?;
-            let expected_seed = run.seed.unwrap_or_else(|| method.method().config_seed());
+            let expected_seed = run.seed;
             if record_seed != expected_seed {
                 return Err(fail(format!(
                     "grid index {index} uses seed {expected_seed} in this spec but \
@@ -648,6 +647,7 @@ mod tests {
                     },
                     reward: RewardConfig::default(),
                     seed,
+                    budget: None,
                     warm_start: false,
                 },
             },

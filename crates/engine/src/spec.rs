@@ -71,8 +71,8 @@ pub(crate) struct RunSpec {
     pub system: usize,
     /// Index into [`CampaignSpec::methods`].
     pub method: usize,
-    /// Seed override for this run (`None` leaves the method config's seed).
-    pub seed: Option<u64>,
+    /// The run's seed: one of the seeds axis, or 0 when the axis is empty.
+    pub seed: u64,
 }
 
 /// A validated sweep grid; build one with [`CampaignSpec::builder`] and run
@@ -104,8 +104,7 @@ impl CampaignSpec {
         &self.systems
     }
 
-    /// The seeds axis (empty means one run per cell with the method
-    /// config's own seed).
+    /// The seeds axis (empty means one run per cell, on seed 0).
     pub fn seeds(&self) -> &[u64] {
         &self.seeds
     }
@@ -143,23 +142,20 @@ impl CampaignSpec {
     /// then seeds. Reports aggregate and emit in exactly this order, which
     /// is also the order a serial engine executes.
     pub(crate) fn expand(&self) -> Vec<RunSpec> {
+        let seeds: &[u64] = if self.seeds.is_empty() {
+            &[0]
+        } else {
+            &self.seeds
+        };
         let mut runs = Vec::with_capacity(self.run_count());
         for system in 0..self.systems.len() {
             for method in 0..self.methods.len() {
-                if self.seeds.is_empty() {
+                for &seed in seeds {
                     runs.push(RunSpec {
                         system,
                         method,
-                        seed: None,
+                        seed,
                     });
-                } else {
-                    for &seed in &self.seeds {
-                        runs.push(RunSpec {
-                            system,
-                            method,
-                            seed: Some(seed),
-                        });
-                    }
                 }
             }
         }
@@ -177,15 +173,13 @@ impl CampaignSpec {
         let mut builder = FloorplanRequest::builder()
             .system(self.systems[run.system].clone())
             .method(method.method.clone())
-            .thermal(method.thermal.clone());
+            .thermal(method.thermal.clone())
+            .seed(run.seed);
         if let Some(prebuilt) = prebuilt {
             builder = builder.prebuilt_thermal(prebuilt);
         }
         if let Some(budget) = method.budget.or(self.budget) {
             builder = builder.budget(budget);
-        }
-        if let Some(seed) = run.seed {
-            builder = builder.seed(seed);
         }
         if let Some(train_parallel) = self.train_parallel {
             builder = builder.parallel_envs(train_parallel);
@@ -344,15 +338,7 @@ impl CampaignSpecBuilder {
         }
         // A stream records each run's seed as a JSON number, and a resumed
         // campaign must read back exactly the seed it would run with.
-        let run_seeds = if self.seeds.is_empty() {
-            self.methods
-                .iter()
-                .map(|m| m.method.config_seed())
-                .collect()
-        } else {
-            self.seeds.clone()
-        };
-        if let Some(seed) = run_seeds.into_iter().find(|&s| s > MAX_EXACT_INTEGER) {
+        if let Some(&seed) = self.seeds.iter().find(|&&s| s > MAX_EXACT_INTEGER) {
             return Err(ConfigError::Invalid {
                 field: "seeds",
                 reason: format!(
@@ -378,7 +364,7 @@ impl CampaignSpecBuilder {
                     RunSpec {
                         system,
                         method,
-                        seed: spec.seeds.first().copied(),
+                        seed: 0,
                     },
                     None,
                 )?;
@@ -408,33 +394,18 @@ mod tests {
 
     #[test]
     fn seeds_a_stream_cannot_record_exactly_are_refused() {
-        let spec = |seeds: &[u64], config_seed: u64| {
+        let spec = |seeds: &[u64]| {
             CampaignSpec::builder()
                 .system(tiny_system("s"))
-                .method(CampaignMethod::new(
-                    "sa",
-                    Method::Sa {
-                        config: rlp_sa::SaConfig {
-                            seed: config_seed,
-                            ..rlp_sa::SaConfig::default()
-                        },
-                    },
-                    grid_backend(),
-                ))
+                .method(CampaignMethod::new("sa", Method::sa(), grid_backend()))
                 .seeds(seeds.iter().copied())
                 .build()
         };
         let largest = MAX_EXACT_INTEGER;
-        assert!(spec(&[largest], 0).is_ok());
-        assert!(spec(&[], largest).is_ok());
-        // The axis overrides the config seed, so only the axis counts.
-        assert!(spec(&[7], u64::MAX).is_ok());
-        for (seeds, config_seed) in [
-            (&[7, largest + 2][..], 0),
-            (&[largest + 1][..], 0),
-            (&[][..], largest + 1),
-        ] {
-            match spec(seeds, config_seed) {
+        assert!(spec(&[largest]).is_ok());
+        assert!(spec(&[]).is_ok());
+        for seeds in [&[7, largest + 2][..], &[largest + 1][..]] {
+            match spec(seeds) {
                 Err(ConfigError::Invalid { field, reason }) => {
                     assert_eq!(field, "seeds");
                     assert!(
@@ -443,7 +414,7 @@ mod tests {
                         "{reason}"
                     );
                 }
-                other => panic!("{seeds:?}/{config_seed}: expected a seeds error, got {other:?}"),
+                other => panic!("{seeds:?}: expected a seeds error, got {other:?}"),
             }
         }
     }
@@ -461,35 +432,23 @@ mod tests {
         assert_eq!(spec.run_count(), 8);
         let runs = spec.expand();
         assert_eq!(runs.len(), 8);
-        assert_eq!(
-            (runs[0].system, runs[0].method, runs[0].seed),
-            (0, 0, Some(1))
-        );
-        assert_eq!(
-            (runs[1].system, runs[1].method, runs[1].seed),
-            (0, 0, Some(2))
-        );
-        assert_eq!(
-            (runs[2].system, runs[2].method, runs[2].seed),
-            (0, 1, Some(1))
-        );
-        assert_eq!(
-            (runs[7].system, runs[7].method, runs[7].seed),
-            (1, 1, Some(2))
-        );
+        assert_eq!((runs[0].system, runs[0].method, runs[0].seed), (0, 0, 1));
+        assert_eq!((runs[1].system, runs[1].method, runs[1].seed), (0, 0, 2));
+        assert_eq!((runs[2].system, runs[2].method, runs[2].seed), (0, 1, 1));
+        assert_eq!((runs[7].system, runs[7].method, runs[7].seed), (1, 1, 2));
     }
 
     #[test]
-    fn empty_seeds_run_each_cell_once_with_the_config_seed() {
+    fn empty_seeds_run_each_cell_once_on_seed_zero() {
         let spec = CampaignSpec::builder()
             .system(tiny_system("s"))
             .method(CampaignMethod::new("sa", Method::sa(), grid_backend()))
             .build()
             .unwrap();
         assert_eq!(spec.run_count(), 1);
-        assert_eq!(spec.expand()[0].seed, None);
+        assert_eq!(spec.expand()[0].seed, 0);
         let request = spec.request(spec.expand()[0], None).unwrap();
-        assert_eq!(request.seed(), None);
+        assert_eq!(request.seed(), Some(0));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use rlp_benchmarks::standard_benchmarks;
 use rlp_engine::{CampaignEngine, CampaignMethod, CampaignReport, CampaignSpec};
 use rlp_sa::SaConfig;
 use rlp_thermal::{CharacterizationOptions, ThermalBackend, ThermalConfig};
-use rlplanner::{AgentConfig, Method, RlPlannerConfig};
+use rlplanner::{AgentConfig, Budget, Method, RlPlannerConfig};
 
 /// A fast backend cheap enough for integration tests (coarse grid, sparse
 /// characterisation sweep spanning the benchmark die sizes).
@@ -31,12 +31,11 @@ fn quick_fast_backend() -> ThermalBackend {
     }
 }
 
-/// A tiny-but-real RL method: three episodes with a small network on the
+/// A tiny-but-real RL column: three episodes with a small network on the
 /// default environment grid (fine enough for every standard benchmark).
-fn quick_rl_method() -> Method {
-    Method::Rl {
+fn quick_rl_column() -> CampaignMethod {
+    let method = Method::Rl {
         config: RlPlannerConfig {
-            episodes: 3,
             episodes_per_update: 2,
             agent: AgentConfig {
                 conv_channels: (2, 4),
@@ -47,36 +46,31 @@ fn quick_rl_method() -> Method {
             },
             ..RlPlannerConfig::default()
         },
-    }
+    };
+    CampaignMethod::new("rl", method, quick_fast_backend()).with_budget(Budget::Evaluations(3))
 }
 
-fn quick_sa_method() -> Method {
-    Method::Sa {
+/// A short SA column capped at 40 evaluations.
+fn quick_sa_column() -> CampaignMethod {
+    let method = Method::Sa {
         config: SaConfig {
             initial_temperature: 2.0,
             final_temperature: 0.05,
             cooling_rate: 0.85,
             moves_per_temperature: 10,
-            max_evaluations: Some(40),
             ..SaConfig::default()
         },
-    }
+    };
+    CampaignMethod::new("sa-fast", method, quick_fast_backend())
+        .with_budget(Budget::Evaluations(40))
 }
 
 /// The acceptance grid: 2 methods × 3 standard benchmarks × 3 seeds.
 fn acceptance_spec(parallelism: usize) -> CampaignSpec {
     CampaignSpec::builder()
         .systems(standard_benchmarks())
-        .method(CampaignMethod::new(
-            "rl",
-            quick_rl_method(),
-            quick_fast_backend(),
-        ))
-        .method(CampaignMethod::new(
-            "sa-fast",
-            quick_sa_method(),
-            quick_fast_backend(),
-        ))
+        .method(quick_rl_column())
+        .method(quick_sa_column())
         .seeds([1, 2, 3])
         .parallelism(parallelism)
         .build()
@@ -178,11 +172,7 @@ fn warm_cache_makes_repeat_campaigns_characterisation_free() {
     let engine = CampaignEngine::new();
     let spec = CampaignSpec::builder()
         .system(standard_benchmarks().remove(0))
-        .method(CampaignMethod::new(
-            "sa-fast",
-            quick_sa_method(),
-            quick_fast_backend(),
-        ))
+        .method(quick_sa_column())
         .seeds([1, 2])
         .build()
         .unwrap();
@@ -201,11 +191,7 @@ fn failing_run_keeps_completed_cells_and_reports_the_failure() {
     // keeping the healthy cell's results.
     let spec = CampaignSpec::builder()
         .system(standard_benchmarks().remove(0))
-        .method(CampaignMethod::new(
-            "sa-fast",
-            quick_sa_method(),
-            quick_fast_backend(),
-        ))
+        .method(quick_sa_column())
         .method(CampaignMethod::new(
             "sa-tiny-grid",
             Method::Sa {
@@ -242,15 +228,13 @@ fn failing_run_keeps_completed_cells_and_reports_the_failure() {
 }
 
 #[test]
-fn failure_without_a_seeds_axis_reports_the_method_config_seed() {
-    // With no seeds axis, a successful run's manifest reports the method
-    // config's own seed; the failure path must resolve the same number
-    // instead of reporting nothing.
+fn failure_without_a_seeds_axis_reports_seed_zero() {
+    // With no seeds axis, a successful run's manifest reports seed 0; the
+    // failure path must report the same number instead of nothing.
     let config = SaConfig {
         grid: (2, 2),
         ..SaConfig::default()
     };
-    let expected_seed = config.seed;
     let spec = CampaignSpec::builder()
         .system(standard_benchmarks().remove(0))
         .method(CampaignMethod::new(
@@ -265,5 +249,5 @@ fn failure_without_a_seeds_axis_reports_the_method_config_seed() {
         .expect("fail-soft campaign");
     assert!(report.runs.is_empty());
     assert_eq!(report.failures.len(), 1);
-    assert_eq!(report.failures[0].seed, expected_seed);
+    assert_eq!(report.failures[0].seed, 0);
 }

@@ -4,17 +4,17 @@
 //!
 //! The reports are built by hand with fixed durations, never timed solves,
 //! so the documents are deterministic. One more file,
-//! `campaign_run_resumable.jsonl`, is a stream line written by an earlier
-//! release of the engine: a stream on disk must stay resumable by every
-//! later release.
+//! `campaign_run_resumable.jsonl`, is a stream line written by a solve, not
+//! rendered here: a stream on disk must stay resumable by every later
+//! release of the same schema.
 
 use rlp_chiplet::{Chiplet, ChipletSystem, Net, Placement, Position, Rotation};
 use rlp_engine::{
     campaign_json, CampaignEngine, CampaignMethod, CampaignReport, CampaignSpec, CellSummary,
     DrainEvent, MemorySink, RunEvent, RunFailure, RunRecord, SchedulerTelemetry, WorkerTelemetry,
 };
+use rlp_obs::json::Value;
 use rlp_thermal::{ThermalBackend, ThermalCacheStats, ThermalConfig, ThermalPrep};
-use rlplanner::minijson::Value;
 use rlplanner::report::outcome_json;
 use rlplanner::{
     Budget, EvalCounts, EvalMode, EvalTelemetry, FloorplanOutcome, Method, PlanError,
@@ -84,6 +84,7 @@ fn outcome(sys: &ChipletSystem, method: Method, seed: u64, reward: f64) -> Floor
             },
             reward: RewardConfig::default(),
             seed,
+            budget: None,
             warm_start: false,
         },
     }

@@ -689,9 +689,9 @@ mod tests {
 
     #[test]
     fn parallel_collection_is_pool_size_invariant() {
-        let run = |pool_size: usize, use_rnd: bool| {
+        let run = |pool_size: usize, with_rnd: bool| {
             let mut agent = bandit_agent(11);
-            let mut rnd = use_rnd.then(|| crate::RandomNetworkDistillation::new(2, 8, 4, 0.5, 3));
+            let mut rnd = with_rnd.then(|| crate::RandomNetworkDistillation::new(2, 8, 4, 0.5, 3));
             let envs: Vec<Chain> = (0..pool_size).map(|_| Chain::new()).collect();
             let mut pool = VecEnvPool::new(envs, 99).unwrap();
             let mut buffer = RolloutBuffer::new();
@@ -705,18 +705,10 @@ mod tests {
                 policy_parameters(&mut agent),
             )
         };
-        for use_rnd in [false, true] {
-            let serial = run(1, use_rnd);
-            assert_eq!(
-                serial,
-                run(2, use_rnd),
-                "pool of 2 diverged (rnd={use_rnd})"
-            );
-            assert_eq!(
-                serial,
-                run(4, use_rnd),
-                "pool of 4 diverged (rnd={use_rnd})"
-            );
+        for rnd in [false, true] {
+            let serial = run(1, rnd);
+            assert_eq!(serial, run(2, rnd), "pool of 2 diverged (rnd={rnd})");
+            assert_eq!(serial, run(4, rnd), "pool of 4 diverged (rnd={rnd})");
         }
         // The chain really produces multi-step episodes (otherwise the RND
         // post-pass would be vacuous).

@@ -93,6 +93,9 @@ pub(crate) fn read<T: Decode>(obj: &Value, key: Key<'_>) -> Result<T> {
 pub(crate) trait Record: Default {
     const LAYOUT: Layout;
 
+    /// The members' keys, in render order.
+    const KEYS: &'static [&'static str];
+
     fn write_fields(&self, w: &mut Writer);
 
     fn read_fields(&mut self, obj: &Value, path: &str) -> Result<()>;
@@ -123,6 +126,8 @@ macro_rules! record {
         impl Record for $ty {
             const LAYOUT: Layout = Layout::$layout;
 
+            const KEYS: &'static [&'static str] = &[$($key),*];
+
             fn write_fields(&self, w: &mut Writer) {
                 $( record!(@write w, $key, &self.$($field).+ $(, $codec)?); )*
             }
@@ -136,12 +141,8 @@ macro_rules! record {
 }
 
 record!(RlPlannerConfig, Block {
-    "episodes" => episodes,
     "episodes_per_update" => episodes_per_update,
     "parallel_envs" => parallel_envs,
-    "use_rnd" => use_rnd,
-    "seed" => seed,
-    "time_budget_s" => time_budget,
     "ppo" => ppo as object,
     "agent" => agent as object,
     "env" => env as object,
@@ -180,9 +181,6 @@ record!(SaConfig, Block {
     "moves_per_temperature" => moves_per_temperature,
     "min_spacing_mm" => min_spacing_mm,
     "grid" => grid,
-    "seed" => seed,
-    "time_budget_s" => time_budget,
-    "max_evaluations" => max_evaluations,
 });
 
 record!(GradientConfig, Block {
@@ -198,15 +196,11 @@ record!(GradientConfig, Block {
     "tolerance_mm" => tolerance_mm,
     "min_spacing_mm" => min_spacing_mm,
     "grid" => grid,
-    "seed" => seed,
-    "time_budget_s" => time_budget,
-    "max_evaluations" => max_evaluations,
 });
 
 record!(PretrainedConfig, Block {
     "policy_path" => policy_path,
     "checksum" => checksum as hex,
-    "seed" => seed,
 });
 
 record!(CharacterizationOptions, Inline {
@@ -337,11 +331,61 @@ mod eval_mode {
     }
 }
 
+/// A request's budget: `null`, `{ "evaluations": n }` or
+/// `{ "time_limit_s": s }`. Requests and manifests share this encoding.
+pub(crate) mod budget {
+    use super::{err, member, Key, Result};
+    use crate::request::Budget;
+    use rlp_obs::json::{Layout, Value, Writer};
+
+    pub(crate) fn write(budget: &Option<Budget>, w: &mut Writer) {
+        match budget {
+            None => {
+                w.null();
+            }
+            Some(Budget::Evaluations(n)) => {
+                w.object(Layout::Inline, |w| {
+                    w.field("evaluations", *n);
+                });
+            }
+            Some(Budget::TimeLimit(limit)) => {
+                w.object(Layout::Inline, |w| {
+                    w.field("time_limit_s", *limit);
+                });
+            }
+        }
+    }
+
+    pub(crate) fn read(obj: &Value, key: Key<'_>) -> Result<Option<Budget>> {
+        let (value, path) = (member(obj, key)?, key.path());
+        let at = |name| Key::new(&path, name);
+        Ok(if matches!(value, Value::Null) {
+            None
+        } else if value.get("evaluations").is_some() {
+            Some(Budget::Evaluations(super::read(value, at("evaluations"))?))
+        } else if value.get("time_limit_s").is_some() {
+            Some(Budget::TimeLimit(super::read(value, at("time_limit_s"))?))
+        } else {
+            return err(format!(
+                "field `{key}` must be null or hold `evaluations` or `time_limit_s`"
+            ));
+        })
+    }
+}
+
 /// The thermal configuration's members inside a backend object. The stack
 /// is two keys that must agree (`power_layer` indexes `layers`), and the
 /// grid is one pair for two fields, so this table is written out.
 impl Record for ThermalConfig {
     const LAYOUT: Layout = Layout::Block;
+
+    const KEYS: &'static [&'static str] = &[
+        "grid",
+        "ambient_c",
+        "convection_resistance_k_per_w",
+        "power_layer",
+        "layers",
+    ];
 
     fn write_fields(&self, w: &mut Writer) {
         w.field("grid", (self.grid_nx, self.grid_ny))
@@ -435,7 +479,10 @@ pub(crate) mod thermal {
     }
 }
 
-/// `{ "kind": <label>, <the method configuration's members> }`.
+/// `{ "kind": <label>, <the method configuration's members> }`. A method
+/// object holds exactly those members: any other is refused by name, so a
+/// document written when method objects still carried a seed or a budget
+/// is never run on the request's defaults instead.
 pub(crate) mod method {
     use super::*;
 
@@ -456,21 +503,37 @@ pub(crate) mod method {
         let kind: String = super::read(value, Key::new(&path, "kind"))?;
         Ok(match kind.as_str() {
             "rl" => Method::Rl {
-                config: Record::read(value, &path)?,
+                config: config(value, &path)?,
             },
             "rl-rnd" => Method::RlRnd {
-                config: Record::read(value, &path)?,
+                config: config(value, &path)?,
             },
             "sa" => Method::Sa {
-                config: Record::read(value, &path)?,
+                config: config(value, &path)?,
             },
             "gradient" => Method::Gradient {
-                config: Record::read(value, &path)?,
+                config: config(value, &path)?,
             },
             "pretrained" => Method::Pretrained {
-                config: Record::read(value, &path)?,
+                config: config(value, &path)?,
             },
             other => return err(format!("field `{path}.kind` has unknown method `{other}`")),
         })
+    }
+
+    /// Reads a method configuration from the method object `value`, which
+    /// may hold `kind` and the configuration's members only.
+    fn config<T: Record>(value: &Value, path: &str) -> Result<T> {
+        if let Value::Obj(members) = value {
+            let known = |name: &str| name == "kind" || T::KEYS.contains(&name);
+            if let Some((name, _)) = members.iter().find(|(name, _)| !known(name)) {
+                return err(format!(
+                    "field `{}` is not a method member; a run's seed and budget are the \
+                     request's `seed` and `budget`",
+                    Key::new(path, name)
+                ));
+            }
+        }
+        T::read(value, path)
     }
 }

@@ -3,12 +3,18 @@
 //! [`FloorplanRequest::solve_observed`] is the one path every method runs
 //! through, from request to [`FloorplanOutcome`]. It does the shared work
 //! once — the `plan.solve` span, method resolution, thermal-analyzer
-//! construction, the warm-start presolve, per-candidate telemetry, the
-//! `plan.*` metrics and outcome assembly — and `match`es on the resolved
-//! [`Method`] only to call the engine that does the optimisation: PPO
-//! training, the simulated-annealing baseline, analytic gradient descent or
-//! pretrained inference. Each engine returns one `EngineRun`; a new
-//! method is one more engine function and one more `match` arm.
+//! construction, the warm-start presolve, the run's stop rule,
+//! per-candidate telemetry, the `plan.*` metrics and outcome assembly — and
+//! `match`es on the resolved [`Method`] only to call the engine that does
+//! the optimisation: PPO training, the simulated-annealing baseline,
+//! analytic gradient descent or pretrained inference. Each engine returns
+//! one `EngineRun`; a new method is one more engine function and one more
+//! `match` arm.
+//!
+//! The request is the only home of a run's budget and seed. The pipeline
+//! turns the budget into the solve's one [`SearchRun`] ([`search_run`])
+//! and hands that run and the seed (0 when the request sets none) to the
+//! engine; no engine configuration carries either.
 //!
 //! Progress goes through one callback, [`rlp_obs::OnCandidate`]. The
 //! pipeline fans every candidate out to the outcome's telemetry and to the
@@ -29,7 +35,7 @@ use crate::outcome::{
     EvalTelemetry, FloorplanOutcome, RunManifest, TelemetrySample, TrainingTelemetry,
 };
 use crate::planner::{RlPlanner, RlPlannerConfig};
-use crate::request::{FloorplanRequest, Method, PretrainedConfig};
+use crate::request::{Budget, FloorplanRequest, Method, PretrainedConfig};
 use crate::reward::{RewardBreakdown, RewardCalculator};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -131,6 +137,35 @@ struct EngineRun {
     runtime: Duration,
 }
 
+/// Episodes an RL run trains for when its request sets no evaluation
+/// budget: the paper's 600.
+pub const DEFAULT_RL_EPISODES: usize = 600;
+
+/// The stop rule a solve of `method` under `budget` runs by (see
+/// [`Budget`]): `Evaluations(n)` caps the run at `n` candidates and
+/// `TimeLimit` bounds its wall-clock. An RL run without an evaluation
+/// budget is capped at [`DEFAULT_RL_EPISODES`]; a pretrained run ignores
+/// the budget. Every candidate the run records goes to `on_candidate`.
+///
+/// [`FloorplanRequest::solve_observed`] builds each solve's run here; so do
+/// callers that drive an engine directly.
+pub fn search_run<'a>(
+    method: &Method,
+    budget: Option<Budget>,
+    on_candidate: &'a mut OnCandidate<'a>,
+) -> SearchRun<'a> {
+    let (cap, time_limit) = match (method, budget) {
+        (Method::Pretrained { .. }, _) | (_, None) => (None, None),
+        (_, Some(Budget::Evaluations(n))) => (Some(n), None),
+        (_, Some(Budget::TimeLimit(limit))) => (None, Some(limit)),
+    };
+    let cap = match method {
+        Method::Rl { .. } | Method::RlRnd { .. } => cap.or(Some(DEFAULT_RL_EPISODES)),
+        _ => cap,
+    };
+    SearchRun::new(cap, time_limit, on_candidate)
+}
+
 impl FloorplanRequest {
     /// Solves the request with the engine matching its method.
     ///
@@ -161,6 +196,7 @@ impl FloorplanRequest {
         on_candidate: &mut OnCandidate<'_>,
     ) -> Result<FloorplanOutcome, PlanError> {
         let mut method = self.resolved_method();
+        let seed = self.seed().unwrap_or(0);
         let _span = rlp_obs::obs_span!(
             rlp_obs::Level::Debug,
             "rlplanner",
@@ -178,11 +214,15 @@ impl FloorplanRequest {
         // The presolve's placement must be legal on the main optimiser's
         // grid, so it borrows that optimiser's grid and spacing.
         let warm = match &method {
-            Method::Rl { config } | Method::RlRnd { config } => {
-                warm_start_presolve(self, &analyzer, config.env.grid, config.env.min_spacing_mm)
-            }
+            Method::Rl { config } | Method::RlRnd { config } => warm_start_presolve(
+                self,
+                &analyzer,
+                seed,
+                config.env.grid,
+                config.env.min_spacing_mm,
+            ),
             Method::Sa { config } => {
-                warm_start_presolve(self, &analyzer, config.grid, config.min_spacing_mm)
+                warm_start_presolve(self, &analyzer, seed, config.grid, config.min_spacing_mm)
             }
             Method::Gradient { .. } | Method::Pretrained { .. } => None,
         };
@@ -197,17 +237,19 @@ impl FloorplanRequest {
                 });
                 on_candidate(index, reward, best_reward);
             };
+            let search = &mut search_run(&method, self.budget(), &mut tee);
             match &method {
-                Method::Rl { config } | Method::RlRnd { config } => {
-                    run_rl(self, analyzer, config, warm, &mut tee)?
+                Method::Rl { config } => run_rl(self, analyzer, config, false, seed, warm, search)?,
+                Method::RlRnd { config } => {
+                    run_rl(self, analyzer, config, true, seed, warm, search)?
                 }
                 Method::Sa { config } => {
-                    run_sa(self, analyzer, config, warm.map(|(p, _)| p), &mut tee)?
+                    run_sa(self, analyzer, config, seed, warm.map(|(p, _)| p), search)?
                 }
-                Method::Gradient { config } => run_gradient(self, analyzer, config, &mut tee)?,
-                Method::Pretrained { config } => {
+                Method::Gradient { config } => run_gradient(self, analyzer, config, seed, search)?,
+                Method::Pretrained { .. } => {
                     let policy = policy.take().expect("pretrained policy loaded above");
-                    run_pretrained(self, analyzer, config.seed, policy, &mut tee)?
+                    run_pretrained(self, analyzer, seed, policy, search)?
                 }
             }
         };
@@ -235,7 +277,8 @@ impl FloorplanRequest {
                 method,
                 thermal: self.thermal().clone(),
                 reward: self.reward().clone(),
-                seed: self.resolved_seed(),
+                seed,
+                budget: self.budget(),
                 warm_start: self.warm_start(),
             },
         })
@@ -247,10 +290,13 @@ impl FloorplanRequest {
 /// `None` when the request does not ask for a warm start or the presolve
 /// fails for any reason — warm starting is fail-soft, so the caller then
 /// falls back to its usual cold start. The presolve reuses the request's
-/// analyzer, reward weights and resolved seed.
+/// analyzer, reward weights and seed. It is setup, not part of the run: it
+/// has a silent run of its own, bounded by its 50 iterations rather than
+/// the request's budget.
 fn warm_start_presolve(
     request: &FloorplanRequest,
     analyzer: &AnyThermalAnalyzer,
+    seed: u64,
     grid: (usize, usize),
     min_spacing_mm: f64,
 ) -> Option<(Placement, RewardBreakdown)> {
@@ -261,7 +307,6 @@ fn warm_start_presolve(
         iterations: 50,
         grid,
         min_spacing_mm,
-        seed: request.resolved_seed(),
         ..GradientConfig::default()
     };
     let descent = GradientDescent::new(
@@ -271,7 +316,10 @@ fn warm_start_presolve(
         config,
     )
     .ok()?;
-    let result = descent.run(&mut |_, _, _| {}).ok()?;
+    let mut silent = |_, _, _| {};
+    let result = descent
+        .run(seed, &mut SearchRun::new(None, None, &mut silent))
+        .ok()?;
     rlp_obs::obs_counter!("plan.warm_starts").inc();
     Some((result.best_placement, result.best_breakdown))
 }
@@ -283,17 +331,21 @@ fn run_rl(
     request: &FloorplanRequest,
     analyzer: AnyThermalAnalyzer,
     config: &RlPlannerConfig,
+    rnd: bool,
+    seed: u64,
     warm: Option<(Placement, RewardBreakdown)>,
-    on_candidate: &mut OnCandidate<'_>,
+    search: &mut SearchRun<'_>,
 ) -> Result<EngineRun, PlanError> {
     let mut planner = RlPlanner::new(
         request.system().clone(),
         analyzer,
         request.reward().clone(),
         config.clone(),
+        seed,
+        rnd,
     )?;
     let result = planner
-        .train(warm, on_candidate)
+        .train(warm, search)
         .map_err(|_| PlanError::Incomplete)?;
     // "Train once": persist the trained weights when the request asks for
     // it, tagged with provenance so the file is self-describing.
@@ -307,7 +359,7 @@ fn run_rl(
                 "trained.episodes".to_string(),
                 result.episodes_run.to_string(),
             ),
-            ("trained.seed".to_string(), config.seed.to_string()),
+            ("trained.seed".to_string(), seed.to_string()),
         ];
         planner
             .export_policy(extra)
@@ -346,8 +398,9 @@ fn run_sa(
     request: &FloorplanRequest,
     analyzer: AnyThermalAnalyzer,
     config: &SaConfig,
+    seed: u64,
     warm: Option<Placement>,
-    on_candidate: &mut OnCandidate<'_>,
+    search: &mut SearchRun<'_>,
 ) -> Result<EngineRun, PlanError> {
     let reward =
         RewardCalculator::new(request.system().clone(), analyzer, request.reward().clone());
@@ -355,7 +408,8 @@ fn run_sa(
     let result = SaPlanner::new(request.system().clone(), config.clone()).run(
         warm,
         &mut objective,
-        on_candidate,
+        seed,
+        search,
     )?;
     // The engine tracked the best committed breakdown alongside the
     // annealer's best-so-far, so no final re-evaluation is needed.
@@ -380,7 +434,8 @@ fn run_gradient(
     request: &FloorplanRequest,
     analyzer: AnyThermalAnalyzer,
     config: &GradientConfig,
-    on_candidate: &mut OnCandidate<'_>,
+    seed: u64,
+    search: &mut SearchRun<'_>,
 ) -> Result<EngineRun, PlanError> {
     let result = GradientDescent::new(
         request.system().clone(),
@@ -388,7 +443,7 @@ fn run_gradient(
         request.reward().clone(),
         config.clone(),
     )?
-    .run(on_candidate)
+    .run(seed, search)
     .map_err(|_| PlanError::Incomplete)?;
     Ok(EngineRun {
         placement: result.best_placement,
@@ -464,7 +519,7 @@ fn run_pretrained(
     analyzer: AnyThermalAnalyzer,
     seed: u64,
     policy: LoadedPolicy,
-    on_candidate: &mut OnCandidate<'_>,
+    search: &mut SearchRun<'_>,
 ) -> Result<EngineRun, PlanError> {
     let reward =
         RewardCalculator::new(request.system().clone(), analyzer, request.reward().clone());
@@ -484,10 +539,9 @@ fn run_pretrained(
     // policy never saw (a later chiplet ends up with no feasible cell), so
     // on failure up to `PRETRAINED_FALLBACK_ROLLOUTS` further rollouts
     // sample from the policy distribution instead — seeded from the
-    // method's `seed`, so the whole solve stays deterministic. The first
+    // request's seed, so the whole solve stays deterministic. The first
     // rollout that produces a finite placement wins; only completed
     // episodes reach the reward pipeline, and `evaluations` counts those.
-    let mut search = SearchRun::new(None, None, on_candidate);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut full_evals = 0usize;
     for attempt in 0..=PRETRAINED_FALLBACK_ROLLOUTS {

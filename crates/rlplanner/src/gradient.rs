@@ -51,7 +51,8 @@
 //!
 //! The descent is deterministic for a fixed seed: the only randomness is
 //! the initial centres, drawn sequentially (one batch per start) from a
-//! [`rand_chacha::ChaCha8Rng`] seeded with [`GradientConfig::seed`].
+//! [`rand_chacha::ChaCha8Rng`] seeded with the seed [`GradientDescent::run`]
+//! is given.
 
 use crate::reward::{RewardBreakdown, RewardCalculator, RewardConfig};
 use rand::{Rng, SeedableRng};
@@ -60,7 +61,7 @@ use rlp_chiplet::grid::centered_position;
 use rlp_chiplet::smooth::smoothed_wirelength_gradient;
 use rlp_chiplet::wirelength::total_wirelength;
 use rlp_chiplet::{ChipletId, ChipletSystem, Placement, PlacementGrid, Point, Rotation};
-use rlp_obs::{obs_counter, obs_histogram, OnCandidate, Stopwatch};
+use rlp_obs::{obs_counter, obs_histogram, Stopwatch};
 use rlp_rl::ConfigError;
 use rlp_sa::SearchRun;
 use rlp_thermal::{AnyThermalAnalyzer, ThermalAnalyzer};
@@ -109,13 +110,6 @@ pub struct GradientConfig {
     /// Legalisation grid (columns, rows) — the discrete action space shared
     /// with SA moves and the RL environment.
     pub grid: (usize, usize),
-    /// Seed for the random initial centres.
-    pub seed: u64,
-    /// Optional wall-clock budget; the descent stops early when exceeded.
-    pub time_budget: Option<Duration>,
-    /// Optional cap on exact reward evaluations (one per legalised
-    /// iterate); the descent stops once it is reached.
-    pub max_evaluations: Option<usize>,
 }
 
 impl Default for GradientConfig {
@@ -133,9 +127,6 @@ impl Default for GradientConfig {
             tolerance_mm: 1e-4,
             min_spacing_mm: 0.2,
             grid: (16, 16),
-            seed: 0,
-            time_budget: None,
-            max_evaluations: None,
         }
     }
 }
@@ -190,12 +181,6 @@ impl GradientConfig {
         if self.grid.0 == 0 || self.grid.1 == 0 {
             return Err(ConfigError::ExpectedPositive {
                 field: "gradient.grid",
-                value: 0.0,
-            });
-        }
-        if self.max_evaluations == Some(0) {
-            return Err(ConfigError::ExpectedPositive {
-                field: "gradient.max_evaluations",
                 value: 0.0,
             });
         }
@@ -278,19 +263,21 @@ impl GradientDescent {
         &self.config
     }
 
-    /// Runs the descent and returns the best legalised placement,
-    /// reporting every exact evaluation to `on_candidate` (see
-    /// [`OnCandidate`]) as it happens.
+    /// Runs the descent from initial centres drawn with `seed` and returns
+    /// the best legalised placement, recording every exact evaluation in
+    /// `search` as it happens. The descent stops after
+    /// [`GradientConfig::iterations`] iterations or when `search` is
+    /// exhausted, whichever comes first.
     ///
     /// # Errors
     ///
     /// Returns [`GradientStalled`] if no iterate could be legalised.
     pub fn run(
         &self,
-        on_candidate: &mut OnCandidate<'_>,
+        seed: u64,
+        search: &mut SearchRun<'_>,
     ) -> Result<GradientResult, GradientStalled> {
         let cfg = &self.config;
-        let mut search = SearchRun::new(cfg.max_evaluations, cfg.time_budget, on_candidate);
         let system = self.reward.system();
         let n = system.chiplet_count();
         let grid = PlacementGrid::new(cfg.grid.0, cfg.grid.1);
@@ -299,7 +286,7 @@ impl GradientDescent {
             .map(|id| system.chiplet(id).footprint(Rotation::None))
             .collect();
 
-        let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
         // Split whichever budget binds first — a legalised iteration costs
         // one evaluation, so an evaluation cap below `iterations`
         // effectively shortens the run. The last third of the budget is
@@ -792,13 +779,22 @@ mod tests {
         )
     }
 
-    fn quick_config(seed: u64) -> GradientConfig {
+    fn quick_config() -> GradientConfig {
         GradientConfig {
             iterations: 60,
             grid: (12, 12),
-            seed,
             ..GradientConfig::default()
         }
+    }
+
+    /// Runs `engine` on `seed` under at most `cap` evaluations, silently.
+    fn run_silently(
+        engine: &GradientDescent,
+        seed: u64,
+        cap: Option<usize>,
+    ) -> Result<GradientResult, GradientStalled> {
+        let mut silent = |_, _, _| {};
+        engine.run(seed, &mut SearchRun::new(cap, None, &mut silent))
     }
 
     #[test]
@@ -807,15 +803,16 @@ mod tests {
             system(),
             fast_model(),
             RewardConfig::default(),
-            quick_config(0),
+            quick_config(),
         )
         .unwrap();
         let mut samples = Vec::new();
+        let mut on_candidate = |index, reward, best_reward| {
+            assert_eq!(index, samples.len(), "evaluation indices must be dense");
+            samples.push((index, reward, best_reward));
+        };
         let result = engine
-            .run(&mut |index, reward, best_reward| {
-                assert_eq!(index, samples.len(), "evaluation indices must be dense");
-                samples.push((index, reward, best_reward));
-            })
+            .run(0, &mut SearchRun::new(None, None, &mut on_candidate))
             .unwrap();
         assert!(result.best_placement.is_complete());
         assert!(system()
@@ -834,17 +831,14 @@ mod tests {
 
     #[test]
     fn fixed_seed_runs_are_bit_identical() {
-        let run = |seed| {
-            GradientDescent::new(
-                system(),
-                fast_model(),
-                RewardConfig::default(),
-                quick_config(seed),
-            )
-            .unwrap()
-            .run(&mut |_, _, _| {})
-            .unwrap()
-        };
+        let engine = GradientDescent::new(
+            system(),
+            fast_model(),
+            RewardConfig::default(),
+            quick_config(),
+        )
+        .unwrap();
+        let run = |seed| run_silently(&engine, seed, None).unwrap();
         let (a, b) = (run(7), run(7));
         assert_eq!(a.best_placement, b.best_placement);
         assert_eq!(a.best_breakdown, b.best_breakdown);
@@ -868,12 +862,11 @@ mod tests {
             RewardConfig::default(),
             GradientConfig {
                 iterations: 20,
-                max_evaluations: Some(10),
-                ..quick_config(1)
+                ..quick_config()
             },
         )
         .unwrap();
-        let result = engine.run(&mut |_, _, _| {}).unwrap();
+        let result = run_silently(&engine, 1, Some(10)).unwrap();
         assert!(result.best_placement.is_complete());
         assert!(result.evaluations <= 10);
     }
@@ -886,16 +879,16 @@ mod tests {
             sys,
             AnyThermalAnalyzer::Grid(GridThermalSolver::new(ThermalConfig::with_grid(8, 8))),
             RewardConfig::default(),
-            quick_config(3),
+            quick_config(),
         )
         .unwrap();
-        let result = engine.run(&mut |_, _, _| {}).unwrap();
+        let result = run_silently(&engine, 3, None).unwrap();
         // No nets, no thermal gradient, inside the outline: zero gradient.
         // Every start converges on its first iteration; leftover probe
         // budget goes to more one-step starts and the polish pass stops at
         // a local optimum, so the budget is never exceeded.
         assert!(result.converged);
-        assert!(result.iterations_run <= quick_config(3).iterations);
+        assert!(result.iterations_run <= quick_config().iterations);
     }
 
     #[test]
@@ -945,13 +938,6 @@ mod tests {
                 ..GradientConfig::default()
             },
             "gradient.grid",
-        );
-        check(
-            GradientConfig {
-                max_evaluations: Some(0),
-                ..GradientConfig::default()
-            },
-            "gradient.max_evaluations",
         );
         assert!(GradientConfig::default().validate().is_ok());
     }

@@ -10,8 +10,10 @@
 //!
 //! * [`FloorplanRequest`] describes the run as data: the system, the
 //!   [`Method`], the [`rlp_thermal::ThermalBackend`], the reward weights,
-//!   an optional [`Budget`] and seed. The builder validates everything and
-//!   returns a typed [`ConfigError`] instead of panicking.
+//!   an optional [`Budget`] and seed. The request is the only home of the
+//!   budget and seed; no method configuration carries either. The builder
+//!   validates everything and returns a typed [`ConfigError`] instead of
+//!   panicking.
 //! * [`FloorplanRequest::solve`] executes it through one pipeline
 //!   ([`facade`]) that does the shared work once and `match`es on the
 //!   method only to pick the engine.
@@ -81,7 +83,9 @@
 //!   run on the same reward.
 //!
 //! Each optimiser has exactly one entry point taking an optional warm
-//! start, its objective where it needs one, and the progress callback.
+//! start, its objective where it needs one, the seed and the
+//! [`SearchRun`] that holds the run's budget and progress callback
+//! ([`search_run`] builds it from a [`Budget`]).
 
 pub mod agent;
 pub mod cli;
@@ -99,7 +103,7 @@ pub mod reward;
 
 pub use agent::AgentConfig;
 pub use env::{EnvConfig, FloorplanEnv};
-pub use facade::PlanError;
+pub use facade::{search_run, PlanError, DEFAULT_RL_EPISODES};
 pub use gradient::{GradientConfig, GradientDescent, GradientResult, GradientStalled};
 pub use outcome::{
     EvalTelemetry, FloorplanOutcome, RunManifest, TelemetrySample, TrainingTelemetry,

@@ -3,11 +3,11 @@
 //! Every planner — PPO and the SA baseline alike — returns a
 //! [`FloorplanOutcome`]: the best placement and its reward breakdown, a
 //! uniform per-candidate telemetry history, the wall-clock runtime, and a
-//! [`RunManifest`] recording the fully-resolved configuration and seed so
-//! the run can be reproduced exactly (see
+//! [`RunManifest`] recording the configuration, budget and seed so the run
+//! can be reproduced exactly (see
 //! [`crate::FloorplanRequest::from_manifest`]).
 
-use crate::request::Method;
+use crate::request::{Budget, Method};
 use crate::reward::{RewardBreakdown, RewardConfig};
 use rlp_chiplet::Placement;
 use rlp_sa::{EvalCounts, EvalMode};
@@ -72,9 +72,9 @@ pub struct TelemetrySample {
     pub best_reward: f64,
 }
 
-/// Everything needed to reproduce a run: the fully-resolved configuration
-/// after all request-level overrides, plus the identity of the system it
-/// was solved for.
+/// Everything needed to reproduce a run: the request's method, backend,
+/// reward, budget and seed, plus the identity of the system it was solved
+/// for.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunManifest {
     /// Name of the floorplanned system.
@@ -82,15 +82,20 @@ pub struct RunManifest {
     /// Number of chiplets in the system (a cheap integrity check when
     /// rebuilding a request from the manifest).
     pub chiplet_count: usize,
-    /// The method with every override folded in — replaying it needs no
-    /// other budget or seed information.
+    /// The method configuration that ran, with the request's
+    /// `parallel_envs` override folded in (see
+    /// [`crate::FloorplanRequest::resolved_method`]). It carries no budget
+    /// or seed: those are [`RunManifest::budget`] and [`RunManifest::seed`].
     pub method: Method,
     /// The thermal backend description.
     pub thermal: ThermalBackend,
     /// The reward weights.
     pub reward: RewardConfig,
-    /// The seed the run used.
+    /// The seed the run used: the request's, or 0 when it set none.
     pub seed: u64,
+    /// The request's budget (`None` when it set none; see [`Budget`] for
+    /// what each method then does).
+    pub budget: Option<Budget>,
     /// Whether the run seeded its optimiser with a cheap gradient-descent
     /// presolve ([`crate::FloorplanRequestBuilder::warm_start`]). Warm
     /// starting changes results, so replaying a manifest must reproduce it.

@@ -4,9 +4,16 @@
 //! `rlplanner.outcome/v1` document; this module is the inverse, used by
 //! batch drivers that resume interrupted campaign streams and need the
 //! prior runs as real [`FloorplanOutcome`] values, not opaque text. The
-//! document carries the fully-resolved manifest, so the reconstruction is
-//! complete: every configuration field, the placement, the telemetry
-//! history and the evaluation counts come back exactly as rendered.
+//! document carries the whole manifest, so the reconstruction is
+//! complete: every configuration field, the budget and seed, the
+//! placement, the telemetry history and the evaluation counts come back
+//! exactly as rendered.
+//!
+//! A method object holds its `kind` and its configuration's members and
+//! nothing else: any other member, such as the seed or budget members that
+//! method objects carried before those moved to the request (and the
+//! manifest's `seed` and `budget`), is refused with an error naming it, so
+//! such a document is never run on seed 0.
 //!
 //! [`request_from_json`] is the matching inverse of
 //! [`crate::report::request_json`]: it rebuilds a full
@@ -31,10 +38,10 @@
 //! parsed outcome reproduces the original document byte for byte, which is
 //! the invariant the campaign resume path relies on.
 
-use crate::codec::{err, member, method, object, read, thermal, Key, Record};
+use crate::codec::{budget, err, member, method, object, read, thermal, Key, Record};
 use crate::outcome::{FloorplanOutcome, RunManifest, TrainingTelemetry};
 use crate::report::{OUTCOME_SCHEMA, REQUEST_SCHEMA};
-use crate::request::{Budget, FloorplanRequest};
+use crate::request::FloorplanRequest;
 use rlp_chiplet::{Chiplet, ChipletId, ChipletSystem, Net, Placement, Position, Rotation};
 use rlp_obs::json::Value;
 use std::collections::HashMap;
@@ -149,6 +156,7 @@ pub fn outcome_from_value(
                 thermal: thermal::read(manifest, in_manifest("thermal"))?,
                 reward: object::read(manifest, in_manifest("reward"))?,
                 seed: read(manifest, in_manifest("seed"))?,
+                budget: budget::read(manifest, in_manifest("budget"))?,
                 warm_start: read(manifest, in_manifest("warm_start"))?,
             }
         },
@@ -160,7 +168,7 @@ pub fn outcome_from_value(
 ///
 /// The document inlines the system, so no benchmark registry is needed;
 /// the request comes back exactly as the sender built it (method, backend,
-/// reward, and the budget/seed/parallel-envs overrides), validated through
+/// reward, budget, seed and the parallel-envs override), validated through
 /// [`FloorplanRequest::builder`]. Re-rendering the parsed request with
 /// [`crate::report::request_json`] reproduces the document byte for byte.
 ///
@@ -187,9 +195,8 @@ pub fn request_from_value(doc: &Value) -> Result<FloorplanRequest, OutcomeParseE
         .method(method::read(doc, top("method"))?)
         .thermal(thermal::read(doc, top("thermal"))?)
         .reward(object::read(doc, top("reward"))?);
-    match member(doc, top("budget"))? {
-        Value::Null => {}
-        value => builder = builder.budget(budget_from(value)?),
+    if let Some(budget) = budget::read(doc, top("budget"))? {
+        builder = builder.budget(budget);
     }
     if let Some(seed) = read(doc, top("seed"))? {
         builder = builder.seed(seed);
@@ -269,17 +276,6 @@ fn system_from(obj: &Value) -> Result<ChipletSystem, OutcomeParseError> {
     Ok(system)
 }
 
-fn budget_from(obj: &Value) -> Result<Budget, OutcomeParseError> {
-    let at = |name| Key::new("budget", name);
-    if obj.get("evaluations").is_some() {
-        Ok(Budget::Evaluations(read(obj, at("evaluations"))?))
-    } else if obj.get("time_limit_s").is_some() {
-        Ok(Budget::TimeLimit(read(obj, at("time_limit_s"))?))
-    } else {
-        err("field `budget` must be null or hold `evaluations` or `time_limit_s`")
-    }
-}
-
 fn placement_from(obj: &Value, system: &ChipletSystem) -> Result<Placement, OutcomeParseError> {
     let slots: HashMap<&str, _> = system
         .chiplet_ids()
@@ -319,7 +315,7 @@ mod tests {
     use crate::gradient::GradientConfig;
     use crate::outcome::{EvalTelemetry, TelemetrySample, TrainingTelemetry};
     use crate::report::outcome_json;
-    use crate::request::{Method, PretrainedConfig};
+    use crate::request::{Budget, Method, PretrainedConfig};
     use crate::reward::{RewardBreakdown, RewardConfig};
     use rlp_sa::{EvalCounts, EvalMode, SaConfig};
     use rlp_thermal::{ThermalBackend, ThermalPrep};
@@ -384,6 +380,7 @@ mod tests {
                 thermal: ThermalBackend::fast(),
                 reward: RewardConfig::default(),
                 seed: 7,
+                budget: None,
                 warm_start: false,
             },
         }
@@ -402,11 +399,11 @@ mod tests {
         outcome.breakdown.eval_mode = EvalMode::Incremental;
         outcome.manifest.method = Method::Sa {
             config: SaConfig {
-                max_evaluations: Some(40),
-                time_budget: Some(Duration::from_secs_f64(1.5)),
+                cooling_rate: 0.9,
                 ..SaConfig::default()
             },
         };
+        outcome.manifest.budget = Some(Budget::Evaluations(40));
         outcome.manifest.thermal = ThermalBackend::grid();
         outcome
     }
@@ -444,16 +441,16 @@ mod tests {
         outcome.manifest.method = Method::Gradient {
             config: GradientConfig {
                 iterations: 80,
-                max_evaluations: Some(60),
-                time_budget: Some(Duration::from_secs_f64(0.5)),
                 ..GradientConfig::default()
             },
         };
+        outcome.manifest.budget = Some(Budget::TimeLimit(Duration::from_secs_f64(0.5)));
         outcome.manifest.warm_start = true;
         let json = outcome_json(&sys, &outcome);
         let parsed = outcome_from_json(&json, &sys).expect("parses");
         assert_eq!(outcome_json(&sys, &parsed), json);
         assert_eq!(parsed.manifest.method, outcome.manifest.method);
+        assert_eq!(parsed.manifest.budget, outcome.manifest.budget);
         assert!(parsed.manifest.warm_start);
     }
 
@@ -596,7 +593,6 @@ mod tests {
                 config: PretrainedConfig {
                     policy_path: "gen.policy".to_string(),
                     checksum: Some(0x0123_4567_89ab_cdef),
-                    seed: 9,
                 },
             })
             .build()
@@ -614,7 +610,7 @@ mod tests {
     }
 
     #[test]
-    fn request_time_budget_and_parallel_envs_round_trip() {
+    fn request_time_limit_and_parallel_envs_round_trip() {
         use crate::report::request_json;
         let mut sys = ChipletSystem::new("req-t", 20.0, 20.0);
         sys.add_chiplet(Chiplet::new("solo", 5.0, 5.0, 10.0));
@@ -744,7 +740,7 @@ mod tests {
         }
 
         // An invalid configuration is caught by the builder, not a panic.
-        let doc = json.replace("\"episodes\": 600", "\"episodes\": 0");
+        let doc = json.replace("\"episodes_per_update\": 8", "\"episodes_per_update\": 0");
         let error = request_from_json(&doc).unwrap_err();
         assert!(
             error.to_string().contains("invalid request configuration"),
@@ -760,24 +756,25 @@ mod tests {
             .method(Method::rl())
             .build()
             .unwrap();
+        let too_long = "\"budget\": { \"time_limit_s\": 1e300 }";
         let json = request_json(&request);
-        for (needle, replacement, field) in [
-            (
-                "\"budget\": null",
-                "\"budget\": { \"time_limit_s\": 1e300 }",
-                "`budget.time_limit_s`",
-            ),
-            (
-                "\"time_budget_s\": null",
-                "\"time_budget_s\": 1e300",
-                "`method.time_budget_s`",
-            ),
-        ] {
-            let doc = json.replace(needle, replacement);
-            assert_ne!(doc, json, "replacement `{needle}` did not apply");
-            let error = request_from_json(&doc).unwrap_err();
-            assert!(error.to_string().contains(field), "{field}: {error}");
-        }
+        let doc = json.replace("\"budget\": null", too_long);
+        assert_ne!(doc, json);
+        let error = request_from_json(&doc).unwrap_err();
+        assert!(
+            error.to_string().contains("`budget.time_limit_s`"),
+            "{error}"
+        );
+        // The manifest's budget reads through the same codec.
+        let sys = demo_system();
+        let json = outcome_json(&sys, &rl_outcome(&sys));
+        let doc = json.replace("\"budget\": null", too_long);
+        assert_ne!(doc, json);
+        let error = outcome_from_json(&doc, &sys).unwrap_err();
+        assert!(
+            error.to_string().contains("`manifest.budget.time_limit_s`"),
+            "{error}"
+        );
     }
 
     #[test]

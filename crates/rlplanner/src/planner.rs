@@ -5,7 +5,7 @@ use crate::env::{EnvConfig, FloorplanEnv};
 use crate::reward::{RewardBreakdown, RewardCalculator, RewardConfig};
 use rlp_chiplet::{ChipletSystem, Placement};
 use rlp_nn::{PolicyError, PolicyFile};
-use rlp_obs::{obs_counter, obs_histogram, OnCandidate, Stopwatch};
+use rlp_obs::{obs_counter, obs_histogram, Stopwatch};
 use rlp_rl::{
     ConfigError, Environment, PpoAgent, PpoConfig, RandomNetworkDistillation, RolloutBuffer,
     VecEnvPool,
@@ -14,12 +14,11 @@ use rlp_sa::SearchRun;
 use rlp_thermal::AnyThermalAnalyzer;
 use std::time::Duration;
 
-/// Training-loop configuration.
+/// Training-loop configuration. How many episodes a run trains for is not
+/// part of it: [`RlPlanner::train`] trains until the [`SearchRun`] it is
+/// given is exhausted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RlPlannerConfig {
-    /// Total number of training episodes (the paper trains for 600 epochs on
-    /// its benchmarks; examples and tests use far fewer).
-    pub episodes: usize,
     /// Episodes collected per PPO update.
     pub episodes_per_update: usize,
     /// Environments stepped concurrently while collecting episodes (1 =
@@ -28,27 +27,19 @@ pub struct RlPlannerConfig {
     /// transitions merge in episode order, so any value produces the
     /// bit-identical trajectory — only wall-clock changes.
     pub parallel_envs: usize,
-    /// Enables the RND exploration bonus (the "RLPlanner (RND)" variant).
-    pub use_rnd: bool,
     /// PPO hyper-parameters.
     pub ppo: PpoConfig,
     /// Agent network hyper-parameters.
     pub agent: AgentConfig,
     /// Environment parameters.
     pub env: EnvConfig,
-    /// Random seed for action sampling and minibatch shuffling.
-    pub seed: u64,
-    /// Optional wall-clock budget; training stops early when exceeded.
-    pub time_budget: Option<Duration>,
 }
 
 impl Default for RlPlannerConfig {
     fn default() -> Self {
         Self {
-            episodes: 600,
             episodes_per_update: 8,
             parallel_envs: 1,
-            use_rnd: false,
             ppo: PpoConfig {
                 learning_rate: 1e-3,
                 minibatch_size: 32,
@@ -56,8 +47,6 @@ impl Default for RlPlannerConfig {
             },
             agent: AgentConfig::default(),
             env: EnvConfig::default(),
-            seed: 0,
-            time_budget: None,
         }
     }
 }
@@ -69,12 +58,6 @@ impl RlPlannerConfig {
     ///
     /// Returns a typed [`ConfigError`] describing the first invalid field.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.episodes == 0 {
-            return Err(ConfigError::ExpectedPositive {
-                field: "episodes",
-                value: 0.0,
-            });
-        }
         if self.episodes_per_update == 0 {
             return Err(ConfigError::ExpectedPositive {
                 field: "episodes_per_update",
@@ -128,8 +111,8 @@ pub struct TrainingResult {
     pub best_placement: Placement,
     /// Reward breakdown of the best placement.
     pub best_breakdown: RewardBreakdown,
-    /// Number of episodes actually run (may be fewer than configured when a
-    /// time budget is set).
+    /// Number of episodes actually run (may be fewer than the evaluation
+    /// cap when a time limit is set).
     pub episodes_run: usize,
     /// Wall-clock training time.
     pub runtime: Duration,
@@ -169,7 +152,9 @@ pub struct RlPlanner {
 }
 
 impl RlPlanner {
-    /// Builds a planner for a system with the given thermal backend.
+    /// Builds a planner for a system with the given thermal backend. `seed`
+    /// seeds action sampling and minibatch shuffling; `rnd` adds the RND
+    /// exploration bonus (the "RLPlanner (RND)" variant).
     ///
     /// # Errors
     ///
@@ -180,6 +165,8 @@ impl RlPlanner {
         analyzer: AnyThermalAnalyzer,
         reward_config: RewardConfig,
         config: RlPlannerConfig,
+        seed: u64,
+        rnd: bool,
     ) -> Result<Self, ConfigError> {
         config.validate()?;
         reward_config.validate()?;
@@ -189,14 +176,10 @@ impl RlPlanner {
             .collect();
         let observation_shape = envs[0].observation_shape();
         let action_count = envs[0].action_count();
-        let pool = VecEnvPool::new(envs, config.seed).expect("parallel_envs validated positive");
+        let pool = VecEnvPool::new(envs, seed).expect("parallel_envs validated positive");
         let model = build_actor_critic(&observation_shape, action_count, &config.agent);
-        let agent = PpoAgent::new(model, config.ppo.clone(), config.seed);
-        let rnd = if config.use_rnd {
-            Some(build_rnd(&observation_shape, &config.agent))
-        } else {
-            None
-        };
+        let agent = PpoAgent::new(model, config.ppo.clone(), seed);
+        let rnd = rnd.then(|| build_rnd(&observation_shape, &config.agent));
         Ok(Self {
             pool,
             agent,
@@ -217,17 +200,21 @@ impl RlPlanner {
         &self.pool.envs()[0]
     }
 
-    /// Runs the training loop and returns the best floorplan found,
-    /// reporting every finished episode to `on_candidate` (see
-    /// [`OnCandidate`]) as it happens.
+    /// Runs the training loop until `search` is exhausted and returns the
+    /// best floorplan found, recording every finished episode in `search`
+    /// as it happens. `search` must be bounded: [`crate::search_run`] caps
+    /// an RL run at [`crate::DEFAULT_RL_EPISODES`] when its request sets no
+    /// evaluation budget.
     ///
     /// Episodes are collected through the vectorised rollout engine
     /// ([`rlp_rl::PpoAgent::collect_episodes_parallel`]) over the pool's
     /// `parallel_envs` environments; transitions merge in episode order, so
     /// the trajectory (and everything downstream) is independent of the
-    /// parallelism level. The wall-clock budget is checked once per
-    /// collection batch, before the previous batch's pending update is paid
-    /// for; the last batch's update is left pending (see [`RlPlanner`]).
+    /// parallelism level. A batch is at most `episodes_per_update` episodes,
+    /// fewer when the evaluation cap leaves fewer. The time limit is checked
+    /// once per collection batch, before the previous batch's pending update
+    /// is paid for; the last batch's update is left pending (see
+    /// [`RlPlanner`]).
     ///
     /// `initial` is an optional warm start (see
     /// [`crate::FloorplanRequestBuilder::warm_start`]): it seeds the
@@ -243,19 +230,17 @@ impl RlPlanner {
     pub fn train(
         &mut self,
         initial: Option<(Placement, RewardBreakdown)>,
-        on_candidate: &mut OnCandidate<'_>,
+        search: &mut SearchRun<'_>,
     ) -> Result<TrainingResult, TrainingStalled> {
         // Episode rewards are the candidate stream; the best artifact is kept
         // apart from it, because a warm start seeds the artifact but not the
         // stream and an incomplete episode has a reward but no artifact.
-        let mut search = SearchRun::new(None, self.config.time_budget, on_candidate);
         let mut best: Option<(Placement, RewardBreakdown)> = initial;
         let mut merge_order_hash = FNV_OFFSET;
 
-        while search.evaluations() < self.config.episodes && !search.exhausted() {
+        while !search.exhausted() {
             self.run_pending_update();
-            let batch =
-                (self.config.episodes - search.evaluations()).min(self.config.episodes_per_update);
+            let batch = search.capped(self.config.episodes_per_update);
             // Recording never touches the agent, the pool or the RNG, so
             // trajectories are identical with metrics on or off.
             let timer = Stopwatch::start();
@@ -396,24 +381,39 @@ mod tests {
         )
     }
 
-    fn train_silently(planner: &mut RlPlanner) -> TrainingResult {
-        planner.train(None, &mut |_, _, _| {}).unwrap()
+    /// Builds a planner for the small system on seed 0.
+    fn planner(config: RlPlannerConfig, rnd: bool) -> RlPlanner {
+        RlPlanner::new(
+            small_system(),
+            fast_model(36.0),
+            RewardConfig::default(),
+            config,
+            0,
+            rnd,
+        )
+        .unwrap()
     }
 
-    /// Trains and returns the result with the streamed episode rewards.
-    fn train_recording(planner: &mut RlPlanner) -> (TrainingResult, Vec<f64>) {
+    /// Trains for `episodes` episodes, silently.
+    fn train_silently(planner: &mut RlPlanner, episodes: usize) -> TrainingResult {
+        let mut silent = |_, _, _| {};
+        let mut search = SearchRun::new(Some(episodes), None, &mut silent);
+        planner.train(None, &mut search).unwrap()
+    }
+
+    /// Trains for `episodes` episodes and returns the result with the
+    /// streamed episode rewards.
+    fn train_recording(planner: &mut RlPlanner, episodes: usize) -> (TrainingResult, Vec<f64>) {
         let mut rewards = Vec::new();
-        let result = planner
-            .train(None, &mut |_, reward, _| rewards.push(reward))
-            .unwrap();
+        let mut on_candidate = |_, reward, _| rewards.push(reward);
+        let mut search = SearchRun::new(Some(episodes), None, &mut on_candidate);
+        let result = planner.train(None, &mut search).unwrap();
         (result, rewards)
     }
 
-    fn quick_config(episodes: usize, use_rnd: bool) -> RlPlannerConfig {
+    fn quick_config() -> RlPlannerConfig {
         RlPlannerConfig {
-            episodes,
             episodes_per_update: 4,
-            use_rnd,
             env: EnvConfig {
                 grid: (12, 12),
                 min_spacing_mm: 0.2,
@@ -432,14 +432,7 @@ mod tests {
     #[test]
     fn training_produces_a_legal_best_placement() {
         let system = small_system();
-        let mut planner = RlPlanner::new(
-            system.clone(),
-            fast_model(36.0),
-            RewardConfig::default(),
-            quick_config(12, false),
-        )
-        .unwrap();
-        let (result, rewards) = train_recording(&mut planner);
+        let (result, rewards) = train_recording(&mut planner(quick_config(), false), 12);
         assert_eq!(result.episodes_run, 12);
         assert_eq!(rewards.len(), 12);
         assert!(rewards.iter().all(|reward| reward.is_finite()));
@@ -453,55 +446,33 @@ mod tests {
 
     #[test]
     fn rnd_variant_trains_too() {
-        let system = small_system();
-        let mut planner = RlPlanner::new(
-            system,
-            fast_model(36.0),
-            RewardConfig::default(),
-            quick_config(8, true),
-        )
-        .unwrap();
-        let result = train_silently(&mut planner);
+        let result = train_silently(&mut planner(quick_config(), true), 8);
         assert!(result.best_placement.is_complete());
     }
 
     #[test]
-    fn time_budget_stops_training_early() {
-        let system = small_system();
-        let mut planner = RlPlanner::new(
-            system,
-            fast_model(36.0),
-            RewardConfig::default(),
-            RlPlannerConfig {
-                time_budget: Some(Duration::from_millis(1)),
-                ..quick_config(1000, false)
-            },
-        )
-        .unwrap();
-        let result = train_silently(&mut planner);
+    fn the_time_limit_stops_training_early() {
+        let mut planner = planner(quick_config(), false);
+        let mut silent = |_, _, _| {};
+        let mut search = SearchRun::new(Some(1000), Some(Duration::from_millis(1)), &mut silent);
+        let result = planner.train(None, &mut search).unwrap();
         assert!(result.episodes_run < 1000);
     }
 
     #[test]
     fn parallel_envs_never_change_the_training_result() {
-        let train = |parallel_envs: usize, use_rnd: bool| {
-            let mut planner = RlPlanner::new(
-                small_system(),
-                fast_model(36.0),
-                RewardConfig::default(),
-                RlPlannerConfig {
-                    parallel_envs,
-                    ..quick_config(8, use_rnd)
-                },
-            )
-            .unwrap();
-            let (result, rewards) = train_recording(&mut planner);
+        let train = |parallel_envs: usize, rnd: bool| {
+            let config = RlPlannerConfig {
+                parallel_envs,
+                ..quick_config()
+            };
+            let (result, rewards) = train_recording(&mut planner(config, rnd), 8);
             (result.best_placement, result.best_breakdown, rewards)
         };
-        for use_rnd in [false, true] {
-            let serial = train(1, use_rnd);
-            assert_eq!(serial, train(2, use_rnd), "2 envs diverged (rnd={use_rnd})");
-            assert_eq!(serial, train(3, use_rnd), "3 envs diverged (rnd={use_rnd})");
+        for rnd in [false, true] {
+            let serial = train(1, rnd);
+            assert_eq!(serial, train(2, rnd), "2 envs diverged (rnd={rnd})");
+            assert_eq!(serial, train(3, rnd), "3 envs diverged (rnd={rnd})");
         }
     }
 
@@ -511,18 +482,12 @@ mod tests {
         // run it before its first batch collects, or the second run's
         // episodes and final weights would differ.
         let run = |export_between: bool| {
-            let mut planner = RlPlanner::new(
-                small_system(),
-                fast_model(36.0),
-                RewardConfig::default(),
-                quick_config(8, true),
-            )
-            .unwrap();
-            train_silently(&mut planner);
+            let mut planner = planner(quick_config(), true);
+            train_silently(&mut planner, 8);
             if export_between {
                 planner.export_policy(Vec::new());
             }
-            let (_, rewards) = train_recording(&mut planner);
+            let (_, rewards) = train_recording(&mut planner, 8);
             (rewards, planner.export_policy(Vec::new()).checksum())
         };
         assert_eq!(run(true), run(false));
@@ -531,17 +496,11 @@ mod tests {
     #[test]
     fn training_result_reports_rollout_telemetry() {
         let run = || {
-            let mut planner = RlPlanner::new(
-                small_system(),
-                fast_model(36.0),
-                RewardConfig::default(),
-                RlPlannerConfig {
-                    parallel_envs: 2,
-                    ..quick_config(8, false)
-                },
-            )
-            .unwrap();
-            train_silently(&mut planner)
+            let config = RlPlannerConfig {
+                parallel_envs: 2,
+                ..quick_config()
+            };
+            train_silently(&mut planner(config, false), 8)
         };
         let result = run();
         assert_eq!(result.parallel_envs, 2);
@@ -554,12 +513,12 @@ mod tests {
     fn invalid_config_is_rejected_by_the_constructor() {
         assert!(matches!(
             RlPlannerConfig {
-                episodes: 0,
+                episodes_per_update: 0,
                 ..RlPlannerConfig::default()
             }
             .validate(),
             Err(ConfigError::ExpectedPositive {
-                field: "episodes",
+                field: "episodes_per_update",
                 ..
             })
         ));
@@ -599,30 +558,26 @@ mod tests {
             fast_model(36.0),
             RewardConfig::default(),
             RlPlannerConfig {
-                episodes: 0,
-                ..quick_config(1, false)
+                episodes_per_update: 0,
+                ..quick_config()
             },
+            0,
+            false,
         )
         .unwrap_err();
-        assert_eq!(err.field(), "episodes");
+        assert_eq!(err.field(), "episodes_per_update");
     }
 
     #[test]
     fn on_candidate_sees_every_episode_in_order() {
-        let system = small_system();
-        let mut planner = RlPlanner::new(
-            system,
-            fast_model(36.0),
-            RewardConfig::default(),
-            quick_config(8, false),
-        )
-        .unwrap();
         let mut episodes = Vec::new();
-        let result = planner
-            .train(None, &mut |index, reward, best_reward| {
-                assert_eq!(index, episodes.len(), "episode indices must be dense");
-                episodes.push((reward, best_reward));
-            })
+        let mut on_candidate = |index, reward, best_reward| {
+            assert_eq!(index, episodes.len(), "episode indices must be dense");
+            episodes.push((reward, best_reward));
+        };
+        let mut search = SearchRun::new(Some(8), None, &mut on_candidate);
+        let result = planner(quick_config(), false)
+            .train(None, &mut search)
             .unwrap();
         assert_eq!(episodes.len(), result.episodes_run);
         // The best-so-far series is the running maximum of the streamed

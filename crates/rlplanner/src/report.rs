@@ -41,6 +41,7 @@
 //!   "telemetry": [ { "index": 0, "reward": -2.5, "best_reward": -2.5 } ],
 //!   "manifest": {
 //!     "seed": 7,
+//!     "budget": null | { "evaluations": 600 } | { "time_limit_s": 30 },
 //!     "method": { "kind": "rl" | "rl-rnd" | "sa" | "gradient" | "pretrained", ... },
 //!     "thermal": { "kind": "grid" | "fast", ... },
 //!     "reward": { "lambda": 0.0003, ... },
@@ -69,14 +70,16 @@
 //! thermal analyzer was obtained — characterised from scratch
 //! (`cache_misses`) or served from a shared characterisation cache
 //! (`cache_hits`) — and the analyzer-construction wall-clock, so cache
-//! regressions are visible in `--json` output. The `manifest` object carries the
-//! fully-resolved configuration of the run — every hyper-parameter after
-//! request-level overrides — so a run can be reproduced from its report
-//! alone (`method.kind` selects which method fields follow, mirroring
-//! [`crate::Method`]; `thermal.kind` mirrors
-//! [`rlp_thermal::ThermalBackend`]; `warm_start` records whether the run
-//! was seeded by the gradient presolve, which changes results and must be
-//! replayed).
+//! regressions are visible in `--json` output. The `manifest` object carries
+//! everything the run depended on, so a run can be reproduced from its
+//! report alone: `seed` is the seed it used (0 when the request set none)
+//! and `budget` the request's budget in the request document's encoding;
+//! `method` is every hyper-parameter of the method, with the request's
+//! `parallel_envs` folded in (`method.kind` selects which method fields
+//! follow, mirroring [`crate::Method`]; a method object carries no seed
+//! or budget); `thermal.kind` mirrors [`rlp_thermal::ThermalBackend`];
+//! `warm_start` records whether the run was seeded by the gradient
+//! presolve, which changes results and must be replayed.
 //!
 //! # Request document ([`request_json`])
 //!
@@ -104,17 +107,17 @@
 //! in full (chiplet footprints/powers at full precision, nets by chiplet
 //! index in insertion order), so the receiver needs no out-of-band
 //! benchmark registry. `method`/`thermal`/`reward` reuse the manifest
-//! object shapes above; `budget`, `seed` and `parallel_envs` are the
-//! *request-level overrides* (`null` when unset), not the resolved values —
-//! rendering a parsed request reproduces the original document byte for
-//! byte; `warm_start` asks the solver to seed its optimiser with a
+//! object shapes above; `budget` and `seed` are the run's only budget and
+//! seed and `parallel_envs` an override of the method's (each `null` when
+//! unset) — rendering a parsed request reproduces the original document
+//! byte for byte; `warm_start` asks the solver to seed its optimiser with a
 //! gradient-descent presolve. A request carrying a prebuilt analyzer renders only its backend
 //! description; the analyzer itself never crosses the wire (the serving
 //! side re-attaches one from its own cache).
 
-use crate::codec::{method, thermal, Record};
+use crate::codec::{budget, method, thermal, Record};
 use crate::outcome::FloorplanOutcome;
-use crate::request::{Budget, FloorplanRequest};
+use crate::request::FloorplanRequest;
 use rlp_chiplet::{ChipletSystem, Placement, Rotation};
 use rlp_obs::json::{Layout, Writer};
 
@@ -193,6 +196,7 @@ pub fn write_outcome(w: &mut Writer, system: &ChipletSystem, outcome: &Floorplan
         let manifest = &outcome.manifest;
         w.key("manifest").object(Layout::Block, |w| {
             w.field("seed", manifest.seed);
+            budget::write(&manifest.budget, w.key("budget"));
             method::write(&manifest.method, w.key("method"));
             thermal::write(&manifest.thermal, w.key("thermal"));
             manifest.reward.write(w.key("reward"));
@@ -237,26 +241,7 @@ pub fn request_json(request: &FloorplanRequest) -> String {
         method::write(request.method(), w.key("method"));
         thermal::write(request.thermal(), w.key("thermal"));
         request.reward().write(w.key("reward"));
-        let budget = w.key("budget");
-        match request.budget() {
-            None => {
-                budget.null();
-            }
-            Some(Budget::Evaluations(n)) => {
-                budget.object(Layout::Inline, |w| {
-                    w.field("evaluations", n);
-                });
-            }
-            Some(Budget::TimeLimit(limit)) => {
-                budget.object(Layout::Inline, |w| {
-                    w.field("time_limit_s", limit);
-                });
-            }
-            // `Budget` is non-exhaustive for downstream code; this crate
-            // owns the full variant list.
-            #[allow(unreachable_patterns)]
-            Some(_) => unreachable!("unrendered budget variant"),
-        }
+        budget::write(&request.budget(), w.key("budget"));
         w.field("seed", request.seed())
             .field("parallel_envs", request.parallel_envs())
             .field("warm_start", request.warm_start());
@@ -335,6 +320,7 @@ mod tests {
                 thermal: ThermalBackend::fast(),
                 reward: RewardConfig::default(),
                 seed: 7,
+                budget: None,
                 warm_start: false,
             },
         }
@@ -419,7 +405,7 @@ mod tests {
             .contains("\"thermal_prep\": { \"cache_hits\": 1, \"cache_misses\": 0, \"characterization_s\": 0 }"));
         assert!(json.contains("\"kind\": \"rl-rnd\""));
         assert!(json.contains("\"kind\": \"fast\""));
-        assert!(json.contains("\"seed\": 7"));
+        assert!(json.contains("\"seed\": 7,\n    \"budget\": null,\n    \"method\": {"));
         assert!(json.contains("\"index\": 1"));
         // The manifest records the full PPO and agent hyper-parameters.
         assert!(json.contains("\"gamma\": 0.99"));
@@ -441,8 +427,8 @@ mod tests {
         assert!(json.contains("\"training\": null"));
         let kind = json.find("\"kind\": \"sa\"").unwrap();
         let cooling = json.find("\"cooling_rate\"").unwrap();
-        let max_evals = json.find("\"max_evaluations\"").unwrap();
-        assert!(kind < cooling && cooling < max_evals);
+        let grid = json.find("\"grid\": [16, 16]").unwrap();
+        assert!(kind < cooling && cooling < grid);
     }
 
     #[test]
@@ -450,15 +436,17 @@ mod tests {
         let (sys, placement) = system_with(&["cpu"]);
         let mut outcome = outcome_for(&sys, placement);
         outcome.manifest.method = Method::gradient();
+        outcome.manifest.budget = Some(crate::Budget::Evaluations(60));
         outcome.manifest.warm_start = true;
         outcome.training = None;
         let json = outcome_json(&sys, &outcome);
+        let budget = json.find("\"budget\": { \"evaluations\": 60 }").unwrap();
         let kind = json.find("\"kind\": \"gradient\"").unwrap();
         let restarts = json.find("\"restarts\": 4").unwrap();
         let lr = json.find("\"learning_rate\"").unwrap();
-        let max_evals = json.find("\"max_evaluations\"").unwrap();
+        let grid = json.find("\"grid\": [16, 16]").unwrap();
         let warm = json.find("\"warm_start\": true").unwrap();
-        assert!(kind < restarts && restarts < lr && lr < max_evals && max_evals < warm);
+        assert!(budget < kind && kind < restarts && restarts < lr && lr < grid && grid < warm);
         assert!(json.contains("\"sharpness_growth\": 1.02"));
     }
 }

@@ -4,7 +4,9 @@
 //! as plain data: *which system* to floorplan, *which method* to use
 //! ([`Method`]), *which thermal backend* to put in the loop
 //! ([`rlp_thermal::ThermalBackend`]), the reward weights, an optional
-//! [`Budget`] and an optional seed override. Requests are built through
+//! [`Budget`] and an optional seed. The request is the only home of a
+//! run's budget and seed: no method configuration carries either. Requests
+//! are built through
 //! [`FloorplanRequest::builder`], which validates every nested
 //! configuration and returns a typed [`ConfigError`] instead of panicking,
 //! and solved through [`FloorplanRequest::solve`] (or
@@ -46,10 +48,6 @@ pub struct PretrainedConfig {
     /// the file's checksum differs — the replay-integrity knob. The
     /// manifest always records the checksum that actually ran.
     pub checksum: Option<u64>,
-    /// Seed recorded in the manifest. The greedy rollout draws no random
-    /// numbers, so this never changes the result; it exists so replayed
-    /// manifests stay uniform across methods.
-    pub seed: u64,
 }
 
 impl PretrainedConfig {
@@ -77,12 +75,12 @@ impl PretrainedConfig {
 pub enum Method {
     /// PPO training — the paper's "RLPlanner".
     Rl {
-        /// Full training configuration (`use_rnd` is forced off).
+        /// Full training configuration.
         config: RlPlannerConfig,
     },
     /// PPO training with the RND exploration bonus — "RLPlanner (RND)".
     RlRnd {
-        /// Full training configuration (`use_rnd` is forced on).
+        /// Full training configuration.
         config: RlPlannerConfig,
     },
     /// The TAP-2.5D simulated-annealing baseline.
@@ -100,7 +98,7 @@ pub enum Method {
     /// optimiser allocation, no RND. One argmax episode, milliseconds
     /// instead of minutes.
     Pretrained {
-        /// Policy file path, optional expected checksum, manifest seed.
+        /// Policy file path and optional expected checksum.
         config: PretrainedConfig,
     },
 }
@@ -223,18 +221,6 @@ impl Method {
         }
     }
 
-    /// The seed baked into the method's own configuration — what a run
-    /// uses when the request carries no seed override (see
-    /// [`FloorplanRequest::resolved_seed`]).
-    pub fn config_seed(&self) -> u64 {
-        match self {
-            Method::Rl { config } | Method::RlRnd { config } => config.seed,
-            Method::Sa { config } => config.seed,
-            Method::Gradient { config } => config.seed,
-            Method::Pretrained { config } => config.seed,
-        }
-    }
-
     /// Validates the method's nested configuration.
     fn validate(&self) -> Result<(), ConfigError> {
         match self {
@@ -263,15 +249,28 @@ fn sa_config_error(err: SaConfigError) -> ConfigError {
 
 /// How much work a run may spend, in method-agnostic terms.
 ///
-/// Both methods consume their budget one *complete floorplan* at a time —
-/// an RL training episode and an SA objective evaluation each correspond to
-/// one candidate floorplan — so [`Budget::Evaluations`] is directly
-/// comparable across methods (the paper's Table I protocol).
+/// Every method spends its budget one *complete floorplan* at a time — an
+/// RL training episode, an SA objective evaluation and a legalised gradient
+/// iterate each count as one candidate floorplan — so
+/// [`Budget::Evaluations`] is directly comparable across methods (the
+/// paper's Table I protocol). What a budget means per method:
+///
+/// - **RL** (`rl`, `rl-rnd`) has no schedule of its own: `Evaluations(n)`
+///   is the number of training episodes, and a run without an evaluation
+///   budget trains for [`crate::DEFAULT_RL_EPISODES`] (600) episodes,
+///   stopping earlier under a `TimeLimit`.
+/// - **SA** and **gradient** run their own schedule (the anneal's
+///   temperature steps, the descent's iterations); a budget only caps it,
+///   so a run may end before spending it.
+/// - **Pretrained** ignores the budget: it is one greedy rollout.
+///
+/// A request's budget and seed are the only ones a run has; the outcome
+/// manifest records both, so a replay runs under the same budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Budget {
-    /// Number of candidate floorplans: RL training episodes, or SA objective
-    /// evaluations.
+    /// Number of candidate floorplans: RL training episodes, SA objective
+    /// evaluations or gradient iterates.
     Evaluations(usize),
     /// Wall-clock limit; the run stops early once it is exceeded.
     TimeLimit(Duration),
@@ -390,13 +389,12 @@ impl FloorplanRequest {
 
     /// Rebuilds the request a manifest describes, for reproducing a run.
     ///
-    /// The manifest stores the fully-resolved method, backend, reward and
-    /// seed, so solving the rebuilt request with the same `system` replays
-    /// the same configuration. Replay is bit-for-bit reproducible when the
-    /// original run was bounded by [`Budget::Evaluations`] (or its method
-    /// config's own evaluation counts); a run bounded by wall clock
-    /// ([`Budget::TimeLimit`]) replays the same schedule but may stop after
-    /// a different number of candidates on a differently-loaded machine.
+    /// The manifest stores the method, backend, reward, budget and seed, so
+    /// solving the rebuilt request with the same `system` replays the same
+    /// configuration. Replay is bit-for-bit reproducible unless the
+    /// original run was bounded by wall clock ([`Budget::TimeLimit`]): such
+    /// a run replays the same schedule but may stop after a different
+    /// number of candidates on a differently-loaded machine.
     ///
     /// # Errors
     ///
@@ -419,14 +417,17 @@ impl FloorplanRequest {
                 ),
             });
         }
-        Self::builder()
+        let mut builder = Self::builder()
             .system(system)
             .method(manifest.method.clone())
             .thermal(manifest.thermal.clone())
             .reward(manifest.reward.clone())
             .seed(manifest.seed)
-            .warm_start(manifest.warm_start)
-            .build()
+            .warm_start(manifest.warm_start);
+        if let Some(budget) = manifest.budget {
+            builder = builder.budget(budget);
+        }
+        builder.build()
     }
 
     /// The system to floorplan.
@@ -471,12 +472,13 @@ impl FloorplanRequest {
         &self.reward
     }
 
-    /// The budget override, if any.
+    /// The run's budget, if any (see [`Budget`] for what each method does
+    /// without one).
     pub fn budget(&self) -> Option<Budget> {
         self.budget
     }
 
-    /// The seed override, if any.
+    /// The run's seed, if set; a run without one uses seed 0.
     pub fn seed(&self) -> Option<u64> {
         self.seed
     }
@@ -509,71 +511,17 @@ impl FloorplanRequest {
         self.preloaded_policy.as_ref()
     }
 
-    /// The method with the request-level budget and seed overrides folded
-    /// into its configuration — what a run actually executes and what the
-    /// outcome manifest records.
+    /// The method with the request's `parallel_envs` override folded into
+    /// an RL configuration — what a run actually executes and what the
+    /// outcome manifest records. Every other method comes back unchanged.
     pub fn resolved_method(&self) -> Method {
-        match &self.method {
-            Method::Rl { config } | Method::RlRnd { config } => {
-                let mut config = config.clone();
-                config.use_rnd = matches!(self.method, Method::RlRnd { .. });
-                match self.budget {
-                    Some(Budget::Evaluations(n)) => config.episodes = n,
-                    Some(Budget::TimeLimit(limit)) => config.time_budget = Some(limit),
-                    None => {}
-                }
-                if let Some(seed) = self.seed {
-                    config.seed = seed;
-                }
-                if let Some(parallel_envs) = self.parallel_envs {
-                    config.parallel_envs = parallel_envs;
-                }
-                if config.use_rnd {
-                    Method::RlRnd { config }
-                } else {
-                    Method::Rl { config }
-                }
-            }
-            Method::Sa { config } => {
-                let mut config = config.clone();
-                match self.budget {
-                    Some(Budget::Evaluations(n)) => config.max_evaluations = Some(n),
-                    Some(Budget::TimeLimit(limit)) => config.time_budget = Some(limit),
-                    None => {}
-                }
-                if let Some(seed) = self.seed {
-                    config.seed = seed;
-                }
-                Method::Sa { config }
-            }
-            Method::Gradient { config } => {
-                let mut config = config.clone();
-                match self.budget {
-                    Some(Budget::Evaluations(n)) => config.max_evaluations = Some(n),
-                    Some(Budget::TimeLimit(limit)) => config.time_budget = Some(limit),
-                    None => {}
-                }
-                if let Some(seed) = self.seed {
-                    config.seed = seed;
-                }
-                Method::Gradient { config }
-            }
-            Method::Pretrained { config } => {
-                // Inference is exactly one greedy rollout: budget and
-                // parallelism overrides have nothing to scale, so only the
-                // seed folds in (manifest bookkeeping).
-                let mut config = config.clone();
-                if let Some(seed) = self.seed {
-                    config.seed = seed;
-                }
-                Method::Pretrained { config }
-            }
+        let mut method = self.method.clone();
+        if let (Method::Rl { config } | Method::RlRnd { config }, Some(parallel_envs)) =
+            (&mut method, self.parallel_envs)
+        {
+            config.parallel_envs = parallel_envs;
         }
-    }
-
-    /// The seed the run actually uses (override, or the method config's).
-    pub fn resolved_seed(&self) -> u64 {
-        self.seed.unwrap_or(self.method.config_seed())
+        method
     }
 }
 
@@ -651,14 +599,14 @@ impl FloorplanRequestBuilder {
         self
     }
 
-    /// Budget override applied on top of the method configuration.
+    /// The run's budget (default: none; see [`Budget`]).
     #[must_use]
     pub fn budget(mut self, budget: Budget) -> Self {
         self.budget = Some(budget);
         self
     }
 
-    /// Seed override applied on top of the method configuration.
+    /// The run's seed (default: 0).
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = Some(seed);
@@ -828,13 +776,13 @@ mod tests {
             .system(tiny_system())
             .method(Method::Rl {
                 config: RlPlannerConfig {
-                    episodes: 0,
+                    episodes_per_update: 0,
                     ..RlPlannerConfig::default()
                 },
             })
             .build()
             .unwrap_err();
-        assert_eq!(err.field(), "episodes");
+        assert_eq!(err.field(), "episodes_per_update");
 
         let err = FloorplanRequest::builder()
             .system(tiny_system())
@@ -908,50 +856,6 @@ mod tests {
     }
 
     #[test]
-    fn resolved_method_folds_budget_seed_and_rnd_flag() {
-        let request = FloorplanRequest::builder()
-            .system(tiny_system())
-            .method(Method::rl_rnd())
-            .budget(Budget::Evaluations(25))
-            .seed(9)
-            .build()
-            .unwrap();
-        let Method::RlRnd { config } = request.resolved_method() else {
-            panic!("method variant must be preserved");
-        };
-        assert!(config.use_rnd);
-        assert_eq!(config.episodes, 25);
-        assert_eq!(config.seed, 9);
-        assert_eq!(request.resolved_seed(), 9);
-
-        let request = FloorplanRequest::builder()
-            .system(tiny_system())
-            .method(Method::sa())
-            .budget(Budget::TimeLimit(Duration::from_millis(5)))
-            .build()
-            .unwrap();
-        let Method::Sa { config } = request.resolved_method() else {
-            panic!("method variant must be preserved");
-        };
-        assert_eq!(config.time_budget, Some(Duration::from_millis(5)));
-        assert_eq!(request.resolved_seed(), SaConfig::default().seed);
-
-        let request = FloorplanRequest::builder()
-            .system(tiny_system())
-            .method(Method::gradient())
-            .budget(Budget::Evaluations(40))
-            .seed(3)
-            .build()
-            .unwrap();
-        let Method::Gradient { config } = request.resolved_method() else {
-            panic!("method variant must be preserved");
-        };
-        assert_eq!(config.max_evaluations, Some(40));
-        assert_eq!(config.seed, 3);
-        assert_eq!(request.resolved_seed(), 3);
-    }
-
-    #[test]
     fn parallel_envs_override_folds_into_rl_methods_only() {
         let request = FloorplanRequest::builder()
             .system(tiny_system())
@@ -965,14 +869,26 @@ mod tests {
         };
         assert_eq!(config.parallel_envs, 4);
 
-        // SA ignores the knob (it has no rollout pool).
+        // SA ignores the knob (it has no rollout pool), and the budget and
+        // seed stay on the request: no method is changed by them.
+        for method in [Method::sa(), Method::rl_rnd(), Method::gradient()] {
+            let request = FloorplanRequest::builder()
+                .system(tiny_system())
+                .method(method.clone())
+                .parallel_envs(1)
+                .budget(Budget::Evaluations(25))
+                .seed(9)
+                .build()
+                .unwrap();
+            assert_eq!(request.resolved_method(), method);
+        }
         let request = FloorplanRequest::builder()
             .system(tiny_system())
             .method(Method::sa())
             .parallel_envs(4)
             .build()
             .unwrap();
-        assert!(matches!(request.resolved_method(), Method::Sa { .. }));
+        assert_eq!(request.resolved_method(), Method::sa());
 
         // Zero workers is rejected at build time.
         let err = FloorplanRequest::builder()

@@ -7,7 +7,7 @@ use rlp_benchmarks::system_by_name;
 use rlp_thermal::{CharacterizationOptions, ThermalBackend, ThermalConfig};
 use rlplanner::{
     Budget, FloorplanRequest, GradientConfig, GradientDescent, Method, RewardConfig,
-    RlPlannerConfig,
+    RlPlannerConfig, SearchRun,
 };
 
 fn counter(name: &str) -> u64 {
@@ -99,12 +99,11 @@ fn rl_sa_and_gradient_runs_record_their_counts() {
         RewardConfig::default(),
         GradientConfig {
             iterations: 30,
-            seed: 5,
             ..GradientConfig::default()
         },
     )
     .unwrap()
-    .run(&mut |_, _, _| {})
+    .run(5, &mut SearchRun::new(None, None, &mut |_, _, _| {}))
     .unwrap();
     assert_eq!(
         counter("grad.iterations") - iterations,

@@ -8,7 +8,6 @@
 //! so the documents are deterministic.
 
 use rlp_chiplet::{Chiplet, ChipletSystem, Net, Placement, Position, Rotation};
-use rlp_sa::SaConfig;
 use rlp_thermal::{ThermalBackend, ThermalConfig, ThermalPrep};
 use rlplanner::report::{outcome_json, placement_json, request_json};
 use rlplanner::{
@@ -90,6 +89,7 @@ fn outcome(sys: &ChipletSystem, method: Method, thermal: ThermalBackend) -> Floo
             thermal,
             reward: RewardConfig::default(),
             seed: 7,
+            budget: None,
             warm_start: false,
         },
     }
@@ -120,32 +120,28 @@ fn outcomes(sys: &ChipletSystem) -> Vec<(&'static str, FloorplanOutcome)> {
     rl_rnd.breakdown.max_temperature_c = f64::INFINITY;
     rl_rnd.telemetry[1].reward = f64::INFINITY;
     rl_rnd.telemetry[1].best_reward = f64::NEG_INFINITY;
+    rl_rnd.manifest.budget = Some(Budget::TimeLimit(Duration::from_secs_f64(1.5)));
 
-    let sa = outcome(
+    let mut sa = outcome(
         sys,
-        Method::Sa {
-            config: SaConfig {
-                max_evaluations: Some(40),
-                time_budget: Some(Duration::from_secs_f64(1.5)),
-                ..SaConfig::default()
-            },
-        },
+        Method::sa(),
         ThermalBackend::Grid {
             config: ThermalConfig::with_grid(12, 10),
         },
     );
+    sa.manifest.budget = Some(Budget::Evaluations(40));
 
     let mut gradient = outcome(
         sys,
         Method::Gradient {
             config: GradientConfig {
                 iterations: 80,
-                max_evaluations: Some(60),
                 ..GradientConfig::default()
             },
         },
         ThermalBackend::fast(),
     );
+    gradient.manifest.budget = Some(Budget::Evaluations(60));
     gradient.manifest.warm_start = true;
     gradient.breakdown.eval_mode = EvalMode::Full;
     gradient.evaluation.mode = EvalMode::Full;
@@ -157,7 +153,6 @@ fn outcomes(sys: &ChipletSystem) -> Vec<(&'static str, FloorplanOutcome)> {
             config: PretrainedConfig {
                 policy_path: "weights/\"gen\".policy".to_string(),
                 checksum: Some(0x00ab_cdef_0123_4567),
-                seed: (1 << 53) - 1,
             },
         },
         ThermalBackend::fast(),
@@ -255,5 +250,46 @@ fn golden_documents_parse_and_re_render_byte_for_byte() {
         let json = request_json(&request);
         let parsed = request_from_json(&json).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(request_json(&parsed), json, "{name}");
+    }
+}
+
+/// The members method objects carried before a run's seed and budget moved
+/// to the request. A document that still carries one is refused with an
+/// error naming it, never solved on the request's defaults.
+#[test]
+fn removed_method_members_are_refused_by_name() {
+    let sys = system();
+    let removed = [
+        ("seed", "3"),
+        ("time_budget_s", "null"),
+        ("max_evaluations", "40"),
+        ("episodes", "600"),
+        ("use_rnd", "false"),
+    ];
+    let refused = |doc: &str, member: &str, error: String| {
+        assert!(
+            error.contains(&format!("`{member}` is not a method member")),
+            "{doc}: {error}"
+        );
+    };
+    for (name, request) in requests() {
+        let json = request_json(&request);
+        let kind = format!("\"kind\": \"{}\",", request.method().label());
+        for (key, value) in removed {
+            let doc = json.replace(&kind, &format!("{kind} \"{key}\": {value},"));
+            assert_ne!(doc, json, "{name}");
+            let error = request_from_json(&doc).unwrap_err().to_string();
+            refused(name, &format!("method.{key}"), error);
+        }
+    }
+    for (name, outcome) in outcomes(&sys) {
+        let json = outcome_json(&sys, &outcome);
+        let kind = format!("\"kind\": \"{}\",", outcome.manifest.method.label());
+        for (key, value) in removed {
+            let doc = json.replace(&kind, &format!("{kind} \"{key}\": {value},"));
+            assert_ne!(doc, json, "{name}");
+            let error = outcome_from_json(&doc, &sys).unwrap_err().to_string();
+            refused(name, &format!("manifest.method.{key}"), error);
+        }
     }
 }

@@ -1,7 +1,9 @@
 //! Property-based round-trip tests for the `rlplanner.request/v1` wire
 //! document: any request the builder accepts must survive
 //! render → parse → render byte-identically, because the daemon relies on
-//! the parsed request being exactly what the client built.
+//! the parsed request being exactly what the client built. Seeds and
+//! budgets are drawn at request level only: no method configuration
+//! carries either.
 
 use proptest::prelude::*;
 use rlp_chiplet::{Chiplet, ChipletSystem, Net};
@@ -33,12 +35,11 @@ fn system_for(name_bits: u32, n: usize, dims: &[(f64, f64, f64)], wires: u32) ->
     sys
 }
 
-fn method_for(selector: u8, count: usize, seed: u64, knob: f64) -> Method {
+fn method_for(selector: u8, count: usize, knob: f64) -> Method {
     match selector % 4 {
         0 | 1 => {
             let config = RlPlannerConfig {
-                episodes: count,
-                seed,
+                episodes_per_update: count,
                 parallel_envs: 1 + count % 4,
                 ..RlPlannerConfig::default()
             };
@@ -53,7 +54,6 @@ fn method_for(selector: u8, count: usize, seed: u64, knob: f64) -> Method {
                 initial_temperature: 1.0 + knob * 400.0,
                 cooling_rate: 0.5 + knob * 0.49,
                 moves_per_temperature: count,
-                seed,
                 ..SaConfig::default()
             },
         },
@@ -63,8 +63,6 @@ fn method_for(selector: u8, count: usize, seed: u64, knob: f64) -> Method {
                 restarts: 1 + count % 8,
                 learning_rate: 0.05 + knob * 4.0,
                 sharpness_growth: 1.0 + knob * 0.1,
-                seed,
-                max_evaluations: count.is_multiple_of(2).then_some(count),
                 ..GradientConfig::default()
             },
         },
@@ -101,7 +99,6 @@ proptest! {
         wires in 1u32..200,
         method_selector in any::<u8>(),
         count in 1usize..500,
-        method_seed in any::<u32>(),
         knob in 0.0f64..1.0,
         thermal_selector in any::<u8>(),
         grid in 2usize..24,
@@ -117,7 +114,7 @@ proptest! {
     ) {
         let mut builder = FloorplanRequest::builder()
             .system(system_for(name_bits, n, &dims, wires))
-            .method(method_for(method_selector, count, u64::from(method_seed), knob))
+            .method(method_for(method_selector, count, knob))
             .thermal(thermal_for(thermal_selector, grid, bins, reference_power_w));
         match budget_selector % 3 {
             0 => {}

@@ -17,7 +17,7 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rlp_chiplet::{ChipletSystem, Placement, PlacementGrid};
-use rlp_obs::{obs_counter, obs_histogram, OnCandidate, Stopwatch};
+use rlp_obs::{obs_counter, obs_histogram, Stopwatch};
 use std::error::Error;
 use std::fmt;
 use std::time::Duration;
@@ -37,14 +37,6 @@ pub struct SaConfig {
     pub min_spacing_mm: f64,
     /// Placement grid resolution (columns, rows).
     pub grid: (usize, usize),
-    /// Random seed.
-    pub seed: u64,
-    /// Optional wall-clock budget; the anneal stops early when exceeded.
-    pub time_budget: Option<Duration>,
-    /// Optional cap on objective evaluations; used to give the SA baseline
-    /// the same evaluation budget as an RL training run. At least 1: the
-    /// initial placement is always evaluated.
-    pub max_evaluations: Option<usize>,
 }
 
 impl Default for SaConfig {
@@ -56,9 +48,6 @@ impl Default for SaConfig {
             moves_per_temperature: 50,
             min_spacing_mm: 0.2,
             grid: (16, 16),
-            seed: 0,
-            time_budget: None,
-            max_evaluations: None,
         }
     }
 }
@@ -116,9 +105,6 @@ impl SaConfig {
         if !(self.min_spacing_mm >= 0.0 && self.min_spacing_mm.is_finite()) {
             return Err(SaConfigError::MinSpacing(self.min_spacing_mm));
         }
-        if self.max_evaluations == Some(0) {
-            return invalid("max_evaluations must be positive");
-        }
         Ok(())
     }
 }
@@ -175,8 +161,10 @@ impl SaPlanner {
     }
 
     /// Runs the anneal on the propose/commit/reject protocol, maximising
-    /// `objective` and reporting every evaluation to `on_candidate` (see
-    /// [`OnCandidate`]; index 0 is the initial placement). Moves are
+    /// `objective` with moves drawn from a stream seeded with `seed`, and
+    /// recording every evaluation in `search` (index 0 is the initial
+    /// placement). The anneal ends when the schedule cools below the final
+    /// temperature or `search` is exhausted, whichever comes first. Moves are
     /// applied to one placement in place; `objective` evaluates each
     /// candidate against its maintained state and a rejected move is
     /// undone, so per-move cost is the objective's delta cost, not a clone
@@ -204,14 +192,10 @@ impl SaPlanner {
         &self,
         start: Option<Placement>,
         objective: &mut dyn DeltaObjective,
-        on_candidate: &mut OnCandidate<'_>,
+        seed: u64,
+        search: &mut SearchRun<'_>,
     ) -> Result<SaResult, InitialPlacementError> {
-        let search = SearchRun::new(
-            self.config.max_evaluations,
-            self.config.time_budget,
-            on_candidate,
-        );
-        let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let grid = PlacementGrid::new(self.config.grid.0, self.config.grid.1);
         let warm = start.filter(|initial| {
             initial.is_complete()
@@ -250,7 +234,7 @@ impl SaPlanner {
     /// fixed.
     fn anneal_from(
         &self,
-        mut search: SearchRun<'_>,
+        search: &mut SearchRun<'_>,
         mut rng: ChaCha8Rng,
         grid: PlacementGrid,
         mut current: Placement,
@@ -348,20 +332,33 @@ mod tests {
         sys
     }
 
-    /// Anneals from a random start on the full-evaluation path, silently.
-    fn run_full(planner: &SaPlanner, objective: &dyn Objective) -> SaResult {
+    /// Anneals from a random start on the full-evaluation path, silently,
+    /// under at most `cap` evaluations and `time_limit`.
+    fn run_bounded(
+        planner: &SaPlanner,
+        seed: u64,
+        cap: Option<usize>,
+        time_limit: Option<Duration>,
+        objective: &dyn Objective,
+    ) -> SaResult {
+        let mut silent = |_, _, _| {};
+        let mut search = SearchRun::new(cap, time_limit, &mut silent);
         planner
-            .run(None, &mut { objective }, &mut |_, _, _| {})
+            .run(None, &mut { objective }, seed, &mut search)
             .unwrap()
     }
 
-    fn quick_config(seed: u64) -> SaConfig {
+    /// [`run_bounded`] until the schedule ends.
+    fn run_full(planner: &SaPlanner, seed: u64, objective: &dyn Objective) -> SaResult {
+        run_bounded(planner, seed, None, None, objective)
+    }
+
+    fn quick_config() -> SaConfig {
         SaConfig {
             initial_temperature: 2.0,
             final_temperature: 0.01,
             cooling_rate: 0.9,
             moves_per_temperature: 40,
-            seed,
             ..SaConfig::default()
         }
     }
@@ -369,13 +366,13 @@ mod tests {
     #[test]
     fn annealing_reduces_wirelength() {
         let sys = connected_system();
-        let planner = SaPlanner::new(sys.clone(), quick_config(0));
+        let planner = SaPlanner::new(sys.clone(), quick_config());
         // Maximise the negative wirelength (i.e. minimise wirelength).
         let objective = {
             let sys = sys.clone();
             move |p: &Placement| -total_wirelength(&sys, p)
         };
-        let result = run_full(&planner, &objective);
+        let result = run_full(&planner, 0, &objective);
         assert!(result.best_objective >= result.initial_objective);
         assert!(result.accepted_moves > 0);
         assert!(result.evaluations > 10);
@@ -393,8 +390,9 @@ mod tests {
             let sys = sys.clone();
             move |p: &Placement| -total_wirelength(&sys, p)
         };
-        let r1 = run_full(&SaPlanner::new(sys.clone(), quick_config(1)), &objective);
-        let r2 = run_full(&SaPlanner::new(sys.clone(), quick_config(2)), &objective);
+        let planner = SaPlanner::new(sys.clone(), quick_config());
+        let r1 = run_full(&planner, 1, &objective);
+        let r2 = run_full(&planner, 2, &objective);
         assert!(r1.best_objective >= r1.initial_objective);
         assert!(r2.best_objective >= r2.initial_objective);
     }
@@ -402,42 +400,37 @@ mod tests {
     #[test]
     fn evaluation_budget_is_respected() {
         let sys = connected_system();
-        let config = SaConfig {
-            max_evaluations: Some(25),
-            ..quick_config(3)
-        };
-        let planner = SaPlanner::new(sys.clone(), config);
+        let planner = SaPlanner::new(sys.clone(), quick_config());
         let objective = {
             let sys = sys.clone();
             move |p: &Placement| -total_wirelength(&sys, p)
         };
-        let result = run_full(&planner, &objective);
+        let result = run_bounded(&planner, 3, Some(25), None, &objective);
         assert!(result.evaluations <= 25);
+        // A cap of one leaves the initial placement only.
+        let result = run_bounded(&planner, 9, Some(1), None, &|_: &Placement| 0.0);
+        assert_eq!(result.evaluations, 1);
     }
 
     #[test]
-    fn time_budget_stops_the_search() {
+    fn the_time_limit_stops_the_search() {
         let sys = connected_system();
-        let config = SaConfig {
-            time_budget: Some(Duration::from_millis(0)),
-            ..quick_config(4)
-        };
-        let planner = SaPlanner::new(sys.clone(), config);
+        let planner = SaPlanner::new(sys.clone(), quick_config());
         let objective = {
             let sys = sys.clone();
             move |p: &Placement| -total_wirelength(&sys, p)
         };
-        let result = run_full(&planner, &objective);
-        // Only the initial evaluation happens before the budget check trips.
+        let result = run_bounded(&planner, 4, None, Some(Duration::ZERO), &objective);
+        // Only the initial evaluation happens before the limit check trips.
         assert_eq!(result.evaluations, 1);
     }
 
     #[test]
     fn best_placement_is_always_legal() {
         let sys = connected_system();
-        let planner = SaPlanner::new(sys.clone(), quick_config(5));
+        let planner = SaPlanner::new(sys.clone(), quick_config());
         let objective = |_: &Placement| 0.0; // flat objective: accept everything
-        let result = run_full(&planner, &objective);
+        let result = run_full(&planner, 5, &objective);
         assert!(sys.validate_placement(&result.best_placement, 0.2).is_ok());
     }
 
@@ -477,18 +470,18 @@ mod tests {
     #[test]
     fn observer_sees_every_evaluation_in_order() {
         let sys = connected_system();
-        let planner = SaPlanner::new(sys.clone(), quick_config(6));
+        let planner = SaPlanner::new(sys.clone(), quick_config());
         let objective = {
             let sys = sys.clone();
             move |p: &Placement| -total_wirelength(&sys, p)
         };
         let mut best = Vec::new();
-        let result = planner
-            .run(None, &mut &objective, &mut |index, _, best_objective| {
-                assert_eq!(index, best.len(), "evaluation indices must be dense");
-                best.push(best_objective);
-            })
-            .unwrap();
+        let mut on_candidate = |index, _, best_objective| {
+            assert_eq!(index, best.len(), "evaluation indices must be dense");
+            best.push(best_objective);
+        };
+        let mut search = SearchRun::new(None, None, &mut on_candidate);
+        let result = planner.run(None, &mut &objective, 6, &mut search).unwrap();
         assert_eq!(best.len(), result.evaluations);
         // The best-so-far series is monotone non-decreasing and ends at the
         // reported best objective.
@@ -499,7 +492,7 @@ mod tests {
     #[test]
     fn warm_start_anneals_from_the_given_placement() {
         let sys = connected_system();
-        let config = quick_config(7);
+        let config = quick_config();
         let grid = PlacementGrid::new(config.grid.0, config.grid.1);
         let mut seed_rng = ChaCha8Rng::seed_from_u64(99);
         let warm =
@@ -510,8 +503,14 @@ mod tests {
             move |p: &Placement| -total_wirelength(&sys, p)
         };
         let warm_objective = -total_wirelength(&sys, &warm);
+        let mut silent = |_, _, _| {};
         let result = planner
-            .run(Some(warm.clone()), &mut &objective, &mut |_, _, _| {})
+            .run(
+                Some(warm.clone()),
+                &mut &objective,
+                7,
+                &mut SearchRun::new(None, None, &mut silent),
+            )
             .unwrap();
         // The anneal starts exactly at the supplied placement, and the best
         // result can only improve on it.
@@ -523,19 +522,21 @@ mod tests {
     #[test]
     fn illegal_warm_start_falls_back_to_the_random_path() {
         let sys = connected_system();
-        let planner = SaPlanner::new(sys.clone(), quick_config(8));
+        let planner = SaPlanner::new(sys.clone(), quick_config());
         let objective = {
             let sys = sys.clone();
             move |p: &Placement| -total_wirelength(&sys, p)
         };
-        let cold = run_full(&planner, &objective);
+        let cold = run_full(&planner, 8, &objective);
         // An incomplete placement is not a usable warm start; the fallback
         // must reproduce the cold-start trajectory bit for bit.
+        let mut silent = |_, _, _| {};
         let warm = planner
             .run(
                 Some(Placement::for_system(&sys)),
                 &mut &objective,
-                &mut |_, _, _| {},
+                8,
+                &mut SearchRun::new(None, None, &mut silent),
             )
             .unwrap();
         assert_eq!(cold.best_placement, warm.best_placement);
@@ -565,32 +566,7 @@ mod tests {
                 "{initial_temperature} -> {final_temperature}"
             );
         }
-        assert!(quick_config(0).validate().is_ok());
-    }
-
-    #[test]
-    fn a_zero_evaluation_cap_is_refused() {
-        // The initial placement is always evaluated, so a cap of 0 used to
-        // run one evaluation anyway.
-        let config = SaConfig {
-            max_evaluations: Some(0),
-            ..SaConfig::default()
-        };
-        assert_eq!(
-            config.validate(),
-            Err(SaConfigError::Invalid(
-                "max_evaluations must be positive".to_string()
-            ))
-        );
-        let one = SaConfig {
-            max_evaluations: Some(1),
-            ..quick_config(9)
-        };
-        let result = run_full(
-            &SaPlanner::new(connected_system(), one),
-            &|_: &Placement| 0.0,
-        );
-        assert_eq!(result.evaluations, 1);
+        assert!(quick_config().validate().is_ok());
     }
 
     #[test]

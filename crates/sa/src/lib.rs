@@ -17,8 +17,9 @@
 //!   [`Objective`] values fall back to full evaluation through a blanket
 //!   implementation — same trajectory under a fixed seed either way;
 //! * [`SaPlanner::run`] is the one entry point: an optional warm start, the
-//!   objective, and an [`rlp_obs::OnCandidate`] progress callback that sees
-//!   every evaluation.
+//!   objective, the seed, and the [`SearchRun`] that holds the run's budget
+//!   and reports every evaluation to its [`rlp_obs::OnCandidate`]
+//!   callback.
 //!
 //! The annealer **maximises** the objective (the paper's reward is a
 //! negative cost, so larger is better).

@@ -4,8 +4,10 @@
 //! once: [`SearchRun`] holds the evaluation cap and the wall-clock limit,
 //! numbers the candidates, keeps the best reward so far and makes the
 //! [`OnCandidate`] call. The annealer here, and the gradient descent, PPO
-//! training and pretrained inference in `rlplanner`, ask it whether to stop
-//! and tell it what they evaluated; none keeps its own counter or clock.
+//! training and pretrained inference in `rlplanner`, take the run they are
+//! given, ask it whether to stop and tell it what they evaluated; none
+//! keeps its own counter, clock or budget. `rlplanner`'s solve pipeline
+//! builds each solve's one run from the request's budget.
 
 use rlp_obs::OnCandidate;
 use std::time::{Duration, Instant};
@@ -15,7 +17,7 @@ use std::time::{Duration, Instant};
 /// The clock starts when the run is created.
 pub struct SearchRun<'a> {
     started: Instant,
-    max_evaluations: Option<usize>,
+    evaluation_cap: Option<usize>,
     time_limit: Option<Duration>,
     evaluations: usize,
     best_reward: Option<f64>,
@@ -23,17 +25,17 @@ pub struct SearchRun<'a> {
 }
 
 impl<'a> SearchRun<'a> {
-    /// Starts a run that may evaluate at most `max_evaluations` candidates
+    /// Starts a run that may evaluate at most `evaluation_cap` candidates
     /// and spend at most `time_limit` of wall-clock (each `None` is
     /// unlimited), reporting every candidate to `on_candidate`.
     pub fn new(
-        max_evaluations: Option<usize>,
+        evaluation_cap: Option<usize>,
         time_limit: Option<Duration>,
         on_candidate: &'a mut OnCandidate<'a>,
     ) -> Self {
         Self {
             started: Instant::now(),
-            max_evaluations,
+            evaluation_cap,
             time_limit,
             evaluations: 0,
             best_reward: None,
@@ -44,7 +46,7 @@ impl<'a> SearchRun<'a> {
     /// Whether the run must stop: the evaluation cap is reached or the time
     /// limit has passed. The clock is read only when a limit is set.
     pub fn exhausted(&self) -> bool {
-        self.max_evaluations
+        self.evaluation_cap
             .is_some_and(|cap| self.evaluations >= cap)
             || self
                 .time_limit
@@ -53,7 +55,7 @@ impl<'a> SearchRun<'a> {
 
     /// `n`, or the evaluations the cap still allows when that is fewer.
     pub fn capped(&self, n: usize) -> usize {
-        self.max_evaluations
+        self.evaluation_cap
             .map_or(n, |cap| n.min(cap.saturating_sub(self.evaluations)))
     }
 

@@ -17,7 +17,7 @@ use rlp_chiplet::{
     Chiplet, ChipletId, ChipletSystem, IncrementalWirelength, Net, Placement, PlacementGrid,
 };
 use rlp_sa::moves::{apply_move_in_place, propose_move, random_initial_placement, undo_move};
-use rlp_sa::{DeltaObjective, EvalMode, Objective, SaConfig, SaPlanner};
+use rlp_sa::{DeltaObjective, EvalMode, Objective, SaConfig, SaPlanner, SearchRun};
 
 /// A wirelength-minimising incremental objective over
 /// [`IncrementalWirelength`] — the same shape the reward calculator's
@@ -155,7 +155,6 @@ proptest! {
             final_temperature: 0.05,
             cooling_rate: 0.85,
             moves_per_temperature: 25,
-            seed,
             ..SaConfig::default()
         };
         let planner = SaPlanner::new(sys.clone(), sa);
@@ -166,13 +165,25 @@ proptest! {
                 -bump_aware_wirelength(&sys, p, &BumpConfig::default()).unwrap()
             }
         };
+        let mut silent = |_, _, _| {};
         let full = planner
-            .run(None, &mut (&full_objective as &dyn Objective), &mut |_, _, _| {})
+            .run(
+                None,
+                &mut (&full_objective as &dyn Objective),
+                seed,
+                &mut SearchRun::new(None, None, &mut silent),
+            )
             .unwrap();
 
         let mut incremental_objective = IncrementalWirelengthObjective::new(sys);
+        let mut silent = |_, _, _| {};
         let incremental = planner
-            .run(None, &mut incremental_objective, &mut |_, _, _| {})
+            .run(
+                None,
+                &mut incremental_objective,
+                seed,
+                &mut SearchRun::new(None, None, &mut silent),
+            )
             .unwrap();
 
         prop_assert_eq!(&incremental.best_placement, &full.best_placement);

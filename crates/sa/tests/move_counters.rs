@@ -6,7 +6,7 @@
 
 use rlp_chiplet::wirelength::total_wirelength;
 use rlp_chiplet::{Chiplet, ChipletSystem, Net, Placement};
-use rlp_sa::{SaConfig, SaPlanner};
+use rlp_sa::{SaConfig, SaPlanner, SearchRun};
 
 #[test]
 fn illegal_proposals_are_counted_apart_from_legal_ones() {
@@ -24,17 +24,12 @@ fn illegal_proposals_are_counted_apart_from_legal_ones() {
     for pair in ids.windows(2) {
         system.add_net(Net::new(pair[0], pair[1], 16));
     }
-    let planner = SaPlanner::new(
-        system.clone(),
-        SaConfig {
-            seed: 3,
-            max_evaluations: Some(200),
-            ..SaConfig::default()
-        },
-    );
+    let planner = SaPlanner::new(system.clone(), SaConfig::default());
     let objective = |p: &Placement| -total_wirelength(&system, p);
+    let mut silent = |_, _, _| {};
+    let mut search = SearchRun::new(Some(200), None, &mut silent);
     let result = planner
-        .run(None, &mut { objective }, &mut |_, _, _| {})
+        .run(None, &mut { objective }, 3, &mut search)
         .unwrap();
 
     // Every evaluation after the initial one is one legal proposal.

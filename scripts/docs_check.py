@@ -7,7 +7,8 @@ generates one real document of every schema by driving the release
 binaries (a single solve, a sweep with a stream file, a saved policy
 file, and a live `rlp_serve --policy` daemon spoken to over a socket),
 and fails if the documented top-level keys drift from the rendered ones
-in either direction. It also fails if an `obs_counter!`/`obs_gauge!`/
+in either direction; an outcome's `manifest` members are checked the same
+way against the `{ ... }` members its table row documents. It also fails if an `obs_counter!`/`obs_gauge!`/
 `obs_histogram!` call under crates/*/src takes anything but a string
 literal, or if the names in those calls and README's "Observability"
 series table differ in either direction.
@@ -398,6 +399,17 @@ def check_keys(name, documented, actual_docs):
         ok(f"{name}: {len(documented)} top-level keys match")
 
 
+def documented_members(body, field):
+    """The members a field table row documents as `{ a, b, ... }`, for the
+    row of `field` in a schema section's body."""
+    for line in body.splitlines():
+        if line.startswith(f"| `{field}` |"):
+            m = re.search(r"`\{ ([a-z_, ]+) \}`", line)
+            if m:
+                return [name.strip() for name in m.group(1).split(",")]
+    return []
+
+
 def check_schema_field(name, doc):
     if doc.get("schema") != name:
         fail(f"{name}: rendered document says schema={doc.get('schema')!r}")
@@ -486,6 +498,16 @@ def main():
             "rlplanner.outcome/v1",
             sections["rlplanner.outcome/v1"]["fields"],
             [outcome, rl_outcome],
+        )
+        manifest_members = documented_members(
+            sections["rlplanner.outcome/v1"]["body"], "manifest"
+        )
+        if not manifest_members:
+            fail("rlplanner.outcome/v1: the `manifest` row documents no `{ ... }` members")
+        check_keys(
+            "rlplanner.outcome/v1 manifest",
+            manifest_members,
+            [outcome["manifest"], rl_outcome["manifest"]],
         )
         check_keys(
             "rlplanner.request/v1",

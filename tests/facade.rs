@@ -13,6 +13,7 @@ use rlplanner::{
     AgentConfig, Budget, FloorplanOutcome, FloorplanRequest, GradientConfig, Method,
     RlPlannerConfig, TelemetrySample,
 };
+use std::time::Duration;
 
 /// Every system the CLI accepts.
 fn cli_systems() -> Vec<ChipletSystem> {
@@ -718,18 +719,100 @@ fn a_wire_sa_request_with_a_zero_evaluation_cap_is_refused_by_the_builder() {
         .build()
         .unwrap();
     let json = rlplanner::report::request_json(&request);
-    let cap = "\"max_evaluations\": null";
-    assert!(
-        json.contains(cap) && json.contains("\"budget\": null"),
-        "{json}"
-    );
-    // The initial placement is always evaluated, so a cap of 0 was
-    // admitted and ran one evaluation.
-    let err = rlplanner::request_from_json(&json.replace(cap, "\"max_evaluations\": 0"))
-        .expect_err("the builder must refuse the request");
+    let budget = "\"budget\": null";
+    assert!(json.contains(budget), "{json}");
+    // The initial placement is always evaluated, so a cap of 0 would be
+    // admitted and run one evaluation.
+    let zero = json.replace(budget, "\"budget\": { \"evaluations\": 0 }");
+    let err = rlplanner::request_from_json(&zero).expect_err("the builder must refuse the request");
     assert!(
         err.to_string()
-            .contains("`sa` is invalid: max_evaluations must be positive"),
+            .contains("`budget.evaluations` must be positive, got 0"),
         "{err}"
     );
+}
+
+/// The manifest's `budget` is the request's, so a manifest replays the
+/// budget exactly for every shape, and an outcome document carries it
+/// through render → parse → render. SA and gradient runs are solved and
+/// replayed under every shape; an RL run is solved and replayed under an
+/// evaluation budget, and under the other two shapes (600 episodes each)
+/// its manifest is replayed as data.
+#[test]
+fn manifests_replay_every_budget_shape() {
+    let system = synthetic_case(1);
+    let hour = Duration::from_secs(3600);
+    let budgets = [
+        None,
+        Some(Budget::Evaluations(6)),
+        Some(Budget::TimeLimit(hour)),
+    ];
+    let sa = Method::Sa {
+        config: SaConfig {
+            final_temperature: 0.05,
+            ..SaConfig::default()
+        },
+    };
+    let gradient = Method::Gradient {
+        config: GradientConfig {
+            iterations: 12,
+            ..GradientConfig::default()
+        },
+    };
+    for method in [sa, gradient, tiny_rl_method(false)] {
+        for budget in budgets {
+            let context = format!("{} under {budget:?}", method.label());
+            let mut builder = FloorplanRequest::builder()
+                .system(system.clone())
+                .method(method.clone())
+                .thermal(tiny_fast_backend())
+                .seed(13);
+            if let Some(budget) = budget {
+                builder = builder.budget(budget);
+            }
+            let request = builder.build().unwrap();
+            let rl_training_600 = matches!(method, Method::Rl { .. })
+                && !matches!(budget, Some(Budget::Evaluations(_)));
+            let outcome = if rl_training_600 {
+                // The manifest the solve would record, taken from a short
+                // run of the same request.
+                let mut short = FloorplanRequest::builder()
+                    .system(system.clone())
+                    .method(method.clone())
+                    .thermal(tiny_fast_backend())
+                    .seed(13)
+                    .budget(Budget::Evaluations(2))
+                    .build()
+                    .unwrap()
+                    .solve()
+                    .unwrap();
+                short.manifest.budget = budget;
+                short
+            } else {
+                request.solve().unwrap()
+            };
+            assert_eq!(outcome.manifest.budget, budget, "{context}");
+            let replay =
+                FloorplanRequest::from_manifest(system.clone(), &outcome.manifest).unwrap();
+            assert_eq!(replay.budget(), budget, "{context}");
+            assert_eq!(replay.seed(), Some(13), "{context}");
+            assert_eq!(
+                rlplanner::report::request_json(&replay),
+                rlplanner::report::request_json(&request),
+                "{context}"
+            );
+            if !rl_training_600 {
+                let replayed = replay.solve().unwrap();
+                assert_deterministic_fields_equal(&outcome, &replayed, &context);
+            }
+            let json = rlplanner::report::outcome_json(&system, &outcome);
+            let parsed = rlplanner::outcome_from_json(&json, &system).unwrap();
+            assert_eq!(parsed.manifest, outcome.manifest, "{context}");
+            assert_eq!(
+                rlplanner::report::outcome_json(&system, &parsed),
+                json,
+                "{context}"
+            );
+        }
+    }
 }

@@ -9,7 +9,7 @@
 
 use rlp_chiplet::{Chiplet, ChipletId, ChipletSystem, Net, Placement, PlacementGrid};
 use rlp_sa::moves::{apply_move_in_place, propose_move, random_initial_placement, undo_move};
-use rlp_sa::{DeltaObjective, EvalMode, Objective, SaConfig, SaPlanner};
+use rlp_sa::{DeltaObjective, EvalMode, Objective, SaConfig, SaPlanner, SearchRun};
 use rlp_thermal::{
     AnyThermalAnalyzer, CharacterizationOptions, FastThermalModel, ThermalBackend, ThermalConfig,
 };
@@ -44,14 +44,13 @@ fn fast_model() -> AnyThermalAnalyzer {
     )
 }
 
-fn quick_sa(seed: u64) -> SaConfig {
+fn quick_sa() -> SaConfig {
     SaConfig {
         initial_temperature: 2.0,
         final_temperature: 0.02,
         cooling_rate: 0.85,
         moves_per_temperature: 30,
         grid: (14, 14),
-        seed,
         ..SaConfig::default()
     }
 }
@@ -64,18 +63,28 @@ fn sa_incremental_and_full_paths_are_identical_under_fixed_seeds() {
     let sys = system();
     let calc = RewardCalculator::new(sys.clone(), fast_model(), RewardConfig::default());
     for seed in [0u64, 7, 42] {
-        let planner = SaPlanner::new(sys.clone(), quick_sa(seed));
+        let planner = SaPlanner::new(sys.clone(), quick_sa());
 
         // Full path: the calculator's stateless `Objective` impl, i.e. a
         // from-scratch bump assignment + O(n²) superposition per move.
         let full = planner
-            .run(None, &mut (&calc as &dyn Objective), &mut |_, _, _| {})
+            .run(
+                None,
+                &mut (&calc as &dyn Objective),
+                seed,
+                &mut SearchRun::new(None, None, &mut |_, _, _| {}),
+            )
             .expect("full run");
 
         // Incremental path: the propose/commit/reject engine.
         let mut objective = calc.delta_objective();
         let incremental = planner
-            .run(None, &mut objective, &mut |_, _, _| {})
+            .run(
+                None,
+                &mut objective,
+                seed,
+                &mut SearchRun::new(None, None, &mut |_, _, _| {}),
+            )
             .expect("incremental run");
 
         assert_eq!(
@@ -185,23 +194,27 @@ fn grid_backend_falls_back_to_full_evaluation() {
         AnyThermalAnalyzer::Grid(GridThermalSolver::new(ThermalConfig::with_grid(8, 8))),
         RewardConfig::default(),
     );
-    let planner = SaPlanner::new(
-        sys,
-        SaConfig {
-            max_evaluations: Some(15),
-            ..quick_sa(3)
-        },
-    );
+    let planner = SaPlanner::new(sys, quick_sa());
     let mut objective = calc.delta_objective();
     let delta_run = planner
-        .run(None, &mut objective, &mut |_, _, _| {})
+        .run(
+            None,
+            &mut objective,
+            3,
+            &mut SearchRun::new(Some(15), None, &mut |_, _, _| {}),
+        )
         .expect("delta run");
     assert_eq!(objective.mode(), EvalMode::Full);
     assert_eq!(delta_run.eval_counts.mode(), EvalMode::Full);
     assert_eq!(delta_run.eval_counts.full, delta_run.evaluations);
 
     let full_run = planner
-        .run(None, &mut (&calc as &dyn Objective), &mut |_, _, _| {})
+        .run(
+            None,
+            &mut (&calc as &dyn Objective),
+            3,
+            &mut SearchRun::new(Some(15), None, &mut |_, _, _| {}),
+        )
         .expect("full run");
     assert_eq!(delta_run.best_placement, full_run.best_placement);
     assert_eq!(

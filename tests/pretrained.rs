@@ -146,7 +146,6 @@ fn checksum_pins_are_enforced() {
                 config: PretrainedConfig {
                     policy_path: path.display().to_string(),
                     checksum: Some(checksum),
-                    seed: 0,
                 },
             })
             .thermal(tiny_fast_backend())
