@@ -107,6 +107,7 @@ fn pretrained(c: &mut Criterion) {
         RlPlannerConfig::default(),
         0,
         false,
+        1,
     )
     .expect("valid training config");
     let budget = Some(Budget::Evaluations(4));

@@ -17,8 +17,8 @@
 //!              `pretrained` method ignores it: inference is one rollout)
 //!   --train-parallel  rollout workers collecting RL training episodes;
 //!              parallel collection is trajectory-invariant, so any value
-//!              produces the byte-identical result, only faster (default:
-//!              the method config's `parallel_envs`, i.e. 1)
+//!              produces the byte-identical result, only faster; sets
+//!              the request's `parallel_envs` (default 1)
 //!   --warm-start  seed the SA/RL optimiser with the analytic
 //!              gradient-descent presolve instead of a random start (no-op
 //!              for the `gradient` method, which IS the presolve engine)
@@ -398,6 +398,7 @@ fn run_train_generalist(parsed: &GeneralistArgs) -> ExitCode {
             RlPlannerConfig::default(),
             seed,
             false,
+            1,
         ) {
             Ok(planner) => planner,
             Err(err) => {

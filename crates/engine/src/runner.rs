@@ -659,7 +659,6 @@ mod tests {
             episodes,
             parallel_envs: 1,
             episodes_per_s: 0.0,
-            merge_order_hash: 0,
         }
     }
 

@@ -119,9 +119,9 @@ impl CampaignSpec {
         self.parallelism
     }
 
-    /// Rollout-parallelism override applied to every RL run of the grid
-    /// (`None` leaves each method config's own `parallel_envs`). Like run
-    /// parallelism, it never changes outcomes, only wall-clock.
+    /// The `parallel_envs` of every RL run of the grid (`None` leaves the
+    /// request's default of one environment). Like run parallelism, it
+    /// never changes outcomes, only wall-clock.
     pub fn train_parallel(&self) -> Option<usize> {
         self.train_parallel
     }
@@ -273,9 +273,10 @@ impl CampaignSpecBuilder {
         self
     }
 
-    /// Rollout workers inside every RL run of the grid (default: each
-    /// method config's own `parallel_envs`). Parallel rollout collection
-    /// is trajectory-invariant, so this never changes outcomes either.
+    /// Rollout workers inside every RL run of the grid, set as each
+    /// request's `parallel_envs` (default: one). Parallel rollout
+    /// collection is trajectory-invariant, so this never changes outcomes
+    /// either.
     #[must_use]
     pub fn train_parallel(mut self, train_parallel: usize) -> Self {
         self.train_parallel = Some(train_parallel);

@@ -110,7 +110,6 @@ fn report() -> CampaignReport {
         episodes: 4,
         parallel_envs: 2,
         episodes_per_s: 12.5,
-        merge_order_hash: 0xfeed_beef_0000_0001,
     });
     let big_seed = (1u64 << 53) + 1;
     let runs = vec![

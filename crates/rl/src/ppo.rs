@@ -329,17 +329,16 @@ impl PpoAgent {
         };
 
         // Merge back into episode order.
-        let mut ordered: Vec<Option<CollectedEpisode<T>>> = (0..episodes).map(|_| None).collect();
-        for (w, collected) in per_worker.into_iter().enumerate() {
-            for (slot, transitions, reward, art) in collected {
-                ordered[slot] = Some((w, transitions, reward, art));
-            }
+        let mut ordered: Vec<Option<(Vec<Transition>, f64, T)>> =
+            (0..episodes).map(|_| None).collect();
+        for (slot, transitions, reward, art) in per_worker.into_iter().flatten() {
+            ordered[slot] = Some((transitions, reward, art));
         }
 
         // RND post-pass: bonuses and predictor updates in episode order.
         if let Some(rnd) = rnd {
             for entry in ordered.iter_mut() {
-                let (_, transitions, _, _) = entry.as_mut().expect("every slot was collected");
+                let (transitions, _, _) = entry.as_mut().expect("every slot was collected");
                 if transitions.len() > 1 {
                     let visited: Vec<Tensor> =
                         transitions[1..].iter().map(|t| t.state.clone()).collect();
@@ -354,14 +353,13 @@ impl PpoAgent {
 
         let mut reports = Vec::with_capacity(episodes);
         for (slot, entry) in ordered.into_iter().enumerate() {
-            let (env, transitions, reward, art) = entry.expect("every slot was collected");
+            let (transitions, reward, art) = entry.expect("every slot was collected");
             let count = transitions.len();
             for transition in transitions {
                 buffer.push(transition);
             }
             reports.push(ParallelEpisode {
                 episode: base + slot as u64,
-                env,
                 reward,
                 transitions: count,
                 artifact: art,
@@ -719,6 +717,8 @@ mod tests {
 
     #[test]
     fn parallel_reports_are_in_episode_order_with_round_robin_envs() {
+        // Three envs split seven episodes round-robin; the reports and the
+        // buffer come back in episode order whichever env ran each one.
         let mut agent = bandit_agent(4);
         let envs: Vec<Bandit> = (0..3).map(|_| Bandit::new()).collect();
         let mut pool = VecEnvPool::new(envs, 5).unwrap();
@@ -726,10 +726,10 @@ mod tests {
         let reports = agent.collect_episodes_parallel(&mut pool, 7, &mut buffer, None, |_| ());
         assert_eq!(reports.len(), 7);
         assert_eq!(buffer.len(), 7);
-        for (slot, report) in reports.iter().enumerate() {
+        for (slot, (report, transition)) in reports.iter().zip(buffer.transitions()).enumerate() {
             assert_eq!(report.episode, slot as u64);
-            assert_eq!(report.env, slot % 3);
             assert_eq!(report.transitions, 1);
+            assert_eq!(report.reward, transition.reward);
         }
         assert_eq!(pool.episodes_started(), 7);
         // A second pass continues the global episode numbering.

@@ -39,8 +39,6 @@ pub struct ParallelEpisode<T> {
     /// Global (run-wide) episode index; also the key of the episode's
     /// action-sampling stream.
     pub episode: u64,
-    /// Index of the pool environment that collected the episode.
-    pub env: usize,
     /// Total extrinsic episode reward.
     pub reward: f64,
     /// Number of transitions the episode appended to the rollout buffer.

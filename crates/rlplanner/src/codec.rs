@@ -6,7 +6,7 @@
 //! cannot be rendered without being parsed, or spelled two ways. A field
 //! is encoded by its type ([`rlp_obs::json::Encode`] and [`Decode`])
 //! unless the table names a codec: `as object` for a nested record,
-//! `as hex` for a 64-bit hash, `as eval_mode` for an [`EvalMode`](rlp_sa::EvalMode) label.
+//! `as hex` for an optional 64-bit hash, `as eval_mode` for an [`EvalMode`](rlp_sa::EvalMode) label.
 //! The thermal configuration, the thermal backend and the method have
 //! cross-field rules and are written out by hand below the tables.
 //!
@@ -142,7 +142,6 @@ macro_rules! record {
 
 record!(RlPlannerConfig, Block {
     "episodes_per_update" => episodes_per_update,
-    "parallel_envs" => parallel_envs,
     "ppo" => ppo as object,
     "agent" => agent as object,
     "env" => env as object,
@@ -237,7 +236,6 @@ record!(TrainingTelemetry, Inline {
     "episodes" => episodes,
     "parallel_envs" => parallel_envs,
     "episodes_per_s" => episodes_per_s,
-    "merge_order_hash" => merge_order_hash as hex,
 });
 
 record!(ThermalPrep, Inline {
@@ -266,49 +264,28 @@ pub(crate) mod object {
     }
 }
 
-/// 64-bit hashes, as `"0x…"` strings: a JSON number cannot carry one
-/// exactly. An optional hash is `null` when unset.
+/// Optional 64-bit hashes, as `"0x…"` strings (a JSON number cannot carry
+/// one exactly), or `null` when unset.
 mod hex {
     use super::{err, member, Key, Result};
     use rlp_obs::json::{Value, Writer};
 
-    /// A `u64` hash, or an optional one.
-    pub(super) trait Hash: Copy + Into<Option<u64>> {
-        fn from_hash(hash: Option<u64>) -> Option<Self>;
+    pub(super) fn write(value: &Option<u64>, w: &mut Writer) {
+        w.value(value.map(|hash| format!("{hash:#018x}")));
     }
 
-    impl Hash for u64 {
-        fn from_hash(hash: Option<u64>) -> Option<Self> {
-            hash
-        }
-    }
-
-    impl Hash for Option<u64> {
-        fn from_hash(hash: Option<u64>) -> Option<Self> {
-            Some(hash)
-        }
-    }
-
-    pub(super) fn write<T: Hash>(value: &T, w: &mut Writer) {
-        w.value((*value).into().map(|hash| format!("{hash:#018x}")));
-    }
-
-    pub(super) fn read<T: Hash>(obj: &Value, key: Key<'_>) -> Result<T> {
-        let hash = match member(obj, key)? {
+    pub(super) fn read(obj: &Value, key: Key<'_>) -> Result<Option<u64>> {
+        match member(obj, key)? {
             Value::Str(text) => {
                 let digits = text.strip_prefix("0x").unwrap_or(text);
                 match u64::from_str_radix(digits, 16) {
-                    Ok(hash) => Some(hash),
-                    Err(_) => return err(format!("field `{key}` is not a hex hash: `{text}`")),
+                    Ok(hash) => Ok(Some(hash)),
+                    Err(_) => err(format!("field `{key}` is not a hex hash: `{text}`")),
                 }
             }
-            Value::Null => None,
-            _ => return err(format!("field `{key}` must be a hex-string hash")),
-        };
-        T::from_hash(hash).map_or_else(
-            || err(format!("field `{key}` must be a hex-string hash")),
-            Ok,
-        )
+            Value::Null => Ok(None),
+            _ => err(format!("field `{key}` must be a hex-string hash")),
+        }
     }
 }
 
@@ -481,8 +458,8 @@ pub(crate) mod thermal {
 
 /// `{ "kind": <label>, <the method configuration's members> }`. A method
 /// object holds exactly those members: any other is refused by name, so a
-/// document written when method objects still carried a seed or a budget
-/// is never run on the request's defaults instead.
+/// document written when method objects still carried a seed, a budget or
+/// `parallel_envs` is never run on the request's defaults instead.
 pub(crate) mod method {
     use super::*;
 
@@ -528,8 +505,8 @@ pub(crate) mod method {
             let known = |name: &str| name == "kind" || T::KEYS.contains(&name);
             if let Some((name, _)) = members.iter().find(|(name, _)| !known(name)) {
                 return err(format!(
-                    "field `{}` is not a method member; a run's seed and budget are the \
-                     request's `seed` and `budget`",
+                    "field `{}` is not a method member; a run's seed, budget and rollout \
+                     parallelism are the request's `seed`, `budget` and `parallel_envs`",
                     Key::new(path, name)
                 ));
             }

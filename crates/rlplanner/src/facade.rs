@@ -11,10 +11,12 @@
 //! one `EngineRun`; a new method is one more engine function and one more
 //! `match` arm.
 //!
-//! The request is the only home of a run's budget and seed. The pipeline
-//! turns the budget into the solve's one [`SearchRun`] ([`search_run`])
-//! and hands that run and the seed (0 when the request sets none) to the
-//! engine; no engine configuration carries either.
+//! The request is the only home of a run's budget, seed and rollout
+//! parallelism. The pipeline turns the budget into the solve's one
+//! [`SearchRun`] ([`search_run`]) and hands that run and the seed (0 when
+//! the request sets none) to the engine; no engine configuration carries
+//! any of them. The run's wall-clock is the [`SearchRun`]'s: each engine
+//! function reads it there, and no engine result restates it.
 //!
 //! Progress goes through one callback, [`rlp_obs::OnCandidate`]. The
 //! pipeline fans every candidate out to the outcome's telemetry and to the
@@ -195,7 +197,7 @@ impl FloorplanRequest {
         &self,
         on_candidate: &mut OnCandidate<'_>,
     ) -> Result<FloorplanOutcome, PlanError> {
-        let mut method = self.resolved_method();
+        let mut method = self.method().clone();
         let seed = self.seed().unwrap_or(0);
         let _span = rlp_obs::obs_span!(
             rlp_obs::Level::Debug,
@@ -336,6 +338,7 @@ fn run_rl(
     warm: Option<(Placement, RewardBreakdown)>,
     search: &mut SearchRun<'_>,
 ) -> Result<EngineRun, PlanError> {
+    let parallel_envs = request.parallel_envs().unwrap_or(1);
     let mut planner = RlPlanner::new(
         request.system().clone(),
         analyzer,
@@ -343,10 +346,13 @@ fn run_rl(
         config.clone(),
         seed,
         rnd,
+        parallel_envs,
     )?;
     let result = planner
         .train(warm, search)
         .map_err(|_| PlanError::Incomplete)?;
+    // Read before any policy export, which runs the last PPO update.
+    let runtime = search.elapsed();
     // "Train once": persist the trained weights when the request asks for
     // it, tagged with provenance so the file is self-describing.
     if let Some(path) = request.save_policy() {
@@ -381,11 +387,11 @@ fn run_rl(
         },
         training: Some(TrainingTelemetry {
             episodes: result.episodes_run,
-            parallel_envs: result.parallel_envs,
-            episodes_per_s: result.episodes_per_s,
-            merge_order_hash: result.merge_order_hash,
+            parallel_envs,
+            episodes_per_s: result.episodes_run as f64
+                / runtime.as_secs_f64().max(f64::MIN_POSITIVE),
         }),
-        runtime: result.runtime,
+        runtime,
     })
 }
 
@@ -425,7 +431,7 @@ fn run_sa(
         counts: result.eval_counts,
         // The SA baseline has no rollout pool to report on.
         training: None,
-        runtime: result.runtime,
+        runtime: search.elapsed(),
     })
 }
 
@@ -455,7 +461,7 @@ fn run_gradient(
             incremental: 0,
         },
         training: None,
-        runtime: result.runtime,
+        runtime: search.elapsed(),
     })
 }
 

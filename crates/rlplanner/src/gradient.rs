@@ -65,7 +65,6 @@ use rlp_obs::{obs_counter, obs_histogram, Stopwatch};
 use rlp_rl::ConfigError;
 use rlp_sa::SearchRun;
 use rlp_thermal::{AnyThermalAnalyzer, ThermalAnalyzer};
-use std::time::Duration;
 
 /// Configuration of the gradient placement engine.
 #[derive(Debug, Clone, PartialEq)]
@@ -221,8 +220,6 @@ pub struct GradientResult {
     /// [`GradientConfig::tolerance_mm`] (rather than exhausting its share
     /// of the iteration budget).
     pub converged: bool,
-    /// Wall-clock runtime of the descent.
-    pub runtime: Duration,
 }
 
 /// The analytic-gradient placement engine; see the [module docs](self).
@@ -251,16 +248,6 @@ impl GradientDescent {
             reward: RewardCalculator::new(system, analyzer, reward_config),
             config,
         })
-    }
-
-    /// The reward calculator (shared objective with SA and RL).
-    pub fn reward_calculator(&self) -> &RewardCalculator {
-        &self.reward
-    }
-
-    /// The descent configuration.
-    pub fn config(&self) -> &GradientConfig {
-        &self.config
     }
 
     /// Runs the descent from initial centres drawn with `seed` and returns
@@ -561,7 +548,6 @@ impl GradientDescent {
             evaluations: search.evaluations(),
             iterations_run,
             converged,
-            runtime: search.elapsed(),
         })
     }
 

@@ -36,9 +36,7 @@ pub struct EvalTelemetry {
 /// JSON report surfaces it as the `training` object. Because parallel
 /// collection is trajectory-invariant — every episode's action stream is
 /// keyed by `(seed, episode index)` and transitions merge in episode order —
-/// `parallel_envs` changes only `episodes_per_s`, never the outcome, and
-/// `merge_order_hash` fingerprints the merge sequence so an order
-/// regression is immediately visible.
+/// `parallel_envs` changes only `episodes_per_s`, never the outcome.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TrainingTelemetry {
     /// Training episodes the run actually collected (may be fewer than
@@ -50,8 +48,6 @@ pub struct TrainingTelemetry {
     pub parallel_envs: usize,
     /// Episodes collected per wall-clock second.
     pub episodes_per_s: f64,
-    /// FNV-1a hash over the `(episode index, env index)` merge sequence.
-    pub merge_order_hash: u64,
 }
 
 /// One telemetry point: a candidate floorplan evaluated during the run.
@@ -82,10 +78,10 @@ pub struct RunManifest {
     /// Number of chiplets in the system (a cheap integrity check when
     /// rebuilding a request from the manifest).
     pub chiplet_count: usize,
-    /// The method configuration that ran, with the request's
-    /// `parallel_envs` override folded in (see
-    /// [`crate::FloorplanRequest::resolved_method`]). It carries no budget
-    /// or seed: those are [`RunManifest::budget`] and [`RunManifest::seed`].
+    /// The method configuration that ran. It carries no budget or seed:
+    /// those are [`RunManifest::budget`] and [`RunManifest::seed`]. The
+    /// request's `parallel_envs` is not recorded, since it cannot change
+    /// the result.
     pub method: Method,
     /// The thermal backend description.
     pub thermal: ThermalBackend,

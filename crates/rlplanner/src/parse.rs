@@ -365,7 +365,6 @@ mod tests {
                 episodes: 2,
                 parallel_envs: 4,
                 episodes_per_s: 16.5,
-                merge_order_hash: 0x0123_4567_89ab_cdef,
             }),
             runtime: Duration::from_millis(250),
             thermal_prep: ThermalPrep {
@@ -672,17 +671,26 @@ mod tests {
             "{error}"
         );
 
-        let sys = demo_system();
-        let json = outcome_json(&sys, &rl_outcome(&sys));
-        for hash in ["null", "81985529216486895"] {
-            let doc = json.replace("\"0x0123456789abcdef\"", hash);
-            assert_ne!(doc, json);
-            let error = outcome_from_json(&doc, &sys).unwrap_err();
-            assert!(
-                error.to_string().contains("must be a hex-string hash"),
-                "{hash}: {error}"
-            );
-        }
+        // A pinned hash spelled as a JSON number is refused too: a double
+        // cannot carry every 64-bit value.
+        let request = FloorplanRequest::builder()
+            .system(demo_system())
+            .method(Method::Pretrained {
+                config: PretrainedConfig {
+                    policy_path: "gen.policy".to_string(),
+                    checksum: Some(0x0123_4567_89ab_cdef),
+                },
+            })
+            .build()
+            .unwrap();
+        let json = request_json(&request);
+        let doc = json.replace("\"0x0123456789abcdef\"", "81985529216486895");
+        assert_ne!(doc, json);
+        let error = request_from_json(&doc).unwrap_err();
+        assert!(
+            error.to_string().contains("must be a hex-string hash"),
+            "{error}"
+        );
     }
 
     #[test]

@@ -12,7 +12,6 @@ use rlp_rl::{
 };
 use rlp_sa::SearchRun;
 use rlp_thermal::AnyThermalAnalyzer;
-use std::time::Duration;
 
 /// Training-loop configuration. How many episodes a run trains for is not
 /// part of it: [`RlPlanner::train`] trains until the [`SearchRun`] it is
@@ -21,12 +20,6 @@ use std::time::Duration;
 pub struct RlPlannerConfig {
     /// Episodes collected per PPO update.
     pub episodes_per_update: usize,
-    /// Environments stepped concurrently while collecting episodes (1 =
-    /// one rollout worker). Parallelism never changes results: every
-    /// episode's action stream is keyed by `(seed, episode index)` and
-    /// transitions merge in episode order, so any value produces the
-    /// bit-identical trajectory — only wall-clock changes.
-    pub parallel_envs: usize,
     /// PPO hyper-parameters.
     pub ppo: PpoConfig,
     /// Agent network hyper-parameters.
@@ -39,7 +32,6 @@ impl Default for RlPlannerConfig {
     fn default() -> Self {
         Self {
             episodes_per_update: 8,
-            parallel_envs: 1,
             ppo: PpoConfig {
                 learning_rate: 1e-3,
                 minibatch_size: 32,
@@ -61,12 +53,6 @@ impl RlPlannerConfig {
         if self.episodes_per_update == 0 {
             return Err(ConfigError::ExpectedPositive {
                 field: "episodes_per_update",
-                value: 0.0,
-            });
-        }
-        if self.parallel_envs == 0 {
-            return Err(ConfigError::ExpectedPositive {
-                field: "parallel_envs",
                 value: 0.0,
             });
         }
@@ -114,23 +100,12 @@ pub struct TrainingResult {
     /// Number of episodes actually run (may be fewer than the evaluation
     /// cap when a time limit is set).
     pub episodes_run: usize,
-    /// Wall-clock training time.
-    pub runtime: Duration,
-    /// Environments the rollout pool stepped concurrently.
-    pub parallel_envs: usize,
-    /// Training throughput: episodes collected per wall-clock second.
-    pub episodes_per_s: f64,
-    /// FNV-1a hash over the `(episode index, environment index)` merge
-    /// sequence — a fingerprint of the order transitions entered the
-    /// rollout buffer. Fixed seed + fixed `parallel_envs` always reproduce
-    /// the same hash, making merge-order regressions visible in telemetry.
-    pub merge_order_hash: u64,
 }
 
 /// The RLPlanner: a PPO agent training on a pool of floorplanning
 /// environments.
 ///
-/// The pool holds `config.parallel_envs` replicas of the environment, each
+/// The pool holds `parallel_envs` replicas of the environment, each
 /// wrapping a clone of the (typically cache-served) thermal analyzer, so
 /// expensive characterisation still happens once upstream — see
 /// [`crate::PrebuiltThermal`].
@@ -154,12 +129,14 @@ pub struct RlPlanner {
 impl RlPlanner {
     /// Builds a planner for a system with the given thermal backend. `seed`
     /// seeds action sampling and minibatch shuffling; `rnd` adds the RND
-    /// exploration bonus (the "RLPlanner (RND)" variant).
+    /// exploration bonus (the "RLPlanner (RND)" variant). `parallel_envs`
+    /// environments collect episodes concurrently; the value changes only
+    /// wall-clock, never the trajectory (see [`RlPlanner::train`]).
     ///
     /// # Errors
     ///
     /// Returns a [`ConfigError`] if the training or reward configuration is
-    /// invalid.
+    /// invalid or `parallel_envs` is zero.
     pub fn new(
         system: ChipletSystem,
         analyzer: AnyThermalAnalyzer,
@@ -167,16 +144,20 @@ impl RlPlanner {
         config: RlPlannerConfig,
         seed: u64,
         rnd: bool,
+        parallel_envs: usize,
     ) -> Result<Self, ConfigError> {
         config.validate()?;
         reward_config.validate()?;
         let reward = RewardCalculator::new(system, analyzer, reward_config);
-        let envs: Vec<FloorplanEnv> = (0..config.parallel_envs)
+        let envs: Vec<FloorplanEnv> = (0..parallel_envs)
             .map(|_| FloorplanEnv::new(reward.clone(), config.env))
             .collect();
-        let observation_shape = envs[0].observation_shape();
-        let action_count = envs[0].action_count();
-        let pool = VecEnvPool::new(envs, seed).expect("parallel_envs validated positive");
+        let pool = VecEnvPool::new(envs, seed).map_err(|_| ConfigError::ExpectedPositive {
+            field: "parallel_envs",
+            value: 0.0,
+        })?;
+        let observation_shape = pool.envs()[0].observation_shape();
+        let action_count = pool.envs()[0].action_count();
         let model = build_actor_critic(&observation_shape, action_count, &config.agent);
         let agent = PpoAgent::new(model, config.ppo.clone(), seed);
         let rnd = rnd.then(|| build_rnd(&observation_shape, &config.agent));
@@ -187,17 +168,6 @@ impl RlPlanner {
             config,
             pending: RolloutBuffer::new(),
         })
-    }
-
-    /// The training configuration.
-    pub fn config(&self) -> &RlPlannerConfig {
-        &self.config
-    }
-
-    /// The first pooled environment (e.g. to inspect the reward
-    /// calculator); all pool members are interchangeable replicas.
-    pub fn env(&self) -> &FloorplanEnv {
-        &self.pool.envs()[0]
     }
 
     /// Runs the training loop until `search` is exhausted and returns the
@@ -236,7 +206,6 @@ impl RlPlanner {
         // apart from it, because a warm start seeds the artifact but not the
         // stream and an incomplete episode has a reward but no artifact.
         let mut best: Option<(Placement, RewardBreakdown)> = initial;
-        let mut merge_order_hash = FNV_OFFSET;
 
         while !search.exhausted() {
             self.run_pending_update();
@@ -254,8 +223,6 @@ impl RlPlanner {
             timer.stop(obs_histogram!("rl.rollout_collect_ns"));
             obs_counter!("rl.episodes").add(reports.len() as u64);
             for report in reports {
-                merge_order_hash = fnv1a_mix(merge_order_hash, report.episode);
-                merge_order_hash = fnv1a_mix(merge_order_hash, report.env as u64);
                 search.record(report.reward);
                 if let Some((placement, breakdown)) = report.artifact {
                     let is_better = best
@@ -269,17 +236,11 @@ impl RlPlanner {
             }
         }
 
-        let runtime = search.elapsed();
-        let episodes_run = search.evaluations();
         let (best_placement, best_breakdown) = best.ok_or(TrainingStalled)?;
         Ok(TrainingResult {
             best_placement,
             best_breakdown,
-            episodes_run,
-            runtime,
-            parallel_envs: self.config.parallel_envs,
-            episodes_per_s: episodes_run as f64 / runtime.as_secs_f64().max(f64::MIN_POSITIVE),
-            merge_order_hash,
+            episodes_run: search.evaluations(),
         })
     }
 
@@ -328,19 +289,6 @@ impl RlPlanner {
     }
 }
 
-/// FNV-1a offset basis (64 bit).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Folds one value into an FNV-1a hash, byte by byte.
-fn fnv1a_mix(hash: u64, value: u64) -> u64 {
-    let mut hash = hash;
-    for byte in value.to_le_bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
-
 impl std::fmt::Debug for RlPlanner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RlPlanner")
@@ -354,6 +302,7 @@ mod tests {
     use super::*;
     use rlp_chiplet::{Chiplet, Net};
     use rlp_thermal::{CharacterizationOptions, FastThermalModel, ThermalConfig};
+    use std::time::Duration;
 
     fn small_system() -> ChipletSystem {
         let mut sys = ChipletSystem::new("t", 36.0, 36.0);
@@ -381,8 +330,9 @@ mod tests {
         )
     }
 
-    /// Builds a planner for the small system on seed 0.
-    fn planner(config: RlPlannerConfig, rnd: bool) -> RlPlanner {
+    /// Builds a planner for the small system on seed 0 with
+    /// `parallel_envs` rollout environments.
+    fn planner_with_envs(config: RlPlannerConfig, rnd: bool, parallel_envs: usize) -> RlPlanner {
         RlPlanner::new(
             small_system(),
             fast_model(36.0),
@@ -390,8 +340,15 @@ mod tests {
             config,
             0,
             rnd,
+            parallel_envs,
         )
         .unwrap()
+    }
+
+    /// Builds a planner for the small system on seed 0 with one rollout
+    /// environment.
+    fn planner(config: RlPlannerConfig, rnd: bool) -> RlPlanner {
+        planner_with_envs(config, rnd, 1)
     }
 
     /// Trains for `episodes` episodes, silently.
@@ -461,13 +418,19 @@ mod tests {
 
     #[test]
     fn parallel_envs_never_change_the_training_result() {
+        // The placement, its breakdown, the streamed episode rewards and
+        // the trained weights are the whole of what training produces.
         let train = |parallel_envs: usize, rnd: bool| {
-            let config = RlPlannerConfig {
-                parallel_envs,
-                ..quick_config()
-            };
-            let (result, rewards) = train_recording(&mut planner(config, rnd), 8);
-            (result.best_placement, result.best_breakdown, rewards)
+            let mut planner = planner_with_envs(quick_config(), rnd, parallel_envs);
+            let (result, rewards) = train_recording(&mut planner, 8);
+            let checksum = planner.export_policy(Vec::new()).checksum();
+            (
+                result.best_placement,
+                result.best_breakdown,
+                result.episodes_run,
+                rewards,
+                checksum,
+            )
         };
         for rnd in [false, true] {
             let serial = train(1, rnd);
@@ -491,22 +454,6 @@ mod tests {
             (rewards, planner.export_policy(Vec::new()).checksum())
         };
         assert_eq!(run(true), run(false));
-    }
-
-    #[test]
-    fn training_result_reports_rollout_telemetry() {
-        let run = || {
-            let config = RlPlannerConfig {
-                parallel_envs: 2,
-                ..quick_config()
-            };
-            train_silently(&mut planner(config, false), 8)
-        };
-        let result = run();
-        assert_eq!(result.parallel_envs, 2);
-        assert!(result.episodes_per_s > 0.0);
-        // The merge-order fingerprint is reproducible run for run.
-        assert_eq!(result.merge_order_hash, run().merge_order_hash);
     }
 
     #[test]
@@ -563,9 +510,22 @@ mod tests {
             },
             0,
             false,
+            1,
         )
         .unwrap_err();
         assert_eq!(err.field(), "episodes_per_update");
+        // An empty rollout pool is refused the same way.
+        let err = RlPlanner::new(
+            small_system(),
+            fast_model(36.0),
+            RewardConfig::default(),
+            quick_config(),
+            0,
+            false,
+            0,
+        )
+        .unwrap_err();
+        assert_eq!(err.field(), "parallel_envs");
     }
 
     #[test]

@@ -33,8 +33,7 @@
 //!                  "eval_mode": "full" | "incremental" },
 //!   "evaluations": 600,
 //!   "evaluation": { "mode": "full" | "incremental", "full_evals": 1, "incremental_evals": 599 },
-//!   "training": { "episodes": 600, "parallel_envs": 4, "episodes_per_s": 48.2,
-//!                 "merge_order_hash": "0x0f3a9c41d2e8b765" },
+//!   "training": { "episodes": 600, "parallel_envs": 4, "episodes_per_s": 48.2 },
 //!   "runtime_s": 12.5,
 //!   "thermal_prep": { "cache_hits": 0, "cache_misses": 1, "characterization_s": 0.8 },
 //!   "placement": { "chiplets": [ ... ] },
@@ -61,11 +60,9 @@
 //! `episodes` the count actually collected (the numerator of
 //! `episodes_per_s`; distinct from the top-level `evaluations`, which
 //! counts objective evaluations), `parallel_envs` rollout workers at
-//! `episodes_per_s` throughput, with
-//! `merge_order_hash` fingerprinting (as a hex string, since the value is a
-//! full 64-bit hash) the order transitions entered the rollout buffer;
-//! parallel collection is trajectory-invariant, so the knob changes only
-//! throughput, never results. The field is `null` for SA runs, which have
+//! `episodes_per_s` throughput; parallel collection is
+//! trajectory-invariant, so the knob changes only throughput, never
+//! results. The field is `null` for SA runs, which have
 //! no rollout pool. `thermal_prep` records how the run's
 //! thermal analyzer was obtained — characterised from scratch
 //! (`cache_misses`) or served from a shared characterisation cache
@@ -74,12 +71,12 @@
 //! everything the run depended on, so a run can be reproduced from its
 //! report alone: `seed` is the seed it used (0 when the request set none)
 //! and `budget` the request's budget in the request document's encoding;
-//! `method` is every hyper-parameter of the method, with the request's
-//! `parallel_envs` folded in (`method.kind` selects which method fields
-//! follow, mirroring [`crate::Method`]; a method object carries no seed
-//! or budget); `thermal.kind` mirrors [`rlp_thermal::ThermalBackend`];
-//! `warm_start` records whether the run was seeded by the gradient
-//! presolve, which changes results and must be replayed.
+//! `method` is every hyper-parameter of the method (`method.kind` selects
+//! which method fields follow, mirroring [`crate::Method`]; a method
+//! object carries no seed, budget or `parallel_envs`); `thermal.kind`
+//! mirrors [`rlp_thermal::ThermalBackend`]; `warm_start` records whether
+//! the run was seeded by the gradient presolve, which changes results and
+//! must be replayed.
 //!
 //! # Request document ([`request_json`])
 //!
@@ -107,10 +104,10 @@
 //! in full (chiplet footprints/powers at full precision, nets by chiplet
 //! index in insertion order), so the receiver needs no out-of-band
 //! benchmark registry. `method`/`thermal`/`reward` reuse the manifest
-//! object shapes above; `budget` and `seed` are the run's only budget and
-//! seed and `parallel_envs` an override of the method's (each `null` when
-//! unset) — rendering a parsed request reproduces the original document
-//! byte for byte; `warm_start` asks the solver to seed its optimiser with a
+//! object shapes above; `budget`, `seed` and `parallel_envs` are the run's
+//! only budget, seed and rollout parallelism (each `null` when unset) —
+//! rendering a parsed request reproduces the original document byte for
+//! byte; `warm_start` asks the solver to seed its optimiser with a
 //! gradient-descent presolve. A request carrying a prebuilt analyzer renders only its backend
 //! description; the analyzer itself never crosses the wire (the serving
 //! side re-attaches one from its own cache).
@@ -292,7 +289,6 @@ mod tests {
                 episodes: 33,
                 parallel_envs: 2,
                 episodes_per_s: 16.5,
-                merge_order_hash: 0x0123_4567_89ab_cdef,
             }),
             telemetry: vec![
                 TelemetrySample {
@@ -396,11 +392,11 @@ mod tests {
             "\"evaluation\": { \"mode\": \"incremental\", \"full_evals\": 1, \"incremental_evals\": 1 }"
         ));
         assert!(json.contains(
-            "\"training\": { \"episodes\": 33, \"parallel_envs\": 2, \"episodes_per_s\": 16.5, \
-             \"merge_order_hash\": \"0x0123456789abcdef\" }"
+            "\"training\": { \"episodes\": 33, \"parallel_envs\": 2, \"episodes_per_s\": 16.5 }"
         ));
-        // The manifest records the rollout-parallelism knob for replay.
-        assert!(json.contains("\"parallel_envs\": 1"));
+        // The manifest does not record the rollout-parallelism knob: it
+        // cannot change the result.
+        assert_eq!(json.matches("\"parallel_envs\"").count(), 1);
         assert!(json
             .contains("\"thermal_prep\": { \"cache_hits\": 1, \"cache_misses\": 0, \"characterization_s\": 0 }"));
         assert!(json.contains("\"kind\": \"rl-rnd\""));

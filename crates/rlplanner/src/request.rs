@@ -4,8 +4,9 @@
 //! as plain data: *which system* to floorplan, *which method* to use
 //! ([`Method`]), *which thermal backend* to put in the loop
 //! ([`rlp_thermal::ThermalBackend`]), the reward weights, an optional
-//! [`Budget`] and an optional seed. The request is the only home of a
-//! run's budget and seed: no method configuration carries either. Requests
+//! [`Budget`], an optional seed and an optional rollout parallelism
+//! (`parallel_envs`). The request is the only home of a run's budget, seed
+//! and parallelism: no method configuration carries any of them. Requests
 //! are built through
 //! [`FloorplanRequest::builder`], which validates every nested
 //! configuration and returns a typed [`ConfigError`] instead of panicking,
@@ -483,9 +484,10 @@ impl FloorplanRequest {
         self.seed
     }
 
-    /// The rollout-parallelism override, if any. Only RL methods consume
-    /// it; parallel collection never changes results, so this is a
-    /// wall-clock knob (still recorded in the manifest for transparency).
+    /// How many environments an RL solve collects episodes on, if set; a
+    /// solve without it uses one. Only RL methods consume it. Parallel
+    /// collection never changes results, so this is a wall-clock knob and
+    /// the manifest does not record it.
     pub fn parallel_envs(&self) -> Option<usize> {
         self.parallel_envs
     }
@@ -509,19 +511,6 @@ impl FloorplanRequest {
     /// [`PreloadedPolicy`]).
     pub fn preloaded_policy(&self) -> Option<&PreloadedPolicy> {
         self.preloaded_policy.as_ref()
-    }
-
-    /// The method with the request's `parallel_envs` override folded into
-    /// an RL configuration — what a run actually executes and what the
-    /// outcome manifest records. Every other method comes back unchanged.
-    pub fn resolved_method(&self) -> Method {
-        let mut method = self.method.clone();
-        if let (Method::Rl { config } | Method::RlRnd { config }, Some(parallel_envs)) =
-            (&mut method, self.parallel_envs)
-        {
-            config.parallel_envs = parallel_envs;
-        }
-        method
     }
 }
 
@@ -613,10 +602,10 @@ impl FloorplanRequestBuilder {
         self
     }
 
-    /// Rollout-parallelism override applied on top of an RL method
-    /// configuration (ignored by SA). Parallel collection is
-    /// trajectory-invariant, so this only changes wall-clock; the value is
-    /// still folded into the manifest for transparency.
+    /// How many environments an RL solve collects episodes on (default: 1;
+    /// ignored by every other method). Parallel collection is
+    /// trajectory-invariant, so this only changes wall-clock, and the
+    /// manifest does not record it.
     #[must_use]
     pub fn parallel_envs(mut self, parallel_envs: usize) -> Self {
         self.parallel_envs = Some(parallel_envs);
@@ -856,39 +845,27 @@ mod tests {
     }
 
     #[test]
-    fn parallel_envs_override_folds_into_rl_methods_only() {
-        let request = FloorplanRequest::builder()
-            .system(tiny_system())
-            .method(Method::rl())
-            .parallel_envs(4)
-            .build()
-            .unwrap();
-        assert_eq!(request.parallel_envs(), Some(4));
-        let Method::Rl { config } = request.resolved_method() else {
-            panic!("method variant must be preserved");
-        };
-        assert_eq!(config.parallel_envs, 4);
-
-        // SA ignores the knob (it has no rollout pool), and the budget and
-        // seed stay on the request: no method is changed by them.
-        for method in [Method::sa(), Method::rl_rnd(), Method::gradient()] {
+    fn parallel_envs_budget_and_seed_stay_on_the_request() {
+        // No method is changed by them: the request keeps each one.
+        for method in [
+            Method::rl(),
+            Method::sa(),
+            Method::rl_rnd(),
+            Method::gradient(),
+        ] {
             let request = FloorplanRequest::builder()
                 .system(tiny_system())
                 .method(method.clone())
-                .parallel_envs(1)
+                .parallel_envs(4)
                 .budget(Budget::Evaluations(25))
                 .seed(9)
                 .build()
                 .unwrap();
-            assert_eq!(request.resolved_method(), method);
+            assert_eq!(request.method(), &method);
+            assert_eq!(request.parallel_envs(), Some(4));
+            assert_eq!(request.budget(), Some(Budget::Evaluations(25)));
+            assert_eq!(request.seed(), Some(9));
         }
-        let request = FloorplanRequest::builder()
-            .system(tiny_system())
-            .method(Method::sa())
-            .parallel_envs(4)
-            .build()
-            .unwrap();
-        assert_eq!(request.resolved_method(), Method::sa());
 
         // Zero workers is rejected at build time.
         let err = FloorplanRequest::builder()

@@ -48,12 +48,12 @@ fn rl_sa_and_gradient_runs_record_their_counts() {
             .method(Method::Rl {
                 config: RlPlannerConfig {
                     episodes_per_update: 2,
-                    parallel_envs: 2,
                     ..RlPlannerConfig::default()
                 },
             })
             .thermal(backend())
-            .budget(Budget::Evaluations(4));
+            .budget(Budget::Evaluations(4))
+            .parallel_envs(2);
         if save_policy {
             request = request.save_policy(policy.display().to_string());
         }

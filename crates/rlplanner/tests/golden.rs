@@ -100,7 +100,6 @@ fn training() -> Option<TrainingTelemetry> {
         episodes: 33,
         parallel_envs: 2,
         episodes_per_s: 16.5,
-        merge_order_hash: 0x0123_4567_89ab_cdef,
     })
 }
 
@@ -253,9 +252,10 @@ fn golden_documents_parse_and_re_render_byte_for_byte() {
     }
 }
 
-/// The members method objects carried before a run's seed and budget moved
-/// to the request. A document that still carries one is refused with an
-/// error naming it, never solved on the request's defaults.
+/// The members method objects carried before a run's seed, budget and
+/// rollout parallelism moved to the request. A document that still carries
+/// one is refused with an error naming it and the request member that
+/// replaces it, never solved on the request's defaults.
 #[test]
 fn removed_method_members_are_refused_by_name() {
     let sys = system();
@@ -265,10 +265,15 @@ fn removed_method_members_are_refused_by_name() {
         ("max_evaluations", "40"),
         ("episodes", "600"),
         ("use_rnd", "false"),
+        ("parallel_envs", "1"),
     ];
     let refused = |doc: &str, member: &str, error: String| {
         assert!(
             error.contains(&format!("`{member}` is not a method member")),
+            "{doc}: {error}"
+        );
+        assert!(
+            error.contains("the request's `seed`, `budget` and `parallel_envs`"),
             "{doc}: {error}"
         );
     };

@@ -40,7 +40,6 @@ fn method_for(selector: u8, count: usize, knob: f64) -> Method {
         0 | 1 => {
             let config = RlPlannerConfig {
                 episodes_per_update: count,
-                parallel_envs: 1 + count % 4,
                 ..RlPlannerConfig::default()
             };
             if selector.is_multiple_of(4) {

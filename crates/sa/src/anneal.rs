@@ -20,7 +20,6 @@ use rlp_chiplet::{ChipletSystem, Placement, PlacementGrid};
 use rlp_obs::{obs_counter, obs_histogram, Stopwatch};
 use std::error::Error;
 use std::fmt;
-use std::time::Duration;
 
 /// Annealing schedule and search parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -127,8 +126,6 @@ pub struct SaResult {
     pub eval_counts: EvalCounts,
     /// Number of accepted moves.
     pub accepted_moves: usize,
-    /// Wall-clock duration of the search.
-    pub runtime: Duration,
 }
 
 /// A simulated-annealing floorplanner over a fixed chiplet system.
@@ -311,7 +308,6 @@ impl SaPlanner {
             evaluations,
             eval_counts,
             accepted_moves,
-            runtime: search.elapsed(),
         }
     }
 }
@@ -321,6 +317,7 @@ mod tests {
     use super::*;
     use crate::Objective;
     use rlp_chiplet::{wirelength::total_wirelength, Chiplet, Net};
+    use std::time::Duration;
 
     fn connected_system() -> ChipletSystem {
         let mut sys = ChipletSystem::new("t", 40.0, 40.0);

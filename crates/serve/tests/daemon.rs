@@ -157,6 +157,49 @@ fn fixed_seed_daemon_solve_is_byte_identical_to_direct_planner() {
     server.join().expect("server thread").expect("clean exit");
 }
 
+/// `solve_job` rebuilds the request member by member, so an RL request
+/// that sets every `request/v1` member must come back as the direct solve.
+/// `parallel_envs` never changes the result and sits on a VOLATILE line
+/// (`training`), so the served `training` object is checked on its own.
+#[test]
+fn rl_request_with_every_member_set_is_served_as_the_direct_solve() {
+    let request = FloorplanRequest::builder()
+        .system(synthetic_case(1))
+        .method(Method::rl())
+        .thermal(ThermalBackend::Fast {
+            config: ThermalConfig::with_grid(16, 16),
+            characterization: CharacterizationOptions::default(),
+        })
+        .budget(Budget::Evaluations(6))
+        .seed(23)
+        .parallel_envs(2)
+        .warm_start(true)
+        .build()
+        .expect("test request is valid");
+    let direct = request.solve().expect("direct solve succeeds");
+
+    let (addr, server) = start_server(1, 4);
+    let mut client = ServeClient::connect(addr).expect("connect");
+    let Submit::Accepted(job) = client.submit(&request_json(&request), 0).expect("submit") else {
+        panic!("empty daemon rejected a solve");
+    };
+    let result = client.wait_outcome(job).expect("job completes");
+    let served = outcome_from_value(&result.outcome, request.system()).expect("outcome parses");
+    assert_eq!(
+        deterministic_projection(&outcome_json(request.system(), &served)),
+        deterministic_projection(&outcome_json(request.system(), &direct)),
+    );
+    let training = served.training.expect("RL outcomes report training");
+    assert_eq!(training.parallel_envs, 2);
+    assert_eq!(training.episodes, 6);
+    assert!(served.manifest.warm_start);
+    assert_eq!(served.manifest.seed, 23);
+    assert_eq!(served.manifest.budget, Some(Budget::Evaluations(6)));
+
+    client.shutdown().expect("shutdown ack");
+    server.join().expect("server thread").expect("clean exit");
+}
+
 #[test]
 fn progress_streams_without_changing_the_outcome() {
     let request = sa_request(300, 11);
