@@ -17,20 +17,22 @@
 //! {
 //!   "schema": "rlplanner.campaign/v1",
 //!   "parallelism": 2,
-//!   "resumed_runs": 0,
-//!   "wall_clock_s": 12.5,
-//!   "cache": { "hits": 15, "misses": 3, "characterization_s": 4.2 },
-//!   "scheduler": {
-//!     "workers": [ { "worker": 0, "busy_s": 11.9, "executed": 3 } ],
-//!     "drain": [ { "index": 0, "worker": 0, "started_s": 0.1, "finished_s": 4.0 } ]
+//!   "timing": {
+//!     "resumed_runs": 0,
+//!     "wall_clock_s": 12.5,
+//!     "cache": { "hits": 15, "misses": 3, "characterization_s": 4.2 },
+//!     "scheduler": {
+//!       "workers": [ { "worker": 0, "busy_s": 11.9, "executed": 3 } ],
+//!       "drain": [ { "index": 0, "worker": 0, "started_s": 0.1, "finished_s": 4.0 } ]
+//!     }
 //!   },
 //!   "cells": [
 //!     {
 //!       "system": "multi-gpu", "method": "rl", "seeds": [7, 8, 9],
 //!       "best_seed": 8, "mean_reward": -1.9, "min_reward": -2.4,
-//!       "max_reward": -1.6, "total_runtime_s": 30.1,
+//!       "max_reward": -1.6,
 //!       "evaluations": 1800, "full_evals": 3, "incremental_evals": 1797,
-//!       "mean_eval_us": 16.7, "episodes_per_s": 59.8,
+//!       "timing": { "total_runtime_s": 30.1, "mean_eval_us": 16.7, "episodes_per_s": 59.8 },
 //!       "best": { "schema": "rlplanner.outcome/v1", ... }
 //!     }
 //!   ],
@@ -39,8 +41,8 @@
 //!       "index": 0, "system": "multi-gpu", "method": "rl", "seed": 7,
 //!       "reward": -2.4, "wirelength_mm": 6200, "max_temperature_c": 78.4,
 //!       "evaluations": 600, "eval_mode": "incremental",
-//!       "full_evals": 1, "incremental_evals": 599, "runtime_s": 10.0,
-//!       "cache_hits": 1, "cache_misses": 0
+//!       "full_evals": 1, "incremental_evals": 599,
+//!       "timing": { "runtime_s": 10.0, "cache_hits": 1, "cache_misses": 0 }
 //!     }
 //!   ],
 //!   "failures": [
@@ -65,7 +67,8 @@
 //! microseconds — the number the incremental engine exists to shrink.
 //! `episodes_per_s` is the cell's training throughput (total episodes over
 //! total runtime) — the number the parallel rollout engine exists to grow;
-//! it is `null` for cells without rollout telemetry (the SA baseline).
+//! it is `null` for cells without rollout telemetry (SA, gradient and
+//! pretrained).
 //! `runs` holds one compact record per completed run, also in grid order,
 //! with the per-run evaluation-engine and cache telemetry that the cell and
 //! campaign levels aggregate; each record's `index` is its position in the
@@ -75,11 +78,17 @@
 //! `rlplanner.campaign-run/v1` file instead of executed; `scheduler`
 //! carries per-worker busy time and the queue-drain timeline for the runs
 //! this execution performed.
+//!
+//! Every value that differs between two executions of the same spec sits
+//! in a `timing` member ([`TIMING`]): the campaign's own (`resumed_runs`,
+//! `wall_clock_s`, `cache`, `scheduler`), each cell's and each run's, and
+//! each embedded outcome's. Dropping that one member at every depth leaves
+//! what a resumed campaign must reproduce exactly.
 
 use rlp_chiplet::ChipletSystem;
 use rlp_obs::json::{Layout, Writer};
 use rlp_thermal::ThermalCacheStats;
-use rlplanner::report::write_outcome;
+use rlplanner::report::{write_outcome, TIMING};
 use rlplanner::{EvalCounts, FloorplanOutcome, PlanError};
 use std::time::Duration;
 
@@ -263,12 +272,14 @@ fn write_cell(w: &mut Writer, report: &CampaignReport, cell: &CellSummary) {
             .field("mean_reward", cell.mean_reward)
             .field("min_reward", cell.min_reward)
             .field("max_reward", cell.max_reward)
-            .field("total_runtime_s", cell.total_runtime)
             .field("evaluations", cell.eval_counts.total())
             .field("full_evals", cell.eval_counts.full)
-            .field("incremental_evals", cell.eval_counts.incremental)
-            .field("mean_eval_us", cell.mean_eval_time.as_secs_f64() * 1e6)
-            .field("episodes_per_s", cell.episodes_per_s);
+            .field("incremental_evals", cell.eval_counts.incremental);
+        w.key(TIMING).object(Layout::Inline, |w| {
+            w.field("total_runtime_s", cell.total_runtime)
+                .field("mean_eval_us", cell.mean_eval_time.as_secs_f64() * 1e6)
+                .field("episodes_per_s", cell.episodes_per_s);
+        });
         write_outcome(
             w.key("best"),
             &report.systems[cell.system_index],
@@ -290,10 +301,12 @@ fn write_run(w: &mut Writer, run: &RunRecord) {
             .field("evaluations", outcome.evaluations)
             .field("eval_mode", outcome.evaluation.mode.label())
             .field("full_evals", outcome.evaluation.counts.full)
-            .field("incremental_evals", outcome.evaluation.counts.incremental)
-            .field("runtime_s", outcome.runtime)
-            .field("cache_hits", outcome.thermal_prep.cache_hits)
-            .field("cache_misses", outcome.thermal_prep.cache_misses);
+            .field("incremental_evals", outcome.evaluation.counts.incremental);
+        w.key(TIMING).object(Layout::Inline, |w| {
+            w.field("runtime_s", outcome.runtime)
+                .field("cache_hits", outcome.thermal_prep.cache_hits)
+                .field("cache_misses", outcome.thermal_prep.cache_misses);
+        });
     });
 }
 
@@ -337,16 +350,17 @@ pub fn campaign_json(report: &CampaignReport) -> String {
     let mut w = Writer::pretty();
     w.object(Layout::Block, |w| {
         w.field("schema", CAMPAIGN_SCHEMA)
-            .field("parallelism", report.parallelism)
-            .field("resumed_runs", report.resumed_runs)
-            .field("wall_clock_s", report.wall_clock);
-        w.key("cache").object(Layout::Inline, |w| {
-            w.field("hits", report.cache.hits)
-                .field("misses", report.cache.misses)
-                .field("characterization_s", report.cache.characterization_time);
+            .field("parallelism", report.parallelism);
+        w.key(TIMING).object(Layout::Block, |w| {
+            w.field("resumed_runs", report.resumed_runs)
+                .field("wall_clock_s", report.wall_clock);
+            w.key("cache").object(Layout::Inline, |w| {
+                w.field("hits", report.cache.hits)
+                    .field("misses", report.cache.misses)
+                    .field("characterization_s", report.cache.characterization_time);
+            });
+            write_scheduler(w.key("scheduler"), &report.scheduler);
         });
-        w.key("scheduler")
-            .deeper(|w| write_scheduler(w, &report.scheduler));
         w.key("cells").array(Layout::Block, |w| {
             for cell in &report.cells {
                 write_cell(w, report, cell);
@@ -407,6 +421,7 @@ mod tests {
         let keys = [
             "\"schema\"",
             "\"parallelism\"",
+            "\"timing\"",
             "\"resumed_runs\"",
             "\"wall_clock_s\"",
             "\"cache\"",

@@ -23,9 +23,7 @@
 //! ```json
 //! {"schema":"rlplanner.campaign-run/v1","index":0,"status":"ok",
 //!  "system":"multi-gpu","system_index":0,"method":"rl","seed":7,
-//!  "evaluations":600,"full_evals":1,"incremental_evals":599,
-//!  "runtime_s":10.0,"cache_hits":1,"cache_misses":0,
-//!  "characterization_s":0.0,"outcome":{"schema":"rlplanner.outcome/v1",...}}
+//!  "outcome":{"schema":"rlplanner.outcome/v1",...}}
 //! {"schema":"rlplanner.campaign-run/v1","index":3,"status":"error",
 //!  "system":"multi-gpu","system_index":0,"method":"sa","seed":8,
 //!  "error":"initial placement failed: ..."}
@@ -36,11 +34,12 @@
 //! campaign matches records against its spec with. An `ok` record embeds
 //! the full `rlplanner.outcome/v1` document, written compact by the same
 //! writer as the pretty document, so every number keeps its spelling:
-//! placement coordinates keep four decimals and integers stay exact. It
-//! also carries the per-run cache and evaluation telemetry;
-//! [`rlplanner::outcome_from_value`] reconstructs the outcome losslessly
-//! on resume. An `error` record carries the rendered solve error only —
-//! resume retries it.
+//! placement coordinates keep four decimals and integers stay exact. The
+//! record restates nothing of it: the run's evaluation counts are the
+//! outcome's, and its only VOLATILE values are the outcome's `timing`
+//! member. [`rlplanner::outcome_from_value`] reconstructs the outcome
+//! losslessly on resume. An `error` record carries the rendered solve
+//! error only — resume retries it.
 
 use crate::report::{RunFailure, RunRecord};
 use rlp_chiplet::ChipletSystem;
@@ -91,20 +90,12 @@ impl RunEvent<'_> {
                 .field("index", self.index());
             match self {
                 RunEvent::Completed { run, system } => {
-                    let outcome = &run.outcome;
                     w.field("status", "ok")
                         .field("system", &run.system)
                         .field("system_index", run.system_index)
                         .field("method", &run.method)
-                        .field("seed", run.seed)
-                        .field("evaluations", outcome.evaluations)
-                        .field("full_evals", outcome.evaluation.counts.full)
-                        .field("incremental_evals", outcome.evaluation.counts.incremental)
-                        .field("runtime_s", outcome.runtime)
-                        .field("cache_hits", outcome.thermal_prep.cache_hits)
-                        .field("cache_misses", outcome.thermal_prep.cache_misses)
-                        .field("characterization_s", outcome.thermal_prep.characterization);
-                    write_outcome(w.key("outcome"), system, outcome);
+                        .field("seed", run.seed);
+                    write_outcome(w.key("outcome"), system, &run.outcome);
                 }
                 RunEvent::Failed { failure } => {
                     w.field("status", "error")

@@ -5,9 +5,9 @@
 //! file, and the merged stream must contain the same deterministic results
 //! as an uninterrupted run — record for record. Volatile telemetry
 //! (runtimes, cache hit/miss splits, characterisation time) legitimately
-//! differs between executions, so the comparison projects records onto
-//! their deterministic fields first; everything else must match
-//! byte-for-byte after the canonical re-render.
+//! differs between executions and sits in each embedded outcome's `timing`
+//! member, so the comparison drops that member first; everything else must
+//! match byte-for-byte after the canonical re-render.
 
 use rlp_chiplet::{Chiplet, ChipletSystem, Net};
 use rlp_engine::{
@@ -17,6 +17,7 @@ use rlp_engine::{
 use rlp_obs::json::Value;
 use rlp_sa::SaConfig;
 use rlp_thermal::{ThermalBackend, ThermalConfig};
+use rlplanner::report::TIMING;
 use rlplanner::{Budget, Method};
 use std::io;
 use std::path::PathBuf;
@@ -76,34 +77,13 @@ impl RunSink for FailingSink {
     }
 }
 
-/// Keys whose values are wall-clock or cache telemetry — legitimately
-/// different between executions — stripped before byte-comparison.
-const VOLATILE_KEYS: &[&str] = &[
-    "runtime_s",
-    "episodes_per_s",
-    "characterization_s",
-    "cache_hits",
-    "cache_misses",
-];
-
-fn strip_volatile(value: &Value) -> Value {
-    match value {
-        Value::Obj(members) => Value::Obj(
-            members
-                .iter()
-                .filter(|(key, _)| !VOLATILE_KEYS.contains(&key.as_str()))
-                .map(|(key, inner)| (key.clone(), strip_volatile(inner)))
-                .collect(),
-        ),
-        Value::Arr(items) => Value::Arr(items.iter().map(strip_volatile).collect()),
-        other => other.clone(),
-    }
-}
-
-/// The deterministic projection of one stream line: parse, strip volatile
-/// telemetry, re-render canonically.
+/// The deterministic projection of one stream line: parse, drop the
+/// `timing` members, re-render canonically.
 fn deterministic_projection(line: &str) -> String {
-    strip_volatile(&Value::parse(line).expect("stream lines are valid JSON")).render()
+    Value::parse(line)
+        .expect("stream lines are valid JSON")
+        .without(TIMING)
+        .render()
 }
 
 fn temp_path(name: &str) -> PathBuf {
@@ -181,8 +161,8 @@ fn truncated_stream_resumes_to_the_uninterrupted_result() {
     let executed: usize = resumed.scheduler.workers.iter().map(|w| w.runs).sum();
     assert_eq!(executed, 2, "resumed cells must not re-execute");
 
-    // The merged file holds the whole grid and is, after stripping volatile
-    // wall-clock/cache telemetry, byte-identical to the uninterrupted
+    // The merged file holds the whole grid and is, after dropping the
+    // `timing` members, byte-identical to the uninterrupted
     // stream — the runs that executed reproduced the reference exactly.
     let merged = std::fs::read_to_string(&path).expect("read merged stream");
     let merged_lines: Vec<&str> = merged.lines().filter(|l| !l.trim().is_empty()).collect();

@@ -133,6 +133,23 @@ impl Value {
         }
     }
 
+    /// This value with every object member named `key` dropped, at any
+    /// depth; all other members keep their order. Tests compare two runs'
+    /// documents through it with the wall-clock member dropped.
+    pub fn without(self, key: &str) -> Value {
+        match self {
+            Value::Obj(members) => Value::Obj(
+                members
+                    .into_iter()
+                    .filter(|(k, _)| k != key)
+                    .map(|(k, v)| (k, v.without(key)))
+                    .collect(),
+            ),
+            Value::Arr(items) => Value::Arr(items.into_iter().map(|v| v.without(key)).collect()),
+            other => other,
+        }
+    }
+
     /// Renders the value back as compact single-line JSON, preserving
     /// member order. Two structurally-equal values render identically, so
     /// `parse` + `render` is a canonical form for comparing documents that
@@ -528,17 +545,6 @@ impl Writer {
         self.begin_value().push_str(json);
         self
     }
-
-    /// Runs `body` with block content indented one level deeper than its
-    /// position implies. Only `campaign/v1`'s `scheduler` object uses
-    /// this: that document has always been spelled so, and its bytes are
-    /// pinned.
-    pub fn deeper(&mut self, body: impl FnOnce(&mut Writer)) -> &mut Self {
-        self.depth += 1;
-        body(self);
-        self.depth -= 1;
-        self
-    }
 }
 
 /// A value [`Writer::value`] and [`Writer::field`] can write.
@@ -789,6 +795,19 @@ mod tests {
     }
 
     #[test]
+    fn without_drops_the_member_at_every_depth_and_keeps_the_rest_in_order() {
+        let doc = r#"{"z":1,"t":{"x":1},"a":[{"t":2,"b":3,"c":[{"d":4,"t":null}]},5],"c":{"t":[],"e":6}}"#;
+        assert_eq!(
+            Value::parse(doc).unwrap().without("t").render(),
+            r#"{"z":1,"a":[{"b":3,"c":[{"d":4}]},5],"c":{"e":6}}"#
+        );
+        // A document without the member comes back byte-identical.
+        let plain = r#"{"b":[1,{"c":"t","d":[{"e":null}]}],"a":{"f":true}}"#;
+        assert_eq!(Value::parse(plain).unwrap().without("t").render(), plain);
+        assert_eq!(Value::Num(2.0).without("t"), Value::Num(2.0));
+    }
+
+    #[test]
     fn malformed_documents_report_an_offset() {
         for bad in [
             "{",
@@ -960,18 +979,12 @@ mod tests {
                     w.field("k", 2u64);
                 });
             });
-            w.key("deeper").deeper(|w| {
-                w.object(Layout::Block, |w| {
-                    w.field("k", 3u64);
-                });
-            });
         });
         assert_eq!(
             w.finish(),
             "{\n  \"empty_block\": [],\n  \"empty_inline\": {},\n  \"rows\": [\n    \
              { \"a\": 1, \"b\": null },\n    {\n      \"deep\": true\n    }\n  ],\n  \
-             \"frame\": { \"t\": \"x\", \"doc\": {\n    \"k\": 2\n  } },\n  \
-             \"deeper\": {\n      \"k\": 3\n    }\n}"
+             \"frame\": { \"t\": \"x\", \"doc\": {\n    \"k\": 2\n  } }\n}"
         );
     }
 

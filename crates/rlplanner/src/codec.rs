@@ -14,7 +14,7 @@
 //! `method.ppo.gamma`.
 
 use crate::gradient::GradientConfig;
-use crate::outcome::{EvalTelemetry, TelemetrySample, TrainingTelemetry};
+use crate::outcome::{EvalTelemetry, FloorplanOutcome, TelemetrySample, TrainingTelemetry};
 use crate::parse::OutcomeParseError;
 use crate::planner::RlPlannerConfig;
 use crate::request::{Method, PretrainedConfig};
@@ -28,6 +28,7 @@ use rlp_thermal::{
 };
 use std::borrow::Cow;
 use std::fmt;
+use std::time::Duration;
 
 pub(crate) type Result<T> = std::result::Result<T, OutcomeParseError>;
 
@@ -235,13 +236,35 @@ record!(EvalTelemetry, Inline {
 record!(TrainingTelemetry, Inline {
     "episodes" => episodes,
     "parallel_envs" => parallel_envs,
-    "episodes_per_s" => episodes_per_s,
 });
 
-record!(ThermalPrep, Inline {
-    "cache_hits" => cache_hits,
-    "cache_misses" => cache_misses,
-    "characterization_s" => characterization,
+/// The outcome document's VOLATILE values, which it renders together in
+/// its `timing` member: [`FloorplanOutcome::runtime`], its
+/// [`FloorplanOutcome::thermal_prep`] and its training's
+/// `episodes_per_s` (NaN, rendered `null`, for a run without training).
+#[derive(Default)]
+pub(crate) struct Timing {
+    pub(crate) runtime: Duration,
+    pub(crate) prep: ThermalPrep,
+    pub(crate) episodes_per_s: f64,
+}
+
+impl Timing {
+    pub(crate) fn of(outcome: &FloorplanOutcome) -> Self {
+        Timing {
+            runtime: outcome.runtime,
+            prep: outcome.thermal_prep,
+            episodes_per_s: outcome.training.map_or(f64::NAN, |t| t.episodes_per_s),
+        }
+    }
+}
+
+record!(Timing, Inline {
+    "runtime_s" => runtime,
+    "characterization_s" => prep.characterization,
+    "cache_hits" => prep.cache_hits,
+    "cache_misses" => prep.cache_misses,
+    "episodes_per_s" => episodes_per_s,
 });
 
 record!(TelemetrySample, Inline {

@@ -32,8 +32,9 @@ pub struct EvalTelemetry {
 
 /// Rollout telemetry of a training run: how the episodes were collected.
 ///
-/// Only RL methods produce this (the SA baseline has no rollout pool). The
-/// JSON report surfaces it as the `training` object. Because parallel
+/// Only RL methods produce this (SA, gradient and pretrained runs collect
+/// no episodes). The JSON report surfaces it as the `training` object,
+/// except the VOLATILE `episodes_per_s`, which it renders in `timing`. Because parallel
 /// collection is trajectory-invariant — every episode's action stream is
 /// keyed by `(seed, episode index)` and transitions merge in episode order —
 /// `parallel_envs` changes only `episodes_per_s`, never the outcome.

@@ -38,9 +38,9 @@
 //! parsed outcome reproduces the original document byte for byte, which is
 //! the invariant the campaign resume path relies on.
 
-use crate::codec::{budget, err, member, method, object, read, thermal, Key, Record};
+use crate::codec::{budget, err, member, method, object, read, thermal, Key, Record, Timing};
 use crate::outcome::{FloorplanOutcome, RunManifest, TrainingTelemetry};
-use crate::report::{OUTCOME_SCHEMA, REQUEST_SCHEMA};
+use crate::report::{OUTCOME_SCHEMA, REQUEST_SCHEMA, TIMING};
 use crate::request::FloorplanRequest;
 use rlp_chiplet::{Chiplet, ChipletId, ChipletSystem, Net, Placement, Position, Rotation};
 use rlp_obs::json::Value;
@@ -126,16 +126,20 @@ pub fn outcome_from_value(
     }
     let top = Key::top;
     let in_manifest = |name| Key::new("manifest", name);
+    let timing: Timing = object::read(doc, top(TIMING))?;
     Ok(FloorplanOutcome {
         breakdown: object::read(doc, top("breakdown"))?,
         evaluations: read(doc, top("evaluations"))?,
         evaluation: object::read(doc, top("evaluation"))?,
         training: match member(doc, top("training"))? {
             Value::Null => None,
-            value => Some(TrainingTelemetry::read(value, "training")?),
+            value => Some(TrainingTelemetry {
+                episodes_per_s: timing.episodes_per_s,
+                ..TrainingTelemetry::read(value, "training")?
+            }),
         },
-        runtime: read(doc, top("runtime_s"))?,
-        thermal_prep: object::read(doc, top("thermal_prep"))?,
+        runtime: timing.runtime,
+        thermal_prep: timing.prep,
         placement: placement_from(member(doc, top("placement"))?, system)?,
         telemetry: match member(doc, top("telemetry"))?.as_array() {
             Some(samples) => samples

@@ -33,9 +33,9 @@
 //!                  "eval_mode": "full" | "incremental" },
 //!   "evaluations": 600,
 //!   "evaluation": { "mode": "full" | "incremental", "full_evals": 1, "incremental_evals": 599 },
-//!   "training": { "episodes": 600, "parallel_envs": 4, "episodes_per_s": 48.2 },
-//!   "runtime_s": 12.5,
-//!   "thermal_prep": { "cache_hits": 0, "cache_misses": 1, "characterization_s": 0.8 },
+//!   "training": { "episodes": 600, "parallel_envs": 4 },
+//!   "timing": { "runtime_s": 12.5, "characterization_s": 0.8, "cache_hits": 0,
+//!               "cache_misses": 1, "episodes_per_s": 48.2 },
 //!   "placement": { "chiplets": [ ... ] },
 //!   "telemetry": [ { "index": 0, "reward": -2.5, "best_reward": -2.5 } ],
 //!   "manifest": {
@@ -56,18 +56,21 @@
 //! the propose/commit/reject engine served `incremental_evals` move
 //! evaluations (bit-identical to full evaluation, so results never depend
 //! on the mode), `"full"` that every candidate was evaluated from scratch.
-//! `training` describes how an RL run's episodes were collected —
-//! `episodes` the count actually collected (the numerator of
-//! `episodes_per_s`; distinct from the top-level `evaluations`, which
-//! counts objective evaluations), `parallel_envs` rollout workers at
-//! `episodes_per_s` throughput; parallel collection is
-//! trajectory-invariant, so the knob changes only throughput, never
-//! results. The field is `null` for SA runs, which have
-//! no rollout pool. `thermal_prep` records how the run's
-//! thermal analyzer was obtained — characterised from scratch
-//! (`cache_misses`) or served from a shared characterisation cache
-//! (`cache_hits`) — and the analyzer-construction wall-clock, so cache
-//! regressions are visible in `--json` output. The `manifest` object carries
+//! `training` describes how an RL run's episodes were collected:
+//! `episodes` the count actually collected (distinct from the top-level
+//! `evaluations`, which counts objective evaluations) and `parallel_envs`
+//! the rollout workers; parallel collection is trajectory-invariant, so
+//! the knob changes only throughput, never results. It is `null` for the
+//! runs that collect no episodes: SA, gradient and pretrained.
+//!
+//! `timing` holds every value that varies between two runs of the same
+//! request, on one line, so a deterministic comparison drops this one
+//! member ([`TIMING`]) and compares the rest byte for byte: `runtime_s`
+//! the optimisation wall-clock, `characterization_s` what building the
+//! thermal analyzer cost this run, `cache_hits`/`cache_misses` whether the
+//! analyzer came from a shared characterisation cache or was characterised
+//! from scratch, and `episodes_per_s` the training throughput (`null`
+//! when `training` is). The `manifest` object carries
 //! everything the run depended on, so a run can be reproduced from its
 //! report alone: `seed` is the seed it used (0 when the request set none)
 //! and `budget` the request's budget in the request document's encoding;
@@ -112,7 +115,7 @@
 //! description; the analyzer itself never crosses the wire (the serving
 //! side re-attaches one from its own cache).
 
-use crate::codec::{budget, method, thermal, Record};
+use crate::codec::{budget, method, thermal, Record, Timing};
 use crate::outcome::FloorplanOutcome;
 use crate::request::FloorplanRequest;
 use rlp_chiplet::{ChipletSystem, Placement, Rotation};
@@ -120,6 +123,12 @@ use rlp_obs::json::{Layout, Writer};
 
 /// Identifier of the outcome-document layout produced by [`outcome_json`].
 pub const OUTCOME_SCHEMA: &str = "rlplanner.outcome/v1";
+
+/// The member that holds a document's VOLATILE values: an outcome's, each
+/// campaign cell's and run record's, and the campaign's own. Dropping it
+/// with [`rlp_obs::json::Value::without`] leaves what two runs of the same
+/// request must agree on byte for byte.
+pub const TIMING: &str = "timing";
 
 /// Identifier of the request-document layout produced by [`request_json`].
 pub const REQUEST_SCHEMA: &str = "rlplanner.request/v1";
@@ -182,8 +191,7 @@ pub fn write_outcome(w: &mut Writer, system: &ChipletSystem, outcome: &Floorplan
                 w.key("training").null();
             }
         }
-        w.field("runtime_s", outcome.runtime);
-        outcome.thermal_prep.write(w.key("thermal_prep"));
+        Timing::of(outcome).write(w.key(TIMING));
         write_placement(w.key("placement"), system, &outcome.placement);
         w.key("telemetry").array(Layout::Block, |w| {
             for sample in &outcome.telemetry {
@@ -370,8 +378,7 @@ mod tests {
             "\"evaluations\"",
             "\"evaluation\"",
             "\"training\"",
-            "\"runtime_s\"",
-            "\"thermal_prep\"",
+            "\"timing\"",
             "\"placement\"",
             "\"telemetry\"",
             "\"manifest\"",
@@ -391,14 +398,15 @@ mod tests {
         assert!(json.contains(
             "\"evaluation\": { \"mode\": \"incremental\", \"full_evals\": 1, \"incremental_evals\": 1 }"
         ));
-        assert!(json.contains(
-            "\"training\": { \"episodes\": 33, \"parallel_envs\": 2, \"episodes_per_s\": 16.5 }"
-        ));
+        assert!(json.contains("\"training\": { \"episodes\": 33, \"parallel_envs\": 2 }"));
         // The manifest does not record the rollout-parallelism knob: it
         // cannot change the result.
         assert_eq!(json.matches("\"parallel_envs\"").count(), 1);
-        assert!(json
-            .contains("\"thermal_prep\": { \"cache_hits\": 1, \"cache_misses\": 0, \"characterization_s\": 0 }"));
+        // Every VOLATILE value sits on the one `timing` line.
+        assert!(json.contains(
+            "\n  \"timing\": { \"runtime_s\": 0.25, \"characterization_s\": 0, \
+             \"cache_hits\": 1, \"cache_misses\": 0, \"episodes_per_s\": 16.5 },\n"
+        ));
         assert!(json.contains("\"kind\": \"rl-rnd\""));
         assert!(json.contains("\"kind\": \"fast\""));
         assert!(json.contains("\"seed\": 7,\n    \"budget\": null,\n    \"method\": {"));
@@ -421,6 +429,7 @@ mod tests {
         sa_outcome.training = None;
         let json = outcome_json(&sys, &sa_outcome);
         assert!(json.contains("\"training\": null"));
+        assert!(json.contains("\"episodes_per_s\": null }"));
         let kind = json.find("\"kind\": \"sa\"").unwrap();
         let cooling = json.find("\"cooling_rate\"").unwrap();
         let grid = json.find("\"grid\": [16, 16]").unwrap();

@@ -76,11 +76,11 @@
 //! measurements for the job (see [`crate::queue::JobTimings`]):
 //! `queue_ms` (admission → worker dispatch) and `solve_ms` (dispatch →
 //! finish; absent until the job is dispatched — on `status` frames a
-//! running job reports its still-growing value). Like `runtime_s` inside
-//! the outcome document, these are VOLATILE fields: they vary run to run
-//! and must be stripped before byte-comparing a served solve against a
+//! running job reports its still-growing value). Like the outcome
+//! document's `timing` member, these are VOLATILE fields: they vary run to
+//! run and must be dropped before byte-comparing a served solve against a
 //! direct one. The embedded `outcome` document itself is unchanged and
-//! stays byte-identical on its deterministic fields.
+//! stays byte-identical outside its `timing` member.
 //!
 //! `metrics` replies embed a full `rlplanner.metrics/v1` registry
 //! snapshot (see `rlp_obs::MetricsSnapshot::render_json` for the schema):

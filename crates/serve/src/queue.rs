@@ -7,10 +7,11 @@
 //! shutdown (stop admitting, drain what is queued, wake every worker).
 //! Job ids are assigned at admission and never reused.
 //!
-//! Running jobs are deliberately not cancellable: the planners have no
-//! interruption points mid-solve, so `cancel` only removes jobs still
-//! waiting in the queue — the same contract connection teardown uses for
-//! the departed connection's queued jobs.
+//! Running jobs cannot be cancelled yet. Every engine polls its
+//! `SearchRun::exhausted` between candidates, but no cancel token reaches
+//! the `SearchRun` a job's solve builds, so `cancel` only removes jobs
+//! still waiting in the queue — the same contract connection teardown uses
+//! for the departed connection's queued jobs.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};

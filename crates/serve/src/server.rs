@@ -14,8 +14,9 @@
 //! `ConnWriter` (a mutex around the socket plus a liveness flag), so a
 //! worker never races a reply and a departed connection degrades to
 //! dropped frames, never a worker crash. Connection teardown cancels that
-//! connection's *queued* jobs; running jobs always complete (planners have
-//! no interruption points), they just lose their audience.
+//! connection's *queued* jobs; running jobs always complete (no cancel
+//! token reaches the solve's `SearchRun` yet), they just lose their
+//! audience.
 
 use crate::protocol::{self, frames, ClientMessage, SchedulerStats};
 use crate::queue::{AdmitError, JobQueue, JobState};

@@ -4,26 +4,25 @@
 
 use rlp_benchmarks::synthetic_case;
 use rlp_chiplet::ChipletSystem;
+use rlp_obs::json::Value;
 use rlp_sa::SaConfig;
 use rlp_serve::{ClientError, ServeClient, Server, ServerConfig, Submit};
 use rlp_thermal::{CharacterizationOptions, ThermalBackend, ThermalConfig};
-use rlplanner::report::{outcome_json, request_json};
+use rlplanner::report::{outcome_json, request_json, TIMING};
 use rlplanner::{cli, outcome_from_value, Budget, FloorplanRequest, Method};
 use std::io;
 use std::net::SocketAddr;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// Outcome-document lines that legitimately differ between two runs of the
-/// same solve (wall-clock measurements). Everything else must match to the
-/// byte.
-const VOLATILE: &[&str] = &["\"runtime_s\"", "\"thermal_prep\"", "\"episodes_per_s\""];
-
+/// An outcome document without its `timing` member, the only values that
+/// legitimately differ between two runs of the same solve. Everything else
+/// must match to the byte.
 fn deterministic_projection(doc: &str) -> String {
-    doc.lines()
-        .filter(|line| !VOLATILE.iter().any(|key| line.contains(key)))
-        .collect::<Vec<_>>()
-        .join("\n")
+    Value::parse(doc)
+        .expect("outcome documents are valid JSON")
+        .without(TIMING)
+        .render()
 }
 
 /// A small fixed-seed SA request over the fast thermal backend (the cached
@@ -95,7 +94,7 @@ fn start_server_with_policy(
 /// Re-renders a daemon outcome through the canonical renderer; the parse →
 /// render pair is byte-preserving, so this is exactly the document the
 /// daemon rendered.
-fn canonical(outcome: &rlp_obs::json::Value, system: &ChipletSystem) -> String {
+fn canonical(outcome: &Value, system: &ChipletSystem) -> String {
     let parsed = outcome_from_value(outcome, system).expect("daemon outcome parses");
     outcome_json(system, &parsed)
 }
@@ -159,8 +158,9 @@ fn fixed_seed_daemon_solve_is_byte_identical_to_direct_planner() {
 
 /// `solve_job` rebuilds the request member by member, so an RL request
 /// that sets every `request/v1` member must come back as the direct solve.
-/// `parallel_envs` never changes the result and sits on a VOLATILE line
-/// (`training`), so the served `training` object is checked on its own.
+/// `parallel_envs` never changes the result, but the outcome's `training`
+/// object records it, so the projection comparison alone catches a daemon
+/// that drops it; the field assertions below name what each member became.
 #[test]
 fn rl_request_with_every_member_set_is_served_as_the_direct_solve() {
     let request = FloorplanRequest::builder()
@@ -438,7 +438,6 @@ fn a_duration_too_long_to_represent_is_an_error_frame_and_the_connection_serves_
 
 #[test]
 fn metrics_rpc_exposes_a_job_timeline_and_frames_carry_timings() {
-    use rlp_obs::json::Value;
     use rlp_serve::protocol::{self, ClientMessage};
     use std::net::TcpStream;
 

@@ -7,8 +7,9 @@ generates one real document of every schema by driving the release
 binaries (a single solve, a sweep with a stream file, a saved policy
 file, and a live `rlp_serve --policy` daemon spoken to over a socket),
 and fails if the documented top-level keys drift from the rendered ones
-in either direction; an outcome's `manifest` members are checked the same
-way against the `{ ... }` members its table row documents. It also fails if an `obs_counter!`/`obs_gauge!`/
+in either direction; an outcome's `manifest` and `timing` members and a
+campaign's `timing` members are checked the same way against the
+`{ ... }` members their table rows document. It also fails if an `obs_counter!`/`obs_gauge!`/
 `obs_histogram!` call under crates/*/src takes anything but a string
 literal, or if the names in those calls and README's "Observability"
 series table differ in either direction.
@@ -499,16 +500,15 @@ def main():
             sections["rlplanner.outcome/v1"]["fields"],
             [outcome, rl_outcome],
         )
-        manifest_members = documented_members(
-            sections["rlplanner.outcome/v1"]["body"], "manifest"
-        )
-        if not manifest_members:
-            fail("rlplanner.outcome/v1: the `manifest` row documents no `{ ... }` members")
-        check_keys(
-            "rlplanner.outcome/v1 manifest",
-            manifest_members,
-            [outcome["manifest"], rl_outcome["manifest"]],
-        )
+        for schema, field, docs in (
+            ("rlplanner.outcome/v1", "manifest", [outcome, rl_outcome]),
+            ("rlplanner.outcome/v1", "timing", [outcome, rl_outcome]),
+            ("rlplanner.campaign/v1", "timing", [campaign]),
+        ):
+            members = documented_members(sections[schema]["body"], field)
+            if not members:
+                fail(f"{schema}: the `{field}` row documents no `{{ ... }}` members")
+            check_keys(f"{schema} {field}", members, [doc[field] for doc in docs])
         check_keys(
             "rlplanner.request/v1",
             sections["rlplanner.request/v1"]["fields"],
