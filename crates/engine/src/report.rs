@@ -79,11 +79,8 @@
 //! carries per-worker busy time and the queue-drain timeline for the runs
 //! this execution performed.
 //!
-//! Every value that differs between two executions of the same spec sits
-//! in a `timing` member ([`TIMING`]): the campaign's own (`resumed_runs`,
-//! `wall_clock_s`, `cache`, `scheduler`), each cell's and each run's, and
-//! each embedded outcome's. Dropping that one member at every depth leaves
-//! what a resumed campaign must reproduce exactly.
+//! Every VOLATILE value sits in a `timing` member ([`TIMING`]): the
+//! campaign's own, each cell's, each run's and each embedded outcome's.
 
 use rlp_chiplet::ChipletSystem;
 use rlp_obs::json::{Layout, Writer};

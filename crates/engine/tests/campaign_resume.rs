@@ -11,8 +11,8 @@
 
 use rlp_chiplet::{Chiplet, ChipletSystem, Net};
 use rlp_engine::{
-    CampaignEngine, CampaignError, CampaignMethod, CampaignSpec, JsonlSink, MemorySink, RunEvent,
-    RunSink,
+    campaign_json, CampaignEngine, CampaignError, CampaignMethod, CampaignSpec, JsonlSink,
+    MemorySink, RunEvent, RunSink,
 };
 use rlp_obs::json::Value;
 use rlp_sa::SaConfig;
@@ -77,11 +77,11 @@ impl RunSink for FailingSink {
     }
 }
 
-/// The deterministic projection of one stream line: parse, drop the
-/// `timing` members, re-render canonically.
-fn deterministic_projection(line: &str) -> String {
-    Value::parse(line)
-        .expect("stream lines are valid JSON")
+/// The deterministic projection of a stream line or campaign document:
+/// parse, drop the `timing` members, re-render canonically.
+fn deterministic_projection(doc: &str) -> String {
+    Value::parse(doc)
+        .expect("documents are valid JSON")
         .without(TIMING)
         .render()
 }
@@ -175,16 +175,14 @@ fn truncated_stream_resumes_to_the_uninterrupted_result() {
     }
 
     // The in-memory report agrees with the reference too, resumed records
-    // included.
+    // included. The document rounds coordinates, so placements are
+    // compared exactly as well.
+    assert_eq!(
+        deterministic_projection(&campaign_json(&resumed)),
+        deterministic_projection(&campaign_json(&reference)),
+    );
     for (a, b) in reference.runs.iter().zip(&resumed.runs) {
-        assert_eq!(
-            (a.index, &a.system, &a.method, a.seed),
-            (b.index, &b.system, &b.method, b.seed)
-        );
-        assert_eq!(a.outcome.breakdown.reward, b.outcome.breakdown.reward);
         assert_eq!(a.outcome.placement, b.outcome.placement);
-        assert_eq!(a.outcome.manifest, b.outcome.manifest);
-        assert_eq!(a.outcome.evaluations, b.outcome.evaluations);
     }
 
     std::fs::remove_file(&path).ok();
@@ -207,16 +205,14 @@ fn resuming_a_complete_stream_executes_nothing() {
     assert!(replay.lines().is_empty(), "nothing new to emit");
     let executed: usize = resumed.scheduler.workers.iter().map(|w| w.runs).sum();
     assert_eq!(executed, 0);
-    assert_eq!(resumed.runs.len(), original.runs.len());
+    // The reconstructed records, and the aggregation over them, match the
+    // original.
+    assert_eq!(
+        deterministic_projection(&campaign_json(&resumed)),
+        deterministic_projection(&campaign_json(&original)),
+    );
     for (a, b) in original.runs.iter().zip(&resumed.runs) {
-        assert_eq!(a.outcome.breakdown.reward, b.outcome.breakdown.reward);
         assert_eq!(a.outcome.placement, b.outcome.placement);
-    }
-    // Aggregation over reconstructed records matches the original.
-    assert_eq!(original.cells.len(), resumed.cells.len());
-    for (a, b) in original.cells.iter().zip(&resumed.cells) {
-        assert_eq!(a.best_run, b.best_run);
-        assert_eq!(a.mean_reward, b.mean_reward);
     }
 }
 

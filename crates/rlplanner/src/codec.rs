@@ -14,7 +14,7 @@
 //! `method.ppo.gamma`.
 
 use crate::gradient::GradientConfig;
-use crate::outcome::{EvalTelemetry, FloorplanOutcome, TelemetrySample, TrainingTelemetry};
+use crate::outcome::{EvalTelemetry, TelemetrySample, TrainingTelemetry};
 use crate::parse::OutcomeParseError;
 use crate::planner::RlPlannerConfig;
 use crate::request::{Method, PretrainedConfig};
@@ -238,25 +238,13 @@ record!(TrainingTelemetry, Inline {
     "parallel_envs" => parallel_envs,
 });
 
-/// The outcome document's VOLATILE values, which it renders together in
-/// its `timing` member: [`FloorplanOutcome::runtime`], its
-/// [`FloorplanOutcome::thermal_prep`] and its training's
-/// `episodes_per_s` (NaN, rendered `null`, for a run without training).
+/// An outcome's VOLATILE values, rendered together as its `timing` member;
+/// `episodes_per_s` is NaN (`null`) for a run without training.
 #[derive(Default)]
 pub(crate) struct Timing {
     pub(crate) runtime: Duration,
     pub(crate) prep: ThermalPrep,
     pub(crate) episodes_per_s: f64,
-}
-
-impl Timing {
-    pub(crate) fn of(outcome: &FloorplanOutcome) -> Self {
-        Timing {
-            runtime: outcome.runtime,
-            prep: outcome.thermal_prep,
-            episodes_per_s: outcome.training.map_or(f64::NAN, |t| t.episodes_per_s),
-        }
-    }
 }
 
 record!(Timing, Inline {

@@ -61,18 +61,14 @@
 //! `evaluations`, which counts objective evaluations) and `parallel_envs`
 //! the rollout workers; parallel collection is trajectory-invariant, so
 //! the knob changes only throughput, never results. It is `null` for the
-//! runs that collect no episodes: SA, gradient and pretrained.
-//!
-//! `timing` holds every value that varies between two runs of the same
-//! request, on one line, so a deterministic comparison drops this one
-//! member ([`TIMING`]) and compares the rest byte for byte: `runtime_s`
-//! the optimisation wall-clock, `characterization_s` what building the
-//! thermal analyzer cost this run, `cache_hits`/`cache_misses` whether the
-//! analyzer came from a shared characterisation cache or was characterised
-//! from scratch, and `episodes_per_s` the training throughput (`null`
-//! when `training` is). The `manifest` object carries
-//! everything the run depended on, so a run can be reproduced from its
-//! report alone: `seed` is the seed it used (0 when the request set none)
+//! runs that collect no episodes: SA, gradient and pretrained. `timing`
+//! holds, on one line, every value that varies between two runs of the same
+//! request, so a deterministic comparison drops this one member
+//! ([`TIMING`]): the optimisation and analyzer-construction wall-clocks,
+//! whether a shared characterisation cache served the analyzer, and the
+//! training throughput (`null` when `training` is). The `manifest` object
+//! carries everything the run depended on, so a run can be reproduced
+//! from its report alone: `seed` is the seed it used (0 when the request set none)
 //! and `budget` the request's budget in the request document's encoding;
 //! `method` is every hyper-parameter of the method (`method.kind` selects
 //! which method fields follow, mirroring [`crate::Method`]; a method
@@ -124,10 +120,9 @@ use rlp_obs::json::{Layout, Writer};
 /// Identifier of the outcome-document layout produced by [`outcome_json`].
 pub const OUTCOME_SCHEMA: &str = "rlplanner.outcome/v1";
 
-/// The member that holds a document's VOLATILE values: an outcome's, each
-/// campaign cell's and run record's, and the campaign's own. Dropping it
-/// with [`rlp_obs::json::Value::without`] leaves what two runs of the same
-/// request must agree on byte for byte.
+/// The member holding the VOLATILE values of an outcome, a campaign and
+/// each campaign cell and run; dropping it with
+/// [`rlp_obs::json::Value::without`] leaves what two runs must agree on.
 pub const TIMING: &str = "timing";
 
 /// Identifier of the request-document layout produced by [`request_json`].
@@ -191,7 +186,12 @@ pub fn write_outcome(w: &mut Writer, system: &ChipletSystem, outcome: &Floorplan
                 w.key("training").null();
             }
         }
-        Timing::of(outcome).write(w.key(TIMING));
+        Timing {
+            runtime: outcome.runtime,
+            prep: outcome.thermal_prep,
+            episodes_per_s: outcome.training.map_or(f64::NAN, |t| t.episodes_per_s),
+        }
+        .write(w.key(TIMING));
         write_placement(w.key("placement"), system, &outcome.placement);
         w.key("telemetry").array(Layout::Block, |w| {
             for sample in &outcome.telemetry {
@@ -402,7 +402,6 @@ mod tests {
         // The manifest does not record the rollout-parallelism knob: it
         // cannot change the result.
         assert_eq!(json.matches("\"parallel_envs\"").count(), 1);
-        // Every VOLATILE value sits on the one `timing` line.
         assert!(json.contains(
             "\n  \"timing\": { \"runtime_s\": 0.25, \"characterization_s\": 0, \
              \"cache_hits\": 1, \"cache_misses\": 0, \"episodes_per_s\": 16.5 },\n"
@@ -429,7 +428,6 @@ mod tests {
         sa_outcome.training = None;
         let json = outcome_json(&sys, &sa_outcome);
         assert!(json.contains("\"training\": null"));
-        assert!(json.contains("\"episodes_per_s\": null }"));
         let kind = json.find("\"kind\": \"sa\"").unwrap();
         let cooling = json.find("\"cooling_rate\"").unwrap();
         let grid = json.find("\"grid\": [16, 16]").unwrap();

@@ -3,7 +3,6 @@
 //! connection teardown and graceful shutdown under load.
 
 use rlp_benchmarks::synthetic_case;
-use rlp_chiplet::ChipletSystem;
 use rlp_obs::json::Value;
 use rlp_sa::SaConfig;
 use rlp_serve::{ClientError, ServeClient, Server, ServerConfig, Submit};
@@ -91,14 +90,6 @@ fn start_server_with_policy(
     (addr, thread::spawn(move || server.run()))
 }
 
-/// Re-renders a daemon outcome through the canonical renderer; the parse →
-/// render pair is byte-preserving, so this is exactly the document the
-/// daemon rendered.
-fn canonical(outcome: &Value, system: &ChipletSystem) -> String {
-    let parsed = outcome_from_value(outcome, system).expect("daemon outcome parses");
-    outcome_json(system, &parsed)
-}
-
 /// Polls `stats` until `accept` passes or the deadline expires.
 fn wait_for_stats(
     client: &mut ServeClient,
@@ -138,7 +129,7 @@ fn fixed_seed_daemon_solve_is_byte_identical_to_direct_planner() {
         };
         let result = client.wait_outcome(job).expect("job completes");
         assert!(result.progress.is_empty(), "streaming was not requested");
-        let served = canonical(&result.outcome, request.system());
+        let served = result.outcome.render();
         assert_eq!(
             deterministic_projection(&served),
             deterministic_projection(&direct),
@@ -158,9 +149,8 @@ fn fixed_seed_daemon_solve_is_byte_identical_to_direct_planner() {
 
 /// `solve_job` rebuilds the request member by member, so an RL request
 /// that sets every `request/v1` member must come back as the direct solve.
-/// `parallel_envs` never changes the result, but the outcome's `training`
-/// object records it, so the projection comparison alone catches a daemon
-/// that drops it; the field assertions below name what each member became.
+/// The outcome's `training` object records `parallel_envs`, so the
+/// projection alone catches a daemon that drops it.
 #[test]
 fn rl_request_with_every_member_set_is_served_as_the_direct_solve() {
     let request = FloorplanRequest::builder()
@@ -224,7 +214,7 @@ fn progress_streams_without_changing_the_outcome() {
     }
     // Observation is passive: the streamed solve is the direct solve.
     assert_eq!(
-        deterministic_projection(&canonical(&result.outcome, request.system())),
+        deterministic_projection(&result.outcome.render()),
         deterministic_projection(&direct),
     );
 
@@ -394,7 +384,7 @@ fn an_anneal_that_never_cools_is_refused_and_the_only_worker_stays_free() {
     let result = client.wait_outcome(job).expect("honest job completes");
     let direct = outcome_json(request.system(), &request.solve().expect("direct solve"));
     assert_eq!(
-        deterministic_projection(&canonical(&result.outcome, request.system())),
+        deterministic_projection(&result.outcome.render()),
         deterministic_projection(&direct)
     );
 
@@ -428,7 +418,7 @@ fn a_duration_too_long_to_represent_is_an_error_frame_and_the_connection_serves_
     let result = client.wait_outcome(job).expect("honest job completes");
     let direct = outcome_json(request.system(), &request.solve().expect("direct solve"));
     assert_eq!(
-        deterministic_projection(&canonical(&result.outcome, request.system())),
+        deterministic_projection(&result.outcome.render()),
         deterministic_projection(&direct)
     );
 
@@ -621,7 +611,7 @@ fn preloaded_pretrained_daemon_solve_is_byte_identical_and_needs_no_disk() {
         panic!("empty daemon rejected a pretrained solve");
     };
     let result = client.wait_outcome(job).expect("pretrained job completes");
-    let served = canonical(&result.outcome, request.system());
+    let served = result.outcome.render();
     assert_eq!(
         deterministic_projection(&served),
         deterministic_projection(&direct),
