@@ -21,7 +21,7 @@ use rlp_benchmarks::multi_gpu_system;
 use rlp_engine::{CampaignEngine, CampaignMethod, CampaignSpec};
 use rlp_sa::SaConfig;
 use rlp_thermal::{ThermalBackend, ThermalModelCache};
-use rlplanner::{Budget, Method};
+use rlplanner::{Budget, FloorplanRequest, Method};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -66,7 +66,7 @@ fn campaign_spec(parallelism: usize) -> CampaignSpec {
         .method(CampaignMethod::new("sa-fast", sa, harness_fast_backend()))
         // Long enough (~tens of ms per run) that worker-pool scaling is
         // visible over thread-spawn overhead.
-        .budget(Budget::Evaluations(2000))
+        .base(FloorplanRequest::builder().budget(Budget::Evaluations(2000)))
         .seeds([1, 2, 3, 4])
         .parallelism(parallelism)
         .build()

@@ -113,7 +113,7 @@ enum Mode {
         request: Box<FloorplanRequest>,
         json: bool,
     },
-    Sweep(SweepArgs),
+    Sweep(Box<SweepArgs>),
     TrainGeneralist(GeneralistArgs),
 }
 
@@ -193,14 +193,14 @@ struct SweepArgs {
     json: bool,
 }
 
-fn parse_sweep_args(scan: &mut Scanner) -> Result<SweepArgs, String> {
+fn parse_sweep_args(scan: &mut Scanner) -> Result<Mode, String> {
     let (mut systems, mut methods, mut seeds) = ("case1".to_string(), "rl".to_string(), vec![7]);
-    let (mut budget, mut parallel, mut train_parallel) = (50, 1, None);
-    let (mut warm_start, mut stream, mut policy, mut json) = (false, None, None, false);
+    let (mut parallel, mut stream, mut policy, mut json) = (1, None, None, false);
+    let mut base = FloorplanRequest::builder().budget(Budget::Evaluations(50));
     while let Some(arg) = scan.next_arg()? {
         match arg.flag() {
             Some("json") => json = true,
-            Some("warm-start") => warm_start = true,
+            Some("warm-start") => base = base.warm_start(true),
             Some("systems") => systems = scan.value()?,
             Some("methods") => methods = scan.value()?,
             Some("seeds") => {
@@ -210,22 +210,20 @@ fn parse_sweep_args(scan: &mut Scanner) -> Result<SweepArgs, String> {
                     .map(cli::seed)
                     .collect::<Result<_, _>>()?;
             }
-            Some("budget") => budget = scan.positive("budget")?,
+            Some("budget") => base = base.budget(Budget::Evaluations(scan.positive("budget")?)),
             Some("parallel") => parallel = scan.positive("parallelism")?,
-            Some("train-parallel") => train_parallel = Some(scan.positive("rollout parallelism")?),
+            Some("train-parallel") => {
+                base = base.parallel_envs(scan.positive("rollout parallelism")?);
+            }
             Some("stream") => stream = Some(scan.path()?),
             Some("policy") => policy = Some(scan.path()?),
             _ => return Err(arg.unexpected()),
         }
     }
     let mut spec = CampaignSpec::builder()
-        .budget(Budget::Evaluations(budget))
+        .base(base)
         .parallelism(parallel)
-        .seeds(seeds)
-        .warm_start(warm_start);
-    if let Some(train_parallel) = train_parallel {
-        spec = spec.train_parallel(train_parallel);
-    }
+        .seeds(seeds);
     for name in systems.split(',') {
         spec = spec.system(system_by_name(name).ok_or_else(|| format!("unknown system `{name}`"))?);
     }
@@ -236,7 +234,7 @@ fn parse_sweep_args(scan: &mut Scanner) -> Result<SweepArgs, String> {
     let spec = spec
         .build()
         .map_err(|err| format!("invalid sweep: {err}"))?;
-    Ok(SweepArgs { spec, stream, json })
+    Ok(Mode::Sweep(Box::new(SweepArgs { spec, stream, json })))
 }
 
 fn run_sweep(parsed: &SweepArgs) -> ExitCode {
@@ -464,7 +462,7 @@ fn main() -> ExitCode {
     let mode = scan
         .subcommand(&["sweep", "train-generalist"])
         .and_then(|mode| match mode {
-            Some("sweep") => parse_sweep_args(&mut scan).map(Mode::Sweep),
+            Some("sweep") => parse_sweep_args(&mut scan),
             Some(_) => parse_generalist_args(&mut scan).map(Mode::TrainGeneralist),
             None => parse_run_args(&mut scan),
         });

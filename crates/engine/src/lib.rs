@@ -9,9 +9,11 @@
 //! configuration. This crate amortises the expensive step and executes the
 //! grid concurrently:
 //!
-//! * [`CampaignSpec`] declares the sweep — [`CampaignMethod`] columns
-//!   (method + backend + optional budget override), a systems axis (the
-//!   standard benchmarks, [`rlp_benchmarks::synthetic_cases`], or any
+//! * [`CampaignSpec`] declares the sweep: one base request
+//!   ([`rlplanner::FloorplanRequestBuilder`]: budget, warm start,
+//!   `parallel_envs`, reward weights) times its axes — [`CampaignMethod`]
+//!   columns (method + backend), a systems axis (the standard benchmarks,
+//!   [`rlp_benchmarks::synthetic_cases`], or any
 //!   [`rlp_benchmarks::SyntheticConfig`] sweep) and a seeds axis — plus a
 //!   parallelism level.
 //! * [`CampaignEngine`] drains the grid with a `std::thread::scope` worker
@@ -33,7 +35,8 @@
 //! pluggable [`RunSink`] (a file-backed [`JsonlSink`] behind the CLI's
 //! `--stream` flag), flushed per record; and reopening a streamed file
 //! resumes the campaign, re-executing only the grid cells the file does
-//! not already hold. See [`sink`] and [`runner`].
+//! not already hold, once each held record's manifest matches the run the
+//! spec would make. See [`sink`] and [`runner`].
 //!
 //! # Example
 //!
@@ -42,7 +45,7 @@
 //! ```
 //! use rlp_engine::{CampaignEngine, CampaignMethod, CampaignSpec};
 //! use rlp_thermal::{ThermalBackend, ThermalConfig};
-//! use rlplanner::{Budget, Method};
+//! use rlplanner::{Budget, FloorplanRequest, Method};
 //! use rlp_chiplet::{Chiplet, ChipletSystem, Net};
 //!
 //! let mut system = ChipletSystem::new("demo", 24.0, 24.0);
@@ -67,7 +70,7 @@
 //!         backend,
 //!     ))
 //!     .seeds([7, 8])
-//!     .budget(Budget::Evaluations(10))
+//!     .base(FloorplanRequest::builder().budget(Budget::Evaluations(10)))
 //!     .parallelism(2)
 //!     .build()
 //!     .expect("valid spec");

@@ -384,7 +384,7 @@ mod tests {
     use rlp_chiplet::{Chiplet, ChipletSystem, Net};
     use rlp_thermal::{ThermalBackend, ThermalConfig};
     use rlplanner::report::OUTCOME_SCHEMA;
-    use rlplanner::{Budget, Method};
+    use rlplanner::{Budget, FloorplanRequest, Method};
 
     fn tiny_system(name: &str) -> ChipletSystem {
         let mut sys = ChipletSystem::new(name, 24.0, 24.0);
@@ -405,7 +405,7 @@ mod tests {
                 },
             ))
             .seeds([1, 2])
-            .budget(Budget::Evaluations(8))
+            .base(FloorplanRequest::builder().budget(Budget::Evaluations(8)))
             .build()
             .unwrap();
         CampaignEngine::new().run(&spec).unwrap()

@@ -29,11 +29,14 @@
 //!   be dropped silently.
 //! * **Resumable.** A sink that reports prior records (a reopened
 //!   [`JsonlSink`](crate::sink::JsonlSink)) has its `ok` records validated
-//!   against the spec (grid index, system, method, seed) and reconstructed
-//!   via [`rlplanner::outcome_from_value`] instead of re-executed; `error`
-//!   records are retried. Because streamed outcome documents re-render
-//!   byte-identically, a truncated-then-resumed campaign produces the same
-//!   deterministic results as an uninterrupted one.
+//!   against the spec and reconstructed via
+//!   [`rlplanner::outcome_from_value`] instead of re-executed; `error`
+//!   records are retried. A record must hold the grid cell's column label
+//!   and system, and its manifest must render as the one the spec's run
+//!   would record, so a stream never resumes under another budget, warm
+//!   start or method configuration. Because streamed outcome documents
+//!   re-render byte-identically, a truncated-then-resumed campaign
+//!   produces the same deterministic results as an uninterrupted one.
 
 use crate::report::{
     CampaignReport, CellSummary, DrainEvent, RunFailure, RunRecord, SchedulerTelemetry,
@@ -43,7 +46,8 @@ use crate::sink::{NullSink, RunEvent, RunSink, RUN_RECORD_SCHEMA};
 use crate::spec::{CampaignSpec, RunSpec};
 use rlp_obs::json::{Decode, Value};
 use rlp_thermal::ThermalModelCache;
-use rlplanner::{FloorplanOutcome, PlanError, PrebuiltThermal};
+use rlplanner::report::manifest_json;
+use rlplanner::{FloorplanOutcome, Method, PlanError, PrebuiltThermal, RunManifest};
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -425,14 +429,6 @@ fn resume_record(
             let run = runs[index];
             let method = &spec.methods()[run.method];
             let system = &spec.systems()[run.system];
-            let record_system = text("system")?;
-            if record_system != system.name() {
-                return Err(fail(format!(
-                    "grid index {index} is system `{}` in this spec but `{record_system}` \
-                     in the stream — the stream was produced by a different spec",
-                    system.name()
-                )));
-            }
             let record_method = text("method")?;
             if record_method != method.label() {
                 return Err(fail(format!(
@@ -441,25 +437,26 @@ fn resume_record(
                     method.label()
                 )));
             }
-            let record_seed = uint("seed")?;
-            let expected_seed = run.seed;
-            if record_seed != expected_seed {
-                return Err(fail(format!(
-                    "grid index {index} uses seed {expected_seed} in this spec but \
-                     {record_seed} in the stream — the stream was produced by a \
-                     different spec"
-                )));
-            }
             let outcome_value = value
                 .get("outcome")
                 .ok_or_else(|| fail("missing `outcome` field".to_string()))?;
             let outcome = rlplanner::outcome_from_value(outcome_value, system)
                 .map_err(|err| fail(format!("grid index {index}: {err}")))?;
-            if outcome.manifest.seed != expected_seed {
+            let mut expected = spec
+                .request(run, None)
+                .map_err(|err| fail(format!("grid index {index}: {err}")))?
+                .manifest();
+            // A column that pins no policy checksum runs whatever file is
+            // at its path, so it takes the recorded one.
+            if let (Method::Pretrained { config }, Method::Pretrained { config: recorded }) =
+                (&mut expected.method, &outcome.manifest.method)
+            {
+                config.checksum = config.checksum.or(recorded.checksum);
+            }
+            if let Some(mismatch) = manifest_mismatch(&expected, &outcome.manifest) {
                 return Err(fail(format!(
-                    "grid index {index}: embedded outcome manifest has seed {} but the \
-                     record and spec say {expected_seed}",
-                    outcome.manifest.seed
+                    "grid index {index}: {mismatch} — the stream was produced by a \
+                     different spec"
                 )));
             }
             Ok(Some(RunRecord {
@@ -467,12 +464,29 @@ fn resume_record(
                 system: system.name().to_string(),
                 system_index: run.system,
                 method: method.label().to_string(),
-                seed: record_seed,
+                seed: run.seed,
                 outcome,
             }))
         }
         other => Err(fail(format!("unknown status `{other}`"))),
     }
+}
+
+/// Names the first manifest member a recorded run differs in from the run
+/// this spec would make, comparing renderings; `None` when they agree.
+fn manifest_mismatch(expected: &RunManifest, recorded: &RunManifest) -> Option<String> {
+    let render = |manifest| Value::parse(&manifest_json(manifest)).expect("a manifest renders");
+    let (Value::Obj(members), recorded) = (render(expected), render(recorded)) else {
+        unreachable!("a manifest renders as an object")
+    };
+    members.into_iter().find_map(|(key, value)| {
+        let want = value.render();
+        let found = recorded
+            .get(&key)
+            .map_or_else(|| "nothing".into(), Value::render);
+        (want != found)
+            .then(|| format!("manifest `{key}` is {want} in this spec but {found} in the stream"))
+    })
 }
 
 /// Aggregates run records into per-(system, method) cell summaries, in grid
@@ -574,8 +588,8 @@ mod tests {
     use rlp_chiplet::{Chiplet, ChipletSystem, Net, Placement};
     use rlp_thermal::{ThermalBackend, ThermalConfig};
     use rlplanner::{
-        Budget, EvalCounts, EvalMode, EvalTelemetry, Method, RewardBreakdown, RewardConfig,
-        RunManifest, ThermalPrep, TrainingTelemetry,
+        Budget, EvalCounts, EvalMode, EvalTelemetry, FloorplanRequest, Method, RewardBreakdown,
+        RewardConfig, RunManifest, ThermalPrep, TrainingTelemetry,
     };
 
     fn tiny_system() -> ChipletSystem {
@@ -595,7 +609,7 @@ mod tests {
             .method(CampaignMethod::new("sa", Method::sa(), grid.clone()))
             .method(CampaignMethod::new("rl", Method::rl(), grid))
             .seeds([1, 2])
-            .budget(Budget::Evaluations(8))
+            .base(FloorplanRequest::builder().budget(Budget::Evaluations(8)))
             .build()
             .unwrap()
     }

@@ -1,46 +1,39 @@
-//! Declarative description of a campaign: a sweep grid of runs.
+//! Declarative description of a campaign: one base request times its axes.
 //!
-//! A [`CampaignSpec`] expands a small set of axes — [`CampaignMethod`]s
-//! (method + thermal backend + optional budget override), systems and seeds
-//! — into the full cross product of [`FloorplanRequest`]s the paper's
-//! tables are made of, in a deterministic order. The spec also carries the
-//! execution parameters that do *not* affect results (the parallelism
-//! level), so a parallel campaign is byte-identical to a serial one under
-//! fixed seeds.
+//! A [`CampaignSpec`] is a base [`FloorplanRequestBuilder`] times three
+//! axes: [`CampaignMethod`] columns (a method and its thermal backend under
+//! a report label), systems and seeds. The base carries everything every
+//! run shares (budget, warm start, `parallel_envs`, reward weights, a
+//! preloaded policy); each run sets its grid cell's system, method,
+//! backend and seed on a copy of it. The grid expands into the full cross
+//! product of [`FloorplanRequest`]s the paper's tables are made of, in a
+//! deterministic order. The spec also carries the one execution parameter
+//! that does *not* affect results (the parallelism level), so a parallel
+//! campaign is byte-identical to a serial one under fixed seeds.
 
 use rlp_chiplet::ChipletSystem;
 use rlp_obs::json::MAX_EXACT_INTEGER;
 use rlp_thermal::ThermalBackend;
-use rlplanner::{Budget, ConfigError, FloorplanRequest, Method, PrebuiltThermal};
+use rlplanner::{ConfigError, FloorplanRequest, FloorplanRequestBuilder, Method, PrebuiltThermal};
 
 /// One method column of a campaign: an optimisation [`Method`] paired with
-/// the [`ThermalBackend`] it runs against, a stable label naming the column
-/// in reports, and an optional budget override for this column only (the
-/// paper gives its SA baselines a different budget than the RL runs).
+/// the [`ThermalBackend`] it runs against, and a stable label naming the
+/// column in reports.
 #[derive(Debug, Clone)]
 pub struct CampaignMethod {
     label: String,
     method: Method,
     thermal: ThermalBackend,
-    budget: Option<Budget>,
 }
 
 impl CampaignMethod {
-    /// Creates a column with the spec-level default budget.
+    /// Creates a column.
     pub fn new(label: impl Into<String>, method: Method, thermal: ThermalBackend) -> Self {
         Self {
             label: label.into(),
             method,
             thermal,
-            budget: None,
         }
-    }
-
-    /// Overrides the campaign's default budget for this column.
-    #[must_use]
-    pub fn with_budget(mut self, budget: Budget) -> Self {
-        self.budget = Some(budget);
-        self
     }
 
     /// The column's report label.
@@ -56,11 +49,6 @@ impl CampaignMethod {
     /// The thermal backend description.
     pub fn thermal(&self) -> &ThermalBackend {
         &self.thermal
-    }
-
-    /// The per-column budget override, if any.
-    pub fn budget(&self) -> Option<Budget> {
-        self.budget
     }
 }
 
@@ -79,13 +67,11 @@ pub(crate) struct RunSpec {
 /// it with [`crate::CampaignEngine::run`].
 #[derive(Debug, Clone)]
 pub struct CampaignSpec {
+    base: FloorplanRequestBuilder,
     methods: Vec<CampaignMethod>,
     systems: Vec<ChipletSystem>,
     seeds: Vec<u64>,
-    budget: Option<Budget>,
     parallelism: usize,
-    train_parallel: Option<usize>,
-    warm_start: bool,
 }
 
 impl CampaignSpec {
@@ -109,28 +95,9 @@ impl CampaignSpec {
         &self.seeds
     }
 
-    /// The default budget applied to columns without their own override.
-    pub fn budget(&self) -> Option<Budget> {
-        self.budget
-    }
-
     /// Number of worker threads the engine uses for this campaign.
     pub fn parallelism(&self) -> usize {
         self.parallelism
-    }
-
-    /// The `parallel_envs` of every RL run of the grid (`None` leaves the
-    /// request's default of one environment). Like run parallelism, it
-    /// never changes outcomes, only wall-clock.
-    pub fn train_parallel(&self) -> Option<usize> {
-        self.train_parallel
-    }
-
-    /// Whether every run of the grid seeds its optimiser with the
-    /// gradient-descent presolve
-    /// (see [`rlplanner::FloorplanRequestBuilder::warm_start`]).
-    pub fn warm_start(&self) -> bool {
-        self.warm_start
     }
 
     /// Total number of runs the grid expands to.
@@ -162,7 +129,8 @@ impl CampaignSpec {
         runs
     }
 
-    /// Builds the request for one run of the grid, optionally carrying a
+    /// Builds the request for one run of the grid: the base request with
+    /// the run's system, method, backend and seed, optionally carrying a
     /// prebuilt analyzer (the engine's cache-served path).
     pub(crate) fn request(
         &self,
@@ -170,7 +138,9 @@ impl CampaignSpec {
         prebuilt: Option<PrebuiltThermal>,
     ) -> Result<FloorplanRequest, ConfigError> {
         let method = &self.methods[run.method];
-        let mut builder = FloorplanRequest::builder()
+        let mut builder = self
+            .base
+            .clone()
             .system(self.systems[run.system].clone())
             .method(method.method.clone())
             .thermal(method.thermal.clone())
@@ -178,13 +148,6 @@ impl CampaignSpec {
         if let Some(prebuilt) = prebuilt {
             builder = builder.prebuilt_thermal(prebuilt);
         }
-        if let Some(budget) = method.budget.or(self.budget) {
-            builder = builder.budget(budget);
-        }
-        if let Some(train_parallel) = self.train_parallel {
-            builder = builder.parallel_envs(train_parallel);
-        }
-        builder = builder.warm_start(self.warm_start);
         builder.build()
     }
 }
@@ -192,30 +155,37 @@ impl CampaignSpec {
 /// Builder for [`CampaignSpec`].
 #[derive(Debug, Clone)]
 pub struct CampaignSpecBuilder {
+    base: FloorplanRequestBuilder,
     methods: Vec<CampaignMethod>,
     systems: Vec<ChipletSystem>,
     seeds: Vec<u64>,
-    budget: Option<Budget>,
     parallelism: usize,
-    train_parallel: Option<usize>,
-    warm_start: bool,
 }
 
 impl Default for CampaignSpecBuilder {
     fn default() -> Self {
         Self {
+            base: FloorplanRequest::builder(),
             methods: Vec::new(),
             systems: Vec::new(),
             seeds: Vec::new(),
-            budget: None,
             parallelism: 1,
-            train_parallel: None,
-            warm_start: false,
         }
     }
 }
 
 impl CampaignSpecBuilder {
+    /// The request every run of the grid starts from (default:
+    /// [`FloorplanRequest::builder`]). Its budget, warm start,
+    /// `parallel_envs`, reward weights and preloaded policy apply to every
+    /// run; each run replaces its system, method, thermal backend and seed
+    /// with those of its grid cell.
+    #[must_use]
+    pub fn base(mut self, base: FloorplanRequestBuilder) -> Self {
+        self.base = base;
+        self
+    }
+
     /// Adds one method column.
     #[must_use]
     pub fn method(mut self, method: CampaignMethod) -> Self {
@@ -258,13 +228,6 @@ impl CampaignSpecBuilder {
         self
     }
 
-    /// Default budget for columns without a per-column override.
-    #[must_use]
-    pub fn budget(mut self, budget: Budget) -> Self {
-        self.budget = Some(budget);
-        self
-    }
-
     /// Number of worker threads (default 1, i.e. serial). Parallelism never
     /// changes outcomes — only wall-clock.
     #[must_use]
@@ -273,34 +236,14 @@ impl CampaignSpecBuilder {
         self
     }
 
-    /// Rollout workers inside every RL run of the grid, set as each
-    /// request's `parallel_envs` (default: one). Parallel rollout
-    /// collection is trajectory-invariant, so this never changes outcomes
-    /// either.
-    #[must_use]
-    pub fn train_parallel(mut self, train_parallel: usize) -> Self {
-        self.train_parallel = Some(train_parallel);
-        self
-    }
-
-    /// Seeds every run of the grid with the gradient-descent presolve
-    /// (default off). Unlike parallelism this *does* change outcomes —
-    /// warm-started cells are a different experiment than cold ones, which
-    /// is exactly why it is a spec-level axis rather than a per-run detail:
-    /// the whole grid stays internally comparable.
-    #[must_use]
-    pub fn warm_start(mut self, warm_start: bool) -> Self {
-        self.warm_start = warm_start;
-        self
-    }
-
     /// Validates the axes and every (system, method) request of the grid.
     ///
     /// # Errors
     ///
     /// Returns a typed [`ConfigError`] for empty axes, a zero parallelism,
-    /// duplicate column labels, or any grid cell whose request would be
-    /// invalid — campaigns fail at build time, not halfway through a run.
+    /// duplicate column labels, a base that saves a policy, or any grid
+    /// cell whose request would be invalid — campaigns fail at build time,
+    /// not halfway through a run.
     pub fn build(self) -> Result<CampaignSpec, ConfigError> {
         if self.methods.is_empty() {
             return Err(ConfigError::Invalid {
@@ -331,12 +274,6 @@ impl CampaignSpecBuilder {
                 });
             }
         }
-        if self.train_parallel == Some(0) {
-            return Err(ConfigError::ExpectedPositive {
-                field: "train_parallel",
-                value: 0.0,
-            });
-        }
         // A stream records each run's seed as a JSON number, and a resumed
         // campaign must read back exactly the seed it would run with.
         if let Some(&seed) = self.seeds.iter().find(|&&s| s > MAX_EXACT_INTEGER) {
@@ -349,26 +286,28 @@ impl CampaignSpecBuilder {
             });
         }
         let spec = CampaignSpec {
+            base: self.base,
             methods: self.methods,
             systems: self.systems,
             seeds: self.seeds,
-            budget: self.budget,
             parallelism: self.parallelism,
-            train_parallel: self.train_parallel,
-            warm_start: self.warm_start,
         };
         // Validate the whole grid up front; seeds never invalidate a
         // request, so one probe per (system, method) cell suffices.
         for system in 0..spec.systems.len() {
             for method in 0..spec.methods.len() {
-                spec.request(
-                    RunSpec {
-                        system,
-                        method,
-                        seed: 0,
-                    },
-                    None,
-                )?;
+                let run = RunSpec {
+                    system,
+                    method,
+                    seed: 0,
+                };
+                if spec.request(run, None)?.save_policy().is_some() {
+                    return Err(ConfigError::Invalid {
+                        field: "save_policy",
+                        reason: "every RL run of the campaign would write the same policy file"
+                            .to_string(),
+                    });
+                }
             }
         }
         Ok(spec)
@@ -380,6 +319,7 @@ mod tests {
     use super::*;
     use rlp_chiplet::Chiplet;
     use rlp_thermal::ThermalConfig;
+    use rlplanner::{Budget, RewardConfig};
 
     fn tiny_system(name: &str) -> ChipletSystem {
         let mut sys = ChipletSystem::new(name, 20.0, 20.0);
@@ -453,75 +393,49 @@ mod tests {
     }
 
     #[test]
-    fn per_column_budget_overrides_the_default() {
-        let spec = CampaignSpec::builder()
-            .system(tiny_system("s"))
-            .method(CampaignMethod::new("rl", Method::rl(), grid_backend()))
-            .method(
-                CampaignMethod::new("sa", Method::sa(), grid_backend())
-                    .with_budget(Budget::Evaluations(5)),
-            )
-            .budget(Budget::Evaluations(9))
-            .build()
-            .unwrap();
-        let runs = spec.expand();
-        assert_eq!(
-            spec.request(runs[0], None).unwrap().budget(),
-            Some(Budget::Evaluations(9))
-        );
-        assert_eq!(
-            spec.request(runs[1], None).unwrap().budget(),
-            Some(Budget::Evaluations(5))
-        );
-    }
-
-    #[test]
-    fn train_parallel_flows_into_every_grid_request() {
-        let spec = CampaignSpec::builder()
-            .system(tiny_system("s"))
-            .method(CampaignMethod::new("rl", Method::rl(), grid_backend()))
-            .train_parallel(3)
-            .build()
-            .unwrap();
-        assert_eq!(spec.train_parallel(), Some(3));
-        let request = spec.request(spec.expand()[0], None).unwrap();
-        assert_eq!(request.parallel_envs(), Some(3));
-
-        let err = CampaignSpec::builder()
-            .system(tiny_system("s"))
-            .method(CampaignMethod::new("rl", Method::rl(), grid_backend()))
-            .train_parallel(0)
-            .build()
-            .unwrap_err();
-        assert_eq!(err.field(), "train_parallel");
-    }
-
-    #[test]
-    fn warm_start_flows_into_every_grid_request() {
-        let spec = CampaignSpec::builder()
-            .system(tiny_system("s"))
-            .method(CampaignMethod::new("sa", Method::sa(), grid_backend()))
-            .method(CampaignMethod::new(
-                "gradient",
-                Method::gradient(),
-                grid_backend(),
-            ))
-            .warm_start(true)
-            .build()
-            .unwrap();
-        assert!(spec.warm_start());
-        for run in spec.expand() {
-            assert!(spec.request(run, None).unwrap().warm_start());
+    fn the_base_request_flows_into_every_grid_request() {
+        let reward = RewardConfig {
+            mu: 0.25,
+            ..RewardConfig::default()
+        };
+        let base = || {
+            FloorplanRequest::builder()
+                .budget(Budget::Evaluations(9))
+                .warm_start(true)
+                .parallel_envs(3)
+                .reward(reward.clone())
+        };
+        let spec = |base: FloorplanRequestBuilder| {
+            CampaignSpec::builder()
+                .base(base)
+                .system(tiny_system("s0"))
+                .system(tiny_system("s1"))
+                .method(CampaignMethod::new("rl", Method::rl(), grid_backend()))
+                .method(CampaignMethod::new("sa", Method::sa(), grid_backend()))
+                .seeds([4, 5])
+                .build()
+        };
+        let grid = spec(base()).unwrap();
+        for run in grid.expand() {
+            let request = grid.request(run, None).unwrap();
+            // The run's own cell replaces what the base would set...
+            assert_eq!(request.system(), &grid.systems()[run.system]);
+            assert_eq!(request.method(), grid.methods()[run.method].method());
+            assert_eq!(request.thermal(), grid.methods()[run.method].thermal());
+            assert_eq!(request.seed(), Some(run.seed));
+            // ...and everything else is the base's.
+            assert_eq!(request.budget(), Some(Budget::Evaluations(9)));
+            assert!(request.warm_start());
+            assert_eq!(request.parallel_envs(), Some(3));
+            assert_eq!(request.reward(), &reward);
         }
 
-        // Default stays off: cold campaigns remain the baseline experiment.
-        let cold = CampaignSpec::builder()
-            .system(tiny_system("s"))
-            .method(CampaignMethod::new("sa", Method::sa(), grid_backend()))
-            .build()
-            .unwrap();
-        assert!(!cold.warm_start());
-        assert!(!cold.request(cold.expand()[0], None).unwrap().warm_start());
+        // The request's own checks refuse a bad base at build time.
+        let err = spec(base().parallel_envs(0)).unwrap_err();
+        assert_eq!(err.field(), "parallel_envs");
+        // Every RL cell would write one policy file over the others.
+        let err = spec(base().save_policy("policy.json")).unwrap_err();
+        assert_eq!(err.field(), "save_policy");
     }
 
     #[test]

@@ -16,7 +16,9 @@ use rlp_benchmarks::standard_benchmarks;
 use rlp_engine::{CampaignEngine, CampaignMethod, CampaignReport, CampaignSpec};
 use rlp_sa::SaConfig;
 use rlp_thermal::{CharacterizationOptions, ThermalBackend, ThermalConfig};
-use rlplanner::{AgentConfig, Budget, Method, RlPlannerConfig};
+use rlplanner::{
+    AgentConfig, Budget, FloorplanRequest, FloorplanRequestBuilder, Method, RlPlannerConfig,
+};
 
 /// A fast backend cheap enough for integration tests (coarse grid, sparse
 /// characterisation sweep spanning the benchmark die sizes).
@@ -31,8 +33,13 @@ fn quick_fast_backend() -> ThermalBackend {
     }
 }
 
-/// A tiny-but-real RL column: three episodes with a small network on the
-/// default environment grid (fine enough for every standard benchmark).
+/// The request every test campaign starts from: eight candidates per run.
+fn quick_base() -> FloorplanRequestBuilder {
+    FloorplanRequest::builder().budget(Budget::Evaluations(8))
+}
+
+/// A tiny-but-real RL column: a small network on the default environment
+/// grid (fine enough for every standard benchmark).
 fn quick_rl_column() -> CampaignMethod {
     let method = Method::Rl {
         config: RlPlannerConfig {
@@ -47,10 +54,10 @@ fn quick_rl_column() -> CampaignMethod {
             ..RlPlannerConfig::default()
         },
     };
-    CampaignMethod::new("rl", method, quick_fast_backend()).with_budget(Budget::Evaluations(3))
+    CampaignMethod::new("rl", method, quick_fast_backend())
 }
 
-/// A short SA column capped at 40 evaluations.
+/// A short SA column.
 fn quick_sa_column() -> CampaignMethod {
     let method = Method::Sa {
         config: SaConfig {
@@ -62,12 +69,12 @@ fn quick_sa_column() -> CampaignMethod {
         },
     };
     CampaignMethod::new("sa-fast", method, quick_fast_backend())
-        .with_budget(Budget::Evaluations(40))
 }
 
 /// The acceptance grid: 2 methods × 3 standard benchmarks × 3 seeds.
 fn acceptance_spec(parallelism: usize) -> CampaignSpec {
     CampaignSpec::builder()
+        .base(quick_base())
         .systems(standard_benchmarks())
         .method(quick_rl_column())
         .method(quick_sa_column())
@@ -171,6 +178,7 @@ fn acceptance_campaign_characterises_once_per_distinct_interposer() {
 fn warm_cache_makes_repeat_campaigns_characterisation_free() {
     let engine = CampaignEngine::new();
     let spec = CampaignSpec::builder()
+        .base(quick_base())
         .system(standard_benchmarks().remove(0))
         .method(quick_sa_column())
         .seeds([1, 2])
@@ -190,6 +198,7 @@ fn failing_run_keeps_completed_cells_and_reports_the_failure() {
     // next to a healthy SA column: the campaign must complete fail-soft,
     // keeping the healthy cell's results.
     let spec = CampaignSpec::builder()
+        .base(quick_base())
         .system(standard_benchmarks().remove(0))
         .method(quick_sa_column())
         .method(CampaignMethod::new(
@@ -236,6 +245,7 @@ fn failure_without_a_seeds_axis_reports_seed_zero() {
         ..SaConfig::default()
     };
     let spec = CampaignSpec::builder()
+        .base(quick_base())
         .system(standard_benchmarks().remove(0))
         .method(CampaignMethod::new(
             "sa-tiny-grid",

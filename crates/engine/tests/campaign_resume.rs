@@ -18,7 +18,7 @@ use rlp_obs::json::Value;
 use rlp_sa::SaConfig;
 use rlp_thermal::{ThermalBackend, ThermalConfig};
 use rlplanner::report::TIMING;
-use rlplanner::{Budget, Method};
+use rlplanner::{Budget, FloorplanRequest, FloorplanRequestBuilder, Method};
 use std::io;
 use std::path::PathBuf;
 
@@ -38,12 +38,23 @@ fn grid_backend() -> ThermalBackend {
     }
 }
 
-/// A 2-method × 2-seed serial grid (4 runs): small enough to execute many
-/// times per test, serial so the stream order is the grid order.
-fn serial_spec() -> CampaignSpec {
+/// The base request of [`serial_spec`]: twelve evaluations per run.
+fn base() -> FloorplanRequestBuilder {
+    FloorplanRequest::builder().budget(Budget::Evaluations(12))
+}
+
+/// A 2-method × 2-seed serial grid (4 runs) on `base`, whose first column
+/// `sa` anneals with `sa`: small enough to execute many times per test,
+/// serial so the stream order is the grid order.
+fn spec_with(base: FloorplanRequestBuilder, sa: SaConfig, seeds: [u64; 2]) -> CampaignSpec {
     CampaignSpec::builder()
+        .base(base)
         .system(tiny_system())
-        .method(CampaignMethod::new("sa", Method::sa(), grid_backend()))
+        .method(CampaignMethod::new(
+            "sa",
+            Method::Sa { config: sa },
+            grid_backend(),
+        ))
         .method(CampaignMethod::new(
             "sa-slow-cool",
             Method::Sa {
@@ -54,11 +65,14 @@ fn serial_spec() -> CampaignSpec {
             },
             grid_backend(),
         ))
-        .seeds([1, 2])
-        .budget(Budget::Evaluations(12))
+        .seeds(seeds)
         .parallelism(1)
         .build()
         .expect("valid spec")
+}
+
+fn serial_spec() -> CampaignSpec {
+    spec_with(base(), SaConfig::default(), [1, 2])
 }
 
 /// Simulates a campaign killed mid-flight: persists records until
@@ -249,33 +263,43 @@ fn mismatched_or_malformed_streams_are_rejected() {
         .expect("streamed campaign");
     let lines = first.lines().to_vec();
 
-    // A spec with a different seeds axis: record seeds no longer match.
-    let other_spec = CampaignSpec::builder()
-        .system(tiny_system())
-        .method(CampaignMethod::new("sa", Method::sa(), grid_backend()))
-        .method(CampaignMethod::new(
-            "sa-slow-cool",
-            Method::Sa {
-                config: SaConfig {
-                    cooling_rate: 0.9,
-                    ..SaConfig::default()
-                },
-            },
-            grid_backend(),
-        ))
-        .seeds([9, 10])
-        .budget(Budget::Evaluations(12))
-        .parallelism(1)
-        .build()
-        .unwrap();
-    let mut mismatched = MemorySink::with_prior(lines.clone());
-    let err = engine
-        .run_streamed(&other_spec, &mut mismatched)
-        .expect_err("mismatched stream must be rejected");
-    assert!(
-        matches!(err, CampaignError::Resume { line: 1, .. }),
-        "got {err:?}"
-    );
+    // Specs whose first run differs from the recorded one: by its seed,
+    // its base budget or warm start, or its column's configuration under
+    // the same label. Each is refused at the first line, naming the
+    // manifest member that differs.
+    let cooler = SaConfig {
+        cooling_rate: 0.8,
+        ..SaConfig::default()
+    };
+    for (other_spec, member) in [
+        (spec_with(base(), SaConfig::default(), [9, 10]), "seed"),
+        (
+            spec_with(
+                base().budget(Budget::Evaluations(13)),
+                SaConfig::default(),
+                [1, 2],
+            ),
+            "budget",
+        ),
+        (
+            spec_with(base().warm_start(true), SaConfig::default(), [1, 2]),
+            "warm_start",
+        ),
+        (spec_with(base(), cooler, [1, 2]), "method"),
+    ] {
+        let mut mismatched = MemorySink::with_prior(lines.clone());
+        let err = engine
+            .run_streamed(&other_spec, &mut mismatched)
+            .expect_err("mismatched stream must be rejected");
+        match err {
+            CampaignError::Resume { line, ref reason } => {
+                assert_eq!(line, 1, "{member}: {reason}");
+                assert!(reason.contains(&format!("`{member}`")), "got: {reason}");
+            }
+            other => panic!("{member}: expected a resume error, got {other:?}"),
+        }
+        assert!(mismatched.lines().is_empty(), "{member}: nothing runs");
+    }
 
     // A truncated (half-written) final line is named by line number.
     let mut truncated_lines = lines.clone();

@@ -17,8 +17,8 @@ use rlp_obs::json::Value;
 use rlp_thermal::{ThermalBackend, ThermalCacheStats, ThermalConfig, ThermalPrep};
 use rlplanner::report::outcome_json;
 use rlplanner::{
-    Budget, EvalCounts, EvalMode, EvalTelemetry, FloorplanOutcome, Method, PlanError,
-    RewardBreakdown, RewardConfig, RunManifest, TelemetrySample, TrainingTelemetry,
+    Budget, EvalCounts, EvalMode, EvalTelemetry, FloorplanOutcome, FloorplanRequest, Method,
+    PlanError, RewardBreakdown, RewardConfig, RunManifest, TelemetrySample, TrainingTelemetry,
 };
 use std::time::Duration;
 
@@ -252,7 +252,7 @@ fn resumable_spec() -> CampaignSpec {
             },
         ))
         .seeds([5, 6])
-        .budget(Budget::Evaluations(6))
+        .base(FloorplanRequest::builder().budget(Budget::Evaluations(6)))
         .parallelism(1)
         .build()
         .expect("valid spec")

@@ -28,14 +28,12 @@
 //! the bar its episodes must beat. The presolve's evaluations are
 //! deliberately *not* counted in the outcome — they are setup cost, like
 //! thermal characterisation — and the flag is recorded in the
-//! [`RunManifest`] so replay reproduces the seeded run.
+//! [`RunManifest`](crate::RunManifest) so replay reproduces the seeded run.
 
 use crate::agent::{build_actor_critic, configs_from_policy};
 use crate::env::{EnvConfig, FloorplanEnv};
 use crate::gradient::{GradientConfig, GradientDescent};
-use crate::outcome::{
-    EvalTelemetry, FloorplanOutcome, RunManifest, TelemetrySample, TrainingTelemetry,
-};
+use crate::outcome::{EvalTelemetry, FloorplanOutcome, TelemetrySample, TrainingTelemetry};
 use crate::planner::{RlPlanner, RlPlannerConfig};
 use crate::request::{Budget, FloorplanRequest, Method, PretrainedConfig};
 use crate::reward::{RewardBreakdown, RewardCalculator};
@@ -197,25 +195,27 @@ impl FloorplanRequest {
         &self,
         on_candidate: &mut OnCandidate<'_>,
     ) -> Result<FloorplanOutcome, PlanError> {
-        let mut method = self.method().clone();
-        let seed = self.seed().unwrap_or(0);
+        let mut manifest = self.manifest();
+        let seed = manifest.seed;
         let _span = rlp_obs::obs_span!(
             rlp_obs::Level::Debug,
             "rlplanner",
             "plan.solve",
-            method = method.label(),
+            method = self.method().label(),
             system = self.system().name(),
         );
         // A pretrained solve loads and checks its policy before thermal
-        // prep, so a bad file costs no characterisation.
+        // prep, so a bad file costs no characterisation; the manifest
+        // records the checksum of the file it read.
         let mut policy = None;
-        if let Method::Pretrained { config } = &mut method {
+        if let Method::Pretrained { config } = &mut manifest.method {
             policy = Some(load_policy(self, config)?);
         }
+        let method = &manifest.method;
         let (analyzer, thermal_prep) = self.thermal_analyzer()?;
         // The presolve's placement must be legal on the main optimiser's
         // grid, so it borrows that optimiser's grid and spacing.
-        let warm = match &method {
+        let warm = match method {
             Method::Rl { config } | Method::RlRnd { config } => warm_start_presolve(
                 self,
                 &analyzer,
@@ -239,8 +239,8 @@ impl FloorplanRequest {
                 });
                 on_candidate(index, reward, best_reward);
             };
-            let search = &mut search_run(&method, self.budget(), &mut tee);
-            match &method {
+            let search = &mut search_run(method, self.budget(), &mut tee);
+            match method {
                 Method::Rl { config } => run_rl(self, analyzer, config, false, seed, warm, search)?,
                 Method::RlRnd { config } => {
                     run_rl(self, analyzer, config, true, seed, warm, search)?
@@ -273,16 +273,7 @@ impl FloorplanRequest {
             training: run.training,
             runtime: run.runtime,
             thermal_prep,
-            manifest: RunManifest {
-                system_name: self.system().name().to_string(),
-                chiplet_count: self.system().chiplet_count(),
-                method,
-                thermal: self.thermal().clone(),
-                reward: self.reward().clone(),
-                seed,
-                budget: self.budget(),
-                warm_start: self.warm_start(),
-            },
+            manifest,
         })
     }
 }

@@ -112,7 +112,7 @@
 //! side re-attaches one from its own cache).
 
 use crate::codec::{budget, method, thermal, Record, Timing};
-use crate::outcome::FloorplanOutcome;
+use crate::outcome::{FloorplanOutcome, RunManifest};
 use crate::request::FloorplanRequest;
 use rlp_chiplet::{ChipletSystem, Placement, Rotation};
 use rlp_obs::json::{Layout, Writer};
@@ -198,15 +198,27 @@ pub fn write_outcome(w: &mut Writer, system: &ChipletSystem, outcome: &Floorplan
                 sample.write(w);
             }
         });
-        let manifest = &outcome.manifest;
-        w.key("manifest").object(Layout::Block, |w| {
-            w.field("seed", manifest.seed);
-            budget::write(&manifest.budget, w.key("budget"));
-            method::write(&manifest.method, w.key("method"));
-            thermal::write(&manifest.thermal, w.key("thermal"));
-            manifest.reward.write(w.key("reward"));
-            w.field("warm_start", manifest.warm_start);
-        });
+        write_manifest(w.key("manifest"), &outcome.manifest);
+    });
+}
+
+/// Renders a manifest as the outcome document's `manifest` member, on one
+/// line. Comparing two renderings compares what the runs were, with a
+/// wall-clock budget taken at its rendered seconds.
+pub fn manifest_json(manifest: &RunManifest) -> String {
+    let mut w = Writer::compact();
+    write_manifest(&mut w, manifest);
+    w.finish()
+}
+
+fn write_manifest(w: &mut Writer, manifest: &RunManifest) {
+    w.object(Layout::Block, |w| {
+        w.field("seed", manifest.seed);
+        budget::write(&manifest.budget, w.key("budget"));
+        method::write(&manifest.method, w.key("method"));
+        thermal::write(&manifest.thermal, w.key("thermal"));
+        manifest.reward.write(w.key("reward"));
+        w.field("warm_start", manifest.warm_start);
     });
 }
 
@@ -257,7 +269,7 @@ pub fn request_json(request: &FloorplanRequest) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::outcome::{RunManifest, TelemetrySample};
+    use crate::outcome::TelemetrySample;
     use crate::request::Method;
     use crate::reward::{RewardBreakdown, RewardConfig};
     use rlp_chiplet::{Chiplet, Position};

@@ -431,6 +431,53 @@ impl FloorplanRequest {
         builder.build()
     }
 
+    /// A builder holding every member of this request, attached analyzer
+    /// and policy included: change a member and rebuild.
+    pub fn to_builder(&self) -> FloorplanRequestBuilder {
+        // Destructured without `..`, so a new member cannot be left out.
+        let FloorplanRequest {
+            system,
+            method,
+            thermal,
+            prebuilt,
+            reward,
+            budget,
+            seed,
+            parallel_envs,
+            warm_start,
+            save_policy,
+            preloaded_policy,
+        } = self;
+        FloorplanRequestBuilder {
+            system: Some(system.clone()),
+            method: method.clone(),
+            thermal: thermal.clone(),
+            prebuilt: prebuilt.clone(),
+            reward: reward.clone(),
+            budget: *budget,
+            seed: *seed,
+            parallel_envs: *parallel_envs,
+            warm_start: *warm_start,
+            save_policy: save_policy.clone(),
+            preloaded_policy: preloaded_policy.clone(),
+        }
+    }
+
+    /// The manifest a solve of this request records. A pretrained solve
+    /// records it with the checksum of the policy file it read.
+    pub fn manifest(&self) -> RunManifest {
+        RunManifest {
+            system_name: self.system.name().to_string(),
+            chiplet_count: self.system.chiplet_count(),
+            method: self.method.clone(),
+            thermal: self.thermal.clone(),
+            reward: self.reward.clone(),
+            seed: self.seed.unwrap_or(0),
+            budget: self.budget,
+            warm_start: self.warm_start,
+        }
+    }
+
     /// The system to floorplan.
     pub fn system(&self) -> &ChipletSystem {
         &self.system
@@ -446,11 +493,6 @@ impl FloorplanRequest {
         &self.thermal
     }
 
-    /// The prebuilt analyzer the request carries, if any.
-    pub fn prebuilt(&self) -> Option<&PrebuiltThermal> {
-        self.prebuilt.as_ref()
-    }
-
     /// The analyzer a solve of this request runs against, and the
     /// [`ThermalPrep`] telemetry of its construction: the prebuilt analyzer
     /// when one is attached (zero build cost now — the telemetry recorded
@@ -461,7 +503,9 @@ impl FloorplanRequest {
     ///
     /// Returns a [`ThermalError`] if a fresh build fails (invalid
     /// configuration or failed characterisation solves).
-    pub fn thermal_analyzer(&self) -> Result<(AnyThermalAnalyzer, ThermalPrep), ThermalError> {
+    pub(crate) fn thermal_analyzer(
+        &self,
+    ) -> Result<(AnyThermalAnalyzer, ThermalPrep), ThermalError> {
         match &self.prebuilt {
             Some(prebuilt) => Ok((prebuilt.analyzer.as_ref().clone(), prebuilt.prep)),
             None => self.thermal.build_prepared(&self.system),
@@ -913,18 +957,19 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.field(), "prebuilt");
 
-        // The exactly-matching backend builds fine.
+        // The exactly-matching backend builds fine, and the solve runs on
+        // the attached analyzer: its prep is the one recorded at prebuild.
+        let prep = rlp_thermal::ThermalPrep {
+            cache_hits: 1,
+            ..rlp_thermal::ThermalPrep::default()
+        };
         let request = FloorplanRequest::builder()
             .system(tiny_system())
             .thermal(grid_backend.clone())
-            .prebuilt_thermal(PrebuiltThermal::new(
-                grid_backend,
-                Arc::new(grid),
-                rlp_thermal::ThermalPrep::default(),
-            ))
+            .prebuilt_thermal(PrebuiltThermal::new(grid_backend, Arc::new(grid), prep))
             .build()
             .unwrap();
-        assert!(request.prebuilt().is_some());
+        assert_eq!(request.thermal_analyzer().unwrap().1, prep);
     }
 
     #[test]

@@ -89,7 +89,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Builder-generated requests round-trip through the wire document
-    /// byte-identically, and the parsed request is semantically equal.
+    /// byte-identically, and the parsed request is semantically equal. A
+    /// request rebuilt from its own builder copy renders the same document.
     #[test]
     fn request_documents_round_trip_byte_identically(
         name_bits in any::<u32>(),
@@ -132,6 +133,8 @@ proptest! {
         let request = builder.build().expect("generated request is valid");
 
         let json = request_json(&request);
+        let rebuilt = request.to_builder().build().expect("a request's own builder builds");
+        prop_assert_eq!(request_json(&rebuilt), json.clone());
         let parsed = request_from_json(&json).expect("rendered request parses");
         prop_assert_eq!(request_json(&parsed), json);
         prop_assert_eq!(parsed.system().name(), request.system().name());

@@ -333,26 +333,11 @@ fn solve_job(id: u64, job: &Job, shared: &Shared) -> Result<FloorplanOutcome, Pl
     let (analyzer, prep) = request
         .thermal()
         .build_cached(request.system(), &shared.cache)?;
-    let mut builder = FloorplanRequest::builder()
-        .system(request.system().clone())
-        .method(request.method().clone())
-        .thermal(request.thermal().clone())
-        .reward(request.reward().clone())
-        .warm_start(request.warm_start())
-        .prebuilt_thermal(PrebuiltThermal::new(
-            request.thermal().clone(),
-            Arc::new(analyzer),
-            prep,
-        ));
-    if let Some(budget) = request.budget() {
-        builder = builder.budget(budget);
-    }
-    if let Some(seed) = request.seed() {
-        builder = builder.seed(seed);
-    }
-    if let Some(parallel_envs) = request.parallel_envs() {
-        builder = builder.parallel_envs(parallel_envs);
-    }
+    let mut builder = request.to_builder().prebuilt_thermal(PrebuiltThermal::new(
+        request.thermal().clone(),
+        Arc::new(analyzer),
+        prep,
+    ));
     // A pretrained request naming the daemon's preloaded policy solves
     // from the in-memory copy (the facade only uses it when the paths
     // match, so a request naming a different file still reads the disk).

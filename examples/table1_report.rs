@@ -35,7 +35,7 @@
 use rlp_benchmarks::standard_benchmarks;
 use rlp_engine::{CampaignEngine, CampaignMethod, CampaignSpec};
 use rlplanner::cli::method_by_name;
-use rlplanner::Budget;
+use rlplanner::{Budget, FloorplanRequest};
 use std::time::Duration;
 
 struct Row {
@@ -88,7 +88,7 @@ fn main() {
             .method(column("RLPlanner", "rl"))
             .method(column("RLPlanner (RND)", "rl-rnd"))
             .seed(7)
-            .budget(Budget::Evaluations(episodes))
+            .base(FloorplanRequest::builder().budget(Budget::Evaluations(episodes)))
             .build()
             .expect("valid RL campaign");
         let rl_report = engine.run(&rl_spec).expect("RL campaign failed");
@@ -112,7 +112,7 @@ fn main() {
             .method(column("TAP-2.5D (HotSpot)", "sa-hotspot"))
             .method(column("TAP-2.5D (fast model)", "sa-fast"))
             .seed(7)
-            .budget(Budget::TimeLimit(rl_runtime))
+            .base(FloorplanRequest::builder().budget(Budget::TimeLimit(rl_runtime)))
             .build()
             .expect("valid SA campaign");
         let sa_report = engine.run(&sa_spec).expect("SA campaign failed");

@@ -21,7 +21,7 @@
 use rlp_benchmarks::synthetic_cases;
 use rlp_engine::{CampaignEngine, CampaignMethod, CampaignSpec};
 use rlplanner::cli::method_by_name;
-use rlplanner::Budget;
+use rlplanner::{Budget, FloorplanRequest};
 use std::time::Duration;
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -64,7 +64,7 @@ fn main() {
             .method(column(methods[0], "rl"))
             .method(column(methods[1], "rl-rnd"))
             .seed(13)
-            .budget(Budget::Evaluations(episodes))
+            .base(FloorplanRequest::builder().budget(Budget::Evaluations(episodes)))
             .build()
             .expect("valid RL campaign");
         let rl_report = engine.run(&rl_spec).expect("RL campaign failed");
@@ -86,7 +86,7 @@ fn main() {
             .method(column(methods[2], "sa-hotspot"))
             .method(column(methods[3], "sa-fast"))
             .seed(13)
-            .budget(Budget::TimeLimit(rl_runtime))
+            .base(FloorplanRequest::builder().budget(Budget::TimeLimit(rl_runtime)))
             .build()
             .expect("valid SA campaign");
         let sa_report = engine.run(&sa_spec).expect("SA campaign failed");
